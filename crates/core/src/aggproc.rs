@@ -13,6 +13,16 @@
 //! * **aggregation** runs the scalar, sort-based, in-register, or
 //!   multi-aggregate kernels over the surviving rows.
 //!
+//! How the sum inputs reach those kernels is fixed once per segment by a
+//! [`LanePlan`] (DESIGN.md §17). Every bit-packed column any sum reads is a
+//! *leaf*: unpacked once per batch at its natural width and shared between
+//! bare-column sums and expression operands. A computed input whose
+//! metadata proof holds ([`ResolvedExpr::lane_range`]) becomes a typed lane
+//! program over those leaves — evaluated inside the multi-aggregate row
+//! builder's slot lanes, or streamed into a `u32`/`u64` vector for the
+//! other strategies. When any proof fails the segment's computed inputs
+//! keep the `i64` interpreter, the one general fallback.
+//!
 //! Accumulation happens in the encoding's *normalized* domain: a bit-packed
 //! input column contributes `Σ (value - reference)`, and [`finish`]
 //! re-adds `reference × count` per group — the trick that lets every kernel
@@ -23,18 +33,19 @@
 //!
 //! [`finish`]: SegmentAggExecutor::finish
 
-use bipie_columnstore::encoding::{ForBitPackColumn, RleColumn};
+use bipie_columnstore::encoding::{EncodedColumn, ForBitPackColumn, RleColumn};
 use bipie_columnstore::Segment;
-use bipie_toolbox::agg::multi::RowLayout;
+use bipie_toolbox::agg::lane::{self, LaneLeaf, LaneProgram};
+use bipie_toolbox::agg::multi::{LaneSource, RowLayout};
 use bipie_toolbox::agg::sort_based::{bucket_sort, SortedBatch};
 use bipie_toolbox::agg::{in_register, minmax, multi, scalar, sort_based, ColRef};
-use bipie_toolbox::bitpack::WordSize;
+use bipie_toolbox::bitpack::{PackedVec, WordSize};
 use bipie_toolbox::runspan::{enc_minmax_runs_spans, enc_sum_runs_spans};
 use bipie_toolbox::select::{compact, gather, special_group};
 use bipie_toolbox::selvec::SelIndexVec;
 use bipie_toolbox::{RunSpanVec, SimdLevel};
 
-use crate::expr::ResolvedExpr;
+use crate::expr::{LaneReject, ResolvedExpr};
 use crate::strategy::{AggStrategy, SelectionStrategy};
 
 /// One aggregate input, planned per segment.
@@ -43,17 +54,21 @@ pub enum AggInput<'a> {
     /// A raw bit-packed stored column: kernels consume normalized values
     /// directly; `finish` applies the frame-of-reference correction.
     Packed(&'a ForBitPackColumn),
-    /// An expression (or a non-bit-packed stored column): evaluated per
-    /// batch over decoded column vectors, as `i64`.
+    /// An expression (or a non-bit-packed stored column): a typed lane
+    /// program over natural-width leaves when the segment's metadata proves
+    /// it safe, the `i64` interpreter over decoded vectors otherwise.
     Computed(ResolvedExpr),
 }
 
 impl AggInput<'_> {
-    /// Normalized input width in bytes (8 for computed expressions).
-    pub fn width_bytes(&self) -> usize {
+    /// Normalized input width in bytes on `seg`: the unpack word of a
+    /// packed column; for an expression the width its lane proof gives (4
+    /// when the result provably fits `u32`), or 8 when the proof fails and
+    /// it evaluates as `i64`.
+    pub fn width_bytes(&self, seg: &Segment) -> usize {
         match self {
-            AggInput::Packed(c) => WordSize::for_bits(c.bits()).bytes(),
-            AggInput::Computed(_) => 8,
+            AggInput::Packed(c) => packed_bytes(c),
+            AggInput::Computed(e) => lane_max(e, seg).map_or(8, lane_width),
         }
     }
 
@@ -64,7 +79,222 @@ impl AggInput<'_> {
     }
 }
 
-/// Reusable per-batch value storage for one input.
+/// Bytes of the unpack word of a packed column.
+fn packed_bytes(c: &ForBitPackColumn) -> usize {
+    WordSize::for_bits(c.bits()).bytes()
+}
+
+/// Bytes of the typed vector a lane result bounded by `max` needs.
+fn lane_width(max: u64) -> usize {
+    match max <= u32::MAX as u64 {
+        true => 4,
+        false => 8,
+    }
+}
+
+/// The lane proof of `e` against `seg`'s metadata: leaves must be
+/// bit-packed columns.
+fn lane_max(e: &ResolvedExpr, seg: &Segment) -> Result<u64, LaneReject> {
+    e.lane_range(&|col| match seg.column(col) {
+        EncodedColumn::BitPack(_) => {
+            let m = seg.meta(col);
+            Some((m.min, m.max))
+        }
+        _ => None,
+    })
+}
+
+/// How one segment's computed sum inputs evaluate (reported in
+/// [`ExecStats`](crate::stats::ExecStats) so tests and EXPLAIN can tell
+/// which path ran).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExprPath {
+    /// No computed input: every aggregate reads a stored column.
+    Stored,
+    /// Typed lane programs over natural-width leaves.
+    Lanes,
+    /// The `i64` interpreter, because the lane proof failed as given.
+    Interpreter(LaneReject),
+}
+
+/// How one sum input reaches the kernels.
+#[derive(Debug)]
+enum SumSource {
+    /// A bare bit-packed column: leaf index.
+    Leaf(usize),
+    /// A typed lane program with its proven result bound.
+    Lane { program: LaneProgram, max: u64 },
+    /// Full-batch `i64` interpreter results.
+    Interp,
+}
+
+/// A bit-packed column some sum input reads, unpacked once per batch.
+#[derive(Debug)]
+struct Leaf<'a> {
+    col: &'a ForBitPackColumn,
+    /// Read by a lane program (sort-based then needs it batch-indexed).
+    in_expr: bool,
+}
+
+/// The per-segment plan of how sum inputs become kernel inputs, built once
+/// from metadata (DESIGN.md §17).
+#[derive(Debug)]
+pub struct LanePlan<'a> {
+    leaves: Vec<Leaf<'a>>,
+    sums: Vec<SumSource>,
+    /// Input widths in bytes, as the kernels will see them.
+    widths: Vec<usize>,
+    path: ExprPath,
+    /// Columns the interpreter decodes as `i64` (fallback only).
+    interp_cols: Vec<usize>,
+    /// Multi-aggregate row layout for `widths`, when one exists.
+    layout: Option<RowLayout>,
+}
+
+impl<'a> LanePlan<'a> {
+    /// Plan `inputs` (sums) and `mm_inputs` (MIN/MAX) against `seg`: typed
+    /// lanes when every computed sum proves out, else the interpreter for
+    /// all of them — one fallback per segment, because CSE references tie
+    /// the computed inputs' results together.
+    pub fn build(
+        seg: &'a Segment,
+        inputs: &[AggInput<'a>],
+        mm_inputs: &[AggInput<'a>],
+    ) -> LanePlan<'a> {
+        let computed = |i: &AggInput<'_>| matches!(i, AggInput::Computed(_));
+        let mut path = if mm_inputs.iter().any(computed) {
+            ExprPath::Interpreter(LaneReject::ComputedMinMax)
+        } else if inputs.iter().any(computed) {
+            ExprPath::Lanes
+        } else {
+            ExprPath::Stored
+        };
+        loop {
+            match Self::assemble(seg, inputs, mm_inputs, path) {
+                Ok(plan) => return plan,
+                Err(reject) => path = ExprPath::Interpreter(reject),
+            }
+        }
+    }
+
+    /// Build the plan for a decided `path`; only [`ExprPath::Lanes`] can be
+    /// rejected.
+    fn assemble(
+        seg: &'a Segment,
+        inputs: &[AggInput<'a>],
+        mm_inputs: &[AggInput<'a>],
+        path: ExprPath,
+    ) -> Result<LanePlan<'a>, LaneReject> {
+        let mut plan = LanePlan {
+            leaves: Vec::new(),
+            sums: Vec::with_capacity(inputs.len()),
+            widths: Vec::with_capacity(inputs.len()),
+            path,
+            interp_cols: Vec::new(),
+            layout: None,
+        };
+        for input in inputs {
+            let (source, width) = match input {
+                AggInput::Packed(c) => (SumSource::Leaf(plan.leaf(c, false)), packed_bytes(c)),
+                AggInput::Computed(e) if path == ExprPath::Lanes => {
+                    let (program, max) = plan.lane_program(e, seg)?;
+                    (SumSource::Lane { program, max }, lane_width(max))
+                }
+                AggInput::Computed(_) => (SumSource::Interp, 8),
+            };
+            plan.sums.push(source);
+            plan.widths.push(width);
+        }
+        if let ExprPath::Interpreter(_) = path {
+            for input in inputs.iter().chain(mm_inputs) {
+                if let AggInput::Computed(e) = input {
+                    for c in e.columns() {
+                        if !plan.interp_cols.contains(&c) {
+                            plan.interp_cols.push(c);
+                        }
+                    }
+                }
+            }
+        }
+        plan.layout = RowLayout::plan(&plan.widths);
+        Ok(plan)
+    }
+
+    /// Index of the leaf for `col`, added on first use.
+    fn leaf(&mut self, col: &'a ForBitPackColumn, in_expr: bool) -> usize {
+        let at = self.leaves.iter().position(|l| std::ptr::eq(l.col, col)).unwrap_or_else(|| {
+            self.leaves.push(Leaf { col, in_expr: false });
+            self.leaves.len() - 1
+        });
+        self.leaves[at].in_expr |= in_expr;
+        at
+    }
+
+    /// Prove `e` and compile it over this plan's leaves; returns the program
+    /// and the proven bound of its result.
+    fn lane_program(
+        &mut self,
+        e: &ResolvedExpr,
+        seg: &'a Segment,
+    ) -> Result<(LaneProgram, u64), LaneReject> {
+        let max = lane_max(e, seg)?;
+        let packed = |col: usize| match seg.column(col) {
+            EncodedColumn::BitPack(c) => c,
+            // PANIC: `lane_max` just accepted, so every column `e` reads is
+            // bit-packed.
+            _ => unreachable!("lane proof admits bit-packed leaves only"),
+        };
+        for col in e.columns() {
+            self.leaf(packed(col), true);
+        }
+        let leaves = &self.leaves;
+        let program = e.lane_program(&|col| {
+            let at = leaves.iter().position(|l| std::ptr::eq(l.col, packed(col)));
+            // PANIC: the loop above registered every column `e` reads.
+            at.expect("leaf registered above")
+        })?;
+        Ok((program, max))
+    }
+
+    /// Which path the segment's computed sum inputs take.
+    pub fn expr_path(&self) -> ExprPath {
+        self.path
+    }
+
+    /// Per-sum-input widths in bytes as the kernels will see them (the
+    /// chooser's `input_bytes`).
+    pub fn input_bytes(&self) -> &[usize] {
+        &self.widths
+    }
+
+    /// Whether the widths fit one multi-aggregate accumulator row.
+    pub fn multi_layout_fits(&self) -> bool {
+        self.layout.is_some()
+    }
+
+    /// Batch-sized value buffers this plan keeps under `strategy`, in bytes
+    /// per batch row: the shared leaves, plus one vector per computed sum
+    /// unless the row builder evaluates it in its slot lanes, plus the
+    /// interpreter's decoded columns and result vectors on the fallback.
+    fn value_bytes_per_row(&self, strategy: AggStrategy) -> usize {
+        let in_lanes = strategy == AggStrategy::MultiAggregate && self.layout.is_some();
+        let leaves: usize = self.leaves.iter().map(|l| packed_bytes(l.col)).sum();
+        let computed: usize = (self.sums.iter().zip(&self.widths))
+            .map(|(s, &w)| match s {
+                SumSource::Leaf(_) => 0,
+                SumSource::Lane { .. } if in_lanes => 0,
+                SumSource::Lane { .. } => w,
+                // Full-batch result plus its compacted copy.
+                SumSource::Interp => 16,
+            })
+            .sum();
+        // The interpreter's operand stack is a few more vectors; count two.
+        let interp = if self.interp_cols.is_empty() { 0 } else { 8 * (self.interp_cols.len() + 2) };
+        leaves + computed + interp
+    }
+}
+
+/// Reusable per-batch value storage for one input or leaf.
 #[derive(Debug, Default)]
 enum ValueBuf {
     #[default]
@@ -77,6 +307,16 @@ enum ValueBuf {
 }
 
 impl ValueBuf {
+    /// An empty buffer of the unpack word for `bits`.
+    fn for_bits(bits: u8) -> ValueBuf {
+        match WordSize::for_bits(bits) {
+            WordSize::W1 => ValueBuf::U8(Vec::new()),
+            WordSize::W2 => ValueBuf::U16(Vec::new()),
+            WordSize::W4 => ValueBuf::U32(Vec::new()),
+            WordSize::W8 => ValueBuf::U64(Vec::new()),
+        }
+    }
+
     fn col_ref(&self) -> ColRef<'_> {
         match self {
             ValueBuf::U8(v) => ColRef::U8(v),
@@ -89,6 +329,19 @@ impl ValueBuf {
             ValueBuf::Empty => ColRef::U64(&[]),
         }
     }
+
+    /// Fill with the batch's (selected) values of `pv`.
+    fn load(&mut self, pv: &PackedVec, batch: &Batch<'_>, spare: &mut Spare, level: SimdLevel) {
+        match self {
+            ValueBuf::U8(v) => load_packed(v, &mut spare.u8, pv, batch, level),
+            ValueBuf::U16(v) => load_packed(v, &mut spare.u16, pv, batch, level),
+            ValueBuf::U32(v) => load_packed(v, &mut spare.u32, pv, batch, level),
+            ValueBuf::U64(v) => load_packed(v, &mut spare.u64, pv, batch, level),
+            // PANIC: packed inputs and leaves get their unpack word at plan
+            // time (`ValueBuf::for_bits`).
+            ValueBuf::I64(_) | ValueBuf::Empty => unreachable!("packed buffers are word-typed"),
+        }
+    }
 }
 
 /// Reinterpret an `i64` slice as `u64` (same layout; sums are exact in
@@ -96,6 +349,88 @@ impl ValueBuf {
 fn as_u64_slice(v: &[i64]) -> &[u64] {
     // SAFETY: i64 and u64 have identical size and alignment.
     unsafe { std::slice::from_raw_parts(v.as_ptr() as *const u64, v.len()) }
+}
+
+/// The toolbox's unpack / gather / compact kernels, by unpack word.
+trait Word: Copy + Default {
+    fn unpack(pv: &PackedVec, start: usize, out: &mut [Self], level: SimdLevel);
+    fn gather(pv: &PackedVec, rows: &[u32], out: &mut [Self], level: SimdLevel);
+    fn compact(data: &[Self], sel: &[u8], out: &mut Vec<Self>, level: SimdLevel);
+}
+
+macro_rules! impl_word {
+    ($ty:ty, $unpack:ident, $gather:ident, $compact:ident) => {
+        impl Word for $ty {
+            fn unpack(pv: &PackedVec, start: usize, out: &mut [Self], level: SimdLevel) {
+                pv.$unpack(start, out, level)
+            }
+            fn gather(pv: &PackedVec, rows: &[u32], out: &mut [Self], level: SimdLevel) {
+                gather::$gather(pv, rows, out, level)
+            }
+            fn compact(data: &[Self], sel: &[u8], out: &mut Vec<Self>, level: SimdLevel) {
+                compact::$compact(data, sel, out, level)
+            }
+        }
+    };
+}
+impl_word!(u8, unpack_into_u8, gather_unpack_u8, compact_u8);
+impl_word!(u16, unpack_into_u16, gather_unpack_u16, compact_u16);
+impl_word!(u32, unpack_into_u32, gather_unpack_u32, compact_u32);
+impl_word!(u64, unpack_into_u64, gather_unpack_u64, compact_u64);
+
+/// One compaction staging vector per unpack word: compaction writes into
+/// it and swaps, so no batch allocates.
+#[derive(Debug, Default)]
+struct Spare {
+    u8: Vec<u8>,
+    u16: Vec<u16>,
+    u32: Vec<u32>,
+    u64: Vec<u64>,
+}
+
+/// Materialize the batch's (selected) values of `pv` into `v`.
+fn load_packed<T: Word>(
+    v: &mut Vec<T>,
+    spare: &mut Vec<T>,
+    pv: &PackedVec,
+    batch: &Batch<'_>,
+    level: SimdLevel,
+) {
+    match batch.rows {
+        Rows::Gathered(_, abs_iv) => {
+            v.resize(abs_iv.len(), T::default());
+            T::gather(pv, abs_iv, v, level);
+        }
+        Rows::All | Rows::Compacted(_) => {
+            // Unpack overwrites every slot; only adjust the length.
+            v.resize(batch.len, T::default());
+            T::unpack(pv, batch.start, v, level);
+            if let Rows::Compacted(sel) = batch.rows {
+                T::compact(v, sel, spare, level);
+                std::mem::swap(v, spare);
+            }
+        }
+    }
+}
+
+/// The batch window and which of its rows the value buffers hold.
+#[derive(Debug, Clone, Copy)]
+struct Batch<'b> {
+    start: usize,
+    len: usize,
+    rows: Rows<'b>,
+}
+
+/// How this batch's rows were selected.
+#[derive(Debug, Clone, Copy)]
+enum Rows<'b> {
+    /// All rows participate (no filter, or special-group fusion).
+    All,
+    /// Gather selection: the selection byte vector and the selected rows'
+    /// absolute segment row ids.
+    Gathered(&'b [u8], &'b [u32]),
+    /// Physical compaction under this selection byte vector.
+    Compacted(&'b [u8]),
 }
 
 /// Scratch buffers reused across batches.
@@ -107,16 +442,15 @@ struct Scratch {
     abs_iv: Vec<u32>,
     /// Selected group ids.
     gids_sel: Vec<u8>,
-    /// Decoded column cache for expression evaluation: `(col, values)`.
-    col_cache: Vec<(usize, Vec<i64>)>,
-    /// Expression results (full batch).
+    /// Decoded `i64` columns of the interpreter fallback, parallel to
+    /// [`LanePlan::interp_cols`].
+    col_cache: Vec<Vec<i64>>,
+    /// Interpreter results (full batch), one per input.
     expr_bufs: Vec<Vec<i64>>,
     /// Bucket-sorted batch (sort-based strategy).
     sorted: SortedBatch,
-    /// Temporary sums for the multi-aggregate kernel.
-    multi_sums: Vec<i64>,
-    /// Compaction staging for i64 expression results.
-    compact_i64: Vec<u64>,
+    /// Compaction staging, by unpack word.
+    spare: Spare,
     /// Expression-evaluator stack buffers.
     expr_scratch: crate::expr::ExprScratch,
 }
@@ -131,13 +465,18 @@ pub struct SegmentAggExecutor<'a> {
     inputs: Vec<AggInput<'a>>,
     /// MIN/MAX inputs (extension beyond the paper's COUNT/SUM).
     mm_inputs: Vec<AggInput<'a>>,
+    /// Built by the scan at plan time, or on the first batch.
+    plan: Option<LanePlan<'a>>,
     /// Per-group row counts, length G+1.
     counts: Vec<u64>,
     /// Normalized sums, layout `[input][G+1]`.
     sums: Vec<i64>,
     /// Width-typed min/max accumulators, one per MIN/MAX input.
     mm_accs: Vec<MinMaxAcc>,
-    /// Per-input batch value buffers (sums, then MIN/MAX inputs).
+    /// Per-leaf batch values, parallel to the plan's leaves.
+    leaf_bufs: Vec<ValueBuf>,
+    /// Per-input batch value buffers (sums, then MIN/MAX inputs): computed
+    /// sums' materialized vectors and every MIN/MAX input's values.
     bufs: Vec<ValueBuf>,
     scratch: Scratch,
 }
@@ -171,19 +510,11 @@ enum MinMaxAcc {
 impl MinMaxAcc {
     fn new_for(input: &AggInput<'_>, slots: usize) -> MinMaxAcc {
         match input {
-            AggInput::Packed(c) => match bipie_toolbox::bitpack::WordSize::for_bits(c.bits()) {
-                bipie_toolbox::bitpack::WordSize::W1 => {
-                    MinMaxAcc::U8(vec![u8::MAX; slots], vec![u8::MIN; slots])
-                }
-                bipie_toolbox::bitpack::WordSize::W2 => {
-                    MinMaxAcc::U16(vec![u16::MAX; slots], vec![u16::MIN; slots])
-                }
-                bipie_toolbox::bitpack::WordSize::W4 => {
-                    MinMaxAcc::U32(vec![u32::MAX; slots], vec![u32::MIN; slots])
-                }
-                bipie_toolbox::bitpack::WordSize::W8 => {
-                    MinMaxAcc::U64(vec![u64::MAX; slots], vec![u64::MIN; slots])
-                }
+            AggInput::Packed(c) => match WordSize::for_bits(c.bits()) {
+                WordSize::W1 => MinMaxAcc::U8(vec![u8::MAX; slots], vec![u8::MIN; slots]),
+                WordSize::W2 => MinMaxAcc::U16(vec![u16::MAX; slots], vec![u16::MIN; slots]),
+                WordSize::W4 => MinMaxAcc::U32(vec![u32::MAX; slots], vec![u32::MIN; slots]),
+                WordSize::W8 => MinMaxAcc::U64(vec![u64::MAX; slots], vec![u64::MIN; slots]),
             },
             AggInput::Computed(_) => MinMaxAcc::I64(vec![i64::MAX; slots], vec![i64::MIN; slots]),
         }
@@ -231,43 +562,72 @@ impl MinMaxAcc {
 
 impl<'a> SegmentAggExecutor<'a> {
     /// Create an executor for `num_groups` real groups with the chosen
-    /// aggregation strategy.
+    /// aggregation strategy. The lane plan is built from the first batch's
+    /// segment.
     pub fn new(
         strategy: AggStrategy,
         num_groups: usize,
         inputs: Vec<AggInput<'a>>,
         level: SimdLevel,
     ) -> Self {
-        Self::with_min_max(strategy, num_groups, inputs, Vec::new(), level)
+        Self::with_min_max(strategy, num_groups, inputs, Vec::new(), None, level)
     }
 
     /// Create an executor that additionally tracks per-group MIN/MAX over
-    /// `mm_inputs`.
+    /// `mm_inputs`, with the segment's lane `plan` when the caller already
+    /// built one for these inputs.
     pub fn with_min_max(
         strategy: AggStrategy,
         num_groups: usize,
         inputs: Vec<AggInput<'a>>,
         mm_inputs: Vec<AggInput<'a>>,
+        plan: Option<LanePlan<'a>>,
         level: SimdLevel,
     ) -> Self {
         assert!((1..=255).contains(&num_groups), "narrow path supports 1..=255 groups");
         let slots = num_groups + 1;
         let sums = vec![0i64; inputs.len() * slots];
         let mm_accs = mm_inputs.iter().map(|i| MinMaxAcc::new_for(i, slots)).collect();
-        let mut bufs = Vec::with_capacity(inputs.len() + mm_inputs.len());
-        bufs.resize_with(inputs.len() + mm_inputs.len(), ValueBuf::default);
-        SegmentAggExecutor {
+        let mut exec = SegmentAggExecutor {
             level,
             strategy,
             num_groups,
             inputs,
             mm_inputs,
+            plan: None,
             counts: vec![0u64; slots],
             sums,
             mm_accs,
-            bufs,
+            leaf_bufs: Vec::new(),
+            bufs: Vec::new(),
             scratch: Scratch::default(),
+        };
+        if let Some(plan) = plan {
+            exec.install(plan);
         }
+        exec
+    }
+
+    /// Adopt `plan` and shape the value buffers it calls for.
+    fn install(&mut self, plan: LanePlan<'a>) {
+        self.leaf_bufs = plan.leaves.iter().map(|l| ValueBuf::for_bits(l.col.bits())).collect();
+        let typed = |max: u64| match lane_width(max) {
+            4 => ValueBuf::U32(Vec::new()),
+            _ => ValueBuf::U64(Vec::new()),
+        };
+        let sum_bufs = plan.sums.iter().map(|s| match s {
+            SumSource::Leaf(_) => ValueBuf::Empty,
+            SumSource::Lane { max, .. } => typed(*max),
+            SumSource::Interp => ValueBuf::I64(Vec::new()),
+        });
+        let mm_bufs = self.mm_inputs.iter().map(|i| match i {
+            AggInput::Packed(c) => ValueBuf::for_bits(c.bits()),
+            AggInput::Computed(_) => ValueBuf::I64(Vec::new()),
+        });
+        self.bufs = sum_bufs.chain(mm_bufs).collect();
+        self.scratch.col_cache.resize_with(plan.interp_cols.len(), Vec::new);
+        self.scratch.expr_bufs.resize_with(self.inputs.len() + self.mm_inputs.len(), Vec::new);
+        self.plan = Some(plan);
     }
 
     /// The aggregation strategy in use.
@@ -276,7 +636,7 @@ impl<'a> SegmentAggExecutor<'a> {
     }
 
     /// Projected working-set bytes for an executor of this shape: per-group
-    /// accumulators (counts, sums, width-typed min/max pairs), per-input
+    /// accumulators (counts, sums, width-typed min/max pairs), the plan's
     /// batch value buffers, the selection scratch every strategy shares,
     /// and the strategy's own staging. A deliberate estimate (vector
     /// headers and allocator slop are ignored) — the scan charges it to the
@@ -286,30 +646,36 @@ impl<'a> SegmentAggExecutor<'a> {
     pub fn projected_bytes(
         strategy: AggStrategy,
         num_groups: usize,
-        inputs: &[AggInput<'_>],
+        plan: &LanePlan<'_>,
         mm_inputs: &[AggInput<'_>],
         batch_rows: usize,
     ) -> usize {
         let slots = num_groups + 1;
+        let num_sums = plan.sums.len();
         // counts (u64) + normalized sums (i64 per input).
-        let mut bytes = slots * 8 + inputs.len() * slots * 8;
-        // Width-typed min/max accumulator pairs.
+        let mut bytes = slots * 8 + num_sums * slots * 8;
+        let mm_width = |i: &AggInput<'_>| match i {
+            AggInput::Packed(c) => packed_bytes(c),
+            AggInput::Computed(_) => 8,
+        };
         for i in mm_inputs {
-            bytes += 2 * slots * i.width_bytes().max(1);
+            // Width-typed min/max accumulator pair + the batch value buffer.
+            bytes += 2 * slots * mm_width(i) + batch_rows * mm_width(i);
         }
-        // Per-input batch value buffers.
-        for i in inputs.iter().chain(mm_inputs) {
-            bytes += batch_rows * i.width_bytes().max(1);
-        }
+        bytes += batch_rows * plan.value_bytes_per_row(strategy);
         // Selection scratch: index vector (u32), absolute row ids (u32),
-        // selected group ids (u8), compaction staging (u64).
+        // selected group ids (u8), compaction staging (one widest word).
         bytes += batch_rows * (4 + 4 + 1 + 8);
         bytes += match strategy {
             AggStrategy::Scalar | AggStrategy::InRegister => 0,
             // Bucket-sorted batch staging: group-major row ids + values.
             AggStrategy::SortBased => batch_rows * 16,
-            // Row-layout accumulators (≤ 32 bytes/group) + transposed sums.
-            AggStrategy::MultiAggregate => slots * 32 + inputs.len() * slots * 8,
+            // The row builder's stack frame: 256 accumulator rows, four
+            // slot lanes and the lane operand stack, one chunk deep.
+            AggStrategy::MultiAggregate => {
+                bipie_toolbox::agg::MAX_GROUPS_U8 * 32
+                    + (4 + lane::MAX_DEPTH - 1) * lane::CHUNK_ROWS * 8
+            }
             // Run-wise runs in [`RunWiseExec`], whose accumulators are a
             // handful of scalars; nothing beyond what is counted above.
             AggStrategy::RunWise => 0,
@@ -327,7 +693,7 @@ impl<'a> SegmentAggExecutor<'a> {
     ///   is `None`).
     pub fn process_batch(
         &mut self,
-        seg: &Segment,
+        seg: &'a Segment,
         start: usize,
         len: usize,
         gids: &mut [u8],
@@ -335,36 +701,61 @@ impl<'a> SegmentAggExecutor<'a> {
         selection: SelectionStrategy,
     ) {
         debug_assert_eq!(gids.len(), len);
-        let level = self.level;
-        let slots = self.num_groups + 1;
+        if self.plan.is_none() {
+            let plan = LanePlan::build(seg, &self.inputs, &self.mm_inputs);
+            self.install(plan);
+        }
+        let SegmentAggExecutor {
+            level,
+            strategy,
+            num_groups,
+            inputs,
+            mm_inputs,
+            plan,
+            counts,
+            sums,
+            mm_accs,
+            leaf_bufs,
+            bufs,
+            scratch,
+        } = self;
+        // PANIC: installed just above when absent.
+        let plan = plan.as_ref().expect("lane plan installed above");
+        let (level, strategy) = (*level, *strategy);
+        let slots = *num_groups + 1;
+        let num_sums = inputs.len();
+        let Scratch { iv, abs_iv, gids_sel, col_cache, expr_bufs, sorted, spare, expr_scratch } =
+            scratch;
 
-        // Expression inputs always evaluate over the full batch (the
+        // Fallback only: the interpreter evaluates over the full batch (the
         // generated-code contract of §3: expressions run on decoded data);
-        // selection is applied to their results.
-        self.eval_computed(seg, start, len);
+        // selection is applied to its results.
+        if let ExprPath::Interpreter(_) = plan.path {
+            let all = inputs.iter().chain(mm_inputs.iter());
+            eval_interpreted(seg, start, len, plan, all, col_cache, expr_bufs, expr_scratch);
+        }
 
-        let mode = match sel {
-            None => BatchMode::Full,
+        let rows = match sel {
+            None => Rows::All,
             Some(sel) => match selection {
                 SelectionStrategy::SpecialGroup => {
                     special_group::assign_special_group_in_place(
                         gids,
                         sel,
-                        self.num_groups as u8,
+                        *num_groups as u8,
                         level,
                     );
-                    BatchMode::Full
+                    Rows::All
                 }
                 SelectionStrategy::Gather | SelectionStrategy::Compact => {
-                    let Scratch { iv, gids_sel, abs_iv, .. } = &mut self.scratch;
                     compact::compact_indices(sel, iv, level);
                     compact::compact_u8(gids, sel, gids_sel, level);
                     if selection == SelectionStrategy::Gather {
                         abs_iv.clear();
                         abs_iv.extend(iv.as_slice().iter().map(|&i| i + start as u32));
-                        BatchMode::Selected { physical: false }
+                        Rows::Gathered(sel, abs_iv)
                     } else {
-                        BatchMode::Selected { physical: true }
+                        Rows::Compacted(sel)
                     }
                 }
                 SelectionStrategy::RunSpan => {
@@ -375,29 +766,78 @@ impl<'a> SegmentAggExecutor<'a> {
                 }
             },
         };
+        let batch = Batch { start, len, rows };
+        let gids_eff: &[u8] = match rows {
+            Rows::All => gids,
+            Rows::Gathered(..) | Rows::Compacted(_) => gids_sel,
+        };
 
-        // Sort-based aggregation consumes raw packed columns / full-batch
-        // expression vectors via sorted row indices; the other strategies
-        // need materialized (selected) value vectors.
-        let num_sums = self.inputs.len();
-        let total = num_sums + self.mm_inputs.len();
-        if self.strategy == AggStrategy::SortBased {
-            // Sort-based sums read raw packed columns; MIN/MAX inputs still
-            // materialize (their kernels scan materialized vectors).
-            self.materialize_inputs(start, len, sel, &mode, num_sums..total);
-            self.process_sort_based(seg, start, len, gids, sel, &mode);
-            self.process_min_max(gids, &mode);
+        // MIN/MAX inputs materialize their (selected) values under every
+        // strategy: their kernels scan positional vectors.
+        for (j, input) in mm_inputs.iter().enumerate() {
+            let buf = &mut bufs[num_sums + j];
+            match input {
+                AggInput::Packed(c) => buf.load(c.normalized(), &batch, spare, level),
+                AggInput::Computed(_) => {
+                    select_interpreted(&mut expr_bufs[num_sums + j], buf, &batch, spare, level)
+                }
+            }
+        }
+
+        if strategy == AggStrategy::SortBased {
+            // Sort-based sums gather from the raw packed columns through
+            // sorted batch-local row ids, so computed inputs stay
+            // batch-indexed: lane programs run over fully unpacked leaves.
+            let full = Batch { start, len, rows: Rows::All };
+            for (leaf, buf) in plan.leaves.iter().zip(leaf_bufs.iter_mut()) {
+                if leaf.in_expr {
+                    buf.load(leaf.col.normalized(), &full, spare, level);
+                }
+            }
+            materialize_lanes(plan, leaf_bufs, &mut bufs[..num_sums], len, level);
+            match rows {
+                Rows::All => bucket_sort(gids, None, slots, sorted),
+                _ => bucket_sort(gids_sel, Some(iv.as_slice()), slots, sorted),
+            }
+            // The sort's counting pass is the COUNT(*) (§5.2).
+            for (c, n) in counts.iter_mut().zip(sorted.counts()) {
+                *c += n;
+            }
+            for (i, source) in plan.sums.iter().enumerate() {
+                let sums = &mut sums[i * slots..(i + 1) * slots];
+                match (source, &bufs[i]) {
+                    (SumSource::Leaf(l), _) => sort_based::sum_sorted_packed(
+                        plan.leaves[*l].col.normalized(),
+                        sorted,
+                        start as u32,
+                        sums,
+                        level,
+                    ),
+                    (SumSource::Lane { .. }, ValueBuf::U32(v)) => {
+                        sort_based::sum_sorted_u32(v, sorted, sums, level)
+                    }
+                    (SumSource::Lane { .. }, ValueBuf::U64(v)) => {
+                        sort_based::sum_sorted_u64(v, sorted, sums, level)
+                    }
+                    (SumSource::Interp, _) => {
+                        // Full-batch interpreter results, batch-local ids.
+                        debug_assert_eq!(expr_bufs[i].len(), len);
+                        sort_based::sum_sorted_i64(&expr_bufs[i], sorted, sums, level)
+                    }
+                    (SumSource::Lane { .. }, buf) => {
+                        // PANIC: `install` types lane buffers U32 or U64.
+                        unreachable!("lane result buffer {buf:?}")
+                    }
+                }
+            }
+            update_min_max(mm_accs, &bufs[num_sums..], gids_eff, slots, level);
             return;
         }
 
-        self.materialize_inputs(start, len, sel, &mode, 0..total);
-
-        let SegmentAggExecutor { inputs, counts, sums, bufs, scratch, strategy, .. } = self;
-        let Scratch { gids_sel, multi_sums, expr_bufs, .. } = scratch;
-        let gids_eff: &[u8] = match &mode {
-            BatchMode::Full => gids,
-            BatchMode::Selected { .. } => gids_sel,
-        };
+        for (leaf, buf) in plan.leaves.iter().zip(leaf_bufs.iter_mut()) {
+            buf.load(leaf.col.normalized(), &batch, spare, level);
+        }
+        let eff_len = gids_eff.len();
 
         // COUNT(*): in-register when the group domain fits, scalar otherwise.
         if slots <= bipie_toolbox::agg::MAX_GROUPS_IN_REGISTER {
@@ -406,119 +846,92 @@ impl<'a> SegmentAggExecutor<'a> {
             scalar::count_multi_array::<4>(gids_eff, counts);
         }
 
-        // One ColRef per sum input. Computed inputs in Full mode read
-        // their expression buffers directly (ValueBuf::Empty marks that
-        // case).
-        let cols: Vec<ColRef<'_>> = bufs[..inputs.len()]
-            .iter()
-            .enumerate()
-            .map(|(i, buf)| match buf {
-                ValueBuf::Empty => ColRef::U64(as_u64_slice(&expr_bufs[i])),
-                other => other.col_ref(),
-            })
-            .collect();
-
-        match strategy {
-            AggStrategy::Scalar => {
-                if !cols.is_empty() {
-                    scalar::sums_row_at_a_time_unrolled(gids_eff, &cols, slots, sums);
-                }
+        let in_lanes = strategy == AggStrategy::MultiAggregate && plan.layout.is_some();
+        if !in_lanes {
+            materialize_lanes(plan, leaf_bufs, &mut bufs[..num_sums], eff_len, level);
+        }
+        for (i, source) in plan.sums.iter().enumerate() {
+            if let SumSource::Interp = source {
+                select_interpreted(&mut expr_bufs[i], &mut bufs[i], &batch, spare, level);
             }
-            AggStrategy::InRegister => {
-                for (i, col) in cols.iter().enumerate() {
+        }
+        let leaf_bufs = &*leaf_bufs;
+        let bufs = &*bufs;
+        // The kernel-facing column of sum input `i`.
+        let col = |i: usize| match &plan.sums[i] {
+            SumSource::Leaf(l) => leaf_bufs[*l].col_ref(),
+            SumSource::Lane { .. } | SumSource::Interp => bufs[i].col_ref(),
+        };
+
+        match (strategy, &plan.layout) {
+            (AggStrategy::InRegister, _) => {
+                for i in 0..num_sums {
                     let sums = &mut sums[i * slots..(i + 1) * slots];
-                    if slots > bipie_toolbox::agg::MAX_GROUPS_IN_REGISTER {
-                        // The chooser avoids this; forced-strategy runs
-                        // stay correct via the scalar kernel.
-                        scalar::sum_single_array(gids_eff, *col, sums);
-                        continue;
-                    }
-                    match col {
+                    let max = match (&inputs[i], &plan.sums[i]) {
+                        (_, SumSource::Lane { max, .. }) => *max,
+                        (AggInput::Packed(c), _) => c.normalized_max(),
+                        _ => u64::MAX,
+                    };
+                    match col(i) {
+                        // The chooser avoids group domains past the
+                        // register file and inputs too wide for 32-bit lane
+                        // accumulators; forced-strategy runs stay correct
+                        // via the scalar kernel.
+                        c if slots > bipie_toolbox::agg::MAX_GROUPS_IN_REGISTER => {
+                            scalar::sum_single_array(gids_eff, c, sums)
+                        }
                         ColRef::U8(v) => in_register::sum_u8(gids_eff, v, slots, sums, level),
                         ColRef::U16(v) => in_register::sum_u16(gids_eff, v, slots, sums, level),
-                        ColRef::U32(v) => {
-                            let max = match &inputs[i] {
-                                AggInput::Packed(c) => c.normalized_max().min(u32::MAX as u64),
-                                AggInput::Computed(_) => u32::MAX as u64,
-                            };
+                        ColRef::U32(v) if max < 1u64 << 31 => {
                             in_register::sum_u32(gids_eff, v, slots, sums, max as u32, level)
                         }
-                        // Wider inputs: the chooser avoids this, but stay
-                        // correct via the scalar kernel.
-                        other => scalar::sum_single_array(gids_eff, *other, sums),
+                        c => scalar::sum_single_array(gids_eff, c, sums),
                     }
                 }
             }
-            AggStrategy::MultiAggregate => match RowLayout::plan_for(&cols) {
-                Some(layout) if !cols.is_empty() => {
-                    let tmp = multi_sums;
-                    tmp.clear();
-                    tmp.resize(cols.len() * slots, 0);
-                    multi::sum_multi(gids_eff, &cols, &layout, slots, tmp, level);
-                    for (s, t) in sums.iter_mut().zip(tmp.iter()) {
-                        *s += t;
-                    }
+            (AggStrategy::MultiAggregate, Some(layout)) if num_sums > 0 => {
+                // A row layout exists, so at most MAX_SOURCES inputs.
+                let mut sources = [LaneSource::Col(ColRef::U8(&[])); multi::MAX_SOURCES];
+                for (i, out) in sources.iter_mut().enumerate().take(num_sums) {
+                    *out = match &plan.sums[i] {
+                        SumSource::Lane { program, .. } => LaneSource::Expr(program),
+                        _ => LaneSource::Col(col(i)),
+                    };
                 }
-                _ => {
-                    if !cols.is_empty() {
-                        scalar::sums_row_at_a_time_unrolled(gids_eff, &cols, slots, sums);
+                multi::sum_lanes(
+                    gids_eff,
+                    &sources[..num_sums],
+                    &|l| lane_leaf(plan, leaf_bufs, l),
+                    layout,
+                    slots,
+                    sums,
+                    level,
+                );
+            }
+            (AggStrategy::Scalar | AggStrategy::MultiAggregate, _) => {
+                // The unrolled scalar kernel specializes up to eight
+                // columns; feed it eight inputs at a time.
+                for first in (0..num_sums).step_by(8) {
+                    let k = (num_sums - first).min(8);
+                    let mut cols = [ColRef::U8(&[]); 8];
+                    for (c, out) in cols.iter_mut().enumerate().take(k) {
+                        *out = col(first + c);
                     }
+                    scalar::sums_row_at_a_time_unrolled(
+                        gids_eff,
+                        &cols[..k],
+                        slots,
+                        &mut sums[first * slots..(first + k) * slots],
+                    );
                 }
-            },
+            }
             // PANIC: the SortBased arm returned earlier in this function.
-            AggStrategy::SortBased => unreachable!("handled above"),
+            (AggStrategy::SortBased, _) => unreachable!("handled above"),
             // PANIC: run-wise aggregation runs in [`RunWiseExec`]; the
             // generic executor is never constructed with it.
-            AggStrategy::RunWise => unreachable!("run-wise uses a dedicated executor"),
+            (AggStrategy::RunWise, _) => unreachable!("run-wise uses a dedicated executor"),
         }
-        drop(cols);
-        self.process_min_max(gids, &mode);
-    }
-
-    /// Update the MIN/MAX accumulators from the materialized inputs.
-    fn process_min_max(&mut self, gids: &[u8], mode: &BatchMode) {
-        if self.mm_inputs.is_empty() {
-            return;
-        }
-        let num_sums = self.inputs.len();
-        let slots = self.num_groups + 1;
-        let level = self.level;
-        let Scratch { gids_sel, expr_bufs, .. } = &mut self.scratch;
-        let gids_eff: &[u8] = match mode {
-            BatchMode::Full => gids,
-            BatchMode::Selected { .. } => gids_sel,
-        };
-        for (j, acc) in self.mm_accs.iter_mut().enumerate() {
-            let buf = &self.bufs[num_sums + j];
-            match (buf, acc) {
-                (ValueBuf::U8(v), MinMaxAcc::U8(mins, maxs)) => {
-                    minmax::min_max_u8(gids_eff, v, slots, mins, maxs, level)
-                }
-                (ValueBuf::U16(v), MinMaxAcc::U16(mins, maxs)) => {
-                    minmax::min_max_scalar_u16(gids_eff, v, mins, maxs)
-                }
-                (ValueBuf::U32(v), MinMaxAcc::U32(mins, maxs)) => {
-                    minmax::min_max_scalar_u32(gids_eff, v, mins, maxs)
-                }
-                (ValueBuf::U64(v), MinMaxAcc::U64(mins, maxs)) => {
-                    minmax::min_max_scalar_u64(gids_eff, v, mins, maxs)
-                }
-                (ValueBuf::I64(v), MinMaxAcc::I64(mins, maxs)) => {
-                    minmax::min_max_scalar_i64(gids_eff, v, mins, maxs)
-                }
-                (ValueBuf::Empty, MinMaxAcc::I64(mins, maxs)) => {
-                    // Computed input in Full mode: read the expression
-                    // buffer directly.
-                    minmax::min_max_scalar_i64(gids_eff, &expr_bufs[num_sums + j], mins, maxs)
-                }
-                (buf, acc) => {
-                    // PANIC: accumulators are allocated to match the buffer
-                    // shapes chosen by `materialize_inputs` for one segment;
-                    // both derive from the same plan, so they cannot diverge.
-                    unreachable!("mismatched min/max buffer {buf:?} for accumulator {acc:?}")
-                }
-            }
-        }
+        update_min_max(mm_accs, &bufs[num_sums..], gids_eff, slots, level);
     }
 
     /// Finish the segment: apply frame-of-reference corrections and drop
@@ -555,160 +968,132 @@ impl<'a> SegmentAggExecutor<'a> {
         }
         SegmentAggResult { counts, sums, mins, maxs }
     }
+}
 
-    /// Evaluate computed inputs over the full batch into `scratch.expr_bufs`.
-    fn eval_computed(&mut self, seg: &Segment, start: usize, len: usize) {
-        // Collect the decoded columns every expression needs.
-        let mut needed: Vec<usize> = Vec::new();
-        for input in self.inputs.iter().chain(&self.mm_inputs) {
-            if let AggInput::Computed(e) = input {
-                for c in e.columns() {
-                    if !needed.contains(&c) {
-                        needed.push(c);
-                    }
-                }
+/// Leaf `l` of the plan as the lane evaluator reads it: this batch's
+/// unpacked values, biased back to logical by the frame of reference (which
+/// the proof showed non-negative for every leaf a program reads).
+fn lane_leaf<'b>(plan: &LanePlan<'_>, leaf_bufs: &'b [ValueBuf], l: usize) -> LaneLeaf<'b> {
+    LaneLeaf { col: leaf_bufs[l].col_ref(), bias: plan.leaves[l].col.reference() as u64 }
+}
+
+/// Stream every lane-program sum over `len` leaf rows into its typed
+/// vector in `bufs` (one fused pass per input, chunk by chunk).
+fn materialize_lanes(
+    plan: &LanePlan<'_>,
+    leaf_bufs: &[ValueBuf],
+    bufs: &mut [ValueBuf],
+    len: usize,
+    level: SimdLevel,
+) {
+    for (i, source) in plan.sums.iter().enumerate() {
+        let SumSource::Lane { program, .. } = source else { continue };
+        // Earlier expression results feed CSE references.
+        let (done, rest) = bufs.split_at_mut(i);
+        let (leaf, prev) = (|l| lane_leaf(plan, leaf_bufs, l), |j: usize| done[j].col_ref());
+        match &mut rest[0] {
+            ValueBuf::U32(v) => {
+                v.resize(len, 0);
+                lane::materialize_u32(program, &leaf, &prev, v, level)
             }
-        }
-        let Scratch { col_cache, expr_bufs, expr_scratch, .. } = &mut self.scratch;
-        col_cache.retain(|(c, _)| needed.contains(c));
-        for &c in &needed {
-            if !col_cache.iter().any(|(cc, _)| *cc == c) {
-                col_cache.push((c, Vec::new()));
+            ValueBuf::U64(v) => {
+                v.resize(len, 0);
+                lane::materialize_u64(program, &leaf, &prev, v, level)
             }
-        }
-        for (c, buf) in col_cache.iter_mut() {
-            // decode overwrites every slot; only adjust the length.
-            buf.resize(len, 0);
-            seg.column(*c).decode_i64_into(start, buf);
-        }
-        let col_cache = &*col_cache;
-        let lookup = |idx: usize| -> &[i64] {
-            col_cache
-                .iter()
-                .find(|(c, _)| *c == idx)
-                .map(|(_, v)| v.as_slice())
-                // PANIC: `col_cache` was filled above from the same column
-                // list the expressions reference.
-                .expect("column decoded")
-        };
-        let total = self.inputs.len() + self.mm_inputs.len();
-        expr_bufs.resize_with(total, Vec::new);
-        for (i, input) in self.inputs.iter().chain(&self.mm_inputs).enumerate() {
-            if let AggInput::Computed(e) = input {
-                // Earlier expression results feed CSE references.
-                let (done, rest) = expr_bufs.split_at_mut(i);
-                let prev = |p: usize| -> &[i64] { &done[p] };
-                e.eval_batch_with_prev(len, &lookup, &prev, &mut rest[0], expr_scratch);
-            }
+            // PANIC: `install` types lane buffers U32 or U64.
+            buf => unreachable!("lane result buffer {buf:?}"),
         }
     }
+}
 
-    /// Materialize the (selected) values of inputs with indices in `range`
-    /// into `self.bufs` (sum inputs come first, then MIN/MAX inputs).
-    fn materialize_inputs(
-        &mut self,
-        start: usize,
-        len: usize,
-        sel: Option<&[u8]>,
-        mode: &BatchMode,
-        range: std::ops::Range<usize>,
-    ) {
-        let level = self.level;
-        let Scratch { abs_iv, expr_bufs, compact_i64, .. } = &mut self.scratch;
-        for (i, input) in self.inputs.iter().chain(&self.mm_inputs).enumerate() {
-            if !range.contains(&i) {
-                continue;
-            }
-            let buf = &mut self.bufs[i];
-            match input {
-                AggInput::Packed(c) => {
-                    let pv = c.normalized();
-                    match mode {
-                        BatchMode::Full => {
-                            // Unpack the whole batch at the natural width.
-                            unpack_full(pv, start, len, buf, level);
-                        }
-                        BatchMode::Selected { physical: false } => {
-                            gather_selected(pv, abs_iv, buf, level);
-                        }
-                        BatchMode::Selected { physical: true } => {
-                            unpack_full(pv, start, len, buf, level);
-                            // PANIC: Selected mode always carries a selection.
-                            compact_buf(buf, sel.expect("selected mode"), level);
-                        }
-                    }
-                }
-                AggInput::Computed(_) => {
-                    match mode {
-                        BatchMode::Full => {
-                            // Kernels read the expression buffer directly
-                            // (see `col_refs`); nothing to materialize.
-                            *buf = ValueBuf::Empty;
-                        }
-                        BatchMode::Selected { .. } => {
-                            // Compact the full-batch expression results.
-                            let values = &expr_bufs[i];
-                            let mut v = match std::mem::replace(buf, ValueBuf::Empty) {
-                                ValueBuf::I64(v) => v,
-                                _ => Vec::new(),
-                            };
-                            v.clear();
-                            compact::compact_u64(
-                                as_u64_slice(values),
-                                // PANIC: Selected mode always carries a selection.
-                                sel.expect("selected mode"),
-                                compact_i64,
-                                level,
-                            );
-                            v.extend(compact_i64.iter().map(|&x| x as i64));
-                            *buf = ValueBuf::I64(v);
-                        }
-                    }
-                }
-            }
+/// The fallback: decode the referenced columns to `i64` and run every
+/// computed input's interpreter program over the full batch into
+/// `expr_bufs`.
+#[allow(clippy::too_many_arguments)] // the executor's scratch, field by field
+fn eval_interpreted<'i>(
+    seg: &Segment,
+    start: usize,
+    len: usize,
+    plan: &LanePlan<'_>,
+    inputs: impl Iterator<Item = &'i AggInput<'i>>,
+    col_cache: &mut [Vec<i64>],
+    expr_bufs: &mut [Vec<i64>],
+    expr_scratch: &mut crate::expr::ExprScratch,
+) {
+    for (&c, buf) in plan.interp_cols.iter().zip(col_cache.iter_mut()) {
+        // decode overwrites every slot; only adjust the length.
+        buf.resize(len, 0);
+        seg.column(c).decode_i64_into(start, buf);
+    }
+    let col_cache = &*col_cache;
+    let lookup = |col: usize| -> &[i64] {
+        // PANIC: `interp_cols` lists every column the expressions reference.
+        let at = plan.interp_cols.iter().position(|&c| c == col).expect("column decoded");
+        &col_cache[at]
+    };
+    for (i, input) in inputs.enumerate() {
+        if let AggInput::Computed(e) = input {
+            // Earlier expression results feed CSE references.
+            let (done, rest) = expr_bufs.split_at_mut(i);
+            let prev = |p: usize| -> &[i64] { &done[p] };
+            e.eval_batch_with_prev(len, &lookup, &prev, &mut rest[0], expr_scratch);
         }
     }
+}
 
-    /// Sort-based path (§5.2): bucket-sort once, then gather-sum every
-    /// aggregate from its raw representation.
-    fn process_sort_based(
-        &mut self,
-        _seg: &Segment,
-        start: usize,
-        len: usize,
-        gids: &[u8],
-        _sel: Option<&[u8]>,
-        mode: &BatchMode,
-    ) {
-        let slots = self.num_groups + 1;
-        let level = self.level;
-        let Scratch { sorted, gids_sel, iv, expr_bufs, .. } = &mut self.scratch;
-        match mode {
-            BatchMode::Full => bucket_sort(gids, None, slots, sorted),
-            BatchMode::Selected { .. } => bucket_sort(gids_sel, Some(iv.as_slice()), slots, sorted),
+/// Move one interpreter result into its input's `I64` buffer: handed over
+/// whole when every row participates, compacted otherwise.
+fn select_interpreted(
+    values: &mut Vec<i64>,
+    buf: &mut ValueBuf,
+    batch: &Batch<'_>,
+    spare: &mut Spare,
+    level: SimdLevel,
+) {
+    let ValueBuf::I64(v) = buf else {
+        // PANIC: `install` types interpreter buffers I64.
+        unreachable!("interpreter result buffer {buf:?}")
+    };
+    match batch.rows {
+        Rows::All => std::mem::swap(values, v),
+        Rows::Gathered(sel, _) | Rows::Compacted(sel) => {
+            compact::compact_u64(as_u64_slice(values), sel, &mut spare.u64, level);
+            v.clear();
+            v.extend(spare.u64.iter().map(|&x| x as i64));
         }
-        // The sort's counting pass is the COUNT(*) (§5.2).
-        for (c, n) in self.counts.iter_mut().zip(sorted.counts()) {
-            *c += n;
-        }
-        for (i, input) in self.inputs.iter().enumerate() {
-            let sums = &mut self.sums[i * slots..(i + 1) * slots];
-            match input {
-                AggInput::Packed(c) => {
-                    sort_based::sum_sorted_packed(
-                        c.normalized(),
-                        sorted,
-                        start as u32,
-                        sums,
-                        level,
-                    );
-                }
-                AggInput::Computed(_) => {
-                    // Full-batch expression results, batch-local row ids.
-                    let values = &expr_bufs[i];
-                    debug_assert_eq!(values.len(), len);
-                    sort_based::sum_sorted_i64(values, sorted, sums, level);
-                }
+    }
+}
+
+/// Update the MIN/MAX accumulators from the materialized MIN/MAX inputs.
+fn update_min_max(
+    mm_accs: &mut [MinMaxAcc],
+    bufs: &[ValueBuf],
+    gids: &[u8],
+    slots: usize,
+    level: SimdLevel,
+) {
+    for (buf, acc) in bufs.iter().zip(mm_accs) {
+        match (buf, acc) {
+            (ValueBuf::U8(v), MinMaxAcc::U8(mins, maxs)) => {
+                minmax::min_max_u8(gids, v, slots, mins, maxs, level)
+            }
+            (ValueBuf::U16(v), MinMaxAcc::U16(mins, maxs)) => {
+                minmax::min_max_scalar_u16(gids, v, mins, maxs)
+            }
+            (ValueBuf::U32(v), MinMaxAcc::U32(mins, maxs)) => {
+                minmax::min_max_scalar_u32(gids, v, mins, maxs)
+            }
+            (ValueBuf::U64(v), MinMaxAcc::U64(mins, maxs)) => {
+                minmax::min_max_scalar_u64(gids, v, mins, maxs)
+            }
+            (ValueBuf::I64(v), MinMaxAcc::I64(mins, maxs)) => {
+                minmax::min_max_scalar_i64(gids, v, mins, maxs)
+            }
+            (buf, acc) => {
+                // PANIC: accumulators and buffers are both shaped from the
+                // same MIN/MAX input (`MinMaxAcc::new_for`, `install`), so
+                // they cannot diverge.
+                unreachable!("mismatched min/max buffer {buf:?} for accumulator {acc:?}")
             }
         }
     }
@@ -770,141 +1155,6 @@ impl<'a> RunWiseExec<'a> {
             mins: self.mins.into_iter().map(|m| vec![m]).collect(),
             maxs: self.maxs.into_iter().map(|m| vec![m]).collect(),
         }
-    }
-}
-
-/// How this batch's rows were selected.
-#[derive(Debug, PartialEq, Eq)]
-enum BatchMode {
-    /// All rows participate (no filter, or special-group fusion).
-    Full,
-    /// Only rows in `scratch.iv`; `physical` distinguishes compaction from
-    /// gather.
-    Selected {
-        /// True for physical compaction, false for gather.
-        physical: bool,
-    },
-}
-
-fn unpack_full(
-    pv: &bipie_toolbox::bitpack::PackedVec,
-    start: usize,
-    len: usize,
-    buf: &mut ValueBuf,
-    level: SimdLevel,
-) {
-    match WordSize::for_bits(pv.bits()) {
-        WordSize::W1 => {
-            let mut v = take_u8(buf);
-            v.resize(len, 0);
-            pv.unpack_into_u8(start, &mut v, level);
-            *buf = ValueBuf::U8(v);
-        }
-        WordSize::W2 => {
-            let mut v = take_u16(buf);
-            v.resize(len, 0);
-            pv.unpack_into_u16(start, &mut v, level);
-            *buf = ValueBuf::U16(v);
-        }
-        WordSize::W4 => {
-            let mut v = take_u32(buf);
-            v.resize(len, 0);
-            pv.unpack_into_u32(start, &mut v, level);
-            *buf = ValueBuf::U32(v);
-        }
-        WordSize::W8 => {
-            let mut v = take_u64(buf);
-            v.resize(len, 0);
-            pv.unpack_into_u64(start, &mut v, level);
-            *buf = ValueBuf::U64(v);
-        }
-    }
-}
-
-fn gather_selected(
-    pv: &bipie_toolbox::bitpack::PackedVec,
-    abs_iv: &[u32],
-    buf: &mut ValueBuf,
-    level: SimdLevel,
-) {
-    match WordSize::for_bits(pv.bits()) {
-        WordSize::W1 => {
-            let mut v = take_u8(buf);
-            v.resize(abs_iv.len(), 0);
-            gather::gather_unpack_u8(pv, abs_iv, &mut v, level);
-            *buf = ValueBuf::U8(v);
-        }
-        WordSize::W2 => {
-            let mut v = take_u16(buf);
-            v.resize(abs_iv.len(), 0);
-            gather::gather_unpack_u16(pv, abs_iv, &mut v, level);
-            *buf = ValueBuf::U16(v);
-        }
-        WordSize::W4 => {
-            let mut v = take_u32(buf);
-            v.resize(abs_iv.len(), 0);
-            gather::gather_unpack_u32(pv, abs_iv, &mut v, level);
-            *buf = ValueBuf::U32(v);
-        }
-        WordSize::W8 => {
-            let mut v = take_u64(buf);
-            v.resize(abs_iv.len(), 0);
-            gather::gather_unpack_u64(pv, abs_iv, &mut v, level);
-            *buf = ValueBuf::U64(v);
-        }
-    }
-}
-
-fn compact_buf(buf: &mut ValueBuf, sel: &[u8], level: SimdLevel) {
-    match buf {
-        ValueBuf::U8(v) => {
-            let mut out = Vec::new();
-            compact::compact_u8(v, sel, &mut out, level);
-            *v = out;
-        }
-        ValueBuf::U16(v) => {
-            let mut out = Vec::new();
-            compact::compact_u16(v, sel, &mut out, level);
-            *v = out;
-        }
-        ValueBuf::U32(v) => {
-            let mut out = Vec::new();
-            compact::compact_u32(v, sel, &mut out, level);
-            *v = out;
-        }
-        ValueBuf::U64(v) => {
-            let mut out = Vec::new();
-            compact::compact_u64(v, sel, &mut out, level);
-            *v = out;
-        }
-        // PANIC: compact_buf is only called on packed (U8/U16/U32/U64)
-        // column buffers materialized by the Selected physical path.
-        ValueBuf::I64(_) | ValueBuf::Empty => unreachable!("packed inputs only"),
-    }
-}
-
-fn take_u8(buf: &mut ValueBuf) -> Vec<u8> {
-    match std::mem::replace(buf, ValueBuf::Empty) {
-        ValueBuf::U8(v) => v,
-        _ => Vec::new(),
-    }
-}
-fn take_u16(buf: &mut ValueBuf) -> Vec<u16> {
-    match std::mem::replace(buf, ValueBuf::Empty) {
-        ValueBuf::U16(v) => v,
-        _ => Vec::new(),
-    }
-}
-fn take_u32(buf: &mut ValueBuf) -> Vec<u32> {
-    match std::mem::replace(buf, ValueBuf::Empty) {
-        ValueBuf::U32(v) => v,
-        _ => Vec::new(),
-    }
-}
-fn take_u64(buf: &mut ValueBuf) -> Vec<u64> {
-    match std::mem::replace(buf, ValueBuf::Empty) {
-        ValueBuf::U64(v) => v,
-        _ => Vec::new(),
     }
 }
 
@@ -1118,5 +1368,321 @@ mod tests {
             assert!(r.counts.iter().all(|&c| c == 0), "{selection:?}");
             assert!(r.sums[0].iter().all(|&s| s == 0), "{selection:?}");
         }
+    }
+
+    // ---- lane plan vs interpreter vs row oracle (DESIGN.md §17) ----
+
+    /// One generator case: three bit-packed value columns with the given
+    /// inclusive ranges (extremes always present), the SUM expressions over
+    /// them, and the path the proof must choose.
+    struct LaneCase {
+        name: &'static str,
+        rows: usize,
+        batch: usize,
+        /// One group and every value at its range's top (bar a lone bottom
+        /// row): the densest accumulation the slots can see.
+        saturated: bool,
+        ranges: [(i64, i64); 3],
+        exprs: Vec<Expr>,
+        expect: ExprPath,
+    }
+
+    fn col(name: &str) -> Expr {
+        Expr::col(name)
+    }
+
+    /// A sum tree `levels` non-leaf levels deep over `(a + b)` leaves: needs
+    /// `levels + 1` operand-stack slots.
+    fn deep_sum(levels: usize) -> Expr {
+        match levels {
+            0 => col("a").add(col("b")),
+            _ => deep_sum(levels - 1).add(deep_sum(levels - 1)),
+        }
+    }
+
+    fn lane_cases() -> Vec<LaneCase> {
+        let q1 = || col("a").mul(Expr::lit(100).sub(col("b")));
+        let case = |name, ranges, exprs, expect| LaneCase {
+            name,
+            rows: 3000,
+            batch: 1000,
+            saturated: false,
+            ranges,
+            exprs,
+            expect,
+        };
+        let reject = ExprPath::Interpreter;
+        vec![
+            case(
+                "q1 shape with CSE",
+                [(90_000, 10_000_000), (0, 10), (0, 8)],
+                vec![col("b"), q1(), q1().mul(Expr::lit(100).add(col("c"))), col("a")],
+                ExprPath::Lanes,
+            ),
+            case(
+                "multiplicand at 2^32 - 1",
+                [(0, u32::MAX as i64), (0, 3), (0, 1)],
+                vec![col("a").mul(col("b"))],
+                ExprPath::Lanes,
+            ),
+            case(
+                "multiplicand at 2^32",
+                [(0, 1 << 32), (0, 3), (0, 1)],
+                vec![col("a").mul(col("b"))],
+                reject(LaneReject::WideMultiplicand),
+            ),
+            case(
+                "product exactly fills u32",
+                [(0, 65_535), (0, 65_537), (0, 1)],
+                vec![col("a").mul(col("b")), col("c")],
+                ExprPath::Lanes,
+            ),
+            case(
+                "product one past u32",
+                [(0, 65_536), (0, 65_536), (0, 1)],
+                vec![col("a").mul(col("b")), col("c")],
+                ExprPath::Lanes,
+            ),
+            case(
+                "leaf and difference touching zero",
+                [(0, 1000), (0, 100), (5, 9)],
+                vec![col("a").add(col("c")).mul(Expr::lit(100).sub(col("b")))],
+                ExprPath::Lanes,
+            ),
+            case(
+                "negative frame of reference",
+                [(-1, 1000), (0, 100), (5, 9)],
+                vec![col("a").add(col("c")).mul(Expr::lit(100).sub(col("b")))],
+                reject(LaneReject::NegativeRange),
+            ),
+            case(
+                "difference reaching below zero",
+                [(0, 1000), (0, 101), (5, 9)],
+                vec![col("a").mul(Expr::lit(100).sub(col("b")))],
+                reject(LaneReject::NegativeRange),
+            ),
+            case(
+                "column-free expression in lanes",
+                [(0, 9), (0, 9), (0, 9)],
+                vec![Expr::lit(7).mul(Expr::lit(3)), col("a")],
+                ExprPath::Lanes,
+            ),
+            case(
+                "column-free expressions on the interpreter",
+                [(0, 9), (0, 9), (0, 9)],
+                vec![Expr::lit(7).mul(Expr::lit(3)), Expr::lit(2).sub(Expr::lit(5))],
+                reject(LaneReject::NegativeRange),
+            ),
+            case(
+                "deepest program the lanes hold",
+                [(0, 1000), (0, 40_000), (0, 1)],
+                vec![deep_sum(lane::MAX_DEPTH - 1)],
+                ExprPath::Lanes,
+            ),
+            case(
+                "one level too deep",
+                [(0, 1000), (0, 40_000), (0, 1)],
+                vec![deep_sum(lane::MAX_DEPTH)],
+                reject(LaneReject::TooDeep),
+            ),
+            LaneCase {
+                name: "one batch across the 65 536-row slot flush",
+                rows: bipie_toolbox::agg::multi::FLUSH_ROWS + 4500,
+                batch: bipie_toolbox::agg::multi::FLUSH_ROWS + 4500,
+                saturated: true,
+                ranges: [(0, 65_535), (200, 455), (0, 65_535)],
+                exprs: vec![col("c"), col("a").mul(col("a")), col("b"), col("c")],
+                expect: ExprPath::Lanes,
+            },
+        ]
+    }
+
+    fn lane_table(case: &LaneCase) -> bipie_columnstore::Table {
+        let spec = |n: &str| ColumnSpec::new(n, LogicalType::I64).with_hint(EncodingHint::BitPack);
+        let mut b = TableBuilder::with_segment_rows(
+            vec![spec("g"), spec("a"), spec("b"), spec("c")],
+            1 << 20,
+        );
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..case.rows {
+            let g =
+                if case.saturated { (i == 0) as i64 } else { (i as i64 * 7 + i as i64 / 11) % 5 };
+            let mut row = vec![Value::I64(g)];
+            for (k, &(lo, hi)) in case.ranges.iter().enumerate() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let span = (hi - lo) as u64 + 1;
+                // Both extremes of every range are present.
+                let v = match (i + k) % 97 {
+                    _ if case.saturated => [hi, lo][(i == 0) as usize],
+                    0 => lo,
+                    1 => hi,
+                    _ => lo + ((state >> 20) % span) as i64,
+                };
+                row.push(Value::I64(v));
+            }
+            b.push_row(row);
+        }
+        b.finish()
+    }
+
+    fn packed(seg: &Segment, c: usize) -> &ForBitPackColumn {
+        match seg.column(c) {
+            EncodedColumn::BitPack(c) => c,
+            other => panic!("expected bitpack, got {other:?}"),
+        }
+    }
+
+    /// The case's SUM list as the scan plans it: CSE-resolved together, bare
+    /// bit-packed columns as `Packed`.
+    fn lane_inputs<'t>(case: &LaneCase, table: &'t bipie_columnstore::Table) -> Vec<AggInput<'t>> {
+        let seg = &table.segments()[0];
+        let exprs: Vec<&Expr> = case.exprs.iter().collect();
+        let resolved = crate::expr::resolve_many(&exprs, &|name| table.column_index(name)).unwrap();
+        resolved
+            .into_iter()
+            .map(|e| match e.as_bare_column() {
+                Some(c) => AggInput::Packed(packed(seg, c)),
+                None => AggInput::Computed(e),
+            })
+            .collect()
+    }
+
+    /// Run one (strategy, selection, level) cell of `case`, with the lane
+    /// plan the proof picks or — `interpreted` — with the fallback forced.
+    #[allow(clippy::too_many_arguments)]
+    fn run_lane_cell(
+        case: &LaneCase,
+        table: &bipie_columnstore::Table,
+        agg: AggStrategy,
+        selection: SelectionStrategy,
+        with_filter: bool,
+        level: SimdLevel,
+        interpreted: bool,
+    ) -> (SegmentAggResult, ExprPath) {
+        let seg = &table.segments()[0];
+        let inputs = lane_inputs(case, table);
+        let plan = if interpreted {
+            let forced = ExprPath::Interpreter(LaneReject::NegativeRange);
+            LanePlan::assemble(seg, &inputs, &[], forced).unwrap()
+        } else {
+            LanePlan::build(seg, &inputs, &[])
+        };
+        let path = plan.expr_path();
+        let mut exec = SegmentAggExecutor::with_min_max(agg, 5, inputs, vec![], Some(plan), level);
+        for batch in bipie_columnstore::BatchCursor::with_batch_rows(case.rows, case.batch) {
+            let mut gids = vec![0u8; batch.len];
+            packed(seg, 0).normalized().unpack_into_u8(batch.start, &mut gids, level);
+            let sel = SelByteVec::from_bools(
+                &(0..batch.len).map(|k| (batch.start + k) % 5 != 2).collect::<Vec<_>>(),
+            );
+            let sel = with_filter.then(|| sel.as_bytes());
+            exec.process_batch(seg, batch.start, batch.len, &mut gids, sel, selection);
+        }
+        (exec.finish(), path)
+    }
+
+    /// Row-at-a-time oracle for `case` through `ResolvedExpr::eval_row`.
+    fn lane_oracle(
+        case: &LaneCase,
+        table: &bipie_columnstore::Table,
+        with_filter: bool,
+    ) -> (Vec<u64>, Vec<Vec<i64>>) {
+        let seg = &table.segments()[0];
+        let resolved: Vec<ResolvedExpr> = case
+            .exprs
+            .iter()
+            .map(|e| e.resolve(&|name| table.column_index(name)).unwrap())
+            .collect();
+        let mut cols = vec![vec![0i64; case.rows]; 4];
+        for (c, out) in cols.iter_mut().enumerate() {
+            seg.column(c).decode_i64_into(0, out);
+        }
+        let mut counts = vec![0u64; 5];
+        let mut sums = vec![vec![0i64; 5]; resolved.len()];
+        for i in (0..case.rows).filter(|i| !with_filter || i % 5 != 2) {
+            let g = cols[0][i] as usize;
+            counts[g] += 1;
+            for (e, sum) in resolved.iter().zip(&mut sums) {
+                sum[g] += e.eval_row(&|c| cols[c][i]);
+            }
+        }
+        (counts, sums)
+    }
+
+    #[test]
+    fn lane_plan_interpreter_and_oracle_agree_at_the_proof_boundaries() {
+        for case in lane_cases() {
+            let table = lane_table(&case);
+            // The flush-boundary case is one huge batch; the row builder is
+            // the kernel it is about.
+            let strategies: &[AggStrategy] = match case.batch > 4096 {
+                true => &[AggStrategy::MultiAggregate],
+                false => &AggStrategy::DENSE,
+            };
+            for with_filter in [false, true] {
+                let (counts, sums) = lane_oracle(&case, &table, with_filter);
+                for level in SimdLevel::available() {
+                    for &agg in strategies {
+                        for selection in SelectionStrategy::DENSE {
+                            let cell = format!(
+                                "{}: {agg:?}+{selection:?} filter={with_filter} {level}",
+                                case.name
+                            );
+                            let (typed, path) = run_lane_cell(
+                                &case,
+                                &table,
+                                agg,
+                                selection,
+                                with_filter,
+                                level,
+                                false,
+                            );
+                            assert_eq!(path, case.expect, "{cell}");
+                            let (interp, forced) = run_lane_cell(
+                                &case,
+                                &table,
+                                agg,
+                                selection,
+                                with_filter,
+                                level,
+                                true,
+                            );
+                            assert!(matches!(forced, ExprPath::Interpreter(_)), "{cell}");
+                            assert_eq!(typed, interp, "{cell}");
+                            assert_eq!(typed.counts, counts, "{cell}");
+                            assert_eq!(typed.sums, sums, "{cell}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_plan_shares_leaves_and_reports_proven_widths() {
+        let case = &lane_cases()[0];
+        let table = lane_table(case);
+        let seg = &table.segments()[0];
+        let inputs = lane_inputs(case, &table);
+        let plan = LanePlan::build(seg, &inputs, &[]);
+        // b, a*(100-b), that*(100+c), a: three leaves, each unpacked once.
+        assert_eq!(plan.leaves.len(), 3);
+        // disc_price <= 10^9 fits u32; charge does not.
+        assert_eq!(plan.input_bytes(), &[1, 4, 8, 4]);
+        assert!(plan.multi_layout_fits());
+        // No i64 batch vectors: the projected working set shrinks against
+        // the interpreter plan for the same inputs.
+        let forced = ExprPath::Interpreter(LaneReject::NegativeRange);
+        let interp = LanePlan::assemble(seg, &inputs, &[], forced).unwrap();
+        assert_eq!(interp.input_bytes(), &[1, 8, 8, 4]);
+        for strategy in AggStrategy::DENSE {
+            let bytes =
+                |p: &LanePlan<'_>| SegmentAggExecutor::projected_bytes(strategy, 5, p, &[], 4096);
+            assert!(bytes(&plan) < bytes(&interp), "{strategy:?}");
+        }
+        // A computed MIN/MAX input keeps the whole segment on the interpreter.
+        let mm = lane_inputs(case, &table).split_off(1);
+        let with_mm = LanePlan::build(seg, &inputs, &mm);
+        assert_eq!(with_mm.expr_path(), ExprPath::Interpreter(LaneReject::ComputedMinMax));
     }
 }

@@ -11,6 +11,15 @@
 //! that neither the expression nor its sum over a segment can overflow
 //! (§2.1's metadata-driven overflow avoidance), and execution then uses
 //! plain adds/multiplies.
+//!
+//! The same metadata can prove more (DESIGN.md §17): when every node of the
+//! tree is non-negative and both operands of every multiplication fit 32
+//! bits ([`ResolvedExpr::lane_range`]), the compiled program also runs as a
+//! typed [`LaneProgram`] over natural-width columns
+//! ([`ResolvedExpr::lane_program`]) — no `i64` vectors at all. The `i64`
+//! interpreter here stays the one general fallback.
+
+use bipie_toolbox::agg::lane::{LaneArg, LaneBin, LaneOp, LaneProgram};
 
 use crate::error::{EngineError, Result};
 
@@ -474,24 +483,8 @@ impl ResolvedExpr {
                     (lo as i128, hi as i128)
                 }
                 Node::Lit(v) => (*v as i128, *v as i128),
-                Node::Add(a, b) => {
-                    let (al, ah) = walk(a, meta);
-                    let (bl, bh) = walk(b, meta);
-                    (al + bl, ah + bh)
-                }
-                Node::Sub(a, b) => {
-                    let (al, ah) = walk(a, meta);
-                    let (bl, bh) = walk(b, meta);
-                    (al - bh, ah - bl)
-                }
-                Node::Mul(a, b) => {
-                    let (al, ah) = walk(a, meta);
-                    let (bl, bh) = walk(b, meta);
-                    let products = [al * bl, al * bh, ah * bl, ah * bh];
-                    (
-                        products.iter().copied().min().unwrap(), // PANIC: 4-element array
-                        products.iter().copied().max().unwrap(), // PANIC: 4-element array
-                    )
+                Node::Add(a, b) | Node::Sub(a, b) | Node::Mul(a, b) => {
+                    binary_range(n, walk(a, meta), walk(b, meta))
                 }
                 Node::Neg(a) => {
                     let (lo, hi) = walk(a, meta);
@@ -501,6 +494,119 @@ impl ResolvedExpr {
         }
         walk(&self.root, meta)
     }
+
+    /// The typed-lane proof (DESIGN.md §17): `Ok(max)` when interval
+    /// analysis shows every node of the tree non-negative (and within
+    /// `i64`) and both operands of every multiplication at most 2³² − 1, so
+    /// each intermediate fits one unsigned 64-bit lane and each product is
+    /// one `u32 × u32 → u64`. `meta(col)` is the column's `(min, max)`, or
+    /// `None` when the column is not bit-packed (no natural-width leaf).
+    pub fn lane_range(
+        &self,
+        meta: &impl Fn(usize) -> Option<(i64, i64)>,
+    ) -> std::result::Result<u64, LaneReject> {
+        type Range = std::result::Result<(i128, i128), LaneReject>;
+        fn walk(n: &Node, meta: &impl Fn(usize) -> Option<(i64, i64)>) -> Range {
+            let (lo, hi) = match n {
+                Node::Col(i) => {
+                    let (lo, hi) = meta(*i).ok_or(LaneReject::UnpackedLeaf)?;
+                    (lo as i128, hi as i128)
+                }
+                Node::Lit(v) => (*v as i128, *v as i128),
+                Node::Add(a, b) | Node::Sub(a, b) | Node::Mul(a, b) => {
+                    let (ra, rb) = (walk(a, meta)?, walk(b, meta)?);
+                    let wide = |(_, hi): (i128, i128)| hi > u32::MAX as i128;
+                    if matches!(n, Node::Mul(..)) && (wide(ra) || wide(rb)) {
+                        return Err(LaneReject::WideMultiplicand);
+                    }
+                    binary_range(n, ra, rb)
+                }
+                Node::Neg(_) => return Err(LaneReject::NegativeRange),
+            };
+            if lo < 0 || hi > i64::MAX as i128 {
+                return Err(LaneReject::NegativeRange);
+            }
+            Ok((lo, hi))
+        }
+        walk(&self.root, meta).map(|(_, hi)| hi as u64)
+    }
+
+    /// Translate the compiled program into a [`LaneProgram`]: column
+    /// operands become leaf indices via `leaf_of`, CSE references stay
+    /// references to earlier expressions of the same list. Only meaningful
+    /// after [`lane_range`](Self::lane_range) accepted the expression.
+    pub fn lane_program(
+        &self,
+        leaf_of: &impl Fn(usize) -> usize,
+    ) -> std::result::Result<LaneProgram, LaneReject> {
+        let arg = |operand: &Operand| match *operand {
+            Operand::Col(c) => Ok(LaneArg::Leaf(leaf_of(c))),
+            Operand::Prev(i) => Ok(LaneArg::Prev(i)),
+            Operand::Lit(v) => {
+                u64::try_from(v).map(LaneArg::Lit).map_err(|_| LaneReject::NegativeRange)
+            }
+            Operand::Stack => Err(LaneReject::TooDeep),
+        };
+        let bin = |kind: &BinKind| match kind {
+            BinKind::Add => LaneBin::Add,
+            BinKind::Sub => LaneBin::Sub,
+            BinKind::Mul => LaneBin::Mul,
+        };
+        let fused = |kind: LaneBin, operand: &Operand| match operand {
+            Operand::Stack => Ok(LaneOp::Fold(kind)),
+            leaf => arg(leaf).map(|a| LaneOp::Apply(kind, a)),
+        };
+        let ops = self
+            .program
+            .iter()
+            .map(|op| match op {
+                Op::Load(operand) => arg(operand).map(LaneOp::Load),
+                Op::Bin2(kind, lhs, rhs) => Ok(LaneOp::Push(bin(kind), arg(lhs)?, arg(rhs)?)),
+                Op::Add(operand) => fused(LaneBin::Add, operand),
+                Op::Sub(operand) => fused(LaneBin::Sub, operand),
+                Op::Mul(operand) => fused(LaneBin::Mul, operand),
+                // The compiler emits RSub only with a leaf left operand.
+                Op::RSub(operand) => arg(operand).map(LaneOp::RSub),
+                Op::Neg => Err(LaneReject::NegativeRange),
+            })
+            .collect::<std::result::Result<Vec<_>, _>>()?;
+        LaneProgram::new(ops).ok_or(LaneReject::TooDeep)
+    }
+}
+
+/// Interval of a binary node from its operands' intervals (`i128`, so the
+/// analysis itself cannot wrap).
+fn binary_range(n: &Node, (al, ah): (i128, i128), (bl, bh): (i128, i128)) -> (i128, i128) {
+    match n {
+        Node::Add(..) => (al + bl, ah + bh),
+        Node::Sub(..) => (al - bh, ah - bl),
+        Node::Mul(..) => {
+            let products = [al * bl, al * bh, ah * bl, ah * bh];
+            (
+                products.iter().copied().min().unwrap(), // PANIC: 4-element array
+                products.iter().copied().max().unwrap(), // PANIC: 4-element array
+            )
+        }
+        // PANIC: callers pass Add/Sub/Mul nodes only.
+        Node::Col(_) | Node::Lit(_) | Node::Neg(_) => unreachable!("not a binary node"),
+    }
+}
+
+/// Why an expression cannot run as a typed lane program and keeps the `i64`
+/// interpreter (DESIGN.md §17).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneReject {
+    /// A referenced column is not bit-packed: no natural-width leaf.
+    UnpackedLeaf,
+    /// Some node of the tree may be negative (or exceed `i64`).
+    NegativeRange,
+    /// A multiplication operand may exceed 32 bits.
+    WideMultiplicand,
+    /// The program needs a deeper operand stack than the lane evaluator has.
+    TooDeep,
+    /// A MIN/MAX input is computed; those evaluate as `i64` and may
+    /// reference the sums' results.
+    ComputedMinMax,
 }
 
 /// Right-hand operand of an in-place vector op.

@@ -25,7 +25,7 @@ use bipie_columnstore::{Batch, BatchCursor, LogicalType, MorselCursor, Segment, 
 use bipie_toolbox::selvec::count_selected;
 use bipie_toolbox::{RunSpanVec, SimdLevel};
 
-use crate::aggproc::{AggInput, RunWiseExec, SegmentAggExecutor};
+use crate::aggproc::{AggInput, LanePlan, RunWiseExec, SegmentAggExecutor};
 use crate::error::{EngineError, Result};
 use crate::expr::ResolvedExpr;
 use crate::filter::{span_runs_fraction, FilterScratch, ResolvedPredicate};
@@ -842,6 +842,9 @@ struct NarrowScan<'a> {
     /// selectivity picks the strategy (§3: per segment, at run time).
     inputs_slot: Vec<AggInput<'a>>,
     mm_inputs_slot: Vec<AggInput<'a>>,
+    /// How those inputs reach the kernels on this segment (DESIGN.md §17);
+    /// handed to the executor with them.
+    lane_plan: Option<LanePlan<'a>>,
     agg_params_template: AggChoiceParams,
     dominant_bits: u8,
     /// Run-wise eligibility, decided at plan time; cleared if the first
@@ -879,6 +882,7 @@ impl<'a> NarrowScan<'a> {
         };
         let inputs: Vec<AggInput<'a>> = ctx.sum_exprs.iter().map(plan_input).collect();
         let mm_inputs: Vec<AggInput<'a>> = ctx.mm_exprs.iter().map(plan_input).collect();
+        let lane_plan = LanePlan::build(seg, &inputs, &mm_inputs);
 
         // The bit width driving the gather/compact crossover: widest packed
         // aggregate input, else the group-code width.
@@ -894,12 +898,9 @@ impl<'a> NarrowScan<'a> {
         let agg_params_template = AggChoiceParams {
             num_groups_effective: mapper.num_groups() + 1,
             num_sums: inputs.len(),
-            input_bytes: inputs.iter().map(AggInput::width_bytes).collect(),
+            input_bytes: lane_plan.input_bytes().to_vec(),
             all_packed_narrow: !inputs.is_empty() && inputs.iter().all(AggInput::sortable_packed),
-            multi_layout_fits: bipie_toolbox::agg::multi::RowLayout::plan(
-                &inputs.iter().map(AggInput::width_bytes).collect::<Vec<_>>(),
-            )
-            .is_some(),
+            multi_layout_fits: lane_plan.multi_layout_fits(),
             est_selectivity: 1.0,
             runwise_runs_fraction: None,
         };
@@ -908,6 +909,7 @@ impl<'a> NarrowScan<'a> {
             mapper,
             inputs_slot: inputs,
             mm_inputs_slot: mm_inputs,
+            lane_plan: Some(lane_plan),
             agg_params_template,
             dominant_bits,
             runwise: Self::plan_runwise(seg, ctx),
@@ -1050,11 +1052,14 @@ impl<'a> NarrowScan<'a> {
             // sort-based → scalar ladder when the winner's projected
             // working set would not fit (DESIGN.md §10); the outcome is
             // logged below as a normal decision event.
+            // PANIC: planned with the inputs and taken only below, when the
+            // executor is built — which happens once.
+            let lane_plan = self.lane_plan.take().expect("lane plan parked until the executor");
             let footprint = |s: AggStrategy| {
                 SegmentAggExecutor::projected_bytes(
                     s,
                     self.mapper.num_groups(),
-                    &self.inputs_slot,
+                    &lane_plan,
                     &self.mm_inputs_slot,
                     options.batch_rows,
                 )
@@ -1071,6 +1076,7 @@ impl<'a> NarrowScan<'a> {
                 options.config.choose_agg_budgeted(&params, ctx.governor.remaining(), &footprint)
             });
             stats.record_agg(strategy);
+            stats.record_expr_path(lane_plan.expr_path());
             tracer.decision_agg(
                 at.seg,
                 params.num_groups_effective as u32,
@@ -1092,6 +1098,7 @@ impl<'a> NarrowScan<'a> {
                 self.mapper.num_groups(),
                 std::mem::take(&mut self.inputs_slot),
                 std::mem::take(&mut self.mm_inputs_slot),
+                Some(lane_plan),
                 level,
             )));
         }

@@ -47,6 +47,13 @@ pub struct ExecStats {
     /// segment executor, so parallel scans may count one segment once per
     /// worker that touched it. Additive.
     pub agg_segments: [usize; 5],
+    /// Segment executors whose computed sum inputs ran as typed lane
+    /// programs over natural-width columns (DESIGN.md §17). Counted like
+    /// `agg_segments`. Additive.
+    pub expr_lane_segments: usize,
+    /// Segment executors whose computed inputs fell back to the `i64`
+    /// interpreter because the metadata proof failed. Additive.
+    pub expr_interp_segments: usize,
     /// Morsels claimed by parallel scan workers (0 for serial scans).
     /// Additive.
     pub morsels_scanned: usize,
@@ -82,6 +89,15 @@ impl ExecStats {
         self.agg_segments[a as usize] += 1;
     }
 
+    /// Record how one segment executor evaluates its computed inputs.
+    pub fn record_expr_path(&mut self, path: crate::aggproc::ExprPath) {
+        match path {
+            crate::aggproc::ExprPath::Stored => {}
+            crate::aggproc::ExprPath::Lanes => self.expr_lane_segments += 1,
+            crate::aggproc::ExprPath::Interpreter(_) => self.expr_interp_segments += 1,
+        }
+    }
+
     /// Merge stats from another (per-segment / per-thread) collector. See
     /// the module docs for which fields sum and which take the max.
     pub fn merge(&mut self, other: &ExecStats) {
@@ -98,6 +114,8 @@ impl ExecStats {
         for i in 0..5 {
             self.agg_segments[i] += other.agg_segments[i];
         }
+        self.expr_lane_segments += other.expr_lane_segments;
+        self.expr_interp_segments += other.expr_interp_segments;
         self.morsels_scanned += other.morsels_scanned;
         self.morsel_steals += other.morsel_steals;
         self.pool_workers = self.pool_workers.max(other.pool_workers);

@@ -16,12 +16,17 @@
 //!   registers and update all sums for a row with a single load-add-store
 //!   (§5.4). Wins with many aggregates.
 //!
+//! Computed inputs reach these kernels as [`lane`] programs: proven-unsigned
+//! add/sub/mul trees over natural-width columns, evaluated chunk-wise in
+//! 64-bit lanes — inside [`multi`]'s slot lanes, or into a typed vector.
+//!
 //! All kernels accumulate into `i64` per group; callers prove from segment
 //! metadata that no intermediate overflows `i64` (§2.1), and the kernels'
 //! internal narrow accumulators flush on documented cadences so they are
 //! exact for any input length.
 
 pub mod in_register;
+pub mod lane;
 pub mod minmax;
 pub mod multi;
 pub mod scalar;
@@ -73,6 +78,16 @@ impl<'a> ColRef<'a> {
             ColRef::U16(_) => 2,
             ColRef::U32(_) => 4,
             ColRef::U64(_) => 8,
+        }
+    }
+
+    /// Rows `off .. off + len` of the column.
+    pub fn window(&self, off: usize, len: usize) -> ColRef<'a> {
+        match self {
+            ColRef::U8(s) => ColRef::U8(&s[off..off + len]),
+            ColRef::U16(s) => ColRef::U16(&s[off..off + len]),
+            ColRef::U32(s) => ColRef::U32(&s[off..off + len]),
+            ColRef::U64(s) => ColRef::U64(&s[off..off + len]),
         }
     }
 

@@ -14,12 +14,18 @@
 //! input widths is supported as long as the expanded row fits a 256-bit
 //! register with 8-byte slots 8-byte aligned (§5.4).
 //!
-//! The kernel processes four rows per iteration: each column is loaded and
-//! zero-extended into a 64-bit-lane register (one value per row), columns
-//! sharing a 64-bit slot are OR-combined, and a 4x4 64-bit transpose turns
-//! the four slot registers into four row registers (the paper's "eight AVX2
-//! instructions" transposition).
+//! The row builder works [`CHUNK_ROWS`] rows at a time. Each source first
+//! fills its 64-bit *slot lane* for the chunk, column-at-a-time: a column is
+//! zero-extended from its natural width (the high 4-byte slot of a pair ORs
+//! itself in, pre-shifted), a computed input runs its
+//! [`LaneProgram`] with the lane as the
+//! destination. All width and slot dispatch happens here, once per source
+//! per chunk. One monomorphic loop then loads the four slot lanes four rows
+//! at a time, turns them into four row registers with a 4x4 64-bit
+//! transpose (the paper's "eight AVX2 instructions" transposition), and
+//! adds each row into its group's accumulator row.
 
+use super::lane::{self, LaneLeaf, LaneProgram, LaneScratch, CHUNK_ROWS};
 use super::ColRef;
 use crate::dispatch::SimdLevel;
 
@@ -94,6 +100,20 @@ impl RowLayout {
     }
 }
 
+/// Most sources a 32-byte accumulator row can hold (eight 4-byte slots).
+pub const MAX_SOURCES: usize = 8;
+
+/// One sum input of the row builder.
+#[derive(Debug, Clone, Copy)]
+pub enum LaneSource<'a> {
+    /// A column at its natural width.
+    Col(ColRef<'a>),
+    /// A proven-unsigned expression over the call's leaf columns, evaluated
+    /// chunk-wise straight into its 64-bit slot lane (always an 8-byte
+    /// slot: plan it with element width 4 or 8).
+    Expr(&'a LaneProgram),
+}
+
 /// Multi-aggregate grouped SUM: for each column `c` and group `g`,
 /// `sums[c * num_groups + g] += Σ cols[c][i]` over rows with `gids[i] == g`.
 ///
@@ -108,63 +128,167 @@ pub fn sum_multi(
     sums: &mut [i64],
     level: SimdLevel,
 ) {
-    let k = cols.len();
+    assert!(cols.len() <= MAX_SOURCES, "more columns than a 32-byte row has slots");
+    let mut sources = [LaneSource::Col(ColRef::U8(&[])); MAX_SOURCES];
+    for (s, col) in sources.iter_mut().zip(cols) {
+        *s = LaneSource::Col(*col);
+    }
+    // PANIC: column sources read no leaves.
+    let no_leaf = |_| unreachable!("column sources read no leaves");
+    sum_lanes(gids, &sources[..cols.len()], &no_leaf, layout, num_groups, sums, level);
+}
+
+/// The multi-aggregate row builder over *lane sources*: like [`sum_multi`],
+/// but a source may be a [`LaneProgram`] over the `leaf` columns (each as
+/// long as `gids`) — its values are
+/// computed [`CHUNK_ROWS`] rows at a time directly in the 64-bit slot lane
+/// the transposition reads, so they never exist as a batch vector. Source
+/// `c`'s program may reference source `j < c` as `LaneArg::Prev(j)` when
+/// `j` is itself an expression (or any 8-byte-slot source).
+///
+/// Per chunk, each source fills its slot lane column-at-a-time (all width
+/// and slot dispatch happens once per source per chunk); one monomorphic
+/// loop then transposes four rows at a time and updates each row's
+/// accumulators with a single load-add-store.
+///
+/// # Panics
+/// Panics if the layout does not match the sources, an expression source
+/// was not planned as an 8-byte slot, lengths mismatch, or `num_groups`
+/// exceeds 256.
+pub fn sum_lanes<'a, 'l>(
+    gids: &[u8],
+    sources: &[LaneSource<'a>],
+    leaf: &dyn Fn(usize) -> LaneLeaf<'l>,
+    layout: &RowLayout,
+    num_groups: usize,
+    sums: &mut [i64],
+    level: SimdLevel,
+) {
+    let k = sources.len();
     assert_eq!(layout.num_cols(), k, "layout/column count mismatch");
     assert!((1..=super::MAX_GROUPS_U8).contains(&num_groups), "bad group count");
     assert_eq!(sums.len(), k * num_groups, "accumulator size mismatch");
     let n = gids.len();
-    for col in cols {
-        assert_eq!(col.len(), n, "column length mismatch");
+    for (c, source) in sources.iter().enumerate() {
+        match source {
+            LaneSource::Col(col) => assert_eq!(col.len(), n, "column length mismatch"),
+            LaneSource::Expr(_) => {
+                assert_eq!(layout.slot(c).width, 8, "expression sources take 8-byte slots")
+            }
+        }
     }
     super::debug_assert_group_ids(gids, num_groups);
 
-    // Packed accumulators: one 32-byte row (four u64 slots) per group.
-    let mut acc = vec![0u64; num_groups * 4];
+    // Packed accumulators: one 32-byte row (four u64 slots) per group id a
+    // `u8` can name, so no group id can index outside them.
+    let mut acc = [0u64; 4 * super::MAX_GROUPS_U8];
+    // Slot-major chunk: lane l of row r at `slots[l][r]`. Lanes no source
+    // maps to stay zero.
+    let mut slots = [[0u64; CHUNK_ROWS]; 4];
+    let mut scratch = LaneScratch::default();
 
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + FLUSH_ROWS).min(n);
-        #[cfg(target_arch = "x86_64")]
-        if level.has_avx2() {
-            // SAFETY: AVX2 availability checked by has_avx2().
-            unsafe { avx2::accumulate(gids, cols, layout, &mut acc, start, end) };
-            flush(&acc, layout, num_groups, sums);
-            acc.fill(0);
-            start = end;
-            continue;
+    let mut unflushed = 0usize;
+    let mut off = 0usize;
+    while off < n {
+        let len = CHUNK_ROWS.min(n - off);
+        for (c, source) in sources.iter().enumerate() {
+            let slot = layout.slot(c);
+            let (lane, hi) = (slot.byte_offset / 8, slot.byte_offset % 8 == 4);
+            let (below, rest) = slots.split_at_mut(lane);
+            // PANIC: lane < 4 by RowLayout construction (offset < 32).
+            let (dst, above) = rest.split_first_mut().expect("lane within the row");
+            let dst = &mut dst[..len];
+            match source {
+                LaneSource::Col(col) => fill_lane(col.window(off, len), hi, dst, level),
+                LaneSource::Expr(prog) => {
+                    let prev = |j: usize| {
+                        assert!(j < c, "Prev({j}) must name an earlier source than {c}");
+                        let s = layout.slot(j);
+                        assert_eq!(s.width, 8, "Prev({j}) must name an 8-byte-slot source");
+                        let l = s.byte_offset / 8;
+                        // Two 8-byte slots never share a lane, so l != lane.
+                        let src = if l < lane { &below[l] } else { &above[l - lane - 1] };
+                        ColRef::U64(&src[..len])
+                    };
+                    lane::eval_chunk(prog, leaf, &prev, off, dst, &mut scratch, level);
+                }
+            }
         }
-        let _ = level;
-        accumulate_scalar(gids, cols, layout, &mut acc, start, end);
-        flush(&acc, layout, num_groups, sums);
-        acc.fill(0);
-        start = end;
+        accumulate(&gids[off..off + len], &slots, &mut acc, level);
+        unflushed += len;
+        off += len;
+        if unflushed + CHUNK_ROWS > FLUSH_ROWS {
+            flush(&mut acc, layout, num_groups, sums);
+            unflushed = 0;
+        }
     }
+    flush(&mut acc, layout, num_groups, sums);
+}
+
+/// Write one column's chunk into its slot lane: a low or 8-byte slot
+/// overwrites the lane, a high 4-byte slot ORs itself in above the low one
+/// (which the layout always fills first).
+fn fill_lane(col: ColRef<'_>, hi: bool, dst: &mut [u64], level: SimdLevel) {
+    #[cfg(target_arch = "x86_64")]
+    if level.has_avx2() {
+        // SAFETY: AVX2 availability checked by has_avx2(); the caller
+        // windowed `col` to exactly dst.len() rows.
+        unsafe { avx2::fill_lane(col, hi, dst) };
+        return;
+    }
+    let _ = level;
+    fill_lane_scalar(col, hi, dst, 0);
+}
+
+/// Scalar oracle for [`fill_lane`], over rows `from..`.
+fn fill_lane_scalar(col: ColRef<'_>, hi: bool, dst: &mut [u64], from: usize) {
+    for i in from..dst.len() {
+        dst[i] = if hi { dst[i] | col.get(i) << 32 } else { col.get(i) };
+    }
+}
+
+/// Add every row of the slot-major chunk into its group's accumulator row.
+fn accumulate(
+    gids: &[u8],
+    slots: &[[u64; CHUNK_ROWS]; 4],
+    acc: &mut [u64; 4 * super::MAX_GROUPS_U8],
+    level: SimdLevel,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if level.has_avx2() {
+        // SAFETY: AVX2 availability checked by has_avx2().
+        unsafe { avx2::accumulate(gids, slots, acc) };
+        return;
+    }
+    let _ = level;
+    accumulate_scalar(gids, slots, acc, 0);
 }
 
 /// Scalar accumulation with identical packed-slot semantics to the SIMD
 /// path (wrapping 64-bit slot adds; the no-carry guarantee makes them
-/// exact).
+/// exact), over rows `from..`.
 fn accumulate_scalar(
     gids: &[u8],
-    cols: &[ColRef<'_>],
-    layout: &RowLayout,
-    acc: &mut [u64],
-    start: usize,
-    end: usize,
+    slots: &[[u64; CHUNK_ROWS]; 4],
+    acc: &mut [u64; 4 * super::MAX_GROUPS_U8],
+    from: usize,
 ) {
-    for i in start..end {
+    for i in from..gids.len() {
         let base = gids[i] as usize * 4;
-        for (c, col) in cols.iter().enumerate() {
-            let slot = layout.slot(c);
-            let lane = slot.byte_offset / 8;
-            let shift = (slot.byte_offset % 8) * 8;
-            acc[base + lane] = acc[base + lane].wrapping_add(col.get(i) << shift);
+        for lane in 0..4 {
+            acc[base + lane] = acc[base + lane].wrapping_add(slots[lane][i]);
         }
     }
 }
 
-/// Unpack the 32-byte accumulator rows into per-column per-group totals.
-fn flush(acc: &[u64], layout: &RowLayout, num_groups: usize, sums: &mut [i64]) {
+/// Unpack the 32-byte accumulator rows into per-column per-group totals and
+/// clear them.
+fn flush(
+    acc: &mut [u64; 4 * super::MAX_GROUPS_U8],
+    layout: &RowLayout,
+    num_groups: usize,
+    sums: &mut [i64],
+) {
     for g in 0..num_groups {
         let row = &acc[g * 4..g * 4 + 4];
         for (c, slot) in layout.slots.iter().enumerate() {
@@ -180,46 +304,73 @@ fn flush(acc: &[u64], layout: &RowLayout, num_groups: usize, sums: &mut [i64]) {
             sums[c * num_groups + g] += value as i64;
         }
     }
+    acc.fill(0);
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{ColRef, RowLayout};
+    use super::{ColRef, CHUNK_ROWS};
+    use crate::agg::lane::avx2::{Lane4, Ptr};
     use crate::transpose::avx2::t4x4_epi64;
     use std::arch::x86_64::*;
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
-    /// Load four consecutive values of a column into 64-bit lanes
-    /// (zero-extended), pre-shifted to the column's sub-slot position.
+    /// dispatcher's `SimdLevel` check before any call. `col` must hold
+    /// exactly `dst.len()` values.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn fill_lane(col: ColRef<'_>, hi: bool, dst: &mut [u64]) {
+        let n4 = dst.len() & !3;
+        let p = dst.as_mut_ptr();
+        // SAFETY: avx2 is enabled for this function; `p` and the column
+        // span dst.len() >= n4 rows (caller contract).
+        unsafe {
+            match col {
+                ColRef::U8(s) => fill(Ptr(s.as_ptr()), hi, p, n4),
+                ColRef::U16(s) => fill(Ptr(s.as_ptr()), hi, p, n4),
+                ColRef::U32(s) => fill(Ptr(s.as_ptr()), hi, p, n4),
+                ColRef::U64(s) => fill(Ptr(s.as_ptr()), hi, p, n4),
+            }
+        }
+        super::fill_lane_scalar(col, hi, dst, n4);
+    }
+
+    /// # Safety
+    /// The CPU must support avx2; `src` and `dst` must span `n4` rows (a
+    /// multiple of four).
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn load4(col: &ColRef<'_>, i: usize, shift_hi: bool) -> __m256i {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+    unsafe fn fill<S: Lane4>(src: S, hi: bool, dst: *mut u64, n4: usize) {
+        // SAFETY: forwarded caller guarantees; `hi` is loop-invariant, so
+        // each arm is its own monomorphic loop.
         unsafe {
-            let v = match col {
-                ColRef::U8(s) => {
-                    // PANIC: the 4-byte slice is exact, so try_into must fit.
-                    let word = u32::from_le_bytes(s[i..i + 4].try_into().unwrap());
-                    _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(word as i32))
-                }
-                ColRef::U16(s) => {
-                    _mm256_cvtepu16_epi64(_mm_loadl_epi64(s.as_ptr().add(i) as *const __m128i))
-                }
-                ColRef::U32(s) => {
-                    _mm256_cvtepu32_epi64(_mm_loadu_si128(s.as_ptr().add(i) as *const __m128i))
-                }
-                ColRef::U64(s) => _mm256_loadu_si256(s.as_ptr().add(i) as *const __m256i),
-            };
-            if shift_hi {
-                _mm256_slli_epi64::<32>(v)
+            if hi {
+                fill_rows::<S, true>(src, dst, n4)
             } else {
-                v
+                fill_rows::<S, false>(src, dst, n4)
             }
+        }
+    }
+
+    /// # Safety
+    /// As for [`fill`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn fill_rows<S: Lane4, const HI: bool>(src: S, dst: *mut u64, n4: usize) {
+        let mut i = 0usize;
+        while i < n4 {
+            // SAFETY: i + 4 <= n4, within `src` and `dst` (caller).
+            unsafe {
+                let q = dst.add(i) as *mut __m256i;
+                let v = src.load4(i);
+                let v = if HI {
+                    _mm256_or_si256(_mm256_loadu_si256(q), _mm256_slli_epi64::<32>(v))
+                } else {
+                    v
+                };
+                _mm256_storeu_si256(q, v);
+            }
+            i += 4;
         }
     }
 
@@ -229,42 +380,31 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn accumulate(
         gids: &[u8],
-        cols: &[ColRef<'_>],
-        layout: &RowLayout,
-        acc: &mut [u64],
-        start: usize,
-        end: usize,
+        slots: &[[u64; CHUNK_ROWS]; 4],
+        acc: &mut [u64; 4 * crate::agg::MAX_GROUPS_U8],
     ) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
-        unsafe {
-            let acc_ptr = acc.as_mut_ptr();
-            let mut i = start;
-            while i + 4 <= end {
-                // Build the four 64-bit slot registers (lane r = row i+r).
-                let mut slots = [_mm256_setzero_si256(); 4];
-                for (c, col) in cols.iter().enumerate() {
-                    let slot = layout.slot(c);
-                    let lane = slot.byte_offset / 8;
-                    let shift_hi = slot.byte_offset % 8 == 4;
-                    let v = load4(col, i, shift_hi);
-                    slots[lane] = _mm256_or_si256(slots[lane], v);
-                }
+        let n = gids.len().min(CHUNK_ROWS);
+        let acc_ptr = acc.as_mut_ptr();
+        let mut i = 0usize;
+        while i + 4 <= n {
+            // SAFETY: avx2 is enabled for this function; rows i..i+4 are
+            // below n <= CHUNK_ROWS in every slot lane and below gids.len();
+            // a u8 group id times four is below acc.len() = 4 * 256.
+            unsafe {
+                let load =
+                    |l: usize| _mm256_loadu_si256(slots[l].as_ptr().add(i) as *const __m256i);
                 // Generalized transposition: slot-major -> row-major.
-                let (r0, r1, r2, r3) = t4x4_epi64(slots[0], slots[1], slots[2], slots[3]);
+                let (r0, r1, r2, r3) = t4x4_epi64(load(0), load(1), load(2), load(3));
                 // One load-add-store per row updates every sum at once.
                 for (r, row) in [r0, r1, r2, r3].into_iter().enumerate() {
                     let g = *gids.get_unchecked(i + r) as usize;
                     let p = acc_ptr.add(g * 4) as *mut __m256i;
-                    let cur = _mm256_loadu_si256(p);
-                    _mm256_storeu_si256(p, _mm256_add_epi64(cur, row));
+                    _mm256_storeu_si256(p, _mm256_add_epi64(_mm256_loadu_si256(p), row));
                 }
-                i += 4;
             }
-            super::accumulate_scalar(gids, cols, layout, acc, i, end);
+            i += 4;
         }
+        super::accumulate_scalar(&gids[..n], slots, acc, i);
     }
 }
 
@@ -404,5 +544,117 @@ mod tests {
         let mut sums = vec![10i64];
         sum_multi(&g, &cols, &layout, 1, &mut sums, SimdLevel::detect());
         assert_eq!(sums[0], 13);
+    }
+
+    /// The Q1 lane shape: two columns, two programs (the second reading the
+    /// first through `Prev`), one narrow column — against the same sums
+    /// taken over materialized vectors.
+    fn q1_lane_case(n: usize, level: SimdLevel) {
+        use crate::agg::lane::{LaneArg, LaneBin, LaneLeaf, LaneOp, LaneProgram};
+        let g = gids(n, 7);
+        let quantity: Vec<u8> = (0..n).map(|i| (i % 50 + 1) as u8).collect();
+        let price: Vec<u32> = (0..n).map(|i| (i * 7919 % 10_000_000) as u32).collect();
+        let discount: Vec<u8> = (0..n).map(|i| (i % 11) as u8).collect();
+        let tax: Vec<u8> = (0..n).map(|i| (i % 9) as u8).collect();
+        const BIAS: u64 = 90_000;
+        let disc_price: Vec<u64> =
+            (0..n).map(|i| (price[i] as u64 + BIAS) * (100 - discount[i] as u64)).collect();
+        let charge: Vec<u64> = (0..n).map(|i| disc_price[i] * (100 + tax[i] as u64)).collect();
+        let cols = [
+            ColRef::U8(&quantity),
+            ColRef::U32(&price),
+            ColRef::U64(&disc_price),
+            ColRef::U64(&charge),
+            ColRef::U8(&discount),
+        ];
+        let layout = RowLayout::plan_for(&cols).unwrap();
+        let (_, expected) = reference_group_sums(&g, &cols, 7);
+
+        let p_disc_price = LaneProgram::new(vec![
+            LaneOp::Push(LaneBin::Sub, LaneArg::Lit(100), LaneArg::Leaf(1)),
+            LaneOp::Apply(LaneBin::Mul, LaneArg::Leaf(0)),
+        ])
+        .unwrap();
+        let p_charge = LaneProgram::new(vec![
+            LaneOp::Push(LaneBin::Add, LaneArg::Lit(100), LaneArg::Leaf(2)),
+            LaneOp::Apply(LaneBin::Mul, LaneArg::Prev(2)),
+        ])
+        .unwrap();
+        let leaves = [
+            LaneLeaf { col: ColRef::U32(&price), bias: BIAS },
+            LaneLeaf { col: ColRef::U8(&discount), bias: 0 },
+            LaneLeaf { col: ColRef::U8(&tax), bias: 0 },
+        ];
+        let sources = [
+            LaneSource::Col(ColRef::U8(&quantity)),
+            LaneSource::Col(ColRef::U32(&price)),
+            LaneSource::Expr(&p_disc_price),
+            LaneSource::Expr(&p_charge),
+            LaneSource::Col(ColRef::U8(&discount)),
+        ];
+        let mut sums = vec![0i64; 5 * 7];
+        sum_lanes(&g, &sources, &|i| leaves[i], &layout, 7, &mut sums, level);
+        for c in 0..5 {
+            assert_eq!(&sums[c * 7..(c + 1) * 7], &expected[c][..], "n={n} col={c} {level}");
+        }
+    }
+
+    #[test]
+    fn sum_lanes_computes_expressions_in_slot_lanes() {
+        // Lengths around the 4-row step and the chunk boundary.
+        for n in [0, 1, 3, 4, 5, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 2] {
+            for level in SimdLevel::available() {
+                q1_lane_case(n, level);
+            }
+        }
+    }
+
+    #[test]
+    fn sum_lanes_flushes_narrow_slots_before_they_carry() {
+        // A 2-byte column at its maximum next to an expression source,
+        // across the 65 536-row flush boundary.
+        use crate::agg::lane::{LaneArg, LaneBin, LaneLeaf, LaneOp, LaneProgram};
+        let n = FLUSH_ROWS + CHUNK_ROWS + 3;
+        let g = vec![1u8; n];
+        let v16 = vec![u16::MAX; n];
+        let v32 = vec![u32::MAX; n];
+        let square =
+            LaneProgram::new(vec![LaneOp::Push(LaneBin::Mul, LaneArg::Leaf(0), LaneArg::Leaf(0))])
+                .unwrap();
+        let leaves = [LaneLeaf { col: ColRef::U32(&v32), bias: 0 }];
+        let sources = [
+            LaneSource::Col(ColRef::U16(&v16)),
+            LaneSource::Expr(&square),
+            LaneSource::Col(ColRef::U16(&v16)),
+        ];
+        let layout = RowLayout::plan(&[2, 8, 2]).unwrap();
+        for level in SimdLevel::available() {
+            let mut sums = vec![0i64; 3 * 2];
+            sum_lanes(&g, &sources, &|i| leaves[i], &layout, 2, &mut sums, level);
+            assert_eq!(sums[1], n as i64 * u16::MAX as i64, "level={level}");
+            assert_eq!(sums[5], n as i64 * u16::MAX as i64, "level={level}");
+            // (2^32 - 1)^2 per row wraps i64 over n rows; compare wrapped.
+            let want = (0..n).fold(0i64, |s, _| s.wrapping_add((u32::MAX as u64).pow(2) as i64));
+            assert_eq!(sums[3], want, "level={level}");
+            assert_eq!((sums[0], sums[2], sums[4]), (0, 0, 0), "level={level}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "expression sources take 8-byte slots")]
+    fn sum_lanes_rejects_expression_in_a_narrow_slot() {
+        use crate::agg::lane::{LaneArg, LaneOp, LaneProgram};
+        let prog = LaneProgram::new(vec![LaneOp::Load(LaneArg::Lit(1))]).unwrap();
+        let layout = RowLayout::plan(&[2]).unwrap();
+        let no_leaf = |_| unreachable!();
+        sum_lanes(
+            &[0],
+            &[LaneSource::Expr(&prog)],
+            &no_leaf,
+            &layout,
+            1,
+            &mut [0],
+            SimdLevel::Scalar,
+        );
     }
 }

@@ -208,12 +208,30 @@ pub fn sum_sorted_u32(values: &[u32], sorted: &SortedBatch, sums: &mut [i64], le
     }
 }
 
+/// Sum an already-decoded non-negative `u64` column per group over sorted
+/// row indices (a computed input whose proven range needs more than 32
+/// bits).
+pub fn sum_sorted_u64(values: &[u64], sorted: &SortedBatch, sums: &mut [i64], level: SimdLevel) {
+    let _ = level;
+    sum_sorted_wide(values, sorted, sums, |v| v as i64);
+}
+
 /// Sum an already-decoded `i64` column per group over sorted row indices.
 pub fn sum_sorted_i64(values: &[i64], sorted: &SortedBatch, sums: &mut [i64], level: SimdLevel) {
     let _ = level;
+    sum_sorted_wide(values, sorted, sums, |v| v);
+}
+
+/// Scalar gather-sum of 8-byte values (no 64-bit gather pays for itself).
+fn sum_sorted_wide<T: Copy>(
+    values: &[T],
+    sorted: &SortedBatch,
+    sums: &mut [i64],
+    widen: impl Fn(T) -> i64,
+) {
     let buckets = sorted.num_buckets().min(sums.len());
     for g in 0..buckets {
-        sums[g] += sorted.bucket(g).iter().map(|&r| values[r as usize]).sum::<i64>();
+        sums[g] += sorted.bucket(g).iter().map(|&r| widen(values[r as usize])).sum::<i64>();
     }
 }
 
@@ -442,6 +460,11 @@ mod tests {
         let mut sums = vec![0i64; 5];
         sum_sorted_i64(&v64, &sorted, &mut sums, SimdLevel::detect());
         assert_eq!(sums, expected64);
+        let wide: Vec<u64> = v32.iter().map(|&v| (v as u64) << 20).collect();
+        let (_, expected) = reference_group_sums(&g, &[ColRef::U64(&wide)], 5);
+        let mut sums = vec![0i64; 5];
+        sum_sorted_u64(&wide, &sorted, &mut sums, SimdLevel::detect());
+        assert_eq!(sums, expected[0]);
     }
 
     #[test]

@@ -209,9 +209,15 @@ impl PackedVec {
         assert!(self.bits <= 32, "bit width {} does not fit u32 words", self.bits);
         self.check_range(start, out.len());
         #[cfg(target_arch = "x86_64")]
-        if level.has_avx2() && self.bits <= 25 {
+        if level.has_avx2() {
             // SAFETY: AVX2 availability checked by has_avx2().
-            unsafe { avx2::unpack_u32(self, start, out) };
+            unsafe {
+                if self.bits <= 25 {
+                    avx2::unpack_u32(self, start, out)
+                } else {
+                    avx2::unpack_u32_wide(self, start, out)
+                }
+            };
             return;
         }
         let _ = level;
@@ -314,7 +320,8 @@ mod avx2 {
     //! consecutive values form a fixed pattern that repeats every 8 values
     //! (advancing by exactly `bits` bytes), so the control vectors are
     //! loop-invariant. Widths 26..=57 use the analogous 4-lane 64-bit
-    //! gather.
+    //! gather (two per eight values); for `u32` outputs (26..=32 bits) the
+    //! two 4 x u64 results are narrowed back into one 8 x u32 store.
 
     use super::PackedVec;
     use std::arch::x86_64::*;
@@ -471,6 +478,104 @@ mod avx2 {
         }
     }
 
+    /// Control vectors of the 64-bit-window path: byte offsets and shifts of
+    /// eight consecutive values (lanes 0..4 and 4..8), relative to the
+    /// group's byte base. Eight values advance by exactly `bits` bytes, so
+    /// they stay loop-invariant.
+    struct Ctrl64 {
+        offsets: [__m256i; 2],
+        shifts: [__m256i; 2],
+        mask: __m256i,
+    }
+
+    /// # Safety
+    /// The CPU must support avx2 — guaranteed by the
+    /// dispatcher's `SimdLevel` check before any call.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn ctrl64(bits: usize, phase: usize) -> Ctrl64 {
+        let mut offs = [0i64; 8];
+        let mut shifts = [0i64; 8];
+        for k in 0..8 {
+            let bit = phase + k * bits;
+            offs[k] = (bit >> 3) as i64;
+            shifts[k] = (bit & 7) as i64;
+        }
+        // SAFETY: avx2 per the caller; both arrays hold eight i64s, read as
+        // two unaligned 4-lane vectors each.
+        unsafe {
+            let load = |a: &[i64; 8], half: usize| {
+                _mm256_loadu_si256(a.as_ptr().add(4 * half) as *const __m256i)
+            };
+            Ctrl64 {
+                offsets: [load(&offs, 0), load(&offs, 1)],
+                shifts: [load(&shifts, 0), load(&shifts, 1)],
+                mask: _mm256_set1_epi64x(super::mask_for(bits as u8) as i64),
+            }
+        }
+    }
+
+    /// Gather-unpack 8 values of up to 57 bits as two 4 x u64 vectors: a
+    /// byte-aligned 64-bit load always covers the value (shift 0..=7 plus
+    /// 57 bits is at most 64).
+    ///
+    /// # Safety
+    /// The CPU must support avx2, and `base` plus every control offset must
+    /// leave 8 readable bytes (the packed buffer's zero padding guarantees
+    /// it for in-range values).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn gather8_wide(base: *const u8, ctrl: &Ctrl64) -> (__m256i, __m256i) {
+        // SAFETY: forwarded caller guarantees.
+        unsafe {
+            let base = base as *const i64;
+            let lo = _mm256_i64gather_epi64::<1>(base, ctrl.offsets[0]);
+            let hi = _mm256_i64gather_epi64::<1>(base, ctrl.offsets[1]);
+            (
+                _mm256_and_si256(_mm256_srlv_epi64(lo, ctrl.shifts[0]), ctrl.mask),
+                _mm256_and_si256(_mm256_srlv_epi64(hi, ctrl.shifts[1]), ctrl.mask),
+            )
+        }
+    }
+
+    /// # Safety
+    /// The CPU must support avx2 — guaranteed by the
+    /// dispatcher's `SimdLevel` check before any call.
+    /// Widths 26..=32: the 64-bit-window gathers of [`unpack_u64`], narrowed
+    /// to eight `u32`s per store.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn unpack_u32_wide(pv: &PackedVec, start: usize, out: &mut [u32]) {
+        // SAFETY: the caller guarantees this CPU supports the target features
+        // this function is compiled with (dispatch routes here only after
+        // `SimdLevel` detection), and every pointer below is derived from the
+        // argument slices with offsets bounded by their lengths.
+        unsafe {
+            let bits = pv.bits() as usize;
+            let bytes = pv.bytes_padded();
+            let start_bit = start * bits;
+            let ctrl = ctrl64(bits, start_bit & 7);
+            // Even dwords of each half hold the values (high dwords are
+            // masked to zero): gather them to the low 128 bits of `lo` and
+            // the high 128 bits of `hi`, then blend.
+            let evens = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+            let mut byte_base = start_bit >> 3;
+            let n = out.len();
+            let mut i = 0usize;
+            while i + 8 <= n {
+                let (lo, hi) = gather8_wide(bytes.as_ptr().add(byte_base), &ctrl);
+                let lo = _mm256_permutevar8x32_epi32(lo, evens);
+                let hi = _mm256_permutevar8x32_epi32(hi, evens);
+                let v = _mm256_blend_epi32::<0b1111_0000>(lo, hi);
+                _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, v);
+                byte_base += bits; // 8 values = 8*bits bits = bits bytes
+                i += 8;
+            }
+            for k in i..n {
+                out[k] = pv.get(start + k) as u32;
+            }
+        }
+    }
+
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
     /// dispatcher's `SimdLevel` check before any call.
@@ -484,32 +589,12 @@ mod avx2 {
             let bits = pv.bits() as usize;
             let bytes = pv.bytes_padded();
             let start_bit = start * bits;
-            let n = out.len();
-            // 4-lane 64-bit gathers; widths up to 57 are covered by a
-            // byte-aligned load (shift 0..=7 + 57 <= 64). Eight values advance
-            // by exactly `bits` bytes, so two offset/shift vectors (lanes 0..4
-            // and 4..8 of the group) stay loop-invariant.
-            let phase = start_bit & 7;
-            let mut offs = [0i64; 8];
-            let mut shifts = [0i64; 8];
-            for k in 0..8 {
-                let bit = phase + k * bits;
-                offs[k] = (bit >> 3) as i64;
-                shifts[k] = (bit & 7) as i64;
-            }
-            let offsets_lo = _mm256_loadu_si256(offs.as_ptr() as *const __m256i);
-            let offsets_hi = _mm256_loadu_si256(offs.as_ptr().add(4) as *const __m256i);
-            let shift_lo = _mm256_loadu_si256(shifts.as_ptr() as *const __m256i);
-            let shift_hi = _mm256_loadu_si256(shifts.as_ptr().add(4) as *const __m256i);
-            let mask = _mm256_set1_epi64x(pv.value_mask() as i64);
+            let ctrl = ctrl64(bits, start_bit & 7);
             let mut byte_base = start_bit >> 3;
+            let n = out.len();
             let mut i = 0usize;
             while i + 8 <= n {
-                let base = bytes.as_ptr().add(byte_base) as *const i64;
-                let lo = _mm256_i64gather_epi64::<1>(base, offsets_lo);
-                let hi = _mm256_i64gather_epi64::<1>(base, offsets_hi);
-                let lo = _mm256_and_si256(_mm256_srlv_epi64(lo, shift_lo), mask);
-                let hi = _mm256_and_si256(_mm256_srlv_epi64(hi, shift_hi), mask);
+                let (lo, hi) = gather8_wide(bytes.as_ptr().add(byte_base), &ctrl);
                 _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, lo);
                 _mm256_storeu_si256(out.as_mut_ptr().add(i + 4) as *mut __m256i, hi);
                 byte_base += bits; // 8 values = 8*bits bits = bits bytes
@@ -629,6 +714,26 @@ mod tests {
                         &values[start..start + n],
                         "bits={bits} start={start} level={level}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wide_u32_unpack_every_width_and_start_phase() {
+        // 26..=32 bits take the 64-bit-window gather; every start row 0..8
+        // gives a different in-byte phase, and the window runs to the
+        // vector's last value (the read into the zero padding).
+        for level in SimdLevel::available() {
+            for bits in 24..=32u8 {
+                let mut values = sample_values(203, bits);
+                values[202] = mask_for(bits);
+                let pv = PackedVec::pack(&values, bits);
+                for start in 0..9 {
+                    let mut out = vec![0u32; values.len() - start];
+                    pv.unpack_into_u32(start, &mut out, level);
+                    let expected: Vec<u32> = values[start..].iter().map(|&v| v as u32).collect();
+                    assert_eq!(out, expected, "bits={bits} start={start} level={level}");
                 }
             }
         }

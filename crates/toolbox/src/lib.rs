@@ -22,7 +22,7 @@
 //! | [`selvec`] | §4 | selection byte vectors (0x00/0xFF) and selection index vectors |
 //! | [`cmp`] | §4 | vectorized comparisons producing selection byte vectors |
 //! | [`select`] | §4.1–4.3 | compaction, gather selection, special-group assignment |
-//! | [`agg`] | §5 | scalar, sort-based, in-register, and multi-aggregate grouped aggregation |
+//! | [`agg`] | §5, §3 | scalar, sort-based, in-register, and multi-aggregate grouped aggregation; typed lane programs for computed inputs |
 //! | [`runspan`] | §4 ext. | run-granular selection spans and O(runs) encoding-specialized kernels |
 //! | [`transpose`] | §5.4 | register transposition primitives |
 //!

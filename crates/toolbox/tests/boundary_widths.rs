@@ -2,9 +2,10 @@
 //!
 //! The bit widths here sit exactly on the corners of the packing layout:
 //! width 1 (minimum), widths straddling each power-of-two word size
-//! (7/8/9, 31/32/33, 63/64), where the per-value byte span and the
-//! shift/mask arithmetic change shape. This suite is also the designated
-//! Miri target: under Miri, `SimdLevel::available()` collapses to the
+//! (7/8/9, 31/32/33, 63/64) and the 25/26 switch from 32-bit to 64-bit
+//! gather windows (28 sits inside the wide-window `u32` band), where the
+//! per-value byte span and the shift/mask arithmetic change shape. This
+//! suite is also the designated Miri target: under Miri, `SimdLevel::available()` collapses to the
 //! scalar tier (see `dispatch.rs`), so the unchecked pointer arithmetic in
 //! the scalar pack/unpack paths gets interpreted with full provenance and
 //! bounds checking.
@@ -13,7 +14,7 @@ use bipie_toolbox::bitpack::{mask_for, min_bits, PackedVec};
 use bipie_toolbox::dispatch::SimdLevel;
 use bipie_toolbox::rng::Rng;
 
-const BOUNDARY_BITS: [u8; 9] = [1, 7, 8, 9, 31, 32, 33, 63, 64];
+const BOUNDARY_BITS: [u8; 12] = [1, 7, 8, 9, 25, 26, 28, 31, 32, 33, 63, 64];
 
 /// Odd, non-multiple-of-every-lane-count length so tail handling is hit;
 /// kept small under Miri, where interpretation is orders of magnitude
