@@ -17,15 +17,13 @@
 use std::collections::BTreeMap;
 
 use bipie_columnstore::{LogicalType, Table, Value};
-use bipie_toolbox::SimdLevel;
 
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
 use crate::filter::Predicate;
 use crate::scan::{scan_table, GroupAcc, ScanOptions};
 use crate::stats::ExecStats;
-use crate::strategy::{AggStrategy, SelectionStrategy, StrategyConfig};
-use crate::trace::{Phase, ProfileLevel, QueryProfile, SpanLoc, Tracer};
+use crate::trace::{Phase, QueryProfile, SpanLoc, Tracer};
 
 /// An aggregate in the SELECT list.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,96 +87,9 @@ impl AggExpr {
     }
 }
 
-/// Execution options.
-#[derive(Debug, Clone)]
-pub struct QueryOptions {
-    /// Force one selection strategy for every batch (experiments; `None` =
-    /// adaptive, §3).
-    pub forced_selection: Option<SelectionStrategy>,
-    /// Force one aggregation strategy for every segment.
-    pub forced_agg: Option<AggStrategy>,
-    /// Scan morsels on parallel pool workers.
-    pub parallel: bool,
-    /// Worker count for parallel scans; `None` uses the hardware
-    /// parallelism. `Some(1)` forces a serial scan.
-    pub threads: Option<usize>,
-    /// SIMD tier.
-    pub level: SimdLevel,
-    /// Rows per batch window (§2.1: "up to 4096 rows in MemSQL").
-    pub batch_rows: usize,
-    /// Rows per parallel morsel; rounded up to whole batch windows so the
-    /// parallel batch grid matches the serial one.
-    pub morsel_rows: usize,
-    /// Strategy-chooser constants.
-    pub config: StrategyConfig,
-    /// Profiling level. [`ProfileLevel::Off`] (the default) keeps the batch
-    /// loops free of timestamps, atomics, and event stores; `Counters`
-    /// collects per-phase totals; `Spans` additionally keeps the full
-    /// span/decision event log in [`QueryResult::profile`].
-    pub profile: ProfileLevel,
-    /// Cooperative cancellation token; `cancel()` on any clone makes the
-    /// query return [`EngineError::Cancelled`](crate::error::EngineError) at
-    /// its next governor checkpoint (DESIGN.md §10).
-    pub cancel: Option<crate::governor::CancelToken>,
-    /// Wall-clock budget for the whole query; exceeded budgets surface as
-    /// `EngineError::DeadlineExceeded`. Must be nonzero when set.
-    pub time_budget: Option<std::time::Duration>,
-    /// Byte budget for scan-side allocations (accumulators, group tables,
-    /// selection scratch); exceeded budgets surface as
-    /// `EngineError::MemoryBudgetExceeded`. Must be nonzero when set.
-    pub mem_budget: Option<usize>,
-    /// Shared-scheduler identity for the pool's weighted-fair interleaving
-    /// (DESIGN.md §15). The [`Engine`](crate::engine::Engine) stamps each
-    /// admitted query with a unique id and its session's weight; direct
-    /// `execute` callers keep the default untagged queue.
-    pub tag: crate::pool::QueryTag,
-}
-
-impl Default for QueryOptions {
-    fn default() -> Self {
-        QueryOptions {
-            forced_selection: None,
-            forced_agg: None,
-            parallel: true,
-            threads: None,
-            level: SimdLevel::detect(),
-            batch_rows: bipie_columnstore::BATCH_ROWS,
-            morsel_rows: bipie_columnstore::MORSEL_ROWS,
-            config: StrategyConfig::default(),
-            profile: ProfileLevel::Off,
-            cancel: None,
-            time_budget: None,
-            mem_budget: None,
-            tag: crate::pool::QueryTag::default(),
-        }
-    }
-}
-
-impl QueryOptions {
-    /// Check option values without executing anything; [`execute`] performs
-    /// the same check, so this is for builders that want to fail fast.
-    pub fn validate(&self) -> Result<()> {
-        crate::scan::validate_scan_options(&self.to_scan_options())
-    }
-
-    fn to_scan_options(&self) -> ScanOptions {
-        ScanOptions {
-            level: self.level,
-            forced_selection: self.forced_selection,
-            forced_agg: self.forced_agg,
-            parallel: self.parallel,
-            threads: self.threads,
-            batch_rows: self.batch_rows,
-            morsel_rows: self.morsel_rows,
-            config: self.config.clone(),
-            profile: self.profile,
-            cancel: self.cancel.clone(),
-            time_budget: self.time_budget,
-            mem_budget: self.mem_budget,
-            tag: self.tag,
-        }
-    }
-}
+/// Execution options: the query API's name for the engine's one options
+/// struct, [`ScanOptions`].
+pub type QueryOptions = ScanOptions;
 
 /// A compiled query specification.
 #[derive(Debug, Clone)]
@@ -407,12 +318,11 @@ fn execute_inner(table: &Table, query: &Query) -> Result<QueryResult> {
     let sum_exprs = resolved;
     let filter = query.filter.as_ref().map(|f| f.resolve(table)).transpose()?;
 
-    let scan_opts = query.options.to_scan_options();
     let (mut merged, mut stats, mut profile) =
-        scan_table(table, filter.as_ref(), &group_cols, &sum_exprs, &mm_exprs, &scan_opts)?;
+        scan_table(table, filter.as_ref(), &group_cols, &sum_exprs, &mm_exprs, &query.options)?;
 
     // The mutable region is processed row-at-a-time (§2.1: it is a small,
-    // uncompressed fraction of recent rows).
+    // uncompressed fraction of recent rows), by one more worker record.
     let mut tail_tracer = Tracer::new(query.options.profile, 0);
     let tail_start = tail_tracer.start();
     process_mutable_region(
@@ -422,13 +332,14 @@ fn execute_inner(table: &Table, query: &Query) -> Result<QueryResult> {
         &sum_exprs_src,
         &mm_exprs_src,
         &mut merged,
-        &mut stats,
+        &mut tail_tracer.stats,
     );
     // Close unconditionally: a zero-row tail still accounts its (tiny)
     // walk of the mutable region, and a conditionally-consumed span token
     // is exactly what the span-balance audit pass rejects.
-    tail_tracer.span(Phase::MutableTail, SpanLoc::none(), stats.mutable_rows as u64, tail_start);
-    profile.absorb(tail_tracer);
+    let tail_rows = tail_tracer.stats.mutable_rows as u64;
+    tail_tracer.span(Phase::MutableTail, SpanLoc::none(), tail_rows, tail_start);
+    stats.merge(&profile.absorb(tail_tracer));
 
     let rows = merged
         .into_iter()
@@ -524,6 +435,7 @@ fn process_mutable_region(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::{AggStrategy, SelectionStrategy};
     use bipie_columnstore::{ColumnSpec, TableBuilder};
 
     fn table() -> Table {

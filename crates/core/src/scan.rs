@@ -6,18 +6,20 @@
 //! not group ids, are the merge key, because dictionary codes differ
 //! between segments.
 //!
-//! Parallel scans are *morsel-driven* ("query 1 requires little
-//! synchronization coming from parallel processing", §6.3): segments are
-//! decomposed into batch-aligned row ranges claimed from atomic cursors by
-//! a persistent worker pool ([`crate::pool`]), so a single hot segment, a
-//! table with fewer segments than cores, or skewed segment sizes still
-//! scale. Each worker aggregates into thread-local accumulators; the final
-//! reduction is partitioned by group-key hash and merged in parallel.
+//! Scans are *morsel-driven* ("query 1 requires little synchronization
+//! coming from parallel processing", §6.3): segments are decomposed into
+//! batch-aligned row ranges claimed from atomic cursors by the workers of a
+//! persistent pool ([`crate::pool`]), so a single hot segment, a table with
+//! fewer segments than cores, or skewed segment sizes still scale. Each
+//! worker aggregates into thread-local accumulators; the final reduction is
+//! partitioned by group-key hash and merged in parallel. A serial scan is
+//! the one-worker case of the same driver: the pool runs a one-worker
+//! region inline on the caller, and the single worker's result is already
+//! the answer.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 
 use bipie_columnstore::encoding::{EncodedColumn, RleColumn};
@@ -25,7 +27,7 @@ use bipie_columnstore::{Batch, BatchCursor, LogicalType, MorselCursor, Segment, 
 use bipie_toolbox::selvec::count_selected;
 use bipie_toolbox::{RunSpanVec, SimdLevel};
 
-use crate::aggproc::{AggInput, LanePlan, RunWiseExec, SegmentAggExecutor};
+use crate::aggproc::{AggInput, LanePlan, RunWiseExec, SegmentAggExecutor, SegmentAggResult};
 use crate::error::{EngineError, Result};
 use crate::expr::ResolvedExpr;
 use crate::filter::{span_runs_fraction, FilterScratch, ResolvedPredicate};
@@ -34,7 +36,7 @@ use crate::groupid::{plan_segment_mapper, NarrowMapper, SegmentGroupMapper, Wide
 use crate::pool::{panic_message, QueryTag, WorkerPool};
 use crate::stats::ExecStats;
 use crate::strategy::{AggChoiceParams, AggStrategy, SelectionStrategy, StrategyConfig};
-use crate::trace::{Phase, ProfileLevel, QueryProfile, SpanLoc, Tracer, NO_ID};
+use crate::trace::{Phase, ProfileLevel, QueryProfile, SpanLoc, Tracer};
 
 /// Per-group accumulator in the merged result.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -65,31 +67,40 @@ impl GroupAcc {
     }
 }
 
-/// Execution-time options threaded down from the query API.
+/// Execution options: the one options struct of the engine, named
+/// [`QueryOptions`](crate::query::QueryOptions) in the query API.
 #[derive(Debug, Clone)]
 pub struct ScanOptions {
     /// SIMD tier (defaults to the detected one).
     pub level: SimdLevel,
-    /// Force a selection strategy for every batch (experiments).
+    /// Force one selection strategy for every batch (experiments; `None` =
+    /// adaptive, §3).
     pub forced_selection: Option<SelectionStrategy>,
-    /// Force an aggregation strategy for every segment (experiments).
+    /// Force one aggregation strategy for every segment (experiments).
     pub forced_agg: Option<AggStrategy>,
-    /// Scan morsels on parallel pool workers.
+    /// Scan morsels on several pool workers. `false` is shorthand for
+    /// `threads: Some(1)`: the same driver with one worker, run inline on
+    /// the calling thread.
     pub parallel: bool,
-    /// Worker count for parallel scans (`None` = hardware parallelism).
+    /// Worker count (`None` = hardware parallelism). Must be non-zero.
     pub threads: Option<usize>,
-    /// Rows per batch window (§2.1; default [`bipie_columnstore::BATCH_ROWS`]).
+    /// Rows per batch window (§2.1: "up to 4096 rows in MemSQL"; default
+    /// [`bipie_columnstore::BATCH_ROWS`]).
     pub batch_rows: usize,
-    /// Rows per parallel morsel (rounded up to a whole number of batch
-    /// windows; default [`bipie_columnstore::MORSEL_ROWS`]).
+    /// Rows per morsel, rounded up to a whole number of batch windows so
+    /// every worker count sees the same batch grid (default
+    /// [`bipie_columnstore::MORSEL_ROWS`]).
     pub morsel_rows: usize,
     /// Strategy-chooser constants.
     pub config: StrategyConfig,
-    /// Profiling level ([`ProfileLevel::Off`] keeps the hot loop free of
-    /// timestamps and event stores).
+    /// Profiling level. [`ProfileLevel::Off`] (the default) keeps the batch
+    /// loops free of timestamps, atomics, and event stores; `Counters`
+    /// collects per-phase totals; `Spans` additionally keeps the full
+    /// span/decision event log in the returned [`QueryProfile`].
     pub profile: ProfileLevel,
     /// Cooperative cancellation token, observed at every morsel claim and
-    /// batch boundary (DESIGN.md §10).
+    /// batch boundary; `cancel()` on any clone fails the query with
+    /// [`EngineError::Cancelled`] at its next checkpoint (DESIGN.md §10).
     pub cancel: Option<CancelToken>,
     /// Wall-clock budget; exceeding it fails the query with
     /// [`EngineError::DeadlineExceeded`]. Must be non-zero.
@@ -99,9 +110,10 @@ pub struct ScanOptions {
     /// with [`EngineError::MemoryBudgetExceeded`]. Must be non-zero.
     pub mem_budget: Option<usize>,
     /// Shared-scheduler identity: which per-query pool queue this scan's
-    /// fork-join work lands in and its fair-share weight. Set by the
-    /// [`Engine`](crate::engine::Engine); standalone scans use the default
-    /// untagged queue.
+    /// fork-join work lands in and its fair-share weight (DESIGN.md §15).
+    /// The [`Engine`](crate::engine::Engine) stamps each admitted query with
+    /// a unique id and its session's weight; standalone scans and direct
+    /// `execute` callers use the default untagged queue.
     pub tag: QueryTag,
 }
 
@@ -125,40 +137,41 @@ impl Default for ScanOptions {
     }
 }
 
-/// Reject out-of-domain execution options with a typed error before any
-/// scanning starts (instead of a deep assertion failure mid-scan).
-pub fn validate_scan_options(options: &ScanOptions) -> Result<()> {
-    if options.batch_rows == 0 {
-        return Err(EngineError::InvalidOptions {
-            option: "batch_rows",
-            detail: "batch windows must cover at least 1 row".into(),
-        });
+impl ScanOptions {
+    /// Reject out-of-domain option values with a typed error without
+    /// executing anything. [`scan_table`] performs the same check before any
+    /// scanning starts (instead of a deep assertion failure mid-scan), so
+    /// calling this is for builders that want to fail fast.
+    pub fn validate(&self) -> Result<()> {
+        let invalid = |option, detail: &str| {
+            Err(EngineError::InvalidOptions { option, detail: detail.into() })
+        };
+        if self.batch_rows == 0 {
+            return invalid("batch_rows", "batch windows must cover at least 1 row");
+        }
+        if self.morsel_rows == 0 {
+            return invalid("morsel_rows", "morsels must cover at least 1 row");
+        }
+        if self.threads == Some(0) {
+            return invalid(
+                "threads",
+                "need at least 1 worker (use None for hardware parallelism)",
+            );
+        }
+        if self.time_budget == Some(std::time::Duration::ZERO) {
+            return invalid(
+                "time_budget",
+                "a zero deadline can never be met (use None for no limit)",
+            );
+        }
+        if self.mem_budget == Some(0) {
+            return invalid(
+                "mem_budget",
+                "a zero byte budget admits no allocation (use None for no limit)",
+            );
+        }
+        Ok(())
     }
-    if options.morsel_rows == 0 {
-        return Err(EngineError::InvalidOptions {
-            option: "morsel_rows",
-            detail: "morsels must cover at least 1 row".into(),
-        });
-    }
-    if options.threads == Some(0) {
-        return Err(EngineError::InvalidOptions {
-            option: "threads",
-            detail: "need at least 1 worker (use None for hardware parallelism)".into(),
-        });
-    }
-    if options.time_budget == Some(std::time::Duration::ZERO) {
-        return Err(EngineError::InvalidOptions {
-            option: "time_budget",
-            detail: "a zero deadline can never be met (use None for no limit)".into(),
-        });
-    }
-    if options.mem_budget == Some(0) {
-        return Err(EngineError::InvalidOptions {
-            option: "mem_budget",
-            detail: "a zero byte budget admits no allocation (use None for no limit)".into(),
-        });
-    }
-    Ok(())
 }
 
 /// Group-count threshold below which the second merge phase is not worth a
@@ -179,11 +192,11 @@ pub fn scan_table(
     mm_exprs: &[ResolvedExpr],
     options: &ScanOptions,
 ) -> Result<(GroupMap, ExecStats, QueryProfile)> {
-    validate_scan_options(options)?;
-    let mut stats = ExecStats::default();
+    options.validate()?;
     let mut profile = QueryProfile::new(options.profile);
-    // The coordinator's own tracer covers the phases that run on the
-    // calling thread: admission planning and the phase-2 merge.
+    // The coordinator's record: the query-level stats every worker's record
+    // merges into, and the spans of the phases that run on the calling
+    // thread (admission planning, the phase-2 merge).
     let mut coord = Tracer::new(options.profile, 0);
 
     // The per-query governor: the deadline clock starts here, at scan
@@ -191,7 +204,7 @@ pub fn scan_table(
     // before any segment is planned — no partial result.
     let governor = Governor::new(options.cancel.clone(), options.time_budget, options.mem_budget);
     if governor.active() {
-        stats.governor_checks += 1;
+        coord.stats.governor_checks += 1;
         governor.check()?;
     }
 
@@ -199,30 +212,23 @@ pub fn scan_table(
     // only (elimination, overflow proofs, mapper viability) and it lets
     // errors surface deterministically before any worker starts. The table
     // segment ordinal rides along as the id trace events carry.
+    let ctx = ScanCtx { filter, group_cols, sum_exprs, mm_exprs, options, governor: &governor };
     let plan_start = coord.start();
-    let planned =
-        plan_segments(table, filter, group_cols, sum_exprs, mm_exprs, &governor, &mut stats);
+    let planned = plan_segments(table, &ctx, &mut coord.stats);
     // Close on the planning *result*: a plan-time error (overflow proof,
     // budget rejection) must not drop the `Phase::Plan` span.
-    coord.span(Phase::Plan, SpanLoc::none(), stats.rows_scanned as u64, plan_start);
+    coord.span(Phase::Plan, SpanLoc::none(), coord.stats.rows_scanned as u64, plan_start);
     let planned = planned?;
-    if planned.is_empty() {
-        profile.absorb(coord);
-        return Ok((BTreeMap::new(), stats, profile));
-    }
 
-    let threads = options
-        .threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1));
-    let ctx = ScanCtx { filter, group_cols, sum_exprs, mm_exprs, options, governor: &governor };
-
-    let merged = if options.parallel && threads > 1 {
-        scan_parallel(&planned, threads, &ctx, &mut stats, &mut profile, &mut coord)?
+    let merged = if planned.is_empty() {
+        BTreeMap::new()
     } else {
-        scan_serial(&planned, &ctx, &mut stats, &mut coord)?
+        let hardware = || std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
+        let workers = if options.parallel { options.threads.unwrap_or_else(hardware) } else { 1 };
+        scan_workers(&planned, workers, &ctx, &mut coord, &mut profile)?
     };
-    stats.mem_reserved_peak = governor.peak_reserved();
-    profile.absorb(coord);
+    coord.stats.mem_reserved_peak = governor.peak_reserved();
+    let stats = profile.absorb(coord);
     Ok((merged, stats, profile))
 }
 
@@ -234,13 +240,10 @@ pub fn scan_table(
 /// error propagates.
 fn plan_segments<'t>(
     table: &'t Table,
-    filter: Option<&ResolvedPredicate>,
-    group_cols: &[(usize, LogicalType)],
-    sum_exprs: &[ResolvedExpr],
-    mm_exprs: &[ResolvedExpr],
-    governor: &Governor,
+    ctx: &ScanCtx<'_>,
     stats: &mut ExecStats,
 ) -> Result<Vec<(u32, &'t Segment)>> {
+    let ScanCtx { filter, group_cols, sum_exprs, mm_exprs, governor, .. } = *ctx;
     let mut planned: Vec<(u32, &Segment)> = Vec::new();
     for (seg_index, seg) in table.segments().iter().enumerate() {
         if seg.num_rows() == 0 || seg.live_rows() == 0 {
@@ -289,167 +292,137 @@ struct ScanCtx<'a> {
     governor: &'a Governor,
 }
 
-/// Serial fallback: one thread scans whole segments in order. Panics from
-/// a poisoned segment scan become [`EngineError::WorkerPanicked`], matching
-/// the parallel path's contract. Each segment records a single
-/// [`Phase::SegmentScan`] span (no morsel decomposition).
-fn scan_serial(
-    planned: &[(u32, &Segment)],
-    ctx: &ScanCtx<'_>,
-    stats: &mut ExecStats,
-    tracer: &mut Tracer,
-) -> Result<GroupMap> {
-    let mut merged: GroupMap = BTreeMap::new();
-    let mut local = ExecStats::default();
-    let scan_all = AssertUnwindSafe(|| -> Result<()> {
-        for &(seg_index, seg) in planned {
-            let mut scan = SegScan::plan(seg_index, seg, ctx)?;
-            scan.process_range(0, seg.num_rows(), NO_ID, false, tracer)?;
-            let (groups, seg_stats) = scan.finish();
-            local.merge(&seg_stats);
-            merge_groups(&mut merged, groups);
-        }
-        Ok(())
-    });
-    match catch_unwind(scan_all) {
-        Ok(result) => result?,
-        Err(payload) => {
-            return Err(EngineError::WorkerPanicked { detail: panic_message(&payload) })
-        }
-    }
-    stats.merge(&local);
-    Ok(merged)
+/// What one worker leaves behind at the join: its record (counters and
+/// trace events) and its groups, pre-partitioned by group-key hash.
+#[derive(Default)]
+struct WorkerSlot {
+    tracer: Option<Tracer>,
+    parts: Vec<GroupMap>,
 }
 
-/// Morsel-driven parallel scan with a two-phase parallel merge.
-fn scan_parallel(
+/// The scan driver: `workers` pool workers claim morsels and aggregate
+/// (phase 1), then the hash partitions are reduced (phase 2). With one
+/// worker the pool runs the region inline on the caller — no queue, no
+/// lock — and phase 2 vanishes: the worker's single partition is the
+/// answer. Panics in a worker become [`EngineError::WorkerPanicked`].
+fn scan_workers(
     planned: &[(u32, &Segment)],
-    threads: usize,
+    workers: usize,
     ctx: &ScanCtx<'_>,
-    stats: &mut ExecStats,
-    profile: &mut QueryProfile,
     coord: &mut Tracer,
+    profile: &mut QueryProfile,
 ) -> Result<GroupMap> {
     let batch_rows = ctx.options.batch_rows;
-    // Morsels are whole batch windows so the parallel batch grid matches
-    // the serial one exactly.
+    // Morsels are whole batch windows so every worker count sees the same
+    // batch grid.
     let morsel_rows = ctx.options.morsel_rows.div_ceil(batch_rows).max(1) * batch_rows;
     let sched = MorselScheduler::new(planned, morsel_rows);
 
-    // Phase 1: workers claim morsels, aggregate into thread-local state,
-    // and leave their results pre-partitioned by group-key hash. Each
-    // worker owns a private tracer for the duration (no shared state in
-    // the hot loop) and parks it in its slot at the end.
-    let worker_parts: Vec<Mutex<Vec<GroupMap>>> =
-        (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-    let worker_stats: Vec<Mutex<ExecStats>> =
-        (0..threads).map(|_| Mutex::new(ExecStats::default())).collect();
-    let worker_tracers: Vec<Mutex<Option<Tracer>>> =
-        (0..threads).map(|_| Mutex::new(None)).collect();
+    // Phase 1. Each worker owns a private record for the duration (no
+    // shared state in the hot loop) and parks it, with its partitioned
+    // groups, in its slot at the end. The first failure wins the error
+    // sink and closes the scheduler, which drains every remaining claim so
+    // siblings park within one morsel too. The pool joins normally —
+    // nothing is poisoned.
+    let slots: Vec<Mutex<WorkerSlot>> = (0..workers).map(|_| Mutex::default()).collect();
     let first_error: Mutex<Option<EngineError>> = Mutex::new(None);
-    let level = ctx.options.profile;
-
     let pool = WorkerPool::global();
     let report = pool
-        .run_tagged(ctx.options.tag, threads, &|w| {
-            let mut local = ExecStats::default();
-            let mut tracer = Tracer::new(level, w as u32);
-            let mut states: HashMap<usize, SegScan<'_>> = HashMap::new();
-            let mut last: Option<usize> = None;
-            let governor = ctx.governor;
-            while let Some(claim) = sched.claim(w, threads, &mut last) {
-                // The morsel-claim checkpoint: a tripped governor stops
-                // this worker within one morsel's worth of work, and
-                // closing the scheduler drains every remaining claim so
-                // siblings park promptly too. The pool joins normally —
-                // nothing is poisoned.
-                if governor.active() {
-                    local.governor_checks += 1;
-                    if let Err(e) = governor.check() {
-                        // LOCK: `first_error` leaf; temp guard dies at `;`.
-                        lock(&first_error).get_or_insert(e);
-                        sched.close();
-                        return;
-                    }
-                }
-                local.morsels_scanned += 1;
-                local.morsel_steals += claim.stolen as usize;
-                let scan = match states.entry(claim.seg) {
-                    std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        let (seg_index, seg) = planned[claim.seg];
-                        match SegScan::plan(seg_index, seg, ctx) {
-                            Ok(s) => v.insert(s),
-                            Err(e) => {
-                                // LOCK: `first_error` leaf; dies at `;`.
-                                lock(&first_error).get_or_insert(e);
-                                sched.close();
-                                return;
-                            }
-                        }
-                    }
-                };
-                if let Err(e) = scan.process_range(
-                    claim.range.start,
-                    claim.range.len,
-                    claim.morsel as u32,
-                    claim.stolen,
-                    &mut tracer,
-                ) {
+        .run_tagged(ctx.options.tag, workers, &|w| {
+            let mut tracer = Tracer::new(ctx.options.profile, w as u32);
+            match worker_scan(w, workers, planned, &sched, ctx, &mut tracer) {
+                // LOCK: own slot `w`; temp guard dies at `;`.
+                Ok(parts) => *lock(&slots[w]) = WorkerSlot { tracer: Some(tracer), parts },
+                Err(e) => {
                     // LOCK: `first_error` leaf; temp guard dies at `;`.
                     lock(&first_error).get_or_insert(e);
                     sched.close();
-                    return;
                 }
             }
-            let mut parts: Vec<GroupMap> = (0..threads).map(|_| BTreeMap::new()).collect();
-            for (_, scan) in states {
-                let (groups, seg_stats) = scan.finish();
-                local.merge(&seg_stats);
-                for (key, acc) in groups {
-                    let p = (key_hash(&key) % threads as u64) as usize;
-                    merge_one(&mut parts[p], key, acc);
-                }
-            }
-            *lock(&worker_parts[w]) = parts; // LOCK: own slot `w`; dies at `;`.
-            *lock(&worker_stats[w]) = local; // LOCK: own slot `w`; dies at `;`.
-            *lock(&worker_tracers[w]) = Some(tracer); // LOCK: own slot `w`; dies at `;`.
         })
         .map_err(|payload| EngineError::WorkerPanicked { detail: panic_message(&payload) })?;
     // LOCK: `first_error` leaf, read after the pool join; dies at `;`.
     if let Some(e) = lock(&first_error).take() {
         return Err(e);
     }
-    for ws in &worker_stats {
-        // LOCK: worker slot read after the join; temp guard dies at `;`.
-        stats.merge(&lock(ws));
-    }
-    for wt in &worker_tracers {
-        // LOCK: worker slot drained after the join; temp guard dies at `;`.
-        if let Some(t) = lock(wt).take() {
-            profile.absorb(t);
+    let mut total_groups: usize = 0;
+    for slot in &slots {
+        // LOCK: worker slot read after the join; one guard at a time.
+        let mut slot = lock(slot);
+        if let Some(tracer) = slot.tracer.take() {
+            coord.stats.merge(&profile.absorb(tracer));
         }
+        total_groups += slot.parts.iter().map(BTreeMap::len).sum::<usize>();
     }
-    stats.pool_workers = threads;
-    stats.pool_reuses += report.reused_pool as usize;
+    coord.stats.pool_workers = workers;
+    coord.stats.pool_reuses += report.reused_pool as usize;
+    if workers == 1 {
+        // LOCK: the only slot, after the join; temp guard dies at `;`.
+        return Ok(lock(&slots[0]).parts.pop().unwrap_or_default());
+    }
 
     // Phase 2: reduce the hash partitions. Each partition's keys appear in
-    // at most `threads` maps; partitions are disjoint, so they merge in
+    // at most `workers` maps; partitions are disjoint, so they merge in
     // parallel without locks on the hot path and concatenate ordered.
-    let mut total_groups: usize = 0;
-    for m in &worker_parts {
-        // LOCK: sequential size probe after the join; temp dies at `;`.
-        total_groups += lock(m).iter().map(BTreeMap::len).sum::<usize>();
-    }
     let merge_start = coord.start();
-    let merged = merge_worker_parts(pool, ctx, threads, &worker_parts, total_groups, stats);
+    let merged = merge_worker_parts(pool, ctx, &slots, total_groups, &mut coord.stats);
     // Close on the merge *result*: a panicked merge worker must not drop
     // the `Phase::ParallelMerge` span.
     coord.span(Phase::ParallelMerge, SpanLoc::none(), total_groups as u64, merge_start);
     merged
 }
 
-/// Phase 2 of [`scan_parallel`]: fold the workers' hash-partitioned maps
+/// Phase 1 on worker `w`: claim morsels until the scheduler runs dry,
+/// scanning each into the current segment's state, and return this worker's
+/// groups partitioned by group-key hash (one partition when alone). A
+/// worker leaves a segment only once its cursor is drained, so it holds one
+/// segment state at a time and folds it away when the claims move on.
+fn worker_scan<'a>(
+    w: usize,
+    workers: usize,
+    planned: &[(u32, &'a Segment)],
+    sched: &MorselScheduler,
+    ctx: &ScanCtx<'a>,
+    tracer: &mut Tracer,
+) -> Result<Vec<GroupMap>> {
+    let mut parts: Vec<GroupMap> = (0..workers).map(|_| BTreeMap::new()).collect();
+    let mut fold = |scan: SegScan<'a>| {
+        for (key, acc) in scan.finish() {
+            let p = if workers == 1 { 0 } else { (key_hash(&key) % workers as u64) as usize };
+            merge_one(&mut parts[p], key, acc);
+        }
+    };
+    let mut current: Option<(usize, SegScan<'a>)> = None;
+    let mut last: Option<usize> = None;
+    let governor = ctx.governor;
+    while let Some(claim) = sched.claim(w, workers, &mut last) {
+        // The morsel-claim checkpoint: a tripped governor stops this worker
+        // within one morsel's worth of work.
+        if governor.active() {
+            tracer.stats.governor_checks += 1;
+            governor.check()?;
+        }
+        tracer.stats.morsels_scanned += 1;
+        tracer.stats.morsel_steals += claim.stolen as usize;
+        let scan = match &mut current {
+            Some((seg, scan)) if *seg == claim.seg => scan,
+            _ => {
+                if let Some((_, done)) = current.take() {
+                    fold(done);
+                }
+                let (seg_index, seg) = planned[claim.seg];
+                &mut current.insert((claim.seg, SegScan::plan(seg_index, seg, ctx, tracer)?)).1
+            }
+        };
+        scan.process_range(claim.range, claim.morsel as u32, claim.stolen, tracer)?;
+    }
+    if let Some((_, done)) = current {
+        fold(done);
+    }
+    Ok(parts)
+}
+
+/// Phase 2 of [`scan_workers`]: fold the workers' hash-partitioned maps
 /// into one ordered result — serially below
 /// [`PARALLEL_MERGE_MIN_GROUPS`], else one fork-join region with a worker
 /// per partition. Split out so the coordinator can bracket exactly this
@@ -457,30 +430,29 @@ fn scan_parallel(
 fn merge_worker_parts(
     pool: &WorkerPool,
     ctx: &ScanCtx<'_>,
-    threads: usize,
-    worker_parts: &[Mutex<Vec<GroupMap>>],
+    slots: &[Mutex<WorkerSlot>],
     total_groups: usize,
     stats: &mut ExecStats,
 ) -> Result<GroupMap> {
     let mut merged: GroupMap = BTreeMap::new();
     if total_groups < PARALLEL_MERGE_MIN_GROUPS {
-        for wp in worker_parts {
+        for slot in slots {
             // LOCK: serial drain after the join; one slot guard at a time.
-            for part in lock(wp).drain(..) {
+            for part in lock(slot).parts.drain(..) {
                 merge_groups(&mut merged, part);
             }
         }
     } else {
         let merged_parts: Vec<Mutex<GroupMap>> =
-            (0..threads).map(|_| Mutex::new(BTreeMap::new())).collect();
+            (0..slots.len()).map(|_| Mutex::new(BTreeMap::new())).collect();
         let report = pool
-            .run_tagged(ctx.options.tag, threads, &|p| {
+            .run_tagged(ctx.options.tag, slots.len(), &|p| {
                 let mut out: GroupMap = BTreeMap::new();
-                for wp in worker_parts {
+                for slot in slots {
                     // LOCK: slot guard dropped before merging, so at most
                     // one lock is ever held by a merge worker.
-                    let mut guard = lock(wp);
-                    if let Some(part) = guard.get_mut(p) {
+                    let mut guard = lock(slot);
+                    if let Some(part) = guard.parts.get_mut(p) {
                         let part = std::mem::take(part);
                         drop(guard);
                         merge_groups(&mut out, part);
@@ -531,15 +503,23 @@ fn merge_one(map: &mut GroupMap, key: Vec<Value>, acc: GroupAcc) {
     }
 }
 
-/// Where a batch sits (segment ordinal + morsel ordinal) — threaded to the
-/// per-batch trace events.
+/// Where a batch sits — segment ordinal, morsel ordinal, row window — as
+/// the per-batch trace events carry it.
 #[derive(Clone, Copy)]
 struct BatchAt {
     seg: u32,
     morsel: u32,
+    start: usize,
+    len: usize,
 }
 
-/// One claimed unit of parallel work.
+impl BatchAt {
+    fn loc(self) -> SpanLoc {
+        SpanLoc::at(self.seg, self.morsel)
+    }
+}
+
+/// One claimed unit of work.
 struct Claim {
     seg: usize,
     /// Morsel ordinal within the segment (stable across runs; trace id).
@@ -569,9 +549,6 @@ impl MorselScheduler {
 
     fn claim(&self, worker: usize, workers: usize, last: &mut Option<usize>) -> Option<Claim> {
         let n = self.cursors.len();
-        if n == 0 {
-            return None;
-        }
         let home_lo = worker * n / workers;
         let home_hi = (worker + 1) * n / workers;
         let in_home = |s: usize| s >= home_lo && s < home_hi;
@@ -600,9 +577,9 @@ impl MorselScheduler {
         }
     }
 
-    /// Drain every remaining claim (governor stop broadcast): after this,
-    /// all workers' next `claim` returns `None`, so siblings of a tripped
-    /// worker park within one morsel even between their own checks.
+    /// Drain every remaining claim (error / governor stop broadcast): after
+    /// this, all workers' next `claim` returns `None`, so siblings of a
+    /// failed worker park within one morsel even between their own checks.
     fn close(&self) {
         for c in &self.cursors {
             c.close();
@@ -617,8 +594,6 @@ struct SegScan<'a> {
     /// Table segment ordinal (the id trace events carry).
     seg_index: u32,
     ctx: ScanCtx<'a>,
-    has_deletes: bool,
-    stats: ExecStats,
     /// This worker-segment state's slice of the memory budget (per-worker
     /// slack keeps per-batch charges off the governor's shared counter).
     mem: MemScope,
@@ -627,60 +602,85 @@ struct SegScan<'a> {
 
 enum SegScanKind<'a> {
     // Boxed: the narrow state (strategy template + scratch) is several
-    // hundred bytes and lives in a per-worker HashMap.
+    // hundred bytes.
     Narrow(Box<NarrowScan<'a>>),
     Wide(Box<WideScan<'a>>),
 }
 
 impl<'a> SegScan<'a> {
-    /// Plan the per-segment machinery (mapper, aggregate inputs). The
-    /// segment must already have passed admission (overflow proofs etc.).
-    fn plan(seg_index: u32, seg: &'a Segment, ctx: &ScanCtx<'a>) -> Result<SegScan<'a>> {
+    /// Plan the per-segment machinery (mapper, aggregate inputs) and charge
+    /// its batch-sized working buffers before they grow. The segment must
+    /// already have passed admission (overflow proofs etc.).
+    fn plan(
+        seg_index: u32,
+        seg: &'a Segment,
+        ctx: &ScanCtx<'a>,
+        tracer: &mut Tracer,
+    ) -> Result<SegScan<'a>> {
+        let mut mem = MemScope::default();
+        let batch_rows = ctx.options.batch_rows;
         let kind = match plan_segment_mapper(seg, ctx.group_cols)? {
             SegmentGroupMapper::Narrow(mapper) => {
+                // Group ids, unpack scratch, selection bytes.
+                mem.charge(ctx.governor, 3 * batch_rows)?;
                 SegScanKind::Narrow(Box::new(NarrowScan::plan(seg, mapper, ctx)))
             }
             SegmentGroupMapper::Wide(mapper) => {
+                // u32 group ids + selection bytes + i64 buffers for the
+                // group-key scratch, per-column decode caches, and
+                // expression results.
+                let exprs = ctx.sum_exprs.len() + ctx.mm_exprs.len();
+                let per_row = 4 + 1 + 8 * (ctx.group_cols.len() + 2 * exprs);
+                mem.charge(ctx.governor, batch_rows * per_row)?;
+                // The wide-group path is structural (group domain too wide
+                // for u8 ids), not a cost-model outcome: `forced` is false,
+                // and no group has been interned yet.
+                let params = AggChoiceParams {
+                    num_groups_effective: mapper.num_groups(),
+                    num_sums: ctx.sum_exprs.len(),
+                    input_bytes: Vec::new(),
+                    all_packed_narrow: false,
+                    multi_layout_fits: false,
+                    est_selectivity: 1.0,
+                    runwise_runs_fraction: None,
+                };
+                tracer.decision_agg(
+                    seg_index,
+                    &params,
+                    ctx.mm_exprs.len(),
+                    AggStrategy::Scalar,
+                    false,
+                );
                 SegScanKind::Wide(Box::new(WideScan::plan(mapper, ctx)))
             }
         };
-        Ok(SegScan {
-            seg,
-            seg_index,
-            ctx: *ctx,
-            has_deletes: !seg.deleted().none_deleted(),
-            stats: ExecStats::default(),
-            mem: MemScope::default(),
-            kind,
-        })
+        Ok(SegScan { seg, seg_index, ctx: *ctx, mem, kind })
     }
 
-    /// Scan rows `[start, start + len)` in batch windows. `start` must lie
-    /// on the segment's batch grid so parallel and serial scans agree on
-    /// window boundaries. One [`Phase::SegmentScan`] span covers the range
-    /// (a whole segment serially, one morsel in parallel — `morsel` is
-    /// [`NO_ID`] for the former).
+    /// Scan the row window `range` (one morsel) in batch windows.
+    /// `range.start` must lie on the segment's batch grid so every worker
+    /// count agrees on window boundaries. One [`Phase::SegmentScan`] span
+    /// covers the range.
     fn process_range(
         &mut self,
-        start: usize,
-        len: usize,
+        range: Batch,
         morsel: u32,
         stolen: bool,
         tracer: &mut Tracer,
     ) -> Result<()> {
         debug_assert_eq!(
-            start % self.ctx.options.batch_rows,
+            range.start % self.ctx.options.batch_rows,
             0,
             "morsel start must be batch-aligned"
         );
         let range_start = tracer.start();
-        let result = self.scan_batches(start, len, morsel, tracer);
+        let result = self.scan_batches(range, morsel, tracer);
         // Close on the batch-loop *result*: a governor trip or a failed
         // batch must not drop the `Phase::SegmentScan` span.
         tracer.span(
             Phase::SegmentScan,
             SpanLoc::at(self.seg_index, morsel).with_stolen(stolen),
-            len as u64,
+            range.len as u64,
             range_start,
         );
         result
@@ -689,57 +689,44 @@ impl<'a> SegScan<'a> {
     /// The batch loop of [`SegScan::process_range`]: checkpoint, then
     /// process, one batch window at a time. Split out so the caller can
     /// bracket exactly this fallible region with the span.
-    fn scan_batches(
-        &mut self,
-        start: usize,
-        len: usize,
-        morsel: u32,
-        tracer: &mut Tracer,
-    ) -> Result<()> {
+    fn scan_batches(&mut self, range: Batch, morsel: u32, tracer: &mut Tracer) -> Result<()> {
         let governor = self.ctx.governor;
-        for b in BatchCursor::with_batch_rows(len, self.ctx.options.batch_rows) {
+        for b in BatchCursor::with_batch_rows(range.len, self.ctx.options.batch_rows) {
             // The batch-boundary checkpoint: one branch when no limit is
             // set, so the governor-off path stays inside the ≤ 2% Off gate.
             if governor.active() {
-                self.stats.governor_checks += 1;
+                tracer.stats.governor_checks += 1;
                 governor.check()?;
             }
-            let batch = Batch { start: start + b.start, len: b.len };
-            let at = BatchAt { seg: self.seg_index, morsel };
+            let at =
+                BatchAt { seg: self.seg_index, morsel, start: range.start + b.start, len: b.len };
             match &mut self.kind {
-                SegScanKind::Narrow(n) => n.process_batch(
-                    self.seg,
-                    &self.ctx,
-                    self.has_deletes,
-                    batch,
-                    at,
-                    &mut self.stats,
-                    &mut self.mem,
-                    tracer,
-                )?,
-                SegScanKind::Wide(w) => w.process_batch(
-                    self.seg,
-                    &self.ctx,
-                    self.has_deletes,
-                    batch,
-                    at,
-                    &mut self.stats,
-                    &mut self.mem,
-                    tracer,
-                )?,
+                SegScanKind::Narrow(n) => {
+                    n.process_batch(self.seg, &self.ctx, at, &mut self.mem, tracer)?
+                }
+                SegScanKind::Wide(w) => {
+                    w.process_batch(self.seg, &self.ctx, at, &mut self.mem, tracer)?
+                }
             }
         }
         Ok(())
     }
 
-    /// Tear down into per-group results plus this state's stats.
-    fn finish(self) -> (Vec<(Vec<Value>, GroupAcc)>, ExecStats) {
-        let groups = match self.kind {
+    /// Tear down into per-group results.
+    fn finish(self) -> Vec<(Vec<Value>, GroupAcc)> {
+        match self.kind {
             SegScanKind::Narrow(n) => n.finish(),
             SegScanKind::Wide(w) => w.finish(),
-        };
-        (groups, self.stats)
+        }
     }
+}
+
+/// The value range of `expr` over the segment, from column metadata.
+fn meta_range(seg: &Segment, expr: &ResolvedExpr) -> (i128, i128) {
+    expr.value_range(&|col| {
+        let m = seg.meta(col);
+        (m.min, m.max)
+    })
 }
 
 /// Metadata-driven overflow proof (§2.1): every sum over the segment must
@@ -747,10 +734,7 @@ impl<'a> SegScan<'a> {
 fn check_overflow(seg: &Segment, sum_exprs: &[ResolvedExpr]) -> Result<()> {
     let rows = seg.num_rows() as i128;
     for (i, expr) in sum_exprs.iter().enumerate() {
-        let (lo, hi) = expr.value_range(&|col| {
-            let m = seg.meta(col);
-            (m.min, m.max)
-        });
+        let (lo, hi) = meta_range(seg, expr);
         let bound = lo.abs().max(hi.abs());
         if bound.saturating_mul(rows) > i64::MAX as i128 {
             return Err(EngineError::PotentialOverflow { aggregate: i });
@@ -762,10 +746,7 @@ fn check_overflow(seg: &Segment, sum_exprs: &[ResolvedExpr]) -> Result<()> {
 /// MIN/MAX never accumulate, but the expression itself must fit `i64`.
 fn check_minmax_range(seg: &Segment, num_sums: usize, mm_exprs: &[ResolvedExpr]) -> Result<()> {
     for (i, expr) in mm_exprs.iter().enumerate() {
-        let (lo, hi) = expr.value_range(&|col| {
-            let m = seg.meta(col);
-            (m.min, m.max)
-        });
+        let (lo, hi) = meta_range(seg, expr);
         if lo < i64::MIN as i128 || hi > i64::MAX as i128 {
             return Err(EngineError::PotentialOverflow { aggregate: num_sums + i });
         }
@@ -813,6 +794,69 @@ fn projected_wide_bytes(
     groups.saturating_mul(wide_group_bytes(group_cols.len(), num_sums, num_mm))
 }
 
+/// The byte-mask selection step of the narrow and wide batch paths: filter
+/// evaluation merged with deleted-row information into one selection byte
+/// per row.
+#[derive(Default)]
+struct ByteSelect {
+    sel_buf: Vec<u8>,
+    fscratch: FilterScratch,
+}
+
+impl ByteSelect {
+    /// The batch's selection bytes; `None` when there is neither a filter
+    /// nor a deleted row, i.e. every row is selected.
+    fn eval(
+        &mut self,
+        seg: &Segment,
+        filter: Option<&ResolvedPredicate>,
+        at: BatchAt,
+        level: SimdLevel,
+    ) -> Option<&[u8]> {
+        if filter.is_none() && seg.deleted().none_deleted() {
+            return None;
+        }
+        self.sel_buf.resize(at.len, 0xFF);
+        match filter {
+            // The comparison writes every byte; no prefill needed.
+            Some(f) => f.eval_batch(seg, at.start, &mut self.sel_buf, &mut self.fscratch, level),
+            None => self.sel_buf.fill(0xFF),
+        }
+        seg.deleted().mask_batch(at.start, &mut self.sel_buf);
+        Some(&self.sel_buf)
+    }
+}
+
+/// The fraction of a batch its selection bytes keep.
+fn selected_fraction(sel: Option<&[u8]>, rows: usize, level: SimdLevel) -> f64 {
+    match sel {
+        Some(s) => count_selected(s, level) as f64 / rows.max(1) as f64,
+        None => 1.0,
+    }
+}
+
+/// Per-group accumulator columns (layout `[input][group]`) as keyed
+/// results, empty groups dropped.
+fn keyed_groups(
+    result: SegmentAggResult,
+    key_of: impl Fn(usize) -> Vec<Value>,
+) -> Vec<(Vec<Value>, GroupAcc)> {
+    (0..result.counts.len())
+        .filter(|&g| result.counts[g] > 0)
+        .map(|g| {
+            (
+                key_of(g),
+                GroupAcc {
+                    count: result.counts[g],
+                    sums: result.sums.iter().map(|s| s[g]).collect(),
+                    mins: result.mins.iter().map(|m| m[g]).collect(),
+                    maxs: result.maxs.iter().map(|m| m[g]).collect(),
+                },
+            )
+        })
+        .collect()
+}
+
 /// Plan-time facts that make a segment eligible for the run-wise
 /// encoding-specialized path (DESIGN.md §13): ungrouped, no deleted rows,
 /// every aggregate a bare RLE column, and the filter (if any) answerable
@@ -823,16 +867,9 @@ struct RunWisePlan<'a> {
     /// Worst (largest) runs/rows ratio over every RLE column the scan
     /// touches — the cost model's work proxy for the run-wise path.
     runs_fraction: f64,
-}
-
-/// The narrow path's executor: either the generic per-row strategy family
-/// or the run-wise executor that consumes run spans without unpacking.
-// One instance per segment scan, held inline in `NarrowScan` — boxing the
-// larger variant would buy nothing and cost a hot-path indirection.
-#[allow(clippy::large_enum_variant)]
-enum NarrowExec<'a> {
-    Generic(SegmentAggExecutor<'a>),
-    RunWise(RunWiseExec<'a>),
+    /// The executor that consumes run spans without unpacking, once the
+    /// first batch's chooser has committed the segment to this path.
+    exec: Option<RunWiseExec<'a>>,
 }
 
 /// The BIPie fast path: u8 group ids, specialized kernels.
@@ -850,15 +887,13 @@ struct NarrowScan<'a> {
     /// Run-wise eligibility, decided at plan time; cleared if the first
     /// batch's chooser picks a generic strategy instead.
     runwise: Option<RunWisePlan<'a>>,
-    executor: Option<NarrowExec<'a>>,
+    /// The generic per-row strategy family's executor, built on the first
+    /// batch the run-wise path does not take.
+    executor: Option<SegmentAggExecutor<'a>>,
     gids: Vec<u8>,
     gid_scratch: Vec<u8>,
-    fscratch: FilterScratch,
-    sel_buf: Vec<u8>,
+    select: ByteSelect,
     span_buf: RunSpanVec,
-    /// Whether the batch-sized working buffers were charged to the
-    /// accountant (once per state; they are reused across batches).
-    charged_bufs: bool,
 }
 
 /// The RLE column behind `e` when `e` is a bare reference to one.
@@ -916,10 +951,8 @@ impl<'a> NarrowScan<'a> {
             executor: None,
             gids: Vec::new(),
             gid_scratch: Vec::new(),
-            fscratch: FilterScratch::default(),
-            sel_buf: Vec::new(),
+            select: ByteSelect::default(),
             span_buf: RunSpanVec::new(),
-            charged_bufs: false,
         }
     }
 
@@ -950,73 +983,35 @@ impl<'a> NarrowScan<'a> {
         if let Some(f) = ctx.filter {
             runs_fraction = runs_fraction.max(span_runs_fraction(f, seg)?);
         }
-        Some(RunWisePlan { sum_cols, mm_cols, runs_fraction })
+        Some(RunWisePlan { sum_cols, mm_cols, runs_fraction, exec: None })
     }
 
-    #[allow(clippy::too_many_arguments)] // internal batch-loop plumbing
     fn process_batch(
         &mut self,
         seg: &'a Segment,
         ctx: &ScanCtx<'a>,
-        has_deletes: bool,
-        batch: Batch,
         at: BatchAt,
-        stats: &mut ExecStats,
         mem: &mut MemScope,
         tracer: &mut Tracer,
     ) -> Result<()> {
         let options = ctx.options;
         let level = options.level;
-        if !self.charged_bufs {
-            // Batch-sized working buffers, charged once per state before
-            // they grow: group ids, unpack scratch, selection bytes.
-            mem.charge(ctx.governor, 3 * options.batch_rows)?;
-            self.charged_bufs = true;
-        }
-
-        // The run-wise fast path: predicate evaluated run-at-a-time into
-        // spans, aggregates folded value×length — no unpack, no per-row
-        // selection bytes. The first batch's chooser commits the segment to
-        // it (or declines, clearing the plan so later batches skip the
-        // probe and the generic machinery below runs instead).
-        if self.runwise.is_some() && !matches!(self.executor, Some(NarrowExec::Generic(_))) {
-            if self.try_process_runwise(seg, ctx, batch, at, stats, tracer) {
-                return Ok(());
-            }
-            self.runwise = None;
+        // The run-wise fast path, while its plan stands: it takes the batch
+        // unless the first batch's chooser declines, which clears the plan
+        // so the generic machinery below runs from here on.
+        if self.try_process_runwise(seg, ctx, at, tracer) {
+            return Ok(());
         }
 
         let unpack_start = tracer.start();
-        self.mapper.extract_batch(
-            batch.start,
-            batch.len,
-            &mut self.gids,
-            &mut self.gid_scratch,
-            level,
-        );
-        tracer.span(Phase::Unpack, SpanLoc::at(at.seg, at.morsel), batch.len as u64, unpack_start);
+        self.mapper.extract_batch(at.start, at.len, &mut self.gids, &mut self.gid_scratch, level);
+        tracer.span(Phase::Unpack, at.loc(), at.len as u64, unpack_start);
 
         // Filter + deleted-row merge -> selection byte vector, plus the
         // selectivity measurement that drives the per-batch choice.
         let select_start = tracer.start();
-        let sel: Option<&[u8]> = if ctx.filter.is_some() || has_deletes {
-            self.sel_buf.resize(batch.len, 0xFF);
-            match ctx.filter {
-                // The comparison writes every byte; no prefill needed.
-                Some(f) => {
-                    f.eval_batch(seg, batch.start, &mut self.sel_buf, &mut self.fscratch, level)
-                }
-                None => self.sel_buf.fill(0xFF),
-            }
-            seg.deleted().mask_batch(batch.start, &mut self.sel_buf);
-            Some(&self.sel_buf)
-        } else {
-            None
-        };
-        let selectivity = match sel {
-            Some(s) => count_selected(s, level) as f64 / batch.len.max(1) as f64,
-            None => 1.0,
-        };
+        let sel = self.select.eval(seg, ctx.filter, at, level);
+        let selectivity = selected_fraction(sel, at.len, level);
         // Run-span selection has no dense byte-mask form, so forcing it on
         // a segment the run-wise plan rejected falls back to the chooser.
         let forced_selection = match options.forced_selection {
@@ -1025,238 +1020,180 @@ impl<'a> NarrowScan<'a> {
         };
         let selection = forced_selection
             .unwrap_or_else(|| options.config.choose_selection(selectivity, self.dominant_bits));
-        tracer.span(
-            Phase::Selection,
-            SpanLoc::at(at.seg, at.morsel).with_selection(selection),
-            batch.len as u64,
-            select_start,
-        );
         tracer.decision_selection(
-            at.seg,
-            at.morsel,
-            batch.start as u64,
-            batch.len as u32,
+            select_start,
+            at.loc(),
+            at.start,
+            at.len,
             self.dominant_bits,
             selectivity,
             selection,
             forced_selection.is_some(),
         );
-        stats.record_selection(selection);
 
         // Lazily pick the aggregation strategy from the first batch's
         // measured selectivity (§3: per segment, at run time).
-        if self.executor.is_none() {
-            let mut params = self.agg_params_template.clone();
-            params.est_selectivity = selectivity;
-            // With a memory budget, the chooser degrades along the
-            // sort-based → scalar ladder when the winner's projected
-            // working set would not fit (DESIGN.md §10); the outcome is
-            // logged below as a normal decision event.
-            // PANIC: planned with the inputs and taken only below, when the
-            // executor is built — which happens once.
-            let lane_plan = self.lane_plan.take().expect("lane plan parked until the executor");
-            let footprint = |s: AggStrategy| {
-                SegmentAggExecutor::projected_bytes(
-                    s,
+        let exec = match &mut self.executor {
+            Some(exec) => exec,
+            slot => {
+                let mut params = self.agg_params_template.clone();
+                params.est_selectivity = selectivity;
+                // PANIC: planned with the inputs and taken only here, when
+                // the executor is built — which happens once.
+                let lane_plan = self.lane_plan.take().expect("lane plan parked until the executor");
+                let footprint = |s: AggStrategy| {
+                    SegmentAggExecutor::projected_bytes(
+                        s,
+                        self.mapper.num_groups(),
+                        &lane_plan,
+                        &self.mm_inputs_slot,
+                        options.batch_rows,
+                    )
+                };
+                // Run-wise aggregation needs the run-wise plan (bare RLE
+                // columns); forcing it on an ineligible segment likewise
+                // reverts to the chooser, which never picks it here because
+                // the template leaves `runwise_runs_fraction` unset.
+                let forced_agg = match options.forced_agg {
+                    Some(s) if s != AggStrategy::RunWise => Some(s),
+                    _ => None,
+                };
+                // With a memory budget, the chooser degrades along the
+                // sort-based → scalar ladder when the winner's projected
+                // working set would not fit (DESIGN.md §10); the outcome is
+                // logged as a normal decision event.
+                let strategy = forced_agg.unwrap_or_else(|| {
+                    let headroom = ctx.governor.remaining();
+                    options.config.choose_agg_budgeted(&params, headroom, &footprint)
+                });
+                let forced = forced_agg.is_some();
+                tracer.decision_agg(at.seg, &params, ctx.mm_exprs.len(), strategy, forced);
+                tracer.stats.record_expr_path(lane_plan.expr_path());
+                // Charge the executor's projected accumulators and scratch
+                // before constructing it: a violation surfaces as the typed
+                // error instead of an allocation.
+                let projected = footprint(strategy);
+                mem.charge(ctx.governor, projected)?;
+                slot.insert(SegmentAggExecutor::with_min_max(
+                    strategy,
                     self.mapper.num_groups(),
-                    &lane_plan,
-                    &self.mm_inputs_slot,
-                    options.batch_rows,
-                )
-            };
-            // Run-wise aggregation needs the run-wise plan (bare RLE
-            // columns); forcing it on an ineligible segment likewise
-            // reverts to the chooser, which never picks it here because
-            // the template leaves `runwise_runs_fraction` unset.
-            let forced_agg = match options.forced_agg {
-                Some(s) if s != AggStrategy::RunWise => Some(s),
-                _ => None,
-            };
-            let strategy = forced_agg.unwrap_or_else(|| {
-                options.config.choose_agg_budgeted(&params, ctx.governor.remaining(), &footprint)
-            });
-            stats.record_agg(strategy);
-            stats.record_expr_path(lane_plan.expr_path());
-            tracer.decision_agg(
-                at.seg,
-                params.num_groups_effective as u32,
-                params.num_sums as u32,
-                ctx.mm_exprs.len() as u32,
-                params.est_selectivity,
-                params.all_packed_narrow,
-                params.multi_layout_fits,
-                strategy,
-                forced_agg.is_some(),
-            );
-            // Charge the executor's projected accumulators and scratch
-            // before constructing it: a violation surfaces as the typed
-            // error instead of an allocation.
-            let projected = footprint(strategy);
-            mem.charge(ctx.governor, projected)?;
-            self.executor = Some(NarrowExec::Generic(SegmentAggExecutor::with_min_max(
-                strategy,
-                self.mapper.num_groups(),
-                std::mem::take(&mut self.inputs_slot),
-                std::mem::take(&mut self.mm_inputs_slot),
-                Some(lane_plan),
-                level,
-            )));
-        }
-        let Some(NarrowExec::Generic(exec)) = self.executor.as_mut() else {
-            // PANIC: the run-wise branch above returned early, so the
-            // executor here is always the generic one (installed just above
-            // on the first batch).
-            unreachable!("generic executor installed above")
+                    std::mem::take(&mut self.inputs_slot),
+                    std::mem::take(&mut self.mm_inputs_slot),
+                    Some(lane_plan),
+                    level,
+                ))
+            }
         };
 
         let agg_start = tracer.start();
         let agg_strategy = exec.strategy();
-        exec.process_batch(seg, batch.start, batch.len, &mut self.gids, sel, selection);
+        exec.process_batch(seg, at.start, at.len, &mut self.gids, sel, selection);
         tracer.span(
             Phase::Aggregation,
-            SpanLoc::at(at.seg, at.morsel).with_selection(selection).with_agg(agg_strategy),
-            batch.len as u64,
+            at.loc().with_selection(selection).with_agg(agg_strategy),
+            at.len as u64,
             agg_start,
         );
         Ok(())
     }
 
-    /// Process one batch run-wise: spans from the predicate, value×length
-    /// aggregation, no gid unpack. Returns `false` (batch untouched) only
-    /// when the first batch's chooser picks a generic strategy.
+    /// Process one batch run-wise: predicate evaluated run-at-a-time into
+    /// spans, aggregates folded value×length — no gid unpack, no per-row
+    /// selection bytes. Returns `false` (batch untouched) when the segment
+    /// has no run-wise plan, or when the first batch's chooser picks a
+    /// generic strategy and the plan is dropped.
     fn try_process_runwise(
         &mut self,
         seg: &'a Segment,
         ctx: &ScanCtx<'a>,
-        batch: Batch,
         at: BatchAt,
-        stats: &mut ExecStats,
         tracer: &mut Tracer,
     ) -> bool {
+        let Some(plan) = &mut self.runwise else { return false };
         let options = ctx.options;
+        let run_span = SelectionStrategy::RunSpan;
         let select_start = tracer.start();
         match ctx.filter {
             Some(f) => f.eval_batch_spans(
                 seg,
-                batch.start,
-                batch.len,
+                at.start,
+                at.len,
                 &mut self.span_buf,
-                &mut self.fscratch,
+                &mut self.select.fscratch,
             ),
-            None => self.span_buf.set_full(batch.len),
+            None => self.span_buf.set_full(at.len),
         }
-        let selectivity = self.span_buf.selected_rows() as f64 / batch.len.max(1) as f64;
+        let selectivity = self.span_buf.selected_rows() as f64 / at.len.max(1) as f64;
 
-        if self.executor.is_none() {
-            // PANIC: the caller enters this path only while the plan exists.
-            let plan = self.runwise.as_ref().expect("caller checked the plan");
-            let mut params = self.agg_params_template.clone();
-            params.est_selectivity = selectivity;
-            params.runwise_runs_fraction = Some(plan.runs_fraction);
-            // No budget ladder here: the run-wise executor's footprint is a
-            // handful of scalars (`projected_bytes` reports 0), so a plain
-            // cost-model choice suffices and any budget admits it.
-            let strategy = options.forced_agg.unwrap_or_else(|| options.config.choose_agg(&params));
-            if strategy != AggStrategy::RunWise {
-                // The span predicate evaluation above really ran; close its
-                // span before bailing to the generic path (which redoes the
-                // selection and records its own span — both happened).
-                tracer.span(
-                    Phase::Selection,
-                    SpanLoc::at(at.seg, at.morsel).with_selection(SelectionStrategy::RunSpan),
-                    batch.len as u64,
-                    select_start,
-                );
-                return false;
+        let exec = match &mut plan.exec {
+            Some(exec) => exec,
+            slot => {
+                let mut params = self.agg_params_template.clone();
+                params.est_selectivity = selectivity;
+                params.runwise_runs_fraction = Some(plan.runs_fraction);
+                // No budget ladder here: the run-wise executor's footprint
+                // is a handful of scalars (`projected_bytes` reports 0), so
+                // a plain cost-model choice suffices and any budget admits
+                // it.
+                let strategy =
+                    options.forced_agg.unwrap_or_else(|| options.config.choose_agg(&params));
+                if strategy != AggStrategy::RunWise {
+                    // The span predicate evaluation above really ran; close
+                    // its span before bailing to the generic path (which
+                    // redoes the selection and records its own span — both
+                    // happened).
+                    let loc = at.loc().with_selection(run_span);
+                    tracer.span(Phase::Selection, loc, at.len as u64, select_start);
+                    self.runwise = None;
+                    return false;
+                }
+                let forced = options.forced_agg.is_some();
+                tracer.decision_agg(at.seg, &params, ctx.mm_exprs.len(), strategy, forced);
+                slot.insert(RunWiseExec::new(plan.sum_cols.clone(), plan.mm_cols.clone()))
             }
-            stats.record_agg(strategy);
-            tracer.decision_agg(
-                at.seg,
-                params.num_groups_effective as u32,
-                params.num_sums as u32,
-                ctx.mm_exprs.len() as u32,
-                params.est_selectivity,
-                params.all_packed_narrow,
-                params.multi_layout_fits,
-                strategy,
-                options.forced_agg.is_some(),
-            );
-            self.executor = Some(NarrowExec::RunWise(RunWiseExec::new(
-                plan.sum_cols.clone(),
-                plan.mm_cols.clone(),
-            )));
-        }
-        tracer.span(
-            Phase::Selection,
-            SpanLoc::at(at.seg, at.morsel).with_selection(SelectionStrategy::RunSpan),
-            batch.len as u64,
-            select_start,
-        );
+        };
         tracer.decision_selection(
-            at.seg,
-            at.morsel,
-            batch.start as u64,
-            batch.len as u32,
+            select_start,
+            at.loc(),
+            at.start,
+            at.len,
             self.dominant_bits,
             selectivity,
-            SelectionStrategy::RunSpan,
+            run_span,
             options.forced_selection.is_some(),
         );
-        stats.record_selection(SelectionStrategy::RunSpan);
 
-        let Some(NarrowExec::RunWise(exec)) = self.executor.as_mut() else {
-            // PANIC: installed as RunWise above, or by a previous batch (the
-            // caller skips this path once a generic executor exists).
-            unreachable!("run-wise executor installed above")
-        };
         let agg_start = tracer.start();
-        exec.process_spans(batch.start, &self.span_buf);
+        exec.process_spans(at.start, &self.span_buf);
         tracer.span(
             Phase::Aggregation,
-            SpanLoc::at(at.seg, at.morsel)
-                .with_selection(SelectionStrategy::RunSpan)
-                .with_agg(AggStrategy::RunWise),
-            batch.len as u64,
+            at.loc().with_selection(run_span).with_agg(AggStrategy::RunWise),
+            at.len as u64,
             agg_start,
         );
         true
     }
 
     fn finish(self) -> Vec<(Vec<Value>, GroupAcc)> {
-        let Some(exec) = self.executor else { return Vec::new() };
-        let num_groups = self.mapper.num_groups();
-        let result = match exec {
-            NarrowExec::Generic(e) => e.finish(),
-            NarrowExec::RunWise(e) => e.finish(),
+        let result = match (self.executor, self.runwise.and_then(|plan| plan.exec)) {
+            (Some(exec), _) => exec.finish(),
+            (None, Some(exec)) => exec.finish(),
+            (None, None) => return Vec::new(),
         };
-        (0..num_groups)
-            .filter(|&g| result.counts[g] > 0)
-            .map(|g| {
-                (
-                    self.mapper.group_key(g),
-                    GroupAcc {
-                        count: result.counts[g],
-                        sums: result.sums.iter().map(|s| s[g]).collect(),
-                        mins: result.mins.iter().map(|m| m[g]).collect(),
-                        maxs: result.maxs.iter().map(|m| m[g]).collect(),
-                    },
-                )
-            })
-            .collect()
+        keyed_groups(result, |g| self.mapper.group_key(g))
     }
 }
 
 /// Wide-group fallback: u32 group ids, scalar row loop.
 struct WideScan<'a> {
     mapper: WideMapper<'a>,
-    counts: Vec<u64>,
-    sums: Vec<Vec<i64>>,
-    mins: Vec<Vec<i64>>,
-    maxs: Vec<Vec<i64>>,
+    /// Accumulator columns, grown as the mapper interns new groups.
+    acc: SegmentAggResult,
     gids: Vec<u32>,
     key_scratch: Vec<Vec<i64>>,
-    fscratch: FilterScratch,
-    sel_buf: Vec<u8>,
+    select: ByteSelect,
+    /// One decode buffer per distinct column the expressions read (fixed
+    /// per segment), refilled every batch.
     col_cache: Vec<(usize, Vec<i64>)>,
     /// Combined expression list: sums first, then MIN/MAX (the CSE
     /// compilation order of `resolve_many`).
@@ -1264,152 +1201,88 @@ struct WideScan<'a> {
     num_sums: usize,
     expr_vals: Vec<Vec<i64>>,
     expr_scratch: crate::expr::ExprScratch,
-    recorded_agg: bool,
     /// Group count already charged to the memory accountant; each batch
     /// charges the interning delta at [`wide_group_bytes`] per group.
     charged_groups: usize,
-    /// Whether the batch-sized working buffers were charged (once).
-    charged_bufs: bool,
 }
 
 impl<'a> WideScan<'a> {
     fn plan(mapper: WideMapper<'a>, ctx: &ScanCtx<'a>) -> WideScan<'a> {
         let all_exprs: Vec<&ResolvedExpr> = ctx.sum_exprs.iter().chain(ctx.mm_exprs).collect();
+        let mut col_cache: Vec<(usize, Vec<i64>)> = Vec::new();
+        for c in all_exprs.iter().flat_map(|e| e.columns()) {
+            if !col_cache.iter().any(|(cc, _)| *cc == c) {
+                col_cache.push((c, Vec::new()));
+            }
+        }
         WideScan {
             mapper,
-            counts: Vec::new(),
-            sums: vec![Vec::new(); ctx.sum_exprs.len()],
-            mins: vec![Vec::new(); ctx.mm_exprs.len()],
-            maxs: vec![Vec::new(); ctx.mm_exprs.len()],
+            acc: SegmentAggResult {
+                counts: Vec::new(),
+                sums: vec![Vec::new(); ctx.sum_exprs.len()],
+                mins: vec![Vec::new(); ctx.mm_exprs.len()],
+                maxs: vec![Vec::new(); ctx.mm_exprs.len()],
+            },
             gids: Vec::new(),
             key_scratch: Vec::new(),
-            fscratch: FilterScratch::default(),
-            sel_buf: Vec::new(),
-            col_cache: Vec::new(),
+            select: ByteSelect::default(),
+            col_cache,
             expr_vals: vec![Vec::new(); all_exprs.len()],
             all_exprs,
             num_sums: ctx.sum_exprs.len(),
             expr_scratch: crate::expr::ExprScratch::default(),
-            recorded_agg: false,
             charged_groups: 0,
-            charged_bufs: false,
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // internal batch-loop plumbing
     fn process_batch(
         &mut self,
         seg: &'a Segment,
         ctx: &ScanCtx<'a>,
-        has_deletes: bool,
-        batch: Batch,
         at: BatchAt,
-        stats: &mut ExecStats,
         mem: &mut MemScope,
         tracer: &mut Tracer,
     ) -> Result<()> {
         let level = ctx.options.level;
-        if !self.charged_bufs {
-            // Batch-sized working buffers, charged once per state: u32
-            // group ids + selection bytes + i64 buffers for the group-key
-            // scratch, per-column decode caches, and expression results.
-            let per_row = 4 + 1 + 8 * (ctx.group_cols.len() + 2 * self.all_exprs.len());
-            mem.charge(ctx.governor, ctx.options.batch_rows * per_row)?;
-            self.charged_bufs = true;
-        }
-        if !self.recorded_agg {
-            stats.record_agg(AggStrategy::Scalar);
-            self.recorded_agg = true;
-            // The wide-group path is structural (group domain too wide for
-            // u8 ids), not a cost-model outcome: `forced` stays false and
-            // the group count is the mapper's running intern count.
-            tracer.decision_agg(
-                at.seg,
-                self.mapper.num_groups() as u32,
-                self.num_sums as u32,
-                (self.all_exprs.len() - self.num_sums) as u32,
-                1.0,
-                false,
-                false,
-                AggStrategy::Scalar,
-                false,
-            );
-        }
-        stats.record_selection(SelectionStrategy::Compact);
+        let compact = SelectionStrategy::Compact;
         let unpack_start = tracer.start();
-        self.mapper.extract_batch(batch.start, batch.len, &mut self.gids, &mut self.key_scratch);
-        tracer.span(Phase::Unpack, SpanLoc::at(at.seg, at.morsel), batch.len as u64, unpack_start);
+        self.mapper.extract_batch(at.start, at.len, &mut self.gids, &mut self.key_scratch);
+        tracer.span(Phase::Unpack, at.loc(), at.len as u64, unpack_start);
 
         let select_start = tracer.start();
-        let sel: Option<&[u8]> = if ctx.filter.is_some() || has_deletes {
-            self.sel_buf.clear();
-            self.sel_buf.resize(batch.len, 0xFF);
-            if let Some(f) = ctx.filter {
-                f.eval_batch(seg, batch.start, &mut self.sel_buf, &mut self.fscratch, level);
-            }
-            seg.deleted().mask_batch(batch.start, &mut self.sel_buf);
-            Some(&self.sel_buf)
-        } else {
-            None
-        };
-        tracer.span(
-            Phase::Selection,
-            SpanLoc::at(at.seg, at.morsel).with_selection(SelectionStrategy::Compact),
-            batch.len as u64,
+        let sel = self.select.eval(seg, ctx.filter, at, level);
+        // Nothing on this path chooses by selectivity, so the count is
+        // event-only work and hides behind the event-log gate.
+        let observed = if tracer.spans() { selected_fraction(sel, at.len, level) } else { 1.0 };
+        tracer.decision_selection(
             select_start,
+            at.loc(),
+            at.start,
+            at.len,
+            32,
+            observed,
+            compact,
+            false,
         );
-        if tracer.enabled() {
-            // The selectivity count is profiling-only work on this path, so
-            // it hides behind the gate.
-            let observed = match sel {
-                Some(s) => count_selected(s, level) as f64 / batch.len.max(1) as f64,
-                None => 1.0,
-            };
-            tracer.decision_selection(
-                at.seg,
-                at.morsel,
-                batch.start as u64,
-                batch.len as u32,
-                32,
-                observed,
-                SelectionStrategy::Compact,
-                false,
-            );
-        }
         let wide_start = tracer.start();
 
-        // Decode expression inputs over the full batch.
-        let mut needed: Vec<usize> = Vec::new();
-        for e in &self.all_exprs {
-            for c in e.columns() {
-                if !needed.contains(&c) {
-                    needed.push(c);
-                }
-            }
-        }
-        self.col_cache.retain(|(c, _)| needed.contains(c));
-        for &c in &needed {
-            if !self.col_cache.iter().any(|(cc, _)| *cc == c) {
-                self.col_cache.push((c, Vec::new()));
-            }
-        }
         for (c, buf) in self.col_cache.iter_mut() {
             buf.clear();
-            buf.resize(batch.len, 0);
-            seg.column(*c).decode_i64_into(batch.start, buf);
+            buf.resize(at.len, 0);
+            seg.column(*c).decode_i64_into(at.start, buf);
         }
         {
             let cache = &self.col_cache;
             let lookup = |idx: usize| -> &[i64] {
-                // PANIC: `col_cache` was populated above for exactly the
-                // columns the compiled expressions reference.
+                // PANIC: `col_cache` was planned with exactly the columns
+                // the compiled expressions reference.
                 cache.iter().find(|(c, _)| *c == idx).map(|(_, v)| v.as_slice()).unwrap()
             };
             for (i, e) in self.all_exprs.iter().enumerate() {
                 let (done, rest) = self.expr_vals.split_at_mut(i);
                 let prev = |p: usize| -> &[i64] { &done[p] };
                 e.eval_batch_with_prev(
-                    batch.len,
+                    at.len,
                     &lookup,
                     &prev,
                     &mut rest[0],
@@ -1418,41 +1291,39 @@ impl<'a> WideScan<'a> {
             }
         }
 
-        // Scalar accumulation.
-        for i in 0..batch.len {
+        let acc = &mut self.acc;
+        for i in 0..at.len {
             if let Some(s) = sel {
                 if s[i] == 0 {
                     continue;
                 }
             }
             let g = self.gids[i] as usize;
-            if g >= self.counts.len() {
-                self.counts.resize(g + 1, 0);
-                for s in self.sums.iter_mut() {
+            if g >= acc.counts.len() {
+                acc.counts.resize(g + 1, 0);
+                for s in acc.sums.iter_mut() {
                     s.resize(g + 1, 0);
                 }
-                for m in self.mins.iter_mut() {
+                for m in acc.mins.iter_mut() {
                     m.resize(g + 1, i64::MAX);
                 }
-                for m in self.maxs.iter_mut() {
+                for m in acc.maxs.iter_mut() {
                     m.resize(g + 1, i64::MIN);
                 }
             }
-            self.counts[g] += 1;
-            for (s, vals) in self.sums.iter_mut().zip(&self.expr_vals) {
+            acc.counts[g] += 1;
+            for (s, vals) in acc.sums.iter_mut().zip(&self.expr_vals) {
                 s[g] += vals[i];
             }
             for (j, vals) in self.expr_vals[self.num_sums..].iter().enumerate() {
-                self.mins[j][g] = self.mins[j][g].min(vals[i]);
-                self.maxs[j][g] = self.maxs[j][g].max(vals[i]);
+                acc.mins[j][g] = acc.mins[j][g].min(vals[i]);
+                acc.maxs[j][g] = acc.maxs[j][g].max(vals[i]);
             }
         }
         tracer.span(
             Phase::WideGroup,
-            SpanLoc::at(at.seg, at.morsel)
-                .with_selection(SelectionStrategy::Compact)
-                .with_agg(AggStrategy::Scalar),
-            batch.len as u64,
+            at.loc().with_selection(compact).with_agg(AggStrategy::Scalar),
+            at.len as u64,
             wide_start,
         );
 
@@ -1462,11 +1333,8 @@ impl<'a> WideScan<'a> {
         // with no partial result surfaced.
         let groups = self.mapper.num_groups();
         if groups > self.charged_groups {
-            let per_group = wide_group_bytes(
-                ctx.group_cols.len(),
-                self.num_sums,
-                self.all_exprs.len() - self.num_sums,
-            );
+            let num_mm = self.all_exprs.len() - self.num_sums;
+            let per_group = wide_group_bytes(ctx.group_cols.len(), self.num_sums, num_mm);
             mem.charge(ctx.governor, (groups - self.charged_groups) * per_group)?;
             self.charged_groups = groups;
         }
@@ -1474,20 +1342,7 @@ impl<'a> WideScan<'a> {
     }
 
     fn finish(self) -> Vec<(Vec<Value>, GroupAcc)> {
-        (0..self.counts.len())
-            .filter(|&g| self.counts[g] > 0)
-            .map(|g| {
-                (
-                    self.mapper.group_key(g),
-                    GroupAcc {
-                        count: self.counts[g],
-                        sums: self.sums.iter().map(|s| s[g]).collect(),
-                        mins: self.mins.iter().map(|m| m[g]).collect(),
-                        maxs: self.maxs.iter().map(|m| m[g]).collect(),
-                    },
-                )
-            })
-            .collect()
+        keyed_groups(self.acc, |g| self.mapper.group_key(g))
     }
 }
 
@@ -1714,7 +1569,7 @@ mod tests {
         let expr = v_expr(&t);
         let serial_opts =
             ScanOptions { parallel: false, batch_rows: 512, ..ScanOptions::default() };
-        let (serial, _, _) = scan_table(
+        let (serial, serial_stats, _) = scan_table(
             &t,
             None,
             &[(0, LogicalType::Str)],
@@ -1723,6 +1578,8 @@ mod tests {
             &serial_opts,
         )
         .unwrap();
+        assert_eq!(serial_stats.pool_workers, 1, "serial is the one-worker case");
+        assert!(serial_stats.morsels_scanned >= 4, "{serial_stats:?}");
         for threads in [2usize, 3, 8] {
             let opts = ScanOptions {
                 parallel: true,
@@ -1797,17 +1654,17 @@ mod tests {
         let t = table(1000, 300);
         let expr = v_expr(&t);
         let governor = Governor::new(None, None, None);
+        let opts = ScanOptions::default();
+        let ctx = ScanCtx {
+            filter: None,
+            group_cols: &[(0, LogicalType::Str)],
+            sum_exprs: std::slice::from_ref(&expr),
+            mm_exprs: &[],
+            options: &opts,
+            governor: &governor,
+        };
         let mut stats = ExecStats::default();
-        let planned = plan_segments(
-            &t,
-            None,
-            &[(0, LogicalType::Str)],
-            std::slice::from_ref(&expr),
-            &[],
-            &governor,
-            &mut stats,
-        )
-        .unwrap();
+        let planned = plan_segments(&t, &ctx, &mut stats).unwrap();
         assert_eq!(planned.len(), 4);
         assert_eq!(stats.segments_scanned, 4);
         assert_eq!(stats.rows_scanned, 1000);
@@ -1819,10 +1676,8 @@ mod tests {
         }
         let t2 = b.finish();
         let sq = Expr::col("v").mul(Expr::col("v")).resolve(&|n| t2.column_index(n)).unwrap();
-        let mut stats2 = ExecStats::default();
-        let err =
-            plan_segments(&t2, None, &[], std::slice::from_ref(&sq), &[], &governor, &mut stats2)
-                .unwrap_err();
+        let ctx2 = ScanCtx { group_cols: &[], sum_exprs: std::slice::from_ref(&sq), ..ctx };
+        let err = plan_segments(&t2, &ctx2, &mut ExecStats::default()).unwrap_err();
         assert!(matches!(err, EngineError::PotentialOverflow { aggregate: 0 }), "{err:?}");
     }
 
@@ -1846,12 +1701,16 @@ mod tests {
             governor: &governor,
         };
         let seg = &t.segments()[0];
-        let mut scan = SegScan::plan(0, seg, &ctx).unwrap();
         let mut tracer = Tracer::new(ProfileLevel::Spans, 0);
-        let err = scan.process_range(0, seg.num_rows(), NO_ID, false, &mut tracer).unwrap_err();
+        let mut scan = SegScan::plan(0, seg, &ctx, &mut tracer).unwrap();
+        let whole = Batch { start: 0, len: seg.num_rows() };
+        let err = scan.process_range(whole, 0, false, &mut tracer).unwrap_err();
         assert!(matches!(err, EngineError::Cancelled), "{err:?}");
         let mut profile = QueryProfile::new(ProfileLevel::Spans);
-        profile.absorb(tracer);
-        assert_eq!(profile.phase(Phase::SegmentScan).count, 1, "{:?}", profile.phases);
+        let stats = profile.absorb(tracer);
+        if !crate::trace::profiler_compiled_out() {
+            assert_eq!(profile.phase(Phase::SegmentScan).count, 1, "{:?}", profile.phases);
+        }
+        assert_eq!(stats.governor_checks, 1, "the tripping checkpoint was counted");
     }
 }

@@ -7,13 +7,15 @@
 //!
 //! ## Merge semantics
 //!
-//! [`ExecStats::merge`] folds a per-segment or per-thread collector into a
-//! query-level one. Fields fall into two classes, annotated on each field:
+//! Each scan worker bumps the [`ExecStats`] its
+//! [`Tracer`](crate::trace::Tracer) owns; [`ExecStats::merge`] folds those
+//! per-worker records into the query-level one at the join. Fields fall
+//! into two classes, annotated on each field:
 //!
 //! * **additive** — disjoint work counted once per occurrence (rows,
 //!   batches, morsels, strategy tallies). Merging sums them.
 //! * **region-level** — facts about one fork-join *region* the coordinator
-//!   observes once (`pool_workers`, `pool_reuses`). Per-thread collectors
+//!   observes once (`pool_workers`, `pool_reuses`). Per-worker records
 //!   from the same region would each see the same region, so merging takes
 //!   the max to avoid double counting; the scan coordinator accounts new
 //!   regions directly (one `+=` per completed `pool.run`), never through
@@ -54,18 +56,21 @@ pub struct ExecStats {
     /// Segment executors whose computed inputs fell back to the `i64`
     /// interpreter because the metadata proof failed. Additive.
     pub expr_interp_segments: usize,
-    /// Morsels claimed by parallel scan workers (0 for serial scans).
-    /// Additive.
+    /// Morsels claimed by scan workers: `Σ ceil(segment rows / morsel rows)`
+    /// over the scanned segments, at every worker count. Additive.
     pub morsels_scanned: usize,
     /// Morsels a worker claimed outside its home segment partition
     /// (skew-induced work stealing). Additive.
     pub morsel_steals: usize,
-    /// Workers that participated in the parallel scan (0 for serial).
-    /// Region-level: merging takes the max.
+    /// Workers that ran the scan (1 for a serial scan; 0 only when every
+    /// segment was eliminated and no region ran). Region-level: merging
+    /// takes the max.
     pub pool_workers: usize,
     /// Fork-join regions served entirely by already-running pool workers
-    /// (vs. regions that had to grow the pool). Region-level: merging takes
-    /// the max; the coordinator increments it once per completed region.
+    /// (vs. regions that had to grow the pool; a one-worker region runs on
+    /// the caller and counts once the pool has completed any region).
+    /// Region-level: merging takes the max; the coordinator increments it
+    /// once per completed region.
     pub pool_reuses: usize,
     /// Cooperative governor checks performed (morsel claims + batch
     /// boundaries + plan admission); 0 when no limit was set. Additive.
@@ -98,7 +103,7 @@ impl ExecStats {
         }
     }
 
-    /// Merge stats from another (per-segment / per-thread) collector. See
+    /// Merge stats from another (per-worker) record. See
     /// the module docs for which fields sum and which take the max.
     pub fn merge(&mut self, other: &ExecStats) {
         self.segments_eliminated += other.segments_eliminated;

@@ -11,8 +11,8 @@
 //! ## The seam
 //!
 //! Instrumentation flows through exactly one choke point: the engine's hot
-//! paths (`scan`, `pool`, `governor`) already account their work into
-//! [`ExecStats`] and the per-worker tracer rings, and
+//! paths (`scan`, `pool`, `governor`) already account their work into the
+//! per-worker records ([`ExecStats`] counters plus tracer rings), and
 //! [`execute`](crate::query::execute) hands those finished artifacts to
 //! [`EngineTelemetry::publish_query`] once per query. No scan-loop code
 //! touches a registry handle, so:
@@ -22,7 +22,8 @@
 //!   `Registry::` / `Counter::` / … mutation to this module and the metrics
 //!   crate itself;
 //! * per-strategy registry counters are *exactly* the sum of published
-//!   queries' `ExecStats` tallies, by construction.
+//!   queries' `ExecStats` tallies — the only per-strategy tallies there
+//!   are — by construction.
 //!
 //! ## Compiling it out
 //!
@@ -124,7 +125,7 @@ pub enum DecisionRecord {
     Selection {
         /// Table segment ordinal.
         segment: u32,
-        /// Morsel ordinal ([`NO_ID`](crate::trace::NO_ID) for serial scans).
+        /// Morsel ordinal within the segment.
         morsel: u32,
         /// Dominant packed input bit width the crossover used.
         bits: u8,

@@ -6,18 +6,21 @@
 //! go?" the first question every perf investigation asks. This module
 //! answers it with three pieces:
 //!
-//! * [`Tracer`] — a **per-worker, fixed-capacity event buffer**. Each scan
-//!   worker owns one exclusively (no locks, no atomics on the hot path) and
-//!   records *phase spans* (plan, segment scan, selection, unpack,
-//!   aggregation, wide-group fallback, mutable tail, parallel merge),
-//!   stamped with serialized TSC reads ([`bipie_toolbox::cycles`]) plus
-//!   wall-clock time, and *decision events* capturing exactly the inputs
-//!   the strategy chooser saw.
+//! * [`Tracer`] — the **per-worker record**: the worker's [`ExecStats`]
+//!   counters plus a fixed-capacity event buffer. Each scan worker owns one
+//!   exclusively (no locks, no atomics on the hot path) and records *phase
+//!   spans* (plan, segment scan, selection, unpack, aggregation, wide-group
+//!   fallback, mutable tail, parallel merge), stamped with serialized TSC
+//!   reads ([`bipie_toolbox::cycles`]) plus wall-clock time, and *decision
+//!   events* capturing exactly the inputs the strategy chooser saw. A
+//!   strategy decision is one call: it bumps the stats counter at every
+//!   level and, at `Spans`, also stores the event — so the per-strategy
+//!   counts exist once, in [`ExecStats`].
 //! * [`ProfileLevel`] — the opt-in knob. `Off` (the default) compiles every
-//!   tracer call down to a branch on a plain bool: no timestamps, no
-//!   atomics, no allocation anywhere in the batch loop. `Counters`
-//!   accumulates per-phase totals without storing events; `Spans`
-//!   additionally keeps the full event log.
+//!   tracer call down to a counter bump or a branch on a plain bool: no
+//!   timestamps, no atomics, no allocation anywhere in the batch loop.
+//!   `Counters` accumulates per-phase totals without storing events;
+//!   `Spans` additionally keeps the full event log.
 //! * [`QueryProfile`] — the merged result, aggregated from the per-worker
 //!   buffers at join time, with a human-readable `EXPLAIN ANALYZE`-style
 //!   renderer and a dependency-free JSON serializer for bench tooling.
@@ -26,13 +29,13 @@
 //! events; once full, *new* events are dropped (and counted in
 //! `dropped_events`) rather than overwriting old ones, so the plan /
 //! early-segment context an investigation starts from is always retained.
-//! Per-phase and per-strategy counters keep counting after overflow, so
-//! totals stay exact even when the event log is truncated.
+//! Per-phase totals and the [`ExecStats`] counters keep counting after
+//! overflow, so totals stay exact even when the event log is truncated.
 
 use std::time::Instant;
 
 use crate::stats::ExecStats;
-use crate::strategy::{AggStrategy, SelectionStrategy};
+use crate::strategy::{AggChoiceParams, AggStrategy, SelectionStrategy};
 
 /// How much profiling a query execution performs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
@@ -41,8 +44,7 @@ pub enum ProfileLevel {
     /// budget ≤ 2% on the Q1 scan bench, gated in CI).
     #[default]
     Off,
-    /// Per-phase cycle/row totals and per-strategy decision counters, no
-    /// stored events.
+    /// Per-phase cycle/row totals, no stored events.
     Counters,
     /// `Counters` plus the full span/decision event log (bounded by
     /// [`EVENT_CAPACITY`] per worker).
@@ -68,8 +70,7 @@ pub enum Phase {
     /// Per-query admission planning: elimination, overflow proofs, mapper
     /// viability.
     Plan = 0,
-    /// One claimed scan range (a whole segment when serial, a morsel when
-    /// parallel).
+    /// One claimed scan range (a morsel, at every worker count).
     SegmentScan = 1,
     /// Filter evaluation + deleted-row merge + selectivity measurement for
     /// one batch.
@@ -196,7 +197,7 @@ pub enum TraceEvent {
         at_cycles: u64,
         /// Table segment ordinal.
         segment: u32,
-        /// Morsel ordinal within the segment (`NO_ID` for serial scans).
+        /// Morsel ordinal within the segment.
         morsel: u32,
         /// First row of the batch within the segment.
         row_start: u64,
@@ -286,18 +287,20 @@ impl PhaseTotals {
     }
 }
 
-/// Per-worker trace collector. Owned exclusively by one worker for the
-/// duration of a scan — all methods are `&mut self`, nothing is shared, so
-/// the hot path takes no locks and touches no atomics.
+/// The per-worker record: counters and trace events. Owned exclusively by
+/// one worker for the duration of a scan — all methods are `&mut self`,
+/// nothing is shared, so the hot path takes no locks and touches no atomics.
 #[derive(Debug)]
 pub struct Tracer {
+    /// This worker's counters. Live at every [`ProfileLevel`] (and with the
+    /// profiler compiled out); [`QueryProfile::absorb`] hands them back at
+    /// the join for the coordinator to merge.
+    pub stats: ExecStats,
     level: ProfileLevel,
     worker: u32,
     events: Vec<TraceEvent>,
     dropped: u64,
     phases: [PhaseTotals; Phase::COUNT],
-    selection_decisions: [u64; 4],
-    agg_decisions: [u64; 5],
 }
 
 impl Tracer {
@@ -315,20 +318,13 @@ impl Tracer {
             _ => Vec::new(),
         };
         Tracer {
+            stats: ExecStats::default(),
             level,
             worker,
             events,
             dropped: 0,
             phases: [PhaseTotals::default(); Phase::COUNT],
-            selection_decisions: [0; 4],
-            agg_decisions: [0; 5],
         }
-    }
-
-    /// A permanently-off tracer (serial paths that want one without
-    /// consulting options).
-    pub fn disabled() -> Tracer {
-        Tracer::new(ProfileLevel::Off, 0)
     }
 
     /// Whether any profiling is active. This is the one branch every
@@ -340,7 +336,7 @@ impl Tracer {
 
     /// Whether the full event log is kept.
     #[inline]
-    fn spans(&self) -> bool {
+    pub fn spans(&self) -> bool {
         self.enabled() && self.level == ProfileLevel::Spans
     }
 
@@ -375,34 +371,34 @@ impl Tracer {
         }
     }
 
-    /// Record one batch's selection-strategy decision with the chooser's
-    /// inputs. A no-op at `Off`.
+    /// Close one batch's [`Phase::Selection`] span (opened at `start`,
+    /// located at `loc`) and record the selection-strategy decision the
+    /// batch runs under, with the chooser's inputs: counts the batch in
+    /// [`Tracer::stats`] at every level and, at `Spans`, stores the event.
     #[allow(clippy::too_many_arguments)] // mirrors the chooser's input list
     #[inline]
     pub fn decision_selection(
         &mut self,
-        segment: u32,
-        morsel: u32,
-        row_start: u64,
-        rows: u32,
+        start: SpanStart,
+        loc: SpanLoc,
+        row_start: usize,
+        rows: usize,
         bits: u8,
         observed_selectivity: f64,
         chosen: SelectionStrategy,
         forced: bool,
     ) {
-        if !self.enabled() {
-            return;
-        }
-        self.selection_decisions[chosen as usize] += 1;
+        self.span(Phase::Selection, loc.with_selection(chosen), rows as u64, start);
+        self.stats.record_selection(chosen);
         if self.spans() {
             // The timestamp is spans-only work: `Counters` counts the
             // decision without reading a clock.
             self.push(TraceEvent::SelectionDecision {
                 at_cycles: bipie_toolbox::cycles::read_tsc(),
-                segment,
-                morsel,
-                row_start,
-                rows,
+                segment: loc.segment,
+                morsel: loc.morsel,
+                row_start: row_start as u64,
+                rows: rows as u32,
                 bits,
                 observed_selectivity,
                 chosen,
@@ -412,25 +408,18 @@ impl Tracer {
     }
 
     /// Record one segment-executor's aggregation-strategy decision with the
-    /// chooser's inputs. A no-op at `Off`.
-    #[allow(clippy::too_many_arguments)] // mirrors the chooser's input list
+    /// chooser's inputs: counts it in [`Tracer::stats`] at every level and,
+    /// at `Spans`, stores the event.
     #[inline]
     pub fn decision_agg(
         &mut self,
         segment: u32,
-        num_groups_effective: u32,
-        num_sums: u32,
-        num_minmax: u32,
-        est_selectivity: f64,
-        all_packed_narrow: bool,
-        multi_layout_fits: bool,
+        params: &AggChoiceParams,
+        num_minmax: usize,
         chosen: AggStrategy,
         forced: bool,
     ) {
-        if !self.enabled() {
-            return;
-        }
-        self.agg_decisions[chosen as usize] += 1;
+        self.stats.record_agg(chosen);
         if self.spans() {
             let worker = self.worker;
             // Spans-only timestamp, as in `decision_selection`.
@@ -438,12 +427,12 @@ impl Tracer {
                 at_cycles: bipie_toolbox::cycles::read_tsc(),
                 segment,
                 worker,
-                num_groups_effective,
-                num_sums,
-                num_minmax,
-                est_selectivity,
-                all_packed_narrow,
-                multi_layout_fits,
+                num_groups_effective: params.num_groups_effective as u32,
+                num_sums: params.num_sums as u32,
+                num_minmax: num_minmax as u32,
+                est_selectivity: params.est_selectivity,
+                all_packed_narrow: params.all_packed_narrow,
+                multi_layout_fits: params.multi_layout_fits,
                 chosen,
                 forced,
             });
@@ -505,12 +494,6 @@ pub struct QueryProfile {
     pub workers: usize,
     /// Per-phase totals, indexed by [`Phase`].
     pub phases: [PhaseTotals; Phase::COUNT],
-    /// Selection decisions per strategy, indexed by [`SelectionStrategy`].
-    /// Mirrors `ExecStats::selection_batches` whenever profiling is on.
-    pub selection_decisions: [u64; 4],
-    /// Aggregation decisions per strategy, indexed by [`AggStrategy`].
-    /// Mirrors `ExecStats::agg_segments` whenever profiling is on.
-    pub agg_decisions: [u64; 5],
     /// The event log (only at [`ProfileLevel::Spans`]), worker-major order.
     pub events: Vec<TraceEvent>,
     /// Events the fixed-capacity buffers had to drop.
@@ -526,65 +509,43 @@ impl QueryProfile {
         QueryProfile { level, ..QueryProfile::default() }
     }
 
-    /// Fold one worker's finished tracer into the profile. Tracers that
-    /// recorded nothing (e.g. a mutable-tail tracer on a table with no
-    /// mutable rows) are skipped so `workers` counts real contributors.
-    pub fn absorb(&mut self, tracer: Tracer) {
-        if !tracer.enabled() {
-            return;
+    /// Fold one worker's finished tracer into the profile and hand back its
+    /// counters for the caller to merge. Tracers that recorded no span
+    /// (profiling off, or e.g. a mutable-tail tracer on a table with no
+    /// mutable rows) contribute nothing, so `workers` counts real
+    /// contributors.
+    pub fn absorb(&mut self, tracer: Tracer) -> ExecStats {
+        let recorded = tracer.enabled()
+            && (!tracer.events.is_empty()
+                || tracer.dropped > 0
+                || tracer.phases.iter().any(|p| p.count > 0));
+        if recorded {
+            self.workers += 1;
+            if tracer.events.capacity() > 0 {
+                self.worker_rings.push(WorkerRing {
+                    worker: tracer.worker,
+                    events: tracer.events.len(),
+                    capacity: tracer.events.capacity(),
+                    dropped: tracer.dropped,
+                });
+            }
+            for (mine, theirs) in self.phases.iter_mut().zip(&tracer.phases) {
+                mine.absorb(theirs);
+            }
+            self.dropped_events += tracer.dropped;
+            self.events.extend(tracer.events);
         }
-        let recorded_nothing = tracer.events.is_empty()
-            && tracer.dropped == 0
-            && tracer.phases.iter().all(|p| p.count == 0)
-            && tracer.selection_decisions.iter().all(|&c| c == 0)
-            && tracer.agg_decisions.iter().all(|&c| c == 0);
-        if recorded_nothing {
-            return;
-        }
-        self.workers += 1;
-        if tracer.events.capacity() > 0 {
-            self.worker_rings.push(WorkerRing {
-                worker: tracer.worker,
-                events: tracer.events.len(),
-                capacity: tracer.events.capacity(),
-                dropped: tracer.dropped,
-            });
-        }
-        for (mine, theirs) in self.phases.iter_mut().zip(&tracer.phases) {
-            mine.absorb(theirs);
-        }
-        for (mine, theirs) in self.selection_decisions.iter_mut().zip(&tracer.selection_decisions) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self.agg_decisions.iter_mut().zip(&tracer.agg_decisions) {
-            *mine += theirs;
-        }
-        self.dropped_events += tracer.dropped;
-        self.events.extend(tracer.events);
+        tracer.stats
     }
 
     /// Whether nothing was recorded (`Off`, or no scan work happened).
     pub fn is_empty(&self) -> bool {
-        self.workers == 0
-            && self.events.is_empty()
-            && self.phases.iter().all(|p| p.count == 0)
-            && self.selection_decisions.iter().all(|&c| c == 0)
-            && self.agg_decisions.iter().all(|&c| c == 0)
+        self.workers == 0 && self.events.is_empty() && self.phases.iter().all(|p| p.count == 0)
     }
 
     /// Totals for one phase.
     pub fn phase(&self, phase: Phase) -> &PhaseTotals {
         &self.phases[phase as usize]
-    }
-
-    /// Selection decisions recorded for one strategy.
-    pub fn selection_count(&self, s: SelectionStrategy) -> u64 {
-        self.selection_decisions[s as usize]
-    }
-
-    /// Aggregation decisions recorded for one strategy.
-    pub fn agg_count(&self, a: AggStrategy) -> u64 {
-        self.agg_decisions[a as usize]
     }
 
     /// Render the profile as a human-readable `EXPLAIN ANALYZE`-style tree.
@@ -593,8 +554,8 @@ impl QueryProfile {
     /// segment, per selection strategy (batches, rows, mean observed
     /// selectivity, selection and aggregation cycles/row) alongside the
     /// aggregation decisions that segment's executors made. At `Counters`
-    /// only the per-phase totals render. `stats` supplies the scan-level
-    /// counters (rows, morsels, steals) the coordinator tracked.
+    /// only the per-phase totals render. `stats` supplies the counters:
+    /// rows, morsels, steals, and the per-strategy decision counts.
     pub fn render_explain(&self, stats: &ExecStats) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -663,7 +624,7 @@ impl QueryProfile {
         }
 
         if self.level != ProfileLevel::Spans {
-            out.push_str(&self.render_strategy_totals("└─ "));
+            out.push_str(&render_strategy_totals(stats));
             return out;
         }
 
@@ -697,27 +658,8 @@ impl QueryProfile {
                 merge.wall_nanos as f64 / 1e6
             ));
         }
-        out.push_str(&self.render_strategy_totals("└─ "));
+        out.push_str(&render_strategy_totals(stats));
         out
-    }
-
-    fn render_strategy_totals(&self, prefix: &str) -> String {
-        let sel: Vec<String> = SelectionStrategy::ALL
-            .iter()
-            .filter(|&&s| self.selection_count(s) > 0)
-            .map(|&s| format!("{}={}", s.label(), self.selection_count(s)))
-            .collect();
-        let agg: Vec<String> = AggStrategy::ALL
-            .iter()
-            .filter(|&&a| self.agg_count(a) > 0)
-            .map(|&a| format!("{}={}", a.label(), self.agg_count(a)))
-            .collect();
-        format!(
-            "{}strategies  selection[{}]  aggregation[{}]\n",
-            prefix,
-            sel.join(", "),
-            agg.join(", ")
-        )
     }
 
     fn render_segment(&self, seg: u32) -> String {
@@ -827,9 +769,9 @@ impl QueryProfile {
     }
 
     /// Serialize the profile as JSON (dependency-free; schema documented in
-    /// DESIGN.md §9). Event logs are summarized — phases, per-strategy
-    /// decision counters, and per-segment rollups — so the output stays
-    /// bounded regardless of scan size.
+    /// DESIGN.md §9). The event log is summarized as per-phase totals plus
+    /// its length, so the output stays bounded regardless of scan size; the
+    /// per-strategy decision counts are in [`ExecStats`].
     pub fn to_json(&self) -> String {
         let mut s = String::from("{");
         s.push_str(&format!("\"level\": \"{:?}\", ", self.level));
@@ -856,20 +798,6 @@ impl QueryProfile {
                 t.wall_nanos,
                 t.cycles_per_row()
             ));
-        }
-        s.push_str("}, \"selection_decisions\": {");
-        for (i, strat) in SelectionStrategy::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{}\": {}", strat.label(), self.selection_count(*strat)));
-        }
-        s.push_str("}, \"agg_decisions\": {");
-        for (i, strat) in AggStrategy::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{}\": {}", strat.label(), self.agg_count(*strat)));
         }
         s.push_str("}, \"events_recorded\": ");
         s.push_str(&self.events.len().to_string());
@@ -1025,23 +953,62 @@ impl QueryProfile {
     }
 }
 
+/// The closing EXPLAIN line: decisions per strategy, from the stats.
+fn render_strategy_totals(stats: &ExecStats) -> String {
+    let sel: Vec<String> = SelectionStrategy::ALL
+        .iter()
+        .filter(|&&s| stats.selection_count(s) > 0)
+        .map(|&s| format!("{}={}", s.label(), stats.selection_count(s)))
+        .collect();
+    let agg: Vec<String> = AggStrategy::ALL
+        .iter()
+        .filter(|&&a| stats.agg_count(a) > 0)
+        .map(|&a| format!("{}={}", a.label(), stats.agg_count(a)))
+        .collect();
+    format!("└─ strategies  selection[{}]  aggregation[{}]\n", sel.join(", "), agg.join(", "))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn agg_params(num_groups_effective: usize, num_sums: usize, sel: f64) -> AggChoiceParams {
+        AggChoiceParams {
+            num_groups_effective,
+            num_sums,
+            input_bytes: vec![4; num_sums],
+            all_packed_narrow: true,
+            multi_layout_fits: true,
+            est_selectivity: sel,
+            runwise_runs_fraction: None,
+        }
+    }
+
     #[test]
-    fn off_tracer_records_nothing_and_reads_no_clock() {
+    fn off_tracer_counts_decisions_but_stores_nothing_and_reads_no_clock() {
         let mut t = Tracer::new(ProfileLevel::Off, 0);
         assert!(!t.enabled());
         let s = t.start();
         assert!(s.0.is_none(), "Off must not read timestamps");
-        t.span(Phase::Selection, SpanLoc::none(), 100, s);
-        t.decision_selection(0, 0, 0, 100, 8, 0.5, SelectionStrategy::Gather, false);
-        t.decision_agg(0, 8, 2, 0, 0.5, true, true, AggStrategy::InRegister, false);
+        t.decision_selection(
+            s,
+            SpanLoc::at(0, 0),
+            0,
+            100,
+            8,
+            0.5,
+            SelectionStrategy::Gather,
+            false,
+        );
+        t.decision_agg(0, &agg_params(8, 2, 0.5), 0, AggStrategy::InRegister, false);
         let mut p = QueryProfile::new(ProfileLevel::Off);
-        p.absorb(t);
+        let stats = p.absorb(t);
         assert!(p.is_empty());
         assert!(p.events.is_empty());
+        // The counters are the engine's stats, not profiling: live at `Off`.
+        assert_eq!(stats.selection_count(SelectionStrategy::Gather), 1);
+        assert_eq!(stats.agg_count(AggStrategy::InRegister), 1);
+        assert_eq!(stats.batches, 1);
     }
 
     /// With the profiler compiled out, every level behaves like `Off`: no
@@ -1073,14 +1040,24 @@ mod tests {
         let s = t.start();
         assert!(s.0.is_some());
         t.span(Phase::Unpack, SpanLoc::at(0, 0), 4096, s);
-        t.decision_selection(0, 0, 0, 4096, 12, 0.25, SelectionStrategy::Compact, false);
+        let s = t.start();
+        t.decision_selection(
+            s,
+            SpanLoc::at(0, 0),
+            0,
+            4096,
+            12,
+            0.25,
+            SelectionStrategy::Compact,
+            false,
+        );
         assert_eq!(t.events.capacity(), 0, "Counters must not allocate an event log");
         let mut p = QueryProfile::new(ProfileLevel::Counters);
-        p.absorb(t);
+        let stats = p.absorb(t);
         assert!(!p.is_empty());
         assert_eq!(p.phase(Phase::Unpack).count, 1);
         assert_eq!(p.phase(Phase::Unpack).rows, 4096);
-        assert_eq!(p.selection_count(SelectionStrategy::Compact), 1);
+        assert_eq!(stats.selection_count(SelectionStrategy::Compact), 1);
         assert!(p.events.is_empty());
     }
 
@@ -1111,16 +1088,17 @@ mod tests {
     #[test]
     fn absorb_merges_multiple_workers() {
         let mut p = QueryProfile::new(ProfileLevel::Spans);
+        let mut stats = ExecStats::default();
         for w in 0..3u32 {
             let mut t = Tracer::new(ProfileLevel::Spans, w);
             let s = t.start();
             t.span(Phase::Aggregation, SpanLoc::at(w, 0), 100, s);
-            t.decision_agg(w, 8, 1, 0, 1.0, true, true, AggStrategy::InRegister, false);
-            p.absorb(t);
+            t.decision_agg(w, &agg_params(8, 1, 1.0), 0, AggStrategy::InRegister, false);
+            stats.merge(&p.absorb(t));
         }
         assert_eq!(p.workers, 3);
         assert_eq!(p.phase(Phase::Aggregation).count, 3);
-        assert_eq!(p.agg_count(AggStrategy::InRegister), 3);
+        assert_eq!(stats.agg_count(AggStrategy::InRegister), 3);
         assert_eq!(p.events.len(), 6);
     }
 
@@ -1131,11 +1109,15 @@ mod tests {
         let s = t.start();
         t.span(Phase::SegmentScan, SpanLoc::at(2, 0).with_stolen(true), 4096, s);
         let s = t.start();
-        t.span(
-            Phase::Selection,
-            SpanLoc::at(2, 0).with_selection(SelectionStrategy::Gather),
-            4096,
+        t.decision_selection(
             s,
+            SpanLoc::at(2, 0),
+            0,
+            4096,
+            14,
+            0.01,
+            SelectionStrategy::Gather,
+            false,
         );
         let s = t.start();
         t.span(
@@ -1146,22 +1128,21 @@ mod tests {
             4096,
             s,
         );
-        t.decision_selection(2, 0, 0, 4096, 14, 0.01, SelectionStrategy::Gather, false);
-        t.decision_agg(2, 64, 1, 0, 0.01, true, true, AggStrategy::SortBased, false);
+        t.decision_agg(2, &agg_params(64, 1, 0.01), 0, AggStrategy::SortBased, false);
         let mut p = QueryProfile::new(ProfileLevel::Spans);
-        p.absorb(t);
+        let stats = p.absorb(t);
 
-        let explain = p.render_explain(&ExecStats::default());
+        let explain = p.render_explain(&stats);
         assert!(explain.contains("segment 2"), "{explain}");
         assert!(explain.contains("steals=1"), "{explain}");
         assert!(explain.contains("decision agg: Sort"), "{explain}");
         assert!(explain.contains("Gather"), "{explain}");
         assert!(explain.contains("bits=14"), "{explain}");
+        assert!(explain.contains("selection[Gather=1]  aggregation[Sort=1]"), "{explain}");
 
         let json = p.to_json();
         assert!(json.contains("\"segment_scan\""), "{json}");
-        assert!(json.contains("\"Gather\": 1"), "{json}");
-        assert!(json.contains("\"Sort\": 1"), "{json}");
+        assert!(json.contains("\"events_recorded\": 5"), "{json}");
         // Dependency-free JSON must at least be brace-balanced.
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();

@@ -25,7 +25,3 @@ pub fn leaky_span(tracer: &mut Tracer, rows: u64) -> Result<(), EngineError> {
     tracer.span(Phase::Selection, SpanLoc::none(), rows, t);
     Ok(())
 }
-
-pub fn unpaired_decision(tracer: &mut Tracer, s: Strategy) {
-    tracer.decision_selection(s);
-}

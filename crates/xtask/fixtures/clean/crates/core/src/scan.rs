@@ -37,10 +37,3 @@ pub fn balanced_span(tracer: &mut Tracer, rows: u64) -> Result<(), EngineError> 
     outcome?;
     Ok(())
 }
-
-pub fn paired_decision(tracer: &mut Tracer, stats: &mut ExecStats, s: Strategy) {
-    stats.record_selection(s);
-    if tracer.enabled() {
-        tracer.decision_selection(s);
-    }
-}

@@ -120,7 +120,7 @@ mod tests {
     use super::*;
 
     fn file(src: &str) -> SourceFile {
-        SourceFile::from_source("crates/core/src/scan.rs", src)
+        SourceFile::from_source("crates/core/src/scan.rs", src).unwrap()
     }
 
     #[test]
@@ -198,7 +198,8 @@ mod tests {
         let f = SourceFile::from_source(
             "crates/toolbox/src/bitpack.rs",
             "fn run(sched: &S) {\n    let mut last = 0;\n    while let Some(m) = sched.claim(0, 2, &mut last) {\n        work(m);\n    }\n}",
-        );
+        )
+        .unwrap();
         assert!(check(&[f]).is_empty());
     }
 

@@ -16,9 +16,9 @@
 //!   deterministically (a `VecDeque` with a membership bitmap), so the
 //!   solution — and the iteration count the tests pin — is reproducible.
 //!
-//! Dominators and postdominators come from the same engine (gen = {self},
-//! meet = intersect), which is what the safety-precondition pass uses to
-//! ask "is this validation on every path *before* the unsafe block?".
+//! Dominators come from the same engine (gen = {self}, meet = intersect),
+//! which is what the safety-precondition pass uses to ask "is this
+//! validation on every path *before* the unsafe block?".
 
 use std::collections::VecDeque;
 
@@ -261,19 +261,9 @@ fn reverse_postorder(succs: &[Vec<usize>], start: usize) -> Vec<usize> {
 }
 
 /// Dominators of every block: `dom[b]` contains `d` iff every path from
-/// entry to `b` passes through `d` (b ∈ dom[b]). Unreachable blocks get
+/// entry to `b` passes through `d` (`b ∈ dom[b]`). Unreachable blocks get
 /// the empty set.
 pub fn dominators(g: &FlowGraph) -> Vec<BitSet> {
-    self_flow(g, Direction::Forward)
-}
-
-/// Postdominators: `pdom[b]` contains `d` iff every path from `b` to exit
-/// passes through `d`.
-pub fn postdominators(g: &FlowGraph) -> Vec<BitSet> {
-    self_flow(g, Direction::Backward)
-}
-
-fn self_flow(g: &FlowGraph, dir: Direction) -> Vec<BitSet> {
     let n = g.succs.len();
     let mut gen = Vec::with_capacity(n);
     for b in 0..n {
@@ -282,7 +272,7 @@ fn self_flow(g: &FlowGraph, dir: Direction) -> Vec<BitSet> {
         gen.push(s);
     }
     let kill = vec![BitSet::empty(n); n];
-    let sol = solve(g, &gen, &kill, n, dir, Meet::Intersect, &BitSet::empty(n));
+    let sol = solve(g, &gen, &kill, n, Direction::Forward, Meet::Intersect, &BitSet::empty(n));
     sol.output
 }
 
@@ -435,14 +425,6 @@ mod tests {
         assert!(dom[3].contains(0) && dom[3].contains(3));
         assert!(!dom[3].contains(1) && !dom[3].contains(2), "neither arm dominates the join");
         assert!(dom[1].contains(0));
-    }
-
-    #[test]
-    fn postdominators_on_a_diamond() {
-        let g = graph(vec![vec![1, 2], vec![3], vec![3], vec![]], 0, 3);
-        let pdom = postdominators(&g);
-        assert!(pdom[0].contains(3), "the join postdominates the split");
-        assert!(!pdom[0].contains(1), "one arm does not postdominate the split");
     }
 
     #[test]

@@ -192,15 +192,11 @@ pub const EXPLAINS: [PassExplain; 17] = [
         id: "telemetry-accounting",
         rule: "Every path producing an `EngineError` out of the engine's \
                `execute*`/`admit*` boundary reaches the telemetry publication seam \
-               (`publish_*`, directly or via a publishing callee), and every \
-               decision-log `decision_*` increment stays paired with its `record_*` \
-               `ExecStats` increment (same block, dominating, or postdominating).",
-        rationale: "The error counters and the decision/record pairs are the ops \
-                    surface; an unpublished error path makes production failures \
-                    invisible, and a half-paired increment skews both ledgers.",
+               (`publish_*`, directly or via a publishing callee).",
+        rationale: "The error counters are the ops surface; an unpublished error \
+                    path makes production failures invisible.",
         fix: "Publish before the error leaves the boundary (e.g. \
-              `.inspect_err(|e| telemetry().publish_error(e))?`), and keep each \
-              `decision_*` site adjacent to its `record_*` site.",
+              `.inspect_err(|e| telemetry().publish_error(e))?`).",
     },
     PassExplain {
         name: "safety",

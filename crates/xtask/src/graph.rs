@@ -314,7 +314,7 @@ mod tests {
     use super::*;
 
     fn corpus(files: &[(&str, &str)]) -> Vec<SourceFile> {
-        files.iter().map(|(rel, src)| SourceFile::from_source(rel, src)).collect()
+        files.iter().map(|(rel, src)| SourceFile::from_source(rel, src).unwrap()).collect()
     }
 
     #[test]

@@ -233,7 +233,7 @@ fn check_tier_wiring(
 }
 
 /// Locate `mod avx2 { … }` / `mod avx512 { … }` line ranges by brace
-/// matching over the scrubbed text.
+/// matching over the code view.
 pub fn tier_regions(file: &SourceFile) -> Vec<(&'static str, Range<usize>)> {
     let mut out = Vec::new();
     for (i, line) in file.code.iter().enumerate() {
@@ -267,7 +267,7 @@ pub fn tier_regions(file: &SourceFile) -> Vec<(&'static str, Range<usize>)> {
 }
 
 /// Extract function declarations (name, multi-line signature, attributes,
-/// visibility, enclosing tier) from the scrubbed lines.
+/// visibility, enclosing tier) from the code-view lines.
 pub fn fn_decls(file: &SourceFile, tiers: &[(&'static str, Range<usize>)]) -> Vec<FnDecl> {
     let mut out = Vec::new();
     for (i, line) in file.code.iter().enumerate() {
@@ -352,7 +352,7 @@ pub fn has_oracle(kernel_name: &str, oracle_tokens: &[Vec<String>]) -> bool {
     })
 }
 
-/// All identifiers on a scrubbed line.
+/// All identifiers on a code-view line.
 pub fn identifiers(line: &str) -> Vec<String> {
     let mut out = Vec::new();
     let mut cur = String::new();
@@ -374,7 +374,7 @@ mod tests {
     use super::*;
 
     fn file(rel: &str, src: &str) -> SourceFile {
-        SourceFile::from_source(rel, src)
+        SourceFile::from_source(rel, src).unwrap()
     }
 
     const GOOD: &str = r#"

@@ -1,11 +1,9 @@
 //! A hand-rolled, dependency-free Rust token lexer.
 //!
-//! The audit passes used to work on regex-ish line scrubbing
-//! ([`crate::scan::scrub`]); that sees too little structure to enforce the
-//! newer policies (atomics-ordering discipline, panic freedom, dispatch
-//! matrices), and its hand-written state machine historically mishandled
-//! edge cases like escaped-quote char literals (`'\''`). This module
-//! tokenizes real Rust surface syntax with span-accurate positions:
+//! Line-level text matching sees too little structure to enforce the audit
+//! policies (atomics-ordering discipline, panic freedom, dispatch
+//! matrices), so this module tokenizes real Rust surface syntax with
+//! span-accurate positions:
 //!
 //! * line comments (`//`), doc comments (`///`, `//!`) — kept as tokens so
 //!   passes can *read* justification comments (`// SAFETY:`,
@@ -15,21 +13,18 @@
 //! * string literals with escapes, byte strings (`b"…"`), raw strings
 //!   (`r"…"`, `r#"…"#` with any hash depth), raw byte strings (`br#"…"#`);
 //! * char literals incl. escapes (`'\''`, `'\u{27}'`) vs **lifetimes**
-//!   (`'a`, `'_`, `'static`) — the disambiguation the scrubber got wrong;
+//!   (`'a`, `'_`, `'static`);
 //! * raw identifiers (`r#type`), numbers (enough to not split `0xFF_u64`
 //!   and to keep `1..n` as three tokens), punctuation.
 //!
 //! The lexer is *total* in practice but honest about failure: genuinely
-//! unterminated strings/comments return a [`LexError`], and
-//! [`crate::scan::SourceFile`] falls back to the legacy scrubber for that
-//! file, so a half-written tree still audits.
+//! unterminated strings/comments return a [`LexError`], which
+//! [`crate::scan::SourceFile`] reports as an audit error naming the file.
 //!
 //! On top of the token stream this module offers the shared machinery the
 //! passes are built from: a blanked **code view** that preserves byte
-//! positions (the token-accurate replacement for `scrub`), precise
-//! `#[cfg(test)]` region discovery by brace matching (replacing the
-//! "everything below the first marker" heuristic), and token-sequence
-//! matching for path patterns like `thread::spawn` or
+//! positions, precise `#[cfg(test)]` region discovery by brace matching,
+//! and token-sequence matching for path patterns like `thread::spawn` or
 //! `Ordering::Relaxed`.
 
 use std::fmt;
@@ -353,9 +348,7 @@ fn is_ident_continue(c: Option<char>) -> bool {
 
 /// Build the blanked **code view** from the token stream: comments and
 /// string/char contents become spaces, newlines and all other bytes keep
-/// their exact positions. This is the token-accurate replacement for
-/// [`crate::scan::scrub`] and follows the same conventions so the two can
-/// be differentially tested: quotes of plain string/char literals survive,
+/// their exact positions: quotes of plain string/char literals survive,
 /// raw-string delimiters are blanked entirely, comments vanish wholesale.
 pub fn code_view(src: &str, toks: &[Tok]) -> String {
     let mut out: Vec<u8> = src.bytes().map(|b| if b == b'\n' { b'\n' } else { b' ' }).collect();
@@ -520,7 +513,7 @@ mod tests {
 
     #[test]
     fn escaped_quote_char_literal() {
-        // The construct the legacy scrubber mishandled: `'\''`.
+        // The classic state-machine trap: `'\''`.
         let src = r"let q = '\''; let x = 1;";
         let ts = kinds(src);
         assert!(ts.iter().any(|(k, s)| *k == TokKind::Char && s == r"'\''"), "{ts:?}");

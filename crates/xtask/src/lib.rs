@@ -3,7 +3,7 @@
 //! Seventeen passes, all built on the hand-rolled token lexer in [`lexer`]
 //! and — for the semantic passes — the recursive-descent item parser in
 //! [`parser`], the symbol/module graph in [`graph`], and the per-fn
-//! control-flow graphs in [`cfg`] with the worklist dataflow framework in
+//! control-flow graphs in [`mod@cfg`] with the worklist dataflow framework in
 //! [`dataflow`] (zero dependencies, no `syn`). Each source file is read,
 //! lexed, parsed and CFG-lowered exactly once per run ([`Corpus`]); passes
 //! share the corpus and report per-pass wall time (plus CFG lowering
@@ -59,21 +59,21 @@
 //! 14. [`checkpoint_reachability`] — every loop claiming morsels or
 //!     iterating batches in the scan/pool/engine layer reaches a `Governor`
 //!     checkpoint on every path through its body (dataflow over the per-fn
-//!     CFGs from [`cfg`], solved by the worklist framework in [`dataflow`]).
+//!     CFGs from [`mod@cfg`], solved by the worklist framework in [`dataflow`]).
 //! 15. [`span_balance`] — every profiler phase-span open
 //!     (`let t = tracer.start()`) is consumed on all paths, including early
 //!     `?`/`return` exits and conditionally-closed branches.
 //! 16. [`telemetry_accounting`] — every path producing an `EngineError` out
 //!     of the engine's `execute*`/`admit*` boundary reaches the telemetry
-//!     publication seam, and decision-log increments stay paired with their
-//!     `ExecStats` increment sites.
+//!     publication seam.
 //! 17. [`safety_flow`] — each `// SAFETY:` contract naming a checkable
 //!     precondition (a workspace fn like `has_avx2()`) is dominated by a
 //!     validation of it.
 //!
 //! Violations print as `path:line: [pass] message` (or as SARIF with
 //! `--json`) and make the binary exit `1`; `2` is reserved for internal
-//! errors, so CI can tell "findings" from "the auditor broke". Findings
+//! errors — including a source file that cannot be read or lexed — so CI
+//! can tell "findings" from "the auditor broke". Findings
 //! carry line-drift-stable IDs ([`report::stable_ids`]) and can be
 //! suppressed either by `path:line` in `crates/xtask/audit-allowlist.txt`
 //! or by ID in `crates/xtask/audit-baseline.json`; stale entries in either
@@ -169,14 +169,16 @@ pub struct Corpus {
 }
 
 impl Corpus {
-    /// Load and parse the workspace under `root`.
-    pub fn load(root: &Path) -> Corpus {
-        let files: Vec<scan::SourceFile> = scan::workspace_files(root)
+    /// Load and parse the workspace under `root`. An unreadable or
+    /// unlexable file fails the whole load, naming the file: no pass may
+    /// run on a corpus with a hole in it.
+    pub fn load(root: &Path) -> Result<Corpus, String> {
+        let files = scan::workspace_files(root)
             .iter()
-            .filter_map(|p| scan::SourceFile::load(root, p))
-            .collect();
+            .map(|p| scan::SourceFile::load(root, p))
+            .collect::<Result<Vec<_>, String>>()?;
         let graph = graph::Graph::build(&files);
-        Corpus { files, graph }
+        Ok(Corpus { files, graph })
     }
 }
 
@@ -241,14 +243,15 @@ const PASS_TABLE: [(&str, PassFn); 17] = [
 /// `passes` is a subset of [`ALL_PASSES`]; the allowlist and baseline are
 /// always applied. Diagnostics come back sorted by path/line, so the
 /// report — text or SARIF — is deterministic across runs and filesystems
-/// (the walk itself is sorted too).
-pub fn run_audit(root: &Path, passes: &[&str]) -> Vec<Diag> {
-    run_audit_timed(root, passes).diags
+/// (the walk itself is sorted too). `Err` is an internal error (a file
+/// that cannot be read or lexed), not a finding.
+pub fn run_audit(root: &Path, passes: &[&str]) -> Result<Vec<Diag>, String> {
+    Ok(run_audit_timed(root, passes)?.diags)
 }
 
 /// [`run_audit`], also reporting per-pass wall time and CFG coverage.
-pub fn run_audit_timed(root: &Path, passes: &[&str]) -> AuditOutcome {
-    let corpus = Corpus::load(root);
+pub fn run_audit_timed(root: &Path, passes: &[&str]) -> Result<AuditOutcome, String> {
+    let corpus = Corpus::load(root)?;
     let mut diags = Vec::new();
     let mut timings = Vec::new();
     for (name, runner) in PASS_TABLE {
@@ -269,7 +272,7 @@ pub fn run_audit_timed(root: &Path, passes: &[&str]) -> AuditOutcome {
     diags = apply_allowlist(root, diags);
     diags = report::apply_baseline(root, diags);
     diags.sort_by(|a, b| (&a.path, a.line, a.pass).cmp(&(&b.path, b.line, b.pass)));
-    AuditOutcome { diags, timings, coverage }
+    Ok(AuditOutcome { diags, timings, coverage })
 }
 
 /// Workspace-relative paths touched by the working tree (staged, unstaged,

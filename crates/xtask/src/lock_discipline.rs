@@ -391,7 +391,7 @@ mod tests {
 
     fn run(files: &[(&str, &str)]) -> Vec<Diag> {
         let files: Vec<SourceFile> =
-            files.iter().map(|(rel, src)| SourceFile::from_source(rel, src)).collect();
+            files.iter().map(|(rel, src)| SourceFile::from_source(rel, src).unwrap()).collect();
         let graph = Graph::build(&files);
         check(&files, &graph)
     }

@@ -26,8 +26,9 @@
 //! ```
 //!
 //! Audit exit codes: `0` clean, `1` findings (or budget exceeded under
-//! `--enforce-budget`), `2` internal error (bad usage, unwritable baseline,
-//! git failure under `--changed`). `--changed` keeps exit-code parity with
+//! `--enforce-budget`), `2` internal error (bad usage, a source file that
+//! cannot be read or lexed, unwritable baseline, git failure under
+//! `--changed`). `--changed` keeps exit-code parity with
 //! the full run: a scoped run that surfaces findings exits `1` exactly like
 //! `cargo xtask audit` would, so pre-push hooks can substitute it for the
 //! full gate without remapping codes. CI keys off this to distinguish "the
@@ -154,7 +155,13 @@ fn audit(args: &[String]) -> ExitCode {
     let root = root.unwrap_or_else(default_root);
 
     let audit_start = std::time::Instant::now();
-    let outcome = xtask::run_audit_timed(&root, &passes);
+    let outcome = match xtask::run_audit_timed(&root, &passes) {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            eprintln!("audit error: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let wall_ms = audit_start.elapsed().as_millis();
     let mut diags = outcome.diags;
 

@@ -143,7 +143,7 @@ mod tests {
     use super::*;
 
     fn file(src: &str) -> SourceFile {
-        SourceFile::from_source("crates/toolbox/src/kernel.rs", src)
+        SourceFile::from_source("crates/toolbox/src/kernel.rs", src).unwrap()
     }
 
     #[test]

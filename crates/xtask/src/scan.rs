@@ -7,22 +7,16 @@
 //! string/char-literal contents are spaces so keyword searches cannot be
 //! fooled by prose like `"an unsafe trick"` inside a panic message.
 //!
-//! The legacy line scrubber ([`scrub`]) predates the lexer and survives as
-//! the fallback path for files the lexer refuses (genuinely unterminated
-//! strings or comments mid-edit): the audit still runs, just with the
-//! coarser view and the old below-the-marker `#[cfg(test)]` heuristic.
-//! On lexable input the two views are byte-identical — a property the test
-//! suite checks differentially across the whole workspace, which is how
-//! the scrubber's historical bugs (escaped-quote char literals flipping
-//! its string state, raw-string detection walking into identifiers) were
-//! found and are kept fixed.
+//! A file the lexer refuses (a genuinely unterminated string or comment,
+//! mid-edit) has no trustworthy view at all, so it is an audit *error*
+//! naming the file — the CLI exits 2 — never a silently coarser scan.
 
 use std::fs;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::cfg::{self, FileCfgs};
-use crate::lexer::{self, Tok};
+use crate::lexer::{self, LexError, Tok};
 use crate::parser::{self, Item};
 
 /// One source file, with raw/token/code/item views (same line count).
@@ -35,42 +29,30 @@ pub struct SourceFile {
     pub raw: Vec<String>,
     /// Lines with comments and string/char literal contents blanked.
     pub code: Vec<String>,
-    /// The token stream; empty when the lexer fell back to [`scrub`].
+    /// The token stream.
     pub toks: Vec<Tok>,
-    /// The parsed item tree ([`crate::parser`]); empty on the scrub
-    /// fallback path. Lexed and parsed exactly once per audit run — every
-    /// pass shares these views instead of re-deriving them.
+    /// The parsed item tree ([`crate::parser`]). Lexed and parsed exactly
+    /// once per audit run — every pass shares these views instead of
+    /// re-deriving them.
     pub items: Vec<Item>,
-    /// 0-based line ranges of `#[cfg(test)]`-gated items (brace-matched
-    /// when lexed; the legacy first-marker heuristic on fallback).
+    /// 0-based line ranges of `#[cfg(test)]`-gated items (brace-matched).
     pub test_regions: Vec<Range<usize>>,
     /// Per-fn control-flow graphs ([`crate::cfg`]) plus the fn-level
     /// lowering-coverage counters, built once here for all dataflow
-    /// passes. Empty on the scrub fallback path.
+    /// passes.
     pub cfgs: FileCfgs,
 }
 
 impl SourceFile {
-    /// Build every view from one source string.
-    pub fn from_source(rel: &str, text: &str) -> SourceFile {
-        let (code, toks, items, test_regions) = match lexer::lex(text) {
-            Ok(toks) => {
-                let code = lexer::code_view(text, &toks);
-                let regions = lexer::cfg_test_regions(text, &toks);
-                let items = parser::parse_items(text, &toks);
-                (code, toks, items, regions)
-            }
-            Err(_) => {
-                // Fallback: the legacy scrubber plus the old heuristic
-                // that unit-test modules sit below the first marker.
-                let code = scrub(text);
-                let first =
-                    code.lines().position(|l| l.contains("#[cfg(test)]")).unwrap_or(usize::MAX);
-                (code, Vec::new(), Vec::new(), std::iter::once(first..usize::MAX).collect())
-            }
-        };
+    /// Build every view from one source string; fails when the lexer
+    /// cannot finish it.
+    pub fn from_source(rel: &str, text: &str) -> Result<SourceFile, LexError> {
+        let toks = lexer::lex(text)?;
+        let code = lexer::code_view(text, &toks);
+        let test_regions = lexer::cfg_test_regions(text, &toks);
+        let items = parser::parse_items(text, &toks);
         let cfgs = cfg::lower_file(text, &toks, &items);
-        SourceFile {
+        Ok(SourceFile {
             rel: rel.to_string(),
             text: text.to_string(),
             raw: text.lines().map(str::to_owned).collect(),
@@ -79,12 +61,12 @@ impl SourceFile {
             items,
             test_regions,
             cfgs,
-        }
+        })
     }
 
-    /// Load one file. Returns `None` if it cannot be read as UTF-8.
-    pub fn load(root: &Path, path: &Path) -> Option<SourceFile> {
-        let text = fs::read_to_string(path).ok()?;
+    /// Load one file. Fails, naming the file, when it cannot be read as
+    /// UTF-8 or cannot be lexed.
+    pub fn load(root: &Path, path: &Path) -> Result<SourceFile, String> {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(path)
@@ -92,7 +74,8 @@ impl SourceFile {
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        Some(SourceFile::from_source(&rel, &text))
+        let text = fs::read_to_string(path).map_err(|e| format!("{rel}: cannot read: {e}"))?;
+        SourceFile::from_source(&rel, &text).map_err(|e| format!("{rel}: cannot lex: {e}"))
     }
 
     /// The code view as one string (for whole-file token scans).
@@ -112,7 +95,7 @@ impl SourceFile {
     }
 
     /// Non-comment token sequence matches for an `a::b`-style path; see
-    /// [`lexer::find_seq`]. Empty on the scrub fallback path.
+    /// [`lexer::find_seq`].
     pub fn find_path(&self, path: &str) -> Vec<&Tok> {
         lexer::find_seq(&self.text, &self.toks, &lexer::path_pat(path))
     }
@@ -173,174 +156,6 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Blank out comments and string/char-literal contents, preserving line
-/// structure and the positions of all remaining code characters.
-///
-/// This is the **legacy fallback** behind the lexer-derived
-/// [`lexer::code_view`]; it only runs for files the lexer cannot finish
-/// (unterminated constructs). Two historical bugs are fixed and pinned by
-/// regression tests:
-///
-/// * `'\''` (an escaped-quote char literal) used to close on the *escaped*
-///   quote, leaving the real closing quote to flip every later line's
-///   string state — hiding arbitrary code from the audit;
-/// * `r"…"`-detection used to fire on any `r` followed by `"` or `#`, even
-///   mid-identifier, so an identifier ending in `r` directly before a
-///   string could swallow real code into the blanked region.
-pub fn scrub(src: &str) -> String {
-    enum State {
-        Code,
-        Str,
-        RawStr(usize),
-        LineComment,
-        BlockComment(usize),
-    }
-    let chars: Vec<char> = src.chars().collect();
-    let mut out = String::with_capacity(src.len());
-    let mut state = State::Code;
-    let mut i = 0;
-    // Push `c` if we are keeping structure, else a space; newlines always
-    // survive so line numbers stay aligned.
-    fn blank(out: &mut String, c: char) {
-        out.push(if c == '\n' { '\n' } else { ' ' });
-    }
-    fn is_ident_char(c: char) -> bool {
-        c == '_' || c.is_alphanumeric()
-    }
-    while i < chars.len() {
-        let c = chars[i];
-        match state {
-            State::Code => {
-                if c == '/' && chars.get(i + 1) == Some(&'/') {
-                    state = State::LineComment;
-                    out.push_str("  ");
-                    i += 2;
-                } else if c == '/' && chars.get(i + 1) == Some(&'*') {
-                    state = State::BlockComment(1);
-                    out.push_str("  ");
-                    i += 2;
-                } else if c == '"' {
-                    state = State::Str;
-                    out.push('"');
-                    i += 1;
-                } else if c == 'r'
-                    && matches!(chars.get(i + 1), Some('"') | Some('#'))
-                    && (i == 0 || !is_ident_char(chars[i - 1]))
-                {
-                    // Possible raw string literal r"..." / r#"..."#. The
-                    // preceding char must not be part of an identifier:
-                    // `var"` is not a raw-string opener (regression fix).
-                    let mut j = i + 1;
-                    let mut hashes = 0;
-                    while chars.get(j) == Some(&'#') {
-                        hashes += 1;
-                        j += 1;
-                    }
-                    if chars.get(j) == Some(&'"') {
-                        for &ch in &chars[i..=j] {
-                            blank(&mut out, ch);
-                        }
-                        state = State::RawStr(hashes);
-                        i = j + 1;
-                    } else {
-                        out.push(c);
-                        i += 1;
-                    }
-                } else if c == '\'' {
-                    // Char literal vs lifetime: a literal closes with a quote
-                    // one (or, escaped, a few) chars later.
-                    if chars.get(i + 1) == Some(&'\\') {
-                        // The escaped char sits at i + 2 and may itself be a
-                        // quote (`'\''`); the closing-quote scan must start
-                        // *after* it (regression fix).
-                        let mut j = i + 3;
-                        while j < chars.len() && chars[j] != '\'' {
-                            j += 1;
-                        }
-                        out.push('\'');
-                        for &ch in &chars[i + 1..j.min(chars.len())] {
-                            blank(&mut out, ch);
-                        }
-                        if j < chars.len() {
-                            out.push('\'');
-                        }
-                        i = j + 1;
-                    } else if chars.get(i + 2) == Some(&'\'') {
-                        out.push('\'');
-                        blank(&mut out, chars[i + 1]);
-                        out.push('\'');
-                        i += 3;
-                    } else {
-                        out.push(c);
-                        i += 1;
-                    }
-                } else {
-                    out.push(c);
-                    i += 1;
-                }
-            }
-            State::Str => {
-                if c == '\\' && i + 1 < chars.len() {
-                    blank(&mut out, c);
-                    blank(&mut out, chars[i + 1]);
-                    i += 2;
-                } else if c == '"' {
-                    out.push('"');
-                    state = State::Code;
-                    i += 1;
-                } else {
-                    blank(&mut out, c);
-                    i += 1;
-                }
-            }
-            State::RawStr(hashes) => {
-                if c == '"' {
-                    let mut j = i + 1;
-                    let mut seen = 0;
-                    while seen < hashes && chars.get(j) == Some(&'#') {
-                        seen += 1;
-                        j += 1;
-                    }
-                    if seen == hashes {
-                        for &ch in &chars[i..j] {
-                            blank(&mut out, ch);
-                        }
-                        state = State::Code;
-                        i = j;
-                        continue;
-                    }
-                }
-                blank(&mut out, c);
-                i += 1;
-            }
-            State::LineComment => {
-                if c == '\n' {
-                    out.push('\n');
-                    state = State::Code;
-                } else {
-                    out.push(' ');
-                }
-                i += 1;
-            }
-            State::BlockComment(depth) => {
-                if c == '*' && chars.get(i + 1) == Some(&'/') {
-                    out.push_str("  ");
-                    i += 2;
-                    state = if depth == 1 { State::Code } else { State::BlockComment(depth - 1) };
-                } else if c == '/' && chars.get(i + 1) == Some(&'*') {
-                    out.push_str("  ");
-                    i += 2;
-                    state = State::BlockComment(depth + 1);
-                } else {
-                    blank(&mut out, c);
-                    i += 1;
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Collect the contiguous doc-comment/attribute block immediately above line
 /// `decl` (0-based), as raw text. Used to look for `# Safety` contracts and
 /// `#[target_feature]` attributes without parsing attribute grammar: a line
@@ -374,58 +189,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scrub_blanks_comments_and_strings() {
-        let src = "let x = \"unsafe { }\"; // unsafe fn\nunsafe { y() }";
-        let s = scrub(src);
-        let lines: Vec<&str> = s.lines().collect();
-        assert!(!lines[0].contains("unsafe"), "line 0 kept literal/comment text: {:?}", lines[0]);
-        assert!(lines[1].contains("unsafe"), "real code must survive: {:?}", lines[1]);
-    }
-
-    #[test]
-    fn scrub_preserves_line_count() {
-        let src = "a\n/* multi\nline */\nb \"str\nwith newline\" c\n";
-        assert_eq!(scrub(src).lines().count(), src.lines().count());
-    }
-
-    #[test]
-    fn scrub_handles_char_literals_and_lifetimes() {
-        let s = scrub("fn f<'a>(x: &'a str) { let c = '\\n'; let q = '\"'; }");
-        assert!(s.contains("fn f<'a>"));
-        // The only double quote sat inside a char literal and must be blanked.
-        assert!(!s.contains('"'), "{s}");
-    }
-
-    #[test]
-    fn scrub_regression_escaped_quote_char_literal() {
-        // `'\''` used to close on the escaped quote, leaving the real
-        // closing quote to open a phantom char literal/string — code after
-        // it could be blanked (a false negative for every later pass).
-        let src = "let q = '\\''; unsafe { y() }";
-        let s = scrub(src);
-        assert!(s.contains("unsafe"), "code after '\\'' must survive: {s:?}");
-    }
-
-    #[test]
-    fn scrub_regression_raw_string_after_identifier() {
-        // An identifier ending in `r` directly before a string used to be
-        // eaten as a raw-string opener, blanking the quote and flipping the
-        // string state for the rest of the file.
-        let src = "m!(attr\"x\"); unsafe { y() }";
-        let s = scrub(src);
-        assert!(s.contains("unsafe"), "{s:?}");
-        assert!(s.contains("attr"), "{s:?}");
-    }
-
-    #[test]
-    fn scrub_nested_block_comments_hide_content() {
-        let src = "/* outer /* unsafe { } */ still */ unsafe { y() }";
-        let s = scrub(src);
-        // Exactly the real trailing code survives.
-        assert_eq!(s.matches("unsafe").count(), 1, "{s:?}");
-    }
-
-    #[test]
     fn attr_block_stops_at_code() {
         let raw: Vec<String> =
             ["let a = 1;", "/// doc", "#[target_feature(enable = \"avx2\")]", "unsafe fn k() {}"]
@@ -444,23 +207,34 @@ mod tests {
 
     #[test]
     fn source_file_uses_lexer_view() {
-        let f = SourceFile::from_source("x.rs", "let s = \"unsafe\"; // unsafe\nunsafe { g() }");
+        let f = SourceFile::from_source("x.rs", "let s = \"unsafe\"; // unsafe\nunsafe { g() }")
+            .unwrap();
         assert!(!f.toks.is_empty());
         assert!(!f.code[0].contains("unsafe"));
         assert!(f.code[1].contains("unsafe"));
     }
 
     #[test]
-    fn source_file_falls_back_to_scrub_on_lex_error() {
-        let f = SourceFile::from_source("x.rs", "fn f() {}\nlet s = \"unterminated");
-        assert!(f.toks.is_empty(), "unterminated string must hit the fallback");
-        assert!(f.code[0].contains("fn f"));
+    fn lex_error_is_reported_with_the_file_named() {
+        let src = "fn f() {}\nlet s = \"unterminated";
+        let err = SourceFile::from_source("x.rs", src).err().expect("must not produce a view");
+        assert_eq!((err.line, err.what), (1, "string literal"), "{err}");
+
+        let dir = std::env::temp_dir().join(format!("xtask-lex-error-{}", std::process::id()));
+        fs::create_dir_all(dir.join("src")).unwrap();
+        fs::write(dir.join("src/broken.rs"), src).unwrap();
+        let loaded = SourceFile::load(&dir, &dir.join("src/broken.rs"));
+        let audited = crate::run_audit(&dir, &crate::ALL_PASSES);
+        fs::remove_dir_all(&dir).unwrap();
+        let msg = loaded.err().expect("load must fail");
+        assert!(msg.starts_with("src/broken.rs: cannot lex: unterminated"), "{msg}");
+        assert_eq!(audited.err(), Some(msg), "the audit stops on the same error");
     }
 
     #[test]
     fn line_in_tests_is_brace_matched_not_suffix_based() {
         let src = "#[cfg(test)]\nmod tests {\n fn t() {}\n}\nfn after() {}\n";
-        let f = SourceFile::from_source("crates/core/src/x.rs", src);
+        let f = SourceFile::from_source("crates/core/src/x.rs", src).unwrap();
         assert!(f.line_in_tests(2));
         assert!(!f.line_in_tests(4), "code after a test module is production code");
     }
@@ -468,7 +242,7 @@ mod tests {
     #[test]
     fn marker_comment_same_line_and_above() {
         let src = "fn f() {\n    // ORDERING: relaxed is fine, counter only.\n    x.load(o);\n    y.load(o); // ORDERING: ditto.\n    z.load(o);\n}";
-        let f = SourceFile::from_source("x.rs", src);
+        let f = SourceFile::from_source("x.rs", src).unwrap();
         assert!(f.has_marker_comment(2, "ORDERING:"));
         assert!(f.has_marker_comment(3, "ORDERING:"));
         assert!(!f.has_marker_comment(4, "ORDERING:"));

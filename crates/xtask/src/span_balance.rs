@@ -155,7 +155,7 @@ mod tests {
     use super::*;
 
     fn file(src: &str) -> SourceFile {
-        SourceFile::from_source("crates/core/src/scan.rs", src)
+        SourceFile::from_source("crates/core/src/scan.rs", src).unwrap()
     }
 
     #[test]

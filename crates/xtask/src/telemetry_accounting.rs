@@ -1,11 +1,9 @@
-//! Pass 16: telemetry accounting on error paths and decision sites.
+//! Pass 16: telemetry accounting on error paths.
 //!
 //! The process-wide telemetry layer (DESIGN.md §14) is only trustworthy if
-//! (a) every query exit — success *or* typed failure — reaches the
-//! publication seam exactly where the design says it does, and (b) the
-//! decision-log counters share increment sites with [`ExecStats`], so
-//! per-strategy counts can be cross-checked exactly. Both are path
-//! properties, checked here on the CFGs:
+//! every query exit — success *or* typed failure — reaches the publication
+//! seam exactly where the design says it does. That is a path property,
+//! checked here on the CFGs.
 //!
 //! **Error publication** (engine boundary fns — `execute*`/`admit*` in
 //! `core::engine`/`core::query`, `*_inner` excluded by design since their
@@ -18,18 +16,11 @@
 //! **must** have happened on every path reaching it (forward-intersect
 //! analysis, refined statement-by-statement inside the block) — the
 //! `publish-then-return` idiom the admission controller uses.
-//!
-//! **Decision pairing** (`core::scan`): every `tracer.decision_selection(…)`
-//! needs a `stats.record_selection(…)` in the same block or in a block that
-//! dominates/postdominates it (the stats side is unconditional while the
-//! tracer side hides behind the profiling gate, so the record may sit
-//! above the `tracer.enabled()` branch); likewise `decision_agg` /
-//! `record_agg`, plus the converse presence check per fn.
 
 use std::collections::BTreeSet;
 
 use crate::cfg::{self, Cfg};
-use crate::dataflow::{dominators, postdominators, solve, BitSet, Direction, FlowGraph, Meet};
+use crate::dataflow::{solve, BitSet, Direction, FlowGraph, Meet};
 use crate::graph::Graph;
 use crate::lexer::TokKind;
 use crate::scan::SourceFile;
@@ -38,32 +29,19 @@ use crate::Diag;
 /// Files owning the engine's error-publication seam.
 const BOUNDARY_FILES: [&str; 2] = ["crates/core/src/engine.rs", "crates/core/src/query.rs"];
 
-/// File owning the decision/record increment sites.
-const DECISION_FILE: &str = "crates/core/src/scan.rs";
-
 /// Run the telemetry-accounting pass.
 pub fn check(files: &[SourceFile], graph: &Graph) -> Vec<Diag> {
     let pub_set = publishing_set(graph);
     let mut out = Vec::new();
     for file in files {
-        if file.is_test_file() {
+        if file.is_test_file() || !BOUNDARY_FILES.contains(&file.rel.as_str()) {
             continue;
         }
-        if BOUNDARY_FILES.contains(&file.rel.as_str()) {
-            for c in &file.cfgs.cfgs {
-                if file.line_in_tests(c.line) || !is_boundary(&c.name) {
-                    continue;
-                }
-                check_error_paths(file, c, &pub_set, &mut out);
+        for c in &file.cfgs.cfgs {
+            if file.line_in_tests(c.line) || !is_boundary(&c.name) {
+                continue;
             }
-        }
-        if file.rel == DECISION_FILE {
-            for c in &file.cfgs.cfgs {
-                if file.line_in_tests(c.line) {
-                    continue;
-                }
-                check_decision_pairing(file, c, &mut out);
-            }
+            check_error_paths(file, c, &pub_set, &mut out);
         }
     }
     out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
@@ -197,75 +175,6 @@ fn error_diag(file: &SourceFile, c: &Cfg, line: usize, what: &str) -> Diag {
     }
 }
 
-/// The decision/record method pairs that must share increment sites.
-const PAIRS: [(&str, &str); 2] =
-    [("decision_selection", "record_selection"), ("decision_agg", "record_agg")];
-
-fn check_decision_pairing(file: &SourceFile, c: &Cfg, out: &mut Vec<Diag>) {
-    // Locate call statements per kind.
-    let mut decision_sites: Vec<(usize, usize, usize)> = Vec::new(); // (pair, block, line)
-    let mut record_blocks: Vec<Vec<usize>> = vec![Vec::new(); PAIRS.len()];
-    let mut record_lines: Vec<Vec<usize>> = vec![Vec::new(); PAIRS.len()];
-    for (bi, b) in c.blocks.iter().enumerate() {
-        for s in &b.stmts {
-            let text = cfg::stmt_text(&file.text, &file.toks, s);
-            for (pi, (dec, rec)) in PAIRS.iter().enumerate() {
-                if text.contains(&format!(". {dec} (")) {
-                    decision_sites.push((pi, bi, s.line));
-                }
-                if text.contains(&format!(". {rec} (")) {
-                    record_blocks[pi].push(bi);
-                    record_lines[pi].push(s.line);
-                }
-            }
-        }
-    }
-    if decision_sites.is_empty() && record_blocks.iter().all(Vec::is_empty) {
-        return;
-    }
-    let g = FlowGraph::from_cfg(c);
-    let dom = dominators(&g);
-    let pdom = postdominators(&g);
-    for &(pi, bi, line) in &decision_sites {
-        let (dec, rec) = PAIRS[pi];
-        let paired = record_blocks[pi]
-            .iter()
-            .any(|&rb| rb == bi || dom[bi].contains(rb) || pdom[bi].contains(rb));
-        if !paired {
-            out.push(Diag {
-                path: file.rel.clone(),
-                line: line + 1,
-                pass: "telemetry-accounting",
-                msg: format!(
-                    "`{dec}` logged in `{}` with no `{rec}` on the same, a dominating, or \
-                     a postdominating block — decision-log counters must share increment \
-                     sites with ExecStats so per-strategy counts match exactly",
-                    c.name
-                ),
-            });
-        }
-    }
-    // Converse presence check: a stats increment whose fn never logs the
-    // decision would silently desynchronize the decision log.
-    for (pi, (dec, rec)) in PAIRS.iter().enumerate() {
-        if record_blocks[pi].is_empty() {
-            continue;
-        }
-        if !decision_sites.iter().any(|&(p, _, _)| p == pi) {
-            out.push(Diag {
-                path: file.rel.clone(),
-                line: record_lines[pi][0] + 1,
-                pass: "telemetry-accounting",
-                msg: format!(
-                    "`{rec}` incremented in `{}` but the fn never logs `{dec}` — the \
-                     decision log and ExecStats would drift apart",
-                    c.name
-                ),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,11 +186,7 @@ mod tests {
     }
 
     fn engine(src: &str) -> SourceFile {
-        SourceFile::from_source("crates/core/src/engine.rs", src)
-    }
-
-    fn scan_file(src: &str) -> SourceFile {
-        SourceFile::from_source("crates/core/src/scan.rs", src)
+        SourceFile::from_source("crates/core/src/engine.rs", src).unwrap()
     }
 
     #[test]
@@ -352,56 +257,8 @@ mod tests {
         let (files, graph) = corpus(vec![SourceFile::from_source(
             "crates/core/src/governor.rs",
             "pub fn execute(q: &Q) -> Result<(), E> {\n    q.validate()?;\n    Ok(())\n}",
-        )]);
+        )
+        .unwrap()]);
         assert!(check(&files, &graph).is_empty());
-    }
-
-    #[test]
-    fn decision_without_record_is_flagged() {
-        let (files, graph) = corpus(vec![scan_file(
-            "fn f(tracer: &mut T, s: Strat) {\n    tracer.decision_selection(s);\n}",
-        )]);
-        let diags = check(&files, &graph);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0].msg.contains("record_selection"), "{diags:?}");
-    }
-
-    #[test]
-    fn decision_with_record_in_same_block_is_clean() {
-        let (files, graph) = corpus(vec![scan_file(
-            "fn f(tracer: &mut T, stats: &mut S, s: Strat) {\n    tracer.decision_selection(s);\n    stats.record_selection(s);\n}",
-        )]);
-        assert!(check(&files, &graph).is_empty());
-    }
-
-    #[test]
-    fn record_dominating_a_gated_decision_is_clean() {
-        // The real idiom: stats increment unconditional, the decision event
-        // behind the profiling gate.
-        let (files, graph) = corpus(vec![scan_file(
-            "fn f(tracer: &mut T, stats: &mut S, s: Strat) {\n    stats.record_selection(s);\n    if tracer.enabled() {\n        tracer.decision_selection(s);\n    }\n}",
-        )]);
-        assert!(check(&files, &graph).is_empty());
-    }
-
-    #[test]
-    fn record_without_any_decision_is_flagged() {
-        let (files, graph) =
-            corpus(vec![scan_file("fn f(stats: &mut S, s: Strat) {\n    stats.record_agg(s);\n}")]);
-        let diags = check(&files, &graph);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0].msg.contains("decision_agg"), "{diags:?}");
-    }
-
-    #[test]
-    fn decision_on_one_branch_with_record_on_the_other_is_flagged() {
-        // Sibling branches: the record neither dominates nor postdominates
-        // the decision, so the counts can diverge.
-        let (files, graph) = corpus(vec![scan_file(
-            "fn f(tracer: &mut T, stats: &mut S, s: Strat, p: bool) {\n    if p {\n        tracer.decision_agg(s);\n    } else {\n        stats.record_agg(s);\n    }\n}",
-        )]);
-        let diags = check(&files, &graph);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0].msg.contains("decision_agg"), "{diags:?}");
     }
 }

@@ -166,7 +166,7 @@ mod tests {
     use super::*;
 
     fn file(rel: &str, src: &str) -> SourceFile {
-        SourceFile::from_source(rel, src)
+        SourceFile::from_source(rel, src).unwrap()
     }
 
     #[test]

@@ -147,7 +147,7 @@ mod tests {
     use super::*;
 
     fn file(src: &str) -> SourceFile {
-        SourceFile::from_source("test.rs", src)
+        SourceFile::from_source("test.rs", src).unwrap()
     }
 
     #[test]
@@ -173,8 +173,8 @@ mod tests {
 
     #[test]
     fn unsafe_in_escaped_quote_wake_is_still_seen() {
-        // The construct that used to blind the scrubber: after `'\''` the
-        // line state flipped and later unsafe blocks vanished from view.
+        // A view that closes `'\''` on the escaped quote would flip its
+        // string state and hide every later unsafe block.
         let f = file("fn f() {\n    let q = '\\'';\n    unsafe { g() };\n}");
         let diags = check(&[f]);
         assert_eq!(diags.len(), 1, "{diags:?}");

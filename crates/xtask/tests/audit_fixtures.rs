@@ -12,7 +12,7 @@ fn fixture(name: &str) -> PathBuf {
 }
 
 fn rendered(root: &Path) -> Vec<String> {
-    xtask::run_audit(root, &ALL).iter().map(|d| d.to_string()).collect()
+    xtask::run_audit(root, &ALL).unwrap().iter().map(|d| d.to_string()).collect()
 }
 
 #[test]
@@ -264,14 +264,7 @@ fn bad_fixture_telemetry_accounting() {
         ),
         "{text}"
     );
-    // Decision-log increment with no paired ExecStats increment.
-    assert!(
-        text.contains(
-            "crates/core/src/scan.rs:30: [telemetry-accounting] `decision_selection` logged in \
-             `unpaired_decision` with no `record_selection`"
-        ),
-        "{text}"
-    );
+    assert_eq!(text.matches("[telemetry-accounting]").count(), 1, "{text}");
 }
 
 #[test]
@@ -290,7 +283,8 @@ fn bad_fixture_safety_precondition_flow() {
 
 #[test]
 fn dataflow_rule_ids_round_trip_through_sarif() {
-    let diags = xtask::run_audit(&fixture("bad"), &["checkpoints", "spans", "telemetry", "safety"]);
+    let diags = xtask::run_audit(&fixture("bad"), &["checkpoints", "spans", "telemetry", "safety"])
+        .unwrap();
     let passes: std::collections::BTreeSet<&str> = diags.iter().map(|d| d.pass).collect();
     let rules = [
         "checkpoint-reachability",
@@ -314,7 +308,7 @@ fn dataflow_rule_ids_round_trip_through_sarif() {
 
 #[test]
 fn new_rule_ids_round_trip_through_sarif() {
-    let diags = xtask::run_audit(&fixture("bad"), &["locks", "sync", "errors", "layers"]);
+    let diags = xtask::run_audit(&fixture("bad"), &["locks", "sync", "errors", "layers"]).unwrap();
     let passes: std::collections::BTreeSet<&str> = diags.iter().map(|d| d.pass).collect();
     for rule in ["lock-discipline", "sync-escape", "error-surface", "layer-conformance"] {
         assert!(passes.contains(rule), "{rule} missing from bad-fixture findings: {passes:?}");
@@ -332,7 +326,7 @@ fn new_rule_ids_round_trip_through_sarif() {
 
 #[test]
 fn baseline_suppresses_and_reports_stale_entries() {
-    let diags = xtask::run_audit(&fixture("baselined"), &ALL);
+    let diags = xtask::run_audit(&fixture("baselined"), &ALL).unwrap();
     // The live finding is suppressed; only the stale entry surfaces.
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert_eq!(diags[0].pass, "baseline");
@@ -344,7 +338,7 @@ fn baseline_suppresses_and_reports_stale_entries() {
 fn baseline_ids_match_sarif_fingerprints() {
     // The IDs a regenerated baseline carries are the ones the SARIF export
     // publishes, and render → parse round-trips them exactly.
-    let diags = xtask::run_audit(&fixture("bad"), &["panics"]);
+    let diags = xtask::run_audit(&fixture("bad"), &["panics"]).unwrap();
     assert!(!diags.is_empty(), "the bad fixture must have panic findings");
     let ids = xtask::report::stable_ids(&diags);
     let sarif = xtask::report::to_sarif(&diags);
@@ -362,7 +356,7 @@ fn clean_fixture_audits_clean() {
 
 #[test]
 fn allowlist_suppresses_and_reports_stale_entries() {
-    let diags = xtask::run_audit(&fixture("allowlisted"), &ALL);
+    let diags = xtask::run_audit(&fixture("allowlisted"), &ALL).unwrap();
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert_eq!(diags[0].pass, "allowlist");
     assert!(diags[0].msg.contains("stale entry"), "{}", diags[0]);
@@ -371,7 +365,7 @@ fn allowlist_suppresses_and_reports_stale_entries() {
 #[test]
 fn real_tree_cfg_lowering_coverage_is_at_least_95_percent() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().unwrap();
-    let corpus = xtask::Corpus::load(&root);
+    let corpus = xtask::Corpus::load(&root).unwrap();
     let (total, clean) =
         corpus.files.iter().fold((0, 0), |(t, c), f| (t + f.cfgs.fn_total, c + f.cfgs.fn_clean));
     assert!(total > 100, "the workspace should have many fns, saw {total}");

@@ -33,18 +33,4 @@ fn main() {
 
     println!("\n{}", result.profile.render_explain(&result.stats));
     println!("query returned {} group(s) in {elapsed:.2?}", q1_rows(&result).len());
-
-    // The profile's per-strategy decision counts mirror ExecStats exactly
-    // (same increment sites); demonstrate the invariant the integration
-    // tests pin.
-    if profile != ProfileLevel::Off {
-        let sel_match = (0..3).all(|i| {
-            result.profile.selection_decisions[i] as usize == result.stats.selection_batches[i]
-        });
-        let agg_match = (0..4)
-            .all(|i| result.profile.agg_decisions[i] as usize == result.stats.agg_segments[i]);
-        println!(
-            "profile/stats strategy counts agree: selection={sel_match} aggregation={agg_match}"
-        );
-    }
 }

@@ -1,5 +1,6 @@
-//! Parallel/serial equivalence: a morsel-driven parallel scan must produce
-//! *byte-identical* `QueryResult` rows to a serial scan of the same table —
+//! Worker-count equivalence: the morsel-driven scan must produce
+//! *byte-identical* `QueryResult` rows to the row-at-a-time reference at
+//! every worker count — `parallel: false` (one worker), 1, 2, 4 and more —
 //! across skewed segment sizes, tables with fewer segments than workers,
 //! single-segment tables (intra-segment splitting), high group counts (the
 //! wide-group fallback path), deleted rows, and randomized shapes. All
@@ -9,9 +10,10 @@
 mod common;
 
 use bipie::columnstore::{ColumnSpec, LogicalType, Table, Value};
+use bipie::core::reference::execute_reference;
 use bipie::core::{
-    execute, AggExpr, Expr, Phase, Predicate, ProfileLevel, Query, QueryBuilder, QueryOptions,
-    QueryProfile, TraceEvent,
+    execute, AggExpr, EngineError, Expr, Phase, Predicate, ProfileLevel, Query, QueryBuilder,
+    QueryOptions, QueryProfile, TraceEvent,
 };
 use common::run_cases;
 
@@ -73,8 +75,12 @@ fn parallel_options(threads: usize, morsel_rows: usize, batch_rows: usize) -> Qu
     }
 }
 
-/// Assert parallel == serial for one table/query shape and return the
-/// parallel stats for extra checks.
+/// Run one table/query shape through the thread-count table — `parallel:
+/// false`, then 1, 2, 4 and (last) `threads` workers — and return the last
+/// run's stats for extra checks. Every case must return the reference's rows;
+/// the batch grid is the same at every count, so the per-batch counters
+/// agree exactly; and every count, one included, reports the morsels it
+/// claimed and the workers it ran.
 fn assert_equivalent(
     table: &Table,
     threshold: i64,
@@ -83,21 +89,40 @@ fn assert_equivalent(
     batch_rows: usize,
     label: &str,
 ) -> bipie::core::ExecStats {
-    let serial =
-        execute(table, &the_query(threshold, QueryOptions { batch_rows, ..serial_options() }))
-            .unwrap();
-    let par =
-        execute(table, &the_query(threshold, parallel_options(threads, morsel_rows, batch_rows)))
-            .unwrap();
-    assert_eq!(par.rows, serial.rows, "{label}: threads={threads} morsel={morsel_rows}");
-    assert_eq!(par.group_columns, serial.group_columns, "{label}");
-    // When every segment was eliminated by metadata, no parallel region
-    // runs and the pool counters legitimately stay zero.
-    if threads > 1 && par.stats.segments_scanned > 0 {
-        assert_eq!(par.stats.pool_workers, threads, "{label}");
-        assert!(par.stats.morsels_scanned > 0, "{label}: {:?}", par.stats);
+    let reference = execute_reference(table, &the_query(threshold, serial_options())).unwrap();
+    // Segments the filter's metadata cannot eliminate, and the morsels
+    // (whole batch windows) they decompose into.
+    let scanned: Vec<_> = table
+        .segments()
+        .iter()
+        .filter(|s| s.live_rows() > 0 && s.meta(1).max >= threshold)
+        .collect();
+    let morsel = morsel_rows.div_ceil(batch_rows) * batch_rows;
+    let morsels: usize = scanned.iter().map(|s| s.num_rows().div_ceil(morsel)).sum();
+
+    let serial = QueryOptions { morsel_rows, batch_rows, ..serial_options() };
+    let mut cases = vec![(serial, 1)];
+    for w in [1, 2, 4].into_iter().filter(|&w| w != threads).chain([threads]) {
+        cases.push((parallel_options(w, morsel_rows, batch_rows), w));
     }
-    par.stats
+    let mut grid: Option<(usize, usize, [usize; 4])> = None;
+    let mut last = None;
+    for (options, workers) in cases {
+        let label = format!("{label}: parallel={} workers={workers}", options.parallel);
+        let r = execute(table, &the_query(threshold, options)).unwrap();
+        assert_eq!(r.rows, reference.rows, "{label}");
+        assert_eq!(r.group_columns, reference.group_columns, "{label}");
+        let stats = r.stats;
+        assert_eq!(stats.segments_scanned, scanned.len(), "{label}");
+        assert_eq!(stats.morsels_scanned, morsels, "{label}: {stats:?}");
+        // When every segment was eliminated by metadata no region runs and
+        // the worker count legitimately stays zero.
+        assert_eq!(stats.pool_workers, if scanned.is_empty() { 0 } else { workers }, "{label}");
+        let this = (stats.rows_scanned, stats.batches, stats.selection_batches);
+        assert_eq!(this, *grid.get_or_insert(this), "{label}");
+        last = Some(stats);
+    }
+    last.unwrap()
 }
 
 #[test]
@@ -252,12 +277,6 @@ fn profile_counters_accumulate_without_events() {
     assert!(r.profile.phase(Phase::SegmentScan).count >= 2, "{:?}", r.profile.phases);
     assert_eq!(r.profile.phase(Phase::MutableTail).count, 1);
     assert_eq!(r.profile.phase(Phase::MutableTail).rows, 40);
-    for (i, &c) in r.profile.selection_decisions.iter().enumerate() {
-        assert_eq!(c as usize, r.stats.selection_batches[i], "strategy {i}");
-    }
-    for (i, &c) in r.profile.agg_decisions.iter().enumerate() {
-        assert_eq!(c as usize, r.stats.agg_segments[i], "strategy {i}");
-    }
 }
 
 #[test]
@@ -273,32 +292,25 @@ fn profile_span_counts_agree_serial_vs_parallel() {
             QueryOptions { profile: ProfileLevel::Spans, ..parallel_options(4, 1024, 256) };
         let serial = execute(&t, &the_query(-2000, serial_opts)).unwrap();
         let par = execute(&t, &the_query(-2000, par_opts)).unwrap();
-        assert_eq!(serial.profile.selection_decisions, par.profile.selection_decisions, "{label}");
-        assert_eq!(
-            selection_span_counts(&serial.profile),
-            selection_span_counts(&par.profile),
-            "{label}"
-        );
-        // Both mirror the stats arrays (same increment sites, by
-        // construction) — and the span counts match the decision counts.
-        for (i, &c) in serial.profile.selection_decisions.iter().enumerate() {
-            assert_eq!(c as usize, serial.stats.selection_batches[i], "{label} strategy {i}");
-            assert_eq!(c as usize, par.stats.selection_batches[i], "{label} strategy {i}");
-            assert_eq!(selection_span_counts(&serial.profile)[i], c, "{label} strategy {i}");
+        assert_eq!(serial.stats.selection_batches, par.stats.selection_batches, "{label}");
+        // The events tile the stats: one labeled aggregation-phase span per
+        // counted batch, at either worker count.
+        for profile in [&serial.profile, &par.profile] {
+            let spans = selection_span_counts(profile);
+            for (i, &c) in serial.stats.selection_batches.iter().enumerate() {
+                assert_eq!(spans[i], c as u64, "{label} strategy {i}");
+            }
         }
-        // Aggregation decisions are per worker-executor, so parallel may
-        // record more — but never fewer, and the total per strategy must
-        // still equal what its own stats saw.
-        for (i, &c) in par.profile.agg_decisions.iter().enumerate() {
-            assert_eq!(c as usize, par.stats.agg_segments[i], "{label} strategy {i}");
-            assert!(c >= serial.profile.agg_decisions[i], "{label} strategy {i}");
+        // Aggregation decisions are per worker-executor, so more workers
+        // may record more — but never fewer.
+        for (i, &c) in par.stats.agg_segments.iter().enumerate() {
+            assert!(c >= serial.stats.agg_segments[i], "{label} strategy {i}");
         }
     }
 }
 
 #[test]
 fn invalid_parallel_options_are_typed_errors() {
-    use bipie::core::EngineError;
     let t = skewed_table(&[100], 3, 1);
     for (opts, option) in [
         (QueryOptions { threads: Some(0), ..Default::default() }, "threads"),
@@ -310,6 +322,43 @@ fn invalid_parallel_options_are_typed_errors() {
             matches!(err, EngineError::InvalidOptions { option: o, .. } if o == option),
             "{err:?}"
         );
+    }
+}
+
+/// Failures are worker-count-invariant too: a budget rejection where a
+/// worker plans its executor (the first reservation) and a governor trip
+/// mid-scan (the wide-group table outgrowing a budget that passed plan
+/// admission) surface as the same typed error from one worker and from
+/// four, and the pool stays reusable afterwards.
+#[test]
+fn worker_side_failures_are_the_same_typed_error_at_one_and_four_workers() {
+    let narrow = skewed_table(&[12_000, 3_000], 9, 17);
+    let wide = skewed_table(&[20_000], 1_000, 29);
+    // The smallest budget plan admission accepts for the wide table is its
+    // projection — which a too-small budget's rejection reports.
+    let rejected = QueryOptions { mem_budget: Some(1 << 10), ..serial_options() };
+    let Err(EngineError::MemoryBudgetExceeded { requested: projection, .. }) =
+        execute(&wide, &the_query(-5000, rejected))
+    else {
+        panic!("a 1 KiB budget must be rejected at plan time");
+    };
+    for (table, budget, what) in [(&narrow, 1, "executor plan"), (&wide, projection, "mid-scan")] {
+        let errors = [1usize, 4].map(|workers| {
+            let options =
+                QueryOptions { mem_budget: Some(budget), ..parallel_options(workers, 512, 256) };
+            execute(table, &the_query(-5000, options)).unwrap_err()
+        });
+        for err in &errors {
+            assert!(
+                matches!(err, EngineError::MemoryBudgetExceeded { budget: b, .. } if *b == budget),
+                "{what}: {err:?}"
+            );
+        }
+        if budget == 1 {
+            // Every worker's first reservation is the same request.
+            assert_eq!(errors[0], errors[1], "{what}");
+        }
+        assert_equivalent(table, -5000, 4, 512, 256, what);
     }
 }
 

@@ -76,7 +76,7 @@ fn date_segment_elimination() {
 }
 
 #[test]
-fn q1_profile_matches_stats_and_covers_every_batch() {
+fn q1_profile_events_tile_the_stats_and_cover_every_batch() {
     use std::collections::BTreeMap;
     let table = small_lineitem();
     let options = QueryOptions { profile: ProfileLevel::Spans, ..Default::default() };
@@ -84,15 +84,6 @@ fn q1_profile_matches_stats_and_covers_every_batch() {
     let (profile, stats) = (&result.profile, &result.stats);
     assert!(!profile.is_empty());
     assert_eq!(profile.dropped_events, 0, "small scan must not overflow the buffers");
-
-    // The decision log's per-strategy counts equal ExecStats *exactly* —
-    // the counters increment at the same sites.
-    for (i, &c) in profile.selection_decisions.iter().enumerate() {
-        assert_eq!(c as usize, stats.selection_batches[i], "selection strategy {i}");
-    }
-    for (i, &c) in profile.agg_decisions.iter().enumerate() {
-        assert_eq!(c as usize, stats.agg_segments[i], "agg strategy {i}");
-    }
 
     // Every batch logged exactly one selection decision, with the chooser's
     // inputs in range...
