@@ -7,8 +7,10 @@
 //! [`ANCHOR_INTERVAL`] rows to let batch scans start mid-column without
 //! replaying the whole prefix.
 
-use bipie_toolbox::bitpack::{min_bits, PackedVec};
+use bipie_toolbox::bitpack::PackedVec;
 use bipie_toolbox::SimdLevel;
+
+use super::IntStats;
 
 /// Rows between stored anchors.
 pub const ANCHOR_INTERVAL: usize = 1024;
@@ -29,52 +31,19 @@ pub struct DeltaColumn {
 }
 
 impl DeltaColumn {
-    /// Encode `values`.
-    pub fn encode(values: &[i64]) -> DeltaColumn {
-        if values.is_empty() {
-            return DeltaColumn {
-                len: 0,
-                min_delta: 0,
-                deltas: PackedVec::pack(&[], 1),
-                anchors: Vec::new(),
-                non_decreasing: true,
-            };
-        }
-        let min_delta = values.windows(2).map(|w| w[1].wrapping_sub(w[0])).min().unwrap_or(0);
-        let normalized: Vec<u64> = values
-            .windows(2)
-            .map(|w| (w[1].wrapping_sub(w[0])).wrapping_sub(min_delta) as u64)
-            .collect();
-        let anchors: Vec<i64> = values.iter().step_by(ANCHOR_INTERVAL).copied().collect();
-        let non_decreasing = values.windows(2).all(|w| w[1] >= w[0]);
+    /// Encode `values`, whose statistics are `stats`: the frame of
+    /// reference and the width of the deltas come from there.
+    pub fn encode(values: &[i64], stats: &IntStats) -> DeltaColumn {
+        let min_delta = stats.min_delta;
+        let normalized =
+            values.windows(2).map(|w| w[1].wrapping_sub(w[0]).wrapping_sub(min_delta) as u64);
         DeltaColumn {
             len: values.len(),
             min_delta,
-            deltas: PackedVec::pack_minimal(&normalized),
-            anchors,
-            non_decreasing,
+            deltas: PackedVec::pack_iter(normalized, stats.delta_bits()),
+            anchors: values.iter().step_by(ANCHOR_INTERVAL).copied().collect(),
+            non_decreasing: stats.non_decreasing,
         }
-    }
-
-    /// Estimated payload bytes; `None` when the delta range overflows i64
-    /// arithmetic (then delta is not a candidate).
-    pub fn estimate_bytes(values: &[i64]) -> Option<usize> {
-        if values.len() < 2 {
-            // Header plus one anchor (when non-empty) — matches
-            // `encoded_bytes` of the built column.
-            return Some(16 + values.len().min(1) * 8);
-        }
-        let mut min_d = i64::MAX;
-        let mut max_d = i64::MIN;
-        for w in values.windows(2) {
-            let d = w[1].checked_sub(w[0])?;
-            min_d = min_d.min(d);
-            max_d = max_d.max(d);
-        }
-        let range = (max_d as i128 - min_d as i128) as u64;
-        let bits = min_bits(range) as usize;
-        let anchors = values.len().div_ceil(ANCHOR_INTERVAL);
-        Some(16 + anchors * 8 + ((values.len() - 1) * bits).div_ceil(8))
     }
 
     /// Number of rows.
@@ -154,10 +123,14 @@ impl DeltaColumn {
 mod tests {
     use super::*;
 
+    fn encode(values: &[i64]) -> DeltaColumn {
+        DeltaColumn::encode(values, &IntStats::scan(values))
+    }
+
     #[test]
     fn sorted_roundtrip() {
         let values: Vec<i64> = (0..5000).map(|i| 1_000_000 + i * 7).collect();
-        let col = DeltaColumn::encode(&values);
+        let col = encode(&values);
         assert_eq!(col.delta_bits(), 1, "constant delta packs to one bit");
         let mut out = vec![0i64; values.len()];
         col.decode_i64_into(0, &mut out);
@@ -167,7 +140,7 @@ mod tests {
     #[test]
     fn unsorted_roundtrip() {
         let values: Vec<i64> = (0..3000).map(|i| ((i * 37) % 101) - 50).collect();
-        let col = DeltaColumn::encode(&values);
+        let col = encode(&values);
         let mut out = vec![0i64; values.len()];
         col.decode_i64_into(0, &mut out);
         assert_eq!(out, values);
@@ -176,7 +149,7 @@ mod tests {
     #[test]
     fn mid_column_ranges_use_anchors() {
         let values: Vec<i64> = (0..10_000).map(|i| i * 3 - 5000).collect();
-        let col = DeltaColumn::encode(&values);
+        let col = encode(&values);
         for start in [0usize, 1, 1023, 1024, 1025, 4096, 9000] {
             let n = (values.len() - start).min(500);
             let mut out = vec![0i64; n];
@@ -187,17 +160,12 @@ mod tests {
 
     #[test]
     fn single_value_and_empty() {
-        let col = DeltaColumn::encode(&[42]);
+        let col = encode(&[42]);
         assert_eq!(col.len(), 1);
         let mut out = [0i64];
         col.decode_i64_into(0, &mut out);
         assert_eq!(out, [42]);
-        let col = DeltaColumn::encode(&[]);
+        let col = encode(&[]);
         assert!(col.is_empty());
-    }
-
-    #[test]
-    fn estimate_none_on_delta_overflow() {
-        assert_eq!(DeltaColumn::estimate_bytes(&[i64::MIN, i64::MAX]), None);
     }
 }

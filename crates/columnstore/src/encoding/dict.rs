@@ -11,6 +11,9 @@
 //! Dictionaries are sorted, so codes preserve value order and range
 //! predicates can be answered on codes.
 
+use std::collections::HashMap;
+use std::hash::Hash;
+
 use bipie_toolbox::bitpack::{min_bits, PackedVec};
 
 /// Dictionary-encoded integer column.
@@ -27,41 +30,34 @@ pub struct StrDictColumn {
     codes: PackedVec,
 }
 
-fn pack_codes(codes: &[u64], dict_len: usize) -> PackedVec {
-    let bits = min_bits(dict_len.saturating_sub(1) as u64);
-    PackedVec::pack(codes, bits)
+/// Build a dictionary in one pass over `keys`: intern each distinct key
+/// under a provisional id in first-seen order, sort the *distinct* keys (the
+/// dictionary stays sorted, so codes preserve value order), and pack every
+/// value's provisional id remapped to its sorted code.
+fn intern_sorted<K: Ord + Hash + Copy>(keys: impl Iterator<Item = K>) -> (Vec<K>, PackedVec) {
+    let mut ids: HashMap<K, u32> = HashMap::new();
+    let provisional: Vec<u32> = keys
+        .map(|key| {
+            let next = ids.len() as u32;
+            *ids.entry(key).or_insert(next)
+        })
+        .collect();
+    let mut by_key: Vec<(K, u32)> = ids.into_iter().collect();
+    by_key.sort_unstable();
+    let mut code_of = vec![0u64; by_key.len()];
+    for (code, &(_, id)) in by_key.iter().enumerate() {
+        code_of[id as usize] = code as u64;
+    }
+    let bits = min_bits(by_key.len().saturating_sub(1) as u64);
+    let codes = PackedVec::pack_iter(provisional.iter().map(|&id| code_of[id as usize]), bits);
+    (by_key.into_iter().map(|(key, _)| key).collect(), codes)
 }
 
 impl IntDictColumn {
     /// Encode `values`.
     pub fn encode(values: &[i64]) -> IntDictColumn {
-        let mut dict: Vec<i64> = values.to_vec();
-        dict.sort_unstable();
-        dict.dedup();
-        let codes: Vec<u64> = values
-            .iter()
-            // PANIC: the dictionary was built from these exact values two
-            // lines up (sort + dedup), so every lookup must hit.
-            .map(|v| dict.binary_search(v).expect("value in dictionary") as u64)
-            .collect();
-        let codes = pack_codes(&codes, dict.len());
+        let (dict, codes) = intern_sorted(values.iter().copied());
         IntDictColumn { dict, codes }
-    }
-
-    /// Estimated payload bytes; `None` if cardinality exceeds the
-    /// dictionary limit (then dict is not a candidate).
-    pub fn estimate_bytes(values: &[i64]) -> Option<usize> {
-        if values.is_empty() {
-            return Some(0);
-        }
-        let mut sorted = values.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        if sorted.len() > super::MAX_DICT_ENTRIES {
-            return None;
-        }
-        let bits = min_bits(sorted.len() as u64 - 1) as usize;
-        Some(sorted.len() * 8 + (values.len() * bits).div_ceil(8))
     }
 
     /// Number of rows.
@@ -103,22 +99,10 @@ impl IntDictColumn {
 }
 
 impl StrDictColumn {
-    /// Encode `values`.
+    /// Encode `values`. Only the distinct strings are copied.
     pub fn encode<S: AsRef<str>>(values: &[S]) -> StrDictColumn {
-        let mut dict: Vec<String> = values.iter().map(|s| s.as_ref().to_string()).collect();
-        dict.sort_unstable();
-        dict.dedup();
-        let codes: Vec<u64> = values
-            .iter()
-            .map(|v| {
-                // PANIC: the dictionary was built from these exact values
-                // above (sort + dedup), so every lookup must hit.
-                dict.binary_search_by(|d| d.as_str().cmp(v.as_ref())).expect("value in dictionary")
-                    as u64
-            })
-            .collect();
-        let codes = pack_codes(&codes, dict.len());
-        StrDictColumn { dict, codes }
+        let (dict, codes) = intern_sorted(values.iter().map(AsRef::as_ref));
+        StrDictColumn { dict: dict.into_iter().map(str::to_owned).collect(), codes }
     }
 
     /// Number of rows.
@@ -199,12 +183,6 @@ mod tests {
         let col = StrDictColumn::encode(&["x"; 50]);
         assert_eq!(col.dict().len(), 1);
         assert_eq!(col.codes().bits(), 1);
-    }
-
-    #[test]
-    fn estimate_none_for_high_cardinality() {
-        let values: Vec<i64> = (0..super::super::MAX_DICT_ENTRIES as i64 + 1).collect();
-        assert_eq!(IntDictColumn::estimate_bytes(&values), None);
     }
 
     #[test]

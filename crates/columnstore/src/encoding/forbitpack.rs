@@ -7,8 +7,10 @@
 //! values and the engine re-adds `reference * count` per group at output,
 //! which is how sums stay exact while kernels stay narrow.
 
-use bipie_toolbox::bitpack::{min_bits, PackedVec};
+use bipie_toolbox::bitpack::PackedVec;
 use bipie_toolbox::SimdLevel;
+
+use super::IntStats;
 
 /// A bit-packed integer column with a frame-of-reference offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,24 +23,16 @@ pub struct ForBitPackColumn {
 }
 
 impl ForBitPackColumn {
-    /// Encode `values`.
-    pub fn encode(values: &[i64]) -> ForBitPackColumn {
-        let reference = values.iter().copied().min().unwrap_or(0);
-        let normalized: Vec<u64> =
-            values.iter().map(|&v| (v as i128 - reference as i128) as u64).collect();
-        let non_decreasing = values.windows(2).all(|w| w[1] >= w[0]);
-        ForBitPackColumn { reference, packed: PackedVec::pack_minimal(&normalized), non_decreasing }
-    }
-
-    /// Estimated payload bytes without building the encoding.
-    pub fn estimate_bytes(values: &[i64]) -> usize {
-        if values.is_empty() {
-            return 0;
+    /// Encode `values`, whose statistics are `stats`: the reference and
+    /// the width come from there, so the one pass left is the pack loop.
+    pub fn encode(values: &[i64], stats: &IntStats) -> ForBitPackColumn {
+        let reference = stats.min;
+        let normalized = values.iter().map(|&v| v.wrapping_sub(reference) as u64);
+        ForBitPackColumn {
+            reference,
+            packed: PackedVec::pack_iter(normalized, stats.bitpack_bits()),
+            non_decreasing: stats.non_decreasing,
         }
-        let min = values.iter().copied().min().unwrap(); // PANIC: non-empty, checked above
-        let max = values.iter().copied().max().unwrap(); // PANIC: non-empty, checked above
-        let bits = min_bits((max as i128 - min as i128) as u64) as usize;
-        8 + (values.len() * bits).div_ceil(8)
     }
 
     /// Number of rows.
@@ -132,7 +126,7 @@ mod tests {
     #[test]
     fn negative_values_roundtrip() {
         let values: Vec<i64> = vec![-100, -1, 0, 1, 100, i32::MAX as i64];
-        let col = ForBitPackColumn::encode(&values);
+        let col = encode(&values);
         assert_eq!(col.reference(), -100);
         let mut out = vec![0i64; values.len()];
         col.decode_i64_into(0, &mut out);
@@ -141,7 +135,7 @@ mod tests {
 
     #[test]
     fn constant_column_uses_one_bit() {
-        let col = ForBitPackColumn::encode(&vec![42i64; 100]);
+        let col = encode(&[42i64; 100]);
         assert_eq!(col.bits(), 1);
         assert_eq!(col.reference(), 42);
         assert_eq!(col.get_all(), vec![42i64; 100]);
@@ -150,17 +144,14 @@ mod tests {
     #[test]
     fn extreme_range() {
         let values = vec![i64::MIN, i64::MAX, 0];
-        let col = ForBitPackColumn::encode(&values);
+        let col = encode(&values);
         let mut out = vec![0i64; 3];
         col.decode_i64_into(0, &mut out);
         assert_eq!(out, values);
     }
 
-    #[test]
-    fn estimate_matches_actual() {
-        let values: Vec<i64> = (0..997).map(|i| i * 13 % 509).collect();
-        let col = ForBitPackColumn::encode(&values);
-        assert_eq!(ForBitPackColumn::estimate_bytes(&values), col.encoded_bytes());
+    fn encode(values: &[i64]) -> ForBitPackColumn {
+        ForBitPackColumn::encode(values, &IntStats::scan(values))
     }
 
     impl ForBitPackColumn {

@@ -22,6 +22,10 @@ pub use dict::{IntDictColumn, StrDictColumn};
 pub use forbitpack::ForBitPackColumn;
 pub use rle::RleColumn;
 
+use std::collections::HashSet;
+
+use bipie_toolbox::bitpack::min_bits;
+
 /// Which encoding a column ended up with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Encoding {
@@ -43,8 +47,8 @@ pub enum EncodingHint {
     Auto,
     /// Force frame-of-reference bit packing.
     BitPack,
-    /// Force dictionary encoding (panics if cardinality exceeds the
-    /// dictionary limit).
+    /// Force dictionary encoding. Legal at any cardinality: only the
+    /// automatic chooser is capped at [`MAX_DICT_ENTRIES`].
     Dict,
     /// Force run-length encoding.
     Rle,
@@ -138,14 +142,130 @@ impl EncodedColumn {
     }
 }
 
+/// What one pass over an integer column learns: enough to size every
+/// candidate encoding by arithmetic, to build the winner without rescanning,
+/// and to fill the segment's [`ColumnMeta`](crate::ColumnMeta).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IntStats {
+    pub(crate) len: usize,
+    /// Smallest and largest value (0 for an empty column).
+    pub(crate) min: i64,
+    pub(crate) max: i64,
+    /// Runs of equal consecutive values.
+    pub(crate) runs: usize,
+    pub(crate) non_decreasing: bool,
+    /// Smallest and largest wrapping difference `v[i] - v[i-1]` (0 below two
+    /// values). The wrapping deltas always round-trip, but once one of them
+    /// overflowed `i64` their range no longer bounds a packed width the
+    /// chooser may assume, so delta stops being an automatic candidate.
+    pub(crate) min_delta: i64,
+    pub(crate) max_delta: i64,
+    pub(crate) delta_overflow: bool,
+}
+
+impl IntStats {
+    /// The statistics pass: one loop over `values`.
+    pub fn scan(values: &[i64]) -> IntStats {
+        let first = values.first().copied().unwrap_or(0);
+        let (mut min, mut max, mut runs, mut non_decreasing) = (first, first, 0, true);
+        let (mut min_delta, mut max_delta, mut delta_overflow) = (i64::MAX, i64::MIN, false);
+        for w in values.windows(2) {
+            let (prev, v) = (w[0], w[1]);
+            min = min.min(v);
+            max = max.max(v);
+            runs += (v != prev) as usize;
+            non_decreasing &= v >= prev;
+            let (delta, overflowed) = v.overflowing_sub(prev);
+            min_delta = min_delta.min(delta);
+            max_delta = max_delta.max(delta);
+            delta_overflow |= overflowed;
+        }
+        if values.len() < 2 {
+            (min_delta, max_delta) = (0, 0);
+        }
+        let (len, runs) = (values.len(), runs + values.len().min(1));
+        IntStats { len, min, max, runs, non_decreasing, min_delta, max_delta, delta_overflow }
+    }
+
+    /// Bits per frame-of-reference value.
+    pub(crate) fn bitpack_bits(&self) -> u8 {
+        min_bits(self.max.wrapping_sub(self.min) as u64)
+    }
+
+    /// Bits per packed delta.
+    pub(crate) fn delta_bits(&self) -> u8 {
+        min_bits(self.max_delta.wrapping_sub(self.min_delta) as u64)
+    }
+
+    /// Payload bytes of the bit-packed column.
+    pub fn bitpack_bytes(&self) -> usize {
+        8 + packed_bytes(self.len, self.bitpack_bits())
+    }
+
+    /// Payload bytes of the run-length column.
+    pub fn rle_bytes(&self) -> usize {
+        self.runs * (8 + 4)
+    }
+
+    /// Payload bytes of the delta column; `None` when a difference
+    /// overflowed (then delta is not a candidate).
+    pub fn delta_bytes(&self) -> Option<usize> {
+        let anchors = self.len.div_ceil(delta::ANCHOR_INTERVAL);
+        (!self.delta_overflow)
+            .then(|| 16 + anchors * 8 + packed_bytes(self.len.saturating_sub(1), self.delta_bits()))
+    }
+
+    /// Payload bytes of the dictionary column, when a dictionary can
+    /// displace bit packing: `None` once the distinct count passes
+    /// [`MAX_DICT_ENTRIES`] or reaches a size that is not smaller than
+    /// [`IntStats::bitpack_bytes`]. The size grows with the distinct count,
+    /// so counting stops at the first count that loses — on a column bit
+    /// packing suits, after about `2^(bits - 1)` distinct values — and the
+    /// early stop cannot change which encoding wins.
+    pub fn dict_bytes(&self, values: &[i64]) -> Option<usize> {
+        let limit = self.bitpack_bytes();
+        let size = |d: usize| d * 8 + packed_bytes(self.len, min_bits(d as u64 - 1));
+        let mut seen = HashSet::new();
+        let mut prev = None;
+        for &v in values {
+            // A repeat of the previous value is already counted: runs skip
+            // the hash.
+            if prev != Some(v) && seen.insert(v) {
+                let d = seen.len();
+                if d > MAX_DICT_ENTRIES || size(d) >= limit {
+                    return None;
+                }
+            }
+            prev = Some(v);
+        }
+        (!seen.is_empty()).then(|| size(seen.len()))
+    }
+}
+
+fn packed_bytes(len: usize, bits: u8) -> usize {
+    (len * bits as usize).div_ceil(8)
+}
+
 /// Encode an integer-like column, honoring the hint.
 pub fn encode_ints(values: &[i64], hint: EncodingHint) -> EncodedColumn {
-    match hint {
-        EncodingHint::BitPack => EncodedColumn::BitPack(ForBitPackColumn::encode(values)),
-        EncodingHint::Dict => EncodedColumn::IntDict(IntDictColumn::encode(values)),
-        EncodingHint::Rle => EncodedColumn::Rle(RleColumn::encode(values)),
-        EncodingHint::Delta => EncodedColumn::Delta(DeltaColumn::encode(values)),
-        EncodingHint::Auto => choose_int_encoding(values),
+    encode_ints_with(values, &IntStats::scan(values), hint)
+}
+
+/// [`encode_ints`] for a caller that already holds the column's statistics
+/// (the segment builder, which also derives the metadata from them).
+pub fn encode_ints_with(values: &[i64], stats: &IntStats, hint: EncodingHint) -> EncodedColumn {
+    let encoding = match hint {
+        EncodingHint::BitPack => Encoding::BitPack,
+        EncodingHint::Dict => Encoding::Dict,
+        EncodingHint::Rle => Encoding::Rle,
+        EncodingHint::Delta => Encoding::Delta,
+        EncodingHint::Auto => choose_int_encoding(values, stats),
+    };
+    match encoding {
+        Encoding::BitPack => EncodedColumn::BitPack(ForBitPackColumn::encode(values, stats)),
+        Encoding::Dict => EncodedColumn::IntDict(IntDictColumn::encode(values)),
+        Encoding::Rle => EncodedColumn::Rle(RleColumn::encode(values)),
+        Encoding::Delta => EncodedColumn::Delta(DeltaColumn::encode(values, stats)),
     }
 }
 
@@ -154,36 +274,26 @@ pub fn encode_strings<S: AsRef<str>>(values: &[S]) -> EncodedColumn {
     EncodedColumn::StrDict(StrDictColumn::encode(values))
 }
 
-/// The automatic chooser: estimate each candidate's payload size without
-/// building it, then build the winner. Ties break toward bit packing, which
-/// BIPie's kernels consume directly (§2.1: "usefulness of the encoding for
-/// query execution").
-fn choose_int_encoding(values: &[i64]) -> EncodedColumn {
+/// The automatic chooser: size each candidate from the statistics, pick the
+/// smallest. Ties break toward bit packing, which BIPie's kernels consume
+/// directly (§2.1: "usefulness of the encoding for query execution"), then
+/// in the order dictionary, run-length, delta.
+fn choose_int_encoding(values: &[i64], stats: &IntStats) -> Encoding {
     if values.is_empty() {
-        return EncodedColumn::BitPack(ForBitPackColumn::encode(values));
+        return Encoding::BitPack;
     }
-    let bitpack_size = ForBitPackColumn::estimate_bytes(values);
-    let rle_size = RleColumn::estimate_bytes(values);
-    let delta_size = DeltaColumn::estimate_bytes(values);
-    let dict_size = IntDictColumn::estimate_bytes(values);
-
-    // A candidate must be strictly smaller than bit packing to displace it.
-    let mut best = (bitpack_size, Encoding::BitPack);
-    for (size, enc) in
-        [(dict_size, Encoding::Dict), (rle_size, Encoding::Rle), (delta_size, Encoding::Delta)]
-    {
-        if let Some(size) = size {
-            if size < best.0 {
-                best = (size, enc);
-            }
+    // A candidate must be strictly smaller than the best so far.
+    let mut best = (stats.bitpack_bytes(), Encoding::BitPack);
+    for (size, enc) in [
+        (stats.dict_bytes(values), Encoding::Dict),
+        (Some(stats.rle_bytes()), Encoding::Rle),
+        (stats.delta_bytes(), Encoding::Delta),
+    ] {
+        if let Some(size) = size.filter(|&size| size < best.0) {
+            best = (size, enc);
         }
     }
-    match best.1 {
-        Encoding::BitPack => EncodedColumn::BitPack(ForBitPackColumn::encode(values)),
-        Encoding::Dict => EncodedColumn::IntDict(IntDictColumn::encode(values)),
-        Encoding::Rle => EncodedColumn::Rle(RleColumn::encode(values)),
-        Encoding::Delta => EncodedColumn::Delta(DeltaColumn::encode(values)),
-    }
+    best.1
 }
 
 #[cfg(test)]

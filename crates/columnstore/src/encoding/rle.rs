@@ -36,12 +36,6 @@ impl RleColumn {
         RleColumn { values: run_values, ends }
     }
 
-    /// Estimated payload bytes without building the encoding.
-    pub fn estimate_bytes(values: &[i64]) -> Option<usize> {
-        let runs = count_runs(values);
-        Some(runs * (8 + 4))
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.ends.last().copied().unwrap_or(0) as usize
@@ -109,13 +103,6 @@ impl RleColumn {
     }
 }
 
-fn count_runs(values: &[i64]) -> usize {
-    if values.is_empty() {
-        return 0;
-    }
-    1 + values.windows(2).filter(|w| w[0] != w[1]).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,11 +158,5 @@ mod tests {
         let col = RleColumn::encode(&[1, 1, 2]);
         let mut out = vec![0i64; 2];
         col.decode_i64_into(2, &mut out);
-    }
-
-    #[test]
-    fn estimate_counts_runs() {
-        assert_eq!(RleColumn::estimate_bytes(&[1, 1, 2, 2, 2, 3]), Some(3 * 12));
-        assert_eq!(RleColumn::estimate_bytes(&[]), Some(0));
     }
 }

@@ -12,7 +12,7 @@
 //! count for aggregation-strategy selection (§3).
 
 use crate::bitmap::DeletedBitmap;
-use crate::encoding::{self, EncodedColumn, EncodingHint};
+use crate::encoding::{self, EncodedColumn, EncodingHint, IntStats, StrDictColumn};
 
 /// Target rows per segment (§2.1: "approximately one million records").
 pub const SEGMENT_ROWS: usize = 1 << 20;
@@ -43,14 +43,15 @@ impl ColumnMeta {
 
 /// Raw column data handed to the segment builder.
 #[derive(Debug, Clone)]
-pub enum ColumnData {
+pub enum ColumnData<'a> {
     /// Integer-like storage values.
     Ints(Vec<i64>),
-    /// Strings.
-    Strs(Vec<String>),
+    /// Strings, borrowed from wherever the rows live: the encoder copies
+    /// only the distinct ones into its dictionary.
+    Strs(Vec<&'a str>),
 }
 
-impl ColumnData {
+impl ColumnData<'_> {
     /// Number of rows.
     pub fn len(&self) -> usize {
         match self {
@@ -76,40 +77,44 @@ pub struct Segment {
 
 impl Segment {
     /// Encode `columns` into a segment, choosing encodings per `hints`
-    /// (pass `EncodingHint::Auto` to let the size heuristic decide).
+    /// (pass `EncodingHint::Auto` to let the size heuristic decide). Each
+    /// column is taken from the iterator, encoded and dropped before the
+    /// next is asked for, so a lazy caller holds one raw column at a time.
     ///
     /// # Panics
     /// Panics if columns have differing lengths or hints mismatch.
-    pub fn build(columns: Vec<ColumnData>, hints: &[EncodingHint]) -> Segment {
-        assert_eq!(columns.len(), hints.len(), "one hint per column required");
-        let num_rows = columns.first().map_or(0, ColumnData::len);
-        assert!(columns.iter().all(|c| c.len() == num_rows), "all columns must have equal length");
-        let mut encoded = Vec::with_capacity(columns.len());
-        let mut meta = Vec::with_capacity(columns.len());
-        for (data, &hint) in columns.iter().zip(hints) {
+    pub fn build<'a>(
+        columns: impl IntoIterator<Item = ColumnData<'a>>,
+        hints: &[EncodingHint],
+    ) -> Segment {
+        let mut encoded = Vec::with_capacity(hints.len());
+        let mut meta = Vec::with_capacity(hints.len());
+        let mut num_rows = None;
+        for data in columns {
+            assert!(encoded.len() < hints.len(), "one hint per column required");
+            let rows = *num_rows.get_or_insert(data.len());
+            assert_eq!(data.len(), rows, "all columns must have equal length");
             match data {
                 ColumnData::Ints(values) => {
-                    let col = encoding::encode_ints(values, hint);
-                    meta.push(int_meta(values, &col));
+                    let stats = IntStats::scan(&values);
+                    let col = encoding::encode_ints_with(&values, &stats, hints[encoded.len()]);
+                    meta.push(int_meta(&stats, &col));
                     encoded.push(col);
                 }
                 ColumnData::Strs(values) => {
-                    let col = encoding::encode_strings(values);
-                    let dict_len = match &col {
-                        EncodedColumn::StrDict(d) => d.dict().len(),
-                        // PANIC: `encode_strings` returns `StrDict` by
-                        // construction; no other variant can come back.
-                        _ => unreachable!("strings always dictionary encode"),
-                    };
+                    let dict = StrDictColumn::encode(&values);
+                    let dict_len = dict.dict().len();
                     meta.push(ColumnMeta {
                         min: 0,
                         max: dict_len.saturating_sub(1) as i64,
                         distinct_upper: dict_len,
                     });
-                    encoded.push(col);
+                    encoded.push(EncodedColumn::StrDict(dict));
                 }
             }
         }
+        assert_eq!(encoded.len(), hints.len(), "one hint per column required");
+        let num_rows = num_rows.unwrap_or(0);
         Segment { num_rows, columns: encoded, meta, deleted: DeletedBitmap::new(num_rows) }
     }
 
@@ -154,15 +159,14 @@ impl Segment {
     }
 }
 
-fn int_meta(values: &[i64], col: &EncodedColumn) -> ColumnMeta {
-    let min = values.iter().copied().min().unwrap_or(0);
-    let max = values.iter().copied().max().unwrap_or(0);
+fn int_meta(stats: &IntStats, col: &EncodedColumn) -> ColumnMeta {
+    let IntStats { min, max, len, .. } = *stats;
     let distinct_upper = match col {
         EncodedColumn::IntDict(d) => d.dict().len(),
-        EncodedColumn::Rle(r) => r.num_runs().min(values.len()),
+        EncodedColumn::Rle(r) => r.num_runs().min(len),
         _ => {
             // Bounded by both the row count and the value range.
-            let range = (max as i128 - min as i128 + 1).min(values.len() as i128);
+            let range = (max as i128 - min as i128 + 1).min(len as i128);
             range.max(0) as usize
         }
     };
@@ -176,7 +180,7 @@ mod tests {
 
     fn sample_segment() -> Segment {
         let ints: Vec<i64> = (0..1000).map(|i| (i % 7) - 3).collect();
-        let strs: Vec<String> = (0..1000).map(|i| ["N", "A", "R"][i % 3].to_string()).collect();
+        let strs: Vec<&str> = (0..1000).map(|i| ["N", "A", "R"][i % 3]).collect();
         Segment::build(
             vec![ColumnData::Ints(ints), ColumnData::Strs(strs)],
             &[EncodingHint::Auto, EncodingHint::Auto],

@@ -120,31 +120,21 @@ impl Table {
             return;
         }
         let rows = std::mem::take(&mut self.mutable);
-        let mut columns: Vec<ColumnData> = self
-            .specs
-            .iter()
-            .map(|s| {
-                if s.ty == LogicalType::Str {
-                    ColumnData::Strs(Vec::with_capacity(rows.len()))
-                } else {
-                    ColumnData::Ints(Vec::with_capacity(rows.len()))
-                }
-            })
-            .collect();
-        for row in rows {
-            for (c, v) in row.into_iter().enumerate() {
-                match (&mut columns[c], v) {
-                    (ColumnData::Strs(out), Value::Str(s)) => out.push(s.as_ref().to_owned()),
-                    (ColumnData::Ints(out), v) => {
-                        // PANIC: `check_row` validated every value against
-                        // the schema before this loop ran.
-                        out.push(v.as_storage_i64().expect("typed by check_row"))
-                    }
-                    // PANIC: same `check_row` schema validation as above.
-                    _ => unreachable!("typed by check_row"),
-                }
+        // One column at a time, read out of the rows in place: strings stay
+        // borrowed, and the rows are freed once, after the last column.
+        let columns = self.specs.iter().enumerate().map(|(c, spec)| {
+            if spec.ty == LogicalType::Str {
+                // PANIC: `check_row` typed the value when the row came in.
+                let strs = rows.iter().map(|row| row[c].as_str().expect("typed by check_row"));
+                ColumnData::Strs(strs.collect())
+            } else {
+                let ints = rows.iter().map(|row| {
+                    // PANIC: `check_row` typed the value when the row came in.
+                    row[c].as_storage_i64().expect("typed by check_row")
+                });
+                ColumnData::Ints(ints.collect())
             }
-        }
+        });
         let hints: Vec<EncodingHint> = self.specs.iter().map(|s| s.hint).collect();
         self.segments.push(Segment::build(columns, &hints));
     }

@@ -336,6 +336,29 @@ impl ResolvedPredicate {
         }
     }
 
+    /// Row-level evaluation against one row of the mutable region, whose
+    /// values sit at the schema's column indices.
+    pub fn eval_row(&self, row: &[Value]) -> bool {
+        fn int_at(row: &[Value], col: usize) -> i64 {
+            // PANIC: `resolve` typed this column integer-like, and the
+            // table's `check_row` typed the row against the same schema.
+            row[col].as_storage_i64().expect("integer-like by resolve")
+        }
+        fn walk(node: &PNode, row: &[Value]) -> bool {
+            match node {
+                PNode::IntCmp { col, op, c } => op.eval(int_at(row, *col), *c),
+                PNode::IntBetween { col, lo, hi } => (*lo..=*hi).contains(&int_at(row, *col)),
+                PNode::StrCmp { col, op, value } => {
+                    // PANIC: a string column by `resolve`, a string value by
+                    // the table's `check_row`.
+                    op.eval(row[*col].as_str().expect("string by resolve"), value.as_str())
+                }
+                PNode::And(nodes) => nodes.iter().all(|n| walk(n, row)),
+            }
+        }
+        walk(&self.node, row)
+    }
+
     /// Evaluate the predicate over batch rows `[start, start+out.len())` of
     /// a segment, writing the canonical selection byte mask into `out`
     /// (deleted rows are merged by the caller).

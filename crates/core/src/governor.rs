@@ -73,8 +73,9 @@ const CAUSE_CANCELLED: u8 = 1;
 const CAUSE_DEADLINE: u8 = 2;
 const CAUSE_MEMORY: u8 = 3;
 
-/// Per-query resource governor. Built once in `scan_table` and shared by
-/// reference with every worker; all state is interior atomics.
+/// Per-query resource governor. Built once per query and shared by
+/// reference with every worker and the mutable-tail walk; all state is
+/// interior atomics.
 #[derive(Debug)]
 pub struct Governor {
     cancel: Option<CancelToken>,

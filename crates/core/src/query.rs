@@ -21,7 +21,7 @@ use bipie_columnstore::{LogicalType, Table, Value};
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
 use crate::filter::Predicate;
-use crate::scan::{scan_table, GroupAcc, ScanOptions};
+use crate::scan::{scan_governed, GroupAcc, ScanCtx, ScanOptions};
 use crate::stats::ExecStats;
 use crate::trace::{Phase, QueryProfile, SpanLoc, Tracer};
 
@@ -318,28 +318,31 @@ fn execute_inner(table: &Table, query: &Query) -> Result<QueryResult> {
     let sum_exprs = resolved;
     let filter = query.filter.as_ref().map(|f| f.resolve(table)).transpose()?;
 
-    let (mut merged, mut stats, mut profile) =
-        scan_table(table, filter.as_ref(), &group_cols, &sum_exprs, &mm_exprs, &query.options)?;
+    // One governor for the segments and the tail.
+    let governor = query.options.governor();
+    let ctx = ScanCtx {
+        filter: filter.as_ref(),
+        group_cols: &group_cols,
+        sum_exprs: &sum_exprs,
+        mm_exprs: &mm_exprs,
+        options: &query.options,
+        governor: &governor,
+    };
+    let (mut merged, mut stats, mut profile) = scan_governed(table, &ctx)?;
 
     // The mutable region is processed row-at-a-time (§2.1: it is a small,
     // uncompressed fraction of recent rows), by one more worker record.
     let mut tail_tracer = Tracer::new(query.options.profile, 0);
     let tail_start = tail_tracer.start();
-    process_mutable_region(
-        table,
-        query,
-        &group_cols,
-        &sum_exprs_src,
-        &mm_exprs_src,
-        &mut merged,
-        &mut tail_tracer.stats,
-    );
-    // Close unconditionally: a zero-row tail still accounts its (tiny)
-    // walk of the mutable region, and a conditionally-consumed span token
-    // is exactly what the span-balance audit pass rejects.
+    let walked =
+        process_mutable_region(table.mutable_rows(), &ctx, &mut merged, &mut tail_tracer.stats);
+    // Close unconditionally — before the walk's error propagates, and on a
+    // zero-row tail too: a conditionally-consumed span token is exactly
+    // what the span-balance audit pass rejects.
     let tail_rows = tail_tracer.stats.mutable_rows as u64;
     tail_tracer.span(Phase::MutableTail, SpanLoc::none(), tail_rows, tail_start);
     stats.merge(&profile.absorb(tail_tracer));
+    walked?;
 
     let rows = merged
         .into_iter()
@@ -383,53 +386,56 @@ fn check_expr_types(table: &Table, expr: &Expr) -> Result<()> {
     Ok(())
 }
 
+/// Rows of the mutable region between two governor checkpoints.
+const TAIL_CHECKPOINT_ROWS: usize = 1024;
+
+/// The row-at-a-time walk of the mutable region. It evaluates what the plan
+/// already resolved — predicate and expressions read the row by column
+/// index — under the query's governor.
 fn process_mutable_region(
-    table: &Table,
-    query: &Query,
-    group_cols: &[(usize, LogicalType)],
-    sum_exprs: &[&Expr],
-    mm_exprs: &[&Expr],
+    rows: &[Vec<Value>],
+    ctx: &ScanCtx<'_>,
     merged: &mut BTreeMap<Vec<Value>, GroupAcc>,
     stats: &mut ExecStats,
-) {
-    let rows = table.mutable_rows();
-    if rows.is_empty() {
-        return;
-    }
-    stats.mutable_rows = rows.len();
-    for row in rows {
-        let value_of =
-            // PANIC: every referenced column resolved during plan validation.
-            |name: &str| -> Value { row[table.column_index(name).expect("resolved")].clone() };
-        if let Some(f) = &query.filter {
-            if !f.eval_row(&value_of) {
+) -> Result<()> {
+    let ScanCtx { filter, group_cols, sum_exprs, mm_exprs, governor, .. } = *ctx;
+    // Reused for every row: a group already present costs no allocation.
+    let mut key: Vec<Value> = Vec::with_capacity(group_cols.len());
+    for chunk in rows.chunks(TAIL_CHECKPOINT_ROWS) {
+        if governor.active() {
+            stats.governor_checks += 1;
+            governor.check()?;
+        }
+        stats.mutable_rows += chunk.len();
+        for row in chunk {
+            if filter.is_some_and(|f| !f.eval_row(row)) {
                 continue;
             }
-        }
-        let key: Vec<Value> = group_cols.iter().map(|&(idx, _)| row[idx].clone()).collect();
-        let acc = merged.entry(key).or_insert_with(|| GroupAcc {
-            count: 0,
-            sums: vec![0; sum_exprs.len()],
-            mins: vec![i64::MAX; mm_exprs.len()],
-            maxs: vec![i64::MIN; mm_exprs.len()],
-        });
-        acc.count += 1;
-        let eval = |e: &Expr| -> i64 {
-            // PANIC: both expects repeat checks plan validation already made —
-            // columns resolve, and aggregate inputs are integer-like.
-            let resolved = e.resolve(&|n| table.column_index(n)).expect("resolved");
+            key.clear();
+            key.extend(group_cols.iter().map(|&(idx, _)| row[idx].clone()));
+            let acc = match merged.get_mut(key.as_slice()) {
+                Some(acc) => acc,
+                None => merged.entry(key.clone()).or_insert_with(|| GroupAcc {
+                    count: 0,
+                    sums: vec![0; sum_exprs.len()],
+                    mins: vec![i64::MAX; mm_exprs.len()],
+                    maxs: vec![i64::MIN; mm_exprs.len()],
+                }),
+            };
+            acc.count += 1;
             // PANIC: aggregate inputs are integer-like per plan validation.
-            resolved.eval_row(&|idx| row[idx].as_storage_i64().expect("integer-like"))
-        };
-        for (s, e) in acc.sums.iter_mut().zip(sum_exprs) {
-            *s += eval(e);
-        }
-        for (j, e) in mm_exprs.iter().enumerate() {
-            let v = eval(e);
-            acc.mins[j] = acc.mins[j].min(v);
-            acc.maxs[j] = acc.maxs[j].max(v);
+            let value_of = |idx: usize| row[idx].as_storage_i64().expect("integer-like");
+            for (s, e) in acc.sums.iter_mut().zip(sum_exprs) {
+                *s += e.eval_row(&value_of);
+            }
+            for (j, e) in mm_exprs.iter().enumerate() {
+                let v = e.eval_row(&value_of);
+                acc.mins[j] = acc.mins[j].min(v);
+                acc.maxs[j] = acc.maxs[j].max(v);
+            }
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -138,6 +138,12 @@ impl Default for ScanOptions {
 }
 
 impl ScanOptions {
+    /// The governor of one query: its limits are the three knobs, and its
+    /// deadline clock starts now — at scan admission.
+    pub(crate) fn governor(&self) -> Governor {
+        Governor::new(self.cancel.clone(), self.time_budget, self.mem_budget)
+    }
+
     /// Reject out-of-domain option values with a typed error without
     /// executing anything. [`scan_table`] performs the same check before any
     /// scanning starts (instead of a deep assertion failure mid-scan), so
@@ -193,16 +199,27 @@ pub fn scan_table(
     options: &ScanOptions,
 ) -> Result<(GroupMap, ExecStats, QueryProfile)> {
     options.validate()?;
+    let governor = options.governor();
+    let ctx = ScanCtx { filter, group_cols, sum_exprs, mm_exprs, options, governor: &governor };
+    scan_governed(table, &ctx)
+}
+
+/// [`scan_table`] under a governor the caller owns, so the same deadline
+/// clock, cancel token and budget govern whatever the caller runs after the
+/// segments (the mutable tail).
+pub(crate) fn scan_governed(
+    table: &Table,
+    ctx: &ScanCtx<'_>,
+) -> Result<(GroupMap, ExecStats, QueryProfile)> {
+    let ScanCtx { options, governor, .. } = *ctx;
     let mut profile = QueryProfile::new(options.profile);
     // The coordinator's record: the query-level stats every worker's record
     // merges into, and the spans of the phases that run on the calling
     // thread (admission planning, the phase-2 merge).
     let mut coord = Tracer::new(options.profile, 0);
 
-    // The per-query governor: the deadline clock starts here, at scan
-    // admission. A query launched with an already-cancelled token fails
-    // before any segment is planned — no partial result.
-    let governor = Governor::new(options.cancel.clone(), options.time_budget, options.mem_budget);
+    // A query launched with an already-cancelled token fails before any
+    // segment is planned — no partial result.
     if governor.active() {
         coord.stats.governor_checks += 1;
         governor.check()?;
@@ -212,9 +229,8 @@ pub fn scan_table(
     // only (elimination, overflow proofs, mapper viability) and it lets
     // errors surface deterministically before any worker starts. The table
     // segment ordinal rides along as the id trace events carry.
-    let ctx = ScanCtx { filter, group_cols, sum_exprs, mm_exprs, options, governor: &governor };
     let plan_start = coord.start();
-    let planned = plan_segments(table, &ctx, &mut coord.stats);
+    let planned = plan_segments(table, ctx, &mut coord.stats);
     // Close on the planning *result*: a plan-time error (overflow proof,
     // budget rejection) must not drop the `Phase::Plan` span.
     coord.span(Phase::Plan, SpanLoc::none(), coord.stats.rows_scanned as u64, plan_start);
@@ -225,7 +241,7 @@ pub fn scan_table(
     } else {
         let hardware = || std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
         let workers = if options.parallel { options.threads.unwrap_or_else(hardware) } else { 1 };
-        scan_workers(&planned, workers, &ctx, &mut coord, &mut profile)?
+        scan_workers(&planned, workers, ctx, &mut coord, &mut profile)?
     };
     coord.stats.mem_reserved_peak = governor.peak_reserved();
     let stats = profile.absorb(coord);
@@ -281,15 +297,16 @@ fn plan_segments<'t>(
     Ok(planned)
 }
 
-/// Everything a worker needs to scan a segment, bundled for passing around.
+/// The resolved plan of one query and the governor it runs under: everything
+/// a worker needs to scan a segment, and the mutable-tail walk to scan a row.
 #[derive(Clone, Copy)]
-struct ScanCtx<'a> {
-    filter: Option<&'a ResolvedPredicate>,
-    group_cols: &'a [(usize, LogicalType)],
-    sum_exprs: &'a [ResolvedExpr],
-    mm_exprs: &'a [ResolvedExpr],
-    options: &'a ScanOptions,
-    governor: &'a Governor,
+pub(crate) struct ScanCtx<'a> {
+    pub(crate) filter: Option<&'a ResolvedPredicate>,
+    pub(crate) group_cols: &'a [(usize, LogicalType)],
+    pub(crate) sum_exprs: &'a [ResolvedExpr],
+    pub(crate) mm_exprs: &'a [ResolvedExpr],
+    pub(crate) options: &'a ScanOptions,
+    pub(crate) governor: &'a Governor,
 }
 
 /// What one worker leaves behind at the join: its record (counters and

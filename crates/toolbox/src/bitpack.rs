@@ -82,30 +82,44 @@ impl PackedVec {
     /// Panics if any value does not fit in `bits` bits, or `bits` is not in
     /// `1..=64`.
     pub fn pack(values: &[u64], bits: u8) -> PackedVec {
-        assert!((1..=MAX_BITS).contains(&bits), "bit width {bits} out of range 1..=64");
         debug_assert_values_fit(values, bits);
-        let limit_check = bits < 64;
-        let limit = if limit_check { 1u64 << bits } else { 0 };
-        let total_bits = values.len() * bits as usize;
-        let data_bytes = total_bits.div_ceil(8);
-        let mut bytes = vec![0u8; data_bytes + 8];
-        let mut bit_pos = 0usize;
-        for &v in values {
-            assert!(!limit_check || v < limit, "value {v} does not fit in {bits} bits");
-            let byte = bit_pos >> 3;
-            let shift = (bit_pos & 7) as u32;
-            // Write up to 9 bytes touched by a 64-bit value at bit offset.
-            let lo = v << shift;
-            write_u64_le_or(&mut bytes, byte, lo);
-            if shift > 0 {
-                let hi = v >> (64 - shift);
-                if hi != 0 {
-                    bytes[byte + 8] |= hi as u8;
-                }
+        Self::pack_iter(values.iter().copied(), bits)
+    }
+
+    /// [`PackedVec::pack`] over the values an iterator yields, so an encoder
+    /// can normalize inside the pack loop instead of staging a `Vec<u64>`.
+    ///
+    /// Output words are assembled in a register and stored once each: `acc`
+    /// holds the `fill < 64` bits not yet stored, and a value that crosses
+    /// the word boundary leaves its high bits behind as the next `acc`.
+    ///
+    /// # Panics
+    /// As [`PackedVec::pack`].
+    pub fn pack_iter(values: impl IntoIterator<Item = u64>, bits: u8) -> PackedVec {
+        assert!((1..=MAX_BITS).contains(&bits), "bit width {bits} out of range 1..=64");
+        let values = values.into_iter();
+        let (mask, width) = (mask_for(bits), bits as u32);
+        let mut bytes = Vec::with_capacity((values.size_hint().0 * bits as usize).div_ceil(8) + 16);
+        let (mut acc, mut fill, mut len) = (0u64, 0u32, 0usize);
+        for v in values {
+            assert!(v <= mask, "value {v} does not fit in {bits} bits");
+            acc |= v << fill;
+            fill += width;
+            if fill >= 64 {
+                bytes.extend_from_slice(&acc.to_le_bytes());
+                fill -= 64;
+                // `fill` high bits of `v` did not fit the stored word (none
+                // when it ended on the boundary, where the shift would be 64).
+                acc = if fill == 0 { 0 } else { v >> (width - fill) };
             }
-            bit_pos += bits as usize;
+            len += 1;
         }
-        PackedVec { bits, len: values.len(), bytes }
+        // The partial word, then zeros up to the 8 bytes of SIMD padding; the
+        // length comes from the values actually packed, so the padding holds
+        // whatever the iterator's size hint said.
+        bytes.extend_from_slice(&acc.to_le_bytes());
+        bytes.resize((len * bits as usize).div_ceil(8) + 8, 0);
+        PackedVec { bits, len, bytes }
     }
 
     /// Pack values using the minimal bit width for their maximum.
@@ -301,12 +315,6 @@ pub fn debug_assert_values_fit(values: &[u64], bits: u8) {
 fn read_u64_le(bytes: &[u8], offset: usize) -> u64 {
     // PANIC: the 8-byte slice is exact, so try_into must fit.
     u64::from_le_bytes(bytes[offset..offset + 8].try_into().unwrap())
-}
-
-#[inline]
-fn write_u64_le_or(bytes: &mut [u8], offset: usize, value: u64) {
-    let existing = read_u64_le(bytes, offset);
-    bytes[offset..offset + 8].copy_from_slice(&(existing | value).to_le_bytes());
 }
 
 #[cfg(target_arch = "x86_64")]

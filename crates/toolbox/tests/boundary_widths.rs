@@ -113,3 +113,45 @@ fn pack_minimal_picks_boundary_widths() {
         assert_eq!(pv.get(1), mask);
     }
 }
+
+/// The LSB-first layout, one bit at a time: value `i` occupies bits
+/// `[i*bits, (i+1)*bits)` of a stream padded with 8 zero bytes.
+fn pack_oracle(values: &[u64], bits: u8) -> Vec<u8> {
+    let mut bytes = vec![0u8; (values.len() * bits as usize).div_ceil(8) + 8];
+    for (i, &v) in values.iter().enumerate() {
+        for b in 0..bits as usize {
+            let pos = i * bits as usize + b;
+            bytes[pos / 8] |= ((v >> b) as u8 & 1) << (pos % 8);
+        }
+    }
+    bytes
+}
+
+#[test]
+fn pack_matches_the_bit_at_a_time_oracle() {
+    // Lengths around the 64-value period after which every width is back on
+    // a word boundary. Miri interprets the boundary widths only.
+    let all: Vec<u8> = (1..=64).collect();
+    let widths: &[u8] = if cfg!(miri) { &BOUNDARY_BITS } else { &all };
+    for &bits in widths {
+        for n in [0usize, 1, 63, 64, 65, 127, 129] {
+            let mut rng = Rng::seed_from_u64(bits as u64 * 1000 + n as u64);
+            let mut values: Vec<u64> = (0..n).map(|_| rng.next_u64() & mask_for(bits)).collect();
+            if let Some(last) = values.last_mut() {
+                *last = mask_for(bits);
+            }
+            let pv = PackedVec::pack(&values, bits);
+            assert_eq!(pv.bytes_padded(), &pack_oracle(&values, bits)[..], "width {bits}, n {n}");
+        }
+    }
+}
+
+#[test]
+fn pack_rejects_a_value_one_past_the_width() {
+    for &bits in BOUNDARY_BITS.iter().filter(|&&b| b < 64) {
+        let values = [0, mask_for(bits), mask_for(bits) + 1];
+        let packed = std::panic::catch_unwind(|| PackedVec::pack(&values, bits));
+        let message = *packed.expect_err("must panic").downcast::<String>().expect("formatted");
+        assert!(message.contains("does not fit"), "width {bits}: {message}");
+    }
+}

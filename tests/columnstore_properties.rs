@@ -1,11 +1,15 @@
 //! Property-based tests over the columnstore substrate: every encoding
 //! round-trips arbitrary values, the automatic chooser never loses data,
-//! segment metadata brackets the true value range, and table building /
-//! flushing / deleting preserves row-level contents.
+//! segment metadata brackets the true value range, table building /
+//! flushing / deleting preserves row-level contents, and — stated once, in
+//! `encoder_contract` — what the statistics pass promises the chooser.
 
 mod common;
 
-use bipie::columnstore::encoding::{encode_ints, EncodedColumn, EncodingHint};
+use bipie::columnstore::encoding::{
+    encode_ints, encode_strings, EncodedColumn, Encoding, EncodingHint, IntStats, MAX_DICT_ENTRIES,
+};
+use bipie::columnstore::segment::{ColumnData, Segment};
 use bipie::columnstore::{
     ColumnSpec, Date, DeletedBitmap, LogicalType, Table, TableBuilder, Value,
 };
@@ -21,7 +25,7 @@ const HINTS: [EncodingHint; 5] = [
 
 /// Value pools that exercise different encoding sweet spots.
 fn arb_values(g: &mut Gen) -> Vec<i64> {
-    match g.int(0u8..4) {
+    match g.int(0u8..8) {
         // dense small domain (dict / bitpack)
         0 => g.vec_of(0..400, |g| g.int(-5i64..5)),
         // long runs (RLE)
@@ -41,8 +45,140 @@ fn arb_values(g: &mut Gen) -> Vec<i64> {
                 .collect()
         }
         // full-range values
-        _ => g.vec_of(0..200, |g| g.rng.random::<i64>()),
+        3 => g.vec_of(0..200, |g| g.rng.random::<i64>()),
+        // constant
+        4 => vec![g.int(-1000i64..1000); g.int(0usize..300)],
+        // few distinct values scattered over a wide range (dict)
+        5 => {
+            let dict: Vec<i64> = g.vec_of(1..9, |g| g.int(-(1i64 << 50)..1 << 50));
+            g.vec_of(0..600, |g| *g.pick(&dict))
+        }
+        // the extremes: consecutive differences overflow `i64`
+        6 => g.vec_of(0..50, |g| *g.pick(&[i64::MIN, i64::MAX, 0, -1])),
+        // length 1
+        _ => vec![g.rng.random::<i64>()],
     }
+}
+
+/// `values[start..start + n]` decodes to itself.
+fn assert_decodes(col: &EncodedColumn, values: &[i64], start: usize, n: usize) {
+    let mut out = vec![0i64; n];
+    col.decode_i64_into(start, &mut out);
+    assert_eq!(&out[..], &values[start..start + n], "{:?} at {start}+{n}", col.encoding());
+}
+
+/// The encoder contract: (a) every size the chooser computes from the
+/// statistics is the size of the column built under that forced hint,
+/// (b) `Auto` builds the smallest candidate, ties going to bit packing and
+/// then in the order dictionary, run-length, delta, (c) every encoding
+/// round-trips from odd offsets, (d) the segment's metadata is the naive
+/// min / max / distinct bound.
+#[test]
+fn encoder_contract() {
+    run_cases("encoder_contract", 256, |g| {
+        let values = arb_values(g);
+        let stats = IntStats::scan(&values);
+        let forced = |hint| encode_ints(&values, hint);
+        let [bitpack, dict, rle, delta] = [
+            forced(EncodingHint::BitPack),
+            forced(EncodingHint::Dict),
+            forced(EncodingHint::Rle),
+            forced(EncodingHint::Delta),
+        ];
+        let distinct: std::collections::BTreeSet<i64> = values.iter().copied().collect();
+        let delta_overflows = values.windows(2).any(|w| w[1].checked_sub(w[0]).is_none());
+
+        // (a) A candidate is `None` exactly where it may not be chosen.
+        assert_eq!(stats.bitpack_bytes(), bitpack.encoded_bytes());
+        assert_eq!(stats.rle_bytes(), rle.encoded_bytes());
+        assert_eq!(stats.delta_bytes(), (!delta_overflows).then(|| delta.encoded_bytes()));
+        let dict_wins = !values.is_empty()
+            && distinct.len() <= MAX_DICT_ENTRIES
+            && dict.encoded_bytes() < bitpack.encoded_bytes();
+        assert_eq!(stats.dict_bytes(&values), dict_wins.then(|| dict.encoded_bytes()));
+
+        // (b) The first strictly smallest of the candidates, in tie order.
+        let auto = forced(EncodingHint::Auto);
+        let mut best = &bitpack;
+        for (candidate, allowed) in
+            [(&dict, distinct.len() <= MAX_DICT_ENTRIES), (&rle, true), (&delta, !delta_overflows)]
+        {
+            if allowed && !values.is_empty() && candidate.encoded_bytes() < best.encoded_bytes() {
+                best = candidate;
+            }
+        }
+        assert_eq!(auto.encoding(), best.encoding(), "{values:?}");
+        assert_eq!(auto.encoded_bytes(), best.encoded_bytes());
+
+        // (c)
+        for col in [&auto, &bitpack, &dict, &rle, &delta] {
+            assert_eq!(col.len(), values.len());
+            assert_decodes(col, &values, 0, values.len());
+            for start in [1usize, 3, 7].into_iter().filter(|&s| s < values.len()) {
+                assert_decodes(col, &values, start, (values.len() - start).min(5));
+                assert_decodes(col, &values, start, values.len() - start);
+            }
+        }
+
+        // (d)
+        let runs = values.len().min(1) + values.windows(2).filter(|w| w[0] != w[1]).count();
+        for hint in HINTS {
+            let seg = Segment::build(vec![ColumnData::Ints(values.clone())], &[hint]);
+            let meta = seg.meta(0);
+            let (lo, hi) = (distinct.first().copied(), distinct.last().copied());
+            assert_eq!((meta.min, meta.max), (lo.unwrap_or(0), hi.unwrap_or(0)));
+            let range = (meta.max as i128 - meta.min as i128 + 1).min(values.len() as i128);
+            let bound = match seg.column(0).encoding() {
+                Encoding::Dict => distinct.len(),
+                Encoding::Rle => runs,
+                Encoding::BitPack | Encoding::Delta => range as usize,
+            };
+            assert_eq!(meta.distinct_upper, bound, "{hint:?}");
+            assert!(meta.distinct_upper >= distinct.len());
+        }
+    });
+}
+
+/// A forced dictionary is legal at any cardinality; only `Auto` is capped.
+#[test]
+fn forced_dict_is_legal_past_the_auto_cap() {
+    let d = MAX_DICT_ENTRIES as i64 + 1;
+    // Unsorted, each value four times, and wide enough that a dictionary
+    // would win on size.
+    let values: Vec<i64> = (0..4 * d).map(|i| (i * 7919 % d) << 40).collect();
+    let col = encode_ints(&values, EncodingHint::Dict);
+    let EncodedColumn::IntDict(dict) = &col else {
+        panic!("forced Dict built {:?}", col.encoding())
+    };
+    assert_eq!(dict.dict().len(), MAX_DICT_ENTRIES + 1);
+    assert_eq!(dict.codes().bits(), 17);
+    assert!(dict.dict().windows(2).all(|w| w[0] < w[1]));
+    assert_decodes(&col, &values, 0, values.len());
+    assert_decodes(&col, &values, 12_345, 4097);
+
+    let stats = IntStats::scan(&values);
+    assert!(col.encoded_bytes() < stats.bitpack_bytes(), "the cap, not the size, must decide");
+    assert_eq!(stats.dict_bytes(&values), None);
+    assert_ne!(encode_ints(&values, EncodingHint::Auto).encoding(), Encoding::Dict);
+}
+
+/// Strings are interned in first-seen order, but the dictionary is sorted
+/// and the codes are ranks — range predicates and group ids rely on it.
+#[test]
+fn string_dictionary_is_sorted_whatever_the_arrival_order() {
+    run_cases("string_dictionary_is_sorted_whatever_the_arrival_order", 96, |g| {
+        let pool: Vec<String> = g.vec_of(1..40, |g| format!("k{}", g.int(0u32..500)));
+        let values: Vec<&str> = g.vec_of(0..300, |g| g.pick(&pool).as_str());
+        let EncodedColumn::StrDict(col) = encode_strings(&values) else {
+            panic!("strings always dictionary encode")
+        };
+        assert!(col.dict().windows(2).all(|w| w[0] < w[1]), "sorted, no duplicates");
+        for (i, v) in values.iter().enumerate() {
+            assert_eq!(col.get(i), *v);
+            let rank = col.dict().iter().filter(|d| d.as_str() < *v).count() as u64;
+            assert_eq!(col.codes().get(i), rank);
+        }
+    });
 }
 
 #[test]
@@ -99,7 +235,6 @@ fn auto_choice_never_beats_forced_sizes() {
 #[test]
 fn segment_metadata_brackets_values() {
     run_cases("segment_metadata_brackets_values", 96, |g| {
-        use bipie::columnstore::segment::{ColumnData, Segment};
         let values = arb_values(g);
         if values.is_empty() {
             return;

@@ -151,6 +151,68 @@ fn every_forced_combination_equals_reference() {
     });
 }
 
+/// The row-at-a-time tail against the oracle's own walk: a table that is
+/// only tail, and one whose tail is longer than a batch and introduces a
+/// group no segment holds. The query carries what the tail evaluates from
+/// the resolved plan: a string equality and an integer BETWEEN, MIN/MAX, and
+/// Q1's shared sub-expression (`charge` reusing `disc_price`).
+#[test]
+fn mutable_tail_equals_reference() {
+    let specs = || {
+        vec![
+            ColumnSpec::new("flag", LogicalType::Str),
+            ColumnSpec::new("status", LogicalType::Str),
+            ColumnSpec::new("price", LogicalType::I64),
+            ColumnSpec::new("disc", LogicalType::I64),
+            ColumnSpec::new("tax", LogicalType::I64),
+        ]
+    };
+    let row = |i: i64, flags: &[&str]| {
+        vec![
+            Value::Str(flags[(i * 7 % flags.len() as i64) as usize].into()),
+            Value::Str(["F", "O"][(i % 3 == 0) as usize].into()),
+            Value::I64(90_000 + i * 37 % 1000),
+            Value::I64(i % 11),
+            Value::I64(i * 5 % 9),
+        ]
+    };
+    let disc_price = Expr::col("price").mul(Expr::lit(100).sub(Expr::col("disc")));
+    let charge = disc_price.clone().mul(Expr::lit(100).add(Expr::col("tax")));
+    let query = QueryBuilder::new()
+        .filter(Predicate::eq("status", Value::Str("O".into())))
+        .filter(Predicate::between("disc", Value::I64(2), Value::I64(9)))
+        .group_by("flag")
+        .aggregate(AggExpr::count_star())
+        .aggregate(AggExpr::sum_expr(disc_price))
+        .aggregate(AggExpr::sum_expr(charge))
+        .aggregate(AggExpr::avg("price"))
+        .aggregate(AggExpr::min("tax"))
+        .aggregate(AggExpr::max_expr(Expr::col("price").sub(Expr::col("disc"))))
+        .build();
+
+    // (segment rows, rows in segments, rows in the tail)
+    for (segment_rows, flushed, tail) in [(10_000usize, 0usize, 3000usize), (500, 1000, 4500)] {
+        let mut table = Table::with_segment_rows(specs(), segment_rows.max(tail + 1));
+        for i in 0..flushed as i64 {
+            table.insert(row(i, &["A", "N"]));
+            if table.mutable_rows().len() == segment_rows {
+                table.flush_mutable();
+            }
+        }
+        // "R" is first seen in the tail.
+        for i in 0..tail as i64 {
+            table.insert(row(i, &["R", "A", "N"]));
+        }
+        assert_eq!(table.segments().len(), flushed / segment_rows);
+        assert_eq!(table.mutable_rows().len(), tail);
+        let fast = execute(&table, &query).unwrap();
+        let slow = execute_reference(&table, &query).unwrap();
+        assert_eq!(fast.rows, slow.rows, "flushed={flushed} tail={tail}");
+        assert_eq!(fast.stats.mutable_rows, tail);
+        assert!(fast.row_for(&[Value::Str("R".into())]).is_some());
+    }
+}
+
 #[test]
 fn parallel_and_serial_agree() {
     let spec = TableSpec {

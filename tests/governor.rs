@@ -39,6 +39,19 @@ fn table(chunks: &[usize], groups: i64) -> Table {
     t
 }
 
+/// No segment at all: `rows` rows in the mutable region.
+fn tail_only_table(rows: usize) -> Table {
+    let mut t = Table::with_segment_rows(table(&[], 1).specs().to_vec(), 1 << 21);
+    for i in 0..rows as i64 {
+        t.insert(vec![
+            Value::I64(i % 7),
+            Value::I64(i * 37 % 10_000 - 5_000),
+            Value::I64(i % 1_000),
+        ]);
+    }
+    t
+}
+
 fn the_query(options: QueryOptions) -> Query {
     QueryBuilder::new()
         .filter(Predicate::ge("a", Value::I64(-4_000)))
@@ -108,6 +121,38 @@ fn expired_deadline_is_a_typed_error_in_both_modes() {
         let err = execute(&t, &the_query(opts)).unwrap_err();
         assert!(matches!(err, EngineError::DeadlineExceeded), "{err:?}");
     }
+}
+
+#[test]
+fn the_mutable_tail_runs_under_the_governor() {
+    let t = tail_only_table(300_000);
+    assert!(t.segments().is_empty());
+
+    let token = CancelToken::new();
+    token.cancel();
+    let err =
+        execute(&t, &the_query(QueryOptions { cancel: Some(token), ..serial() })).unwrap_err();
+    assert!(matches!(err, EngineError::Cancelled), "{err:?}");
+
+    // 1 ns has expired at admission; 200 µs expires inside the walk (which
+    // takes tens of milliseconds), where only the tail's own poll can see it.
+    for budget in [Duration::from_nanos(1), Duration::from_micros(200)] {
+        let opts = QueryOptions { time_budget: Some(budget), ..serial() };
+        let err = execute(&t, &the_query(opts)).unwrap_err();
+        assert!(matches!(err, EngineError::DeadlineExceeded), "{budget:?}: {err:?}");
+    }
+
+    // A live token is polled once at admission and once per 1 024 tail rows.
+    let opts = QueryOptions { cancel: Some(CancelToken::new()), ..serial() };
+    let governed = execute(&t, &the_query(opts)).unwrap();
+    assert_eq!(governed.stats.governor_checks, 1 + 300_000usize.div_ceil(1024));
+    assert_eq!(governed.stats.mutable_rows, 300_000);
+
+    // Nothing is left tripped: ungoverned runs agree, on the pool and off it.
+    let par = execute(&t, &the_query(parallel(4))).unwrap();
+    let ser = execute(&t, &the_query(serial())).unwrap();
+    assert_eq!(par.rows, ser.rows);
+    assert_eq!(par.rows, governed.rows);
 }
 
 #[test]
