@@ -77,6 +77,7 @@ impl ExactSizeIterator for BatchCursor {}
 /// `Relaxed` suffices here (see DESIGN.md §8).
 #[derive(Debug)]
 pub struct MorselCursor {
+    /// End (exclusive) of the claimable rows.
     num_rows: usize,
     morsel_rows: usize,
     next: AtomicUsize,
@@ -85,8 +86,16 @@ pub struct MorselCursor {
 impl MorselCursor {
     /// A cursor over `num_rows` rows in morsels of `morsel_rows`.
     pub fn new(num_rows: usize, morsel_rows: usize) -> MorselCursor {
+        MorselCursor::with_range(0, num_rows, morsel_rows)
+    }
+
+    /// A cursor over rows `[start, end)` only: rows outside are never
+    /// claimed. For a scan that already knows, from a sorted column, the
+    /// row interval its predicate can match.
+    pub fn with_range(start: usize, end: usize, morsel_rows: usize) -> MorselCursor {
         assert!(morsel_rows > 0, "morsel size must be positive");
-        MorselCursor { num_rows, morsel_rows, next: AtomicUsize::new(0) }
+        assert!(start <= end, "row range [{start}, {end}) is reversed");
+        MorselCursor { num_rows: end, morsel_rows, next: AtomicUsize::new(start) }
     }
 
     /// Claim the next unclaimed morsel, or `None` when the segment is
@@ -237,6 +246,19 @@ mod tests {
         all_starts.sort_unstable();
         all_starts.dedup();
         assert_eq!(all_starts.len(), 100_000usize.div_ceil(257));
+    }
+
+    #[test]
+    fn ranged_cursor_claims_only_its_rows() {
+        let c = MorselCursor::with_range(512, 1300, 256);
+        assert_eq!(c.remaining(), 788);
+        let mut claimed = Vec::new();
+        while let Some((idx, b)) = c.claim_indexed() {
+            assert_eq!(idx, b.start / 256);
+            claimed.push((b.start, b.len));
+        }
+        assert_eq!(claimed, vec![(512, 256), (768, 256), (1024, 256), (1280, 20)]);
+        assert!(MorselCursor::with_range(700, 700, 256).claim().is_none());
     }
 
     #[test]

@@ -39,6 +39,23 @@ impl DeletedBitmap {
         self.deleted == 0
     }
 
+    /// Number of deleted rows in `[start, end)`.
+    pub fn deleted_in(&self, start: usize, end: usize) -> usize {
+        assert!(start <= end && end <= self.len, "range out of bounds");
+        if self.deleted == 0 || start == end {
+            return 0;
+        }
+        // Bits of word `w` that fall inside the range.
+        let inside = |w: usize| {
+            let lo = if w == start / 64 { !0u64 << (start % 64) } else { !0 };
+            let hi = if w == (end - 1) / 64 { !0u64 >> (63 - (end - 1) % 64) } else { !0 };
+            lo & hi
+        };
+        (start / 64..=(end - 1) / 64)
+            .map(|w| (self.words[w] & inside(w)).count_ones() as usize)
+            .sum()
+    }
+
     /// Mark row `row` deleted. Idempotent.
     pub fn delete(&mut self, row: usize) {
         assert!(row < self.len, "row {row} out of bounds ({})", self.len);
@@ -88,6 +105,22 @@ mod tests {
         assert_eq!(bm.deleted_count(), 4);
         assert!(bm.is_deleted(0) && bm.is_deleted(63) && bm.is_deleted(64) && bm.is_deleted(99));
         assert!(!bm.is_deleted(1));
+    }
+
+    #[test]
+    fn deleted_in_counts_a_row_range() {
+        let mut bm = DeletedBitmap::new(300);
+        assert_eq!(bm.deleted_in(0, 300), 0);
+        for row in [0, 63, 64, 127, 128, 299] {
+            bm.delete(row);
+        }
+        assert_eq!(bm.deleted_in(0, 300), 6);
+        assert_eq!(bm.deleted_in(0, 0), 0);
+        assert_eq!(bm.deleted_in(1, 63), 0);
+        assert_eq!(bm.deleted_in(63, 65), 2);
+        assert_eq!(bm.deleted_in(64, 128), 2);
+        assert_eq!(bm.deleted_in(65, 299), 2);
+        assert_eq!(bm.deleted_in(299, 300), 1);
     }
 
     #[test]

@@ -62,24 +62,11 @@ impl DeltaColumn {
     }
 
     /// Sortedness metadata: true when the logical values never decrease.
-    /// Monotonic range pruning relies on this contract — range predicates
-    /// over a non-decreasing column select a contiguous row interval, so a
-    /// whole batch can be accepted/rejected from its boundary values.
+    /// Monotonic range pruning relies on this contract — a range predicate
+    /// over a non-decreasing column selects one contiguous row interval,
+    /// bounded by two [`DeltaColumn::partition_point`]s.
     pub fn is_non_decreasing(&self) -> bool {
         self.non_decreasing
-    }
-
-    /// Random access to one logical value: replays at most
-    /// [`ANCHOR_INTERVAL`] deltas from the nearest anchor. Intended for
-    /// boundary probes (monotonic binary search), not bulk decoding.
-    pub fn get(&self, row: usize) -> i64 {
-        assert!(row < self.len, "row {row} out of bounds (len {})", self.len);
-        let anchor_idx = row / ANCHOR_INTERVAL;
-        let mut value = self.anchors[anchor_idx];
-        for di in anchor_idx * ANCHOR_INTERVAL..row {
-            value = value.wrapping_add(self.min_delta).wrapping_add(self.deltas.get(di) as i64);
-        }
-        value
     }
 
     /// Payload size in bytes.
@@ -87,8 +74,46 @@ impl DeltaColumn {
         16 + self.anchors.len() * 8 + self.deltas.packed_bytes()
     }
 
+    /// First row whose value is `>= bound` (`> bound` when `strict`), or
+    /// `len()` when there is none: the partition point of a sorted column.
+    /// Binary searches the anchors, then resolves inside one anchor block
+    /// with one bulk unpack and a running sum.
+    ///
+    /// # Panics
+    /// Panics unless [`DeltaColumn::is_non_decreasing`].
+    pub fn partition_point(&self, bound: i64, strict: bool) -> usize {
+        assert!(self.non_decreasing, "partition point of an unsorted column");
+        let below = |v: i64| v < bound || (strict && v == bound);
+        let blocks_below = self.anchors.partition_point(|&a| below(a));
+        if blocks_below == 0 {
+            return 0;
+        }
+        // The last anchor below the bound starts the block that holds the
+        // answer: the first row past it that is not below, else the next
+        // anchor's row (or the end of the column).
+        let first = (blocks_below - 1) * ANCHOR_INTERVAL;
+        let end = (first + ANCHOR_INTERVAL).min(self.len);
+        let mut deltas = [0u64; ANCHOR_INTERVAL];
+        let deltas = &mut deltas[..end - first - 1];
+        self.deltas.unpack_into_u64(first, deltas, SimdLevel::detect());
+        let mut value = self.anchors[blocks_below - 1];
+        for (i, &d) in deltas.iter().enumerate() {
+            value = value.wrapping_add(self.min_delta).wrapping_add(d as i64);
+            if !below(value) {
+                return first + 1 + i;
+            }
+        }
+        end
+    }
+
     /// Decode logical values for rows `[start, start + out.len())`.
     pub fn decode_i64_into(&self, start: usize, out: &mut [i64]) {
+        self.decode_i64_with(start, out, &mut Vec::new());
+    }
+
+    /// [`DeltaColumn::decode_i64_into`] with the unpacked-delta buffer taken
+    /// from the caller, so a batch loop allocates nothing per call.
+    pub fn decode_i64_with(&self, start: usize, out: &mut [i64], deltas: &mut Vec<u64>) {
         if out.is_empty() {
             return;
         }
@@ -100,9 +125,10 @@ impl DeltaColumn {
         // Unpack the needed delta window in one go.
         let first_delta = row; // delta index for row+1 is `row`
         let n_deltas = start + out.len() - 1 - row;
-        let mut deltas = vec![0u64; n_deltas];
+        deltas.clear();
+        deltas.resize(n_deltas, 0);
         if n_deltas > 0 {
-            self.deltas.unpack_into_u64(first_delta, &mut deltas, SimdLevel::detect());
+            self.deltas.unpack_into_u64(first_delta, deltas, SimdLevel::detect());
         }
         let mut di = 0usize;
         while row < start {

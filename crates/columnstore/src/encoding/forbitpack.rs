@@ -79,6 +79,27 @@ impl ForBitPackColumn {
         (self.packed.get(row) as i128 + self.reference as i128) as i64
     }
 
+    /// First row whose value is `>= bound` (`> bound` when `strict`), or
+    /// `len()` when there is none: the partition point of a sorted column,
+    /// found by binary search over [`ForBitPackColumn::get`].
+    ///
+    /// # Panics
+    /// Panics unless [`ForBitPackColumn::is_non_decreasing`].
+    pub fn partition_point(&self, bound: i64, strict: bool) -> usize {
+        assert!(self.non_decreasing, "partition point of an unsorted column");
+        let (mut lo, mut hi) = (0usize, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let v = self.get(mid);
+            if v < bound || (strict && v == bound) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
     /// Payload size in bytes.
     pub fn encoded_bytes(&self) -> usize {
         8 + self.packed.packed_bytes()

@@ -133,6 +133,16 @@ impl EncodedColumn {
         }
     }
 
+    /// [`EncodedColumn::decode_i64_into`] for a batch loop: whatever buffer
+    /// the decoder needs besides `out` comes from `scratch` (only delta
+    /// decoding needs one), so nothing is allocated per call.
+    pub fn decode_i64_with(&self, start: usize, out: &mut [i64], scratch: &mut Vec<u64>) {
+        match self {
+            EncodedColumn::Delta(c) => c.decode_i64_with(start, out, scratch),
+            other => other.decode_i64_into(start, out),
+        }
+    }
+
     /// Logical integer value of a single row (slow path, for testing and
     /// row-level reads).
     pub fn get_i64(&self, row: usize) -> i64 {

@@ -7,20 +7,27 @@
 //!
 //! Filters here are conjunctions of column-vs-constant comparisons (the
 //! ad-hoc analytical shape, e.g. Q1's `l_shipdate <= DATE '1998-09-02'`).
-//! Evaluation works **on encoded data** wherever possible:
+//! A predicate meets a segment's encodings and metadata exactly once, in
+//! [`ResolvedPredicate::compile`], which answers three things
+//! (DESIGN.md §13):
 //!
-//! * bit-packed columns compare their normalized (frame-of-reference)
-//!   values against the translated constant — no decode to logical values;
-//! * dictionary columns (string or integer) translate the predicate into
-//!   the *code* domain using the sorted dictionary, then compare codes;
-//! * other encodings decode to `i64` and use the SIMD `i64` comparison.
+//! * **eliminated** — a conjunct whose translated constant falls outside
+//!   the segment's min/max (or dictionary) proves no row matches (§2.1);
+//! * a **row range** — every interval conjunct over a sorted column is two
+//!   partition points, and the scan never leaves their intersection;
+//! * **residual batch kernels** that work **on encoded data**: bit-packed
+//!   columns compare normalized (frame-of-reference) values against the
+//!   translated constant; dictionary columns (string or integer) compare
+//!   codes, a conjunction over one of them as a single membership table;
+//!   RLE columns compare once per run; other encodings decode to `i64`.
 //!
-//! The same translation powers **segment elimination**: a predicate whose
-//! translated constant falls outside the segment's min/max proves the
-//! segment contributes no rows (§2.1).
+//! A conjunct that metadata or the row range answers exactly is dropped.
+
+use std::ops::Range;
 
 use bipie_columnstore::encoding::{EncodedColumn, RleColumn};
 use bipie_columnstore::{LogicalType, Segment, Table, Value};
+use bipie_toolbox::bitpack::PackedVec;
 use bipie_toolbox::cmp::{self, CmpOp};
 use bipie_toolbox::runspan::{enc_filter_codes_bitset, enc_intersect_spans};
 use bipie_toolbox::selvec::{REJECTED, SELECTED};
@@ -137,7 +144,8 @@ impl Predicate {
                         }
                         // PANIC: the type-mismatch branch just above already
                         // rejected non-integer-like constants.
-                        Ok(PNode::IntCmp { col, op: *op, c: v.as_storage_i64().unwrap() })
+                        let c = v.as_storage_i64().unwrap();
+                        Ok(PNode::Int { col, cmp: LogicalCmp::Cmp(*op, c) })
                     }
                 }
             }
@@ -155,7 +163,7 @@ impl Predicate {
                         })
                     }
                 };
-                Ok(PNode::IntBetween { col, lo, hi })
+                Ok(PNode::Int { col, cmp: LogicalCmp::Between(lo, hi) })
             }
             Predicate::And(preds) => {
                 let nodes: Result<Vec<PNode>> =
@@ -195,8 +203,7 @@ impl Predicate {
 
 #[derive(Debug, Clone)]
 enum PNode {
-    IntCmp { col: usize, op: CmpOp, c: i64 },
-    IntBetween { col: usize, lo: i64, hi: i64 },
+    Int { col: usize, cmp: LogicalCmp },
     StrCmp { col: usize, op: CmpOp, value: String },
     And(Vec<PNode>),
 }
@@ -210,11 +217,11 @@ pub struct ResolvedPredicate {
 /// Reusable scratch buffers for filter evaluation.
 #[derive(Debug, Default)]
 pub struct FilterScratch {
+    u8_buf: Vec<u8>,
     u32_buf: Vec<u32>,
+    u64_buf: Vec<u64>,
     i64_buf: Vec<i64>,
     tmp_sel: Vec<u8>,
-    /// Dictionary-id bitset for conjunction fusion over dict columns.
-    dict_bits: Vec<u64>,
     /// Span scratch for run-span evaluation of conjunctions.
     tmp_spans: Vec<RunSpanVec>,
 }
@@ -230,6 +237,18 @@ enum DomainCmp {
     Cmp(CmpOp, u64),
     /// Inclusive range in the translated domain.
     Between(u64, u64),
+}
+
+impl DomainCmp {
+    /// Whether the comparison accepts translated value `v`.
+    fn matches(self, v: u64) -> bool {
+        match self {
+            DomainCmp::All => true,
+            DomainCmp::None => false,
+            DomainCmp::Cmp(op, c) => op.eval(v, c),
+            DomainCmp::Between(lo, hi) => v >= lo && v <= hi,
+        }
+    }
 }
 
 /// Translate `x OP c` (logical) into the normalized domain `[0, range]`
@@ -309,370 +328,6 @@ fn threshold_ge(k: usize) -> DomainCmp {
     }
 }
 
-impl ResolvedPredicate {
-    /// True if segment metadata proves no row can match (§2.1 segment
-    /// elimination).
-    pub fn eliminates_segment(&self, seg: &Segment) -> bool {
-        Self::node_eliminates(&self.node, seg)
-    }
-
-    fn node_eliminates(node: &PNode, seg: &Segment) -> bool {
-        match node {
-            PNode::IntCmp { col, op, c } => {
-                let m = seg.meta(*col);
-                matches!(translate_cmp(*op, *c, m.min, m.range()), DomainCmp::None)
-            }
-            PNode::IntBetween { col, lo, hi } => {
-                let m = seg.meta(*col);
-                matches!(translate_between(*lo, *hi, m.min, m.range()), DomainCmp::None)
-            }
-            PNode::StrCmp { col, op, value } => match seg.column(*col) {
-                EncodedColumn::StrDict(d) => {
-                    matches!(str_domain_cmp(d.dict(), *op, value), DomainCmp::None)
-                }
-                _ => false,
-            },
-            PNode::And(nodes) => nodes.iter().any(|n| Self::node_eliminates(n, seg)),
-        }
-    }
-
-    /// Row-level evaluation against one row of the mutable region, whose
-    /// values sit at the schema's column indices.
-    pub fn eval_row(&self, row: &[Value]) -> bool {
-        fn int_at(row: &[Value], col: usize) -> i64 {
-            // PANIC: `resolve` typed this column integer-like, and the
-            // table's `check_row` typed the row against the same schema.
-            row[col].as_storage_i64().expect("integer-like by resolve")
-        }
-        fn walk(node: &PNode, row: &[Value]) -> bool {
-            match node {
-                PNode::IntCmp { col, op, c } => op.eval(int_at(row, *col), *c),
-                PNode::IntBetween { col, lo, hi } => (*lo..=*hi).contains(&int_at(row, *col)),
-                PNode::StrCmp { col, op, value } => {
-                    // PANIC: a string column by `resolve`, a string value by
-                    // the table's `check_row`.
-                    op.eval(row[*col].as_str().expect("string by resolve"), value.as_str())
-                }
-                PNode::And(nodes) => nodes.iter().all(|n| walk(n, row)),
-            }
-        }
-        walk(&self.node, row)
-    }
-
-    /// Evaluate the predicate over batch rows `[start, start+out.len())` of
-    /// a segment, writing the canonical selection byte mask into `out`
-    /// (deleted rows are merged by the caller).
-    pub fn eval_batch(
-        &self,
-        seg: &Segment,
-        start: usize,
-        out: &mut [u8],
-        scratch: &mut FilterScratch,
-        level: SimdLevel,
-    ) {
-        Self::eval_node(&self.node, seg, start, out, scratch, level);
-    }
-
-    fn eval_node(
-        node: &PNode,
-        seg: &Segment,
-        start: usize,
-        out: &mut [u8],
-        scratch: &mut FilterScratch,
-        level: SimdLevel,
-    ) {
-        let n = out.len();
-        match node {
-            PNode::IntCmp { col, op, c } => {
-                eval_int_domain(seg, *col, start, out, scratch, level, LogicalCmp::Cmp(*op, *c));
-            }
-            PNode::IntBetween { col, lo, hi } => {
-                eval_int_domain(
-                    seg,
-                    *col,
-                    start,
-                    out,
-                    scratch,
-                    level,
-                    LogicalCmp::Between(*lo, *hi),
-                );
-            }
-            PNode::StrCmp { col, op, value } => match seg.column(*col) {
-                EncodedColumn::StrDict(d) => {
-                    let dc = str_domain_cmp(d.dict(), *op, value);
-                    apply_domain_cmp_packed(d.codes(), dc, start, out, scratch, level);
-                }
-                // PANIC: string columns always dictionary-encode (see
-                // `encode_strings`), so StrCmp only meets StrDict.
-                other => unreachable!("string column encoded as {:?}", other.encoding()),
-            },
-            PNode::And(nodes) => {
-                // Dictionary predicate pre-evaluation (DESIGN.md §13):
-                // conjuncts over the *same* dictionary column fuse into one
-                // id-bitset built by evaluating each comparison once per
-                // dictionary entry, followed by a single membership pass
-                // over the codes — instead of unpacking and comparing the
-                // codes once per conjunct.
-                let annotated: Vec<Option<(usize, DomainCmp)>> =
-                    nodes.iter().map(|node| dict_conjunct(node, seg)).collect();
-                let mut groups: Vec<(usize, Vec<DomainCmp>)> = Vec::new();
-                let mut rest: Vec<&PNode> = Vec::new();
-                for (node, ann) in nodes.iter().zip(&annotated) {
-                    match ann {
-                        Some((col, dc))
-                            if annotated.iter().flatten().filter(|(c, _)| c == col).count()
-                                >= 2 =>
-                        {
-                            match groups.iter_mut().find(|(c, _)| c == col) {
-                                Some((_, dcs)) => dcs.push(*dc),
-                                None => groups.push((*col, vec![*dc])),
-                            }
-                        }
-                        _ => rest.push(node),
-                    }
-                }
-                let mut tmp = std::mem::take(&mut scratch.tmp_sel);
-                tmp.clear();
-                tmp.resize(n, 0);
-                let mut first = true;
-                for (col, dcs) in &groups {
-                    let target: &mut [u8] = if first { &mut *out } else { &mut tmp };
-                    eval_dict_fused(seg, *col, dcs, start, target, scratch, level);
-                    if !first {
-                        for (o, t) in out.iter_mut().zip(&tmp) {
-                            *o &= *t;
-                        }
-                    }
-                    first = false;
-                }
-                for node in rest {
-                    let target: &mut [u8] = if first { &mut *out } else { &mut tmp };
-                    Self::eval_node(node, seg, start, target, scratch, level);
-                    if !first {
-                        for (o, t) in out.iter_mut().zip(&tmp) {
-                            *o &= *t;
-                        }
-                    }
-                    first = false;
-                }
-                // PANIC: plan compilation drops empty conjunctions, so at
-                // least one group or plain conjunct wrote into `out`.
-                assert!(!first, "non-empty conjunction");
-                scratch.tmp_sel = tmp;
-            }
-        }
-    }
-
-    /// True when every column this predicate references is RLE-encoded in
-    /// `seg` (string comparisons are never eligible), so the predicate can
-    /// be evaluated run-wise into a run-granular selection via
-    /// [`ResolvedPredicate::eval_batch_spans`].
-    pub fn span_eligible(&self, seg: &Segment) -> bool {
-        Self::node_span_eligible(&self.node, seg)
-    }
-
-    fn node_span_eligible(node: &PNode, seg: &Segment) -> bool {
-        match node {
-            PNode::IntCmp { col, .. } | PNode::IntBetween { col, .. } => {
-                matches!(seg.column(*col), EncodedColumn::Rle(_))
-            }
-            PNode::StrCmp { .. } => false,
-            PNode::And(nodes) => nodes.iter().all(|n| Self::node_span_eligible(n, seg)),
-        }
-    }
-
-    /// Evaluate the predicate run-wise over batch rows `[start, start+len)`
-    /// of a segment, producing a *batch-relative* run-granular selection
-    /// (one comparison per run instead of one per row, O(runs)). Callers
-    /// must check [`ResolvedPredicate::span_eligible`] first; deleted rows
-    /// are the caller's concern, exactly as with
-    /// [`ResolvedPredicate::eval_batch`].
-    pub fn eval_batch_spans(
-        &self,
-        seg: &Segment,
-        start: usize,
-        len: usize,
-        out: &mut RunSpanVec,
-        scratch: &mut FilterScratch,
-    ) {
-        Self::eval_node_spans(&self.node, seg, start, len, out, scratch);
-    }
-
-    fn eval_node_spans(
-        node: &PNode,
-        seg: &Segment,
-        start: usize,
-        len: usize,
-        out: &mut RunSpanVec,
-        scratch: &mut FilterScratch,
-    ) {
-        match node {
-            PNode::IntCmp { col, op, c } => {
-                eval_rle_spans(rle_col(seg, *col), start, len, LogicalCmp::Cmp(*op, *c), out);
-            }
-            PNode::IntBetween { col, lo, hi } => {
-                eval_rle_spans(rle_col(seg, *col), start, len, LogicalCmp::Between(*lo, *hi), out);
-            }
-            // PANIC: span eligibility rejects string predicates.
-            PNode::StrCmp { .. } => unreachable!("string predicates are not span-eligible"),
-            PNode::And(nodes) => {
-                // PANIC: plan compilation drops empty conjunctions.
-                let (first, rest) = nodes.split_first().expect("non-empty conjunction");
-                Self::eval_node_spans(first, seg, start, len, out, scratch);
-                if rest.is_empty() {
-                    return;
-                }
-                let mut a = scratch.tmp_spans.pop().unwrap_or_default();
-                let mut b = scratch.tmp_spans.pop().unwrap_or_default();
-                for node in rest {
-                    if out.is_empty() {
-                        break;
-                    }
-                    Self::eval_node_spans(node, seg, start, len, &mut a, scratch);
-                    enc_intersect_spans(out.spans(), a.spans(), &mut b);
-                    std::mem::swap(out, &mut b);
-                }
-                scratch.tmp_spans.push(a);
-                scratch.tmp_spans.push(b);
-            }
-        }
-    }
-}
-
-/// The run-span work ratio of a predicate on one segment: total runs its
-/// RLE columns walk per batch row. `None` when the predicate is not
-/// span-eligible for the segment. Used by the strategy chooser to cost the
-/// run-wise path.
-pub(crate) fn span_runs_fraction(pred: &ResolvedPredicate, seg: &Segment) -> Option<f64> {
-    if !pred.span_eligible(seg) {
-        return None;
-    }
-    let mut runs = 0usize;
-    let mut rows = 0usize;
-    collect_rle_runs(&pred.node, seg, &mut runs, &mut rows);
-    if rows == 0 {
-        return Some(0.0);
-    }
-    Some(runs as f64 / rows as f64)
-}
-
-fn collect_rle_runs(node: &PNode, seg: &Segment, runs: &mut usize, rows: &mut usize) {
-    match node {
-        PNode::IntCmp { col, .. } | PNode::IntBetween { col, .. } => {
-            let r = rle_col(seg, *col);
-            *runs += r.num_runs();
-            *rows += r.len();
-        }
-        PNode::StrCmp { .. } => {}
-        PNode::And(nodes) => {
-            for n in nodes {
-                collect_rle_runs(n, seg, runs, rows);
-            }
-        }
-    }
-}
-
-/// The column of `seg` that `col` indexes, as an RLE column.
-fn rle_col(seg: &Segment, col: usize) -> &RleColumn {
-    match seg.column(col) {
-        EncodedColumn::Rle(r) => r,
-        // PANIC: span eligibility checked every referenced column is RLE.
-        other => unreachable!("span evaluation on non-RLE column {:?}", other.encoding()),
-    }
-}
-
-/// Walk the runs of `r` overlapping `[start, start+len)`, pushing the rows
-/// of accepted runs as batch-relative coalesced spans.
-fn eval_rle_spans(
-    r: &RleColumn,
-    start: usize,
-    len: usize,
-    logical: LogicalCmp,
-    out: &mut RunSpanVec,
-) {
-    out.clear();
-    if len == 0 {
-        return;
-    }
-    let ends = r.run_ends();
-    let values = r.run_values();
-    let batch_end = start + len;
-    let mut run = r.run_index_of(start);
-    let mut row = start;
-    while row < batch_end {
-        let run_end = (ends[run] as usize).min(batch_end);
-        if logical.matches(values[run]) {
-            out.push((row - start) as u32, (run_end - row) as u32);
-        }
-        row = run_end;
-        run += 1;
-    }
-}
-
-/// A conjunct that targets a dictionary-encoded column of `seg`, translated
-/// into the code domain — the unit of dictionary conjunction fusion.
-fn dict_conjunct(node: &PNode, seg: &Segment) -> Option<(usize, DomainCmp)> {
-    match node {
-        PNode::IntCmp { col, op, c } => match seg.column(*col) {
-            EncodedColumn::IntDict(d) => {
-                Some((*col, LogicalCmp::Cmp(*op, *c).to_code_domain(d.dict())))
-            }
-            _ => None,
-        },
-        PNode::IntBetween { col, lo, hi } => match seg.column(*col) {
-            EncodedColumn::IntDict(d) => {
-                Some((*col, LogicalCmp::Between(*lo, *hi).to_code_domain(d.dict())))
-            }
-            _ => None,
-        },
-        PNode::StrCmp { col, op, value } => match seg.column(*col) {
-            EncodedColumn::StrDict(d) => Some((*col, str_domain_cmp(d.dict(), *op, value))),
-            _ => None,
-        },
-        PNode::And(_) => None,
-    }
-}
-
-/// Whether translated-domain comparison `dc` accepts dictionary id `code`.
-fn domain_cmp_matches(dc: DomainCmp, code: u64) -> bool {
-    match dc {
-        DomainCmp::All => true,
-        DomainCmp::None => false,
-        DomainCmp::Cmp(op, c) => op.eval(code, c),
-        DomainCmp::Between(lo, hi) => code >= lo && code <= hi,
-    }
-}
-
-/// Evaluate a fused group of code-domain comparisons over one dictionary
-/// column: build the id-bitset once over the dictionary, then run a single
-/// membership pass over the codes.
-fn eval_dict_fused(
-    seg: &Segment,
-    col: usize,
-    dcs: &[DomainCmp],
-    start: usize,
-    out: &mut [u8],
-    scratch: &mut FilterScratch,
-    level: SimdLevel,
-) {
-    let (codes, dict_len) = match seg.column(col) {
-        EncodedColumn::IntDict(d) => (d.codes(), d.dict().len()),
-        EncodedColumn::StrDict(d) => (d.codes(), d.dict().len()),
-        // PANIC: `dict_conjunct` only selects dictionary-encoded columns.
-        other => unreachable!("fused non-dictionary column {:?}", other.encoding()),
-    };
-    scratch.dict_bits.clear();
-    scratch.dict_bits.resize(dict_len.div_ceil(64), 0);
-    for code in 0..dict_len as u64 {
-        if dcs.iter().all(|&dc| domain_cmp_matches(dc, code)) {
-            scratch.dict_bits[(code / 64) as usize] |= 1u64 << (code % 64);
-        }
-    }
-    scratch.u32_buf.resize(out.len(), 0);
-    codes.unpack_into_u32(start, &mut scratch.u32_buf, level);
-    enc_filter_codes_bitset(&scratch.u32_buf, &scratch.dict_bits, out);
-}
-
 fn str_domain_cmp(dict: &[String], op: CmpOp, value: &str) -> DomainCmp {
     translate_str_cmp(op, value, |v: &str| {
         let k_lt = dict.partition_point(|d| d.as_str() < v);
@@ -730,120 +385,475 @@ impl LogicalCmp {
     }
 }
 
-/// Evaluate a logical comparison over an integer-like column batch.
-fn eval_int_domain(
-    seg: &Segment,
-    col: usize,
-    start: usize,
-    out: &mut [u8],
-    scratch: &mut FilterScratch,
-    level: SimdLevel,
-    logical: LogicalCmp,
-) {
-    if out.is_empty() {
-        return;
+impl ResolvedPredicate {
+    /// Compile the predicate against one segment: the one place where it
+    /// meets the segment's encodings and metadata. The result borrows only
+    /// the segment; it is immutable, so every worker scanning the segment
+    /// shares one by reference and brings its own [`FilterScratch`].
+    pub fn compile<'a>(&self, seg: &'a Segment) -> SegmentPredicate<'a> {
+        let mut compiled = SegmentPredicate { rows: 0..seg.num_rows(), kernels: Vec::new() };
+        let mut dict_conjuncts = Vec::new();
+        compiled.add(&self.node, seg, &mut dict_conjuncts);
+        for (col, dcs) in &dict_conjuncts {
+            compiled.add_dict(seg, *col, dcs);
+        }
+        if compiled.rows.is_empty() {
+            compiled.reject_all();
+        }
+        compiled
     }
-    match seg.column(col) {
-        EncodedColumn::BitPack(c) if c.is_non_decreasing() => {
-            // Monotonic range pruning (DESIGN.md §13): the selected rows
-            // form a contiguous interval, found by boundary probes.
-            fill_monotonic(&|row| c.get(row), start, out, logical);
-        }
-        EncodedColumn::BitPack(c) if c.bits() <= 32 => {
-            // Encoded-domain fast path: compare normalized u32 values.
-            let dc = logical.to_normalized(c.reference(), c.normalized_max());
-            apply_domain_cmp_packed(c.normalized(), dc, start, out, scratch, level);
-        }
-        EncodedColumn::IntDict(d) => {
-            // Code-domain path via the sorted dictionary.
-            let dc = logical.to_code_domain(d.dict());
-            apply_domain_cmp_packed(d.codes(), dc, start, out, scratch, level);
-        }
-        EncodedColumn::Rle(r) => {
-            // Run-wise evaluation: one comparison per run overlapping the
-            // batch, then a fill of the run's rows — O(runs) compares
-            // (this is also the spill target when a run-span selection
-            // must densify).
-            let ends = r.run_ends();
-            let values = r.run_values();
-            let batch_end = start + out.len();
-            let mut run = r.run_index_of(start);
-            let mut row = start;
-            while row < batch_end {
-                let run_end = (ends[run] as usize).min(batch_end);
-                let byte = if logical.matches(values[run]) { SELECTED } else { REJECTED };
-                out[row - start..run_end - start].fill(byte);
-                row = run_end;
-                run += 1;
+
+    /// True if segment metadata proves no row can match (§2.1 segment
+    /// elimination).
+    pub fn eliminates_segment(&self, seg: &Segment) -> bool {
+        self.compile(seg).eliminated()
+    }
+
+    /// Row-level evaluation against one row of the mutable region, whose
+    /// values sit at the schema's column indices.
+    pub fn eval_row(&self, row: &[Value]) -> bool {
+        fn walk(node: &PNode, row: &[Value]) -> bool {
+            match node {
+                PNode::Int { col, cmp } => {
+                    // PANIC: `resolve` typed this column integer-like, and the
+                    // table's `check_row` typed the row against the same schema.
+                    cmp.matches(row[*col].as_storage_i64().expect("integer-like by resolve"))
+                }
+                PNode::StrCmp { col, op, value } => {
+                    // PANIC: a string column by `resolve`, a string value by
+                    // the table's `check_row`.
+                    op.eval(row[*col].as_str().expect("string by resolve"), value.as_str())
+                }
+                PNode::And(nodes) => nodes.iter().all(|n| walk(n, row)),
             }
         }
-        EncodedColumn::Delta(d) if d.is_non_decreasing() => {
-            // Monotonic range pruning via anchored boundary probes — no
-            // delta replay of the whole batch.
-            fill_monotonic(&|row| d.get(row), start, out, logical);
+        walk(&self.node, row)
+    }
+
+    /// Evaluate the predicate over batch rows `[start, start+out.len())` of
+    /// a segment, writing the canonical selection byte mask into `out`
+    /// (deleted rows are merged by the caller). Compiles per call; a scan
+    /// compiles once per segment and calls [`SegmentPredicate::eval_batch`].
+    pub fn eval_batch(
+        &self,
+        seg: &Segment,
+        start: usize,
+        out: &mut [u8],
+        scratch: &mut FilterScratch,
+        level: SimdLevel,
+    ) {
+        if !self.compile(seg).eval_batch(start, out, scratch, level) {
+            out.fill(SELECTED);
         }
-        other => {
-            // Generic path: decode logical values, compare as i64.
-            scratch.i64_buf.resize(out.len(), 0);
-            other.decode_i64_into(start, &mut scratch.i64_buf);
-            match logical {
-                LogicalCmp::Cmp(op, c) => cmp::cmp_i64(&scratch.i64_buf, op, c, out, level),
-                LogicalCmp::Between(lo, hi) => {
-                    cmp::between_i64(&scratch.i64_buf, lo, hi, out, level)
+    }
+
+    /// True when the predicate can be evaluated run-wise on `seg` into a
+    /// run-granular selection via [`ResolvedPredicate::eval_batch_spans`]:
+    /// every conjunct that metadata does not already answer is over an
+    /// RLE-encoded column.
+    pub fn span_eligible(&self, seg: &Segment) -> bool {
+        self.compile(seg).span_runs_fraction().is_some()
+    }
+
+    /// Evaluate the predicate run-wise over batch rows `[start, start+len)`
+    /// of a segment, producing a *batch-relative* run-granular selection
+    /// (one comparison per run instead of one per row, O(runs)). Callers
+    /// must check [`ResolvedPredicate::span_eligible`] first; deleted rows
+    /// are the caller's concern, exactly as with
+    /// [`ResolvedPredicate::eval_batch`]. Compiles per call, like it.
+    pub fn eval_batch_spans(
+        &self,
+        seg: &Segment,
+        start: usize,
+        len: usize,
+        out: &mut RunSpanVec,
+        scratch: &mut FilterScratch,
+    ) {
+        self.compile(seg).eval_batch_spans(start, len, out, scratch);
+    }
+}
+
+/// What is left of one conjunct after compilation: everything a batch needs,
+/// already translated into the column's own domain.
+#[derive(Debug)]
+enum Kernel<'a> {
+    /// Compare a bit-packed payload — normalized values or dictionary
+    /// codes — against the translated constant (`Cmp` or `Between`).
+    Packed { packed: &'a PackedVec, dc: DomainCmp },
+    /// Dictionary codes of at most 8 bits against the 256-bit table of the
+    /// codes a conjunction accepts.
+    Members8 { codes: &'a PackedVec, table: [u8; 32] },
+    /// Wider dictionary codes against the same set as an id-bitset.
+    Members { codes: &'a PackedVec, bitset: Vec<u64> },
+    /// One comparison per run of an RLE column.
+    Rle { col: &'a RleColumn, cmp: LogicalCmp },
+    /// Decode logical values, compare as `i64`.
+    Decoded { col: &'a EncodedColumn, cmp: LogicalCmp },
+    /// `!=` on a sorted column: rows `[lo, hi)` hold the excluded value.
+    NotRows { lo: usize, hi: usize },
+}
+
+/// Conjuncts over dictionary-encoded columns, in the code domain, grouped by
+/// column while the rest of the predicate compiles.
+type DictConjuncts = Vec<(usize, Vec<DomainCmp>)>;
+
+fn push_dict_conjunct(dict: &mut DictConjuncts, col: usize, dc: DomainCmp) {
+    match dict.iter_mut().find(|group| group.0 == col) {
+        Some((_, dcs)) => dcs.push(dc),
+        None => dict.push((col, vec![dc])),
+    }
+}
+
+/// A predicate compiled against one segment by
+/// [`ResolvedPredicate::compile`].
+#[derive(Debug)]
+pub struct SegmentPredicate<'a> {
+    /// No row outside can match: the intersection of the row intervals that
+    /// the conjuncts over sorted columns select. Empty when the segment is
+    /// eliminated.
+    rows: Range<usize>,
+    /// The conjuncts neither metadata nor the row range answers.
+    kernels: Vec<Kernel<'a>>,
+}
+
+impl<'a> SegmentPredicate<'a> {
+    /// True if no row of the segment can match.
+    pub fn eliminated(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The rows that can match; a scan visits no others.
+    pub fn row_range(&self) -> Range<usize> {
+        self.rows.clone()
+    }
+
+    /// True when every row of [`SegmentPredicate::row_range`] matches.
+    pub fn range_only(&self) -> bool {
+        self.kernels.is_empty()
+    }
+
+    fn reject_all(&mut self) {
+        self.rows = 0..0;
+        self.kernels.clear();
+    }
+
+    fn clip(&mut self, lo: usize, hi: usize) {
+        self.rows = self.rows.start.max(lo)..self.rows.end.min(hi);
+    }
+
+    fn add(&mut self, node: &PNode, seg: &'a Segment, dict: &mut DictConjuncts) {
+        match node {
+            PNode::And(nodes) => nodes.iter().for_each(|n| self.add(n, seg, dict)),
+            PNode::StrCmp { col, op, value } => match seg.column(*col) {
+                EncodedColumn::StrDict(d) => {
+                    push_dict_conjunct(dict, *col, str_domain_cmp(d.dict(), *op, value))
+                }
+                // PANIC: string columns always dictionary-encode (see
+                // `encode_strings`), so StrCmp only meets StrDict.
+                other => unreachable!("string column encoded as {:?}", other.encoding()),
+            },
+            PNode::Int { col, cmp } => {
+                let column = seg.column(*col);
+                if let EncodedColumn::IntDict(d) = column {
+                    // The sorted dictionary is exact where min/max bound.
+                    return push_dict_conjunct(dict, *col, cmp.to_code_domain(d.dict()));
+                }
+                let meta = seg.meta(*col);
+                let dc = cmp.to_normalized(meta.min, meta.range());
+                match (dc, column) {
+                    (DomainCmp::All, _) => {}
+                    (DomainCmp::None, _) => self.reject_all(),
+                    (_, EncodedColumn::BitPack(c)) if c.is_non_decreasing() => {
+                        self.add_sorted(*cmp, &|bound, strict| c.partition_point(bound, strict))
+                    }
+                    (_, EncodedColumn::Delta(d)) if d.is_non_decreasing() => {
+                        self.add_sorted(*cmp, &|bound, strict| d.partition_point(bound, strict))
+                    }
+                    // The frame of reference is the column minimum, so the
+                    // metadata translation is the normalized one.
+                    (_, EncodedColumn::BitPack(c)) if c.bits() <= 32 => {
+                        self.kernels.push(Kernel::Packed { packed: c.normalized(), dc })
+                    }
+                    (_, EncodedColumn::Rle(col)) => {
+                        self.kernels.push(Kernel::Rle { col, cmp: *cmp })
+                    }
+                    (_, col) => self.kernels.push(Kernel::Decoded { col, cmp: *cmp }),
                 }
             }
         }
     }
-}
 
-/// Fill the selection mask for a batch of a **non-decreasing** column using
-/// at most two boundary binary searches: every comparison shape selects a
-/// contiguous row interval (or, for `!=`, its complement), so whole batches
-/// accept or reject without touching the codes.
-fn fill_monotonic(get: &dyn Fn(usize) -> i64, start: usize, out: &mut [u8], logical: LogicalCmp) {
-    let n = out.len();
-    // Whole-batch accept from the boundary values — valid for every shape
-    // except `!=` (whose accepted set is not an interval): if both ends of
-    // a non-decreasing batch match an interval predicate, every row does.
-    if !matches!(logical, LogicalCmp::Cmp(CmpOp::Ne, _))
-        && logical.matches(get(start))
-        && logical.matches(get(start + n - 1))
-    {
-        out.fill(SELECTED);
-        return;
-    }
-    // First batch offset whose value is `>= bound` (`> bound` when
-    // `strict`); non-decreasing order makes this a partition point.
-    let search = |bound: i64, strict: bool| -> usize {
-        let (mut lo, mut hi) = (0usize, n);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let v = get(start + mid);
-            if v < bound || (strict && v == bound) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
+    /// A conjunct over a sorted column: `partition_point(bound, strict)` is
+    /// the first row `>= bound` (`> bound` when `strict`). Every shape but
+    /// `!=` selects one row interval and is answered by it exactly.
+    fn add_sorted(&mut self, cmp: LogicalCmp, partition_point: &dyn Fn(i64, bool) -> usize) {
+        let pp = partition_point;
+        match cmp {
+            LogicalCmp::Cmp(CmpOp::Lt, c) => self.clip(0, pp(c, false)),
+            LogicalCmp::Cmp(CmpOp::Le, c) => self.clip(0, pp(c, true)),
+            LogicalCmp::Cmp(CmpOp::Ge, c) => self.clip(pp(c, false), usize::MAX),
+            LogicalCmp::Cmp(CmpOp::Gt, c) => self.clip(pp(c, true), usize::MAX),
+            LogicalCmp::Cmp(CmpOp::Eq, c) => self.clip(pp(c, false), pp(c, true)),
+            LogicalCmp::Between(lo, hi) => self.clip(pp(lo, false), pp(hi, true)),
+            LogicalCmp::Cmp(CmpOp::Ne, c) => {
+                let (lo, hi) = (pp(c, false), pp(c, true));
+                if lo < hi {
+                    self.kernels.push(Kernel::NotRows { lo, hi });
+                }
             }
         }
-        lo
-    };
-    let (sel_lo, sel_hi, invert) = match logical {
-        LogicalCmp::Cmp(CmpOp::Lt, c) => (0, search(c, false), false),
-        LogicalCmp::Cmp(CmpOp::Le, c) => (0, search(c, true), false),
-        LogicalCmp::Cmp(CmpOp::Ge, c) => (search(c, false), n, false),
-        LogicalCmp::Cmp(CmpOp::Gt, c) => (search(c, true), n, false),
-        LogicalCmp::Cmp(CmpOp::Eq, c) => (search(c, false), search(c, true), false),
-        LogicalCmp::Cmp(CmpOp::Ne, c) => (search(c, false), search(c, true), true),
-        LogicalCmp::Between(lo, hi) => (search(lo, false), search(hi, true), false),
-    };
-    let hi = sel_hi.max(sel_lo);
-    out.fill(if invert { SELECTED } else { REJECTED });
-    out[sel_lo..hi].fill(if invert { REJECTED } else { SELECTED });
+    }
+
+    /// The conjuncts over one dictionary column (string or integer), in the
+    /// code domain. The set of codes they accept together picks the kernel:
+    /// none — eliminated; all — dropped; one code interval — a comparison on
+    /// the codes; anything else — a membership table.
+    fn add_dict(&mut self, seg: &'a Segment, col: usize, dcs: &[DomainCmp]) {
+        let (codes, dict_len) = match seg.column(col) {
+            EncodedColumn::IntDict(d) => (d.codes(), d.dict().len() as u64),
+            EncodedColumn::StrDict(d) => (d.codes(), d.dict().len() as u64),
+            // PANIC: `add` collects conjuncts of dictionary columns only.
+            other => unreachable!("dictionary conjunct on {:?}", other.encoding()),
+        };
+        let dc = match dcs {
+            // A single comparison is already an interval of codes or the
+            // complement of one code: no walk over the dictionary.
+            [dc] => *dc,
+            _ => {
+                let accepts = |code: &u64| dcs.iter().all(|dc| dc.matches(*code));
+                let Some(first) = (0..dict_len).find(accepts) else { return self.reject_all() };
+                let last = (first..dict_len).rfind(accepts).unwrap_or(first);
+                if !(first..=last).all(|code| accepts(&code)) {
+                    let accepted = (first..=last).filter(accepts);
+                    return self.kernels.push(Kernel::members(codes, dict_len, accepted));
+                }
+                if first == 0 && last + 1 == dict_len {
+                    DomainCmp::All
+                } else {
+                    DomainCmp::Between(first, last)
+                }
+            }
+        };
+        match dc {
+            DomainCmp::All => {}
+            DomainCmp::None => self.reject_all(),
+            dc => self.kernels.push(Kernel::Packed { packed: codes, dc }),
+        }
+    }
+
+    /// Evaluate over batch rows `[start, start+out.len())`, writing the
+    /// canonical selection byte mask into `out` (deleted rows are merged by
+    /// the caller). Returns `false`, leaving `out` unspecified, when every
+    /// row of the batch is selected: the batch lies inside the row range and
+    /// no residual kernel applies to it.
+    pub fn eval_batch(
+        &self,
+        start: usize,
+        out: &mut [u8],
+        scratch: &mut FilterScratch,
+        level: SimdLevel,
+    ) -> bool {
+        let end = start + out.len();
+        // The part of the batch inside the row range.
+        let (lo, hi) = (self.rows.start.clamp(start, end), self.rows.end.clamp(start, end));
+        if lo >= hi {
+            out.fill(REJECTED);
+            return true;
+        }
+        let mut written = false;
+        let mut tmp = std::mem::take(&mut scratch.tmp_sel);
+        for kernel in self.kernels.iter().filter(|k| k.applies(start, end)) {
+            if written {
+                tmp.resize(out.len(), 0);
+                kernel.eval(start, &mut tmp, scratch, level);
+                for (o, t) in out.iter_mut().zip(&tmp) {
+                    *o &= *t;
+                }
+            } else {
+                kernel.eval(start, out, scratch, level);
+                written = true;
+            }
+        }
+        scratch.tmp_sel = tmp;
+        if lo > start || hi < end {
+            // A boundary batch of the row range.
+            if !written {
+                out.fill(SELECTED);
+            }
+            out[..lo - start].fill(REJECTED);
+            out[hi - start..].fill(REJECTED);
+            written = true;
+        }
+        written
+    }
+
+    /// The run-span work ratio of the predicate on its segment: total runs
+    /// its RLE columns walk per batch row, which is what the strategy
+    /// chooser costs the run-wise path by. `None` when some residual kernel
+    /// is not over an RLE column, i.e. the predicate cannot be evaluated
+    /// into run spans.
+    pub(crate) fn span_runs_fraction(&self) -> Option<f64> {
+        let (mut runs, mut rows) = (0usize, 0usize);
+        for kernel in &self.kernels {
+            let Kernel::Rle { col, .. } = kernel else { return None };
+            runs += col.num_runs();
+            rows += col.len();
+        }
+        Some(if rows == 0 { 0.0 } else { runs as f64 / rows as f64 })
+    }
+
+    /// Evaluate run-wise over batch rows `[start, start+len)`, producing a
+    /// *batch-relative* run-granular selection: one comparison per run
+    /// instead of one per row, O(runs). Only for a predicate with a
+    /// [`SegmentPredicate::span_runs_fraction`]; deleted rows are the
+    /// caller's concern.
+    pub(crate) fn eval_batch_spans(
+        &self,
+        start: usize,
+        len: usize,
+        out: &mut RunSpanVec,
+        scratch: &mut FilterScratch,
+    ) {
+        let end = start + len;
+        let (lo, hi) = (self.rows.start.clamp(start, end), self.rows.end.clamp(start, end));
+        out.clear();
+        if lo < hi {
+            out.push((lo - start) as u32, (hi - lo) as u32);
+        }
+        let mut a = scratch.tmp_spans.pop().unwrap_or_default();
+        let mut b = scratch.tmp_spans.pop().unwrap_or_default();
+        for kernel in &self.kernels {
+            if out.is_empty() {
+                break;
+            }
+            let Kernel::Rle { col, cmp } = kernel else {
+                // PANIC: the caller checked `span_runs_fraction`.
+                unreachable!("span evaluation of a non-RLE kernel")
+            };
+            eval_rle_spans(col, start, len, *cmp, &mut a);
+            if matches!(out.spans(), [all] if all.len as usize == len) {
+                // Still the whole batch: the intersection is `a` itself.
+                std::mem::swap(out, &mut a);
+            } else {
+                enc_intersect_spans(out.spans(), a.spans(), &mut b);
+                std::mem::swap(out, &mut b);
+            }
+        }
+        scratch.tmp_spans.push(a);
+        scratch.tmp_spans.push(b);
+    }
+}
+
+impl<'a> Kernel<'a> {
+    /// The membership kernel for the `accepted` codes of a dictionary of
+    /// `dict_len` entries.
+    fn members(codes: &'a PackedVec, dict_len: u64, accepted: impl Iterator<Item = u64>) -> Self {
+        // At least the 256 bits the byte-code table holds.
+        let mut bitset = vec![0u64; (dict_len as usize).div_ceil(64).max(4)];
+        for code in accepted {
+            bitset[(code / 64) as usize] |= 1 << (code % 64);
+        }
+        if codes.bits() > 8 {
+            return Kernel::Members { codes, bitset };
+        }
+        let mut table = [0u8; 32];
+        for (bytes, word) in table.chunks_exact_mut(8).zip(&bitset) {
+            bytes.copy_from_slice(&word.to_le_bytes());
+        }
+        Kernel::Members8 { codes, table }
+    }
+
+    /// Whether the kernel can reject a row of batch rows `[start, end)`.
+    fn applies(&self, start: usize, end: usize) -> bool {
+        match self {
+            Kernel::NotRows { lo, hi } => *lo < end && start < *hi,
+            _ => true,
+        }
+    }
+
+    /// Write the selection bytes of batch rows `[start, start+out.len())`.
+    fn eval(&self, start: usize, out: &mut [u8], scratch: &mut FilterScratch, level: SimdLevel) {
+        let n = out.len();
+        match self {
+            Kernel::Packed { packed, dc } => {
+                apply_domain_cmp_packed(packed, *dc, start, out, scratch, level)
+            }
+            Kernel::Members8 { codes, table } => {
+                let bytes = codes.u8_values(start, n, &mut scratch.u8_buf, level);
+                cmp::membership_u8(bytes, table, out, level);
+            }
+            Kernel::Members { codes, bitset } => {
+                scratch.u32_buf.resize(n, 0);
+                codes.unpack_into_u32(start, &mut scratch.u32_buf, level);
+                enc_filter_codes_bitset(&scratch.u32_buf, bitset, out);
+            }
+            Kernel::Rle { col, cmp } => {
+                // One comparison per run overlapping the batch, then a fill
+                // of the run's rows (this is also the spill target when a
+                // run-span selection must densify).
+                let ends = col.run_ends();
+                let values = col.run_values();
+                let batch_end = start + n;
+                let mut run = col.run_index_of(start);
+                let mut row = start;
+                while row < batch_end {
+                    let run_end = (ends[run] as usize).min(batch_end);
+                    let byte = if cmp.matches(values[run]) { SELECTED } else { REJECTED };
+                    out[row - start..run_end - start].fill(byte);
+                    row = run_end;
+                    run += 1;
+                }
+            }
+            Kernel::Decoded { col, cmp: logical } => {
+                scratch.i64_buf.resize(n, 0);
+                col.decode_i64_with(start, &mut scratch.i64_buf, &mut scratch.u64_buf);
+                match *logical {
+                    LogicalCmp::Cmp(op, c) => cmp::cmp_i64(&scratch.i64_buf, op, c, out, level),
+                    LogicalCmp::Between(lo, hi) => {
+                        cmp::between_i64(&scratch.i64_buf, lo, hi, out, level)
+                    }
+                }
+            }
+            Kernel::NotRows { lo, hi } => {
+                let within = |row: usize| row.clamp(start, start + n) - start;
+                out.fill(SELECTED);
+                out[within(*lo)..within(*hi)].fill(REJECTED);
+            }
+        }
+    }
+}
+
+/// Walk the runs of `r` overlapping `[start, start+len)`, pushing the rows
+/// of accepted runs as batch-relative coalesced spans.
+fn eval_rle_spans(
+    r: &RleColumn,
+    start: usize,
+    len: usize,
+    logical: LogicalCmp,
+    out: &mut RunSpanVec,
+) {
+    out.clear();
+    if len == 0 {
+        return;
+    }
+    let ends = r.run_ends();
+    let values = r.run_values();
+    let batch_end = start + len;
+    let mut run = r.run_index_of(start);
+    let mut row = start;
+    while row < batch_end {
+        let run_end = (ends[run] as usize).min(batch_end);
+        if logical.matches(values[run]) {
+            out.push((row - start) as u32, (run_end - row) as u32);
+        }
+        row = run_end;
+        run += 1;
+    }
 }
 
 /// Apply a domain comparison to a bit-packed unsigned payload.
 fn apply_domain_cmp_packed(
-    packed: &bipie_toolbox::bitpack::PackedVec,
+    packed: &PackedVec,
     dc: DomainCmp,
     start: usize,
     out: &mut [u8],
@@ -863,16 +873,16 @@ fn apply_domain_cmp_packed(
             packed.unpack_into_u32(start, &mut scratch.u32_buf, level);
             cmp::between_u32(&scratch.u32_buf, lo as u32, hi as u32, out, level);
         }
+        // Wide packed values: unpack to u64, compare scalar.
         DomainCmp::Cmp(op, c) => {
-            // Wide packed values: unpack to u64, compare scalar.
-            let mut buf = vec![0u64; out.len()];
-            packed.unpack_into_u64(start, &mut buf, level);
-            cmp::cmp_u64(&buf, op, c, out, level);
+            scratch.u64_buf.resize(out.len(), 0);
+            packed.unpack_into_u64(start, &mut scratch.u64_buf, level);
+            cmp::cmp_u64(&scratch.u64_buf, op, c, out, level);
         }
         DomainCmp::Between(lo, hi) => {
-            let mut buf = vec![0u64; out.len()];
-            packed.unpack_into_u64(start, &mut buf, level);
-            for (o, &v) in out.iter_mut().zip(&buf) {
+            scratch.u64_buf.resize(out.len(), 0);
+            packed.unpack_into_u64(start, &mut scratch.u64_buf, level);
+            for (o, &v) in out.iter_mut().zip(&scratch.u64_buf) {
                 *o = if v >= lo && v <= hi { SELECTED } else { REJECTED };
             }
         }
@@ -993,18 +1003,43 @@ mod tests {
         assert!(!kept.eliminates_segment(seg));
         let gone = Predicate::eq("flag", Value::Str("Z".into())).resolve(&t).unwrap();
         assert!(gone.eliminates_segment(seg));
-        // Conjunction eliminates if ANY single conjunct eliminates (ranges
-        // of separate conjuncts are not intersected).
+        // A conjunction eliminates if any single conjunct does...
         let gone = Predicate::and(vec![
             Predicate::ge("v", Value::I64(0)),
             Predicate::gt("v", Value::I64(1000)),
         ]);
         assert!(gone.resolve(&t).unwrap().eliminates_segment(seg));
-        let kept = Predicate::and(vec![
+        // ...or, `v` being sorted, if the conjuncts' row ranges are disjoint;
+        // value ranges of an unsorted column are not intersected.
+        let jointly_impossible = Predicate::and(vec![
             Predicate::ge("v", Value::I64(0)),
-            Predicate::lt("v", Value::I64(-400)), // jointly impossible, individually possible
+            Predicate::lt("v", Value::I64(-400)),
         ]);
-        assert!(!kept.resolve(&t).unwrap().eliminates_segment(seg));
+        assert!(jointly_impossible.resolve(&t).unwrap().eliminates_segment(seg));
+        let unsorted = test_table(EncodingHint::Rle);
+        let rp = jointly_impossible.resolve(&unsorted).unwrap();
+        assert!(!rp.eliminates_segment(&unsorted.segments()[0]));
+    }
+
+    #[test]
+    fn compile_answers_sorted_conjuncts_with_a_row_range() {
+        let t = test_table(EncodingHint::Delta); // v = row - 500, sorted
+        let seg = &t.segments()[0];
+        let compile = |p: Predicate| p.resolve(&t).unwrap().compile(seg);
+        let c = compile(Predicate::between("v", Value::I64(-400), Value::I64(-301)));
+        assert_eq!((c.row_range(), c.range_only()), (100..200, true));
+        let c = compile(Predicate::and(vec![
+            Predicate::ge("v", Value::I64(-400)),
+            Predicate::lt("v", Value::I64(0)),
+            Predicate::eq("flag", Value::Str("A".into())),
+        ]));
+        assert_eq!((c.row_range(), c.range_only()), (100..500, false));
+        // `!=` is not an interval; a conjunct metadata proves true is dropped.
+        let c = compile(Predicate::ne("v", Value::I64(0)));
+        assert_eq!((c.row_range(), c.range_only()), (0..1000, false));
+        let c = compile(Predicate::ge("v", Value::I64(-500)));
+        assert_eq!((c.row_range(), c.range_only()), (0..1000, true));
+        assert!(compile(Predicate::gt("v", Value::I64(499))).eliminated());
     }
 
     #[test]

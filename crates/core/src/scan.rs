@@ -20,6 +20,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 
 use bipie_columnstore::encoding::{EncodedColumn, RleColumn};
@@ -30,7 +31,7 @@ use bipie_toolbox::{RunSpanVec, SimdLevel};
 use crate::aggproc::{AggInput, LanePlan, RunWiseExec, SegmentAggExecutor, SegmentAggResult};
 use crate::error::{EngineError, Result};
 use crate::expr::ResolvedExpr;
-use crate::filter::{span_runs_fraction, FilterScratch, ResolvedPredicate};
+use crate::filter::{FilterScratch, ResolvedPredicate, SegmentPredicate};
 use crate::governor::{CancelToken, Governor, MemScope};
 use crate::groupid::{plan_segment_mapper, NarrowMapper, SegmentGroupMapper, WideMapper};
 use crate::pool::{panic_message, QueryTag, WorkerPool};
@@ -248,28 +249,54 @@ pub(crate) fn scan_governed(
     Ok((merged, stats, profile))
 }
 
-/// Admission planning for [`scan_table`]: walk the segments once, skipping
-/// empty and filter-eliminated ones, proving overflow/min-max safety, and
-/// admitting wide-group projections against the memory budget. Split out so
-/// the coordinator can bracket exactly this fallible region with the
-/// [`Phase::Plan`] span — the span closes on the planning result before any
-/// error propagates.
+/// A segment admitted by [`plan_segments`], with what the query's filter
+/// compiled to on it. Immutable and shared by reference across workers.
+#[derive(Debug)]
+struct PlannedSegment<'t> {
+    /// Table segment ordinal (the id trace events carry).
+    index: u32,
+    seg: &'t Segment,
+    /// The filter compiled against this segment (`None`: no filter).
+    filter: Option<SegmentPredicate<'t>>,
+    /// The rows the scan visits: the filter's row range rounded outward to
+    /// the batch grid, so every worker count sees the same batch windows.
+    /// No row outside is ever claimed.
+    window: Range<usize>,
+}
+
+impl PlannedSegment<'_> {
+    /// The selected fraction of the rows the scan visits, where planning
+    /// already knows it: a filter that compiled to a row range alone selects
+    /// every live row inside. The segment's aggregation decision then rests
+    /// on this instead of on its first batch, which may be a clipped
+    /// boundary batch of the range.
+    fn known_selectivity(&self) -> Option<f64> {
+        let range_only = self.filter.as_ref().is_some_and(SegmentPredicate::range_only);
+        (range_only && self.seg.deleted().none_deleted()).then_some(1.0)
+    }
+}
+
+/// Admission planning for [`scan_table`]: walk the segments once, compiling
+/// the filter against each, skipping empty and filter-eliminated ones,
+/// proving overflow/min-max safety, and admitting wide-group projections
+/// against the memory budget. Split out so the coordinator can bracket
+/// exactly this fallible region with the [`Phase::Plan`] span — the span
+/// closes on the planning result before any error propagates.
 fn plan_segments<'t>(
     table: &'t Table,
     ctx: &ScanCtx<'_>,
     stats: &mut ExecStats,
-) -> Result<Vec<(u32, &'t Segment)>> {
-    let ScanCtx { filter, group_cols, sum_exprs, mm_exprs, governor, .. } = *ctx;
-    let mut planned: Vec<(u32, &Segment)> = Vec::new();
+) -> Result<Vec<PlannedSegment<'t>>> {
+    let ScanCtx { filter, group_cols, sum_exprs, mm_exprs, governor, options } = *ctx;
+    let mut planned: Vec<PlannedSegment<'t>> = Vec::new();
     for (seg_index, seg) in table.segments().iter().enumerate() {
         if seg.num_rows() == 0 || seg.live_rows() == 0 {
             continue;
         }
-        if let Some(f) = filter {
-            if f.eliminates_segment(seg) {
-                stats.segments_eliminated += 1;
-                continue;
-            }
+        let filter = filter.map(|f| f.compile(seg));
+        if filter.as_ref().is_some_and(SegmentPredicate::eliminated) {
+            stats.segments_eliminated += 1;
+            continue;
         }
         check_overflow(seg, sum_exprs)?;
         check_minmax_range(seg, sum_exprs.len(), mm_exprs)?;
@@ -289,10 +316,16 @@ fn plan_segments<'t>(
                 ))?;
             }
         }
+        let rows = filter.as_ref().map_or(0..seg.num_rows(), SegmentPredicate::row_range);
+        let batch_rows = options.batch_rows;
+        let window = rows.start / batch_rows * batch_rows
+            ..rows.end.next_multiple_of(batch_rows).min(seg.num_rows());
+        let visited = window.len() - seg.deleted().deleted_in(window.start, window.end);
         stats.segments_scanned += 1;
-        stats.rows_scanned += seg.live_rows();
+        stats.rows_scanned += visited;
+        stats.rows_pruned += seg.live_rows() - visited;
         stats.bytes_scanned += seg.encoded_bytes();
-        planned.push((seg_index as u32, seg));
+        planned.push(PlannedSegment { index: seg_index as u32, seg, filter, window });
     }
     Ok(planned)
 }
@@ -323,7 +356,7 @@ struct WorkerSlot {
 /// lock — and phase 2 vanishes: the worker's single partition is the
 /// answer. Panics in a worker become [`EngineError::WorkerPanicked`].
 fn scan_workers(
-    planned: &[(u32, &Segment)],
+    planned: &[PlannedSegment<'_>],
     workers: usize,
     ctx: &ScanCtx<'_>,
     coord: &mut Tracer,
@@ -397,7 +430,7 @@ fn scan_workers(
 fn worker_scan<'a>(
     w: usize,
     workers: usize,
-    planned: &[(u32, &'a Segment)],
+    planned: &'a [PlannedSegment<'a>],
     sched: &MorselScheduler,
     ctx: &ScanCtx<'a>,
     tracer: &mut Tracer,
@@ -427,8 +460,8 @@ fn worker_scan<'a>(
                 if let Some((_, done)) = current.take() {
                     fold(done);
                 }
-                let (seg_index, seg) = planned[claim.seg];
-                &mut current.insert((claim.seg, SegScan::plan(seg_index, seg, ctx, tracer)?)).1
+                let scan = SegScan::plan(&planned[claim.seg], ctx, tracer)?;
+                &mut current.insert((claim.seg, scan)).1
             }
         };
         scan.process_range(claim.range, claim.morsel as u32, claim.stolen, tracer)?;
@@ -555,11 +588,11 @@ struct MorselScheduler {
 }
 
 impl MorselScheduler {
-    fn new(segments: &[(u32, &Segment)], morsel_rows: usize) -> MorselScheduler {
+    fn new(segments: &[PlannedSegment<'_>], morsel_rows: usize) -> MorselScheduler {
         MorselScheduler {
             cursors: segments
                 .iter()
-                .map(|(_, seg)| MorselCursor::new(seg.num_rows(), morsel_rows))
+                .map(|p| MorselCursor::with_range(p.window.start, p.window.end, morsel_rows))
                 .collect(),
         }
     }
@@ -607,9 +640,7 @@ impl MorselScheduler {
 /// Resumable scan state for one segment on one worker: morsels of the same
 /// segment reuse the planned mapper, strategy choice, and scratch buffers.
 struct SegScan<'a> {
-    seg: &'a Segment,
-    /// Table segment ordinal (the id trace events carry).
-    seg_index: u32,
+    planned: &'a PlannedSegment<'a>,
     ctx: ScanCtx<'a>,
     /// This worker-segment state's slice of the memory budget (per-worker
     /// slack keeps per-batch charges off the governor's shared counter).
@@ -629,18 +660,18 @@ impl<'a> SegScan<'a> {
     /// its batch-sized working buffers before they grow. The segment must
     /// already have passed admission (overflow proofs etc.).
     fn plan(
-        seg_index: u32,
-        seg: &'a Segment,
+        planned: &'a PlannedSegment<'a>,
         ctx: &ScanCtx<'a>,
         tracer: &mut Tracer,
     ) -> Result<SegScan<'a>> {
+        let PlannedSegment { index: seg_index, seg, .. } = *planned;
         let mut mem = MemScope::default();
         let batch_rows = ctx.options.batch_rows;
         let kind = match plan_segment_mapper(seg, ctx.group_cols)? {
             SegmentGroupMapper::Narrow(mapper) => {
                 // Group ids, unpack scratch, selection bytes.
                 mem.charge(ctx.governor, 3 * batch_rows)?;
-                SegScanKind::Narrow(Box::new(NarrowScan::plan(seg, mapper, ctx)))
+                SegScanKind::Narrow(Box::new(NarrowScan::plan(planned, mapper, ctx)))
             }
             SegmentGroupMapper::Wide(mapper) => {
                 // u32 group ids + selection bytes + i64 buffers for the
@@ -671,7 +702,7 @@ impl<'a> SegScan<'a> {
                 SegScanKind::Wide(Box::new(WideScan::plan(mapper, ctx)))
             }
         };
-        Ok(SegScan { seg, seg_index, ctx: *ctx, mem, kind })
+        Ok(SegScan { planned, ctx: *ctx, mem, kind })
     }
 
     /// Scan the row window `range` (one morsel) in batch windows.
@@ -696,7 +727,7 @@ impl<'a> SegScan<'a> {
         // batch must not drop the `Phase::SegmentScan` span.
         tracer.span(
             Phase::SegmentScan,
-            SpanLoc::at(self.seg_index, morsel).with_stolen(stolen),
+            SpanLoc::at(self.planned.index, morsel).with_stolen(stolen),
             range.len as u64,
             range_start,
         );
@@ -715,14 +746,14 @@ impl<'a> SegScan<'a> {
                 tracer.stats.governor_checks += 1;
                 governor.check()?;
             }
-            let at =
-                BatchAt { seg: self.seg_index, morsel, start: range.start + b.start, len: b.len };
+            let seg = self.planned.index;
+            let at = BatchAt { seg, morsel, start: range.start + b.start, len: b.len };
             match &mut self.kind {
                 SegScanKind::Narrow(n) => {
-                    n.process_batch(self.seg, &self.ctx, at, &mut self.mem, tracer)?
+                    n.process_batch(self.planned, &self.ctx, at, &mut self.mem, tracer)?
                 }
                 SegScanKind::Wide(w) => {
-                    w.process_batch(self.seg, &self.ctx, at, &mut self.mem, tracer)?
+                    w.process_batch(self.planned, &self.ctx, at, &mut self.mem, tracer)?
                 }
             }
         }
@@ -821,25 +852,28 @@ struct ByteSelect {
 }
 
 impl ByteSelect {
-    /// The batch's selection bytes; `None` when there is neither a filter
-    /// nor a deleted row, i.e. every row is selected.
+    /// The batch's selection bytes; `None` when every row is selected: no
+    /// deleted row, and no filter or one that compiled to nothing this
+    /// batch has to evaluate.
     fn eval(
         &mut self,
-        seg: &Segment,
-        filter: Option<&ResolvedPredicate>,
+        planned: &PlannedSegment<'_>,
         at: BatchAt,
         level: SimdLevel,
     ) -> Option<&[u8]> {
-        if filter.is_none() && seg.deleted().none_deleted() {
-            return None;
-        }
+        let deleted = planned.seg.deleted();
         self.sel_buf.resize(at.len, 0xFF);
-        match filter {
-            // The comparison writes every byte; no prefill needed.
-            Some(f) => f.eval_batch(seg, at.start, &mut self.sel_buf, &mut self.fscratch, level),
-            None => self.sel_buf.fill(0xFF),
+        let filtered = planned.filter.as_ref().is_some_and(|f| {
+            // The kernels write every byte; no prefill needed.
+            f.eval_batch(at.start, &mut self.sel_buf, &mut self.fscratch, level)
+        });
+        if !filtered {
+            if deleted.none_deleted() {
+                return None;
+            }
+            self.sel_buf.fill(0xFF);
         }
-        seg.deleted().mask_batch(at.start, &mut self.sel_buf);
+        deleted.mask_batch(at.start, &mut self.sel_buf);
         Some(&self.sel_buf)
     }
 }
@@ -922,7 +956,12 @@ fn bare_rle<'a>(seg: &'a Segment, e: &ResolvedExpr) -> Option<&'a RleColumn> {
 }
 
 impl<'a> NarrowScan<'a> {
-    fn plan(seg: &'a Segment, mapper: NarrowMapper<'a>, ctx: &ScanCtx<'a>) -> NarrowScan<'a> {
+    fn plan(
+        planned: &'a PlannedSegment<'a>,
+        mapper: NarrowMapper<'a>,
+        ctx: &ScanCtx<'a>,
+    ) -> NarrowScan<'a> {
+        let seg = planned.seg;
         // Plan the aggregate inputs: bare bit-packed columns feed kernels in
         // their encoded form; everything else evaluates as an expression.
         let plan_input = |e: &'a ResolvedExpr| match e.as_bare_column() {
@@ -964,7 +1003,7 @@ impl<'a> NarrowScan<'a> {
             lane_plan: Some(lane_plan),
             agg_params_template,
             dominant_bits,
-            runwise: Self::plan_runwise(seg, ctx),
+            runwise: Self::plan_runwise(planned, ctx),
             executor: None,
             gids: Vec::new(),
             gid_scratch: Vec::new(),
@@ -976,7 +1015,8 @@ impl<'a> NarrowScan<'a> {
     /// Structural eligibility for the run-wise path, checked once per
     /// segment. Forcing any *other* strategy disables it up front so forced
     /// experiments exercise exactly the strategy they name.
-    fn plan_runwise(seg: &'a Segment, ctx: &ScanCtx<'a>) -> Option<RunWisePlan<'a>> {
+    fn plan_runwise(planned: &'a PlannedSegment<'a>, ctx: &ScanCtx<'a>) -> Option<RunWisePlan<'a>> {
+        let seg = planned.seg;
         if !ctx.group_cols.is_empty() || !seg.deleted().none_deleted() {
             return None;
         }
@@ -997,26 +1037,27 @@ impl<'a> NarrowScan<'a> {
         for c in sum_cols.iter().chain(&mm_cols) {
             runs_fraction = runs_fraction.max(c.run_values().len() as f64 / rows);
         }
-        if let Some(f) = ctx.filter {
-            runs_fraction = runs_fraction.max(span_runs_fraction(f, seg)?);
+        if let Some(f) = &planned.filter {
+            runs_fraction = runs_fraction.max(f.span_runs_fraction()?);
         }
         Some(RunWisePlan { sum_cols, mm_cols, runs_fraction, exec: None })
     }
 
     fn process_batch(
         &mut self,
-        seg: &'a Segment,
+        planned: &'a PlannedSegment<'a>,
         ctx: &ScanCtx<'a>,
         at: BatchAt,
         mem: &mut MemScope,
         tracer: &mut Tracer,
     ) -> Result<()> {
+        let seg = planned.seg;
         let options = ctx.options;
         let level = options.level;
         // The run-wise fast path, while its plan stands: it takes the batch
         // unless the first batch's chooser declines, which clears the plan
         // so the generic machinery below runs from here on.
-        if self.try_process_runwise(seg, ctx, at, tracer) {
+        if self.try_process_runwise(planned, ctx, at, tracer) {
             return Ok(());
         }
 
@@ -1027,7 +1068,7 @@ impl<'a> NarrowScan<'a> {
         // Filter + deleted-row merge -> selection byte vector, plus the
         // selectivity measurement that drives the per-batch choice.
         let select_start = tracer.start();
-        let sel = self.select.eval(seg, ctx.filter, at, level);
+        let sel = self.select.eval(planned, at, level);
         let selectivity = selected_fraction(sel, at.len, level);
         // Run-span selection has no dense byte-mask form, so forcing it on
         // a segment the run-wise plan rejected falls back to the chooser.
@@ -1054,7 +1095,7 @@ impl<'a> NarrowScan<'a> {
             Some(exec) => exec,
             slot => {
                 let mut params = self.agg_params_template.clone();
-                params.est_selectivity = selectivity;
+                params.est_selectivity = planned.known_selectivity().unwrap_or(selectivity);
                 // PANIC: planned with the inputs and taken only here, when
                 // the executor is built — which happens once.
                 let lane_plan = self.lane_plan.take().expect("lane plan parked until the executor");
@@ -1121,7 +1162,7 @@ impl<'a> NarrowScan<'a> {
     /// generic strategy and the plan is dropped.
     fn try_process_runwise(
         &mut self,
-        seg: &'a Segment,
+        planned: &'a PlannedSegment<'a>,
         ctx: &ScanCtx<'a>,
         at: BatchAt,
         tracer: &mut Tracer,
@@ -1130,14 +1171,10 @@ impl<'a> NarrowScan<'a> {
         let options = ctx.options;
         let run_span = SelectionStrategy::RunSpan;
         let select_start = tracer.start();
-        match ctx.filter {
-            Some(f) => f.eval_batch_spans(
-                seg,
-                at.start,
-                at.len,
-                &mut self.span_buf,
-                &mut self.select.fscratch,
-            ),
+        match &planned.filter {
+            Some(f) => {
+                f.eval_batch_spans(at.start, at.len, &mut self.span_buf, &mut self.select.fscratch)
+            }
             None => self.span_buf.set_full(at.len),
         }
         let selectivity = self.span_buf.selected_rows() as f64 / at.len.max(1) as f64;
@@ -1146,7 +1183,7 @@ impl<'a> NarrowScan<'a> {
             Some(exec) => exec,
             slot => {
                 let mut params = self.agg_params_template.clone();
-                params.est_selectivity = selectivity;
+                params.est_selectivity = planned.known_selectivity().unwrap_or(selectivity);
                 params.runwise_runs_fraction = Some(plan.runs_fraction);
                 // No budget ladder here: the run-wise executor's footprint
                 // is a handful of scalars (`projected_bytes` reports 0), so
@@ -1254,12 +1291,13 @@ impl<'a> WideScan<'a> {
 
     fn process_batch(
         &mut self,
-        seg: &'a Segment,
+        planned: &'a PlannedSegment<'a>,
         ctx: &ScanCtx<'a>,
         at: BatchAt,
         mem: &mut MemScope,
         tracer: &mut Tracer,
     ) -> Result<()> {
+        let seg = planned.seg;
         let level = ctx.options.level;
         let compact = SelectionStrategy::Compact;
         let unpack_start = tracer.start();
@@ -1267,7 +1305,7 @@ impl<'a> WideScan<'a> {
         tracer.span(Phase::Unpack, at.loc(), at.len as u64, unpack_start);
 
         let select_start = tracer.start();
-        let sel = self.select.eval(seg, ctx.filter, at, level);
+        let sel = self.select.eval(planned, at, level);
         // Nothing on this path chooses by selectivity, so the count is
         // event-only work and hides behind the event-log gate.
         let observed = if tracer.spans() { selected_fraction(sel, at.len, level) } else { 1.0 };
@@ -1646,8 +1684,16 @@ mod tests {
     #[test]
     fn scheduler_steals_from_hot_segment() {
         let t = table(4000, 1000);
-        let segs: Vec<(u32, &Segment)> =
-            t.segments().iter().enumerate().map(|(i, s)| (i as u32, s)).collect();
+        let (opts, governor) = (ScanOptions::default(), Governor::new(None, None, None));
+        let ctx = ScanCtx {
+            filter: None,
+            group_cols: &[],
+            sum_exprs: &[],
+            mm_exprs: &[],
+            options: &opts,
+            governor: &governor,
+        };
+        let segs = plan_segments(&t, &ctx, &mut ExecStats::default()).unwrap();
         let sched = MorselScheduler::new(&segs, 64);
         let mut claimed_rows = 0usize;
         let mut steals = 0usize;
@@ -1717,10 +1763,10 @@ mod tests {
             options: &opts,
             governor: &governor,
         };
-        let seg = &t.segments()[0];
+        let planned = plan_segments(&t, &ctx, &mut ExecStats::default()).unwrap();
         let mut tracer = Tracer::new(ProfileLevel::Spans, 0);
-        let mut scan = SegScan::plan(0, seg, &ctx, &mut tracer).unwrap();
-        let whole = Batch { start: 0, len: seg.num_rows() };
+        let mut scan = SegScan::plan(&planned[0], &ctx, &mut tracer).unwrap();
+        let whole = Batch { start: 0, len: planned[0].seg.num_rows() };
         let err = scan.process_range(whole, 0, false, &mut tracer).unwrap_err();
         assert!(matches!(err, EngineError::Cancelled), "{err:?}");
         let mut profile = QueryProfile::new(ProfileLevel::Spans);

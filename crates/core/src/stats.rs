@@ -35,8 +35,14 @@ pub struct ExecStats {
     pub wide_group_segments: usize,
     /// Batches processed. Additive.
     pub batches: usize,
-    /// Rows scanned (live rows of scanned segments). Additive.
+    /// Rows scanned: live rows of the row window each scanned segment was
+    /// visited in (the whole segment unless its filter compiled to a
+    /// narrower row range). Additive.
     pub rows_scanned: usize,
+    /// Live rows of scanned segments that lie outside the visited window:
+    /// a sorted column proved they cannot match, so no filter, group-id
+    /// extraction or aggregation ever touched them. Additive.
+    pub rows_pruned: usize,
     /// Encoded bytes of scanned segments (the compressed footprint the
     /// scan actually read, not the decoded width). Additive.
     pub bytes_scanned: usize,
@@ -56,7 +62,7 @@ pub struct ExecStats {
     /// Segment executors whose computed inputs fell back to the `i64`
     /// interpreter because the metadata proof failed. Additive.
     pub expr_interp_segments: usize,
-    /// Morsels claimed by scan workers: `Σ ceil(segment rows / morsel rows)`
+    /// Morsels claimed by scan workers: `Σ ceil(visited rows / morsel rows)`
     /// over the scanned segments, at every worker count. Additive.
     pub morsels_scanned: usize,
     /// Morsels a worker claimed outside its home segment partition
@@ -111,6 +117,7 @@ impl ExecStats {
         self.wide_group_segments += other.wide_group_segments;
         self.batches += other.batches;
         self.rows_scanned += other.rows_scanned;
+        self.rows_pruned += other.rows_pruned;
         self.bytes_scanned += other.bytes_scanned;
         self.mutable_rows += other.mutable_rows;
         for i in 0..4 {

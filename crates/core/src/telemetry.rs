@@ -360,6 +360,7 @@ pub struct EngineTelemetry {
     governor_trips: [Arc<Counter>; 3],
     query_latency_us: Arc<Histogram>,
     rows_scanned: Arc<Counter>,
+    rows_pruned: Arc<Counter>,
     bytes_scanned: Arc<Counter>,
     morsel_claims: Arc<Counter>,
     morsel_steals: Arc<Counter>,
@@ -402,8 +403,14 @@ impl EngineTelemetry {
             "End-to-end query wall latency in microseconds.",
             &[],
         );
-        let rows_scanned =
-            counter("bipie_rows_scanned_total", "Live rows of scanned encoded segments.");
+        let rows_scanned = counter(
+            "bipie_rows_scanned_total",
+            "Live rows of the row windows scanned in encoded segments.",
+        );
+        let rows_pruned = counter(
+            "bipie_rows_pruned_total",
+            "Live rows of scanned segments that a sorted column's row range skipped.",
+        );
         let bytes_scanned =
             counter("bipie_bytes_scanned_total", "Encoded bytes of scanned segments.");
         let morsel_claims =
@@ -487,6 +494,7 @@ impl EngineTelemetry {
             governor_trips,
             query_latency_us,
             rows_scanned,
+            rows_pruned,
             bytes_scanned,
             morsel_claims,
             morsel_steals,
@@ -553,6 +561,7 @@ impl EngineTelemetry {
         self.queries.inc();
         self.query_latency_us.observe(u64::try_from(wall.as_micros()).unwrap_or(u64::MAX));
         self.rows_scanned.add(stats.rows_scanned as u64);
+        self.rows_pruned.add(stats.rows_pruned as u64);
         self.bytes_scanned.add(stats.bytes_scanned as u64);
         self.morsel_claims.add(stats.morsels_scanned as u64);
         self.morsel_steals.add(stats.morsel_steals as u64);
@@ -811,6 +820,7 @@ mod tests {
         stats.record_selection(SelectionStrategy::RunSpan);
         stats.record_agg(AggStrategy::MultiAggregate);
         stats.rows_scanned = 2048;
+        stats.rows_pruned = 512;
         stats.bytes_scanned = 4096;
         stats.morsels_scanned = 4;
         stats.morsel_steals = 1;
@@ -824,6 +834,7 @@ mod tests {
             assert_eq!(t.agg_picks[3].value(), 2);
             assert_eq!(t.queries.value(), 2);
             assert_eq!(t.rows_scanned.value(), 4096);
+            assert_eq!(t.rows_pruned.value(), 1024);
             assert_eq!(t.bytes_scanned.value(), 8192);
             assert_eq!(t.query_latency_us.count(), 2);
         } else {

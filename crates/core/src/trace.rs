@@ -563,10 +563,11 @@ impl QueryProfile {
             self.level, self.workers, self.dropped_events
         ));
         out.push_str(&format!(
-            "Query: {} batches, {} rows scanned, {} segments ({} eliminated), \
+            "Query: {} batches, {} rows scanned ({} pruned), {} segments ({} eliminated), \
              {} morsels ({} stolen), {} mutable rows\n",
             stats.batches,
             stats.rows_scanned,
+            stats.rows_pruned,
             stats.segments_scanned,
             stats.segments_eliminated,
             stats.morsels_scanned,
@@ -676,8 +677,21 @@ impl QueryProfile {
                 }
             }
         }
+        // The row window the scan visited, from the batches it recorded: the
+        // filter's row range on this segment, on the batch grid.
+        let (mut lo, mut hi) = (u64::MAX, 0u64);
+        for e in &self.events {
+            if let TraceEvent::SelectionDecision { segment, row_start, rows, .. } = e {
+                if *segment == seg {
+                    lo = lo.min(*row_start);
+                    hi = hi.max(row_start + *rows as u64);
+                }
+            }
+        }
+        let range = if lo < hi { format!("  range=[{lo},{hi})") } else { String::new() };
         out.push_str(&format!(
-            "├─ segment {seg}  rows={rows}  ranges={morsels}  steals={steals}  cycles={seg_cycles}\n"
+            "├─ segment {seg}  rows={rows}{range}  ranges={morsels}  steals={steals}  \
+             cycles={seg_cycles}\n"
         ));
 
         // Aggregation decisions for this segment (one per worker-executor).

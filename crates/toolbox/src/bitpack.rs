@@ -204,6 +204,28 @@ impl PackedVec {
         self.unpack_scalar(start, out, |v| v as u8);
     }
 
+    /// Values `[start, start+len)` as bytes, for a kernel that only reads
+    /// them: at exactly 8 bits the packed buffer already holds one byte per
+    /// value and is borrowed as is; narrower values are unpacked into `buf`.
+    ///
+    /// # Panics
+    /// Panics if the bit width exceeds 8 or the range is out of bounds.
+    pub fn u8_values<'a>(
+        &'a self,
+        start: usize,
+        len: usize,
+        buf: &'a mut Vec<u8>,
+        level: SimdLevel,
+    ) -> &'a [u8] {
+        if self.bits == 8 {
+            self.check_range(start, len);
+            return &self.bytes[start..start + len];
+        }
+        buf.resize(len, 0);
+        self.unpack_into_u8(start, buf, level);
+        buf
+    }
+
     /// Unpack values `[start, start+out.len())` into `u16` words.
     pub fn unpack_into_u16(&self, start: usize, out: &mut [u16], level: SimdLevel) {
         assert!(self.bits <= 16, "bit width {} does not fit u16 words", self.bits);
@@ -755,6 +777,21 @@ mod tests {
         let pv = PackedVec::pack(&[42], 7);
         assert_eq!(pv.get(0), 42);
         assert_eq!(pv.len(), 1);
+    }
+
+    #[test]
+    fn u8_values_borrow_at_8_bits_and_unpack_below() {
+        for bits in [1u8, 7, 8] {
+            let values: Vec<u64> = (0..100u64).map(|i| (i * 37) & mask_for(bits)).collect();
+            let pv = PackedVec::pack(&values, bits);
+            for level in SimdLevel::available() {
+                let mut buf = Vec::new();
+                let got = pv.u8_values(3, 90, &mut buf, level).to_vec();
+                let want: Vec<u8> = values[3..93].iter().map(|&v| v as u8).collect();
+                assert_eq!(got, want, "bits={bits} level={level}");
+                assert_eq!(buf.is_empty(), bits == 8, "only 8-bit values are borrowed");
+            }
+        }
     }
 
     #[test]

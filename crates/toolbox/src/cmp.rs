@@ -128,6 +128,32 @@ pub fn between_i64(data: &[i64], lo: i64, hi: i64, out: &mut [u8], level: SimdLe
     between_scalar_i64(data, lo, hi, out);
 }
 
+/// Set membership over byte codes: `out[i]` is selected when bit `codes[i]`
+/// of the 256-bit `table` (bit `c` = bit `c % 8` of byte `c / 8`) is set.
+/// The conjunction of comparisons a filter puts on one dictionary column
+/// becomes one such table, built once per segment; this is the per-row pass.
+pub fn membership_u8(codes: &[u8], table: &[u8; 32], out: &mut [u8], level: SimdLevel) {
+    assert_eq!(codes.len(), out.len(), "output length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if level.has_avx2() {
+        // SAFETY: AVX2 availability checked by has_avx2().
+        unsafe { avx2::membership_u8(codes, table, out) };
+        return;
+    }
+    let _ = level;
+    membership_scalar_u8(codes, table, out);
+}
+
+/// Scalar oracle for [`membership_u8`].
+pub fn membership_scalar_u8(codes: &[u8], table: &[u8; 32], out: &mut [u8]) {
+    assert_eq!(codes.len(), out.len(), "output length mismatch");
+    for (o, &c) in out.iter_mut().zip(codes) {
+        let bit = (table[(c >> 3) as usize] >> (c & 7)) & 1;
+        // Branch-free widen: 1 -> 0xFF, 0 -> 0x00.
+        *o = bit.wrapping_neg();
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     //! AVX-512 comparisons: unsigned compare instructions produce mask
@@ -446,6 +472,47 @@ mod avx2 {
             super::cmp_scalar_i64(&data[i..], op, c, &mut out[i..]);
         }
     }
+
+    /// # Safety
+    /// The CPU must support avx2 — guaranteed by the
+    /// dispatcher's `SimdLevel` check before any call.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn membership_u8(codes: &[u8], table: &[u8; 32], out: &mut [u8]) {
+        // SAFETY: the caller guarantees this CPU supports the target features
+        // this function is compiled with (dispatch routes here only after
+        // `SimdLevel` detection), and every pointer below is derived from the
+        // argument slices with offsets bounded by their lengths.
+        unsafe {
+            // `pshufb` looks 16 bytes up per 128-bit lane, so the 32-byte
+            // table is two lookups — bytes 0..16 and 16..32, each broadcast
+            // to both lanes — blended on bit 4 of the byte index.
+            let tbl = _mm256_loadu_si256(table.as_ptr() as *const __m256i);
+            let tbl_lo = _mm256_permute2x128_si256::<0x00>(tbl, tbl);
+            let tbl_hi = _mm256_permute2x128_si256::<0x11>(tbl, tbl);
+            // 1 << (code & 7), by lookup as well.
+            let bit_of = _mm256_set1_epi64x(0x8040_2010_0804_0201u64 as i64);
+            let low3 = _mm256_set1_epi8(0x07);
+            let low4 = _mm256_set1_epi8(0x0F);
+            let n = codes.len();
+            let mut i = 0;
+            while i + 32 <= n {
+                let c = _mm256_loadu_si256(codes.as_ptr().add(i) as *const __m256i);
+                // code >> 3 per byte: shift words, then drop the bits that
+                // crossed in from the neighbouring byte.
+                let byte = _mm256_srli_epi16::<3>(c);
+                let idx = _mm256_and_si256(byte, low4);
+                let lo = _mm256_shuffle_epi8(tbl_lo, idx);
+                let hi = _mm256_shuffle_epi8(tbl_hi, idx);
+                // Bit 4 of the byte index is bit 7 of the code.
+                let entry = _mm256_blendv_epi8(lo, hi, c);
+                let bit = _mm256_shuffle_epi8(bit_of, _mm256_and_si256(c, low3));
+                let m = _mm256_cmpeq_epi8(_mm256_and_si256(entry, bit), bit);
+                _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, m);
+                i += 32;
+            }
+            super::membership_scalar_u8(&codes[i..], table, &mut out[i..]);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -527,6 +594,26 @@ mod tests {
                     let expected = if x >= lo && x <= hi { 0xFF } else { 0u8 };
                     assert_eq!(out[i], expected, "i={i} lo={lo} hi={hi} level={level}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn membership_u8_matches_oracle() {
+        let codes: Vec<u8> = (0..=255u8).chain((0..77).map(|i| (i * 37 % 251) as u8)).collect();
+        let tables: [[u8; 32]; 4] = [
+            [0; 32],
+            [0xFF; 32],
+            std::array::from_fn(|i| (i as u8).wrapping_mul(73) ^ 0x5A),
+            std::array::from_fn(|i| if i == 31 { 0x80 } else { 0 }),
+        ];
+        for level in SimdLevel::available() {
+            for table in &tables {
+                let mut out = vec![0x11u8; codes.len()];
+                let mut expected = vec![0u8; codes.len()];
+                membership_u8(&codes, table, &mut out, level);
+                membership_scalar_u8(&codes, table, &mut expected);
+                assert_eq!(out, expected, "level={level}");
             }
         }
     }

@@ -209,6 +209,41 @@ fn every_encoding_roundtrips() {
 /// `[1_000_000_000]` — a one-element column from the sorted-wide pool, where
 /// the delta encoder's first element carries the whole magnitude. Keep the
 /// exact input alive under every hint now that the shrink file is gone.
+/// The partition points of sorted columns — what compiles a range predicate
+/// into a row range — against a linear scan: duplicates, anchor-block
+/// boundaries (delta keeps an anchor every 1024 rows), bounds off both ends.
+#[test]
+fn sorted_partition_points_match_a_linear_scan() {
+    run_cases("sorted_partition_points_match_a_linear_scan", 48, |g| {
+        let len = *g.pick(&[1usize, 2, 1023, 1024, 1025, 2048, 2500]);
+        let step = *g.pick(&[0i64, 1, 3]);
+        let mut values = Vec::with_capacity(len);
+        let mut v = g.int(-1000i64..1000);
+        for _ in 0..len {
+            v += if g.chance(0.3) { g.int(0..=step) } else { 0 };
+            values.push(v);
+        }
+        let (first, last) = (values[0], values[len - 1]);
+        let mut bounds = vec![i64::MIN, first - 1, first, last, last + 1, i64::MAX];
+        bounds.extend((0..8).map(|_| values[g.int(0..len)]));
+        for hint in [EncodingHint::Delta, EncodingHint::BitPack] {
+            let col = encode_ints(&values, hint);
+            for &bound in &bounds {
+                for strict in [false, true] {
+                    let want =
+                        values.iter().filter(|&&v| v < bound || (strict && v == bound)).count();
+                    let got = match &col {
+                        EncodedColumn::Delta(c) => c.partition_point(bound, strict),
+                        EncodedColumn::BitPack(c) => c.partition_point(bound, strict),
+                        other => unreachable!("forced hint gave {:?}", other.encoding()),
+                    };
+                    assert_eq!(got, want, "{hint:?} len={len} bound={bound} strict={strict}");
+                }
+            }
+        }
+    });
+}
+
 #[test]
 fn regression_single_wide_value_roundtrips() {
     let values = [1_000_000_000i64];

@@ -13,8 +13,10 @@ use bipie::columnstore::encoding::EncodingHint;
 use bipie::columnstore::{ColumnSpec, LogicalType, Table, TableBuilder, Value};
 use bipie::core::reference::execute_reference;
 use bipie::core::{
-    execute, AggExpr, AggStrategy, Predicate, Query, QueryBuilder, QueryOptions, SelectionStrategy,
+    execute, AggExpr, AggStrategy, Predicate, ProfileLevel, Query, QueryBuilder, QueryOptions,
+    ResultRow, SelectionStrategy,
 };
+use bipie::toolbox::SimdLevel;
 
 /// `rows` rows in runs of `run_len`: `k = i / run_len`, `v = 7k - 3`.
 /// Both columns RLE-encoded, split into `segment_rows` segments.
@@ -157,110 +159,270 @@ fn serial_and_parallel_agree_on_run_wise_path() {
     }
 }
 
-/// A sorted (monotonic) column under Delta and BitPack encodings: range
-/// predicates take the whole-batch accept/reject + binary-search path.
+/// The engine's rows on `table`, under each of `options`, are `expected`.
+fn assert_engine_rows(
+    table: &Table,
+    query: &Query,
+    options: &[QueryOptions],
+    expected: &[ResultRow],
+    label: &str,
+) {
+    for opts in options {
+        let q = Query { options: opts.clone(), ..query.clone() };
+        let fast = execute(table, &q).unwrap();
+        assert_eq!(
+            fast.rows, expected,
+            "{label} threads={:?} batch_rows={} level={}",
+            opts.threads, opts.batch_rows, opts.level
+        );
+    }
+}
+
+/// {serial, 2 threads} × {default, 512-row batches}.
+fn threads_by_batch_rows() -> Vec<QueryOptions> {
+    let mut options = Vec::new();
+    for batch_rows in [QueryOptions::default().batch_rows, 512] {
+        let base = QueryOptions { batch_rows, morsel_rows: 1024, ..Default::default() };
+        options.push(QueryOptions { parallel: false, ..base.clone() });
+        options.push(QueryOptions { parallel: true, threads: Some(2), ..base });
+    }
+    options
+}
+
+const CMP_OPS: [fn(&'static str, Value) -> Predicate; 6] =
+    [Predicate::eq, Predicate::ne, Predicate::lt, Predicate::le, Predicate::gt, Predicate::ge];
+
+/// Sorted (monotonic) columns under Delta and BitPack encodings: the
+/// predicate compiles to a row range the scan never leaves (DESIGN.md §13).
+/// `ts` holds runs of 700 duplicates, so the run over rows 700..1400
+/// straddles a 512-row batch edge and a delta anchor (row 1024), and the run
+/// over rows 3500..4200 a default batch edge (row 4096).
 #[test]
 fn monotonic_range_pruning_matches_reference() {
-    for hint in [EncodingHint::Delta, EncodingHint::BitPack, EncodingHint::Auto] {
-        let mut b = TableBuilder::with_segment_rows(
-            vec![
-                ColumnSpec::new("ts", LogicalType::I64).with_hint(hint),
-                ColumnSpec::new("v", LogicalType::I64),
-            ],
-            900,
-        );
-        for i in 0..2500i64 {
-            b.push_row(vec![Value::I64(1000 + i * 3), Value::I64(i % 91)]);
-        }
-        let t = b.finish();
-        let mk = |p: Predicate| {
-            QueryBuilder::new()
-                .filter(p)
-                .aggregate(AggExpr::count_star())
-                .aggregate(AggExpr::sum("v"))
-                .build()
+    let ts_of = |i: usize| 100 + (i / 700) as i64 * 5;
+    let options = threads_by_batch_rows();
+    // (rows, segment rows): one segment of each length, then three.
+    for (rows, segment_rows) in
+        [(1, 1), (1023, 1023), (1024, 1024), (1025, 1025), (4097, 4097), (4500, 1500)]
+    {
+        let build = |hint: EncodingHint, deleted: &[usize]| {
+            let mut b = TableBuilder::with_segment_rows(
+                vec![
+                    ColumnSpec::new("ts", LogicalType::I64).with_hint(hint),
+                    // A second sorted column and an unsorted one to conjoin.
+                    ColumnSpec::new("s2", LogicalType::I64).with_hint(hint),
+                    ColumnSpec::new("u", LogicalType::I64).with_hint(EncodingHint::BitPack),
+                    ColumnSpec::new("v", LogicalType::I64),
+                ],
+                segment_rows,
+            );
+            for i in 0..rows {
+                let (s2, u) = ((i / 3) as i64, (i * 37 % 101) as i64);
+                b.push_row(vec![
+                    Value::I64(ts_of(i)),
+                    Value::I64(s2),
+                    Value::I64(u),
+                    Value::I64(i as i64 % 91),
+                ]);
+            }
+            let mut t = b.finish();
+            for &row in deleted.iter().filter(|&&r| r < rows) {
+                t.delete_row(row / segment_rows, row % segment_rows);
+            }
+            t
         };
-        for (label, pred) in [
-            ("lt lo", Predicate::lt("ts", Value::I64(999))),
-            ("lt mid", Predicate::lt("ts", Value::I64(1000 + 3 * 1234))),
-            ("ge mid", Predicate::ge("ts", Value::I64(1000 + 3 * 777 + 1))),
-            ("eq hit", Predicate::eq("ts", Value::I64(1000 + 3 * 50))),
-            ("eq miss", Predicate::eq("ts", Value::I64(1001))),
-            ("ne", Predicate::ne("ts", Value::I64(1000 + 3 * 900))),
-            ("between", Predicate::between("ts", Value::I64(1500), Value::I64(5000))),
-            ("accept all", Predicate::ge("ts", Value::I64(0))),
-        ] {
-            let fast = execute(&t, &mk(pred.clone())).unwrap();
-            let slow = execute_reference(&t, &mk(pred)).unwrap();
-            assert_eq!(fast.rows, slow.rows, "{hint:?} {label}");
+        let (first, last) = (ts_of(0), ts_of(rows - 1));
+        // Below min, the first value, inside the two straddling runs, the
+        // last value, above max.
+        let bounds = [first - 1, first, 105, 125, last, last + 1];
+        let mut preds: Vec<Predicate> = Vec::new();
+        for op in CMP_OPS {
+            preds.extend(bounds.iter().map(|&c| op("ts", Value::I64(c))));
+        }
+        for (lo, hi) in [(first - 1, first), (first, 105), (105, last), (105, last + 1), (125, 105)]
+        {
+            preds.push(Predicate::between("ts", Value::I64(lo), Value::I64(hi)));
+        }
+        // Deletes: none; inside the range; on the edges of every range a
+        // bound above can produce (run starts/ends, segment ends).
+        let inside = vec![rows / 2, rows * 2 / 3];
+        let edges = vec![0, 699, 700, 1023, 1024, 1399, 1400, 3499, 3500, rows - 1];
+        for (dlabel, deleted) in [("none", vec![]), ("inside", inside), ("edges", edges)] {
+            let delta = build(EncodingHint::Delta, &deleted);
+            let bitpack = build(EncodingHint::BitPack, &deleted);
+            for pred in &preds {
+                let conjoined = [
+                    pred.clone(),
+                    Predicate::and(vec![pred.clone(), Predicate::lt("u", Value::I64(50))]),
+                    Predicate::and(vec![
+                        Predicate::ge("s2", Value::I64(rows as i64 / 9)),
+                        pred.clone(),
+                    ]),
+                ];
+                for p in conjoined {
+                    let label = format!("rows={rows} deletes={dlabel} {p:?}");
+                    let q = QueryBuilder::new()
+                        .filter(p)
+                        .aggregate(AggExpr::count_star())
+                        .aggregate(AggExpr::sum("v"))
+                        .build();
+                    // The reference reads row by row, which a delta column
+                    // answers by replaying from its anchor; the bit-packed
+                    // table holds the same rows and answers in O(1).
+                    let oracle = execute_reference(&bitpack, &q).unwrap();
+                    assert_engine_rows(
+                        &delta,
+                        &q,
+                        &options,
+                        &oracle.rows,
+                        &format!("Delta {label}"),
+                    );
+                    assert_engine_rows(
+                        &bitpack,
+                        &q,
+                        &options,
+                        &oracle.rows,
+                        &format!("BitPack {label}"),
+                    );
+                }
+            }
         }
     }
 }
 
-/// Dictionary predicate pre-evaluation: single conjuncts ride the
-/// code-domain translation; two conjuncts on the same dictionary column
-/// fuse into one id-bitset membership pass.
+/// A sorted column's row range shows in the stats: pruned rows are never
+/// scanned, whatever the worker count.
 #[test]
-fn dictionary_predicates_match_reference() {
+fn row_range_prunes_rows_and_says_so() {
     let mut b = TableBuilder::with_segment_rows(
         vec![
-            ColumnSpec::new("cat", LogicalType::Str),
-            ColumnSpec::new("code", LogicalType::I64).with_hint(EncodingHint::Dict),
+            ColumnSpec::new("ts", LogicalType::I64).with_hint(EncodingHint::Delta),
             ColumnSpec::new("v", LogicalType::I64),
         ],
-        800,
+        20_000,
     );
-    let cats = ["alpha", "beta", "gamma", "delta", "epsilon"];
-    for i in 0..2100i64 {
-        b.push_row(vec![
-            Value::Str(cats[(i % 5) as usize].into()),
-            Value::I64((i * i) % 37),
-            Value::I64(i),
-        ]);
+    for i in 0..20_000i64 {
+        b.push_row(vec![Value::I64(2 * i), Value::I64(i % 7)]);
     }
-    let t = b.finish();
-    let mk = |p: Predicate| {
+    let mut t = b.finish();
+    t.delete_row(0, 10); // pruned
+    t.delete_row(0, 9_000); // visited
+    let q = |options: QueryOptions| {
         QueryBuilder::new()
-            .filter(p)
-            .group_by("cat")
+            .filter(Predicate::between("ts", Value::I64(2 * 8_200), Value::I64(2 * 12_300)))
             .aggregate(AggExpr::count_star())
-            .aggregate(AggExpr::sum("v"))
+            .options(options)
             .build()
     };
-    for (label, pred) in [
-        ("str eq", Predicate::eq("cat", Value::Str("gamma".into()))),
-        ("str ne", Predicate::ne("cat", Value::Str("alpha".into()))),
-        ("str lt", Predicate::lt("cat", Value::Str("delta".into()))),
-        ("str miss", Predicate::eq("cat", Value::Str("zeta".into()))),
-        ("int dict eq", Predicate::eq("code", Value::I64(9))),
-        ("int dict range", Predicate::between("code", Value::I64(5), Value::I64(20))),
-        (
-            "fused int pair",
-            Predicate::and(vec![
-                Predicate::ge("code", Value::I64(4)),
-                Predicate::le("code", Value::I64(30)),
-            ]),
-        ),
-        (
-            "fused triple",
-            Predicate::and(vec![
-                Predicate::ge("code", Value::I64(1)),
-                Predicate::le("code", Value::I64(33)),
-                Predicate::ne("code", Value::I64(16)),
-            ]),
-        ),
-        (
-            "fused plus other column",
-            Predicate::and(vec![
-                Predicate::ge("code", Value::I64(2)),
-                Predicate::ne("code", Value::I64(25)),
-                Predicate::lt("v", Value::I64(1500)),
-            ]),
-        ),
-    ] {
-        let fast = execute(&t, &mk(pred.clone())).unwrap();
-        let slow = execute_reference(&t, &mk(pred)).unwrap();
-        assert_eq!(fast.rows, slow.rows, "{label}");
+    for threads in [1usize, 2] {
+        let r = execute(&t, &q(QueryOptions { threads: Some(threads), ..Default::default() }));
+        let r = r.unwrap();
+        assert_eq!(r.rows[0].aggs[0].as_count(), Some(4_100));
+        // Rows 8200..=12300 round outward to the 4096-row grid: 8192..16384.
+        assert_eq!((r.stats.rows_scanned, r.stats.rows_pruned), (8_191, 11_807), "{threads}");
+        assert_eq!((r.stats.batches, r.stats.morsels_scanned), (2, 1), "{threads}");
+    }
+    let r = execute(&t, &q(QueryOptions { profile: ProfileLevel::Spans, ..Default::default() }));
+    let r = r.unwrap();
+    let explain = r.profile.render_explain(&r.stats);
+    assert!(explain.contains("8191 rows scanned (11807 pruned)"), "{explain}");
+    if !cfg!(feature = "no_profiler") {
+        assert!(explain.contains("range=[8192,16384)"), "{explain}");
+    }
+}
+
+/// Dictionary predicates, string and integer: one conjunct is a comparison
+/// on codes; a conjunction over one column is evaluated once against the
+/// dictionary, and the set of codes it accepts picks the kernel — none
+/// (eliminated), all (dropped), one interval (a comparison on codes), or
+/// anything else (a membership table: SIMD for codes of at most 8 bits, an
+/// id-bitset beyond). Cardinalities sit on both sides of the 8-bit edge.
+#[test]
+fn dictionary_predicates_match_reference() {
+    let mut options = Vec::new();
+    for level in SimdLevel::available() {
+        options.push(QueryOptions { level, parallel: false, ..Default::default() });
+        options.push(QueryOptions {
+            level,
+            threads: Some(2),
+            batch_rows: 512,
+            ..Default::default()
+        });
+    }
+    for cardinality in [1usize, 2, 255, 256, 257, 4096] {
+        let rows = (2 * cardinality).max(1500);
+        let mut b = TableBuilder::with_segment_rows(
+            vec![
+                ColumnSpec::new("s", LogicalType::Str),
+                ColumnSpec::new("n", LogicalType::I64).with_hint(EncodingHint::Dict),
+                ColumnSpec::new("v", LogicalType::I64),
+            ],
+            rows,
+        );
+        let (s_of, n_of) =
+            (|code: usize| format!("k{code:05}"), |code: usize| code as i64 * 13 + 3);
+        for i in 0..rows {
+            // 7919 is prime: every code occurs, in no order.
+            let code = i * 7919 % cardinality;
+            b.push_row(vec![
+                Value::Str(s_of(code).into()),
+                Value::I64(n_of(code)),
+                Value::I64(i as i64),
+            ]);
+        }
+        let t = b.finish();
+        let (lo, hi, mid) = (cardinality / 8, cardinality * 3 / 4, cardinality / 2);
+        for col in ["s", "n"] {
+            let value = |code: usize| match col {
+                "s" => Value::Str(s_of(code).into()),
+                _ => Value::I64(n_of(code)),
+            };
+            let interval = vec![Predicate::ge(col, value(lo)), Predicate::le(col, value(hi))];
+            let minus_point = [interval.clone(), vec![Predicate::ne(col, value(mid))]].concat();
+            let alternating = (0..cardinality.min(300)).step_by(2);
+            let sets: Vec<(&str, Predicate)> = vec![
+                ("empty", Predicate::gt(col, value(cardinality - 1))),
+                (
+                    "empty conjunction",
+                    Predicate::and(vec![
+                        Predicate::ge(col, value(mid)),
+                        Predicate::lt(col, value(mid)),
+                    ]),
+                ),
+                (
+                    "all",
+                    Predicate::and(vec![
+                        Predicate::ge(col, value(0)),
+                        Predicate::le(col, value(cardinality - 1)),
+                    ]),
+                ),
+                ("one code", Predicate::eq(col, value(mid))),
+                ("all but one code", Predicate::ne(col, value(mid))),
+                ("interval", Predicate::and(interval)),
+                ("interval minus a point", Predicate::and(minus_point.clone())),
+                (
+                    "alternating",
+                    Predicate::and(alternating.map(|c| Predicate::ne(col, value(c))).collect()),
+                ),
+                (
+                    "minus a point, and another column",
+                    Predicate::and(
+                        [minus_point, vec![Predicate::lt("v", Value::I64(rows as i64 / 2))]]
+                            .concat(),
+                    ),
+                ),
+            ];
+            for (label, pred) in sets {
+                let q = QueryBuilder::new()
+                    .filter(pred)
+                    .aggregate(AggExpr::count_star())
+                    .aggregate(AggExpr::sum("v"))
+                    .build();
+                let label = format!("cardinality={cardinality} {col}: {label}");
+                let oracle = execute_reference(&t, &q).unwrap();
+                assert_engine_rows(&t, &q, &options, &oracle.rows, &label);
+            }
+        }
     }
 }
 
@@ -271,9 +433,10 @@ fn dictionary_predicates_match_reference() {
 /// close — tagged `RunSpan`, distinct from the generic path's own
 /// selection span for the same batch. Forcing is no good here: a forced
 /// non-run-wise strategy disables the probe up front.
+#[cfg(not(feature = "no_profiler"))] // asserts on trace spans
 #[test]
 fn declined_run_wise_probe_still_closes_its_selection_span() {
-    use bipie::core::{Phase, ProfileLevel, TraceEvent};
+    use bipie::core::{Phase, TraceEvent};
     let t = rle_table(3000, 1, 1100); // run_len 1: runs_fraction == 1.0
     let opts = QueryOptions { parallel: false, profile: ProfileLevel::Spans, ..Default::default() };
     let r = execute(&t, &agg_query(Some(Predicate::lt("k", Value::I64(2000))), opts)).unwrap();

@@ -8,7 +8,7 @@ use bipie::toolbox::agg::multi::{sum_multi, RowLayout};
 use bipie::toolbox::agg::sort_based::{bucket_sort, sum_sorted_packed, SortedBatch};
 use bipie::toolbox::agg::{in_register, reference_group_sums, scalar, ColRef};
 use bipie::toolbox::bitpack::{mask_for, PackedVec};
-use bipie::toolbox::cmp::{cmp_u32, CmpOp};
+use bipie::toolbox::cmp::{cmp_u32, membership_scalar_u8, membership_u8, CmpOp};
 use bipie::toolbox::select::{compact, gather, special_group};
 use bipie::toolbox::selvec::{SelByteVec, SelIndexVec};
 use bipie::toolbox::SimdLevel;
@@ -82,6 +82,28 @@ fn comparisons_match_scalar_semantics() {
                 for (i, &x) in data.iter().enumerate() {
                     assert_eq!(out[i] != 0, op.eval(x, c), "op={op:?} i={i} level={level}");
                 }
+            }
+        }
+    });
+}
+
+#[test]
+fn membership_matches_its_oracle() {
+    run_cases("membership_matches_its_oracle", 32, |g| {
+        let table: [u8; 32] = std::array::from_fn(|_| g.rng.random::<u8>());
+        // Every length from empty through four SIMD blocks and a tail.
+        for len in 0..=130usize {
+            let codes: Vec<u8> = (0..len).map(|_| g.rng.random::<u8>()).collect();
+            let mut expected = vec![0u8; len];
+            membership_scalar_u8(&codes, &table, &mut expected);
+            for (i, &c) in codes.iter().enumerate() {
+                let member = table[c as usize / 8] >> (c % 8) & 1 == 1;
+                assert_eq!(expected[i], if member { 0xFF } else { 0 }, "oracle code={c}");
+            }
+            for level in SimdLevel::available() {
+                let mut out = vec![0x5Au8; len];
+                membership_u8(&codes, &table, &mut out, level);
+                assert_eq!(out, expected, "len={len} level={level}");
             }
         }
     });
