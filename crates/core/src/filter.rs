@@ -27,7 +27,7 @@ use std::ops::Range;
 
 use bipie_columnstore::encoding::{EncodedColumn, RleColumn};
 use bipie_columnstore::{LogicalType, Segment, Table, Value};
-use bipie_toolbox::bitpack::PackedVec;
+use bipie_toolbox::bitpack::{PackedVec, WordSize};
 use bipie_toolbox::cmp::{self, CmpOp};
 use bipie_toolbox::runspan::{enc_filter_codes_bitset, enc_intersect_spans};
 use bipie_toolbox::selvec::{REJECTED, SELECTED};
@@ -218,6 +218,7 @@ pub struct ResolvedPredicate {
 #[derive(Debug, Default)]
 pub struct FilterScratch {
     u8_buf: Vec<u8>,
+    u16_buf: Vec<u16>,
     u32_buf: Vec<u32>,
     u64_buf: Vec<u64>,
     i64_buf: Vec<i64>,
@@ -261,12 +262,17 @@ fn translate_cmp(op: CmpOp, c: i64, reference: i64, range: u64) -> DomainCmp {
             CmpOp::Ne | CmpOp::Gt | CmpOp::Ge => DomainCmp::All,
         }
     } else if cn > range as i128 {
-        match op {
-            CmpOp::Eq | CmpOp::Gt | CmpOp::Ge => DomainCmp::None,
-            CmpOp::Ne | CmpOp::Lt | CmpOp::Le => DomainCmp::All,
-        }
+        cmp_above_domain(op)
     } else {
         DomainCmp::Cmp(op, cn as u64)
+    }
+}
+
+/// `x OP c` for a constant above every value `x` can take.
+fn cmp_above_domain(op: CmpOp) -> DomainCmp {
+    match op {
+        CmpOp::Eq | CmpOp::Gt | CmpOp::Ge => DomainCmp::None,
+        CmpOp::Ne | CmpOp::Lt | CmpOp::Le => DomainCmp::All,
     }
 }
 
@@ -851,7 +857,9 @@ fn eval_rle_spans(
     }
 }
 
-/// Apply a domain comparison to a bit-packed unsigned payload.
+/// Apply a domain comparison to a bit-packed unsigned payload, a `Cmp` at
+/// the payload's own word size (§2.2: the smallest word compares the most
+/// rows per instruction).
 fn apply_domain_cmp_packed(
     packed: &PackedVec,
     dc: DomainCmp,
@@ -860,27 +868,46 @@ fn apply_domain_cmp_packed(
     scratch: &mut FilterScratch,
     level: SimdLevel,
 ) {
+    let dc = match dc {
+        // A dictionary of exactly 256 entries has 8-bit codes and the
+        // threshold `code < 256`: a constant no payload value reaches is
+        // answered here, never cast down to the word.
+        DomainCmp::Cmp(op, c) if c > packed.value_mask() => cmp_above_domain(op),
+        dc => dc,
+    };
+    let n = out.len();
     match dc {
         DomainCmp::All => out.fill(SELECTED),
         DomainCmp::None => out.fill(REJECTED),
-        DomainCmp::Cmp(op, c) if packed.bits() <= 32 => {
-            scratch.u32_buf.resize(out.len(), 0);
-            packed.unpack_into_u32(start, &mut scratch.u32_buf, level);
-            cmp::cmp_u32(&scratch.u32_buf, op, c as u32, out, level);
-        }
+        DomainCmp::Cmp(op, c) => match packed.word_size() {
+            WordSize::W1 => {
+                let bytes = packed.u8_values(start, n, &mut scratch.u8_buf, level);
+                cmp::cmp_u8(bytes, op, c as u8, out, level);
+            }
+            WordSize::W2 => {
+                scratch.u16_buf.resize(n, 0);
+                packed.unpack_into_u16(start, &mut scratch.u16_buf, level);
+                cmp::cmp_u16(&scratch.u16_buf, op, c as u16, out, level);
+            }
+            WordSize::W4 => {
+                scratch.u32_buf.resize(n, 0);
+                packed.unpack_into_u32(start, &mut scratch.u32_buf, level);
+                cmp::cmp_u32(&scratch.u32_buf, op, c as u32, out, level);
+            }
+            // Wide packed values: unpack to u64, compare scalar.
+            WordSize::W8 => {
+                scratch.u64_buf.resize(n, 0);
+                packed.unpack_into_u64(start, &mut scratch.u64_buf, level);
+                cmp::cmp_u64(&scratch.u64_buf, op, c, out, level);
+            }
+        },
         DomainCmp::Between(lo, hi) if packed.bits() <= 32 => {
-            scratch.u32_buf.resize(out.len(), 0);
+            scratch.u32_buf.resize(n, 0);
             packed.unpack_into_u32(start, &mut scratch.u32_buf, level);
             cmp::between_u32(&scratch.u32_buf, lo as u32, hi as u32, out, level);
         }
-        // Wide packed values: unpack to u64, compare scalar.
-        DomainCmp::Cmp(op, c) => {
-            scratch.u64_buf.resize(out.len(), 0);
-            packed.unpack_into_u64(start, &mut scratch.u64_buf, level);
-            cmp::cmp_u64(&scratch.u64_buf, op, c, out, level);
-        }
         DomainCmp::Between(lo, hi) => {
-            scratch.u64_buf.resize(out.len(), 0);
+            scratch.u64_buf.resize(n, 0);
             packed.unpack_into_u64(start, &mut scratch.u64_buf, level);
             for (o, &v) in out.iter_mut().zip(&scratch.u64_buf) {
                 *o = if v >= lo && v <= hi { SELECTED } else { REJECTED };
@@ -1061,6 +1088,36 @@ mod tests {
             Predicate::between("flag", Value::I64(0), Value::I64(1)).resolve(&t),
             Err(EngineError::TypeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn constant_above_the_payload_word_is_answered_not_truncated() {
+        // A 256-entry dictionary: 8-bit codes, and `x <= <largest entry>` is
+        // `code < 256`, which as a `u8` would read `code < 0`.
+        let codes: Vec<u64> = (0..=255).collect();
+        let packed = PackedVec::pack(&codes, 8);
+        let mut scratch = FilterScratch::default();
+        for level in SimdLevel::available() {
+            for (op, all) in [
+                (CmpOp::Lt, true),
+                (CmpOp::Le, true),
+                (CmpOp::Ne, true),
+                (CmpOp::Eq, false),
+                (CmpOp::Gt, false),
+                (CmpOp::Ge, false),
+            ] {
+                let mut out = vec![0x55u8; codes.len()];
+                let dc = DomainCmp::Cmp(op, 256);
+                apply_domain_cmp_packed(&packed, dc, 0, &mut out, &mut scratch, level);
+                let want = if all { SELECTED } else { REJECTED };
+                assert!(out.iter().all(|&b| b == want), "{op:?} level={level}");
+            }
+            // The largest constant the word holds is still compared.
+            let mut out = vec![0u8; codes.len()];
+            let dc = DomainCmp::Cmp(CmpOp::Lt, 255);
+            apply_domain_cmp_packed(&packed, dc, 0, &mut out, &mut scratch, level);
+            assert!(out[..255].iter().all(|&b| b == SELECTED) && out[255] == REJECTED);
+        }
     }
 
     #[test]

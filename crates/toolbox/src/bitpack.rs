@@ -9,9 +9,12 @@
 //!
 //! The packed layout is LSB-first: value `i` occupies bit positions
 //! `[i*bits, (i+1)*bits)` of the little-endian byte stream. The backing
-//! buffer is padded with 8 trailing zero bytes so SIMD kernels (unaligned
-//! gathers of 4- or 8-byte words) may read past the last value without
-//! leaving the allocation.
+//! buffer is padded with 8 trailing zero bytes: a 4- or 8-byte word read at
+//! the first byte of any value (the scalar path, the AVX2 gathers) stays
+//! inside the allocation. The AVX-512 kernel reads 64 bytes at a time and
+//! the padding does not cover that: its loop runs only while
+//! `byte_base + 64 <= bytes_padded().len()` and leaves the values behind
+//! that point to the word-at-a-time kernels.
 
 use crate::dispatch::SimdLevel;
 
@@ -195,6 +198,15 @@ impl PackedVec {
         assert!(self.bits <= 8, "bit width {} does not fit u8 words", self.bits);
         self.check_range(start, out.len());
         #[cfg(target_arch = "x86_64")]
+        let (start, out) = if level.has_avx512() && self.bits <= 7 {
+            // SAFETY: AVX-512 availability checked by has_avx512(); the
+            // gate is the kernel's `(8 / W) * bits + 7 <= 64`.
+            let done = unsafe { avx512::unpack(self, start, out) };
+            (start + done, &mut out[done..])
+        } else {
+            (start, out)
+        };
+        #[cfg(target_arch = "x86_64")]
         if level.has_avx2() && self.bits <= 25 {
             // SAFETY: AVX2 availability checked by has_avx2().
             unsafe { avx2::unpack_u8(self, start, out) };
@@ -231,6 +243,15 @@ impl PackedVec {
         assert!(self.bits <= 16, "bit width {} does not fit u16 words", self.bits);
         self.check_range(start, out.len());
         #[cfg(target_arch = "x86_64")]
+        let (start, out) = if level.has_avx512() && self.bits <= 14 {
+            // SAFETY: AVX-512 availability checked by has_avx512(); the
+            // gate is the kernel's `(8 / W) * bits + 7 <= 64`.
+            let done = unsafe { avx512::unpack(self, start, out) };
+            (start + done, &mut out[done..])
+        } else {
+            (start, out)
+        };
+        #[cfg(target_arch = "x86_64")]
         if level.has_avx2() && self.bits <= 25 {
             // SAFETY: AVX2 availability checked by has_avx2().
             unsafe { avx2::unpack_u16(self, start, out) };
@@ -244,6 +265,15 @@ impl PackedVec {
     pub fn unpack_into_u32(&self, start: usize, out: &mut [u32], level: SimdLevel) {
         assert!(self.bits <= 32, "bit width {} does not fit u32 words", self.bits);
         self.check_range(start, out.len());
+        #[cfg(target_arch = "x86_64")]
+        let (start, out) = if level.has_avx512() && self.bits <= 28 {
+            // SAFETY: AVX-512 availability checked by has_avx512(); the
+            // gate is the kernel's `(8 / W) * bits + 7 <= 64`.
+            let done = unsafe { avx512::unpack(self, start, out) };
+            (start + done, &mut out[done..])
+        } else {
+            (start, out)
+        };
         #[cfg(target_arch = "x86_64")]
         if level.has_avx2() {
             // SAFETY: AVX2 availability checked by has_avx2().
@@ -337,6 +367,122 @@ pub fn debug_assert_values_fit(values: &[u64], bits: u8) {
 fn read_u64_le(bytes: &[u8], offset: usize) -> u64 {
     // PANIC: the 8-byte slice is exact, so try_into must fit.
     u64::from_le_bytes(bytes[offset..offset + 8].try_into().unwrap())
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    //! Gather-free AVX-512 (VBMI) unpack kernel.
+    //!
+    //! One iteration produces the 64 output bytes of `64 / W` values (`W` =
+    //! output word bytes) from one 64-byte load at the iteration's byte base:
+    //! `vpermb` brings to output qword `q` the eight source bytes that hold
+    //! its `8 / W` values, `vpmultishiftqb` picks for every output byte the 8
+    //! bits at its bit offset inside that qword, and one `vpand` clears what
+    //! lies above each value. `64 / W` values are a whole number of bytes, so
+    //! the three control vectors depend on `(bits, start_bit & 7)` alone and
+    //! are built once per call.
+    //!
+    //! The values of one output qword must lie within eight source bytes
+    //! whatever the phase: `(8 / W) * bits + 7 <= 64` — at most 7 bits into
+    //! `u8`, 14 into `u16`, 28 into `u32`. The dispatcher gates on exactly
+    //! that; other widths keep the AVX2 gathers.
+
+    use super::PackedVec;
+    use std::arch::x86_64::*;
+
+    /// Loop-invariant control vectors of [`unpack`].
+    struct Ctrl {
+        /// `vpermb` indices: output qword `q` takes source bytes `B_q..B_q+8`.
+        bytes: __m512i,
+        /// `vpmultishiftqb` bit offsets of every output byte in its qword.
+        offsets: __m512i,
+        /// The byte of the value mask every output byte keeps.
+        mask: __m512i,
+    }
+
+    /// Control vectors for `bits`-bit values unpacked into `w`-byte words,
+    /// the first value starting `phase < 8` bits into the loaded bytes.
+    ///
+    /// Output qword `q` holds values `q*(8/w) ..`, the first of which starts
+    /// at bit `phase + q*(8/w)*bits` of the load: byte `B_q` (that `>> 3`),
+    /// bit `o_q` (that `& 7`). Byte `j` of the qword is byte `j % w` of value
+    /// `j / w`, i.e. the 8 bits at `o_q + (j/w)*bits + 8*(j%w)`.
+    ///
+    /// # Safety
+    /// The CPU must support avx512f — guaranteed by the dispatcher's
+    /// `SimdLevel` check before any call.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn ctrl(bits: usize, w: usize, phase: usize) -> Ctrl {
+        const EACH_BYTE: u64 = 0x0101_0101_0101_0101;
+        const BYTE_INDEX: u64 = 0x0706_0504_0302_0100;
+        let value_mask = super::mask_for(bits as u8);
+        let (mut within, mut mask) = (0u64, 0u64);
+        for j in 0..8 {
+            within |= (((j / w) * bits + 8 * (j % w)) as u64) << (8 * j);
+            mask |= ((value_mask >> (8 * (j % w))) & 0xFF) << (8 * j);
+        }
+        let mut bytes = [0u64; 8];
+        let mut offsets = [0u64; 8];
+        for q in 0..8 {
+            let bit = phase + q * (8 / w) * bits;
+            // No byte carries: `bit >> 3` is at most 49 and the offsets at
+            // most 59 under the applicability inequality.
+            bytes[q] = (bit >> 3) as u64 * EACH_BYTE + BYTE_INDEX;
+            offsets[q] = (bit & 7) as u64 * EACH_BYTE + within;
+        }
+        // SAFETY: avx512f per the caller; both arrays are 64 bytes, read
+        // unaligned.
+        unsafe {
+            Ctrl {
+                bytes: _mm512_loadu_si512(bytes.as_ptr() as *const _),
+                offsets: _mm512_loadu_si512(offsets.as_ptr() as *const _),
+                mask: _mm512_set1_epi64(mask as i64),
+            }
+        }
+    }
+
+    /// Unpack values `start..` of `pv` into the front of `out`, whole
+    /// iterations of `64 / size_of::<T>()` values only, and return how many
+    /// were written. It stops before the output is full and before a 64-byte
+    /// load would leave the packed buffer; the caller unpacks the rest with a
+    /// word-at-a-time kernel.
+    ///
+    /// # Safety
+    /// The CPU must support avx512f + avx512bw + avx512vbmi — guaranteed by
+    /// the dispatcher's `SimdLevel` check before any call. `T` must be `u8`,
+    /// `u16` or `u32` with `(8 / size_of::<T>()) * pv.bits() + 7 <= 64`, and
+    /// `start + out.len() <= pv.len()`.
+    #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vbmi")]
+    pub(super) unsafe fn unpack<T>(pv: &PackedVec, start: usize, out: &mut [T]) -> usize {
+        let (bits, w) = (pv.bits() as usize, std::mem::size_of::<T>());
+        debug_assert!(matches!(w, 1 | 2 | 4) && (8 / w) * bits + 7 <= 64);
+        let bytes = pv.bytes_padded();
+        let start_bit = start * bits;
+        let per_iter = 64 / w;
+        let mut byte_base = start_bit >> 3;
+        let mut done = 0usize;
+        // SAFETY: avx512f per the caller.
+        let ctrl = unsafe { ctrl(bits, w, start_bit & 7) };
+        while done + per_iter <= out.len() && byte_base + 64 <= bytes.len() {
+            // Checked slices: the loop condition is what makes them free.
+            let src = &bytes[byte_base..byte_base + 64];
+            let dst = &mut out[done..done + per_iter];
+            // SAFETY: the target features are the caller's guarantee; `src`
+            // and `dst` are 64 bytes each (`per_iter` words of `w` bytes),
+            // read and written unaligned, and every bit pattern is a `T`.
+            unsafe {
+                let loaded = _mm512_loadu_si512(src.as_ptr() as *const _);
+                let qwords = _mm512_permutexvar_epi8(ctrl.bytes, loaded);
+                let fields = _mm512_multishift_epi64_epi8(ctrl.offsets, qwords);
+                let values = _mm512_and_si512(fields, ctrl.mask);
+                _mm512_storeu_si512(dst.as_mut_ptr() as *mut _, values);
+            }
+            byte_base += per_iter * bits / 8;
+            done += per_iter;
+        }
+        done
+    }
 }
 
 #[cfg(target_arch = "x86_64")]

@@ -73,21 +73,21 @@ scalar_cmp!(cmp_scalar_u64, between_scalar_u64, u64);
 scalar_cmp!(cmp_scalar_i64, between_scalar_i64, i64);
 
 macro_rules! dispatch_cmp {
-    ($name:ident, $scalar:ident, $avx2:ident, $ty:ty) => {
+    ($name:ident, $scalar:ident, $kernel:ident, $ty:ty $(, $wide:ident)?) => {
         /// Compare each element of `data` against `c` with `op`, writing the
         /// canonical `0x00`/`0xFF` byte mask into `out`.
         pub fn $name(data: &[$ty], op: CmpOp, c: $ty, out: &mut [u8], level: SimdLevel) {
             assert_eq!(data.len(), out.len(), "output length mismatch");
             #[cfg(target_arch = "x86_64")]
             {
-                if level.has_avx512() {
-                    if avx512::$avx2(data, op, c, out) {
-                        return;
-                    }
-                }
+                $(if level.has_avx512() {
+                    // SAFETY: AVX-512 availability checked by has_avx512().
+                    unsafe { avx512::$wide(data, op, c, out) };
+                    return;
+                })?
                 if level.has_avx2() {
                     // SAFETY: AVX2 availability checked by has_avx2().
-                    unsafe { avx2::$avx2(data, op, c, out) };
+                    unsafe { avx2::$kernel(data, op, c, out) };
                     return;
                 }
             }
@@ -97,9 +97,10 @@ macro_rules! dispatch_cmp {
     };
 }
 
-dispatch_cmp!(cmp_u8, cmp_scalar_u8, cmp_u8, u8);
-dispatch_cmp!(cmp_u16, cmp_scalar_u16, cmp_u16, u16);
-dispatch_cmp!(cmp_u32, cmp_scalar_u32, cmp_u32, u32);
+// The last name is the AVX-512 kernel; `i64` has none and stays on AVX2.
+dispatch_cmp!(cmp_u8, cmp_scalar_u8, cmp_u8, u8, cmp_u8);
+dispatch_cmp!(cmp_u16, cmp_scalar_u16, cmp_u16, u16, cmp_u16);
+dispatch_cmp!(cmp_u32, cmp_scalar_u32, cmp_u32, u32, cmp_u32);
 dispatch_cmp!(cmp_i64, cmp_scalar_i64, cmp_i64, i64);
 
 /// Compare `u64` elements (scalar only: 64-bit unsigned compares gain little
@@ -158,42 +159,18 @@ pub fn membership_scalar_u8(codes: &[u8], table: &[u8; 32], out: &mut [u8]) {
 mod avx512 {
     //! AVX-512 comparisons: unsigned compare instructions produce mask
     //! registers directly (no sign-bit flipping), and `vpmovm2b` expands a
-    //! mask into the canonical byte vector. Only the widths the engine's
-    //! hot paths use have 512-bit versions; the rest report `false` and the
-    //! caller falls through to the AVX2 tier.
+    //! mask into the canonical byte vector. `u8`, `u16` and `u32` — the
+    //! words a packed column of up to 32 bits is compared at — have 512-bit
+    //! versions; `i64` has none and its dispatcher goes to the AVX2 tier.
 
     use super::CmpOp;
     use std::arch::x86_64::*;
-
-    /// Dispatch shim: returns whether a 512-bit kernel ran.
-    pub(super) fn cmp_u8(data: &[u8], op: CmpOp, c: u8, out: &mut [u8]) -> bool {
-        // SAFETY: caller verified AVX-512 availability.
-        unsafe { cmp_u8_impl(data, op, c, out) };
-        true
-    }
-
-    /// Dispatch shim for `u16`: no 512-bit version, use the AVX2 tier.
-    pub(super) fn cmp_u16(_: &[u16], _: CmpOp, _: u16, _: &mut [u8]) -> bool {
-        false
-    }
-
-    /// Dispatch shim: returns whether a 512-bit kernel ran.
-    pub(super) fn cmp_u32(data: &[u32], op: CmpOp, c: u32, out: &mut [u8]) -> bool {
-        // SAFETY: caller verified AVX-512 availability.
-        unsafe { cmp_u32_impl(data, op, c, out) };
-        true
-    }
-
-    /// Dispatch shim for `i64`: no 512-bit version, use the AVX2 tier.
-    pub(super) fn cmp_i64(_: &[i64], _: CmpOp, _: i64, _: &mut [u8]) -> bool {
-        false
-    }
 
     /// # Safety
     /// The CPU must support avx512f + avx512bw — guaranteed by the
     /// dispatcher's `SimdLevel` check before any call.
     #[target_feature(enable = "avx512f", enable = "avx512bw")]
-    unsafe fn cmp_u8_impl(data: &[u8], op: CmpOp, c: u8, out: &mut [u8]) {
+    pub(super) unsafe fn cmp_u8(data: &[u8], op: CmpOp, c: u8, out: &mut [u8]) {
         // SAFETY: the caller guarantees this CPU supports the target features
         // this function is compiled with (dispatch routes here only after
         // `SimdLevel` detection), and every pointer below is derived from the
@@ -223,7 +200,37 @@ mod avx512 {
     /// The CPU must support avx512f + avx512bw + avx512vl — guaranteed by the
     /// dispatcher's `SimdLevel` check before any call.
     #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vl")]
-    unsafe fn cmp_u32_impl(data: &[u32], op: CmpOp, c: u32, out: &mut [u8]) {
+    pub(super) unsafe fn cmp_u16(data: &[u16], op: CmpOp, c: u16, out: &mut [u8]) {
+        // SAFETY: the caller guarantees this CPU supports the target features
+        // this function is compiled with (dispatch routes here only after
+        // `SimdLevel` detection), and every pointer below is derived from the
+        // argument slices with offsets bounded by their lengths.
+        unsafe {
+            let cv = _mm512_set1_epi16(c as i16);
+            let n = data.len();
+            let mut i = 0usize;
+            while i + 32 <= n {
+                let x = _mm512_loadu_si512(data.as_ptr().add(i) as *const _);
+                let m: __mmask32 = match op {
+                    CmpOp::Eq => _mm512_cmpeq_epu16_mask(x, cv),
+                    CmpOp::Ne => _mm512_cmpneq_epu16_mask(x, cv),
+                    CmpOp::Lt => _mm512_cmplt_epu16_mask(x, cv),
+                    CmpOp::Le => _mm512_cmple_epu16_mask(x, cv),
+                    CmpOp::Gt => _mm512_cmpgt_epu16_mask(x, cv),
+                    CmpOp::Ge => _mm512_cmpge_epu16_mask(x, cv),
+                };
+                _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, _mm256_movm_epi8(m));
+                i += 32;
+            }
+            super::cmp_scalar_u16(&data[i..], op, c, &mut out[i..]);
+        }
+    }
+
+    /// # Safety
+    /// The CPU must support avx512f + avx512bw + avx512vl — guaranteed by the
+    /// dispatcher's `SimdLevel` check before any call.
+    #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vl")]
+    pub(super) unsafe fn cmp_u32(data: &[u32], op: CmpOp, c: u32, out: &mut [u8]) {
         // SAFETY: the caller guarantees this CPU supports the target features
         // this function is compiled with (dispatch routes here only after
         // `SimdLevel` detection), and every pointer below is derived from the

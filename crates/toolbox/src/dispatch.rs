@@ -3,9 +3,10 @@
 //! The paper's Vector Toolbox "has versions compiled for different
 //! generations of CPUs that can be automatically switched at run-time based
 //! on the hardware that the product is running on" (§3). We implement the
-//! same idea with two tiers: portable scalar code and AVX2. Detection runs
-//! once and is cached; tests and ablation benchmarks can force a level to
-//! compare implementations on identical data.
+//! same idea with three tiers: portable scalar code, AVX2 (+ BMI2, POPCNT)
+//! and AVX-512 (F, BW, VL, VBMI, VBMI2). Detection runs once and is cached;
+//! tests and ablation benchmarks can force a level to compare
+//! implementations on identical data.
 
 use std::sync::OnceLock;
 
@@ -22,11 +23,12 @@ pub enum SimdLevel {
     /// AVX2 + BMI2 + POPCNT implementations (256-bit integer SIMD), the
     /// instruction set generation the paper targets (Haswell and later).
     Avx2,
-    /// AVX-512 (F/BW/VL/VBMI2) implementations — a newer toolbox tier the
-    /// paper anticipates ("versions compiled for different generations of
-    /// CPUs"). Mask registers and `vpcompress` replace the byte-mask and
-    /// shuffle-table idioms of the AVX2 tier; kernels without a 512-bit
-    /// version fall through to the AVX2 one.
+    /// AVX-512 (F/BW/VL/VBMI/VBMI2) implementations — a newer toolbox tier
+    /// the paper anticipates ("versions compiled for different generations
+    /// of CPUs"). Mask registers and `vpcompress` replace the byte-mask and
+    /// shuffle-table idioms of the AVX2 tier, `vpermb` + `vpmultishiftqb`
+    /// its unpack gathers; kernels without a 512-bit version fall through
+    /// to the AVX2 one.
     Avx512,
 }
 
@@ -90,6 +92,8 @@ impl SimdLevel {
                 && std::arch::is_x86_feature_detected!("avx512f")
                 && std::arch::is_x86_feature_detected!("avx512bw")
                 && std::arch::is_x86_feature_detected!("avx512vl")
+                // Every core with VBMI2 has VBMI (Ice Lake, Zen 4 onward).
+                && std::arch::is_x86_feature_detected!("avx512vbmi")
                 && std::arch::is_x86_feature_detected!("avx512vbmi2")
             {
                 return SimdLevel::Avx512;

@@ -4,7 +4,9 @@
 //! width 1 (minimum), widths straddling each power-of-two word size
 //! (7/8/9, 31/32/33, 63/64) and the 25/26 switch from 32-bit to 64-bit
 //! gather windows (28 sits inside the wide-window `u32` band), where the
-//! per-value byte span and the shift/mask arithmetic change shape. This
+//! per-value byte span and the shift/mask arithmetic change shape. The typed
+//! unpack sweeps add 7/8, 14/15 and 28/29, where the AVX-512 tier switches
+//! between its 64-byte `vpermb` + `vpmultishiftqb` kernel and the gathers. This
 //! suite is also the designated Miri target: under Miri, `SimdLevel::available()` collapses to the
 //! scalar tier (see `dispatch.rs`), so the unchecked pointer arithmetic in
 //! the scalar pack/unpack paths gets interpreted with full provenance and
@@ -61,6 +63,42 @@ fn unpack_all_roundtrips_at_boundary_widths() {
     }
 }
 
+/// Unpack `[start, start + len)` of `pv` into every word size its width fits
+/// and compare with the values that were packed. `u64` takes every width.
+fn check_unpack_every_word(
+    pv: &PackedVec,
+    values: &[u64],
+    start: usize,
+    len: usize,
+    level: SimdLevel,
+) {
+    macro_rules! check {
+        ($unpack:ident, $word:ty) => {{
+            // Pre-filled with a value no unpack of <= 32 bits into this word
+            // leaves behind when it skips a slot.
+            let mut out = vec![<$word>::MAX; len];
+            pv.$unpack(start, &mut out, level);
+            let matches = out.iter().zip(&values[start..]).all(|(&o, &v)| o as u64 == v);
+            assert!(
+                matches,
+                "{} of {} bits, start {start}, len {len}, level {level}",
+                stringify!($unpack),
+                pv.bits()
+            );
+        }};
+    }
+    if pv.bits() <= 8 {
+        check!(unpack_into_u8, u8);
+    }
+    if pv.bits() <= 16 {
+        check!(unpack_into_u16, u16);
+    }
+    if pv.bits() <= 32 {
+        check!(unpack_into_u32, u32);
+    }
+    check!(unpack_into_u64, u64);
+}
+
 #[test]
 fn typed_unpack_matches_width_class() {
     for level in SimdLevel::available() {
@@ -69,34 +107,57 @@ fn typed_unpack_matches_width_class() {
             let values = workload(bits, n);
             let pv = PackedVec::pack(&values, bits);
             // Unpack a misaligned window so `start` offsets are exercised.
-            let start = n / 3;
-            let len = n - start;
-            match bits {
-                1..=8 => {
-                    let mut out = vec![0u8; len];
-                    pv.unpack_into_u8(start, &mut out, level);
-                    for (k, &v) in out.iter().enumerate() {
-                        assert_eq!(v as u64, values[start + k], "width {bits}, level {level}");
-                    }
+            check_unpack_every_word(&pv, &values, n / 3, n - n / 3, level);
+        }
+    }
+}
+
+#[test]
+fn typed_unpack_sweep_over_width_word_start_and_length() {
+    // Every start 0..=71 walks all eight bit phases of every width and starts
+    // that are no multiple of a kernel's values per iteration (8, 16, 32,
+    // 64); the lengths sit around one and two iterations and past a batch.
+    // Widths 7|8, 14|15 and 28|29 straddle the AVX-512 kernel's gates for
+    // u8, u16 and u32 words; a narrower width into a wider word is the same
+    // kernel under the same inequality, so every admitted word is swept.
+    let all_bits: Vec<u8> = (1..=32).collect();
+    let all_starts: Vec<usize> = (0..=71).collect();
+    let (widths, starts, lens): (&[u8], &[usize], &[usize]) = if cfg!(miri) {
+        (&[1, 7, 8, 14, 15, 28, 29, 32], &[0, 3, 71], &[0, 1, 33, 65])
+    } else {
+        (&all_bits, &all_starts, &[0, 1, 31, 32, 33, 63, 64, 65, 4096, 4097])
+    };
+    let n = starts[starts.len() - 1] + lens[lens.len() - 1];
+    for &bits in widths {
+        let values = workload(bits, n);
+        let pv = PackedVec::pack(&values, bits);
+        for level in SimdLevel::available() {
+            for &start in starts {
+                for &len in lens {
+                    check_unpack_every_word(&pv, &values, start, len, level);
                 }
-                9..=16 => {
-                    let mut out = vec![0u16; len];
-                    pv.unpack_into_u16(start, &mut out, level);
-                    for (k, &v) in out.iter().enumerate() {
-                        assert_eq!(v as u64, values[start + k], "width {bits}, level {level}");
-                    }
-                }
-                17..=32 => {
-                    let mut out = vec![0u32; len];
-                    pv.unpack_into_u32(start, &mut out, level);
-                    for (k, &v) in out.iter().enumerate() {
-                        assert_eq!(v as u64, values[start + k], "width {bits}, level {level}");
-                    }
-                }
-                _ => {
-                    let mut out = vec![0u64; len];
-                    pv.unpack_into_u64(start, &mut out, level);
-                    assert_eq!(out, values[start..], "width {bits}, level {level}");
+            }
+        }
+    }
+}
+
+#[test]
+fn typed_unpack_to_the_last_value_never_reads_past_the_padding() {
+    // The last `tail` values of the vector: the 64-byte loads of the AVX-512
+    // kernel must stop where fewer than 64 bytes (8 of them padding) are
+    // left, and the word-at-a-time kernels finish. 7, 14 and 28 bits consume
+    // 56 bytes per iteration at their own word and 28 or 14 at a wider one;
+    // the vector lengths put the last value's end at different bit phases.
+    let widths: &[u8] = if cfg!(miri) { &[7, 28] } else { &[1, 3, 7, 14, 28] };
+    let max_tail = if cfg!(miri) { 70 } else { 200 };
+    for &bits in widths {
+        for n in [200usize, 203, 1001] {
+            let values = workload(bits, n);
+            let pv = PackedVec::pack(&values, bits);
+            assert_eq!(pv.bytes_padded().len(), pv.packed_bytes() + 8, "the padding rule");
+            for level in SimdLevel::available() {
+                for tail in 1..=max_tail {
+                    check_unpack_every_word(&pv, &values, n - tail, tail, level);
                 }
             }
         }

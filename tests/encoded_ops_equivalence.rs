@@ -189,6 +189,21 @@ fn threads_by_batch_rows() -> Vec<QueryOptions> {
     options
 }
 
+/// Every SIMD tier × {serial, 2 threads over 512-row batches}.
+fn tiers_by_threads() -> Vec<QueryOptions> {
+    let mut options = Vec::new();
+    for level in SimdLevel::available() {
+        options.push(QueryOptions { level, parallel: false, ..Default::default() });
+        options.push(QueryOptions {
+            level,
+            threads: Some(2),
+            batch_rows: 512,
+            ..Default::default()
+        });
+    }
+    options
+}
+
 const CMP_OPS: [fn(&'static str, Value) -> Predicate; 6] =
     [Predicate::eq, Predicate::ne, Predicate::lt, Predicate::le, Predicate::gt, Predicate::ge];
 
@@ -326,8 +341,51 @@ fn row_range_prunes_rows_and_says_so() {
     let r = r.unwrap();
     let explain = r.profile.render_explain(&r.stats);
     assert!(explain.contains("8191 rows scanned (11807 pruned)"), "{explain}");
-    if !cfg!(feature = "no_profiler") {
+    if common::profiler_compiled_in() {
         assert!(explain.contains("range=[8192,16384)"), "{explain}");
+    }
+}
+
+/// An unsorted bit-packed column is compared at the smallest word its width
+/// fits (`u8` / `u16` / `u32` / `u64`, §2.2), against a constant translated
+/// into the column's frame of reference. Widths sit on both sides of every
+/// word edge (8|9, 16|17, 32|33) and of the AVX-512 unpack kernel's gates
+/// (7|8, 14|16, 28|32); the constants on and beyond both ends of the domain.
+#[test]
+fn packed_comparisons_at_every_word_match_reference() {
+    let options = tiers_by_threads();
+    for bits in [1u32, 7, 8, 9, 14, 16, 17, 28, 32, 33] {
+        let (min, range) = (-3i64, ((1u64 << bits) - 1) as i64);
+        let mut b = TableBuilder::with_segment_rows(
+            vec![
+                ColumnSpec::new("x", LogicalType::I64).with_hint(EncodingHint::BitPack),
+                ColumnSpec::new("v", LogicalType::I64),
+            ],
+            1500,
+        );
+        for i in 0..1500u64 {
+            // Both ends of the domain, out of order; then the top `bits` bits
+            // of a multiplicative hash.
+            let normalized = match i {
+                0 => range,
+                1 => 0,
+                _ => (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as i64,
+            };
+            b.push_row(vec![Value::I64(min + normalized), Value::I64(i as i64)]);
+        }
+        let t = b.finish();
+        for op in CMP_OPS {
+            for c in [min - 1, min, min + range / 2, min + range, min + range + 1] {
+                let q = QueryBuilder::new()
+                    .filter(op("x", Value::I64(c)))
+                    .aggregate(AggExpr::count_star())
+                    .aggregate(AggExpr::sum("v"))
+                    .build();
+                let oracle = execute_reference(&t, &q).unwrap();
+                let label = format!("bits={bits} {:?}", q.filter);
+                assert_engine_rows(&t, &q, &options, &oracle.rows, &label);
+            }
+        }
     }
 }
 
@@ -336,21 +394,18 @@ fn row_range_prunes_rows_and_says_so() {
 /// dictionary, and the set of codes it accepts picks the kernel — none
 /// (eliminated), all (dropped), one interval (a comparison on codes), or
 /// anything else (a membership table: SIMD for codes of at most 8 bits, an
-/// id-bitset beyond). Cardinalities sit on both sides of the 8-bit edge.
+/// id-bitset beyond). Cardinalities sit on both sides of the 8-bit edge, and
+/// of the 16-bit one for the thresholds: a comparison on codes runs at the
+/// codes' own word, and `x <= <largest entry>` is `code < cardinality`, a
+/// constant one past what 8- or 16-bit codes can hold.
 #[test]
 fn dictionary_predicates_match_reference() {
-    let mut options = Vec::new();
-    for level in SimdLevel::available() {
-        options.push(QueryOptions { level, parallel: false, ..Default::default() });
-        options.push(QueryOptions {
-            level,
-            threads: Some(2),
-            batch_rows: 512,
-            ..Default::default()
-        });
-    }
-    for cardinality in [1usize, 2, 255, 256, 257, 4096] {
-        let rows = (2 * cardinality).max(1500);
+    let options = tiers_by_threads();
+    for cardinality in [1usize, 2, 255, 256, 257, 4096, 65_535, 65_536, 65_537] {
+        // Every code occurs at least once; the row-at-a-time reference is
+        // what bounds the row count at the 16-bit edge.
+        let rows =
+            if cardinality <= 4096 { (2 * cardinality).max(1500) } else { cardinality + 1500 };
         let mut b = TableBuilder::with_segment_rows(
             vec![
                 ColumnSpec::new("s", LogicalType::Str),
@@ -371,17 +426,28 @@ fn dictionary_predicates_match_reference() {
             ]);
         }
         let t = b.finish();
-        let (lo, hi, mid) = (cardinality / 8, cardinality * 3 / 4, cardinality / 2);
+        let (lo, hi, mid, largest) =
+            (cardinality / 8, cardinality * 3 / 4, cardinality / 2, cardinality - 1);
         for col in ["s", "n"] {
             let value = |code: usize| match col {
                 "s" => Value::Str(s_of(code).into()),
                 _ => Value::I64(n_of(code)),
             };
+            // Comparisons on codes whose constant sits at the top of the
+            // codes' word or one past it.
+            let mut sets: Vec<(&str, Predicate)> = vec![
+                ("le largest", Predicate::le(col, value(largest))),
+                ("gt largest", Predicate::gt(col, value(largest))),
+                ("ge largest", Predicate::ge(col, value(largest))),
+            ];
             let interval = vec![Predicate::ge(col, value(lo)), Predicate::le(col, value(hi))];
             let minus_point = [interval.clone(), vec![Predicate::ne(col, value(mid))]].concat();
             let alternating = (0..cardinality.min(300)).step_by(2);
-            let sets: Vec<(&str, Predicate)> = vec![
-                ("empty", Predicate::gt(col, value(cardinality - 1))),
+            // The sets of codes are about the 8-bit edge, and the reference
+            // pays per selected row: not at the 16-bit edge.
+            let code_sets: Vec<(&str, Predicate)> = vec![
+                ("lt largest", Predicate::lt(col, value(largest))),
+                ("gt smallest", Predicate::gt(col, value(0))),
                 (
                     "empty conjunction",
                     Predicate::and(vec![
@@ -393,7 +459,7 @@ fn dictionary_predicates_match_reference() {
                     "all",
                     Predicate::and(vec![
                         Predicate::ge(col, value(0)),
-                        Predicate::le(col, value(cardinality - 1)),
+                        Predicate::le(col, value(largest)),
                     ]),
                 ),
                 ("one code", Predicate::eq(col, value(mid))),
@@ -412,6 +478,9 @@ fn dictionary_predicates_match_reference() {
                     ),
                 ),
             ];
+            if cardinality <= 4096 {
+                sets.extend(code_sets);
+            }
             for (label, pred) in sets {
                 let q = QueryBuilder::new()
                     .filter(pred)

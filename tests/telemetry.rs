@@ -5,6 +5,8 @@
 //! Chrome trace that loads in Perfetto. The trace exposition format itself
 //! is pinned by an exact-string golden from a synthetic profile.
 
+mod common;
+
 use bipie::core::{
     telemetry, AggStrategy, DecisionRecord, Phase, ProfileLevel, QueryOptions, QueryProfile,
     SelectionStrategy, SpanLoc, TraceEvent,
@@ -209,7 +211,11 @@ fn mixed_workload_telemetry_is_exact() {
         assert_eq!(rows.value() - before_rows, total_rows);
         assert_eq!(bytes.value() - before_bytes, total_bytes);
         assert_eq!(latency.count() - before_latency, 2);
-
+    }
+    if !common::profiler_compiled_in() {
+        return; // the decision log and the trace are fed by spans
+    }
+    if !bipie::core::telemetry::metrics_compiled_out() {
         // The decision log tiles every batch/segment decision of both
         // queries: same totals, same per-strategy breakdown.
         let records = t.decision_log().snapshot();
