@@ -49,7 +49,7 @@ use crate::expr::{LaneReject, ResolvedExpr};
 use crate::strategy::{AggStrategy, SelectionStrategy};
 
 /// One aggregate input, planned per segment.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum AggInput<'a> {
     /// A raw bit-packed stored column: kernels consume normalized values
     /// directly; `finish` applies the frame-of-reference correction.
@@ -118,7 +118,7 @@ pub enum ExprPath {
 }
 
 /// How one sum input reaches the kernels.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum SumSource {
     /// A bare bit-packed column: leaf index.
     Leaf(usize),
@@ -129,7 +129,7 @@ enum SumSource {
 }
 
 /// A bit-packed column some sum input reads, unpacked once per batch.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Leaf<'a> {
     col: &'a ForBitPackColumn,
     /// Read by a lane program (sort-based then needs it batch-indexed).
@@ -137,8 +137,9 @@ struct Leaf<'a> {
 }
 
 /// The per-segment plan of how sum inputs become kernel inputs, built once
-/// from metadata (DESIGN.md §17).
-#[derive(Debug)]
+/// from metadata (DESIGN.md §17) — by the scan's segment program, which
+/// every worker that visits the segment copies into its executor.
+#[derive(Debug, Clone)]
 pub struct LanePlan<'a> {
     leaves: Vec<Leaf<'a>>,
     sums: Vec<SumSource>,
@@ -465,7 +466,10 @@ pub struct SegmentAggExecutor<'a> {
     inputs: Vec<AggInput<'a>>,
     /// MIN/MAX inputs (extension beyond the paper's COUNT/SUM).
     mm_inputs: Vec<AggInput<'a>>,
-    /// Built by the scan at plan time, or on the first batch.
+    /// The scan hands over its segment program's plan at construction.
+    /// `Option` because [`SegmentAggExecutor::new`] takes no segment — the
+    /// repo benchmark and this module's tests build executors through it —
+    /// so such an executor plans on its first batch, which brings one.
     plan: Option<LanePlan<'a>>,
     /// Per-group row counts, length G+1.
     counts: Vec<u64>,
@@ -628,11 +632,6 @@ impl<'a> SegmentAggExecutor<'a> {
         self.scratch.col_cache.resize_with(plan.interp_cols.len(), Vec::new);
         self.scratch.expr_bufs.resize_with(self.inputs.len() + self.mm_inputs.len(), Vec::new);
         self.plan = Some(plan);
-    }
-
-    /// The aggregation strategy in use.
-    pub fn strategy(&self) -> AggStrategy {
-        self.strategy
     }
 
     /// Projected working-set bytes for an executor of this shape: per-group

@@ -149,7 +149,9 @@ impl NarrowMapper<'_> {
 }
 
 /// Wide-path mapper: dense remap through a hash table, `u32` group ids.
-#[derive(Debug)]
+/// `Clone` so a scan can plan the (empty) mapper once per segment and hand
+/// each visiting worker its own copy to intern into.
+#[derive(Debug, Clone)]
 pub struct WideMapper<'a> {
     cols: Vec<(&'a EncodedColumn, LogicalType)>,
     map: HashMap<Vec<i64>, u32>,

@@ -1,10 +1,16 @@
 //! The columnstore scan driver (§3, Figure 1; parallelism in DESIGN.md §8).
 //!
-//! Orchestrates execution: segment elimination, group-id mapper planning,
-//! overflow proofs, adaptive strategy selection, the batch loop, and the
-//! merge of per-segment group results into table-level totals. Group keys,
-//! not group ids, are the merge key, because dictionary codes differ
-//! between segments.
+//! Orchestrates execution: segment elimination, overflow proofs, the
+//! per-segment *program*, the batch loop, and the merge of per-segment group
+//! results into table-level totals. Group keys, not group ids, are the merge
+//! key, because dictionary codes differ between segments.
+//!
+//! The operator is specialized once per segment (§3; DESIGN.md §20):
+//! admission planning compiles the filter, plans the group-id mapper, the
+//! aggregate inputs and their lane plan, and makes the segment's one
+//! aggregation decision — all before any worker starts, into an immutable
+//! `PlannedSegment` the workers share by reference. A worker visiting a
+//! segment adds only scratch buffers and accumulators.
 //!
 //! Scans are *morsel-driven* ("query 1 requires little synchronization
 //! coming from parallel processing", §6.3): segments are decomposed into
@@ -226,12 +232,16 @@ pub(crate) fn scan_governed(
         governor.check()?;
     }
 
-    // Admission planning runs once per segment, serially: it is metadata
-    // only (elimination, overflow proofs, mapper viability) and it lets
-    // errors surface deterministically before any worker starts. The table
-    // segment ordinal rides along as the id trace events carry.
+    let hardware = || std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
+    let workers = if options.parallel { options.threads.unwrap_or_else(hardware) } else { 1 };
+
+    // Admission planning runs once per segment, serially: metadata
+    // (elimination, overflow proofs, mapper viability) plus at most one
+    // sampled batch of the filter, and it lets errors surface
+    // deterministically before any worker starts. The table segment ordinal
+    // rides along as the id trace events carry.
     let plan_start = coord.start();
-    let planned = plan_segments(table, ctx, &mut coord.stats);
+    let planned = plan_segments(table, ctx, workers, &mut coord);
     // Close on the planning *result*: a plan-time error (overflow proof,
     // budget rejection) must not drop the `Phase::Plan` span.
     coord.span(Phase::Plan, SpanLoc::none(), coord.stats.rows_scanned as u64, plan_start);
@@ -240,8 +250,6 @@ pub(crate) fn scan_governed(
     let merged = if planned.is_empty() {
         BTreeMap::new()
     } else {
-        let hardware = || std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-        let workers = if options.parallel { options.threads.unwrap_or_else(hardware) } else { 1 };
         scan_workers(&planned, workers, ctx, &mut coord, &mut profile)?
     };
     coord.stats.mem_reserved_peak = governor.peak_reserved();
@@ -249,8 +257,11 @@ pub(crate) fn scan_governed(
     Ok((merged, stats, profile))
 }
 
-/// A segment admitted by [`plan_segments`], with what the query's filter
-/// compiled to on it. Immutable and shared by reference across workers.
+/// A segment admitted by [`plan_segments`] and the whole program the scan
+/// runs on it (DESIGN.md §20): what the query's filter compiled to, the row
+/// window, and the sink with its one aggregation decision. Built once,
+/// complete before any worker starts, immutable and shared by reference; a
+/// visiting worker adds only scratch and accumulators ([`SegScan`]).
 #[derive(Debug)]
 struct PlannedSegment<'t> {
     /// Table segment ordinal (the id trace events carry).
@@ -262,32 +273,68 @@ struct PlannedSegment<'t> {
     /// the batch grid, so every worker count sees the same batch windows.
     /// No row outside is ever claimed.
     window: Range<usize>,
+    sink: Sink<'t>,
 }
 
-impl PlannedSegment<'_> {
-    /// The selected fraction of the rows the scan visits, where planning
-    /// already knows it: a filter that compiled to a row range alone selects
-    /// every live row inside. The segment's aggregation decision then rests
-    /// on this instead of on its first batch, which may be a clipped
-    /// boundary batch of the range.
-    fn known_selectivity(&self) -> Option<f64> {
-        let range_only = self.filter.as_ref().is_some_and(SegmentPredicate::range_only);
-        (range_only && self.seg.deleted().none_deleted()).then_some(1.0)
-    }
+/// Where a segment's batches go — decided at plan time and nowhere else.
+#[derive(Debug)]
+enum Sink<'t> {
+    /// Run-wise (DESIGN.md §13): run spans folded value×length, no unpack.
+    RunWise(RunWisePlan<'t>),
+    /// The BIPie fast path: `u8` group ids, specialized kernels.
+    Narrow(Box<NarrowPlan<'t>>),
+    /// Wide-group fallback. The mapper is the *empty* template each visiting
+    /// worker clones: interning group keys is per-worker state.
+    Wide(WideMapper<'t>),
+}
+
+/// The narrow sink's plan: what a worker builds its executor from. The
+/// mapper is shared as is (`extract_batch` takes `&self`).
+#[derive(Debug)]
+struct NarrowPlan<'t> {
+    mapper: NarrowMapper<'t>,
+    inputs: Vec<AggInput<'t>>,
+    mm_inputs: Vec<AggInput<'t>>,
+    /// How those inputs reach the kernels on this segment (DESIGN.md §17).
+    lane_plan: LanePlan<'t>,
+    /// The bit width driving the gather/compact crossover: widest packed
+    /// aggregate input, else the group-code width.
+    dominant_bits: u8,
+    /// The segment's aggregation strategy (§3: per segment, at run time).
+    strategy: AggStrategy,
+    /// What a worker charges before building its state: the batch-sized
+    /// group ids, unpack scratch and selection bytes, plus the executor's
+    /// projected working set under `strategy`.
+    footprint: usize,
+}
+
+/// The run-wise sink's plan: the bare RLE columns behind the aggregates.
+#[derive(Debug)]
+struct RunWisePlan<'t> {
+    sum_cols: Vec<&'t RleColumn>,
+    mm_cols: Vec<&'t RleColumn>,
+    /// Worst (largest) runs/rows ratio over every RLE column the scan
+    /// touches — the cost model's work proxy for the run-wise path.
+    runs_fraction: f64,
 }
 
 /// Admission planning for [`scan_table`]: walk the segments once, compiling
 /// the filter against each, skipping empty and filter-eliminated ones,
-/// proving overflow/min-max safety, and admitting wide-group projections
-/// against the memory budget. Split out so the coordinator can bracket
-/// exactly this fallible region with the [`Phase::Plan`] span — the span
-/// closes on the planning result before any error propagates.
+/// proving overflow/min-max safety, and planning each admitted segment's
+/// sink ([`plan_sink`]). Split out so the coordinator can bracket exactly
+/// this fallible region with the [`Phase::Plan`] span — the span closes on
+/// the planning result before any error propagates.
 fn plan_segments<'t>(
     table: &'t Table,
     ctx: &ScanCtx<'_>,
-    stats: &mut ExecStats,
+    workers: usize,
+    coord: &mut Tracer,
 ) -> Result<Vec<PlannedSegment<'t>>> {
-    let ScanCtx { filter, group_cols, sum_exprs, mm_exprs, governor, options } = *ctx;
+    let ScanCtx { filter, sum_exprs, mm_exprs, governor, options, .. } = *ctx;
+    // Every worker that visits a segment charges the same footprint, so the
+    // budget ladder is walked against an even share. Nothing is reserved
+    // until the workers start, so one reading serves every segment.
+    let headroom = governor.remaining().map(|bytes| bytes / workers);
     let mut planned: Vec<PlannedSegment<'t>> = Vec::new();
     for (seg_index, seg) in table.segments().iter().enumerate() {
         if seg.num_rows() == 0 || seg.live_rows() == 0 {
@@ -295,19 +342,57 @@ fn plan_segments<'t>(
         }
         let filter = filter.map(|f| f.compile(seg));
         if filter.as_ref().is_some_and(SegmentPredicate::eliminated) {
-            stats.segments_eliminated += 1;
+            coord.stats.segments_eliminated += 1;
             continue;
         }
         check_overflow(seg, sum_exprs)?;
         check_minmax_range(seg, sum_exprs.len(), mm_exprs)?;
-        if matches!(plan_segment_mapper(seg, group_cols)?, SegmentGroupMapper::Wide(_)) {
-            stats.wide_group_segments += 1;
+        // The plan-time checkpoint: planning a sink may evaluate one batch.
+        if governor.active() {
+            coord.stats.governor_checks += 1;
+            governor.check()?;
+        }
+        let rows = filter.as_ref().map_or(0..seg.num_rows(), SegmentPredicate::row_range);
+        let batch_rows = options.batch_rows;
+        let window = rows.start / batch_rows * batch_rows
+            ..rows.end.next_multiple_of(batch_rows).min(seg.num_rows());
+        let index = seg_index as u32;
+        let sink = plan_sink(index, seg, filter.as_ref(), &window, ctx, headroom, coord)?;
+        let visited = window.len() - seg.deleted().deleted_in(window.start, window.end);
+        let stats = &mut coord.stats;
+        stats.segments_scanned += 1;
+        stats.rows_scanned += visited;
+        stats.rows_pruned += seg.live_rows() - visited;
+        stats.bytes_scanned += seg.encoded_bytes();
+        planned.push(PlannedSegment { index, seg, filter, window, sink });
+    }
+    Ok(planned)
+}
+
+/// Plan one admitted segment's sink and make its one aggregation decision,
+/// logged on the coordinator's record. Everything the decision rests on is
+/// a function of (segment, query, options, worker count) — never of which
+/// worker claimed which morsel first.
+fn plan_sink<'t>(
+    index: u32,
+    seg: &'t Segment,
+    filter: Option<&SegmentPredicate<'t>>,
+    window: &Range<usize>,
+    ctx: &ScanCtx<'_>,
+    headroom: Option<usize>,
+    coord: &mut Tracer,
+) -> Result<Sink<'t>> {
+    let ScanCtx { group_cols, sum_exprs, mm_exprs, governor, options, .. } = *ctx;
+    let mapper = match plan_segment_mapper(seg, group_cols)? {
+        SegmentGroupMapper::Narrow(mapper) => mapper,
+        SegmentGroupMapper::Wide(mapper) => {
+            coord.stats.wide_group_segments += 1;
             // The wide path cannot degrade (its group domain is structurally
             // too wide for the narrow accumulators — the budgeted strategy
             // ladder only applies on the narrow path), so a budget that its
             // projected hash table cannot fit fails here, at plan time.
             if governor.accounts_memory() {
-                stats.governor_checks += 1;
+                coord.stats.governor_checks += 1;
                 governor.admit_projection(projected_wide_bytes(
                     seg,
                     group_cols,
@@ -315,19 +400,152 @@ fn plan_segments<'t>(
                     mm_exprs.len(),
                 ))?;
             }
+            // The wide-group path is structural (group domain too wide for
+            // u8 ids), not a cost-model outcome: `forced` is false, and no
+            // group has been interned yet.
+            let params = AggChoiceParams {
+                num_groups_effective: mapper.num_groups(),
+                num_sums: sum_exprs.len(),
+                input_bytes: Vec::new(),
+                all_packed_narrow: false,
+                multi_layout_fits: false,
+                est_selectivity: 1.0,
+                runwise_runs_fraction: None,
+            };
+            coord.decision_agg(index, &params, mm_exprs.len(), AggStrategy::Scalar, false);
+            return Ok(Sink::Wide(mapper));
         }
-        let rows = filter.as_ref().map_or(0..seg.num_rows(), SegmentPredicate::row_range);
-        let batch_rows = options.batch_rows;
-        let window = rows.start / batch_rows * batch_rows
-            ..rows.end.next_multiple_of(batch_rows).min(seg.num_rows());
-        let visited = window.len() - seg.deleted().deleted_in(window.start, window.end);
-        stats.segments_scanned += 1;
-        stats.rows_scanned += visited;
-        stats.rows_pruned += seg.live_rows() - visited;
-        stats.bytes_scanned += seg.encoded_bytes();
-        planned.push(PlannedSegment { index: seg_index as u32, seg, filter, window });
+    };
+
+    // Bare bit-packed columns feed kernels in their encoded form; everything
+    // else evaluates as an expression.
+    let plan_input = |e: &ResolvedExpr| match e.as_bare_column().map(|col| seg.column(col)) {
+        Some(EncodedColumn::BitPack(c)) => AggInput::Packed(c),
+        _ => AggInput::Computed(e.clone()),
+    };
+    let inputs: Vec<AggInput<'t>> = sum_exprs.iter().map(plan_input).collect();
+    let mm_inputs: Vec<AggInput<'t>> = mm_exprs.iter().map(plan_input).collect();
+    let lane_plan = LanePlan::build(seg, &inputs, &mm_inputs);
+    let dominant_bits = inputs
+        .iter()
+        .filter_map(|i| match i {
+            AggInput::Packed(c) => Some(c.bits()),
+            AggInput::Computed(_) => None,
+        })
+        .max()
+        .unwrap_or_else(|| mapper.code_bits());
+
+    let runwise = plan_runwise(seg, filter, ctx);
+    let params = AggChoiceParams {
+        num_groups_effective: mapper.num_groups() + 1,
+        num_sums: inputs.len(),
+        input_bytes: lane_plan.input_bytes().to_vec(),
+        all_packed_narrow: !inputs.is_empty() && inputs.iter().all(AggInput::sortable_packed),
+        multi_layout_fits: lane_plan.multi_layout_fits(),
+        est_selectivity: estimate_selectivity(seg, filter, window, options),
+        runwise_runs_fraction: runwise.as_ref().map(|r| r.runs_fraction),
+    };
+    // A worker's working set under `s`: batch-sized group ids, unpack scratch
+    // and selection bytes, then the executor. Run-wise keeps a few scalars
+    // and a span per run crossing the batch — any budget admits it.
+    let (groups, batch_rows) = (mapper.num_groups(), options.batch_rows);
+    let footprint = |s: AggStrategy| match s {
+        AggStrategy::RunWise => 0,
+        s => {
+            3 * batch_rows
+                + SegmentAggExecutor::projected_bytes(s, groups, &lane_plan, &mm_inputs, batch_rows)
+        }
+    };
+    // Run-wise aggregation needs the run-wise plan (bare RLE columns);
+    // forcing it on an ineligible segment reverts to the chooser, which
+    // never picks it there because `runwise_runs_fraction` is unset.
+    let forced_agg = options.forced_agg.filter(|&s| s != AggStrategy::RunWise || runwise.is_some());
+    // With a memory budget, the chooser degrades along the sort-based →
+    // scalar ladder when the winner's projected working set would not fit a
+    // worker's share (DESIGN.md §10); the outcome is logged as a normal
+    // decision event.
+    let strategy = forced_agg
+        .unwrap_or_else(|| options.config.choose_agg_budgeted(&params, headroom, &footprint));
+    coord.decision_agg(index, &params, mm_exprs.len(), strategy, forced_agg.is_some());
+    let footprint = footprint(strategy);
+    match runwise {
+        Some(plan) if strategy == AggStrategy::RunWise => Ok(Sink::RunWise(plan)),
+        _ => {
+            coord.stats.record_expr_path(lane_plan.expr_path());
+            Ok(Sink::Narrow(Box::new(NarrowPlan {
+                mapper,
+                inputs,
+                mm_inputs,
+                lane_plan,
+                dominant_bits,
+                strategy,
+                footprint,
+            })))
+        }
     }
-    Ok(planned)
+}
+
+/// The RLE column behind `e` when `e` is a bare reference to one.
+fn bare_rle<'a>(seg: &'a Segment, e: &ResolvedExpr) -> Option<&'a RleColumn> {
+    match seg.column(e.as_bare_column()?) {
+        EncodedColumn::Rle(r) => Some(r),
+        _ => None,
+    }
+}
+
+/// Structural eligibility for the run-wise path (DESIGN.md §13): ungrouped,
+/// no deleted rows, every aggregate a bare RLE column, and the filter (if
+/// any) answerable run-wise. The chooser still decides whether to take it.
+/// Forcing any *other* strategy disables it up front so forced experiments
+/// exercise exactly the strategy they name.
+fn plan_runwise<'t>(
+    seg: &'t Segment,
+    filter: Option<&SegmentPredicate<'t>>,
+    ctx: &ScanCtx<'_>,
+) -> Option<RunWisePlan<'t>> {
+    let options = ctx.options;
+    if !ctx.group_cols.is_empty()
+        || !seg.deleted().none_deleted()
+        || options.forced_selection.is_some_and(|s| s != SelectionStrategy::RunSpan)
+        || options.forced_agg.is_some_and(|s| s != AggStrategy::RunWise)
+    {
+        return None;
+    }
+    let sum_cols: Vec<&RleColumn> =
+        ctx.sum_exprs.iter().map(|e| bare_rle(seg, e)).collect::<Option<_>>()?;
+    let mm_cols: Vec<&RleColumn> =
+        ctx.mm_exprs.iter().map(|e| bare_rle(seg, e)).collect::<Option<_>>()?;
+    let rows = seg.num_rows().max(1) as f64;
+    let mut runs_fraction: f64 = 0.0;
+    for c in sum_cols.iter().chain(&mm_cols) {
+        runs_fraction = runs_fraction.max(c.run_values().len() as f64 / rows);
+    }
+    if let Some(f) = filter {
+        runs_fraction = runs_fraction.max(f.span_runs_fraction()?);
+    }
+    Some(RunWisePlan { sum_cols, mm_cols, runs_fraction })
+}
+
+/// The chooser's selectivity estimate for one segment. Known without
+/// looking when no deleted row meets no filter, or one that compiled to a
+/// row range alone: every row the scan visits is selected, whatever a
+/// clipped boundary batch of the range would suggest. Otherwise it is the
+/// selected fraction of the *window's* first batch — the batch a one-worker
+/// scan meets first — evaluated once, here, so every worker adopts the same
+/// answer. The sample records no span and counts no batch: the scan
+/// evaluates that batch again when a worker gets to it.
+fn estimate_selectivity(
+    seg: &Segment,
+    filter: Option<&SegmentPredicate<'_>>,
+    window: &Range<usize>,
+    options: &ScanOptions,
+) -> f64 {
+    if seg.deleted().none_deleted() && filter.is_none_or(SegmentPredicate::range_only) {
+        return 1.0;
+    }
+    let (len, level) = (window.len().min(options.batch_rows), options.level);
+    let mut select = ByteSelect::default();
+    selected_fraction(select.eval(seg, filter, window.start, len, level), len, level)
 }
 
 /// The resolved plan of one query and the governor it runs under: everything
@@ -460,7 +678,7 @@ fn worker_scan<'a>(
                 if let Some((_, done)) = current.take() {
                     fold(done);
                 }
-                let scan = SegScan::plan(&planned[claim.seg], ctx, tracer)?;
+                let scan = SegScan::new(&planned[claim.seg], ctx)?;
                 &mut current.insert((claim.seg, scan)).1
             }
         };
@@ -637,8 +855,10 @@ impl MorselScheduler {
     }
 }
 
-/// Resumable scan state for one segment on one worker: morsels of the same
-/// segment reuse the planned mapper, strategy choice, and scratch buffers.
+/// Resumable scan state for one segment on one worker: the segment's
+/// program by reference, plus what only a worker can own — its slice of the
+/// memory budget, accumulators and scratch buffers — reused across the
+/// morsels it claims from the segment.
 struct SegScan<'a> {
     planned: &'a PlannedSegment<'a>,
     ctx: ScanCtx<'a>,
@@ -648,58 +868,61 @@ struct SegScan<'a> {
     kind: SegScanKind<'a>,
 }
 
+// Boxed: each state (executor, scratch) is several hundred bytes.
 enum SegScanKind<'a> {
-    // Boxed: the narrow state (strategy template + scratch) is several
-    // hundred bytes.
+    RunWise(Box<RunWiseScan<'a>>),
     Narrow(Box<NarrowScan<'a>>),
     Wide(Box<WideScan<'a>>),
 }
 
 impl<'a> SegScan<'a> {
-    /// Plan the per-segment machinery (mapper, aggregate inputs) and charge
-    /// its batch-sized working buffers before they grow. The segment must
-    /// already have passed admission (overflow proofs etc.).
-    fn plan(
-        planned: &'a PlannedSegment<'a>,
-        ctx: &ScanCtx<'a>,
-        tracer: &mut Tracer,
-    ) -> Result<SegScan<'a>> {
-        let PlannedSegment { index: seg_index, seg, .. } = *planned;
+    /// Build this worker's state for the segment's sink, charging its
+    /// working set before anything grows: a budget that cannot fit surfaces
+    /// as the typed error instead of an allocation.
+    fn new(planned: &'a PlannedSegment<'a>, ctx: &ScanCtx<'a>) -> Result<SegScan<'a>> {
         let mut mem = MemScope::default();
         let batch_rows = ctx.options.batch_rows;
-        let kind = match plan_segment_mapper(seg, ctx.group_cols)? {
-            SegmentGroupMapper::Narrow(mapper) => {
-                // Group ids, unpack scratch, selection bytes.
-                mem.charge(ctx.governor, 3 * batch_rows)?;
-                SegScanKind::Narrow(Box::new(NarrowScan::plan(planned, mapper, ctx)))
+        let kind = match &planned.sink {
+            Sink::RunWise(plan) => {
+                // The batch's spans and the filter's two intersection
+                // temporaries, at one 8-byte span per run crossing a batch.
+                let runs = (plan.runs_fraction * batch_rows as f64).ceil() as usize + 1;
+                mem.charge(ctx.governor, 3 * 8 * runs)?;
+                SegScanKind::RunWise(Box::new(RunWiseScan {
+                    exec: RunWiseExec::new(plan.sum_cols.clone(), plan.mm_cols.clone()),
+                    span_buf: RunSpanVec::new(),
+                    fscratch: FilterScratch::default(),
+                }))
             }
-            SegmentGroupMapper::Wide(mapper) => {
+            Sink::Narrow(plan) => {
+                mem.charge(ctx.governor, plan.footprint)?;
+                // Batch buffers first, at full size, accumulators after: the
+                // heap order the lazy path had. The kernels stream several
+                // 4 KiB buffers whose relative placement the allocator
+                // decides; accumulators-first measured `filter_sweep` 8–18 %
+                // slower (0 of 12 pairs), this order at parity.
+                let gids = Vec::with_capacity(batch_rows);
+                let gid_scratch = Vec::with_capacity(batch_rows);
+                let sel_buf = Vec::with_capacity(batch_rows);
+                let exec = SegmentAggExecutor::with_min_max(
+                    plan.strategy,
+                    plan.mapper.num_groups(),
+                    plan.inputs.clone(),
+                    plan.mm_inputs.clone(),
+                    Some(plan.lane_plan.clone()),
+                    ctx.options.level,
+                );
+                let select = ByteSelect { sel_buf, fscratch: FilterScratch::default() };
+                SegScanKind::Narrow(Box::new(NarrowScan { plan, exec, gids, gid_scratch, select }))
+            }
+            Sink::Wide(mapper) => {
                 // u32 group ids + selection bytes + i64 buffers for the
                 // group-key scratch, per-column decode caches, and
                 // expression results.
                 let exprs = ctx.sum_exprs.len() + ctx.mm_exprs.len();
                 let per_row = 4 + 1 + 8 * (ctx.group_cols.len() + 2 * exprs);
                 mem.charge(ctx.governor, batch_rows * per_row)?;
-                // The wide-group path is structural (group domain too wide
-                // for u8 ids), not a cost-model outcome: `forced` is false,
-                // and no group has been interned yet.
-                let params = AggChoiceParams {
-                    num_groups_effective: mapper.num_groups(),
-                    num_sums: ctx.sum_exprs.len(),
-                    input_bytes: Vec::new(),
-                    all_packed_narrow: false,
-                    multi_layout_fits: false,
-                    est_selectivity: 1.0,
-                    runwise_runs_fraction: None,
-                };
-                tracer.decision_agg(
-                    seg_index,
-                    &params,
-                    ctx.mm_exprs.len(),
-                    AggStrategy::Scalar,
-                    false,
-                );
-                SegScanKind::Wide(Box::new(WideScan::plan(mapper, ctx)))
+                SegScanKind::Wide(Box::new(WideScan::new(mapper.clone(), ctx)))
             }
         };
         Ok(SegScan { planned, ctx: *ctx, mem, kind })
@@ -749,9 +972,8 @@ impl<'a> SegScan<'a> {
             let seg = self.planned.index;
             let at = BatchAt { seg, morsel, start: range.start + b.start, len: b.len };
             match &mut self.kind {
-                SegScanKind::Narrow(n) => {
-                    n.process_batch(self.planned, &self.ctx, at, &mut self.mem, tracer)?
-                }
+                SegScanKind::RunWise(r) => r.process_batch(self.planned, &self.ctx, at, tracer),
+                SegScanKind::Narrow(n) => n.process_batch(self.planned, &self.ctx, at, tracer),
                 SegScanKind::Wide(w) => {
                     w.process_batch(self.planned, &self.ctx, at, &mut self.mem, tracer)?
                 }
@@ -763,8 +985,10 @@ impl<'a> SegScan<'a> {
     /// Tear down into per-group results.
     fn finish(self) -> Vec<(Vec<Value>, GroupAcc)> {
         match self.kind {
-            SegScanKind::Narrow(n) => n.finish(),
-            SegScanKind::Wide(w) => w.finish(),
+            // Ungrouped: the one group's key is empty.
+            SegScanKind::RunWise(r) => keyed_groups(r.exec.finish(), |_| Vec::new()),
+            SegScanKind::Narrow(n) => keyed_groups(n.exec.finish(), |g| n.plan.mapper.group_key(g)),
+            SegScanKind::Wide(w) => keyed_groups(w.acc, |g| w.mapper.group_key(g)),
         }
     }
 }
@@ -842,9 +1066,9 @@ fn projected_wide_bytes(
     groups.saturating_mul(wide_group_bytes(group_cols.len(), num_sums, num_mm))
 }
 
-/// The byte-mask selection step of the narrow and wide batch paths: filter
-/// evaluation merged with deleted-row information into one selection byte
-/// per row.
+/// The byte-mask selection step of the narrow and wide batch paths (and of
+/// the plan-time sample): filter evaluation merged with deleted-row
+/// information into one selection byte per row.
 #[derive(Default)]
 struct ByteSelect {
     sel_buf: Vec<u8>,
@@ -857,15 +1081,17 @@ impl ByteSelect {
     /// batch has to evaluate.
     fn eval(
         &mut self,
-        planned: &PlannedSegment<'_>,
-        at: BatchAt,
+        seg: &Segment,
+        filter: Option<&SegmentPredicate<'_>>,
+        start: usize,
+        len: usize,
         level: SimdLevel,
     ) -> Option<&[u8]> {
-        let deleted = planned.seg.deleted();
-        self.sel_buf.resize(at.len, 0xFF);
-        let filtered = planned.filter.as_ref().is_some_and(|f| {
+        let deleted = seg.deleted();
+        self.sel_buf.resize(len, 0xFF);
+        let filtered = filter.is_some_and(|f| {
             // The kernels write every byte; no prefill needed.
-            f.eval_batch(at.start, &mut self.sel_buf, &mut self.fscratch, level)
+            f.eval_batch(start, &mut self.sel_buf, &mut self.fscratch, level)
         });
         if !filtered {
             if deleted.none_deleted() {
@@ -873,7 +1099,7 @@ impl ByteSelect {
             }
             self.sel_buf.fill(0xFF);
         }
-        deleted.mask_batch(at.start, &mut self.sel_buf);
+        deleted.mask_batch(start, &mut self.sel_buf);
         Some(&self.sel_buf)
     }
 }
@@ -908,333 +1134,113 @@ fn keyed_groups(
         .collect()
 }
 
-/// Plan-time facts that make a segment eligible for the run-wise
-/// encoding-specialized path (DESIGN.md §13): ungrouped, no deleted rows,
-/// every aggregate a bare RLE column, and the filter (if any) answerable
-/// run-wise. The chooser still decides per segment whether to take it.
-struct RunWisePlan<'a> {
-    sum_cols: Vec<&'a RleColumn>,
-    mm_cols: Vec<&'a RleColumn>,
-    /// Worst (largest) runs/rows ratio over every RLE column the scan
-    /// touches — the cost model's work proxy for the run-wise path.
-    runs_fraction: f64,
-    /// The executor that consumes run spans without unpacking, once the
-    /// first batch's chooser has committed the segment to this path.
-    exec: Option<RunWiseExec<'a>>,
-}
-
-/// The BIPie fast path: u8 group ids, specialized kernels.
-struct NarrowScan<'a> {
-    mapper: NarrowMapper<'a>,
-    /// Aggregate inputs, parked here until the first batch's measured
-    /// selectivity picks the strategy (§3: per segment, at run time).
-    inputs_slot: Vec<AggInput<'a>>,
-    mm_inputs_slot: Vec<AggInput<'a>>,
-    /// How those inputs reach the kernels on this segment (DESIGN.md §17);
-    /// handed to the executor with them.
-    lane_plan: Option<LanePlan<'a>>,
-    agg_params_template: AggChoiceParams,
-    dominant_bits: u8,
-    /// Run-wise eligibility, decided at plan time; cleared if the first
-    /// batch's chooser picks a generic strategy instead.
-    runwise: Option<RunWisePlan<'a>>,
-    /// The generic per-row strategy family's executor, built on the first
-    /// batch the run-wise path does not take.
-    executor: Option<SegmentAggExecutor<'a>>,
-    gids: Vec<u8>,
-    gid_scratch: Vec<u8>,
-    select: ByteSelect,
+/// A worker's state on a run-wise segment: the executor that consumes run
+/// spans without unpacking, and the span buffers.
+struct RunWiseScan<'a> {
+    exec: RunWiseExec<'a>,
     span_buf: RunSpanVec,
+    fscratch: FilterScratch,
 }
 
-/// The RLE column behind `e` when `e` is a bare reference to one.
-fn bare_rle<'a>(seg: &'a Segment, e: &ResolvedExpr) -> Option<&'a RleColumn> {
-    match seg.column(e.as_bare_column()?) {
-        EncodedColumn::Rle(r) => Some(r),
-        _ => None,
-    }
-}
-
-impl<'a> NarrowScan<'a> {
-    fn plan(
-        planned: &'a PlannedSegment<'a>,
-        mapper: NarrowMapper<'a>,
-        ctx: &ScanCtx<'a>,
-    ) -> NarrowScan<'a> {
-        let seg = planned.seg;
-        // Plan the aggregate inputs: bare bit-packed columns feed kernels in
-        // their encoded form; everything else evaluates as an expression.
-        let plan_input = |e: &'a ResolvedExpr| match e.as_bare_column() {
-            Some(col) => match seg.column(col) {
-                EncodedColumn::BitPack(c) => AggInput::Packed(c),
-                _ => AggInput::Computed(e.clone()),
-            },
-            None => AggInput::Computed(e.clone()),
-        };
-        let inputs: Vec<AggInput<'a>> = ctx.sum_exprs.iter().map(plan_input).collect();
-        let mm_inputs: Vec<AggInput<'a>> = ctx.mm_exprs.iter().map(plan_input).collect();
-        let lane_plan = LanePlan::build(seg, &inputs, &mm_inputs);
-
-        // The bit width driving the gather/compact crossover: widest packed
-        // aggregate input, else the group-code width.
-        let dominant_bits = inputs
-            .iter()
-            .filter_map(|i| match i {
-                AggInput::Packed(c) => Some(c.bits()),
-                AggInput::Computed(_) => None,
-            })
-            .max()
-            .unwrap_or_else(|| mapper.code_bits());
-
-        let agg_params_template = AggChoiceParams {
-            num_groups_effective: mapper.num_groups() + 1,
-            num_sums: inputs.len(),
-            input_bytes: lane_plan.input_bytes().to_vec(),
-            all_packed_narrow: !inputs.is_empty() && inputs.iter().all(AggInput::sortable_packed),
-            multi_layout_fits: lane_plan.multi_layout_fits(),
-            est_selectivity: 1.0,
-            runwise_runs_fraction: None,
-        };
-
-        NarrowScan {
-            mapper,
-            inputs_slot: inputs,
-            mm_inputs_slot: mm_inputs,
-            lane_plan: Some(lane_plan),
-            agg_params_template,
-            dominant_bits,
-            runwise: Self::plan_runwise(planned, ctx),
-            executor: None,
-            gids: Vec::new(),
-            gid_scratch: Vec::new(),
-            select: ByteSelect::default(),
-            span_buf: RunSpanVec::new(),
-        }
-    }
-
-    /// Structural eligibility for the run-wise path, checked once per
-    /// segment. Forcing any *other* strategy disables it up front so forced
-    /// experiments exercise exactly the strategy they name.
-    fn plan_runwise(planned: &'a PlannedSegment<'a>, ctx: &ScanCtx<'a>) -> Option<RunWisePlan<'a>> {
-        let seg = planned.seg;
-        if !ctx.group_cols.is_empty() || !seg.deleted().none_deleted() {
-            return None;
-        }
-        match ctx.options.forced_selection {
-            None | Some(SelectionStrategy::RunSpan) => {}
-            Some(_) => return None,
-        }
-        match ctx.options.forced_agg {
-            None | Some(AggStrategy::RunWise) => {}
-            Some(_) => return None,
-        }
-        let sum_cols: Vec<&RleColumn> =
-            ctx.sum_exprs.iter().map(|e| bare_rle(seg, e)).collect::<Option<_>>()?;
-        let mm_cols: Vec<&RleColumn> =
-            ctx.mm_exprs.iter().map(|e| bare_rle(seg, e)).collect::<Option<_>>()?;
-        let rows = seg.num_rows().max(1) as f64;
-        let mut runs_fraction: f64 = 0.0;
-        for c in sum_cols.iter().chain(&mm_cols) {
-            runs_fraction = runs_fraction.max(c.run_values().len() as f64 / rows);
-        }
-        if let Some(f) = &planned.filter {
-            runs_fraction = runs_fraction.max(f.span_runs_fraction()?);
-        }
-        Some(RunWisePlan { sum_cols, mm_cols, runs_fraction, exec: None })
-    }
-
-    fn process_batch(
-        &mut self,
-        planned: &'a PlannedSegment<'a>,
-        ctx: &ScanCtx<'a>,
-        at: BatchAt,
-        mem: &mut MemScope,
-        tracer: &mut Tracer,
-    ) -> Result<()> {
-        let seg = planned.seg;
-        let options = ctx.options;
-        let level = options.level;
-        // The run-wise fast path, while its plan stands: it takes the batch
-        // unless the first batch's chooser declines, which clears the plan
-        // so the generic machinery below runs from here on.
-        if self.try_process_runwise(planned, ctx, at, tracer) {
-            return Ok(());
-        }
-
-        let unpack_start = tracer.start();
-        self.mapper.extract_batch(at.start, at.len, &mut self.gids, &mut self.gid_scratch, level);
-        tracer.span(Phase::Unpack, at.loc(), at.len as u64, unpack_start);
-
-        // Filter + deleted-row merge -> selection byte vector, plus the
-        // selectivity measurement that drives the per-batch choice.
-        let select_start = tracer.start();
-        let sel = self.select.eval(planned, at, level);
-        let selectivity = selected_fraction(sel, at.len, level);
-        // Run-span selection has no dense byte-mask form, so forcing it on
-        // a segment the run-wise plan rejected falls back to the chooser.
-        let forced_selection = match options.forced_selection {
-            Some(s) if s != SelectionStrategy::RunSpan => Some(s),
-            _ => None,
-        };
-        let selection = forced_selection
-            .unwrap_or_else(|| options.config.choose_selection(selectivity, self.dominant_bits));
-        tracer.decision_selection(
-            select_start,
-            at.loc(),
-            at.start,
-            at.len,
-            self.dominant_bits,
-            selectivity,
-            selection,
-            forced_selection.is_some(),
-        );
-
-        // Lazily pick the aggregation strategy from the first batch's
-        // measured selectivity (§3: per segment, at run time).
-        let exec = match &mut self.executor {
-            Some(exec) => exec,
-            slot => {
-                let mut params = self.agg_params_template.clone();
-                params.est_selectivity = planned.known_selectivity().unwrap_or(selectivity);
-                // PANIC: planned with the inputs and taken only here, when
-                // the executor is built — which happens once.
-                let lane_plan = self.lane_plan.take().expect("lane plan parked until the executor");
-                let footprint = |s: AggStrategy| {
-                    SegmentAggExecutor::projected_bytes(
-                        s,
-                        self.mapper.num_groups(),
-                        &lane_plan,
-                        &self.mm_inputs_slot,
-                        options.batch_rows,
-                    )
-                };
-                // Run-wise aggregation needs the run-wise plan (bare RLE
-                // columns); forcing it on an ineligible segment likewise
-                // reverts to the chooser, which never picks it here because
-                // the template leaves `runwise_runs_fraction` unset.
-                let forced_agg = match options.forced_agg {
-                    Some(s) if s != AggStrategy::RunWise => Some(s),
-                    _ => None,
-                };
-                // With a memory budget, the chooser degrades along the
-                // sort-based → scalar ladder when the winner's projected
-                // working set would not fit (DESIGN.md §10); the outcome is
-                // logged as a normal decision event.
-                let strategy = forced_agg.unwrap_or_else(|| {
-                    let headroom = ctx.governor.remaining();
-                    options.config.choose_agg_budgeted(&params, headroom, &footprint)
-                });
-                let forced = forced_agg.is_some();
-                tracer.decision_agg(at.seg, &params, ctx.mm_exprs.len(), strategy, forced);
-                tracer.stats.record_expr_path(lane_plan.expr_path());
-                // Charge the executor's projected accumulators and scratch
-                // before constructing it: a violation surfaces as the typed
-                // error instead of an allocation.
-                let projected = footprint(strategy);
-                mem.charge(ctx.governor, projected)?;
-                slot.insert(SegmentAggExecutor::with_min_max(
-                    strategy,
-                    self.mapper.num_groups(),
-                    std::mem::take(&mut self.inputs_slot),
-                    std::mem::take(&mut self.mm_inputs_slot),
-                    Some(lane_plan),
-                    level,
-                ))
-            }
-        };
-
-        let agg_start = tracer.start();
-        let agg_strategy = exec.strategy();
-        exec.process_batch(seg, at.start, at.len, &mut self.gids, sel, selection);
-        tracer.span(
-            Phase::Aggregation,
-            at.loc().with_selection(selection).with_agg(agg_strategy),
-            at.len as u64,
-            agg_start,
-        );
-        Ok(())
-    }
-
+impl RunWiseScan<'_> {
     /// Process one batch run-wise: predicate evaluated run-at-a-time into
     /// spans, aggregates folded value×length — no gid unpack, no per-row
-    /// selection bytes. Returns `false` (batch untouched) when the segment
-    /// has no run-wise plan, or when the first batch's chooser picks a
-    /// generic strategy and the plan is dropped.
-    fn try_process_runwise(
+    /// selection bytes.
+    fn process_batch(
         &mut self,
-        planned: &'a PlannedSegment<'a>,
-        ctx: &ScanCtx<'a>,
+        planned: &PlannedSegment<'_>,
+        ctx: &ScanCtx<'_>,
         at: BatchAt,
         tracer: &mut Tracer,
-    ) -> bool {
-        let Some(plan) = &mut self.runwise else { return false };
-        let options = ctx.options;
+    ) {
         let run_span = SelectionStrategy::RunSpan;
         let select_start = tracer.start();
         match &planned.filter {
-            Some(f) => {
-                f.eval_batch_spans(at.start, at.len, &mut self.span_buf, &mut self.select.fscratch)
-            }
+            Some(f) => f.eval_batch_spans(at.start, at.len, &mut self.span_buf, &mut self.fscratch),
             None => self.span_buf.set_full(at.len),
         }
         let selectivity = self.span_buf.selected_rows() as f64 / at.len.max(1) as f64;
-
-        let exec = match &mut plan.exec {
-            Some(exec) => exec,
-            slot => {
-                let mut params = self.agg_params_template.clone();
-                params.est_selectivity = planned.known_selectivity().unwrap_or(selectivity);
-                params.runwise_runs_fraction = Some(plan.runs_fraction);
-                // No budget ladder here: the run-wise executor's footprint
-                // is a handful of scalars (`projected_bytes` reports 0), so
-                // a plain cost-model choice suffices and any budget admits
-                // it.
-                let strategy =
-                    options.forced_agg.unwrap_or_else(|| options.config.choose_agg(&params));
-                if strategy != AggStrategy::RunWise {
-                    // The span predicate evaluation above really ran; close
-                    // its span before bailing to the generic path (which
-                    // redoes the selection and records its own span — both
-                    // happened).
-                    let loc = at.loc().with_selection(run_span);
-                    tracer.span(Phase::Selection, loc, at.len as u64, select_start);
-                    self.runwise = None;
-                    return false;
-                }
-                let forced = options.forced_agg.is_some();
-                tracer.decision_agg(at.seg, &params, ctx.mm_exprs.len(), strategy, forced);
-                slot.insert(RunWiseExec::new(plan.sum_cols.clone(), plan.mm_cols.clone()))
-            }
-        };
+        // Width 1: no packed input and no group code for a crossover to see.
         tracer.decision_selection(
             select_start,
             at.loc(),
             at.start,
             at.len,
-            self.dominant_bits,
+            1,
             selectivity,
             run_span,
-            options.forced_selection.is_some(),
+            ctx.options.forced_selection.is_some(),
         );
 
         let agg_start = tracer.start();
-        exec.process_spans(at.start, &self.span_buf);
+        self.exec.process_spans(at.start, &self.span_buf);
         tracer.span(
             Phase::Aggregation,
             at.loc().with_selection(run_span).with_agg(AggStrategy::RunWise),
             at.len as u64,
             agg_start,
         );
-        true
     }
+}
 
-    fn finish(self) -> Vec<(Vec<Value>, GroupAcc)> {
-        let result = match (self.executor, self.runwise.and_then(|plan| plan.exec)) {
-            (Some(exec), _) => exec.finish(),
-            (None, Some(exec)) => exec.finish(),
-            (None, None) => return Vec::new(),
-        };
-        keyed_groups(result, |g| self.mapper.group_key(g))
+/// A worker's state on a narrow segment: its accumulators (the executor)
+/// and batch scratch, over the shared plan.
+struct NarrowScan<'a> {
+    plan: &'a NarrowPlan<'a>,
+    exec: SegmentAggExecutor<'a>,
+    gids: Vec<u8>,
+    gid_scratch: Vec<u8>,
+    select: ByteSelect,
+}
+
+impl<'a> NarrowScan<'a> {
+    fn process_batch(
+        &mut self,
+        planned: &'a PlannedSegment<'a>,
+        ctx: &ScanCtx<'a>,
+        at: BatchAt,
+        tracer: &mut Tracer,
+    ) {
+        let options = ctx.options;
+        let level = options.level;
+        let bits = self.plan.dominant_bits;
+
+        let unpack_start = tracer.start();
+        let mapper = &self.plan.mapper;
+        mapper.extract_batch(at.start, at.len, &mut self.gids, &mut self.gid_scratch, level);
+        tracer.span(Phase::Unpack, at.loc(), at.len as u64, unpack_start);
+
+        // Filter + deleted-row merge -> selection byte vector, plus the
+        // selectivity measurement that drives the per-batch choice.
+        let select_start = tracer.start();
+        let filter = planned.filter.as_ref();
+        let sel = self.select.eval(planned.seg, filter, at.start, at.len, level);
+        let selectivity = selected_fraction(sel, at.len, level);
+        // Run-span selection has no dense byte-mask form, so forcing it on
+        // a segment that does not run run-wise falls back to the chooser.
+        let forced_selection =
+            options.forced_selection.filter(|&s| s != SelectionStrategy::RunSpan);
+        let selection =
+            forced_selection.unwrap_or_else(|| options.config.choose_selection(selectivity, bits));
+        tracer.decision_selection(
+            select_start,
+            at.loc(),
+            at.start,
+            at.len,
+            bits,
+            selectivity,
+            selection,
+            forced_selection.is_some(),
+        );
+
+        let agg_start = tracer.start();
+        self.exec.process_batch(planned.seg, at.start, at.len, &mut self.gids, sel, selection);
+        tracer.span(
+            Phase::Aggregation,
+            at.loc().with_selection(selection).with_agg(self.plan.strategy),
+            at.len as u64,
+            agg_start,
+        );
     }
 }
 
@@ -1261,7 +1267,7 @@ struct WideScan<'a> {
 }
 
 impl<'a> WideScan<'a> {
-    fn plan(mapper: WideMapper<'a>, ctx: &ScanCtx<'a>) -> WideScan<'a> {
+    fn new(mapper: WideMapper<'a>, ctx: &ScanCtx<'a>) -> WideScan<'a> {
         let all_exprs: Vec<&ResolvedExpr> = ctx.sum_exprs.iter().chain(ctx.mm_exprs).collect();
         let mut col_cache: Vec<(usize, Vec<i64>)> = Vec::new();
         for c in all_exprs.iter().flat_map(|e| e.columns()) {
@@ -1305,7 +1311,7 @@ impl<'a> WideScan<'a> {
         tracer.span(Phase::Unpack, at.loc(), at.len as u64, unpack_start);
 
         let select_start = tracer.start();
-        let sel = self.select.eval(planned, at, level);
+        let sel = self.select.eval(seg, planned.filter.as_ref(), at.start, at.len, level);
         // Nothing on this path chooses by selectivity, so the count is
         // event-only work and hides behind the event-log gate.
         let observed = if tracer.spans() { selected_fraction(sel, at.len, level) } else { 1.0 };
@@ -1394,10 +1400,6 @@ impl<'a> WideScan<'a> {
             self.charged_groups = groups;
         }
         Ok(())
-    }
-
-    fn finish(self) -> Vec<(Vec<Value>, GroupAcc)> {
-        keyed_groups(self.acc, |g| self.mapper.group_key(g))
     }
 }
 
@@ -1693,7 +1695,8 @@ mod tests {
             options: &opts,
             governor: &governor,
         };
-        let segs = plan_segments(&t, &ctx, &mut ExecStats::default()).unwrap();
+        let mut coord = Tracer::new(ProfileLevel::Off, 0);
+        let segs = plan_segments(&t, &ctx, 4, &mut coord).unwrap();
         let sched = MorselScheduler::new(&segs, 64);
         let mut claimed_rows = 0usize;
         let mut steals = 0usize;
@@ -1726,11 +1729,14 @@ mod tests {
             options: &opts,
             governor: &governor,
         };
-        let mut stats = ExecStats::default();
-        let planned = plan_segments(&t, &ctx, &mut stats).unwrap();
+        let mut coord = Tracer::new(ProfileLevel::Off, 0);
+        let planned = plan_segments(&t, &ctx, 1, &mut coord).unwrap();
         assert_eq!(planned.len(), 4);
-        assert_eq!(stats.segments_scanned, 4);
-        assert_eq!(stats.rows_scanned, 1000);
+        assert_eq!(coord.stats.segments_scanned, 4);
+        assert_eq!(coord.stats.rows_scanned, 1000);
+        // The program is whole at plan time: one decision per segment.
+        assert_eq!(coord.stats.agg_segments.iter().sum::<usize>(), 4);
+        assert!(planned.iter().all(|p| matches!(p.sink, Sink::Narrow(_))));
 
         let mut b =
             TableBuilder::with_segment_rows(vec![ColumnSpec::new("v", LogicalType::I64)], 1000);
@@ -1740,7 +1746,7 @@ mod tests {
         let t2 = b.finish();
         let sq = Expr::col("v").mul(Expr::col("v")).resolve(&|n| t2.column_index(n)).unwrap();
         let ctx2 = ScanCtx { group_cols: &[], sum_exprs: std::slice::from_ref(&sq), ..ctx };
-        let err = plan_segments(&t2, &ctx2, &mut ExecStats::default()).unwrap_err();
+        let err = plan_segments(&t2, &ctx2, 1, &mut coord).unwrap_err();
         assert!(matches!(err, EngineError::PotentialOverflow { aggregate: 0 }), "{err:?}");
     }
 
@@ -1752,8 +1758,7 @@ mod tests {
         let t = table(1000, 1000);
         let expr = v_expr(&t);
         let token = crate::governor::CancelToken::new();
-        token.cancel();
-        let opts = ScanOptions { cancel: Some(token), ..Default::default() };
+        let opts = ScanOptions { cancel: Some(token.clone()), ..Default::default() };
         let governor = Governor::new(opts.cancel.clone(), None, None);
         let ctx = ScanCtx {
             filter: None,
@@ -1763,9 +1768,12 @@ mod tests {
             options: &opts,
             governor: &governor,
         };
-        let planned = plan_segments(&t, &ctx, &mut ExecStats::default()).unwrap();
+        let mut coord = Tracer::new(ProfileLevel::Off, 0);
+        let planned = plan_segments(&t, &ctx, 1, &mut coord).unwrap();
+        // Planning has its own checkpoint; trip the governor after it.
+        token.cancel();
         let mut tracer = Tracer::new(ProfileLevel::Spans, 0);
-        let mut scan = SegScan::plan(&planned[0], &ctx, &mut tracer).unwrap();
+        let mut scan = SegScan::new(&planned[0], &ctx).unwrap();
         let whole = Batch { start: 0, len: planned[0].seg.num_rows() };
         let err = scan.process_range(whole, 0, false, &mut tracer).unwrap_err();
         assert!(matches!(err, EngineError::Cancelled), "{err:?}");

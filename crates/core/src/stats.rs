@@ -52,15 +52,16 @@ pub struct ExecStats {
     /// Additive.
     pub selection_batches: [usize; 4],
     /// Aggregation-strategy decisions, indexed by [`AggStrategy`] — one per
-    /// segment executor, so parallel scans may count one segment once per
-    /// worker that touched it. Additive.
+    /// scanned segment, made at plan time, so the entries sum to
+    /// `segments_scanned` at every worker count. Additive.
     pub agg_segments: [usize; 5],
-    /// Segment executors whose computed sum inputs ran as typed lane
-    /// programs over natural-width columns (DESIGN.md §17). Counted like
-    /// `agg_segments`. Additive.
+    /// Scanned segments whose computed sum inputs run as typed lane
+    /// programs over natural-width columns (DESIGN.md §17): at most one per
+    /// scanned segment. Additive.
     pub expr_lane_segments: usize,
-    /// Segment executors whose computed inputs fell back to the `i64`
-    /// interpreter because the metadata proof failed. Additive.
+    /// Scanned segments whose computed inputs fall back to the `i64`
+    /// interpreter because the metadata proof failed: at most one per
+    /// scanned segment. Additive.
     pub expr_interp_segments: usize,
     /// Morsels claimed by scan workers: `Σ ceil(visited rows / morsel rows)`
     /// over the scanned segments, at every worker count. Additive.
@@ -100,7 +101,7 @@ impl ExecStats {
         self.agg_segments[a as usize] += 1;
     }
 
-    /// Record how one segment executor evaluates its computed inputs.
+    /// Record how one segment evaluates its computed inputs.
     pub fn record_expr_path(&mut self, path: crate::aggproc::ExprPath) {
         match path {
             crate::aggproc::ExprPath::Stored => {}
@@ -141,7 +142,7 @@ impl ExecStats {
         self.selection_batches[s as usize]
     }
 
-    /// Segment executors that used the given aggregation strategy.
+    /// Scanned segments that ran under the given aggregation strategy.
     pub fn agg_count(&self, a: AggStrategy) -> usize {
         self.agg_segments[a as usize]
     }

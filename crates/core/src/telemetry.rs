@@ -141,12 +141,10 @@ pub enum DecisionRecord {
         /// Rows the decided batch covered.
         rows: u64,
     },
-    /// A per-segment (per worker-executor) aggregation-strategy decision.
+    /// A segment's aggregation-strategy decision: one per scanned segment.
     Agg {
         /// Table segment ordinal.
         segment: u32,
-        /// Worker that planned the executor.
-        worker: u32,
         /// Group count including the special-group slot.
         num_groups_effective: u32,
         /// SUM aggregate count.
@@ -163,9 +161,10 @@ pub enum DecisionRecord {
         chosen: AggStrategy,
         /// True when `forced_agg` overrode the chooser.
         forced: bool,
-        /// Total aggregation cycles this worker spent on the segment.
+        /// Total aggregation cycles spent on the segment, over every worker
+        /// that visited it.
         cycles: u64,
-        /// Total rows this worker aggregated in the segment.
+        /// Total rows aggregated in the segment: the rows the scan visited.
         rows: u64,
     },
 }
@@ -192,7 +191,6 @@ impl DecisionRecord {
             ),
             DecisionRecord::Agg {
                 segment,
-                worker,
                 num_groups_effective,
                 num_sums,
                 num_minmax,
@@ -204,7 +202,7 @@ impl DecisionRecord {
                 cycles,
                 rows,
             } => format!(
-                "{{\"kind\": \"agg\", \"segment\": {segment}, \"worker\": {worker}, \
+                "{{\"kind\": \"agg\", \"segment\": {segment}, \
                  \"num_groups_effective\": {num_groups_effective}, \"num_sums\": {num_sums}, \
                  \"num_minmax\": {num_minmax}, \"est_selectivity\": {est_selectivity:.4}, \
                  \"all_packed_narrow\": {all_packed_narrow}, \"multi_layout_fits\": \
@@ -631,18 +629,18 @@ impl EngineTelemetry {
     /// stream, chronological per worker): a batch's `Selection` span is
     /// recorded *before* its `SelectionDecision`, so the most recent
     /// selection span with matching `(segment, morsel)` is the decided
-    /// batch's cost. `AggDecision` is recorded at executor creation, before
-    /// any aggregation spans, so its cost is the `(worker, segment)` total
-    /// of `Aggregation` + `WideGroup` span cycles collected in a first
-    /// pass.
+    /// batch's cost. A segment has one `AggDecision`, made at plan time;
+    /// its cost is the segment's total of `Aggregation` + `WideGroup` span
+    /// cycles and rows over every worker that visited it, collected in a
+    /// first pass.
     fn ingest_profile(&self, profile: &QueryProfile) {
-        // Pass 1: per-(worker, segment) aggregation span totals.
-        let mut agg_totals: BTreeMap<(u32, u32), (u64, u64)> = BTreeMap::new();
+        // Pass 1: per-segment aggregation span totals.
+        let mut agg_totals: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
         for e in &profile.events {
-            if let TraceEvent::Span { phase, worker, loc, rows, cycles, .. } = e {
+            if let TraceEvent::Span { phase, loc, rows, cycles, .. } = e {
                 match phase {
                     Phase::Aggregation | Phase::WideGroup => {
-                        let slot = agg_totals.entry((*worker, loc.segment)).or_default();
+                        let slot = agg_totals.entry(loc.segment).or_default();
                         slot.0 += cycles;
                         slot.1 += rows;
                         if let Some(a) = loc.agg {
@@ -692,7 +690,6 @@ impl EngineTelemetry {
                 }
                 TraceEvent::AggDecision {
                     segment,
-                    worker,
                     num_groups_effective,
                     num_sums,
                     num_minmax,
@@ -703,11 +700,9 @@ impl EngineTelemetry {
                     forced,
                     ..
                 } => {
-                    let (cycles, rows) =
-                        agg_totals.get(&(*worker, *segment)).copied().unwrap_or((0, 0));
+                    let (cycles, rows) = agg_totals.get(segment).copied().unwrap_or((0, 0));
                     self.decision_log.push(DecisionRecord::Agg {
                         segment: *segment,
-                        worker: *worker,
                         num_groups_effective: *num_groups_effective,
                         num_sums: *num_sums,
                         num_minmax: *num_minmax,
@@ -780,7 +775,6 @@ mod tests {
         log.push(sel_record(0.95, SelectionStrategy::Compact));
         log.push(DecisionRecord::Agg {
             segment: 0,
-            worker: 0,
             num_groups_effective: 5,
             num_sums: 2,
             num_minmax: 1,

@@ -214,23 +214,25 @@ pub enum TraceEvent {
         /// True when `forced_selection` overrode the chooser.
         forced: bool,
     },
-    /// The per-segment (per worker-executor) aggregation-strategy decision.
+    /// The per-segment aggregation-strategy decision: one per scanned
+    /// segment, made at plan time and recorded by the coordinator, so it
+    /// carries no worker coordinate — every worker that visits the segment
+    /// runs it under this strategy.
     AggDecision {
         /// Raw TSC reading when the decision was recorded (same timeline as
         /// `Span::start_cycles`; 0 when the event predates span export).
         at_cycles: u64,
         /// Table segment ordinal.
         segment: u32,
-        /// Worker that planned this executor.
-        worker: u32,
         /// Group count including the special-group slot.
         num_groups_effective: u32,
         /// SUM aggregate count.
         num_sums: u32,
         /// MIN/MAX aggregate count.
         num_minmax: u32,
-        /// Selectivity *estimate* the chooser saw (first batch's measured
-        /// selectivity; 1.0 when unfiltered).
+        /// Selectivity *estimate* the chooser saw: 1.0 where planning knows
+        /// every visited row is selected, else the measured selectivity of
+        /// the first batch of the segment's row window.
         est_selectivity: f64,
         /// Whether every sum input was packed-narrow (sort-based viable).
         all_packed_narrow: bool,
@@ -407,7 +409,7 @@ impl Tracer {
         }
     }
 
-    /// Record one segment-executor's aggregation-strategy decision with the
+    /// Record one segment's aggregation-strategy decision with the
     /// chooser's inputs: counts it in [`Tracer::stats`] at every level and,
     /// at `Spans`, stores the event.
     #[inline]
@@ -421,12 +423,10 @@ impl Tracer {
     ) {
         self.stats.record_agg(chosen);
         if self.spans() {
-            let worker = self.worker;
             // Spans-only timestamp, as in `decision_selection`.
             self.push(TraceEvent::AggDecision {
                 at_cycles: bipie_toolbox::cycles::read_tsc(),
                 segment,
-                worker,
                 num_groups_effective: params.num_groups_effective as u32,
                 num_sums: params.num_sums as u32,
                 num_minmax: num_minmax as u32,
@@ -694,11 +694,10 @@ impl QueryProfile {
              cycles={seg_cycles}\n"
         ));
 
-        // Aggregation decisions for this segment (one per worker-executor).
+        // The segment's aggregation decision.
         for e in &self.events {
             if let TraceEvent::AggDecision {
                 segment,
-                worker,
                 num_groups_effective,
                 num_sums,
                 num_minmax,
@@ -710,14 +709,12 @@ impl QueryProfile {
             {
                 if *segment == seg {
                     out.push_str(&format!(
-                        "│    decision agg: {:<8} groups={} sums={} minmax={} est_sel={:.3} \
-                         worker={}{}\n",
+                        "│    decision agg: {:<8} groups={} sums={} minmax={} est_sel={:.3}{}\n",
                         chosen.label(),
                         num_groups_effective,
                         num_sums,
                         num_minmax,
                         est_selectivity,
-                        worker,
                         if *forced { " (forced)" } else { "" },
                     ));
                 }
@@ -865,10 +862,8 @@ impl QueryProfile {
             .events
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::Span { worker, .. } | TraceEvent::AggDecision { worker, .. } => {
-                    Some(*worker)
-                }
-                TraceEvent::SelectionDecision { .. } => None,
+                TraceEvent::Span { worker, .. } => Some(*worker),
+                _ => None,
             })
             .collect();
         workers.sort_unstable();
@@ -880,9 +875,11 @@ impl QueryProfile {
             ));
         }
 
-        // Decisions carry no worker coordinate of their own (selection
-        // decisions follow their batch's span in the same tracer's log),
-        // so track the current worker through the worker-major event walk.
+        // Decisions carry no worker coordinate of their own. A selection
+        // decision follows its batch's span in the same tracer's log, so
+        // track the current worker through the worker-major event walk; an
+        // aggregation decision is the coordinator's, which traces as
+        // worker 0.
         let mut current_worker = 0u32;
         for e in &self.events {
             match e {
@@ -937,7 +934,6 @@ impl QueryProfile {
                 TraceEvent::AggDecision {
                     at_cycles,
                     segment,
-                    worker,
                     num_groups_effective,
                     num_sums,
                     num_minmax,
@@ -947,10 +943,9 @@ impl QueryProfile {
                     chosen,
                     forced,
                 } => {
-                    current_worker = *worker;
                     events.push(format!(
                         "{{\"name\": \"decision:agg\", \"cat\": \"decision\", \"ph\": \"I\", \
-                         \"s\": \"t\", \"pid\": 0, \"tid\": {worker}, \"ts\": {:.3}, \
+                         \"s\": \"t\", \"pid\": 0, \"tid\": 0, \"ts\": {:.3}, \
                          \"args\": {{\"segment\": {}, \"num_groups_effective\": \
                          {num_groups_effective}, \"num_sums\": {num_sums}, \"num_minmax\": \
                          {num_minmax}, \"est_selectivity\": {est_selectivity:.4}, \

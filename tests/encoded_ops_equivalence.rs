@@ -156,10 +156,15 @@ fn serial_and_parallel_agree_on_run_wise_path() {
         let a = execute(&t, &agg_query(Some(pred.clone()), serial)).unwrap();
         let b = execute(&t, &agg_query(Some(pred.clone()), par)).unwrap();
         assert_eq!(a.rows, b.rows, "batch_rows={batch_rows} threads={threads}");
+        // Run-wise or not is decided once per segment, before the workers.
+        assert_eq!(a.stats.agg_segments, b.stats.agg_segments, "threads={threads}");
+        assert_eq!(b.stats.agg_count(AggStrategy::RunWise), b.stats.segments_scanned);
     }
 }
 
-/// The engine's rows on `table`, under each of `options`, are `expected`.
+/// The engine's rows on `table`, under each of `options`, are `expected`;
+/// every scanned segment logs one aggregation decision, and options that
+/// differ only in their worker count log the same ones.
 fn assert_engine_rows(
     table: &Table,
     query: &Query,
@@ -167,14 +172,19 @@ fn assert_engine_rows(
     expected: &[ResultRow],
     label: &str,
 ) {
+    let mut decided = std::collections::BTreeMap::new();
     for opts in options {
         let q = Query { options: opts.clone(), ..query.clone() };
         let fast = execute(table, &q).unwrap();
-        assert_eq!(
-            fast.rows, expected,
+        let label = format!(
             "{label} threads={:?} batch_rows={} level={}",
             opts.threads, opts.batch_rows, opts.level
         );
+        assert_eq!(fast.rows, expected, "{label}");
+        let agg = fast.stats.agg_segments;
+        assert_eq!(agg.iter().sum::<usize>(), fast.stats.segments_scanned, "{label}");
+        let same_but_threads = (opts.batch_rows, opts.level.to_string());
+        assert_eq!(agg, *decided.entry(same_but_threads).or_insert(agg), "{label}");
     }
 }
 
@@ -495,34 +505,33 @@ fn dictionary_predicates_match_reference() {
     }
 }
 
-/// Pins the span-balance fix in `SegScan::try_process_runwise`: when the
-/// run-wise probe evaluates the predicate into spans but the agg chooser
-/// declines the run-wise path (fully fragmented runs make its O(runs) work
-/// no better than dense), the already-started `Selection` span must still
-/// close — tagged `RunSpan`, distinct from the generic path's own
-/// selection span for the same batch. Forcing is no good here: a forced
-/// non-run-wise strategy disables the probe up front.
+/// A run-wise-eligible segment the chooser declines (fully fragmented runs
+/// make its O(runs) work no better than dense) is sampled once, at plan
+/// time, inside the `Plan` span: the sample leaves no `Selection` span and
+/// no `RunSpan` pick behind, so the events still tile the stats — one
+/// selection span per counted batch — and no batch is selected twice.
+/// Forcing is no good here: a forced non-run-wise strategy disables the
+/// run-wise plan up front.
 #[cfg(not(feature = "no_profiler"))] // asserts on trace spans
 #[test]
-fn declined_run_wise_probe_still_closes_its_selection_span() {
+fn declined_run_wise_sample_leaves_no_span_behind() {
     use bipie::core::{Phase, TraceEvent};
     let t = rle_table(3000, 1, 1100); // run_len 1: runs_fraction == 1.0
     let opts = QueryOptions { parallel: false, profile: ProfileLevel::Spans, ..Default::default() };
     let r = execute(&t, &agg_query(Some(Predicate::lt("k", Value::I64(2000))), opts)).unwrap();
-    // The probe was declined: no run-wise aggregation, no RunSpan pick in
-    // the stats (the bail happens before `record_selection`).
     assert_eq!(r.stats.agg_count(AggStrategy::RunWise), 0, "{:?}", r.stats);
     assert_eq!(r.stats.selection_count(SelectionStrategy::RunSpan), 0, "{:?}", r.stats);
-    // ...yet the probe's predicate work is accounted: each segment's first
-    // batch carries a closed RunSpan-tagged Selection span.
-    let probe_spans = r
+    assert_eq!(r.stats.agg_segments.iter().sum::<usize>(), r.stats.segments_scanned);
+    let selection_spans: Vec<_> = r
         .profile
         .events
         .iter()
-        .filter(|e| {
-            matches!(e, TraceEvent::Span { phase: Phase::Selection, loc, .. }
-                if loc.selection == Some(SelectionStrategy::RunSpan))
+        .filter_map(|e| match e {
+            TraceEvent::Span { phase: Phase::Selection, loc, .. } => Some(loc.selection),
+            _ => None,
         })
-        .count();
-    assert!(probe_spans >= 1, "declined probe must close its span: {probe_spans}");
+        .collect();
+    assert_eq!(selection_spans.len(), r.stats.batches, "one selection span per batch");
+    assert!(!selection_spans.contains(&Some(SelectionStrategy::RunSpan)), "{selection_spans:?}");
+    assert_eq!(r.profile.phase(Phase::Plan).count, 1);
 }

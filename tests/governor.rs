@@ -236,3 +236,37 @@ fn cancelling_after_completion_changes_nothing() {
     let err = execute(&t, &the_query(opts)).unwrap_err();
     assert!(matches!(err, EngineError::Cancelled), "{err:?}");
 }
+
+/// The budget ladder is walked once per segment, at plan time, against an
+/// even share of the budget per worker — so which rung a segment runs on is
+/// a function of (budget, worker count), not of which worker reserved
+/// first. 16-row batches make the multi-aggregate row builder's fixed frame
+/// (≈ 22 KiB) dominate the footprint: the unbudgeted winner needs ≈ 24 KiB,
+/// the scalar rung ≈ 1.7 KiB, and a 16 000-byte budget admits only the
+/// latter — whole at one worker, a quarter each at four.
+#[test]
+fn budgeted_strategy_choice_is_the_same_at_one_and_four_workers() {
+    use bipie::core::reference::execute_reference;
+    let t = table(&[6_000], 7);
+    let small = |threads| QueryOptions { batch_rows: 16, morsel_rows: 16, ..parallel(threads) };
+    let reference = execute_reference(&t, &the_query(serial())).unwrap();
+    let free = execute(&t, &the_query(small(1))).unwrap();
+    let degraded = [1usize, 4].map(|threads| {
+        let opts = QueryOptions { mem_budget: Some(16_000), ..small(threads) };
+        let r = execute(&t, &the_query(opts)).unwrap();
+        assert_eq!(r.rows, reference.rows, "threads={threads}");
+        assert_eq!(r.stats.agg_segments.iter().sum::<usize>(), r.stats.segments_scanned);
+        r.stats.agg_segments
+    });
+    assert_eq!(degraded[0], degraded[1], "one strategy per segment at either worker count");
+    assert_ne!(degraded[0], free.stats.agg_segments, "the budget must have cost a rung");
+
+    // A budget no rung fits fails the same way at both counts: the
+    // undegraded winner's reservation, refused.
+    let errors = [1usize, 4].map(|threads| {
+        let opts = QueryOptions { mem_budget: Some(1), ..small(threads) };
+        execute(&t, &the_query(opts)).unwrap_err()
+    });
+    assert!(matches!(errors[0], EngineError::MemoryBudgetExceeded { budget: 1, .. }), "{errors:?}");
+    assert_eq!(errors[0], errors[1]);
+}

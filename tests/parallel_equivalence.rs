@@ -12,8 +12,8 @@ mod common;
 use bipie::columnstore::{ColumnSpec, LogicalType, Table, Value};
 use bipie::core::reference::execute_reference;
 use bipie::core::{
-    execute, AggExpr, EngineError, Expr, Phase, Predicate, ProfileLevel, Query, QueryBuilder,
-    QueryOptions, QueryProfile, TraceEvent,
+    execute, AggExpr, AggStrategy, EngineError, Expr, Phase, Predicate, ProfileLevel, Query,
+    QueryBuilder, QueryOptions, QueryProfile, TraceEvent,
 };
 use common::{profiler_compiled_in, run_cases};
 
@@ -79,7 +79,9 @@ fn parallel_options(threads: usize, morsel_rows: usize, batch_rows: usize) -> Qu
 /// false`, then 1, 2, 4 and (last) `threads` workers — and return the last
 /// run's stats for extra checks. Every case must return the reference's rows;
 /// the batch grid is the same at every count, so the per-batch counters
-/// agree exactly; and every count, one included, reports the morsels it
+/// agree exactly; a segment's aggregation strategy is decided once, at plan
+/// time, so the per-segment counters agree exactly too and sum to the
+/// segments scanned; and every count, one included, reports the morsels it
 /// claimed and the workers it ran.
 fn assert_equivalent(
     table: &Table,
@@ -105,7 +107,7 @@ fn assert_equivalent(
     for w in [1, 2, 4].into_iter().filter(|&w| w != threads).chain([threads]) {
         cases.push((parallel_options(w, morsel_rows, batch_rows), w));
     }
-    let mut grid: Option<(usize, usize, [usize; 4])> = None;
+    let mut grid: Option<(usize, usize, [usize; 4], [usize; 5])> = None;
     let mut last = None;
     for (options, workers) in cases {
         let label = format!("{label}: parallel={} workers={workers}", options.parallel);
@@ -118,7 +120,8 @@ fn assert_equivalent(
         // When every segment was eliminated by metadata no region runs and
         // the worker count legitimately stays zero.
         assert_eq!(stats.pool_workers, if scanned.is_empty() { 0 } else { workers }, "{label}");
-        let this = (stats.rows_scanned, stats.batches, stats.selection_batches);
+        assert_eq!(stats.agg_segments.iter().sum::<usize>(), scanned.len(), "{label}: {stats:?}");
+        let this = (stats.rows_scanned, stats.batches, stats.selection_batches, stats.agg_segments);
         assert_eq!(this, *grid.get_or_insert(this), "{label}");
         last = Some(stats);
     }
@@ -306,12 +309,59 @@ fn profile_span_counts_agree_serial_vs_parallel() {
                 }
             }
         }
-        // Aggregation decisions are per worker-executor, so more workers
-        // may record more — but never fewer.
-        for (i, &c) in par.stats.agg_segments.iter().enumerate() {
-            assert!(c >= serial.stats.agg_segments[i], "{label} strategy {i}");
-        }
+        // One aggregation decision per segment, made before any worker
+        // starts: the same at either worker count.
+        assert_eq!(par.stats.agg_segments, serial.stats.agg_segments, "{label}");
     }
+}
+
+/// The `(segment, strategy, selectivity estimate)` of every aggregation
+/// decision a spans-profiled run logged, in segment order.
+fn agg_decisions(profile: &QueryProfile) -> Vec<(u32, AggStrategy, f64)> {
+    let mut decisions: Vec<_> = profile
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::AggDecision { segment, chosen, est_selectivity, .. } => {
+                Some((*segment, *chosen, *est_selectivity))
+            }
+            _ => None,
+        })
+        .collect();
+    decisions.sort_by_key(|d| d.0);
+    decisions
+}
+
+/// The decision is a function of (table, query, options), not of who stole
+/// what. One hot segment, morsels of one batch, four workers: the window's
+/// first batch selects nothing (every row of it is deleted) and every other
+/// batch selects everything, so workers that sample whatever they claim
+/// first disagree — three of four would estimate 1.0 where a serial scan
+/// estimates 0.0. Sampled once at plan time, every count logs the serial
+/// scan's one decision per segment.
+#[test]
+fn stolen_morsels_do_not_change_the_decision() {
+    let mut t = skewed_table(&[20_000, 600], 9, 71);
+    for row in 0..256 {
+        t.delete_row(0, row);
+    }
+    let spans = |options| QueryOptions { profile: ProfileLevel::Spans, ..options };
+    let query = |options| the_query(-5000, spans(options));
+    let reference = execute_reference(&t, &query(serial_options())).unwrap();
+    let serial = execute(&t, &query(parallel_options(1, 256, 256))).unwrap();
+    let par = execute(&t, &query(parallel_options(4, 256, 256))).unwrap();
+    for r in [&serial, &par] {
+        assert_eq!(r.rows, reference.rows);
+        assert_eq!(r.stats.agg_segments.iter().sum::<usize>(), r.stats.segments_scanned);
+    }
+    assert_eq!(par.stats.agg_segments, serial.stats.agg_segments);
+    if !profiler_compiled_in() {
+        return;
+    }
+    let decisions = agg_decisions(&serial.profile);
+    assert_eq!(decisions.len(), serial.stats.segments_scanned, "{decisions:?}");
+    assert_eq!(decisions[0].2, 0.0, "the hot segment's first batch selects nothing");
+    assert_eq!(agg_decisions(&par.profile), decisions);
 }
 
 #[test]

@@ -81,7 +81,6 @@ fn chrome_trace_golden_from_synthetic_profile() {
             TraceEvent::AggDecision {
                 at_cycles: 2_000,
                 segment: 0,
-                worker: 0,
                 num_groups_effective: 5,
                 num_sums: 2,
                 num_minmax: 0,
@@ -243,6 +242,36 @@ fn mixed_workload_telemetry_is_exact() {
                 .any(|r| matches!(r, DecisionRecord::Selection { cycles, .. } if *cycles > 0)),
             "decision records carry span-paired cycle costs"
         );
+    }
+
+    // A segment's decision record carries the segment's whole cost, however
+    // many workers shared it: four workers over one-batch morsels, and every
+    // `Agg` record still covers all the rows the scan visited in its segment.
+    if !bipie::core::telemetry::metrics_compiled_out() {
+        t.decision_log().clear();
+        let shared = QueryOptions {
+            profile: ProfileLevel::Spans,
+            threads: Some(4),
+            batch_rows: 512,
+            morsel_rows: 512,
+            ..Default::default()
+        };
+        let par = run_q1_result(&table, shared).expect("Q1 runs");
+        let mut visited = std::collections::BTreeMap::<u32, u64>::new();
+        for event in &par.profile.events {
+            if let TraceEvent::Span { phase: Phase::SegmentScan, loc, rows, .. } = event {
+                *visited.entry(loc.segment).or_default() += rows;
+            }
+        }
+        let mut agg_records = 0;
+        for record in t.decision_log().snapshot() {
+            if let DecisionRecord::Agg { segment, rows, cycles, .. } = record {
+                agg_records += 1;
+                assert_eq!(rows, visited[&segment], "segment {segment}: {record:?}");
+                assert!(cycles > 0, "segment {segment}: {record:?}");
+            }
+        }
+        assert_eq!(agg_records, par.stats.segments_scanned, "one agg record per segment");
     }
 
     for result in &results {

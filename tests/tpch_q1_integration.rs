@@ -60,6 +60,19 @@ fn q1_plan_matches_paper_description() {
     // Five distinct sums of mixed widths -> multi-aggregate on every segment.
     assert_eq!(stats.agg_count(AggStrategy::MultiAggregate), stats.segments_scanned, "{stats:?}");
     assert_eq!(stats.wide_group_segments, 0, "dict codes keep the narrow path");
+    // ...once per segment, however many workers share it: morsels of one
+    // 512-row batch make every segment a stolen-from one.
+    for threads in [1usize, 2, 4] {
+        let options = QueryOptions {
+            threads: Some(threads),
+            batch_rows: 512,
+            morsel_rows: 512,
+            ..Default::default()
+        };
+        let (_, par) = run_q1(&table, options).unwrap();
+        assert_eq!(par.agg_segments, stats.agg_segments, "threads={threads}: {par:?}");
+        assert_eq!(par.agg_segments.iter().sum::<usize>(), par.segments_scanned);
+    }
 }
 
 #[test]
