@@ -73,9 +73,10 @@ pub use query::{execute, AggExpr, Query, QueryBuilder, QueryOptions, QueryResult
 pub use stats::ExecStats;
 pub use strategy::{AggStrategy, SelectionStrategy};
 pub use telemetry::{
-    metrics_compiled_out, telemetry, DecisionLog, DecisionRecord, DecisionSummary, EngineTelemetry,
+    metrics_compiled_out, telemetry, DecisionLog, DecisionSummary, EngineTelemetry,
     DECISION_LOG_CAPACITY,
 };
 pub use trace::{
-    Phase, PhaseTotals, ProfileLevel, QueryProfile, SpanLoc, TraceEvent, Tracer, WorkerRing,
+    DecisionRecord, Phase, PhaseTotals, ProfileLevel, QueryProfile, SpanLoc, TraceEvent, Tracer,
+    WorkerRing,
 };

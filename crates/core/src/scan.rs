@@ -43,7 +43,7 @@ use crate::groupid::{plan_segment_mapper, NarrowMapper, SegmentGroupMapper, Wide
 use crate::pool::{panic_message, QueryTag, WorkerPool};
 use crate::stats::ExecStats;
 use crate::strategy::{AggChoiceParams, AggStrategy, SelectionStrategy, StrategyConfig};
-use crate::trace::{Phase, ProfileLevel, QueryProfile, SpanLoc, Tracer};
+use crate::trace::{BatchAt, Phase, ProfileLevel, QueryProfile, SpanLoc, Tracer};
 
 /// Per-group accumulator in the merged result.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -98,8 +98,6 @@ pub struct ScanOptions {
     /// every worker count sees the same batch grid (default
     /// [`bipie_columnstore::MORSEL_ROWS`]).
     pub morsel_rows: usize,
-    /// Strategy-chooser constants.
-    pub config: StrategyConfig,
     /// Profiling level. [`ProfileLevel::Off`] (the default) keeps the batch
     /// loops free of timestamps, atomics, and event stores; `Counters`
     /// collects per-phase totals; `Spans` additionally keeps the full
@@ -134,7 +132,6 @@ impl Default for ScanOptions {
             threads: None,
             batch_rows: bipie_columnstore::BATCH_ROWS,
             morsel_rows: bipie_columnstore::MORSEL_ROWS,
-            config: StrategyConfig::default(),
             profile: ProfileLevel::Off,
             cancel: None,
             time_budget: None,
@@ -465,7 +462,7 @@ fn plan_sink<'t>(
     // worker's share (DESIGN.md §10); the outcome is logged as a normal
     // decision event.
     let strategy = forced_agg
-        .unwrap_or_else(|| options.config.choose_agg_budgeted(&params, headroom, &footprint));
+        .unwrap_or_else(|| StrategyConfig.choose_agg_budgeted(&params, headroom, &footprint));
     coord.decision_agg(index, &params, mm_exprs.len(), strategy, forced_agg.is_some());
     let footprint = footprint(strategy);
     match runwise {
@@ -771,22 +768,6 @@ fn merge_one(map: &mut GroupMap, key: Vec<Value>, acc: GroupAcc) {
     }
 }
 
-/// Where a batch sits — segment ordinal, morsel ordinal, row window — as
-/// the per-batch trace events carry it.
-#[derive(Clone, Copy)]
-struct BatchAt {
-    seg: u32,
-    morsel: u32,
-    start: usize,
-    len: usize,
-}
-
-impl BatchAt {
-    fn loc(self) -> SpanLoc {
-        SpanLoc::at(self.seg, self.morsel)
-    }
-}
-
 /// One claimed unit of work.
 struct Claim {
     seg: usize,
@@ -969,8 +950,8 @@ impl<'a> SegScan<'a> {
                 tracer.stats.governor_checks += 1;
                 governor.check()?;
             }
-            let seg = self.planned.index;
-            let at = BatchAt { seg, morsel, start: range.start + b.start, len: b.len };
+            let segment = self.planned.index;
+            let at = BatchAt { segment, morsel, start: range.start + b.start, len: b.len };
             match &mut self.kind {
                 SegScanKind::RunWise(r) => r.process_batch(self.planned, &self.ctx, at, tracer),
                 SegScanKind::Narrow(n) => n.process_batch(self.planned, &self.ctx, at, tracer),
@@ -1161,16 +1142,8 @@ impl RunWiseScan<'_> {
         }
         let selectivity = self.span_buf.selected_rows() as f64 / at.len.max(1) as f64;
         // Width 1: no packed input and no group code for a crossover to see.
-        tracer.decision_selection(
-            select_start,
-            at.loc(),
-            at.start,
-            at.len,
-            1,
-            selectivity,
-            run_span,
-            ctx.options.forced_selection.is_some(),
-        );
+        let forced = ctx.options.forced_selection.is_some();
+        tracer.decision_selection(select_start, at, 1, selectivity, run_span, forced);
 
         let agg_start = tracer.start();
         self.exec.process_spans(at.start, &self.span_buf);
@@ -1221,17 +1194,9 @@ impl<'a> NarrowScan<'a> {
         let forced_selection =
             options.forced_selection.filter(|&s| s != SelectionStrategy::RunSpan);
         let selection =
-            forced_selection.unwrap_or_else(|| options.config.choose_selection(selectivity, bits));
-        tracer.decision_selection(
-            select_start,
-            at.loc(),
-            at.start,
-            at.len,
-            bits,
-            selectivity,
-            selection,
-            forced_selection.is_some(),
-        );
+            forced_selection.unwrap_or_else(|| StrategyConfig.choose_selection(selectivity, bits));
+        let forced = forced_selection.is_some();
+        tracer.decision_selection(select_start, at, bits, selectivity, selection, forced);
 
         let agg_start = tracer.start();
         self.exec.process_batch(planned.seg, at.start, at.len, &mut self.gids, sel, selection);
@@ -1315,16 +1280,7 @@ impl<'a> WideScan<'a> {
         // Nothing on this path chooses by selectivity, so the count is
         // event-only work and hides behind the event-log gate.
         let observed = if tracer.spans() { selected_fraction(sel, at.len, level) } else { 1.0 };
-        tracer.decision_selection(
-            select_start,
-            at.loc(),
-            at.start,
-            at.len,
-            32,
-            observed,
-            compact,
-            false,
-        );
+        tracer.decision_selection(select_start, at, 32, observed, compact, false);
         let wide_start = tracer.start();
 
         for (c, buf) in self.col_cache.iter_mut() {
@@ -1657,6 +1613,58 @@ mod tests {
             assert_eq!(par, serial, "threads={threads}");
             assert_eq!(stats.pool_workers, threads);
             assert!(stats.morsels_scanned >= 20_000 / 1024, "{stats:?}");
+        }
+    }
+
+    /// [`QueryProfile::segments`] is the event log, rolled up: at any
+    /// worker count it tiles the query's stats, and every segment's
+    /// aggregation record is priced with all the rows the scan visited
+    /// there, whoever scanned them.
+    #[test]
+    fn segment_rollup_tiles_the_stats_at_every_worker_count() {
+        if crate::trace::profiler_compiled_out() {
+            return;
+        }
+        let t = table(5000, 1300);
+        let expr = v_expr(&t);
+        let pred = Predicate::ge("v", Value::I64(500)).resolve(&t).unwrap();
+        for threads in [1usize, 2, 4] {
+            let opts = ScanOptions {
+                threads: Some(threads),
+                batch_rows: 256,
+                morsel_rows: 256,
+                profile: ProfileLevel::Spans,
+                ..ScanOptions::default()
+            };
+            let (_, stats, profile) = scan_table(
+                &t,
+                Some(&pred),
+                &[(0, LogicalType::Str)],
+                std::slice::from_ref(&expr),
+                &[],
+                &opts,
+            )
+            .unwrap();
+            let segments = profile.segments();
+            assert_eq!(segments.len(), stats.segments_scanned, "threads={threads}");
+            assert!(segments.windows(2).all(|w| w[0].segment < w[1].segment), "ordinal order");
+            let rows: u64 = segments.iter().map(|s| s.rows).sum();
+            assert_eq!(rows, stats.rows_scanned as u64, "threads={threads}");
+            let morsels: u64 = segments.iter().map(|s| s.morsels).sum();
+            assert_eq!(morsels, stats.morsels_scanned as u64, "threads={threads}");
+            for (i, &batches) in stats.selection_batches.iter().enumerate() {
+                let rolled: u64 = segments.iter().map(|s| s.strategies[i].batches).sum();
+                assert_eq!(rolled, batches as u64, "threads={threads} strategy {i}");
+            }
+            for seg in &segments {
+                let batches: u64 = seg.strategies.iter().map(|s| s.batches).sum();
+                assert_eq!(seg.selections.len() as u64, batches, "{seg:?}");
+                let Some(crate::trace::DecisionRecord::Agg { rows, cycles, .. }) = seg.agg else {
+                    panic!("segment {} has no aggregation record", seg.segment);
+                };
+                assert_eq!(rows, seg.rows, "threads={threads}: {seg:?}");
+                assert!(cycles > 0, "threads={threads}: {seg:?}");
+            }
         }
     }
 

@@ -15,8 +15,7 @@
 //! near full selectivity; in-register costs grow linearly in groups and
 //! value width; multi-aggregate amortizes a fixed transpose over the
 //! aggregate count; sort-based pays a fixed sort that shrinks per-aggregate
-//! and with selectivity. Constants are configurable so ablation benchmarks
-//! can probe the decision boundaries.
+//! and with selectivity.
 
 /// How rows rejected by the filter are removed from processing (§4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,50 +114,32 @@ impl AggStrategy {
     }
 }
 
-/// Tunable constants of the strategy cost model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StrategyConfig {
-    /// Selectivity at or above which special-group selection is used.
-    pub special_group_min_selectivity: f64,
-    /// Gather-vs-compact crossover at 4-bit inputs (Figure 7: ~2%).
-    pub gather_limit_base: f64,
-    /// Crossover growth per input bit beyond 4 (Figure 7: ~38% at 21 bits).
-    pub gather_limit_per_bit: f64,
-    /// Scalar aggregation cost, cycles/row/agg.
-    pub scalar_cost: f64,
-    /// In-register: fixed cost per row per aggregate.
-    pub inreg_base: f64,
-    /// In-register: per-group cost factor, scaled by value width in bytes.
-    pub inreg_per_group_per_byte: f64,
-    /// Multi-aggregate: amortizable fixed cost per row.
-    pub multi_fixed: f64,
-    /// Multi-aggregate: marginal cost per row per aggregate.
-    pub multi_per_agg: f64,
-    /// Sort-based: sort cost per row (amortized over aggregates).
-    pub sort_fixed: f64,
-    /// Sort-based: additional sort cost per row at full selectivity.
-    pub sort_fixed_per_selectivity: f64,
-    /// Sort-based: per-aggregate gather-sum cost per row.
-    pub sort_per_agg: f64,
-}
+/// Selectivity at or above which special-group selection is used.
+const SPECIAL_GROUP_MIN_SELECTIVITY: f64 = 0.6;
+/// Gather-vs-compact crossover at 4-bit inputs (Figure 7: ~2%).
+const GATHER_LIMIT_BASE: f64 = 0.02;
+/// Crossover growth per input bit beyond 4 (Figure 7: ~38% at 21 bits).
+const GATHER_LIMIT_PER_BIT: f64 = 0.021;
+/// Scalar aggregation cost, cycles/row/agg.
+const SCALAR_COST: f64 = 2.2;
+/// In-register: fixed cost per row per aggregate.
+const INREG_BASE: f64 = 0.35;
+/// In-register: per-group cost factor, scaled by value width in bytes.
+const INREG_PER_GROUP_PER_BYTE: f64 = 0.035;
+/// Multi-aggregate: amortizable fixed cost per row.
+const MULTI_FIXED: f64 = 1.8;
+/// Multi-aggregate: marginal cost per row per aggregate.
+const MULTI_PER_AGG: f64 = 0.55;
+/// Sort-based: sort cost per row (amortized over aggregates).
+const SORT_FIXED: f64 = 0.7;
+/// Sort-based: additional sort cost per row at full selectivity.
+const SORT_FIXED_PER_SELECTIVITY: f64 = 1.5;
+/// Sort-based: per-aggregate gather-sum cost per row.
+const SORT_PER_AGG: f64 = 0.65;
 
-impl Default for StrategyConfig {
-    fn default() -> Self {
-        StrategyConfig {
-            special_group_min_selectivity: 0.6,
-            gather_limit_base: 0.02,
-            gather_limit_per_bit: 0.021,
-            scalar_cost: 2.2,
-            inreg_base: 0.35,
-            inreg_per_group_per_byte: 0.035,
-            multi_fixed: 1.8,
-            multi_per_agg: 0.55,
-            sort_fixed: 0.7,
-            sort_fixed_per_selectivity: 1.5,
-            sort_per_agg: 0.65,
-        }
-    }
-}
+/// The strategy chooser: a cost model over the eleven constants above.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StrategyConfig;
 
 /// Per-segment inputs to the aggregation-strategy choice.
 #[derive(Debug, Clone)]
@@ -192,15 +173,15 @@ impl StrategyConfig {
     /// much higher selectivities than the paper's machine (see
     /// EXPERIMENTS.md on Figure 7), so compaction only wins a narrow band.
     pub fn gather_limit(&self, bits: u8) -> f64 {
-        let cap = (self.special_group_min_selectivity - 0.05).max(self.gather_limit_base);
-        (self.gather_limit_base + self.gather_limit_per_bit * (bits.saturating_sub(4)) as f64)
-            .clamp(self.gather_limit_base, cap)
+        let cap = (SPECIAL_GROUP_MIN_SELECTIVITY - 0.05).max(GATHER_LIMIT_BASE);
+        (GATHER_LIMIT_BASE + GATHER_LIMIT_PER_BIT * (bits.saturating_sub(4)) as f64)
+            .clamp(GATHER_LIMIT_BASE, cap)
     }
 
     /// Choose the selection strategy for one batch from its measured
     /// selectivity and the dominant input bit width (§3, Figure 7).
     pub fn choose_selection(&self, selectivity: f64, bits: u8) -> SelectionStrategy {
-        if selectivity >= self.special_group_min_selectivity {
+        if selectivity >= SPECIAL_GROUP_MIN_SELECTIVITY {
             SelectionStrategy::SpecialGroup
         } else if selectivity <= self.gather_limit(bits) {
             SelectionStrategy::Gather
@@ -218,13 +199,13 @@ impl StrategyConfig {
     /// special group feeds every row through the kernels.
     pub fn agg_cost(&self, strategy: AggStrategy, p: &AggChoiceParams) -> Option<f64> {
         let sums = p.num_sums.max(1) as f64;
-        let fraction = if p.est_selectivity >= self.special_group_min_selectivity {
+        let fraction = if p.est_selectivity >= SPECIAL_GROUP_MIN_SELECTIVITY {
             1.0
         } else {
             p.est_selectivity.max(0.01)
         };
         match strategy {
-            AggStrategy::Scalar => Some(self.scalar_cost * fraction),
+            AggStrategy::Scalar => Some(SCALAR_COST * fraction),
             AggStrategy::InRegister => {
                 if p.num_groups_effective > bipie_toolbox::agg::MAX_GROUPS_IN_REGISTER
                     || p.input_bytes.iter().any(|&b| b > 4)
@@ -237,10 +218,8 @@ impl StrategyConfig {
                     p.input_bytes.iter().sum::<usize>() as f64 / p.input_bytes.len() as f64
                 };
                 Some(
-                    (self.inreg_base
-                        + self.inreg_per_group_per_byte
-                            * p.num_groups_effective as f64
-                            * avg_bytes)
+                    (INREG_BASE
+                        + INREG_PER_GROUP_PER_BYTE * p.num_groups_effective as f64 * avg_bytes)
                         * fraction,
                 )
             }
@@ -248,15 +227,14 @@ impl StrategyConfig {
                 if !p.multi_layout_fits || p.num_sums == 0 {
                     return None;
                 }
-                Some((self.multi_per_agg + self.multi_fixed / sums) * fraction)
+                Some((MULTI_PER_AGG + MULTI_FIXED / sums) * fraction)
             }
             AggStrategy::SortBased => {
                 if !p.all_packed_narrow || p.num_sums == 0 {
                     return None;
                 }
-                let sort_cost =
-                    self.sort_fixed + self.sort_fixed_per_selectivity * p.est_selectivity;
-                Some((self.sort_per_agg + sort_cost / sums) * fraction)
+                let sort_cost = SORT_FIXED + SORT_FIXED_PER_SELECTIVITY * p.est_selectivity;
+                Some((SORT_PER_AGG + sort_cost / sums) * fraction)
             }
             AggStrategy::RunWise => {
                 // O(runs) work where dense strategies do O(rows): the cost
@@ -264,14 +242,14 @@ impl StrategyConfig {
                 // fraction. On fragmented columns (fraction near 1) this
                 // offers no advantage and the dense strategies win.
                 let f = p.runwise_runs_fraction?;
-                Some(self.scalar_cost * f.clamp(0.0, 1.0))
+                Some(SCALAR_COST * f.clamp(0.0, 1.0))
             }
         }
     }
 
     /// Choose the aggregation strategy for one segment (§3).
     pub fn choose_agg(&self, p: &AggChoiceParams) -> AggStrategy {
-        let mut best = (AggStrategy::Scalar, self.scalar_cost);
+        let mut best = (AggStrategy::Scalar, SCALAR_COST);
         for s in AggStrategy::SIMD.into_iter().chain([AggStrategy::RunWise]) {
             if let Some(cost) = self.agg_cost(s, p) {
                 if cost < best.1 {
@@ -333,7 +311,7 @@ mod tests {
 
     #[test]
     fn gather_limit_grows_with_bits() {
-        let c = StrategyConfig::default();
+        let c = StrategyConfig;
         assert!(c.gather_limit(4) < c.gather_limit(14));
         assert!(c.gather_limit(14) < c.gather_limit(21));
         // Figure 7 anchor points: ~2% at 4 bits, ~38% at 21 bits.
@@ -343,7 +321,7 @@ mod tests {
 
     #[test]
     fn selection_zones() {
-        let c = StrategyConfig::default();
+        let c = StrategyConfig;
         assert_eq!(c.choose_selection(0.01, 14), SelectionStrategy::Gather);
         assert_eq!(c.choose_selection(0.4, 14), SelectionStrategy::Compact);
         assert_eq!(c.choose_selection(0.95, 14), SelectionStrategy::SpecialGroup);
@@ -353,7 +331,7 @@ mod tests {
     #[test]
     fn few_groups_narrow_values_pick_in_register() {
         // Figure 8's region: 8 groups, 1-byte inputs, 1-2 sums, high sel.
-        let c = StrategyConfig::default();
+        let c = StrategyConfig;
         assert_eq!(c.choose_agg(&params(9, 1, 1, 0.9)), AggStrategy::InRegister);
         assert_eq!(c.choose_agg(&params(9, 2, 1, 0.9)), AggStrategy::InRegister);
     }
@@ -361,7 +339,7 @@ mod tests {
     #[test]
     fn many_aggs_pick_multi() {
         // Figure 10's region: 32+ groups, 4-byte inputs, several sums.
-        let c = StrategyConfig::default();
+        let c = StrategyConfig;
         assert_eq!(c.choose_agg(&params(33, 4, 4, 0.9)), AggStrategy::MultiAggregate);
         assert_eq!(c.choose_agg(&params(33, 5, 4, 0.5)), AggStrategy::MultiAggregate);
     }
@@ -369,7 +347,7 @@ mod tests {
     #[test]
     fn low_selectivity_single_sum_picks_sort() {
         // Figure 8/9 row 1x, low selectivity: sort + gather wins.
-        let c = StrategyConfig::default();
+        let c = StrategyConfig;
         let mut p = params(64, 1, 4, 0.1);
         p.multi_layout_fits = true;
         assert_eq!(c.choose_agg(&p), AggStrategy::SortBased);
@@ -377,7 +355,7 @@ mod tests {
 
     #[test]
     fn infeasible_strategies_fall_back() {
-        let c = StrategyConfig::default();
+        let c = StrategyConfig;
         // 8-byte inputs and wide groups: in-register infeasible; no multi
         // layout; not packed-narrow -> scalar.
         let p = AggChoiceParams {
@@ -398,7 +376,7 @@ mod tests {
 
     #[test]
     fn long_runs_pick_run_wise() {
-        let c = StrategyConfig::default();
+        let c = StrategyConfig;
         // Long runs (0.1% of rows are run headers): run-wise dominates any
         // dense strategy regardless of width or group shape.
         let mut p = params(1, 1, 8, 1.0);
@@ -420,7 +398,7 @@ mod tests {
 
     #[test]
     fn budgeted_choice_walks_the_degradation_ladder() {
-        let c = StrategyConfig::default();
+        let c = StrategyConfig;
         // In-register wins unbudgeted for this shape.
         let p = params(9, 1, 1, 0.9);
         assert_eq!(c.choose_agg(&p), AggStrategy::InRegister);

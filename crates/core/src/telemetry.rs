@@ -6,7 +6,7 @@
 //! [`bipie_metrics::Registry`] (lock-free sharded counters, gauges, log2
 //! histograms) plus a bounded cross-query [`DecisionLog`] that retains the
 //! chooser's `(inputs, strategy, cycles, rows)` tuples for later cost-model
-//! mining (ROADMAP item 3).
+//! mining (ROADMAP item 4).
 //!
 //! ## The seam
 //!
@@ -52,15 +52,16 @@ use std::sync::Arc;
 
 use crate::error::EngineError;
 use crate::stats::ExecStats;
-use crate::strategy::{AggStrategy, SelectionStrategy};
-use crate::trace::{Phase, QueryProfile, TraceEvent};
+pub use crate::trace::DecisionRecord;
+use crate::trace::QueryProfile;
 
 /// Decisions the [`DecisionLog`] retains before overwriting the oldest.
 /// 4096 records ≈ a few hundred queries of batch decisions — enough recent
 /// history for regret analysis without unbounded growth.
 pub const DECISION_LOG_CAPACITY: usize = 4096;
 
-/// Static `strategy` label sets, indexed by [`SelectionStrategy`].
+/// Static `strategy` label sets, indexed by
+/// [`SelectionStrategy`](crate::strategy::SelectionStrategy).
 const SEL_LABELS: [Labels; 4] = [
     &[("strategy", "gather")],
     &[("strategy", "compact")],
@@ -68,7 +69,8 @@ const SEL_LABELS: [Labels; 4] = [
     &[("strategy", "run_span")],
 ];
 
-/// Static `strategy` label sets, indexed by [`AggStrategy`].
+/// Static `strategy` label sets, indexed by
+/// [`AggStrategy`](crate::strategy::AggStrategy).
 const AGG_LABELS: [Labels; 5] = [
     &[("strategy", "scalar")],
     &[("strategy", "sort_based")],
@@ -112,110 +114,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One retained strategy decision: the chooser's inputs, its pick, and the
-/// measured cost of acting on it.
-///
-/// `cycles`/`rows` are paired from the profile's span ring (the
-/// `Selection` span covering the decided batch, or the segment's
-/// `Aggregation`/`WideGroup` span total), and are 0 when the query ran
-/// below [`ProfileLevel::Spans`](crate::trace::ProfileLevel::Spans).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DecisionRecord {
-    /// A per-batch selection-strategy decision.
-    Selection {
-        /// Table segment ordinal.
-        segment: u32,
-        /// Morsel ordinal within the segment.
-        morsel: u32,
-        /// Dominant packed input bit width the crossover used.
-        bits: u8,
-        /// Selectivity measured for this batch (the chooser input).
-        observed_selectivity: f64,
-        /// The strategy picked.
-        chosen: SelectionStrategy,
-        /// True when `forced_selection` overrode the chooser.
-        forced: bool,
-        /// Cycles the decided batch's selection span consumed (0 if the
-        /// span was not captured).
-        cycles: u64,
-        /// Rows the decided batch covered.
-        rows: u64,
-    },
-    /// A segment's aggregation-strategy decision: one per scanned segment.
-    Agg {
-        /// Table segment ordinal.
-        segment: u32,
-        /// Group count including the special-group slot.
-        num_groups_effective: u32,
-        /// SUM aggregate count.
-        num_sums: u32,
-        /// MIN/MAX aggregate count.
-        num_minmax: u32,
-        /// Selectivity estimate the chooser saw.
-        est_selectivity: f64,
-        /// Whether every sum input was packed-narrow.
-        all_packed_narrow: bool,
-        /// Whether a multi-aggregate row layout existed.
-        multi_layout_fits: bool,
-        /// The strategy picked.
-        chosen: AggStrategy,
-        /// True when `forced_agg` overrode the chooser.
-        forced: bool,
-        /// Total aggregation cycles spent on the segment, over every worker
-        /// that visited it.
-        cycles: u64,
-        /// Total rows aggregated in the segment: the rows the scan visited.
-        rows: u64,
-    },
-}
-
-impl DecisionRecord {
-    /// Render one record as a JSON object (stable field order).
-    fn to_json(self) -> String {
-        match self {
-            DecisionRecord::Selection {
-                segment,
-                morsel,
-                bits,
-                observed_selectivity,
-                chosen,
-                forced,
-                cycles,
-                rows,
-            } => format!(
-                "{{\"kind\": \"selection\", \"segment\": {segment}, \"morsel\": {morsel}, \
-                 \"bits\": {bits}, \"observed_selectivity\": {observed_selectivity:.4}, \
-                 \"chosen\": \"{}\", \"forced\": {forced}, \"cycles\": {cycles}, \
-                 \"rows\": {rows}}}",
-                chosen.label()
-            ),
-            DecisionRecord::Agg {
-                segment,
-                num_groups_effective,
-                num_sums,
-                num_minmax,
-                est_selectivity,
-                all_packed_narrow,
-                multi_layout_fits,
-                chosen,
-                forced,
-                cycles,
-                rows,
-            } => format!(
-                "{{\"kind\": \"agg\", \"segment\": {segment}, \
-                 \"num_groups_effective\": {num_groups_effective}, \"num_sums\": {num_sums}, \
-                 \"num_minmax\": {num_minmax}, \"est_selectivity\": {est_selectivity:.4}, \
-                 \"all_packed_narrow\": {all_packed_narrow}, \"multi_layout_fits\": \
-                 {multi_layout_fits}, \"chosen\": \"{}\", \"forced\": {forced}, \
-                 \"cycles\": {cycles}, \"rows\": {rows}}}",
-                chosen.label()
-            ),
-        }
-    }
-}
-
 /// Per-cell pick histogram over the retained decisions — the summary shape
-/// ROADMAP item 3's measured cost model mines for chooser regret.
+/// ROADMAP item 4's measured cost model mines for chooser regret.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DecisionSummary {
     /// Retained selection decisions per strategy (`SelectionStrategy` index).
@@ -292,8 +192,7 @@ impl DecisionLog {
 
     /// Clone out the retained records, oldest first.
     pub fn snapshot(&self) -> Vec<DecisionRecord> {
-        // LOCK: exposition clone; temp guard dies at `;`.
-        lock(&self.inner).ring.iter().copied().collect()
+        self.dump().0
     }
 
     /// Discard all retained records and reset the drop counter.
@@ -304,11 +203,21 @@ impl DecisionLog {
         inner.dropped = 0;
     }
 
+    /// The retained records, oldest first, and the drop count — read under
+    /// one guard, so `dropped > 0` implies a full ring in the same view.
+    fn dump(&self) -> (Vec<DecisionRecord>, u64) {
+        // LOCK: exposition clone; guard dies before return.
+        let inner = lock(&self.inner);
+        (inner.ring.iter().copied().collect(), inner.dropped)
+    }
+
     /// Dump the retained records as a JSON document.
     pub fn to_json(&self) -> String {
-        let records = self.snapshot();
-        let dropped = self.dropped();
-        let body: Vec<String> = records.iter().copied().map(DecisionRecord::to_json).collect();
+        let (records, dropped) = self.dump();
+        let body: Vec<String> = records
+            .iter()
+            .map(|r| format!("{{\"kind\": \"{}\", {}}}", r.kind(), r.json_fields()))
+            .collect();
         format!(
             "{{\"capacity\": {DECISION_LOG_CAPACITY}, \"dropped\": {dropped}, \
              \"decisions\": [{}]}}",
@@ -447,7 +356,7 @@ impl EngineTelemetry {
         let agg_segment_cycles = AGG_LABELS.map(|labels| {
             registry.histogram(
                 "bipie_agg_segment_cycles",
-                "Aggregation span cycles per batch, by chosen strategy.",
+                "Aggregation span cycles per segment, by chosen strategy.",
                 labels,
             )
         });
@@ -622,100 +531,22 @@ impl EngineTelemetry {
         self.sched_query_switches.set(stats.query_switches.min(i64::MAX as u64) as i64);
     }
 
-    /// Walk a spans-level profile: per-strategy span-latency histograms and
-    /// decision-log records with paired costs.
-    ///
-    /// Pairing relies on the tracer's recording order (worker-major event
-    /// stream, chronological per worker): a batch's `Selection` span is
-    /// recorded *before* its `SelectionDecision`, so the most recent
-    /// selection span with matching `(segment, morsel)` is the decided
-    /// batch's cost. A segment has one `AggDecision`, made at plan time;
-    /// its cost is the segment's total of `Aggregation` + `WideGroup` span
-    /// cycles and rows over every worker that visited it, collected in a
-    /// first pass.
+    /// Ingest a spans-level profile: every decision record of
+    /// [`QueryProfile::segments`] — already priced at its source — is
+    /// observed into its strategy's cycle histogram and pushed to the
+    /// decision log.
     fn ingest_profile(&self, profile: &QueryProfile) {
-        // Pass 1: per-segment aggregation span totals.
-        let mut agg_totals: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
-        for e in &profile.events {
-            if let TraceEvent::Span { phase, loc, rows, cycles, .. } = e {
-                match phase {
-                    Phase::Aggregation | Phase::WideGroup => {
-                        let slot = agg_totals.entry(loc.segment).or_default();
-                        slot.0 += cycles;
-                        slot.1 += rows;
-                        if let Some(a) = loc.agg {
-                            self.agg_segment_cycles[a as usize].observe(*cycles);
-                        }
+        for seg in profile.segments() {
+            for record in seg.selections.iter().chain(&seg.agg) {
+                match *record {
+                    DecisionRecord::Selection { chosen, cycles, .. } => {
+                        self.selection_batch_cycles[chosen as usize].observe(cycles)
                     }
-                    Phase::Selection => {
-                        if let Some(s) = loc.selection {
-                            self.selection_batch_cycles[s as usize].observe(*cycles);
-                        }
+                    DecisionRecord::Agg { chosen, cycles, .. } => {
+                        self.agg_segment_cycles[chosen as usize].observe(cycles)
                     }
-                    _ => {}
                 }
-            }
-        }
-        // Pass 2: decision records, costs attached.
-        let mut last_selection: Option<(u32, u32, u64, u64)> = None;
-        for e in &profile.events {
-            match e {
-                TraceEvent::Span { phase: Phase::Selection, loc, rows, cycles, .. } => {
-                    last_selection = Some((loc.segment, loc.morsel, *cycles, *rows));
-                }
-                TraceEvent::SelectionDecision {
-                    segment,
-                    morsel,
-                    rows,
-                    bits,
-                    observed_selectivity,
-                    chosen,
-                    forced,
-                    ..
-                } => {
-                    let cycles = match last_selection {
-                        Some((seg, mor, c, _)) if seg == *segment && mor == *morsel => c,
-                        _ => 0,
-                    };
-                    self.decision_log.push(DecisionRecord::Selection {
-                        segment: *segment,
-                        morsel: *morsel,
-                        bits: *bits,
-                        observed_selectivity: *observed_selectivity,
-                        chosen: *chosen,
-                        forced: *forced,
-                        cycles,
-                        rows: u64::from(*rows),
-                    });
-                }
-                TraceEvent::AggDecision {
-                    segment,
-                    num_groups_effective,
-                    num_sums,
-                    num_minmax,
-                    est_selectivity,
-                    all_packed_narrow,
-                    multi_layout_fits,
-                    chosen,
-                    forced,
-                    ..
-                } => {
-                    let (cycles, rows) = agg_totals.get(segment).copied().unwrap_or((0, 0));
-                    self.decision_log.push(DecisionRecord::Agg {
-                        segment: *segment,
-                        num_groups_effective: *num_groups_effective,
-                        num_sums: *num_sums,
-                        num_minmax: *num_minmax,
-                        est_selectivity: *est_selectivity,
-                        all_packed_narrow: *all_packed_narrow,
-                        multi_layout_fits: *multi_layout_fits,
-                        chosen: *chosen,
-                        forced: *forced,
-                        cycles,
-                        rows,
-                    });
-                }
-                _ => {}
+                self.decision_log.push(*record);
             }
         }
     }
@@ -736,73 +567,114 @@ pub fn telemetry() -> &'static EngineTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::{AggStrategy, SelectionStrategy};
 
-    fn sel_record(sel: f64, chosen: SelectionStrategy) -> DecisionRecord {
-        DecisionRecord::Selection {
-            segment: 0,
-            morsel: 0,
-            bits: 8,
-            observed_selectivity: sel,
-            chosen,
-            forced: false,
-            cycles: 100,
-            rows: 1024,
-        }
-    }
+    /// The decision log holds records only the tracer builds, so these feed
+    /// it the way a query does — tracer, profile, `ingest_profile` — and
+    /// need the profiler compiled in.
+    #[cfg(not(feature = "no_profiler"))]
+    mod decision_log {
+        use super::*;
+        use crate::strategy::AggChoiceParams;
+        use crate::trace::{BatchAt, ProfileLevel, Tracer};
 
-    #[test]
-    fn decision_log_bounded_with_drop_counting() {
-        let log = DecisionLog::new();
-        for i in 0..(DECISION_LOG_CAPACITY + 10) {
-            log.push(sel_record(i as f64 / 10_000.0, SelectionStrategy::Gather));
-        }
-        assert_eq!(log.len(), DECISION_LOG_CAPACITY);
-        assert_eq!(log.dropped(), 10);
-        // Keep-last: the oldest 10 records were evicted.
-        match log.snapshot()[0] {
-            DecisionRecord::Selection { observed_selectivity, .. } => {
-                assert!((observed_selectivity - 10.0 / 10_000.0).abs() < 1e-12);
+        /// A spans profile of one-batch morsels, one per `(selectivity,
+        /// strategy)`, plus the segment's aggregation decision.
+        fn profile_of(batches: &[(f64, SelectionStrategy)]) -> QueryProfile {
+            let mut tracer = Tracer::new(ProfileLevel::Spans, 0);
+            for (morsel, &(selectivity, chosen)) in batches.iter().enumerate() {
+                let at = BatchAt { segment: 0, morsel: morsel as u32, start: 0, len: 1024 };
+                tracer.decision_selection(tracer.start(), at, 8, selectivity, chosen, false);
             }
-            _ => panic!("expected selection record"), // PANIC: test-only shape pin.
+            let params = AggChoiceParams {
+                num_groups_effective: 5,
+                num_sums: 2,
+                input_bytes: vec![4; 2],
+                all_packed_narrow: true,
+                multi_layout_fits: true,
+                est_selectivity: 1.0,
+                runwise_runs_fraction: None,
+            };
+            tracer.decision_agg(0, &params, 1, AggStrategy::InRegister, false);
+            let mut profile = QueryProfile::new(ProfileLevel::Spans);
+            profile.absorb(tracer);
+            profile
         }
-    }
 
-    #[test]
-    fn summary_buckets_by_cell() {
-        let log = DecisionLog::new();
-        log.push(sel_record(0.05, SelectionStrategy::Gather));
-        log.push(sel_record(0.07, SelectionStrategy::Gather));
-        log.push(sel_record(0.95, SelectionStrategy::Compact));
-        log.push(DecisionRecord::Agg {
-            segment: 0,
-            num_groups_effective: 5,
-            num_sums: 2,
-            num_minmax: 1,
-            est_selectivity: 1.0,
-            all_packed_narrow: true,
-            multi_layout_fits: true,
-            chosen: AggStrategy::InRegister,
-            forced: false,
-            cycles: 10,
-            rows: 100,
-        });
-        let s = log.summary();
-        assert_eq!(s.selection_picks, [2, 1, 0, 0]);
-        assert_eq!(s.agg_picks, [0, 0, 1, 0, 0]);
-        assert_eq!(s.selection_cells[&(8, 0)], [2, 0, 0, 0]);
-        assert_eq!(s.selection_cells[&(8, 9)], [0, 1, 0, 0]);
-        // 5 groups → log2 bucket 3 (bit length of 5).
-        assert_eq!(s.agg_cells[&3], [0, 0, 1, 0, 0]);
-    }
+        #[test]
+        fn decision_log_bounded_with_drop_counting() {
+            let t = EngineTelemetry::new();
+            let batches: Vec<_> = (0..DECISION_LOG_CAPACITY + 9)
+                .map(|i| (i as f64 / 10_000.0, SelectionStrategy::Gather))
+                .collect();
+            t.ingest_profile(&profile_of(&batches));
+            let log = t.decision_log();
+            assert_eq!(log.len(), DECISION_LOG_CAPACITY);
+            assert_eq!(log.dropped(), 10, "nine selections and the agg record past capacity");
+            // Keep-last: the oldest 10 records were evicted.
+            match log.snapshot()[0] {
+                DecisionRecord::Selection { observed_selectivity, .. } => {
+                    assert!((observed_selectivity - 10.0 / 10_000.0).abs() < 1e-12);
+                }
+                _ => panic!("expected selection record"), // PANIC: test-only shape pin.
+            }
+            assert!(matches!(log.snapshot().last(), Some(DecisionRecord::Agg { .. })));
+        }
 
-    #[test]
-    fn to_json_is_balanced_and_carries_drops() {
-        let log = DecisionLog::new();
-        log.push(sel_record(0.5, SelectionStrategy::SpecialGroup));
-        let json = log.to_json();
-        assert!(json.contains("\"dropped\": 0"));
-        assert!(json.contains("\"chosen\": \"Special Group\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        #[test]
+        fn summary_buckets_by_cell() {
+            let t = EngineTelemetry::new();
+            t.ingest_profile(&profile_of(&[
+                (0.05, SelectionStrategy::Gather),
+                (0.07, SelectionStrategy::Gather),
+                (0.95, SelectionStrategy::Compact),
+            ]));
+            let s = t.decision_log().summary();
+            assert_eq!(s.selection_picks, [2, 1, 0, 0]);
+            assert_eq!(s.agg_picks, [0, 0, 1, 0, 0]);
+            assert_eq!(s.selection_cells[&(8, 0)], [2, 0, 0, 0]);
+            assert_eq!(s.selection_cells[&(8, 9)], [0, 1, 0, 0]);
+            // 5 groups → log2 bucket 3 (bit length of 5).
+            assert_eq!(s.agg_cells[&3], [0, 0, 1, 0, 0]);
+            // Each record was observed into its strategy's cycle histogram.
+            assert_eq!(t.selection_batch_cycles[0].count(), 2);
+            assert_eq!(t.agg_segment_cycles[2].count(), 1);
+        }
+
+        #[test]
+        fn to_json_is_balanced_and_carries_drops() {
+            let t = EngineTelemetry::new();
+            t.ingest_profile(&profile_of(&[(0.5, SelectionStrategy::SpecialGroup)]));
+            let json = t.decision_log().to_json();
+            assert!(json.contains("\"dropped\": 0"));
+            assert!(json.contains("{\"kind\": \"selection\", \"segment\": 0, \"morsel\": 0, "));
+            assert!(json.contains("\"chosen\": \"Special Group\""));
+            assert!(json.contains("{\"kind\": \"agg\", \"segment\": 0, "));
+            assert_eq!(json.matches('{').count(), json.matches('}').count());
+        }
+
+        /// `to_json` and `summary` read the ring and the drop count under
+        /// one guard: a dump never shows `dropped > 0` beside a ring that
+        /// is not full, however many sessions are publishing.
+        #[test]
+        fn dump_is_one_consistent_view_under_concurrent_pushes() {
+            let log = DecisionLog::new();
+            let records = profile_of(&[(0.5, SelectionStrategy::Compact)]).segments().remove(0);
+            let record = records.selections[0];
+            std::thread::scope(|scope| {
+                for _ in 0..4 {
+                    scope.spawn(|| (0..DECISION_LOG_CAPACITY).for_each(|_| log.push(record)));
+                }
+                scope.spawn(|| loop {
+                    let (records, dropped) = log.dump();
+                    assert!(dropped == 0 || records.len() == DECISION_LOG_CAPACITY);
+                    if dropped >= 2 * DECISION_LOG_CAPACITY as u64 {
+                        break;
+                    }
+                });
+            });
+            assert_eq!(log.dropped(), 3 * DECISION_LOG_CAPACITY as u64);
+        }
     }
 
     #[test]

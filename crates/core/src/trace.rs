@@ -32,6 +32,7 @@
 //! Per-phase totals and the [`ExecStats`] counters keep counting after
 //! overflow, so totals stay exact even when the event log is truncated.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use crate::stats::ExecStats;
@@ -166,6 +167,167 @@ impl SpanLoc {
     }
 }
 
+/// Where a batch sits — segment ordinal, morsel ordinal, row window — as
+/// its per-batch trace events carry it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BatchAt {
+    pub segment: u32,
+    pub morsel: u32,
+    pub start: usize,
+    pub len: usize,
+}
+
+impl BatchAt {
+    pub(crate) fn loc(self) -> SpanLoc {
+        SpanLoc::at(self.segment, self.morsel)
+    }
+}
+
+/// One strategy decision: the chooser's inputs, its pick, and the measured
+/// cost of acting on it. The only decision type there is — the tracer
+/// stores it in the event log, `EXPLAIN` and the Chrome trace print it, and
+/// the cross-query [`DecisionLog`](crate::telemetry::DecisionLog) retains
+/// it.
+///
+/// `cycles`/`rows` are filled where the cost is produced: a selection
+/// record by `Tracer::decision_selection`, from the `Selection` span it
+/// closes; an aggregation record by `QueryProfile::segments`, from the
+/// segment's `Aggregation`/`WideGroup` spans (in the event log itself the
+/// coordinator's record reads 0 — it is written before any batch runs).
+/// `at_cycles` and `worker` are timeline coordinates (the Chrome trace's
+/// `ts` and `tid`), not chooser inputs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum DecisionRecord {
+    /// A per-batch selection-strategy decision.
+    Selection {
+        /// Raw TSC reading at the end of the batch's `Selection` span (same
+        /// timeline as `Span::start_cycles`).
+        at_cycles: u64,
+        /// Worker that ran the batch.
+        worker: u32,
+        /// Table segment ordinal.
+        segment: u32,
+        /// Morsel ordinal within the segment.
+        morsel: u32,
+        /// First row of the batch within the segment.
+        row_start: u64,
+        /// Dominant packed input bit width the crossover used.
+        bits: u8,
+        /// Selectivity *observed* for this batch (the chooser input — the
+        /// engine decides per batch from measured, not estimated,
+        /// selectivity, §3).
+        observed_selectivity: f64,
+        /// The strategy picked.
+        chosen: SelectionStrategy,
+        /// True when `forced_selection` overrode the chooser.
+        forced: bool,
+        /// Cycles the decided batch's selection span consumed.
+        cycles: u64,
+        /// Rows the decided batch covered.
+        rows: u64,
+    },
+    /// A segment's aggregation-strategy decision: one per scanned segment,
+    /// made at plan time and recorded by the coordinator (which traces as
+    /// worker 0) — every worker that visits the segment runs it under this
+    /// strategy.
+    Agg {
+        /// Raw TSC reading when the decision was recorded.
+        at_cycles: u64,
+        /// Table segment ordinal.
+        segment: u32,
+        /// Group count including the special-group slot.
+        num_groups_effective: u32,
+        /// SUM aggregate count.
+        num_sums: u32,
+        /// MIN/MAX aggregate count.
+        num_minmax: u32,
+        /// Selectivity *estimate* the chooser saw: 1.0 where planning knows
+        /// every visited row is selected, else the measured selectivity of
+        /// the first batch of the segment's row window.
+        est_selectivity: f64,
+        /// Whether every sum input was packed-narrow (sort-based viable).
+        all_packed_narrow: bool,
+        /// Whether a multi-aggregate row layout existed.
+        multi_layout_fits: bool,
+        /// The strategy picked.
+        chosen: AggStrategy,
+        /// True when `forced_agg` overrode the chooser.
+        forced: bool,
+        /// Total aggregation cycles spent on the segment, over every worker
+        /// that visited it.
+        cycles: u64,
+        /// Total rows aggregated in the segment: the rows the scan visited.
+        rows: u64,
+    },
+}
+
+impl DecisionRecord {
+    /// `"selection"` or `"agg"`.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            DecisionRecord::Selection { .. } => "selection",
+            DecisionRecord::Agg { .. } => "agg",
+        }
+    }
+
+    /// Where the record sits on the Chrome trace: `(tid, raw TSC stamp)`.
+    /// The coordinator, which records aggregation decisions, is worker 0.
+    fn timeline(&self) -> (u32, u64) {
+        match *self {
+            DecisionRecord::Selection { worker, at_cycles, .. } => (worker, at_cycles),
+            DecisionRecord::Agg { at_cycles, .. } => (0, at_cycles),
+        }
+    }
+
+    /// The record as JSON object members in a stable order — chooser
+    /// inputs, pick, cost — shared by the decision-log dump and the Chrome
+    /// trace's decision instants.
+    pub fn json_fields(&self) -> String {
+        match *self {
+            DecisionRecord::Selection {
+                segment,
+                morsel,
+                row_start,
+                bits,
+                observed_selectivity,
+                chosen,
+                forced,
+                cycles,
+                rows,
+                ..
+            } => format!(
+                "\"segment\": {segment}, \"morsel\": {morsel}, \"row_start\": {row_start}, \
+                 \"bits\": {bits}, \"observed_selectivity\": {observed_selectivity:.4}, \
+                 \"chosen\": \"{}\", \"forced\": {forced}, \"cycles\": {cycles}, \
+                 \"rows\": {rows}",
+                chosen.label()
+            ),
+            DecisionRecord::Agg {
+                segment,
+                num_groups_effective,
+                num_sums,
+                num_minmax,
+                est_selectivity,
+                all_packed_narrow,
+                multi_layout_fits,
+                chosen,
+                forced,
+                cycles,
+                rows,
+                ..
+            } => format!(
+                "\"segment\": {segment}, \"num_groups_effective\": {num_groups_effective}, \
+                 \"num_sums\": {num_sums}, \"num_minmax\": {num_minmax}, \
+                 \"est_selectivity\": {est_selectivity:.4}, \
+                 \"all_packed_narrow\": {all_packed_narrow}, \
+                 \"multi_layout_fits\": {multi_layout_fits}, \"chosen\": \"{}\", \
+                 \"forced\": {forced}, \"cycles\": {cycles}, \"rows\": {rows}",
+                chosen.label()
+            ),
+        }
+    }
+}
+
 /// One recorded event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
@@ -190,59 +352,8 @@ pub enum TraceEvent {
         /// Wall-clock nanoseconds elapsed.
         wall_nanos: u64,
     },
-    /// The per-batch selection-strategy decision, with the chooser's inputs.
-    SelectionDecision {
-        /// Raw TSC reading when the decision was recorded (same timeline as
-        /// `Span::start_cycles`; 0 when the event predates span export).
-        at_cycles: u64,
-        /// Table segment ordinal.
-        segment: u32,
-        /// Morsel ordinal within the segment.
-        morsel: u32,
-        /// First row of the batch within the segment.
-        row_start: u64,
-        /// Rows in the batch.
-        rows: u32,
-        /// Dominant packed input bit width the crossover used.
-        bits: u8,
-        /// Selectivity *observed* for this batch (the chooser input — the
-        /// engine decides per batch from measured, not estimated,
-        /// selectivity, §3).
-        observed_selectivity: f64,
-        /// The strategy picked.
-        chosen: SelectionStrategy,
-        /// True when `forced_selection` overrode the chooser.
-        forced: bool,
-    },
-    /// The per-segment aggregation-strategy decision: one per scanned
-    /// segment, made at plan time and recorded by the coordinator, so it
-    /// carries no worker coordinate — every worker that visits the segment
-    /// runs it under this strategy.
-    AggDecision {
-        /// Raw TSC reading when the decision was recorded (same timeline as
-        /// `Span::start_cycles`; 0 when the event predates span export).
-        at_cycles: u64,
-        /// Table segment ordinal.
-        segment: u32,
-        /// Group count including the special-group slot.
-        num_groups_effective: u32,
-        /// SUM aggregate count.
-        num_sums: u32,
-        /// MIN/MAX aggregate count.
-        num_minmax: u32,
-        /// Selectivity *estimate* the chooser saw: 1.0 where planning knows
-        /// every visited row is selected, else the measured selectivity of
-        /// the first batch of the segment's row window.
-        est_selectivity: f64,
-        /// Whether every sum input was packed-narrow (sort-based viable).
-        all_packed_narrow: bool,
-        /// Whether a multi-aggregate row layout existed.
-        multi_layout_fits: bool,
-        /// The strategy picked.
-        chosen: AggStrategy,
-        /// True when `forced_agg` overrode the chooser.
-        forced: bool,
-    },
+    /// A strategy decision, with the chooser's inputs and its cost.
+    Decision(DecisionRecord),
 }
 
 /// A captured span start; holds timestamps only when profiling is enabled,
@@ -353,10 +464,11 @@ impl Tracer {
         }
     }
 
-    /// Finish a span started with [`Tracer::start`]. A no-op at `Off`.
+    /// Finish a span started with [`Tracer::start`] and hand back the cycles
+    /// it measured. A no-op (and 0) at `Off`.
     #[inline]
-    pub fn span(&mut self, phase: Phase, loc: SpanLoc, rows: u64, start: SpanStart) {
-        let Some((c0, w0)) = start.0 else { return };
+    pub fn span(&mut self, phase: Phase, loc: SpanLoc, rows: u64, start: SpanStart) -> u64 {
+        let Some((c0, w0)) = start.0 else { return 0 };
         let cycles = bipie_toolbox::cycles::read_tsc().saturating_sub(c0);
         let wall_nanos = w0.elapsed().as_nanos() as u64;
         self.phases[phase as usize].add(rows, cycles, wall_nanos);
@@ -371,47 +483,49 @@ impl Tracer {
                 wall_nanos,
             });
         }
+        cycles
     }
 
-    /// Close one batch's [`Phase::Selection`] span (opened at `start`,
-    /// located at `loc`) and record the selection-strategy decision the
-    /// batch runs under, with the chooser's inputs: counts the batch in
-    /// [`Tracer::stats`] at every level and, at `Spans`, stores the event.
-    #[allow(clippy::too_many_arguments)] // mirrors the chooser's input list
+    /// Close batch `at`'s [`Phase::Selection`] span (opened at `start`) and
+    /// record the selection-strategy decision the batch runs under, with
+    /// the chooser's inputs: counts the batch in [`Tracer::stats`] at every
+    /// level and, at `Spans`, stores the record — priced with the cycles of
+    /// the span just closed, and stamped at its end, so the decision reads
+    /// no clock of its own.
     #[inline]
-    pub fn decision_selection(
+    pub(crate) fn decision_selection(
         &mut self,
         start: SpanStart,
-        loc: SpanLoc,
-        row_start: usize,
-        rows: usize,
+        at: BatchAt,
         bits: u8,
         observed_selectivity: f64,
         chosen: SelectionStrategy,
         forced: bool,
     ) {
-        self.span(Phase::Selection, loc.with_selection(chosen), rows as u64, start);
+        let rows = at.len as u64;
+        let cycles = self.span(Phase::Selection, at.loc().with_selection(chosen), rows, start);
         self.stats.record_selection(chosen);
         if self.spans() {
-            // The timestamp is spans-only work: `Counters` counts the
-            // decision without reading a clock.
-            self.push(TraceEvent::SelectionDecision {
-                at_cycles: bipie_toolbox::cycles::read_tsc(),
-                segment: loc.segment,
-                morsel: loc.morsel,
-                row_start: row_start as u64,
-                rows: rows as u32,
+            self.push(TraceEvent::Decision(DecisionRecord::Selection {
+                at_cycles: start.0.map_or(0, |(c0, _)| c0 + cycles),
+                worker: self.worker,
+                segment: at.segment,
+                morsel: at.morsel,
+                row_start: at.start as u64,
                 bits,
                 observed_selectivity,
                 chosen,
                 forced,
-            });
+                cycles,
+                rows,
+            }));
         }
     }
 
     /// Record one segment's aggregation-strategy decision with the
     /// chooser's inputs: counts it in [`Tracer::stats`] at every level and,
-    /// at `Spans`, stores the event.
+    /// at `Spans`, stores the record. Its cost does not exist yet —
+    /// `QueryProfile::segments` fills it in.
     #[inline]
     pub fn decision_agg(
         &mut self,
@@ -423,8 +537,9 @@ impl Tracer {
     ) {
         self.stats.record_agg(chosen);
         if self.spans() {
-            // Spans-only timestamp, as in `decision_selection`.
-            self.push(TraceEvent::AggDecision {
+            self.push(TraceEvent::Decision(DecisionRecord::Agg {
+                // The timestamp is spans-only work: `Counters` counts the
+                // decision without reading a clock.
                 at_cycles: bipie_toolbox::cycles::read_tsc(),
                 segment,
                 num_groups_effective: params.num_groups_effective as u32,
@@ -435,7 +550,9 @@ impl Tracer {
                 multi_layout_fits: params.multi_layout_fits,
                 chosen,
                 forced,
-            });
+                cycles: 0,
+                rows: 0,
+            }));
         }
     }
 
@@ -629,22 +746,8 @@ impl QueryProfile {
             return out;
         }
 
-        // Spans: per-segment tree from the event log.
-        let mut segments: Vec<u32> = self
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Span { loc, .. } if loc.segment != NO_ID => Some(loc.segment),
-                TraceEvent::SelectionDecision { segment, .. }
-                | TraceEvent::AggDecision { segment, .. } => Some(*segment),
-                _ => None,
-            })
-            .collect();
-        segments.sort_unstable();
-        segments.dedup();
-
-        for &seg in &segments {
-            out.push_str(&self.render_segment(seg));
+        for seg in self.segments() {
+            out.push_str(&render_segment(&seg));
         }
         let tail = self.phase(Phase::MutableTail);
         if tail.count > 0 {
@@ -663,120 +766,77 @@ impl QueryProfile {
         out
     }
 
-    fn render_segment(&self, seg: u32) -> String {
-        let mut out = String::new();
-        // Segment header: rows/morsels/steals from SegmentScan spans.
-        let (mut rows, mut morsels, mut steals, mut seg_cycles) = (0u64, 0u64, 0u64, 0u64);
+    /// The event log rolled up per segment, in ordinal order — the one pass
+    /// over `events` that `EXPLAIN`, the Chrome trace's decision instants
+    /// and the telemetry seam all read. Each segment's aggregation record
+    /// comes back priced: `cycles`/`rows` are the segment's
+    /// `Aggregation` + `WideGroup` span totals over every worker that
+    /// visited it.
+    pub(crate) fn segments(&self) -> Vec<SegmentRollup> {
+        let mut by_segment: BTreeMap<u32, SegmentRollup> = BTreeMap::new();
         for e in &self.events {
-            if let TraceEvent::Span { phase: Phase::SegmentScan, loc, rows: r, cycles, .. } = e {
-                if loc.segment == seg {
-                    rows += r;
-                    morsels += 1;
-                    steals += loc.stolen as u64;
-                    seg_cycles += cycles;
-                }
-            }
-        }
-        // The row window the scan visited, from the batches it recorded: the
-        // filter's row range on this segment, on the batch grid.
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for e in &self.events {
-            if let TraceEvent::SelectionDecision { segment, row_start, rows, .. } = e {
-                if *segment == seg {
-                    lo = lo.min(*row_start);
-                    hi = hi.max(row_start + *rows as u64);
-                }
-            }
-        }
-        let range = if lo < hi { format!("  range=[{lo},{hi})") } else { String::new() };
-        out.push_str(&format!(
-            "├─ segment {seg}  rows={rows}{range}  ranges={morsels}  steals={steals}  \
-             cycles={seg_cycles}\n"
-        ));
-
-        // The segment's aggregation decision.
-        for e in &self.events {
-            if let TraceEvent::AggDecision {
-                segment,
-                num_groups_effective,
-                num_sums,
-                num_minmax,
-                est_selectivity,
-                chosen,
-                forced,
-                ..
-            } = e
-            {
-                if *segment == seg {
-                    out.push_str(&format!(
-                        "│    decision agg: {:<8} groups={} sums={} minmax={} est_sel={:.3}{}\n",
-                        chosen.label(),
-                        num_groups_effective,
-                        num_sums,
-                        num_minmax,
-                        est_selectivity,
-                        if *forced { " (forced)" } else { "" },
-                    ));
-                }
-            }
-        }
-
-        // Per selection strategy: batch count / rows / mean selectivity from
-        // decisions, cycles from the labeled selection+aggregation spans.
-        for strat in SelectionStrategy::ALL {
-            let (mut batches, mut brows, mut sel_sum, mut bits_max) = (0u64, 0u64, 0.0f64, 0u8);
-            for e in &self.events {
-                if let TraceEvent::SelectionDecision {
-                    segment,
-                    rows,
-                    bits,
-                    observed_selectivity,
-                    chosen,
-                    ..
-                } = e
-                {
-                    if *segment == seg && *chosen == strat {
-                        batches += 1;
-                        brows += *rows as u64;
-                        sel_sum += observed_selectivity;
-                        bits_max = bits_max.max(*bits);
-                    }
-                }
-            }
-            if batches == 0 {
-                continue;
-            }
-            let (mut sel_cycles, mut agg_cycles, mut agg_label) = (0u64, 0u64, None);
-            for e in &self.events {
-                if let TraceEvent::Span { phase, loc, cycles, .. } = e {
-                    if loc.segment != seg || loc.selection != Some(strat) {
-                        continue;
-                    }
+            match e {
+                TraceEvent::Span { phase, loc, rows, cycles, .. } if loc.segment != NO_ID => {
+                    let seg = by_segment.entry(loc.segment).or_default();
                     match phase {
-                        Phase::Selection => sel_cycles += cycles,
+                        Phase::SegmentScan => {
+                            seg.rows += rows;
+                            seg.morsels += 1;
+                            seg.steals += loc.stolen as u64;
+                            seg.scan_cycles += cycles;
+                        }
                         Phase::Aggregation | Phase::WideGroup => {
-                            agg_cycles += cycles;
-                            agg_label = loc.agg.or(agg_label);
+                            seg.agg_cycles += cycles;
+                            seg.agg_rows += rows;
+                            if let Some(s) = loc.selection {
+                                let strategy = &mut seg.strategies[s as usize];
+                                strategy.agg_cycles += cycles;
+                                strategy.agg = loc.agg.or(strategy.agg);
+                            }
                         }
                         _ => {}
                     }
                 }
+                TraceEvent::Span { .. } => {}
+                TraceEvent::Decision(record) => match *record {
+                    DecisionRecord::Selection {
+                        segment,
+                        row_start,
+                        bits,
+                        observed_selectivity,
+                        chosen,
+                        cycles,
+                        rows,
+                        ..
+                    } => {
+                        let seg = by_segment.entry(segment).or_default();
+                        let (lo, hi) = seg.range.unwrap_or((u64::MAX, 0));
+                        seg.range = Some((lo.min(row_start), hi.max(row_start + rows)));
+                        let strategy = &mut seg.strategies[chosen as usize];
+                        strategy.batches += 1;
+                        strategy.rows += rows;
+                        strategy.selectivity += observed_selectivity;
+                        strategy.max_bits = strategy.max_bits.max(bits);
+                        strategy.select_cycles += cycles;
+                        seg.selections.push(*record);
+                    }
+                    DecisionRecord::Agg { segment, .. } => {
+                        by_segment.entry(segment).or_default().agg = Some(*record);
+                    }
+                },
             }
-            let denom = brows.max(1) as f64;
-            out.push_str(&format!(
-                "│    {:<13} batches={:<5} rows={:<9} sel={:.3}  bits={}  \
-                 select {:.2} cy/r  agg[{}] {:.2} cy/r\n",
-                strat.label(),
-                batches,
-                brows,
-                sel_sum / batches as f64,
-                bits_max,
-                sel_cycles as f64 / denom,
-                agg_label.map_or("-", AggStrategy::label),
-                agg_cycles as f64 / denom,
-            ));
         }
-        out
+        let finish = |(segment, mut seg): (u32, SegmentRollup)| {
+            seg.segment = segment;
+            if let Some(DecisionRecord::Agg { cycles, rows, .. }) = &mut seg.agg {
+                (*cycles, *rows) = (seg.agg_cycles, seg.agg_rows);
+            }
+            for strategy in seg.strategies.iter_mut().filter(|s| s.batches > 0) {
+                strategy.selectivity /= strategy.batches as f64;
+            }
+            seg
+        };
+        by_segment.into_iter().map(finish).collect()
     }
 
     /// Serialize the profile as JSON (dependency-free; schema documented in
@@ -840,8 +900,7 @@ impl QueryProfile {
             .iter()
             .map(|e| match e {
                 TraceEvent::Span { start_cycles, .. } => *start_cycles,
-                TraceEvent::SelectionDecision { at_cycles, .. }
-                | TraceEvent::AggDecision { at_cycles, .. } => *at_cycles,
+                TraceEvent::Decision(record) => record.timeline().1,
             })
             .min()
             .unwrap_or(0);
@@ -855,111 +914,150 @@ impl QueryProfile {
             }
         };
 
-        let mut events: Vec<String> = Vec::with_capacity(self.events.len() + self.workers);
-        // Name the worker rows up front so Perfetto's track labels are
-        // stable regardless of which worker recorded first.
-        let mut workers: Vec<u32> = self
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Span { worker, .. } => Some(*worker),
-                _ => None,
-            })
-            .collect();
-        workers.sort_unstable();
-        workers.dedup();
-        for w in &workers {
+        let mut tracks = BTreeSet::new();
+        let mut events: Vec<String> = Vec::with_capacity(self.events.len());
+        for e in &self.events {
+            let TraceEvent::Span { phase, worker, loc, rows, start_cycles, cycles, wall_nanos } = e
+            else {
+                continue;
+            };
+            tracks.insert(*worker);
+            let mut args = format!(
+                "\"segment\": {}, \"morsel\": {}, \"rows\": {rows}, \
+                 \"cycles\": {cycles}, \"wall_nanos\": {wall_nanos}, \
+                 \"stolen\": {}",
+                ord(loc.segment),
+                ord(loc.morsel),
+                loc.stolen
+            );
+            if let Some(s) = loc.selection {
+                args.push_str(&format!(", \"selection\": \"{}\"", s.label()));
+            }
+            if let Some(a) = loc.agg {
+                args.push_str(&format!(", \"agg\": \"{}\"", a.label()));
+            }
             events.push(format!(
-                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": {w}, \
-                 \"args\": {{\"name\": \"worker {w}\"}}}}"
+                "{{\"name\": \"{}\", \"cat\": \"phase\", \"ph\": \"X\", \"pid\": 0, \
+                 \"tid\": {worker}, \"ts\": {:.3}, \"dur\": {:.3}, \"args\": {{{args}}}}}",
+                phase.label(),
+                rel_us(*start_cycles),
+                us(*cycles),
             ));
         }
-
-        // Decisions carry no worker coordinate of their own. A selection
-        // decision follows its batch's span in the same tracer's log, so
-        // track the current worker through the worker-major event walk; an
-        // aggregation decision is the coordinator's, which traces as
-        // worker 0.
-        let mut current_worker = 0u32;
-        for e in &self.events {
-            match e {
-                TraceEvent::Span { phase, worker, loc, rows, start_cycles, cycles, wall_nanos } => {
-                    current_worker = *worker;
-                    let mut args = format!(
-                        "\"segment\": {}, \"morsel\": {}, \"rows\": {rows}, \
-                         \"cycles\": {cycles}, \"wall_nanos\": {wall_nanos}, \
-                         \"stolen\": {}",
-                        ord(loc.segment),
-                        ord(loc.morsel),
-                        loc.stolen
-                    );
-                    if let Some(s) = loc.selection {
-                        args.push_str(&format!(", \"selection\": \"{}\"", s.label()));
-                    }
-                    if let Some(a) = loc.agg {
-                        args.push_str(&format!(", \"agg\": \"{}\"", a.label()));
-                    }
-                    events.push(format!(
-                        "{{\"name\": \"{}\", \"cat\": \"phase\", \"ph\": \"X\", \"pid\": 0, \
-                         \"tid\": {worker}, \"ts\": {:.3}, \"dur\": {:.3}, \"args\": {{{args}}}}}",
-                        phase.label(),
-                        rel_us(*start_cycles),
-                        us(*cycles),
-                    ));
-                }
-                TraceEvent::SelectionDecision {
-                    at_cycles,
-                    segment,
-                    morsel,
-                    row_start,
-                    rows,
-                    bits,
-                    observed_selectivity,
-                    chosen,
-                    forced,
-                } => {
-                    events.push(format!(
-                        "{{\"name\": \"decision:selection\", \"cat\": \"decision\", \
-                         \"ph\": \"I\", \"s\": \"t\", \"pid\": 0, \"tid\": {current_worker}, \
-                         \"ts\": {:.3}, \"args\": {{\"segment\": {}, \"morsel\": {}, \
-                         \"row_start\": {row_start}, \"rows\": {rows}, \"bits\": {bits}, \
-                         \"observed_selectivity\": {observed_selectivity:.4}, \
-                         \"chosen\": \"{}\", \"forced\": {forced}}}}}",
-                        rel_us(*at_cycles),
-                        ord(*segment),
-                        ord(*morsel),
-                        chosen.label(),
-                    ));
-                }
-                TraceEvent::AggDecision {
-                    at_cycles,
-                    segment,
-                    num_groups_effective,
-                    num_sums,
-                    num_minmax,
-                    est_selectivity,
-                    all_packed_narrow,
-                    multi_layout_fits,
-                    chosen,
-                    forced,
-                } => {
-                    events.push(format!(
-                        "{{\"name\": \"decision:agg\", \"cat\": \"decision\", \"ph\": \"I\", \
-                         \"s\": \"t\", \"pid\": 0, \"tid\": 0, \"ts\": {:.3}, \
-                         \"args\": {{\"segment\": {}, \"num_groups_effective\": \
-                         {num_groups_effective}, \"num_sums\": {num_sums}, \"num_minmax\": \
-                         {num_minmax}, \"est_selectivity\": {est_selectivity:.4}, \
-                         \"all_packed_narrow\": {all_packed_narrow}, \"multi_layout_fits\": \
-                         {multi_layout_fits}, \"chosen\": \"{}\", \"forced\": {forced}}}}}",
-                        rel_us(*at_cycles),
-                        ord(*segment),
-                        chosen.label(),
-                    ));
-                }
+        // Decisions come from the rollup, where the aggregation records
+        // carry their cost; each sits on the track of the worker that made
+        // it.
+        for seg in self.segments() {
+            for record in seg.selections.iter().chain(&seg.agg) {
+                let (tid, at_cycles) = record.timeline();
+                events.push(format!(
+                    "{{\"name\": \"decision:{}\", \"cat\": \"decision\", \"ph\": \"I\", \
+                     \"s\": \"t\", \"pid\": 0, \"tid\": {tid}, \"ts\": {:.3}, \
+                     \"args\": {{{}}}}}",
+                    record.kind(),
+                    rel_us(at_cycles),
+                    record.json_fields(),
+                ));
             }
         }
+        // Name the worker rows up front so Perfetto's track labels are
+        // stable regardless of which worker recorded first.
+        let names = tracks.iter().map(|w| {
+            format!(
+                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": {w}, \
+                 \"args\": {{\"name\": \"worker {w}\"}}}}"
+            )
+        });
+        let events: Vec<String> = names.chain(events).collect();
         format!("{{\"displayTimeUnit\": \"ms\", \"traceEvents\": [{}]}}", events.join(", "))
     }
+}
+
+/// One selection strategy's share of a segment: an `EXPLAIN` strategy row.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct StrategyRollup {
+    pub batches: u64,
+    pub rows: u64,
+    /// Mean observed selectivity over the batches.
+    pub selectivity: f64,
+    pub max_bits: u8,
+    pub select_cycles: u64,
+    /// Cycles of the aggregation spans that ran under this selection
+    /// strategy, and the aggregation strategy they ran.
+    pub agg_cycles: u64,
+    pub agg: Option<AggStrategy>,
+}
+
+/// One segment of [`QueryProfile::segments`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct SegmentRollup {
+    pub segment: u32,
+    /// Rows, morsels, stolen morsels and cycles of the `SegmentScan` spans.
+    pub rows: u64,
+    pub morsels: u64,
+    pub steals: u64,
+    pub scan_cycles: u64,
+    /// The row window the scan visited, from the batches it recorded: the
+    /// filter's row range on this segment, on the batch grid.
+    pub range: Option<(u64, u64)>,
+    /// `Aggregation` + `WideGroup` span totals over every visiting worker:
+    /// the walk's accumulators, read through the priced `agg` record.
+    agg_cycles: u64,
+    agg_rows: u64,
+    /// The segment's aggregation decision, priced with the two totals.
+    pub agg: Option<DecisionRecord>,
+    /// The segment's selection decisions, in event order.
+    pub selections: Vec<DecisionRecord>,
+    /// Per-strategy rollup, indexed by [`SelectionStrategy`].
+    pub strategies: [StrategyRollup; 4],
+}
+
+/// One segment's `EXPLAIN` subtree.
+fn render_segment(seg: &SegmentRollup) -> String {
+    let range = seg.range.map_or(String::new(), |(lo, hi)| format!("  range=[{lo},{hi})"));
+    let mut out = format!(
+        "├─ segment {}  rows={}{range}  ranges={}  steals={}  cycles={}\n",
+        seg.segment, seg.rows, seg.morsels, seg.steals, seg.scan_cycles
+    );
+    if let Some(DecisionRecord::Agg {
+        num_groups_effective,
+        num_sums,
+        num_minmax,
+        est_selectivity,
+        chosen,
+        forced,
+        ..
+    }) = seg.agg
+    {
+        out.push_str(&format!(
+            "│    decision agg: {:<8} groups={} sums={} minmax={} est_sel={:.3}{}\n",
+            chosen.label(),
+            num_groups_effective,
+            num_sums,
+            num_minmax,
+            est_selectivity,
+            if forced { " (forced)" } else { "" },
+        ));
+    }
+    for (strategy, s) in SelectionStrategy::ALL.iter().zip(&seg.strategies) {
+        if s.batches == 0 {
+            continue;
+        }
+        let denom = s.rows.max(1) as f64;
+        out.push_str(&format!(
+            "│    {:<13} batches={:<5} rows={:<9} sel={:.3}  bits={}  \
+             select {:.2} cy/r  agg[{}] {:.2} cy/r\n",
+            strategy.label(),
+            s.batches,
+            s.rows,
+            s.selectivity,
+            s.max_bits,
+            s.select_cycles as f64 / denom,
+            s.agg.map_or("-", AggStrategy::label),
+            s.agg_cycles as f64 / denom,
+        ));
+    }
+    out
 }
 
 /// The closing EXPLAIN line: decisions per strategy, from the stats.
@@ -999,16 +1097,8 @@ mod tests {
         assert!(!t.enabled());
         let s = t.start();
         assert!(s.0.is_none(), "Off must not read timestamps");
-        t.decision_selection(
-            s,
-            SpanLoc::at(0, 0),
-            0,
-            100,
-            8,
-            0.5,
-            SelectionStrategy::Gather,
-            false,
-        );
+        let at = BatchAt { segment: 0, morsel: 0, start: 0, len: 100 };
+        t.decision_selection(s, at, 8, 0.5, SelectionStrategy::Gather, false);
         t.decision_agg(0, &agg_params(8, 2, 0.5), 0, AggStrategy::InRegister, false);
         let mut p = QueryProfile::new(ProfileLevel::Off);
         let stats = p.absorb(t);
@@ -1050,16 +1140,8 @@ mod tests {
         assert!(s.0.is_some());
         t.span(Phase::Unpack, SpanLoc::at(0, 0), 4096, s);
         let s = t.start();
-        t.decision_selection(
-            s,
-            SpanLoc::at(0, 0),
-            0,
-            4096,
-            12,
-            0.25,
-            SelectionStrategy::Compact,
-            false,
-        );
+        let at = BatchAt { segment: 0, morsel: 0, start: 0, len: 4096 };
+        t.decision_selection(s, at, 12, 0.25, SelectionStrategy::Compact, false);
         assert_eq!(t.events.capacity(), 0, "Counters must not allocate an event log");
         let mut p = QueryProfile::new(ProfileLevel::Counters);
         let stats = p.absorb(t);
@@ -1118,16 +1200,8 @@ mod tests {
         let s = t.start();
         t.span(Phase::SegmentScan, SpanLoc::at(2, 0).with_stolen(true), 4096, s);
         let s = t.start();
-        t.decision_selection(
-            s,
-            SpanLoc::at(2, 0),
-            0,
-            4096,
-            14,
-            0.01,
-            SelectionStrategy::Gather,
-            false,
-        );
+        let at = BatchAt { segment: 2, morsel: 0, start: 0, len: 4096 };
+        t.decision_selection(s, at, 14, 0.01, SelectionStrategy::Gather, false);
         let s = t.start();
         t.span(
             Phase::Aggregation,
@@ -1156,6 +1230,13 @@ mod tests {
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes, "{json}");
+    }
+
+    /// The decision payload rides inside the event the ring already held:
+    /// the preallocated 16 Ki-event buffer does not grow.
+    #[test]
+    fn trace_event_stays_within_eighty_bytes() {
+        assert!(std::mem::size_of::<TraceEvent>() <= 80, "{}", std::mem::size_of::<TraceEvent>());
     }
 
     #[test]

@@ -66,11 +66,13 @@ pub const EXPLAINS: [PassExplain; 17] = [
     PassExplain {
         name: "trace",
         id: "trace-hygiene",
-        rule: "Raw cycle-counter reads and `TraceEvent` construction are confined to \
-               `core::trace`, the metrics crate, and tests.",
+        rule: "Raw cycle-counter reads, `TraceEvent` construction and `DecisionRecord { .. }` \
+               literals are confined to `core::trace`, the metrics crate, and tests.",
         rationale: "Engine code records through `Tracer`, where the `ProfileLevel::Off` \
-                    gate keeps profiling at true zero cost.",
-        fix: "Record through a `Tracer` method; add one if the event kind is new.",
+                    gate keeps profiling at true zero cost and a decision is priced once, \
+                    at its source.",
+        fix: "Record through a `Tracer` method; add one if the event kind is new. Read \
+              finished records by pattern (`DecisionRecord::Agg { cycles, .. }`).",
     },
     PassExplain {
         name: "accountant",

@@ -23,9 +23,10 @@
 //!    worker pool module and in test code; production code must parallelize
 //!    through the pool.
 //! 5. [`trace_hygiene`] — raw cycle-counter reads (`read_tsc`,
-//!    `read_cycles`, `_rdtsc`) and `TraceEvent` construction are confined
-//!    to `core::trace`, the metrics crates, and tests; engine code records
-//!    through `Tracer`, where the `ProfileLevel::Off` gate lives.
+//!    `read_cycles`, `_rdtsc`), `TraceEvent` construction and
+//!    `DecisionRecord { .. }` literals are confined to `core::trace`, the
+//!    metrics crates, and tests; engine code records through `Tracer`,
+//!    where the `ProfileLevel::Off` gate lives.
 //! 6. [`accountant`] — the allocating scan/aggregation modules must keep
 //!    referencing the resource governor's memory accountant
 //!    (`governor::MemScope`), so new allocation sites cannot silently

@@ -6,8 +6,10 @@
 //! timestamp. A raw cycle-counter read (`read_tsc` / `read_cycles` /
 //! `_rdtsc`) or a hand-built `TraceEvent` anywhere else bypasses that gate
 //! and silently reintroduces per-batch timing cost that the overhead bench
-//! only catches after the fact. This pass flags both outside their
-//! sanctioned homes.
+//! only catches after the fact. The same goes for a hand-built
+//! `DecisionRecord`: a decision is recorded once, with its cost, by the
+//! tracer — a literal anywhere else is a second place that prices
+//! decisions. This pass flags all three outside their sanctioned homes.
 //!
 //! Allowed locations:
 //!
@@ -22,6 +24,10 @@
 //! `Tracer` API, which is exempt here because it *is* the gate. Matching
 //! is token-exact: `read_tsc` must appear as an identifier and
 //! `TraceEvent::` as a path prefix, so comments and strings never trip it.
+//! `DecisionRecord::Variant { … }` is a *literal* when its braces do not
+//! end in a `..` rest — reading a finished record (`match`, `if let`,
+//! `matches!`) stays legal everywhere, which is how the telemetry seam,
+//! benches and examples consume the decision log.
 //!
 //! The same confinement applies one layer up (DESIGN.md §14): process-wide
 //! registry mutation must flow through the `core::telemetry` seam. A
@@ -32,7 +38,7 @@
 //! `crates/metrics/` (the substrate itself), `crates/core/src/telemetry.rs`
 //! (the seam), and test/bench/example code that reads snapshots.
 
-use crate::lexer::TokKind;
+use crate::lexer::{Tok, TokKind};
 use crate::scan::SourceFile;
 use crate::Diag;
 
@@ -42,11 +48,6 @@ const TRACE_IDENTS: [&str; 3] = ["read_tsc", "read_cycles", "_rdtsc"];
 /// Files/prefixes where the tokens are legitimate.
 const ALLOWED: [&str; 3] =
     ["crates/toolbox/src/cycles.rs", "crates/metrics/", "crates/core/src/trace.rs"];
-
-/// Additional files that may *consume* `TraceEvent` values (pattern-match
-/// finished profiles) without being allowed raw cycle reads: the telemetry
-/// seam ingests span rings after the query, never on the hot path.
-const EVENT_CONSUMERS: [&str; 1] = ["crates/core/src/telemetry.rs"];
 
 /// Registry/telemetry type paths whose *mutation* must stay behind the
 /// `core::telemetry` seam.
@@ -78,12 +79,14 @@ pub fn check(files: &[SourceFile]) -> Vec<Diag> {
                 out.push(diag(file, tok.line, tok.text(&file.text)));
             }
         }
-        if EVENT_CONSUMERS.contains(&file.rel.as_str()) {
-            continue;
-        }
         for tok in file.find_path("TraceEvent::") {
             if !file.line_in_tests(tok.line) {
                 out.push(diag(file, tok.line, "TraceEvent::"));
+            }
+        }
+        for line in decision_record_literals(file) {
+            if !file.line_in_tests(line) {
+                out.push(diag(file, line, "DecisionRecord { .. }"));
             }
         }
     }
@@ -107,13 +110,50 @@ pub fn check(files: &[SourceFile]) -> Vec<Diag> {
     out
 }
 
+/// Lines (0-based) holding a `DecisionRecord::Variant { … }` whose brace
+/// group does not end in a `..` rest: a struct literal, not a pattern.
+fn decision_record_literals(file: &SourceFile) -> Vec<usize> {
+    if !file.text.contains("DecisionRecord") {
+        return Vec::new();
+    }
+    let code: Vec<&Tok> = file
+        .toks
+        .iter()
+        .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
+        .collect();
+    let text = |i: usize| code.get(i).map_or("", |t| t.text(&file.text));
+    let mut lines = Vec::new();
+    for start in 0..code.len() {
+        let head = [text(start), text(start + 1), text(start + 2), text(start + 4)];
+        if head != ["DecisionRecord", ":", ":", "{"] {
+            continue;
+        }
+        let (mut depth, mut close) = (0usize, start + 4);
+        while close < code.len() {
+            match text(close) {
+                "{" => depth += 1,
+                "}" => depth -= 1,
+                _ => {}
+            }
+            if depth == 0 {
+                break;
+            }
+            close += 1;
+        }
+        if [text(close - 2), text(close - 1)] != [".", "."] {
+            lines.push(code[start].line);
+        }
+    }
+    lines
+}
+
 /// Legacy substring scan for files the lexer could not finish.
 fn check_fallback(file: &SourceFile, out: &mut Vec<Diag>) {
     for (i, line) in file.code.iter().enumerate() {
         if file.line_in_tests(i) {
             continue;
         }
-        for token in TRACE_IDENTS.iter().copied().chain(["TraceEvent::"]) {
+        for token in TRACE_IDENTS.iter().copied().chain(["TraceEvent::", "DecisionRecord::"]) {
             if line.contains(token) {
                 out.push(diag(file, i, token));
             }
@@ -229,12 +269,35 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_seam_may_consume_events_but_not_read_clocks() {
+    fn telemetry_seam_reads_decision_records_but_builds_none_and_reads_no_clock() {
         let consume = file(
+            "crates/core/src/telemetry.rs",
+            "fn f(r: &DecisionRecord) -> bool {\n\
+             match r { DecisionRecord::Selection { cycles, .. } => *cycles > 0,\n\
+             DecisionRecord::Agg { .. } => matches!(r, DecisionRecord::Agg { forced: true, .. }) } }",
+        );
+        assert!(check(&[consume]).is_empty());
+        let build = file(
+            "crates/core/src/telemetry.rs",
+            "fn f() -> DecisionRecord {\n DecisionRecord::Agg { segment: 0, cycles: 1, rows: 2 } }",
+        );
+        let diags = check(&[build]);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].line, 2);
+        assert!(diags[0].msg.contains("DecisionRecord { .. }"), "{diags:?}");
+        // A functional update is still a literal: the rest is not last.
+        let update = file(
+            "crates/core/src/scan.rs",
+            "fn f(r: DecisionRecord) -> DecisionRecord { DecisionRecord::Agg { cycles: 9, ..r } }",
+        );
+        assert_eq!(check(&[update]).len(), 1);
+        // The seam walks profiles through `QueryProfile::segments`, not raw
+        // events, so it gets no `TraceEvent` exemption any more.
+        let events = file(
             "crates/core/src/telemetry.rs",
             "fn f(e: &TraceEvent) { if let TraceEvent::Span { .. } = e {} }",
         );
-        assert!(check(&[consume]).is_empty());
+        assert_eq!(check(&[events]).len(), 1);
         let clock = file("crates/core/src/telemetry.rs", "fn f() -> u64 { read_tsc() }");
         assert_eq!(check(&[clock]).len(), 1);
     }

@@ -77,6 +77,11 @@ fn bad_fixture_raw_trace() {
     assert!(text.contains("raw_trace.rs:5: [trace-hygiene] `read_tsc` outside"), "{text}");
     assert!(text.contains("raw_trace.rs:7: [trace-hygiene] `read_tsc` outside"), "{text}");
     assert!(text.contains("raw_trace.rs:11: [trace-hygiene] `TraceEvent::` outside"), "{text}");
+    assert!(
+        text.contains("raw_trace.rs:15: [trace-hygiene] `DecisionRecord { .. }` outside"),
+        "{text}"
+    );
+    assert!(!text.contains("raw_trace.rs:19:"), "reading a record is not building one: {text}");
 }
 
 #[test]

@@ -12,8 +12,8 @@ mod common;
 use bipie::columnstore::{ColumnSpec, LogicalType, Table, Value};
 use bipie::core::reference::execute_reference;
 use bipie::core::{
-    execute, AggExpr, AggStrategy, EngineError, Expr, Phase, Predicate, ProfileLevel, Query,
-    QueryBuilder, QueryOptions, QueryProfile, TraceEvent,
+    execute, AggExpr, AggStrategy, DecisionRecord, EngineError, Expr, Phase, Predicate,
+    ProfileLevel, Query, QueryBuilder, QueryOptions, QueryProfile, TraceEvent,
 };
 use common::{profiler_compiled_in, run_cases};
 
@@ -322,9 +322,9 @@ fn agg_decisions(profile: &QueryProfile) -> Vec<(u32, AggStrategy, f64)> {
         .events
         .iter()
         .filter_map(|e| match e {
-            TraceEvent::AggDecision { segment, chosen, est_selectivity, .. } => {
-                Some((*segment, *chosen, *est_selectivity))
-            }
+            TraceEvent::Decision(DecisionRecord::Agg {
+                segment, chosen, est_selectivity, ..
+            }) => Some((*segment, *chosen, *est_selectivity)),
             _ => None,
         })
         .collect();

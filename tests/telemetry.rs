@@ -67,18 +67,20 @@ fn chrome_trace_golden_from_synthetic_profile() {
                 cycles: 500,
                 wall_nanos: 500,
             },
-            TraceEvent::SelectionDecision {
+            TraceEvent::Decision(DecisionRecord::Selection {
                 at_cycles: 1_600,
+                worker: 0,
                 segment: 0,
                 morsel: 1,
                 row_start: 0,
-                rows: 1024,
                 bits: 8,
                 observed_selectivity: 0.125,
                 chosen: SelectionStrategy::Gather,
                 forced: false,
-            },
-            TraceEvent::AggDecision {
+                cycles: 500,
+                rows: 1024,
+            }),
+            TraceEvent::Decision(DecisionRecord::Agg {
                 at_cycles: 2_000,
                 segment: 0,
                 num_groups_effective: 5,
@@ -89,7 +91,9 @@ fn chrome_trace_golden_from_synthetic_profile() {
                 multi_layout_fits: true,
                 chosen: AggStrategy::MultiAggregate,
                 forced: false,
-            },
+                cycles: 0,
+                rows: 0,
+            }),
         ],
         ..QueryProfile::default()
     };
@@ -103,17 +107,195 @@ fn chrome_trace_golden_from_synthetic_profile() {
         "\"selection\": \"Gather\"}}, ",
         "{\"name\": \"decision:selection\", \"cat\": \"decision\", \"ph\": \"I\", \"s\": \"t\", ",
         "\"pid\": 0, \"tid\": 0, \"ts\": 600.000, \"args\": {\"segment\": 0, \"morsel\": 1, ",
-        "\"row_start\": 0, \"rows\": 1024, \"bits\": 8, \"observed_selectivity\": 0.1250, ",
-        "\"chosen\": \"Gather\", \"forced\": false}}, ",
+        "\"row_start\": 0, \"bits\": 8, \"observed_selectivity\": 0.1250, ",
+        "\"chosen\": \"Gather\", \"forced\": false, \"cycles\": 500, \"rows\": 1024}}, ",
         "{\"name\": \"decision:agg\", \"cat\": \"decision\", \"ph\": \"I\", \"s\": \"t\", ",
         "\"pid\": 0, \"tid\": 0, \"ts\": 1000.000, \"args\": {\"segment\": 0, ",
         "\"num_groups_effective\": 5, \"num_sums\": 2, \"num_minmax\": 0, ",
         "\"est_selectivity\": 1.0000, \"all_packed_narrow\": true, ",
-        "\"multi_layout_fits\": true, \"chosen\": \"Multi\", \"forced\": false}}]}"
+        "\"multi_layout_fits\": true, \"chosen\": \"Multi\", \"forced\": false, ",
+        "\"cycles\": 0, \"rows\": 0}}]}"
     );
     let trace = profile.to_chrome_trace_with_hz(1e6);
     assert_eq!(trace, expected);
     assert_perfetto_loadable(&trace);
+}
+
+fn span(phase: Phase, worker: u32, loc: SpanLoc, rows: u64, start: u64, cycles: u64) -> TraceEvent {
+    TraceEvent::Span { phase, worker, loc, rows, start_cycles: start, cycles, wall_nanos: cycles }
+}
+
+fn agg_decision(segment: u32, groups: u32, chosen: AggStrategy, forced: bool) -> TraceEvent {
+    TraceEvent::Decision(DecisionRecord::Agg {
+        at_cycles: 100 + u64::from(segment),
+        segment,
+        num_groups_effective: groups,
+        num_sums: 2,
+        num_minmax: 1,
+        est_selectivity: 0.5,
+        all_packed_narrow: true,
+        multi_layout_fits: true,
+        chosen,
+        forced,
+        cycles: 0,
+        rows: 0,
+    })
+}
+
+/// EXPLAIN and the JSON profile, pinned byte for byte (both strings were
+/// captured at PR 23, before `QueryProfile::segments` existed) over a
+/// synthetic `Spans` profile: two segments shared by two workers (worker 1
+/// steals a morsel of segment 0), a forced aggregation decision, two
+/// selection strategies inside segment 0, a wide-group segment, and a
+/// mutable tail. The events arrive as the scan absorbs them: worker-major,
+/// the coordinator (aggregation decisions, plan span, merge) last.
+#[test]
+fn explain_golden_from_synthetic_profile() {
+    use bipie::core::{ExecStats, PhaseTotals, WorkerRing};
+    use AggStrategy::{MultiAggregate, Scalar};
+    use SelectionStrategy::{Compact, Gather};
+
+    // One-batch morsels as the scan records them — `Selection` span, the
+    // decision that closes it, the aggregation span under both labels, the
+    // `SegmentScan` span around them: (worker, segment, morsel, stolen,
+    // first row, bits, selectivity, strategies, start stamp, and the
+    // selection / aggregation / scan spans' cycles).
+    let morsels = [
+        (0, 0, 0, false, 0, 14, 0.02, Gather, MultiAggregate, 1_000, [400, 2_000, 2_500]),
+        (0, 0, 1, false, 4096, 14, 0.75, Compact, MultiAggregate, 4_000, [300, 3_000, 3_400]),
+        (1, 1, 0, false, 8192, 32, 0.5, Compact, Scalar, 1_100, [500, 9_000, 9_600]),
+        (1, 0, 2, true, 8192, 14, 0.04, Gather, MultiAggregate, 11_000, [420, 2_100, 2_600]),
+    ];
+    let mut events = Vec::new();
+    for (worker, segment, morsel, stolen, row_start, bits, selectivity, chosen, agg, at, cycles) in
+        morsels
+    {
+        let [select_cycles, agg_cycles, scan_cycles] = cycles;
+        let loc = SpanLoc::at(segment, morsel);
+        let labelled = loc.with_selection(chosen).with_agg(agg);
+        let agg_phase = if agg == Scalar { Phase::WideGroup } else { Phase::Aggregation };
+        events.extend([
+            span(Phase::Selection, worker, loc.with_selection(chosen), 4096, at, select_cycles),
+            TraceEvent::Decision(DecisionRecord::Selection {
+                at_cycles: at + select_cycles,
+                worker,
+                segment,
+                morsel,
+                row_start,
+                bits,
+                observed_selectivity: selectivity,
+                chosen,
+                forced: false,
+                cycles: select_cycles,
+                rows: 4096,
+            }),
+            span(agg_phase, worker, labelled, 4096, at + select_cycles + 10, agg_cycles),
+            span(Phase::SegmentScan, worker, loc.with_stolen(stolen), 4096, at - 10, scan_cycles),
+        ]);
+    }
+    // The mutable tail's tracer, then the coordinator.
+    events.push(span(Phase::MutableTail, 0, SpanLoc::none(), 77, 14_000, 900));
+    events.push(agg_decision(0, 5, MultiAggregate, true));
+    events.push(agg_decision(1, 70_000, Scalar, false));
+    events.push(span(Phase::Plan, 0, SpanLoc::none(), 16_384, 50, 200));
+    events.push(span(Phase::ParallelMerge, 0, SpanLoc::none(), 9, 13_700, 250));
+
+    let mut phases = [PhaseTotals::default(); Phase::COUNT];
+    for e in &events {
+        if let TraceEvent::Span { phase, rows, cycles, wall_nanos, .. } = e {
+            let t = &mut phases[*phase as usize];
+            t.count += 1;
+            t.rows += rows;
+            t.cycles += cycles;
+            t.wall_nanos += wall_nanos;
+        }
+    }
+    let profile = QueryProfile {
+        level: ProfileLevel::Spans,
+        workers: 4,
+        phases,
+        events,
+        dropped_events: 3,
+        worker_rings: vec![
+            WorkerRing { worker: 0, events: 8, capacity: 16_384, dropped: 0 },
+            WorkerRing { worker: 1, events: 8, capacity: 8, dropped: 3 },
+        ],
+    };
+    let mut stats = ExecStats {
+        batches: 4,
+        rows_scanned: 16_384,
+        rows_pruned: 8192,
+        segments_scanned: 2,
+        segments_eliminated: 1,
+        morsels_scanned: 4,
+        morsel_steals: 1,
+        mutable_rows: 77,
+        governor_checks: 6,
+        mem_reserved_peak: 123_456,
+        ..ExecStats::default()
+    };
+    stats.selection_batches[Gather as usize] = 2;
+    stats.selection_batches[Compact as usize] = 2;
+    stats.agg_segments[MultiAggregate as usize] = 1;
+    stats.agg_segments[Scalar as usize] = 1;
+
+    let explain = concat!(
+        "EXPLAIN ANALYZE  (profile=Spans, workers=4, dropped_events=3)\n",
+        "Query: 4 batches, 16384 rows scanned (8192 pruned), 2 segments (1 eliminated), 4 morsels (1 stolen), 77 mutable rows\n",
+        "Governor: 6 checks, 123456 bytes peak reserved\n",
+        "Tracer rings: w0 8/16384 (0.0%); w1 8/8 (100.0%, 3 dropped)\n",
+        "├─ phases\n",
+        "│    plan           spans=1      rows=16384     cycles=200          (0.01 cy/row, 0.000 ms wall)\n",
+        "│    segment_scan   spans=4      rows=16384     cycles=18100        (1.10 cy/row, 0.018 ms wall)\n",
+        "│    selection      spans=4      rows=16384     cycles=1620         (0.10 cy/row, 0.002 ms wall)\n",
+        "│    aggregation    spans=3      rows=12288     cycles=7100         (0.58 cy/row, 0.007 ms wall)\n",
+        "│    wide_group     spans=1      rows=4096      cycles=9000         (2.20 cy/row, 0.009 ms wall)\n",
+        "│    mutable_tail   spans=1      rows=77        cycles=900          (11.69 cy/row, 0.001 ms wall)\n",
+        "│    parallel_merge spans=1      rows=9         cycles=250          (27.78 cy/row, 0.000 ms wall)\n",
+        "├─ segment 0  rows=12288  range=[0,12288)  ranges=3  steals=1  cycles=8500\n",
+        "│    decision agg: Multi    groups=5 sums=2 minmax=1 est_sel=0.500 (forced)\n",
+        "│    Gather        batches=2     rows=8192      sel=0.030  bits=14  select 0.10 cy/r  agg[Multi] 0.50 cy/r\n",
+        "│    Compact       batches=1     rows=4096      sel=0.750  bits=14  select 0.07 cy/r  agg[Multi] 0.73 cy/r\n",
+        "├─ segment 1  rows=4096  range=[8192,12288)  ranges=1  steals=0  cycles=9600\n",
+        "│    decision agg: Scalar   groups=70000 sums=2 minmax=1 est_sel=0.500\n",
+        "│    Compact       batches=1     rows=4096      sel=0.500  bits=32  select 0.12 cy/r  agg[Scalar] 2.20 cy/r\n",
+        "├─ mutable tail  rows=77  cycles=900\n",
+        "├─ parallel merge  spans=1  cycles=250  (0.000 ms wall)\n",
+        "└─ strategies  selection[Gather=2, Compact=2]  aggregation[Scalar=1, Multi=1]\n"
+    );
+    assert_eq!(profile.render_explain(&stats), explain);
+    let json = concat!(
+        "{\"level\": \"Spans\", \"workers\": 4, \"dropped_events\": 3, \"phases\": {",
+        "\"plan\": {\"spans\": 1, \"rows\": 16384, \"cycles\": 200, \"wall_nanos\": 200, \"cycles_per_row\": 0.0122}, ",
+        "\"segment_scan\": {\"spans\": 4, \"rows\": 16384, \"cycles\": 18100, \"wall_nanos\": 18100, \"cycles_per_row\": 1.1047}, ",
+        "\"selection\": {\"spans\": 4, \"rows\": 16384, \"cycles\": 1620, \"wall_nanos\": 1620, \"cycles_per_row\": 0.0989}, ",
+        "\"aggregation\": {\"spans\": 3, \"rows\": 12288, \"cycles\": 7100, \"wall_nanos\": 7100, \"cycles_per_row\": 0.5778}, ",
+        "\"wide_group\": {\"spans\": 1, \"rows\": 4096, \"cycles\": 9000, \"wall_nanos\": 9000, \"cycles_per_row\": 2.1973}, ",
+        "\"mutable_tail\": {\"spans\": 1, \"rows\": 77, \"cycles\": 900, \"wall_nanos\": 900, \"cycles_per_row\": 11.6883}, ",
+        "\"parallel_merge\": {\"spans\": 1, \"rows\": 9, \"cycles\": 250, \"wall_nanos\": 250, \"cycles_per_row\": 27.7778}}, ",
+        "\"events_recorded\": 21}"
+    );
+    assert_eq!(profile.to_json(), json);
+
+    // The Chrome trace prints the same records: a selection instant on its
+    // worker's track, the aggregation instant priced by the rollup.
+    let trace = profile.to_chrome_trace_with_hz(1e6);
+    assert_perfetto_loadable(&trace);
+    assert!(
+        trace.contains(concat!(
+            "{\"name\": \"decision:selection\", \"cat\": \"decision\", \"ph\": \"I\", ",
+            "\"s\": \"t\", \"pid\": 0, \"tid\": 1, \"ts\": 11370.000, \"args\": {\"segment\": 0, ",
+            "\"morsel\": 2, \"row_start\": 8192, \"bits\": 14, \"observed_selectivity\": 0.0400, ",
+            "\"chosen\": \"Gather\", \"forced\": false, \"cycles\": 420, \"rows\": 4096}}"
+        )),
+        "{trace}"
+    );
+    assert!(
+        trace.contains(
+            "\"chosen\": \"Multi\", \"forced\": true, \"cycles\": 7100, \"rows\": 12288}}"
+        ),
+        "{trace}"
+    );
 }
 
 /// The acceptance workload: ≥2 queries back to back, then every telemetry

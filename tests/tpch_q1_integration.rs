@@ -9,8 +9,8 @@ mod common;
 use bipie::columnstore::{Date, Value};
 use bipie::core::reference::execute_reference;
 use bipie::core::{
-    execute, AggStrategy, Predicate, ProfileLevel, QueryBuilder, QueryOptions, SelectionStrategy,
-    TraceEvent,
+    execute, AggStrategy, DecisionRecord, Predicate, ProfileLevel, QueryBuilder, QueryOptions,
+    SelectionStrategy, TraceEvent,
 };
 use bipie::tpch::{q1_cutoff, q1_query, run_q1, run_q1_result, LineItemGen};
 
@@ -105,10 +105,10 @@ fn q1_profile_events_tile_the_stats_and_cover_every_batch() {
 
     // Every batch logged exactly one selection decision, with the chooser's
     // inputs in range...
-    let mut by_segment: BTreeMap<u32, Vec<(u64, u32)>> = BTreeMap::new();
+    let mut by_segment: BTreeMap<u32, Vec<(u64, u64)>> = BTreeMap::new();
     let mut decisions = 0usize;
     for event in &profile.events {
-        if let TraceEvent::SelectionDecision {
+        if let TraceEvent::Decision(DecisionRecord::Selection {
             segment,
             row_start,
             rows,
@@ -116,7 +116,7 @@ fn q1_profile_events_tile_the_stats_and_cover_every_batch() {
             observed_selectivity,
             forced,
             ..
-        } = event
+        }) = event
         {
             decisions += 1;
             assert!((0.0..=1.0).contains(observed_selectivity), "{event:?}");
@@ -135,7 +135,7 @@ fn q1_profile_events_tile_the_stats_and_cover_every_batch() {
         let mut next = 0u64;
         for &(start, rows) in batches.iter() {
             assert_eq!(start, next, "segment {seg}: gap or overlap at row {start}");
-            next = start + rows as u64;
+            next = start + rows;
         }
         assert_eq!(next, table.segments()[*seg as usize].num_rows() as u64, "segment {seg}");
     }
@@ -145,7 +145,12 @@ fn q1_profile_events_tile_the_stats_and_cover_every_batch() {
         .events
         .iter()
         .filter_map(|e| match e {
-            TraceEvent::AggDecision { segment, num_sums, num_groups_effective, .. } => {
+            TraceEvent::Decision(DecisionRecord::Agg {
+                segment,
+                num_sums,
+                num_groups_effective,
+                ..
+            }) => {
                 assert_eq!(*num_sums, 5, "Q1 has five distinct sums");
                 assert!(*num_groups_effective > 0);
                 Some(*segment)
