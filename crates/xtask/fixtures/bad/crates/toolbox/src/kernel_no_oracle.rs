@@ -1,4 +1,4 @@
-//! Fixture: AVX2 kernel with no scalar sibling (must fail kernel-contract).
+//! Fixture: AVX2 kernel with no scalar sibling (must fail dispatch-matrix).
 
 pub fn widen_sum(values: &[u8], level: u8) -> u64 {
     if has_avx2(level) {

@@ -46,10 +46,6 @@ pub fn check(files: &[SourceFile]) -> Vec<Diag> {
         if !ACCOUNTED_FILES.contains(&file.rel.as_str()) {
             continue;
         }
-        if file.toks.is_empty() {
-            check_fallback(file, &mut out);
-            continue;
-        }
         let covered = ACCOUNTANT_SEQS
             .iter()
             .any(|seq| !crate::lexer::find_seq(&file.text, &file.toks, seq).is_empty());
@@ -66,24 +62,6 @@ pub fn check(files: &[SourceFile]) -> Vec<Diag> {
     }
     out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     out
-}
-
-/// Legacy substring scan for files the lexer could not finish.
-fn check_fallback(file: &SourceFile, out: &mut Vec<Diag>) {
-    let text = file.code_text();
-    if ["MemScope", "projected_bytes", ".charge("].iter().any(|t| text.contains(t)) {
-        return;
-    }
-    for (i, line) in file.code.iter().enumerate() {
-        if file.line_in_tests(i) {
-            continue;
-        }
-        for token in ["vec![", "with_capacity(", ".resize(", ".resize_with("] {
-            if line.contains(token) {
-                out.push(diag(file, i, token));
-            }
-        }
-    }
 }
 
 fn diag(file: &SourceFile, line: usize, token: &str) -> Diag {

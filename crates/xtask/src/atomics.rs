@@ -16,24 +16,29 @@
 //! * atomics stay confined to the modules that own concurrent state
 //!   (`ATOMIC_MODULES`); an `Ordering::*` use or `Atomic*` type appearing
 //!   anywhere else in library code is flagged so concurrency cannot leak
-//!   into modules whose invariants assume single-threaded access.
+//!   into modules whose invariants assume single-threaded access. That
+//!   half is a row of the [`crate::confine`] table.
 //!
 //! Matching is on token paths, so `cmp::Ordering::Less` in the sort code
 //! never trips it (the comparator enum has no `Relaxed`/`Acquire`/…
 //! variants), and prose like "uses Ordering::SeqCst" in a comment is
 //! invisible to the pass.
 
-use crate::lexer::TokKind;
+use crate::lexer::{find_seq, path_pat};
 use crate::scan::SourceFile;
 use crate::Diag;
 
-/// Atomic `Ordering` variants. `std::cmp::Ordering` (`Less`/`Equal`/
-/// `Greater`) shares the type name but none of these variants, which is
-/// what lets a token-path match discriminate the two.
-const ATOMIC_VARIANTS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
+/// The atomic `Ordering` variants, as paths.
+pub const ORDERINGS: [&str; 5] = [
+    "Ordering::Relaxed",
+    "Ordering::Acquire",
+    "Ordering::Release",
+    "Ordering::AcqRel",
+    "Ordering::SeqCst",
+];
 
 /// The modules that own concurrent state and may use atomics.
-const ATOMIC_MODULES: [&str; 6] = [
+pub const ATOMIC_MODULES: [&str; 6] = [
     "crates/core/src/engine.rs",
     "crates/core/src/pool.rs",
     "crates/core/src/governor.rs",
@@ -47,110 +52,35 @@ pub const MARKER: &str = "ORDERING:";
 
 /// Run the atomics-discipline pass.
 pub fn check(files: &[SourceFile]) -> Vec<Diag> {
-    let mut out = Vec::new();
+    let mut out = crate::confine::check(files, "atomics-discipline");
     for file in files {
-        if file.is_test_file() {
+        if file.is_test_file() || !ATOMIC_MODULES.contains(&file.rel.as_str()) {
             continue;
         }
-        if file.toks.is_empty() {
-            check_fallback(file, &mut out);
-            continue;
-        }
-        let sanctioned = ATOMIC_MODULES.contains(&file.rel.as_str());
         let mut last_line = usize::MAX;
-        for variant in ATOMIC_VARIANTS {
-            for tok in file.find_path(&format!("Ordering::{variant}")) {
-                if file.line_in_tests(tok.line) {
+        for path in ORDERINGS {
+            for tok in find_seq(&file.text, &file.toks, &path_pat(path)) {
+                if file.line_in_tests(tok.line)
+                    || file.has_marker_comment(tok.line, MARKER)
+                    || tok.line == last_line
+                {
                     continue;
                 }
-                if !sanctioned {
-                    out.push(confinement_diag(file, tok.line, &format!("Ordering::{variant}")));
-                } else if !file.has_marker_comment(tok.line, MARKER) && tok.line != last_line {
-                    out.push(justification_diag(file, tok.line, variant));
-                    last_line = tok.line;
-                }
-            }
-        }
-        if !sanctioned {
-            for tok in &file.toks {
-                if tok.kind == TokKind::Ident {
-                    let text = tok.text(&file.text);
-                    if is_atomic_type(text) && !file.line_in_tests(tok.line) {
-                        out.push(confinement_diag(file, tok.line, text));
-                    }
-                }
+                last_line = tok.line;
+                out.push(Diag {
+                    path: file.rel.clone(),
+                    line: tok.line + 1,
+                    pass: "atomics-discipline",
+                    msg: format!(
+                        "`{path}` without an adjacent `// ORDERING:` comment \
+                         justifying the memory-ordering choice"
+                    ),
+                });
             }
         }
     }
     out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    out.dedup_by(|a, b| a.path == b.path && a.line == b.line && a.msg == b.msg);
     out
-}
-
-/// `AtomicUsize`, `AtomicU64`, `AtomicBool`, … — the std atomic cell types.
-fn is_atomic_type(ident: &str) -> bool {
-    ident.strip_prefix("Atomic").is_some_and(|rest| {
-        matches!(
-            rest,
-            "Bool"
-                | "Usize"
-                | "Isize"
-                | "U8"
-                | "U16"
-                | "U32"
-                | "U64"
-                | "I8"
-                | "I16"
-                | "I32"
-                | "I64"
-                | "Ptr"
-        )
-    })
-}
-
-/// Legacy substring scan for files the lexer could not finish.
-fn check_fallback(file: &SourceFile, out: &mut Vec<Diag>) {
-    let sanctioned = ATOMIC_MODULES.contains(&file.rel.as_str());
-    for (i, line) in file.code.iter().enumerate() {
-        if file.line_in_tests(i) {
-            continue;
-        }
-        for variant in ATOMIC_VARIANTS {
-            if line.contains(&format!("Ordering::{variant}")) {
-                if !sanctioned {
-                    out.push(confinement_diag(file, i, &format!("Ordering::{variant}")));
-                } else if !file.has_marker_comment(i, MARKER) {
-                    out.push(justification_diag(file, i, variant));
-                }
-                break;
-            }
-        }
-    }
-}
-
-fn justification_diag(file: &SourceFile, line: usize, variant: &str) -> Diag {
-    Diag {
-        path: file.rel.clone(),
-        line: line + 1,
-        pass: "atomics-discipline",
-        msg: format!(
-            "`Ordering::{variant}` without an adjacent `// ORDERING:` comment \
-             justifying the memory-ordering choice"
-        ),
-    }
-}
-
-fn confinement_diag(file: &SourceFile, line: usize, what: &str) -> Diag {
-    Diag {
-        path: file.rel.clone(),
-        line: line + 1,
-        pass: "atomics-discipline",
-        msg: format!(
-            "`{what}` outside the sanctioned concurrency modules \
-             (pool/governor/batch) — keep atomic state where its invariants \
-             are documented, or extend the sanctioned list deliberately"
-        ),
-    }
 }
 
 #[cfg(test)]

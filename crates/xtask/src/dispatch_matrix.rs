@@ -1,20 +1,20 @@
-//! Pass 9: dispatch-matrix exhaustiveness.
+//! Pass: dispatch-matrix exhaustiveness.
 //!
 //! The toolbox is organized as a dispatch matrix: each operation × element
 //! width × SIMD tier combination is one *cell* — a `#[target_feature]`
 //! kernel living in a tier module (`mod avx2` / `mod avx512`) or carrying a
-//! tier suffix (`*_avx2` / `*_avx512`). The kernel-contract pass (pass 2)
-//! checks files coarsely; this pass statically extracts the full table and
-//! cross-checks **every cell** against three registries:
+//! tier suffix (`*_avx2` / `*_avx512`). Specialized kernels are trusted only
+//! because a scalar oracle and a differential test exist, so this pass
+//! extracts the full table from the item parser and checks **every cell**:
 //!
 //! 1. **Wiring** — the kernel's name must be referenced outside the tier
-//!    modules (a direct `avx2::name(…)` call, a tier-suffixed call under a
-//!    `has_*` guard, or a dispatch-macro invocation naming it). A cell the
-//!    dispatcher never mentions silently falls back to scalar: correct,
-//!    never measured, and dead weight.
+//!    modules (a direct `avx2::name(…)` call, a tier-suffixed call, or a
+//!    dispatch-macro invocation naming it; a `.name` method call is some
+//!    other function), and the file must test the tier's `has_*` CPU guard
+//!    there. A cell the dispatcher never mentions silently falls back to
+//!    scalar: correct, never measured, and dead weight.
 //! 2. **Oracle registry** — the cell must map to a scalar sibling by name
-//!    tokens (same matcher the kernel-contract pass uses), so the
-//!    differential harness has something to compare against.
+//!    tokens, so the differential harness has something to compare against.
 //! 3. **Equivalence-test matrix** — some test-corpus file that iterates
 //!    `SimdLevel::available()` must name the cell's dispatch entry point
 //!    (the kernel name or its tier-suffix-stripped form), so the cell is
@@ -31,19 +31,18 @@
 //! to an `enc_*_scalar` oracle sibling in the same file, and must be named
 //! by some test-corpus file so the equivalence sweep actually executes it.
 //!
-//! Everything here is lexical (token streams + the pass-2 extractors);
-//! macro-generated dispatchers are visible through their invocation tokens
+//! Macro-generated dispatchers are visible through their invocation tokens
 //! (`dispatch_cmp!(cmp_u8, …)` names the kernel outside the tier module),
 //! which is exactly the property checked.
 
-use crate::kernel_contract::{
-    fn_decls, has_oracle, scalar_oracle_tokens, tier_regions, FnDecl, TestCorpus,
-};
-use crate::lexer::TokKind;
-use crate::scan::{name_tokens, SourceFile};
-use crate::Diag;
+use std::collections::BTreeSet;
+use std::ops::Range;
 
-const TIERS: [&str; 2] = ["avx2", "avx512"];
+use crate::lexer::{Tok, TokKind};
+use crate::scan::{
+    byte_span, fn_items, name_tokens, tier_at, tier_mods, FnItem, SourceFile, TIERS,
+};
+use crate::Diag;
 
 /// One statically-extracted dispatch cell: an operation × width × tier
 /// entry backed by a `#[target_feature]` kernel.
@@ -65,23 +64,24 @@ pub struct Cell {
 const WIDTH_TOKENS: [&str; 10] =
     ["u8", "u16", "u32", "u64", "i8", "i16", "i32", "i64", "f32", "f64"];
 
-/// Extract the dispatch cells of one file: `#[target_feature]` kernels with
-/// a slice argument that are `pub`-visible or tier-suffixed (the same
-/// kernel definition pass 2 audits).
-pub fn extract_cells(file: &SourceFile) -> Vec<Cell> {
-    let tiers = tier_regions(file);
-    fn_decls(file, &tiers)
-        .into_iter()
-        .filter(|d| d.target_feature && (d.sig.contains("&[") || d.sig.contains("&mut [")))
-        .filter_map(|d| {
-            let (tier, suffixed) = match d.tier {
+/// The dispatch cells among a file's [`fn_items`]: `#[target_feature]`
+/// kernels with a slice argument that are `pub`-visible or tier-suffixed.
+pub fn extract_cells(fns: &[FnItem]) -> Vec<Cell> {
+    fns.iter()
+        .filter(|f| {
+            let sig = &f.item.signature;
+            f.target_feature && (sig.contains("& [") || sig.contains("& mut ["))
+        })
+        .filter_map(|f| {
+            let name = &f.item.name;
+            let (tier, suffixed) = match f.tier {
                 Some(t) => (t, false),
-                None => (*TIERS.iter().find(|t| d.name.ends_with(&format!("_{t}")))?, true),
+                None => (*TIERS.iter().find(|t| name.ends_with(&format!("_{t}")))?, true),
             };
-            if !d.is_pub && !suffixed {
+            if !f.item.is_pub && !suffixed {
                 return None;
             }
-            let toks = name_tokens(&d.name);
+            let toks = name_tokens(name);
             let width = toks.iter().find(|t| WIDTH_TOKENS.contains(&t.as_str())).cloned();
             let op = toks
                 .iter()
@@ -89,9 +89,52 @@ pub fn extract_cells(file: &SourceFile) -> Vec<Cell> {
                 .cloned()
                 .collect::<Vec<_>>()
                 .join("_");
-            Some(Cell { kernel: d.name, tier, width, op, line: d.line, suffixed })
+            Some(Cell { kernel: name.clone(), tier, width, op, line: f.item.line, suffixed })
         })
         .collect()
+}
+
+/// The differential/equivalence-test corpus: for each contributing file,
+/// its audit-relative path and the code-view text of its test regions.
+/// Integration-test files contribute wholesale; library files contribute
+/// their `#[cfg(test)]` regions (brace-matched by the lexer).
+pub struct TestCorpus {
+    /// `(rel, test code text)` per contributing file, in walk order.
+    pub files: Vec<(String, String)>,
+}
+
+impl TestCorpus {
+    /// Collect the corpus from the audited file set.
+    pub fn collect(files: &[SourceFile]) -> TestCorpus {
+        let mut out = Vec::new();
+        for file in files {
+            if file.is_test_file() {
+                out.push((file.rel.clone(), file.code_text()));
+                continue;
+            }
+            let mut text = String::new();
+            for region in &file.test_regions {
+                for line in file
+                    .code
+                    .iter()
+                    .skip(region.start)
+                    .take(region.end.saturating_sub(region.start))
+                {
+                    text.push_str(line);
+                    text.push('\n');
+                }
+            }
+            if !text.is_empty() {
+                out.push((file.rel.clone(), text));
+            }
+        }
+        TestCorpus { files: out }
+    }
+
+    /// The contributing files whose test text contains `needle`.
+    pub fn files_containing(&self, needle: &str) -> Vec<&(String, String)> {
+        self.files.iter().filter(|(_, t)| t.contains(needle)).collect()
+    }
 }
 
 /// Run the dispatch-matrix pass.
@@ -99,47 +142,50 @@ pub fn check(files: &[SourceFile]) -> Vec<Diag> {
     let mut out = Vec::new();
     let corpus = TestCorpus::collect(files);
     for file in files {
-        if !file.rel.starts_with("crates/toolbox/src/") || file.toks.is_empty() {
+        if !file.rel.starts_with("crates/toolbox/src/") {
             continue;
         }
-        check_file(file, &corpus, &mut out);
-        check_enc_kernels(file, &corpus, &mut out);
+        let fns = fn_items(file);
+        check_file(file, &fns, &corpus, &mut out);
+        check_enc_kernels(file, &fns, &corpus, &mut out);
     }
     out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     out
 }
 
-fn check_file(file: &SourceFile, corpus: &TestCorpus, out: &mut Vec<Diag>) {
-    let tiers = tier_regions(file);
-    let cells = extract_cells(file);
+fn check_file(file: &SourceFile, fns: &[FnItem], corpus: &TestCorpus, out: &mut Vec<Diag>) {
+    let cells = extract_cells(fns);
     if cells.is_empty() {
         return;
     }
+    let src = &file.text;
+    let tiers = tier_mods(file);
     let oracle_tokens = scalar_oracle_tokens(file, &tiers);
-    let decls = fn_decls(file, &tiers);
-    let code: Vec<_> = file
-        .toks
+    // Identifiers in dispatch code — outside the tier modules and tests, and
+    // not a declaration (`fn name`) — with the token before each.
+    let code = file.code_toks();
+    let dispatch_refs: Vec<(&str, &Tok)> = code
         .iter()
-        .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
+        .enumerate()
+        .filter(|&(_, t)| {
+            t.kind == TokKind::Ident && tier_at(&tiers, t).is_none() && !file.line_in_tests(t.line)
+        })
+        .map(|(k, t)| (if k == 0 { "" } else { code[k - 1].text(src) }, *t))
+        .filter(|&(prev, _)| prev != "fn")
         .collect();
 
     for cell in &cells {
         let label = cell_label(cell);
+        // A `.name` method call is some other function.
+        let calls: Vec<&Tok> = dispatch_refs
+            .iter()
+            .filter(|&&(prev, t)| prev != "." && t.text(src) == cell.kernel)
+            .map(|&(_, t)| t)
+            .collect();
 
-        // 1. Wiring: the kernel name must occur as an identifier outside
-        //    the tier modules and test regions, away from its own
-        //    declaration and not as another `fn` declaration's name (a
-        //    same-named dispatcher *declaring* itself is not a call; a test
-        //    naming the kernel is coverage, not wiring).
-        let wired = code.iter().enumerate().any(|(i, t)| {
-            t.kind == TokKind::Ident
-                && t.text(&file.text) == cell.kernel
-                && t.line != cell.line
-                && (i == 0 || code[i - 1].text(&file.text) != "fn")
-                && !file.line_in_tests(t.line)
-                && !tiers.iter().any(|(_, r)| r.contains(&t.line))
-        });
-        if !wired {
+        // 1. Wiring: referenced from dispatch code, behind the tier's guard.
+        let guard = format!("has_{}", cell.tier);
+        if calls.is_empty() {
             out.push(diag(
                 file,
                 cell.line,
@@ -148,9 +194,18 @@ fn check_file(file: &SourceFile, corpus: &TestCorpus, out: &mut Vec<Diag>) {
                      an unwired dispatch cell silently falls back to scalar"
                 ),
             ));
+        } else if !dispatch_refs.iter().any(|(_, t)| t.text(src) == guard) {
+            out.push(diag(
+                file,
+                cell.line,
+                format!(
+                    "{label} is dispatched without a `{guard}()` guard outside the \
+                     tier modules — a tier kernel may only run after its CPU check"
+                ),
+            ));
         }
 
-        // 2. Oracle registry (name-token matching shared with pass 2).
+        // 2. Oracle registry.
         if !has_oracle(&cell.kernel, &oracle_tokens) {
             out.push(diag(
                 file,
@@ -162,29 +217,22 @@ fn check_file(file: &SourceFile, corpus: &TestCorpus, out: &mut Vec<Diag>) {
         // 3. Equivalence-test matrix: a corpus file iterating
         //    SimdLevel::available() must name one of the cell's entry
         //    points — the kernel itself, its tier-suffix-stripped form, or
-        //    any public dispatcher whose body contains a call to it (found
-        //    by attributing each call site to its enclosing `fn`).
+        //    any safe public dispatcher whose body calls it.
         let mut entry_points = vec![cell.kernel.clone()];
         if cell.suffixed {
             entry_points.push(cell.kernel.trim_end_matches(&format!("_{}", cell.tier)).to_string());
         }
-        for (i, t) in code.iter().enumerate() {
-            let is_call = t.kind == TokKind::Ident
-                && t.text(&file.text) == cell.kernel
-                && t.line != cell.line
-                && (i == 0 || code[i - 1].text(&file.text) != "fn")
-                && !file.line_in_tests(t.line)
-                && !tiers.iter().any(|(_, r)| r.contains(&t.line));
-            if !is_call {
-                continue;
-            }
-            let enclosing = decls
-                .iter()
-                .filter(|d| d.tier.is_none() && d.line <= t.line)
-                .max_by_key(|d| d.line);
-            if let Some(d) = enclosing {
-                if d.is_pub && !d.is_unsafe && !entry_points.contains(&d.name) {
-                    entry_points.push(d.name.clone());
+        for call in &calls {
+            let enclosing = fns.iter().find(|f| {
+                f.tier.is_none()
+                    && f.item
+                        .body
+                        .as_ref()
+                        .is_some_and(|b| byte_span(file, b).contains(&call.span.start))
+            });
+            if let Some(f) = enclosing {
+                if f.item.is_pub && !f.is_unsafe && !entry_points.contains(&f.item.name) {
+                    entry_points.push(f.item.name.clone());
                 }
             }
         }
@@ -207,45 +255,42 @@ fn check_file(file: &SourceFile, corpus: &TestCorpus, out: &mut Vec<Diag>) {
         }
     }
 
-    check_width_gates(file, &tiers, &decls, corpus, out);
+    check_width_gates(file, &code, &tiers, fns, corpus, out);
 }
 
 /// Encoding-specialized kernels (`enc_*`) are scalar-only cells of the
 /// dispatch matrix: each public entry point must have an `enc_*_scalar`
 /// oracle sibling in the same file (the differential target) and must be
 /// named by the test corpus (the equivalence sweep that executes it).
-fn check_enc_kernels(file: &SourceFile, corpus: &TestCorpus, out: &mut Vec<Diag>) {
-    let tiers = tier_regions(file);
-    let decls = fn_decls(file, &tiers);
-    for d in &decls {
-        if !d.is_pub
-            || d.tier.is_some()
-            || !d.name.starts_with("enc_")
-            || d.name.ends_with("_scalar")
-            || file.line_in_tests(d.line)
+fn check_enc_kernels(file: &SourceFile, fns: &[FnItem], corpus: &TestCorpus, out: &mut Vec<Diag>) {
+    for f in fns {
+        let (name, line) = (&f.item.name, f.item.line);
+        if !f.item.is_pub
+            || f.tier.is_some()
+            || !name.starts_with("enc_")
+            || name.ends_with("_scalar")
+            || file.line_in_tests(line)
         {
             continue;
         }
-        let sibling = format!("{}_scalar", d.name);
-        if !decls.iter().any(|o| o.name == sibling) {
+        let sibling = format!("{name}_scalar");
+        if !fns.iter().any(|o| o.item.name == sibling) {
             out.push(diag(
                 file,
-                d.line,
+                line,
                 format!(
-                    "encoded kernel `{}` has no `{sibling}` oracle sibling — every \
-                     enc_* entry point must route to a scalar oracle",
-                    d.name
+                    "encoded kernel `{name}` has no `{sibling}` oracle sibling — every \
+                     enc_* entry point must route to a scalar oracle"
                 ),
             ));
         }
-        if corpus.files_containing(&d.name).is_empty() {
+        if corpus.files_containing(name).is_empty() {
             out.push(diag(
                 file,
-                d.line,
+                line,
                 format!(
-                    "encoded kernel `{}` is not exercised by any test — enc_* \
-                     kernels must be covered by the equivalence sweep",
-                    d.name
+                    "encoded kernel `{name}` is not exercised by any test — enc_* \
+                     kernels must be covered by the equivalence sweep"
                 ),
             ));
         }
@@ -259,21 +304,56 @@ fn cell_label(cell: &Cell) -> String {
     }
 }
 
+/// Scalar-oracle candidates: every identifier containing `scalar` outside
+/// the tier modules (macro-generated oracles appear as macro-invocation
+/// tokens, so identifiers are scanned rather than `fn` items).
+fn scalar_oracle_tokens(
+    file: &SourceFile,
+    tiers: &[(&'static str, Range<usize>)],
+) -> Vec<Vec<String>> {
+    file.code_toks()
+        .into_iter()
+        .filter(|t| t.kind == TokKind::Ident && tier_at(tiers, t).is_none())
+        .map(|t| t.text(&file.text))
+        .filter(|t| t.contains("scalar"))
+        .map(name_tokens)
+        .collect()
+}
+
+/// Whether a kernel named `kernel_name` is backed by one of the scalar
+/// oracle candidates. Tier and plumbing tokens are stripped from the kernel
+/// name, `scalar` from the candidates, and the remainders must nest (subset
+/// in either direction) so `sum_u32_avx2` matches `sum_scalar_u32`.
+fn has_oracle(kernel_name: &str, oracle_tokens: &[Vec<String>]) -> bool {
+    let base: BTreeSet<String> = name_tokens(kernel_name)
+        .into_iter()
+        .filter(|t| !matches!(t.as_str(), "avx2" | "avx512" | "impl" | "dispatch" | "n"))
+        .collect();
+    oracle_tokens.iter().any(|cand| {
+        let c: BTreeSet<String> = cand.iter().filter(|t| t.as_str() != "scalar").cloned().collect();
+        base.is_subset(&c) || c.is_subset(&base)
+    })
+}
+
 /// Width gates: a `bits <= N` comparison on a dispatch line (one that also
 /// checks a `has_*` tier guard) splits the matrix at `N`. The covering test
 /// corpus must exercise widths on both sides, or one path ships untested.
 fn check_width_gates(
     file: &SourceFile,
-    tiers: &[(&'static str, std::ops::Range<usize>)],
-    decls: &[FnDecl],
+    code: &[&Tok],
+    tiers: &[(&'static str, Range<usize>)],
+    fns: &[FnItem],
     corpus: &TestCorpus,
     out: &mut Vec<Diag>,
 ) {
     // Gather the corpus text covering this file: files that name one of its
     // public dispatch entry points (token-free contains() is fine here; the
     // names are long enough to be unambiguous).
-    let entry_names: Vec<&str> =
-        decls.iter().filter(|d| d.is_pub && d.tier.is_none()).map(|d| d.name.as_str()).collect();
+    let entry_names: Vec<&str> = fns
+        .iter()
+        .filter(|f| f.item.is_pub && f.tier.is_none())
+        .map(|f| f.item.name.as_str())
+        .collect();
     let covering: String = corpus
         .files
         .iter()
@@ -283,58 +363,37 @@ fn check_width_gates(
         .join("\n");
     let lits = int_literals(&covering);
 
-    for gate in find_width_gates(file, tiers) {
-        let straddled = lits.iter().any(|&n| n > 0 && n <= gate.bound)
-            && lits.iter().any(|&n| n > gate.bound && n <= 64);
+    let src = &file.text;
+    let guard_lines: BTreeSet<usize> = code
+        .iter()
+        .filter(|t| TIERS.iter().any(|tier| t.text(src) == format!("has_{tier}")))
+        .map(|t| t.line)
+        .collect();
+    for w in code.windows(4) {
+        let [a, lt, eq, n] = w else { continue };
+        let is_gate = a.kind == TokKind::Ident
+            && a.text(src) == "bits"
+            && lt.text(src) == "<"
+            && eq.text(src) == "="
+            && n.kind == TokKind::Num
+            && tier_at(tiers, a).is_none()
+            && guard_lines.contains(&a.line);
+        let Some(bound) = is_gate.then(|| n.text(src).parse::<u64>().ok()).flatten() else {
+            continue;
+        };
+        let straddled =
+            lits.iter().any(|&n| n > 0 && n <= bound) && lits.iter().any(|&n| n > bound && n <= 64);
         if !straddled {
             out.push(diag(
                 file,
-                gate.line,
+                a.line,
                 format!(
-                    "width gate `bits <= {}` is not straddled by the covering \
-                     equivalence tests (need bit widths on both sides of the gate)",
-                    gate.bound
+                    "width gate `bits <= {bound}` is not straddled by the covering \
+                     equivalence tests (need bit widths on both sides of the gate)"
                 ),
             ));
         }
     }
-}
-
-struct WidthGate {
-    line: usize,
-    bound: u64,
-}
-
-/// `bits <= N` token sequences outside tier modules, on lines that also
-/// carry a `has_*` tier guard (so plain input asserts do not count).
-fn find_width_gates(
-    file: &SourceFile,
-    tiers: &[(&'static str, std::ops::Range<usize>)],
-) -> Vec<WidthGate> {
-    let mut gates = Vec::new();
-    let code: Vec<_> = file
-        .toks
-        .iter()
-        .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
-        .collect();
-    for w in code.windows(4) {
-        let [a, lt, eq, n] = w else { continue };
-        if a.kind == TokKind::Ident
-            && a.text(&file.text) == "bits"
-            && lt.text(&file.text) == "<"
-            && eq.text(&file.text) == "="
-            && n.kind == TokKind::Num
-            && !tiers.iter().any(|(_, r)| r.contains(&a.line))
-            && TIERS
-                .iter()
-                .any(|t| file.code.get(a.line).is_some_and(|l| l.contains(&format!("has_{t}("))))
-        {
-            if let Ok(bound) = n.text(&file.text).parse::<u64>() {
-                gates.push(WidthGate { line: a.line, bound });
-            }
-        }
-    }
-    gates
 }
 
 /// Decimal integer literals in a blob of test text.
@@ -373,6 +432,16 @@ mod tests {
         SourceFile::from_source(rel, src).unwrap()
     }
 
+    fn run(rel: &str, src: &str) -> Vec<Diag> {
+        let f = file(rel, src);
+        let corpus = TestCorpus::collect(std::slice::from_ref(&f));
+        let mut out = Vec::new();
+        let fns = fn_items(&f);
+        check_file(&f, &fns, &corpus, &mut out);
+        check_enc_kernels(&f, &fns, &corpus, &mut out);
+        out
+    }
+
     const WIRED: &str = r#"
 pub fn sum_u32(values: &[u32], level: SimdLevel) -> u64 {
     if level.has_avx2() {
@@ -396,27 +465,20 @@ mod tests {
 }
 "#;
 
-    fn corpus_of(files: &[SourceFile]) -> TestCorpus {
-        TestCorpus::collect(files)
-    }
-
     #[test]
     fn wired_tested_cell_is_clean() {
-        let f = file("crates/toolbox/src/sum.rs", WIRED);
-        let corpus = corpus_of(std::slice::from_ref(&f));
-        let mut out = Vec::new();
-        check_file(&f, &corpus, &mut out);
+        let out = run("crates/toolbox/src/sum.rs", WIRED);
         assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
     fn cells_carry_op_width_tier() {
-        let f = file("crates/toolbox/src/sum.rs", WIRED);
-        let cells = extract_cells(&f);
+        let cells = extract_cells(&fn_items(&file("crates/toolbox/src/sum.rs", WIRED)));
         assert_eq!(cells.len(), 1);
         assert_eq!(cells[0].op, "sum");
         assert_eq!(cells[0].width.as_deref(), Some("u32"));
         assert_eq!(cells[0].tier, "avx2");
+        assert_eq!(cells[0].line, 13);
     }
 
     #[test]
@@ -425,11 +487,60 @@ mod tests {
             "if level.has_avx2() {\n        // SAFETY: checked.\n        return unsafe { avx2::sum_u32(values) };\n    }",
             "",
         );
-        let f = file("crates/toolbox/src/sum.rs", &src);
-        let corpus = corpus_of(std::slice::from_ref(&f));
-        let mut out = Vec::new();
-        check_file(&f, &corpus, &mut out);
+        let out = run("crates/toolbox/src/sum.rs", &src);
         assert!(out.iter().any(|d| d.msg.contains("never referenced")), "{out:?}");
+    }
+
+    #[test]
+    fn a_method_of_the_same_name_is_not_wiring() {
+        // `.sum()` is the iterator's, not a call into the tier module.
+        let src = WIRED
+            .replace("sum_u32", "sum")
+            .replace("sum_scalar_u32", "sum_scalar")
+            .replace("if level.has_avx2() {\n        // SAFETY: checked.\n        return unsafe { avx2::sum(values) };\n    }", "")
+            .replace("-> u64 { 0 }\nmod", "-> u64 { values.iter().map(|&v| u64::from(v)).sum() }\nmod");
+        let out = run("crates/toolbox/src/sum.rs", &src);
+        assert!(out.iter().any(|d| d.msg.contains("never referenced")), "{out:?}");
+    }
+
+    #[test]
+    fn unguarded_cells_are_flagged() {
+        let src = WIRED.replace("if level.has_avx2() {", "if level.bits() > 0 {");
+        let out = run("crates/toolbox/src/sum.rs", &src);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].msg.contains("without a `has_avx2()` guard"), "{out:?}");
+        // A tier-suffixed kernel, and a guard that is only the helper's own
+        // declaration, are held to the same rule.
+        let suffixed = r#"
+pub fn count(sel: &[u8], level: u8) -> usize {
+    if level > 0 {
+        // SAFETY: checked.
+        return unsafe { count_avx2(sel) };
+    }
+    count_scalar(sel)
+}
+fn has_avx2(level: u8) -> bool { level > 0 }
+pub fn count_scalar(sel: &[u8]) -> usize { sel.len() }
+/// # Safety
+/// AVX2 checked by dispatch.
+#[target_feature(enable = "avx2")]
+unsafe fn count_avx2(sel: &[u8]) -> usize { sel.len() }
+#[cfg(test)]
+mod tests {
+    fn differential() {
+        for level in SimdLevel::available() { super::count(&[], level); }
+    }
+}
+"#;
+        let out = run("crates/toolbox/src/selvec.rs", suffixed);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(
+            out[0].msg.contains("`count_avx2` (count × avx2) is dispatched without"),
+            "{out:?}"
+        );
+        let guarded = suffixed.replace("if level > 0 {", "if has_avx2(level) {");
+        let out = run("crates/toolbox/src/selvec.rs", &guarded);
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
@@ -438,20 +549,30 @@ mod tests {
             "pub fn sum_u32(values: &[u32], level: SimdLevel) -> u64 {\n    if level.has_avx2() {\n        // SAFETY: checked.\n        return unsafe { avx2::sum_u32(values) };\n    }\n    sum_scalar_u32(values)\n}",
             "dispatch_sum!(sum_u32, sum_scalar_u32, u32);",
         );
-        let f = file("crates/toolbox/src/sum.rs", &src);
-        let corpus = corpus_of(std::slice::from_ref(&f));
-        let mut out = Vec::new();
-        check_file(&f, &corpus, &mut out);
+        let out = run("crates/toolbox/src/sum.rs", &src);
         assert!(!out.iter().any(|d| d.msg.contains("never referenced")), "{out:?}");
+    }
+
+    #[test]
+    fn oracle_less_cell_is_flagged_and_macro_generated_oracles_count() {
+        let src = WIRED
+            .replace("pub fn sum_scalar_u32(values: &[u32]) -> u64 { 0 }", "")
+            .replace("sum_scalar_u32(values)", "0");
+        let out = run("crates/toolbox/src/sum.rs", &src);
+        assert!(out.iter().any(|d| d.msg.contains("maps to no scalar oracle")), "{out:?}");
+        // The oracle appears only as a macro-invocation token.
+        let src = WIRED.replace(
+            "pub fn sum_scalar_u32(values: &[u32]) -> u64 { 0 }",
+            "make_scalar!(sum_scalar_u32, u32);",
+        );
+        let out = run("crates/toolbox/src/sum.rs", &src);
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
     fn untested_cell_is_flagged() {
         let src = WIRED.replace("super::sum_u32(&[], level);", "let _ = level;");
-        let f = file("crates/toolbox/src/sum.rs", &src);
-        let corpus = corpus_of(std::slice::from_ref(&f));
-        let mut out = Vec::new();
-        check_file(&f, &corpus, &mut out);
+        let out = run("crates/toolbox/src/sum.rs", &src);
         assert!(out.iter().any(|d| d.msg.contains("equivalence-test matrix")), "{out:?}");
     }
 
@@ -477,10 +598,7 @@ mod tests {
     }
 }
 "#;
-        let f = file("crates/toolbox/src/selvec.rs", src);
-        let corpus = corpus_of(std::slice::from_ref(&f));
-        let mut out = Vec::new();
-        check_file(&f, &corpus, &mut out);
+        let out = run("crates/toolbox/src/selvec.rs", src);
         assert!(out.is_empty(), "{out:?}");
     }
 
@@ -497,30 +615,21 @@ mod tests {
 
     #[test]
     fn enc_kernel_with_oracle_and_coverage_is_clean() {
-        let f = file("crates/toolbox/src/runspan.rs", ENC);
-        let corpus = corpus_of(std::slice::from_ref(&f));
-        let mut out = Vec::new();
-        check_enc_kernels(&f, &corpus, &mut out);
+        let out = run("crates/toolbox/src/runspan.rs", ENC);
         assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
     fn enc_kernel_without_scalar_sibling_is_flagged() {
         let src = ENC.replace("enc_sum_spans_scalar", "sum_helper");
-        let f = file("crates/toolbox/src/runspan.rs", &src);
-        let corpus = corpus_of(std::slice::from_ref(&f));
-        let mut out = Vec::new();
-        check_enc_kernels(&f, &corpus, &mut out);
+        let out = run("crates/toolbox/src/runspan.rs", &src);
         assert!(out.iter().any(|d| d.msg.contains("oracle sibling")), "{out:?}");
     }
 
     #[test]
     fn untested_enc_kernel_is_flagged() {
         let src = ENC.replace("super::enc_sum_spans(&[1, 2]);", "let _ = 1;");
-        let f = file("crates/toolbox/src/runspan.rs", &src);
-        let corpus = corpus_of(std::slice::from_ref(&f));
-        let mut out = Vec::new();
-        check_enc_kernels(&f, &corpus, &mut out);
+        let out = run("crates/toolbox/src/runspan.rs", &src);
         assert!(out.iter().any(|d| d.msg.contains("equivalence sweep")), "{out:?}");
         // The scalar oracle itself is exempt from the coverage rule.
         assert_eq!(out.len(), 1, "{out:?}");
@@ -551,10 +660,7 @@ mod tests {
     }
 }
 "#;
-        let f = file("crates/toolbox/src/bitpack.rs", src);
-        let corpus = corpus_of(std::slice::from_ref(&f));
-        let mut out = Vec::new();
-        check_file(&f, &corpus, &mut out);
+        let out = run("crates/toolbox/src/bitpack.rs", src);
         assert!(out.iter().any(|d| d.msg.contains("width gate")), "{out:?}");
 
         // Adding a width on the far side of the gate clears it.
@@ -562,10 +668,7 @@ mod tests {
             "super::unpack_u32(7, &[], level);",
             "for bits in [7, 31] { super::unpack_u32(bits, &[], level); }",
         );
-        let f = file("crates/toolbox/src/bitpack.rs", &straddled);
-        let corpus = corpus_of(std::slice::from_ref(&f));
-        let mut out = Vec::new();
-        check_file(&f, &corpus, &mut out);
+        let out = run("crates/toolbox/src/bitpack.rs", &straddled);
         assert!(!out.iter().any(|d| d.msg.contains("width gate")), "{out:?}");
     }
 }

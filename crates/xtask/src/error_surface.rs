@@ -56,9 +56,6 @@ pub fn check(files: &[SourceFile]) -> Vec<Diag> {
     let names: BTreeSet<&str> = variants.iter().map(|(v, _, _)| v.as_str()).collect();
 
     for file in files {
-        if file.toks.is_empty() {
-            continue;
-        }
         scan_mentions(file, &names, &mut constructed, &mut tested);
         if !file.is_test_file() && file.rel.contains("src/") {
             scan_discards(file, &engine_fns, &mut out);

@@ -8,9 +8,16 @@
 //! Debug builds check these at dispatch boundaries via the
 //! `debug_assert_*` helpers; this pass verifies the helpers are actually
 //! wired in wherever the relevant data shapes cross a public API.
+//!
+//! Helper names are matched as whole identifiers on the token stream, so
+//! core's `debug_assert_group_ids_u32` neither satisfies nor defines the
+//! toolbox's `debug_assert_group_ids`.
 
-use crate::kernel_contract::{fn_decls, tier_regions};
-use crate::scan::SourceFile;
+use std::collections::{BTreeMap, BTreeSet};
+
+use crate::lexer::TokKind;
+use crate::parser::{walk_items, ItemKind};
+use crate::scan::{fn_items, SourceFile};
 use crate::Diag;
 
 /// The instrumentation helpers and where they live.
@@ -36,43 +43,45 @@ pub fn check(files: &[SourceFile]) -> Vec<Diag> {
 /// Public dispatchers whose signatures take the invariant-carrying shapes
 /// must call the matching helper somewhere in the file.
 fn check_param_rules(file: &SourceFile, out: &mut Vec<Diag>) {
-    let tiers = tier_regions(file);
-    let text = file.code_text();
-    for decl in fn_decls(file, &tiers) {
-        if !decl.is_pub || decl.is_unsafe || decl.tier.is_some() {
+    let mentions = |helper: &str| {
+        file.toks.iter().any(|t| t.kind == TokKind::Ident && t.text(&file.text) == helper)
+    };
+    for f in fn_items(file) {
+        if !f.item.is_pub || f.is_unsafe || f.tier.is_some() {
             continue;
         }
-        if decl.sig.contains("sel: &[u8]") && !text.contains("debug_assert_sel_canonical") {
+        let (name, sig, line) = (&f.item.name, &f.item.signature, f.item.line);
+        // Parameter names match by suffix (`keep_sel`), bounds and widths by
+        // substring (`max_num_groups`, `nbits`): only the helpers are exact.
+        let words: Vec<&str> = sig.split_whitespace().collect();
+        let param = |p: &str| {
+            words.windows(6).any(|w| w[0].ends_with(p) && w[1..] == [":", "&", "[", "u8", "]"])
+        };
+        if param("sel") && !mentions("debug_assert_sel_canonical") {
             out.push(diag(
                 file,
-                decl.line,
+                line,
                 format!(
-                    "`{}` consumes a selection byte vector but this file never calls \
-                     `selvec::debug_assert_sel_canonical`",
-                    decl.name
+                    "`{name}` consumes a selection byte vector but this file never calls \
+                     `selvec::debug_assert_sel_canonical`"
                 ),
             ));
         }
-        let has_bound = decl.sig.contains("num_groups") || decl.sig.contains("num_buckets");
-        if decl.sig.contains("gids: &[u8]") && has_bound && !text.contains("debug_assert_group_ids")
-        {
+        let has_bound = sig.contains("num_groups") || sig.contains("num_buckets");
+        if param("gids") && has_bound && !mentions("debug_assert_group_ids") {
             out.push(diag(
                 file,
-                decl.line,
+                line,
                 format!(
-                    "`{}` consumes a bounded group-id vector but this file never calls \
-                     `agg::debug_assert_group_ids`",
-                    decl.name
+                    "`{name}` consumes a bounded group-id vector but this file never calls \
+                     `agg::debug_assert_group_ids`"
                 ),
             ));
         }
-        if decl.name == "pack"
-            && decl.sig.contains("bits")
-            && !text.contains("debug_assert_values_fit")
-        {
+        if name == "pack" && sig.contains("bits") && !mentions("debug_assert_values_fit") {
             out.push(diag(
                 file,
-                decl.line,
+                line,
                 "`pack` accepts a declared bit width but this file never calls \
                  `debug_assert_values_fit`"
                     .to_string(),
@@ -81,30 +90,35 @@ fn check_param_rules(file: &SourceFile, out: &mut Vec<Diag>) {
     }
 }
 
-/// Every helper that is defined must be called at least once somewhere other
-/// than its definition line — an uncalled helper means the invariant it
-/// guards is unchecked everywhere.
+/// Every helper that is defined must be called at least once — an uncalled
+/// helper means the invariant it guards is unchecked everywhere.
 fn check_helper_wiring(files: &[SourceFile], out: &mut Vec<Diag>) {
-    for helper in HELPERS {
-        let mut def: Option<(&SourceFile, usize)> = None;
-        let mut calls = 0usize;
-        for file in files {
-            for (i, line) in file.code.iter().enumerate() {
-                if line.contains(&format!("fn {helper}")) {
-                    def = Some((file, i));
-                } else if line.contains(&format!("{helper}(")) {
-                    calls += 1;
-                }
+    let mut defs: BTreeMap<&str, (&SourceFile, usize)> = BTreeMap::new();
+    let mut called: BTreeSet<&str> = BTreeSet::new();
+    for file in files {
+        walk_items(&file.items, &mut |item| {
+            if let Some(h) = HELPERS.iter().find(|h| item.kind == ItemKind::Fn && item.name == **h)
+            {
+                defs.insert(h, (file, item.line));
+            }
+        });
+        let code = file.code_toks();
+        for (k, w) in code.windows(2).enumerate() {
+            let is_call =
+                w[1].text(&file.text) == "(" && (k == 0 || code[k - 1].text(&file.text) != "fn");
+            if let Some(h) = HELPERS.iter().find(|h| is_call && w[0].text(&file.text) == **h) {
+                called.insert(h);
             }
         }
-        if let Some((file, line)) = def {
-            if calls == 0 {
-                out.push(diag(
-                    file,
-                    line,
-                    format!("invariant helper `{helper}` is defined but never called"),
-                ));
-            }
+    }
+    for helper in HELPERS {
+        match defs.get(helper) {
+            Some(&(file, line)) if !called.contains(helper) => out.push(diag(
+                file,
+                line,
+                format!("invariant helper `{helper}` is defined but never called"),
+            )),
+            _ => {}
         }
     }
 }
@@ -153,5 +167,42 @@ mod tests {
         assert!(check(&[f]).is_empty());
         let g = file("crates/toolbox/src/y.rs", "pub fn sum(gids: &[u8], num_groups: usize) {}");
         assert!(!check(&[g]).is_empty());
+    }
+
+    #[test]
+    fn parameter_names_match_by_suffix_and_bounds_by_substring() {
+        let f = file(
+            "crates/toolbox/src/x.rs",
+            "pub fn f(keep_sel: &[u8]) {}\npub fn g(row_gids: &[u8], max_num_groups: usize) {}\n\
+             pub fn h(self_sel: &[u8; 4], gids: &[u32], num_groups: usize) {}",
+        );
+        let lines: Vec<usize> = check(&[f]).iter().map(|d| d.line).collect();
+        assert_eq!(lines, [1, 2]);
+    }
+
+    #[test]
+    fn calling_only_the_u32_helper_does_not_instrument_a_u8_consumer() {
+        let f = file(
+            "crates/toolbox/src/agg/x.rs",
+            "pub fn sum(gids: &[u8], num_groups: usize) {\n    \
+             bipie_core::groupid::debug_assert_group_ids_u32(&[], num_groups);\n}",
+        );
+        let diags = check(&[f]);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].msg.contains("`agg::debug_assert_group_ids`"), "{diags:?}");
+    }
+
+    #[test]
+    fn the_u32_helper_is_not_the_u8_helpers_definition_site() {
+        let f = file(
+            "crates/toolbox/src/agg/mod.rs",
+            "pub fn debug_assert_group_ids(g: &[u8], n: usize) {}\n\
+             pub fn debug_assert_group_ids_u32(g: &[u32], n: usize) {}\n\
+             fn f() { debug_assert_group_ids_u32(&[], 0); }",
+        );
+        let diags = check(&[f]);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].line, 1, "{diags:?}");
+        assert!(diags[0].msg.contains("`debug_assert_group_ids` is defined"), "{diags:?}");
     }
 }

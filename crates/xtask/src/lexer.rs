@@ -388,7 +388,7 @@ pub fn code_view(src: &str, toks: &[Tok]) -> String {
 /// correctly.
 pub fn cfg_test_regions(src: &str, toks: &[Tok]) -> Vec<Range<usize>> {
     let mut out: Vec<Range<usize>> = Vec::new();
-    let code: Vec<&Tok> = toks.iter().filter(|t| !is_comment(t.kind)).collect();
+    let code = code_toks(toks);
     let mut i = 0;
     while i < code.len() {
         if let Some(after_attr) = cfg_test_attr(src, &code, i) {
@@ -423,6 +423,11 @@ pub fn cfg_test_regions(src: &str, toks: &[Tok]) -> Vec<Range<usize>> {
 
 fn is_comment(kind: TokKind) -> bool {
     matches!(kind, TokKind::LineComment | TokKind::BlockComment)
+}
+
+/// The token stream without comments.
+pub fn code_toks(toks: &[Tok]) -> Vec<&Tok> {
+    toks.iter().filter(|t| !is_comment(t.kind)).collect()
 }
 
 /// If `code[i..]` starts a `#[cfg(…)]` attribute whose argument tokens
@@ -465,7 +470,7 @@ fn skip_balanced(src: &str, code: &[&Tok], open: usize, o: &str, c: &str) -> Opt
 /// pattern elements are ignored (so `thread :: spawn` with an interleaved
 /// comment still matches). Use `"::"` as two `":"` elements.
 pub fn find_seq<'a>(src: &str, toks: &'a [Tok], pat: &[&str]) -> Vec<&'a Tok> {
-    let code: Vec<&Tok> = toks.iter().filter(|t| !is_comment(t.kind)).collect();
+    let code = code_toks(toks);
     let mut out = Vec::new();
     'outer: for start in 0..code.len() {
         for (k, want) in pat.iter().enumerate() {

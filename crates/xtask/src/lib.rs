@@ -1,75 +1,15 @@
 //! `cargo xtask audit` — repo-local static analysis for the BIPie workspace.
 //!
-//! Seventeen passes, all built on the hand-rolled token lexer in [`lexer`]
+//! Sixteen passes — the [`PASSES`] registry, which also carries each pass's
+//! `--explain` card — all built on the hand-rolled token lexer in [`lexer`]
 //! and — for the semantic passes — the recursive-descent item parser in
 //! [`parser`], the symbol/module graph in [`graph`], and the per-fn
 //! control-flow graphs in [`mod@cfg`] with the worklist dataflow framework in
 //! [`dataflow`] (zero dependencies, no `syn`). Each source file is read,
 //! lexed, parsed and CFG-lowered exactly once per run ([`Corpus`]); passes
 //! share the corpus and report per-pass wall time (plus CFG lowering
-//! coverage) in the `--json` report.
-//!
-//! 1. [`unsafe_audit`] — every `unsafe` block must sit under a `// SAFETY:`
-//!    comment and every `unsafe fn` must carry a `# Safety` contract.
-//! 2. [`kernel_contract`] — every `#[target_feature]` kernel in
-//!    `crates/toolbox` must have a scalar sibling in the same module, a
-//!    differential test against `SimdLevel::available()`, and every declared
-//!    SIMD tier must actually be wired into its dispatcher.
-//! 3. [`invariants`] — dispatchers consuming selection or group-id vectors
-//!    must call the `debug_assert_*` instrumentation helpers, and every
-//!    helper that exists must be wired somewhere.
-//! 4. [`thread_hygiene`] — thread-spawning primitives (`thread::spawn`,
-//!    `thread::scope`, `thread::Builder`) are only permitted inside the
-//!    worker pool module and in test code; production code must parallelize
-//!    through the pool.
-//! 5. [`trace_hygiene`] — raw cycle-counter reads (`read_tsc`,
-//!    `read_cycles`, `_rdtsc`), `TraceEvent` construction and
-//!    `DecisionRecord { .. }` literals are confined to `core::trace`, the
-//!    metrics crates, and tests; engine code records through `Tracer`,
-//!    where the `ProfileLevel::Off` gate lives.
-//! 6. [`accountant`] — the allocating scan/aggregation modules must keep
-//!    referencing the resource governor's memory accountant
-//!    (`governor::MemScope`), so new allocation sites cannot silently
-//!    detach from `mem_budget` enforcement.
-//! 7. [`atomics`] — every atomic `Ordering::*` use carries an adjacent
-//!    `// ORDERING:` justification, and atomics stay confined to the
-//!    modules that own concurrent state (pool/governor/batch).
-//! 8. [`panics`] — library crates are panic-free: no `.unwrap()` /
-//!    `.expect(…)` / `panic!` / `unreachable!` / `todo!` /
-//!    `unimplemented!` outside tests and `debug_assert*`, unless pinned
-//!    with a `// PANIC:` justification.
-//! 9. [`dispatch_matrix`] — the (op × width × tier) dispatch table is
-//!    statically extracted and every cell cross-checked against the scalar
-//!    oracle registry and the `SimdLevel::available()` equivalence-test
-//!    matrix, including numeric width gates.
-//! 10. [`lock_discipline`] — blocking synchronization (`Mutex`/`RwLock`/
-//!     `Condvar`) is confined to `core::pool`/`core::scan`; every lock field
-//!     and guard-acquisition site carries `// LOCK:`; per-fn guard-liveness
-//!     analysis builds the lock-order graph and flags cycles, guards held
-//!     across `Condvar::wait`, and guards held across pool-reentrant calls.
-//! 11. [`sync_escape`] — structs owning atomics/`UnsafeCell`/locks stay in
-//!     the modules that own concurrent state (or document their sharing
-//!     protocol); sync fields are never `pub`; `unsafe impl Send`/`Sync` is
-//!     always flagged.
-//! 12. [`error_surface`] — every `EngineError` variant has a library
-//!     construction site and a test mention, and engine `Result`s are never
-//!     discarded via `let _ =` or `.ok()` in library code.
-//! 13. [`layer_conformance`] — the `use` graph conforms to the crate DAG
-//!     (toolbox → columnstore/metrics → core → tpch/bench) and to the
-//!     core-module layer table, and every crate's module graph is acyclic.
-//! 14. [`checkpoint_reachability`] — every loop claiming morsels or
-//!     iterating batches in the scan/pool/engine layer reaches a `Governor`
-//!     checkpoint on every path through its body (dataflow over the per-fn
-//!     CFGs from [`mod@cfg`], solved by the worklist framework in [`dataflow`]).
-//! 15. [`span_balance`] — every profiler phase-span open
-//!     (`let t = tracer.start()`) is consumed on all paths, including early
-//!     `?`/`return` exits and conditionally-closed branches.
-//! 16. [`telemetry_accounting`] — every path producing an `EngineError` out
-//!     of the engine's `execute*`/`admit*` boundary reaches the telemetry
-//!     publication seam.
-//! 17. [`safety_flow`] — each `// SAFETY:` contract naming a checkable
-//!     precondition (a workspace fn like `has_avx2()`) is dominated by a
-//!     validation of it.
+//! coverage) in the `--json` report. The "token X only in modules Y" rules
+//! of four passes are one table, [`confine::RULES`].
 //!
 //! Violations print as `path:line: [pass] message` (or as SARIF with
 //! `--json`) and make the binary exit `1`; `2` is reserved for internal
@@ -87,13 +27,12 @@ pub mod atomics;
 pub mod bench_check;
 pub mod cfg;
 pub mod checkpoint_reachability;
+pub mod confine;
 pub mod dataflow;
 pub mod dispatch_matrix;
 pub mod error_surface;
-pub mod explain;
 pub mod graph;
 pub mod invariants;
-pub mod kernel_contract;
 pub mod layer_conformance;
 pub mod lexer;
 pub mod lock_discipline;
@@ -105,8 +44,6 @@ pub mod scan;
 pub mod span_balance;
 pub mod sync_escape;
 pub mod telemetry_accounting;
-pub mod thread_hygiene;
-pub mod trace_hygiene;
 pub mod unsafe_audit;
 
 use std::fmt;
@@ -120,13 +57,8 @@ pub struct Diag {
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// Which pass produced this (`unsafe-audit`, `kernel-contract`,
-    /// `invariants`, `thread-hygiene`, `trace-hygiene`, `accountant`,
-    /// `atomics-discipline`, `panic-freedom`, `dispatch-matrix`,
-    /// `lock-discipline`, `sync-escape`, `error-surface`,
-    /// `layer-conformance`, `checkpoint-reachability`, `span-balance`,
-    /// `telemetry-accounting`, `safety-precondition-flow`, `allowlist`,
-    /// `baseline`).
+    /// Which pass produced this: a [`PASSES`] id, or `allowlist` /
+    /// `baseline` for stale entries in the suppression files.
     pub pass: &'static str,
     /// Human-readable description of the violation.
     pub msg: String,
@@ -138,26 +70,258 @@ impl fmt::Display for Diag {
     }
 }
 
-/// Every pass name accepted by [`run_audit`], in execution order.
-pub const ALL_PASSES: [&str; 17] = [
-    "unsafe",
-    "kernels",
-    "invariants",
-    "threads",
-    "trace",
-    "accountant",
-    "atomics",
-    "panics",
-    "dispatch",
-    "locks",
-    "sync",
-    "errors",
-    "layers",
-    "checkpoints",
-    "spans",
-    "telemetry",
-    "safety",
+/// One audit pass: how to select it, how to run it, and its `--explain`
+/// card.
+pub struct Pass {
+    /// CLI name (what pass selection and `--explain` accept).
+    pub name: &'static str,
+    /// The diagnostic id emitted in reports (`--explain` accepts it too).
+    pub id: &'static str,
+    /// The pass over the shared corpus.
+    pub run: fn(&Corpus) -> Vec<Diag>,
+    /// What the pass checks.
+    pub rule: &'static str,
+    /// Why the engine needs it.
+    pub rationale: &'static str,
+    /// What a sanctioned fix looks like.
+    pub fix: &'static str,
+}
+
+/// Every pass, in execution order.
+pub static PASSES: [Pass; 16] = [
+    Pass {
+        name: "unsafe",
+        id: "unsafe-audit",
+        run: |c| unsafe_audit::check(&c.files),
+        rule: "Every `unsafe` block sits under a `// SAFETY:` comment; every `unsafe fn` \
+               carries a `# Safety` doc contract.",
+        rationale: "The SIMD kernels and the pool's lifetime erasure are the only unsafe \
+                    code; each obligation must be written where it is discharged.",
+        fix: "Add `// SAFETY: <why the invariant holds here>` directly above the block, \
+              or a `# Safety` section to the fn's docs.",
+    },
+    Pass {
+        name: "invariants",
+        id: "invariants",
+        run: |c| invariants::check(&c.files),
+        rule: "Dispatchers consuming selection or group-id vectors call the \
+               `debug_assert_*` instrumentation helpers; every helper is wired somewhere.",
+        rationale: "Sorted/unique selection vectors and in-range group ids are the \
+                    unchecked preconditions of every kernel; the debug assertions are \
+                    the only runtime witness.",
+        fix: "Call the matching `debug_assert_*` helper at the dispatcher entry point.",
+    },
+    Pass {
+        name: "threads",
+        id: "thread-hygiene",
+        run: |c| confine::check(&c.files, "thread-hygiene"),
+        rule: "Threads are spawned only by the worker pool (and the serving benchmark's \
+               client threads) and by tests.",
+        rationale: "All parallelism funnels through the worker pool so the governor can \
+                    account for it and panics are contained and forwarded.",
+        fix: "Parallelize via `WorkerPool::run`; if the pool API is insufficient, extend \
+              it rather than spawning ad-hoc threads.",
+    },
+    Pass {
+        name: "trace",
+        id: "trace-hygiene",
+        run: |c| confine::trace_hygiene(&c.files),
+        rule: "Raw cycle-counter reads, `TraceEvent` construction and `DecisionRecord { .. }` \
+               literals stay in the tracer (the literals follow the `TraceEvent::` row); \
+               registry mutation stays behind the telemetry seam.",
+        rationale: "Engine code records through `Tracer`, where the `ProfileLevel::Off` \
+                    gate keeps profiling at true zero cost and a decision is priced once, \
+                    at its source; metrics publish once per query through `EngineTelemetry`.",
+        fix: "Record through a `Tracer` method; add one if the event kind is new. Read \
+              finished records by pattern (`DecisionRecord::Agg { cycles, .. }`).",
+    },
+    Pass {
+        name: "accountant",
+        id: "accountant",
+        run: |c| accountant::check(&c.files),
+        rule: "The allocating scan/aggregation modules keep referencing the governor's \
+               `MemScope` memory accountant.",
+        rationale: "A new allocation site that skips the accountant silently escapes \
+                    `mem_budget` enforcement.",
+        fix: "Wrap the allocation in the enclosing `MemScope`, or thread one through.",
+    },
+    Pass {
+        name: "atomics",
+        id: "atomics-discipline",
+        run: |c| atomics::check(&c.files),
+        rule: "Every atomic `Ordering::*` use carries an adjacent `// ORDERING:` \
+               justification, and atomics stay in the modules that own concurrent state.",
+        rationale: "Each ordering is a claim about a happens-before edge; the comment \
+                    states the edge so review can check it.",
+        fix: "Add `// ORDERING: <the edge this ordering establishes>` at the use site, \
+              or move the atomic into a sanctioned module.",
+    },
+    Pass {
+        name: "panics",
+        id: "panic-freedom",
+        run: |c| panics::check(&c.files),
+        rule: "Library crates are panic-free: no `.unwrap()` / `.expect(…)` / `panic!` \
+               family outside tests, unless pinned with `// PANIC:`.",
+        rationale: "The engine returns `EngineError` for everything recoverable; a stray \
+                    unwrap turns a budget trip into a crash inside a worker.",
+        fix: "Return an `EngineError`, or add `// PANIC: <why this cannot fire>` if the \
+              invariant genuinely guarantees it.",
+    },
+    Pass {
+        name: "dispatch",
+        id: "dispatch-matrix",
+        run: |c| dispatch_matrix::check(&c.files),
+        rule: "The (op × width × tier) dispatch table is statically extracted from every \
+               `#[target_feature]` kernel, and every cell is referenced outside its tier \
+               module behind a `has_*` guard, maps to a scalar oracle, and is swept by a \
+               test that names an entry point and iterates `SimdLevel::available()`.",
+        rationale: "Specialized kernels are trusted only because the scalar oracle and \
+                    the equivalence tests exist; a missing cell means a tier silently \
+                    falls back or, worse, diverges untested.",
+        fix: "Add the scalar oracle and a `*_matches_scalar` test iterating \
+              `SimdLevel::available()`, route the tier through its guarded dispatcher, \
+              or remove the dead tier.",
+    },
+    Pass {
+        name: "locks",
+        id: "lock-discipline",
+        run: |c| lock_discipline::check(&c.files, &c.graph),
+        rule: "`Mutex`/`RwLock`/`Condvar` stay in the lock modules; every lock field and \
+               acquisition site carries `// LOCK:`; guard liveness is tracked per fn, the \
+               acquisition-order graph must be acyclic, and no guard is held across \
+               `Condvar::wait` (other than the waited one) or across a call that can \
+               re-enter `WorkerPool::run`.",
+        rationale: "Every deadlock ingredient is a local edit that type-checks; the \
+                    order graph and the wait/reentrancy rules make the blocking \
+                    protocol mechanical.",
+        fix: "Add `// LOCK: <order + invariant>` at the site, drop guards before \
+              waiting/forking, and keep acquisition order consistent across paths.",
+    },
+    Pass {
+        name: "sync",
+        id: "sync-escape",
+        run: |c| sync_escape::check(&c.files),
+        rule: "Structs owning atomics/`UnsafeCell`/locks live in the modules that own \
+               concurrent state (each finding lists them) or carry an `/// Invariant:` \
+               doc block; sync fields are never `pub`; `unsafe impl Send`/`Sync` is \
+               always flagged.",
+        rationale: "A sync-carrying struct is a concurrency contract; definitions \
+                    outside the owning modules have no documented protocol, and a \
+                    hand-written auto-trait impl is a new soundness axiom.",
+        fix: "Move the struct, or document the sharing protocol under `/// Invariant:`; \
+              make sync fields private behind methods.",
+    },
+    Pass {
+        name: "errors",
+        id: "error-surface",
+        run: |c| error_surface::check(&c.files),
+        rule: "Every `EngineError` variant has a construction site in library code and a \
+               mention in tests; engine `Result`s are never discarded via `let _ =` or \
+               `.ok()` in library code.",
+        rationale: "Dead variants are unreachable error vocabulary, untested variants \
+                    are bit-rotting paths, and a swallowed result turns cancellation \
+                    into silent wrong answers.",
+        fix: "Construct the variant where the failure is detected, add a test driving \
+              that path, and propagate results with `?`.",
+    },
+    Pass {
+        name: "layers",
+        id: "layer-conformance",
+        run: |c| layer_conformance::check(&c.files, &c.graph),
+        rule: "Cross-crate `use`s follow the workspace DAG (toolbox -> \
+               columnstore/metrics -> core -> tpch/bench); core-module `use`s follow \
+               CORE_LAYERS; every crate's module graph is acyclic.",
+        rationale: "Cargo only enforces what Cargo.toml declares; one new dependency \
+                    line can invert the architecture without failing a single test.",
+        fix: "Depend downward only; if a new edge is genuinely needed, move the shared \
+              code below both layers or extend the table in review.",
+    },
+    Pass {
+        name: "checkpoints",
+        id: "checkpoint-reachability",
+        run: |c| checkpoint_reachability::check(&c.files),
+        rule: "Every loop that claims morsels (`sched.claim(…)`) or iterates batches \
+               (`BatchCursor`) in `core::scan`/`core::pool`/`core::engine` reaches a \
+               `Governor` checkpoint on every path through its body — a 1-bit forward \
+               must-analysis over the fn's CFG, checked at the loop latch.",
+        rationale: "The governor only cancels and enforces budgets at checkpoints; one \
+                    `continue` path that skips the probe makes a cancelled query run \
+                    to completion anyway. Token-level adjacency cannot see that path.",
+        fix: "Add `if governor.active() { governor.check()?; }` so it executes on every \
+              re-iterating path (first statement of the loop body is the idiom).",
+    },
+    Pass {
+        name: "spans",
+        id: "span-balance",
+        run: |c| span_balance::check(&c.files),
+        rule: "Every profiler phase-span open (`let t = tracer.start();`) is consumed \
+               on all paths out of the fn — including early `?`/`return` exits and \
+               conditionally-closed branches (forward may-analysis; a bit live at the \
+               fn exit is a leaked span).",
+        rationale: "A span dropped on an error path silently loses the phase from every \
+                    profile that takes it, and the per-phase accounting tests only \
+                    assert the happy path.",
+        fix: "Extract the fallible region into a helper, close the span on its result, \
+              then `?` — or close the span in both arms before diverging.",
+    },
+    Pass {
+        name: "telemetry",
+        id: "telemetry-accounting",
+        run: |c| telemetry_accounting::check(&c.files, &c.graph),
+        rule: "Every path producing an `EngineError` out of the engine's \
+               `execute*`/`admit*` boundary reaches the telemetry publication seam \
+               (`publish_*`, directly or via a publishing callee).",
+        rationale: "The error counters are the ops surface; an unpublished error \
+                    path makes production failures invisible.",
+        fix: "Publish before the error leaves the boundary (e.g. \
+              `.inspect_err(|e| telemetry().publish_error(e))?`).",
+    },
+    Pass {
+        name: "safety",
+        id: "safety-precondition-flow",
+        run: |c| safety_flow::check(&c.files),
+        rule: "Each `// SAFETY:` contract that names a checkable precondition — a \
+               standalone `name()` mention of a fn defined in this workspace — is \
+               dominated by a statement that calls it (`debug_assert!(name())`, an \
+               `if name()` header, or any dominating validation).",
+        rationale: "A comment that names a check no path performs is documentation \
+                    drift asserting a verification that does not happen; dominance is \
+                    what makes the precondition actually hold at the unsafe block.",
+        fix: "Add `debug_assert!(name(…))` (or branch on the predicate) before the \
+              unsafe block, or reword the comment if the obligation is the caller's.",
+    },
 ];
+
+impl Pass {
+    /// The `--explain` card: the rule — followed by the allowed modules of
+    /// each of the pass's [`confine::RULES`] rows — the rationale and the fix.
+    pub fn explain(&self) -> String {
+        let mut rule = self.rule.to_string();
+        for row in confine::RULES.iter().filter(|r| r.pass == self.id) {
+            let tokens: Vec<String> = row.tokens.iter().map(|t| format!("`{t}`")).collect();
+            rule += &format!(
+                "\n  {} only in: {} (and tests)",
+                tokens.join(", "),
+                row.allowed.join(", ")
+            );
+        }
+        format!(
+            "pass: {} (id: {})\n\nrule:\n  {rule}\n\nwhy:\n  {}\n\nfix:\n  {}\n",
+            self.name, self.id, self.rationale, self.fix
+        )
+    }
+}
+
+/// The pass a CLI name or a reported diagnostic id names — whichever form
+/// the user has in front of them.
+pub fn lookup(name: &str) -> Option<&'static Pass> {
+    PASSES.iter().find(|p| p.name == name || p.id == name)
+}
+
+/// Every pass name, in execution order.
+pub fn all_passes() -> Vec<&'static str> {
+    PASSES.iter().map(|p| p.name).collect()
+}
 
 /// The audited corpus: every workspace source file read, lexed and parsed
 /// once, plus the symbol/module graph derived from the parsed items. All
@@ -217,31 +381,9 @@ pub struct AuditOutcome {
     pub coverage: CfgCoverage,
 }
 
-/// The pass dispatch table: CLI name → runner over the shared [`Corpus`].
-type PassFn = fn(&Corpus) -> Vec<Diag>;
-const PASS_TABLE: [(&str, PassFn); 17] = [
-    ("unsafe", |c| unsafe_audit::check(&c.files)),
-    ("kernels", |c| kernel_contract::check(&c.files)),
-    ("invariants", |c| invariants::check(&c.files)),
-    ("threads", |c| thread_hygiene::check(&c.files)),
-    ("trace", |c| trace_hygiene::check(&c.files)),
-    ("accountant", |c| accountant::check(&c.files)),
-    ("atomics", |c| atomics::check(&c.files)),
-    ("panics", |c| panics::check(&c.files)),
-    ("dispatch", |c| dispatch_matrix::check(&c.files)),
-    ("locks", |c| lock_discipline::check(&c.files, &c.graph)),
-    ("sync", |c| sync_escape::check(&c.files)),
-    ("errors", |c| error_surface::check(&c.files)),
-    ("layers", |c| layer_conformance::check(&c.files, &c.graph)),
-    ("checkpoints", |c| checkpoint_reachability::check(&c.files)),
-    ("spans", |c| span_balance::check(&c.files)),
-    ("telemetry", |c| telemetry_accounting::check(&c.files, &c.graph)),
-    ("safety", |c| safety_flow::check(&c.files)),
-];
-
 /// Load the audited corpus once and run the requested passes.
 ///
-/// `passes` is a subset of [`ALL_PASSES`]; the allowlist and baseline are
+/// `passes` are [`PASSES`] names; the allowlist and baseline are
 /// always applied. Diagnostics come back sorted by path/line, so the
 /// report — text or SARIF — is deterministic across runs and filesystems
 /// (the walk itself is sorted too). `Err` is an internal error (a file
@@ -255,12 +397,10 @@ pub fn run_audit_timed(root: &Path, passes: &[&str]) -> Result<AuditOutcome, Str
     let corpus = Corpus::load(root)?;
     let mut diags = Vec::new();
     let mut timings = Vec::new();
-    for (name, runner) in PASS_TABLE {
-        if passes.contains(&name) {
-            let start = Instant::now();
-            diags.extend(runner(&corpus));
-            timings.push(PassTiming { pass: name, micros: start.elapsed().as_micros() });
-        }
+    for pass in PASSES.iter().filter(|p| passes.contains(&p.name)) {
+        let start = Instant::now();
+        diags.extend((pass.run)(&corpus));
+        timings.push(PassTiming { pass: pass.name, micros: start.elapsed().as_micros() });
     }
     let mut coverage = CfgCoverage::default();
     for f in &corpus.files {
@@ -399,4 +539,46 @@ fn apply_allowlist(root: &Path, mut diags: Vec<Diag>) -> Vec<Diag> {
         }
     }
     diags
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn explain_renders_every_section() {
+        let text = lookup("locks").unwrap().explain();
+        for section in ["pass: locks", "lock-discipline", "rule:", "why:", "fix:", "only in:"] {
+            assert!(text.contains(section), "{section} missing from {text}");
+        }
+    }
+
+    #[test]
+    fn lookup_takes_names_and_diagnostic_ids() {
+        let by_id = lookup("checkpoint-reachability").unwrap();
+        assert_eq!(by_id.name, "checkpoints");
+        assert!(std::ptr::eq(by_id, lookup("checkpoints").unwrap()));
+        assert!(lookup("nonsense").is_none());
+    }
+
+    #[test]
+    fn every_pass_is_silent_on_files_without_tokens() {
+        // `Corpus::load` refuses a file the lexer cannot finish, so an empty
+        // token stream only ever means a file with nothing in it.
+        let files: Vec<scan::SourceFile> = [
+            ("crates/toolbox/src/empty.rs", ""),
+            ("crates/core/src/scan.rs", " \n\t\n  "),
+            ("crates/core/src/pool.rs", ""),
+            ("src/lib.rs", "\n\n"),
+            ("tests/blank.rs", " "),
+        ]
+        .iter()
+        .map(|(rel, src)| scan::SourceFile::from_source(rel, src).unwrap())
+        .collect();
+        let corpus = Corpus { graph: graph::Graph::build(&files), files };
+        for pass in &PASSES {
+            let diags = (pass.run)(&corpus);
+            assert!(diags.is_empty(), "{}: {diags:?}", pass.name);
+        }
+    }
 }

@@ -12,7 +12,8 @@
 //!
 //! * **confinement** — `Mutex`/`RwLock`/`Condvar` appear only in the lock
 //!   modules (`LOCK_MODULES`: `core::engine`, `core::pool`, `core::scan`,
-//!   `core::telemetry`, `metrics::registry`) and in tests;
+//!   `core::telemetry`, `metrics::registry`) and in tests — a row of the
+//!   [`crate::confine`] table;
 //! * **annotation** — every lock-typed struct field and every
 //!   guard-acquisition site (`lock(…)`, `.lock()`, `.wait(…)`) carries an
 //!   adjacent `// LOCK:` comment naming the lock's order/invariant, in the
@@ -56,32 +57,17 @@ pub const LOCK_MODULES: [&str; 5] = [
 pub const MARKER: &str = "LOCK:";
 
 /// Lock/condvar type names whose appearance marks blocking synchronization.
-const LOCK_TYPES: [&str; 3] = ["Mutex", "RwLock", "Condvar"];
+pub const LOCK_TYPES: [&str; 3] = ["Mutex", "RwLock", "Condvar"];
 
 /// Run the lock-discipline pass.
 pub fn check(files: &[SourceFile], graph: &Graph) -> Vec<Diag> {
     // Everything that can transitively reach the pool's fork-join entry
     // point; holding a guard across any of these can wedge the pool.
     let reentrant = graph.reaching_fn_names("core", &["run"]);
-    let mut out = Vec::new();
+    let mut out = crate::confine::check(files, "lock-discipline");
     let mut edges: BTreeMap<(String, String), (String, usize)> = BTreeMap::new();
     for file in files {
-        if file.is_test_file() {
-            continue;
-        }
-        if file.toks.is_empty() {
-            check_fallback(file, &mut out);
-            continue;
-        }
-        if !LOCK_MODULES.contains(&file.rel.as_str()) {
-            for tok in &file.toks {
-                if tok.kind == TokKind::Ident
-                    && LOCK_TYPES.contains(&tok.text(&file.text))
-                    && !file.line_in_tests(tok.line)
-                {
-                    out.push(confinement_diag(file, tok.line, tok.text(&file.text)));
-                }
-            }
+        if file.is_test_file() || !LOCK_MODULES.contains(&file.rel.as_str()) {
             continue;
         }
         check_fields(file, &mut out);
@@ -338,28 +324,6 @@ fn paren_idents(file: &SourceFile, code: &[usize], open: usize) -> Vec<String> {
     out
 }
 
-/// Legacy substring scan for files the lexer could not finish.
-fn check_fallback(file: &SourceFile, out: &mut Vec<Diag>) {
-    let sanctioned = LOCK_MODULES.contains(&file.rel.as_str());
-    for (i, line) in file.code.iter().enumerate() {
-        if file.line_in_tests(i) {
-            continue;
-        }
-        if !sanctioned {
-            for ty in LOCK_TYPES {
-                if line.contains(ty) {
-                    out.push(confinement_diag(file, i, ty));
-                    break;
-                }
-            }
-        } else if (line.contains("lock(") || line.contains(".wait("))
-            && !file.has_marker_comment(i, MARKER)
-        {
-            out.push(site_diag(file, i));
-        }
-    }
-}
-
 fn site_diag(file: &SourceFile, line: usize) -> Diag {
     Diag {
         path: file.rel.clone(),
@@ -368,20 +332,6 @@ fn site_diag(file: &SourceFile, line: usize) -> Diag {
         msg: "guard acquisition without an adjacent `// LOCK:` comment stating \
               what the lock protects and how long the guard may live"
             .to_string(),
-    }
-}
-
-fn confinement_diag(file: &SourceFile, line: usize, what: &str) -> Diag {
-    Diag {
-        path: file.rel.clone(),
-        line: line + 1,
-        pass: "lock-discipline",
-        msg: format!(
-            "`{what}` outside the lock modules (core::pool, core::scan, \
-             core::telemetry, metrics::registry) — blocking \
-             synchronization stays where its ordering invariants are documented, \
-             or the lock-module list grows deliberately"
-        ),
     }
 }
 
@@ -418,7 +368,7 @@ mod tests {
         let src = "use std::sync::Mutex;\nstruct T { m: Mutex<u8> }";
         let diags = run(&[("crates/core/src/governor.rs", src)]);
         assert!(!diags.is_empty());
-        assert!(diags.iter().all(|d| d.msg.contains("outside the lock modules")), "{diags:?}");
+        assert!(diags.iter().all(|d| d.msg.contains("crates/core/src/pool.rs")), "{diags:?}");
     }
 
     #[test]

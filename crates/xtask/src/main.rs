@@ -4,12 +4,8 @@
 //!
 //! ```text
 //! cargo xtask audit                  # run all passes on the workspace
-//! cargo xtask audit panics           # one pass: unsafe | kernels |
-//!                                    #   invariants | threads | trace |
-//!                                    #   accountant | atomics | panics |
-//!                                    #   dispatch | locks | sync |
-//!                                    #   errors | layers | checkpoints |
-//!                                    #   spans | telemetry | safety
+//! cargo xtask audit panics           # one pass, by its `xtask::PASSES`
+//!                                    #   name (the usage line lists them)
 //! cargo xtask audit --json           # SARIF 2.1.0 on stdout, with
 //!                                    #   per-pass wall times and CFG
 //!                                    #   lowering coverage in the run
@@ -49,7 +45,7 @@ fn main() -> ExitCode {
                 "usage: cargo xtask audit [{}] [--json] [--changed] [--explain <pass>] \
                  [--write-baseline] [--enforce-budget] [--root <path>]\n       \
                  cargo xtask bench-check [--root <path>]",
-                xtask::ALL_PASSES.join("|")
+                xtask::all_passes().join("|")
             );
             ExitCode::from(2)
         }
@@ -115,15 +111,15 @@ fn audit(args: &[String]) -> ExitCode {
             "--changed" => changed = true,
             "--enforce-budget" => enforce_budget = true,
             "--explain" => match it.next() {
-                Some(name) => match xtask::explain::lookup(name) {
-                    Some(entry) => {
-                        print!("{}", xtask::explain::render(entry));
+                Some(name) => match xtask::lookup(name) {
+                    Some(pass) => {
+                        print!("{}", pass.explain());
                         return ExitCode::SUCCESS;
                     }
                     None => {
                         eprintln!(
                             "unknown pass `{name}` (expected one of: {})",
-                            xtask::ALL_PASSES.join(", ")
+                            xtask::all_passes().join(", ")
                         );
                         return ExitCode::from(2);
                     }
@@ -134,8 +130,8 @@ fn audit(args: &[String]) -> ExitCode {
                 }
             },
             "--write-baseline" => write_baseline = true,
-            other => match xtask::ALL_PASSES.iter().find(|p| **p == other) {
-                Some(p) => passes.push(p),
+            other => match xtask::PASSES.iter().find(|p| p.name == other) {
+                Some(p) => passes.push(p.name),
                 None => {
                     eprintln!("unknown argument `{other}`");
                     return ExitCode::from(2);
@@ -144,7 +140,7 @@ fn audit(args: &[String]) -> ExitCode {
         }
     }
     if passes.is_empty() {
-        passes = xtask::ALL_PASSES.to_vec();
+        passes = xtask::all_passes();
     }
     if changed && write_baseline {
         // A baseline written from a scoped run would silently drop every

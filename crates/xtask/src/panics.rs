@@ -59,10 +59,6 @@ pub fn check(files: &[SourceFile]) -> Vec<Diag> {
         if !LIB_PREFIXES.iter().any(|p| file.rel.starts_with(p)) || file.is_test_file() {
             continue;
         }
-        if file.toks.is_empty() {
-            check_fallback(file, &mut out);
-            continue;
-        }
         for (seq, label) in PANIC_SEQS {
             for tok in find_seq(&file.text, &file.toks, seq) {
                 if file.line_in_tests(tok.line)
@@ -90,24 +86,6 @@ fn in_debug_assert(file: &SourceFile, line: usize) -> bool {
         }
     }
     false
-}
-
-/// Legacy substring scan for files the lexer could not finish.
-fn check_fallback(file: &SourceFile, out: &mut Vec<Diag>) {
-    for (i, line) in file.code.iter().enumerate() {
-        if file.line_in_tests(i)
-            || line.contains("debug_assert")
-            || file.has_marker_comment(i, MARKER)
-        {
-            continue;
-        }
-        for token in [".unwrap()", ".expect(", "panic!", "unreachable!", "todo!", "unimplemented!"]
-        {
-            if line.contains(token) {
-                out.push(diag(file, i, token));
-            }
-        }
-    }
 }
 
 fn diag(file: &SourceFile, line: usize, label: &str) -> Diag {

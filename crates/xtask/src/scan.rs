@@ -6,6 +6,8 @@
 //! blanked *code view* derived from the tokens, where comment and
 //! string/char-literal contents are spaces so keyword searches cannot be
 //! fooled by prose like `"an unsafe trick"` inside a panic message.
+//! [`fn_items`] reads the kernel facts (`#[target_feature]`, `unsafe`, the
+//! enclosing tier module) off the parsed items for the passes that need them.
 //!
 //! A file the lexer refuses (a genuinely unterminated string or comment,
 //! mid-edit) has no trustworthy view at all, so it is an audit *error*
@@ -16,8 +18,8 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::cfg::{self, FileCfgs};
-use crate::lexer::{self, LexError, Tok};
-use crate::parser::{self, Item};
+use crate::lexer::{self, LexError, Tok, TokKind};
+use crate::parser::{self, Item, ItemKind};
 
 /// One source file, with raw/token/code/item views (same line count).
 pub struct SourceFile {
@@ -94,10 +96,9 @@ impl SourceFile {
         self.is_test_file() || self.test_regions.iter().any(|r| r.contains(&line))
     }
 
-    /// Non-comment token sequence matches for an `a::b`-style path; see
-    /// [`lexer::find_seq`].
-    pub fn find_path(&self, path: &str) -> Vec<&Tok> {
-        lexer::find_seq(&self.text, &self.toks, &lexer::path_pat(path))
+    /// The token stream without comments.
+    pub fn code_toks(&self) -> Vec<&Tok> {
+        lexer::code_toks(&self.toks)
     }
 
     /// Whether `line` (0-based) carries a `// MARKER:`-style justification:
@@ -120,6 +121,69 @@ impl SourceFile {
             }
         }
         false
+    }
+}
+
+/// The SIMD tiers a kernel module or name suffix can carry.
+pub const TIERS: [&str; 2] = ["avx2", "avx512"];
+
+/// A `fn` item with the facts the kernel rules read off its tokens.
+pub struct FnItem<'a> {
+    /// The parsed item: name, `pub`ness, signature, body.
+    pub item: &'a Item,
+    /// `#[target_feature]` among its attributes.
+    pub target_feature: bool,
+    /// Declared `unsafe fn`.
+    pub is_unsafe: bool,
+    /// The enclosing `mod avx2` / `mod avx512`, if any.
+    pub tier: Option<&'static str>,
+}
+
+/// Every `fn` item of `file`, methods and nested modules included.
+pub fn fn_items(file: &SourceFile) -> Vec<FnItem<'_>> {
+    let tiers = tier_mods(file);
+    let mut out = Vec::new();
+    parser::walk_items(&file.items, &mut |item| {
+        if item.kind != ItemKind::Fn {
+            return;
+        }
+        let head = file.toks[item.toks.clone()]
+            .iter()
+            .filter(|t| t.kind == TokKind::Ident)
+            .map(|t| t.text(&file.text))
+            .take_while(|&t| t != "fn");
+        let (mut target_feature, mut is_unsafe) = (false, false);
+        for t in head {
+            target_feature |= t == "target_feature";
+            is_unsafe |= t == "unsafe";
+        }
+        let tier = tier_at(&tiers, &file.toks[item.toks.start]);
+        out.push(FnItem { item, target_feature, is_unsafe, tier });
+    });
+    out
+}
+
+/// The byte ranges of a file's `mod avx2` / `mod avx512` items.
+pub fn tier_mods(file: &SourceFile) -> Vec<(&'static str, Range<usize>)> {
+    let mut out = Vec::new();
+    parser::walk_items(&file.items, &mut |item| {
+        if let Some(tier) = TIERS.iter().find(|t| item.kind == ItemKind::Mod && item.name == **t) {
+            out.push((*tier, byte_span(file, &item.toks)));
+        }
+    });
+    out
+}
+
+/// The tier whose module (from [`tier_mods`]) contains `tok`.
+pub fn tier_at(tiers: &[(&'static str, Range<usize>)], tok: &Tok) -> Option<&'static str> {
+    tiers.iter().find(|(_, r)| r.contains(&tok.span.start)).map(|(t, _)| *t)
+}
+
+/// The source bytes covered by a range of token indices.
+pub fn byte_span(file: &SourceFile, toks: &Range<usize>) -> Range<usize> {
+    match (file.toks.get(toks.start), toks.end.checked_sub(1).and_then(|e| file.toks.get(e))) {
+        (Some(a), Some(b)) if !toks.is_empty() => a.span.start..b.span.end,
+        _ => 0..0,
     }
 }
 
@@ -157,8 +221,8 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 /// Collect the contiguous doc-comment/attribute block immediately above line
-/// `decl` (0-based), as raw text. Used to look for `# Safety` contracts and
-/// `#[target_feature]` attributes without parsing attribute grammar: a line
+/// `decl` (0-based), as raw text. Used to look for `# Safety` contracts
+/// without parsing attribute grammar: a line
 /// belongs to the block if it is a comment, starts an attribute, or is a
 /// continuation of a multi-line attribute (`enable = ...` / `)]`).
 pub fn attr_block_above(raw: &[String], decl: usize) -> String {
@@ -201,6 +265,24 @@ mod tests {
     }
 
     #[test]
+    fn fn_items_read_attributes_modifiers_and_tier_off_the_parser() {
+        let src = "#[target_feature(enable = \"avx2\")]\npub unsafe fn free() {}\n\
+                   pub(crate) mod avx512 {\n    impl K {\n        #[inline]\n        fn method(&self) {}\n    }\n}";
+        let f = SourceFile::from_source("crates/toolbox/src/k.rs", src).unwrap();
+        let facts: Vec<_> = fn_items(&f)
+            .iter()
+            .map(|f| (f.item.name.clone(), f.target_feature, f.is_unsafe, f.tier))
+            .collect();
+        assert_eq!(
+            facts,
+            [
+                ("free".to_string(), true, true, None),
+                ("method".to_string(), false, false, Some("avx512"))
+            ]
+        );
+    }
+
+    #[test]
     fn tokens_split_and_lowercase() {
         assert_eq!(name_tokens("sum_Gather_u32"), vec!["sum", "gather", "u32"]);
     }
@@ -224,7 +306,7 @@ mod tests {
         fs::create_dir_all(dir.join("src")).unwrap();
         fs::write(dir.join("src/broken.rs"), src).unwrap();
         let loaded = SourceFile::load(&dir, &dir.join("src/broken.rs"));
-        let audited = crate::run_audit(&dir, &crate::ALL_PASSES);
+        let audited = crate::run_audit(&dir, &crate::all_passes());
         fs::remove_dir_all(&dir).unwrap();
         let msg = loaded.err().expect("load must fail");
         assert!(msg.starts_with("src/broken.rs: cannot lex: unterminated"), "{msg}");

@@ -23,21 +23,13 @@ use crate::Diag;
 pub fn check(files: &[SourceFile]) -> Vec<Diag> {
     let mut out = Vec::new();
     for file in files {
-        if file.toks.is_empty() {
-            check_file_fallback(file, &mut out);
-        } else {
-            check_file(file, &mut out);
-        }
+        check_file(file, &mut out);
     }
     out
 }
 
 fn check_file(file: &SourceFile, out: &mut Vec<Diag>) {
-    let code: Vec<_> = file
-        .toks
-        .iter()
-        .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
-        .collect();
+    let code = file.code_toks();
     let mut last_block_line = usize::MAX;
     for (i, tok) in code.iter().enumerate() {
         if tok.kind != TokKind::Ident || tok.text(&file.text) != "unsafe" {
@@ -61,44 +53,6 @@ fn check_file(file: &SourceFile, out: &mut Vec<Diag>) {
             }
         }
     }
-}
-
-/// The legacy line-scan, kept for files the lexer could not finish.
-fn check_file_fallback(file: &SourceFile, out: &mut Vec<Diag>) {
-    for (i, code) in file.code.iter().enumerate() {
-        for col in find_word(code, "unsafe") {
-            let after = code[col + "unsafe".len()..].trim_start();
-            if after.starts_with("fn") {
-                check_unsafe_fn(file, i, out);
-            } else if after.starts_with("trait") {
-            } else {
-                check_safety_comment_above(file, i, out);
-                break;
-            }
-        }
-    }
-}
-
-/// Byte offsets of whole-word occurrences of `word` in `line`.
-fn find_word(line: &str, word: &str) -> Vec<usize> {
-    let mut cols = Vec::new();
-    let bytes = line.as_bytes();
-    let mut start = 0;
-    while let Some(pos) = line[start..].find(word) {
-        let at = start + pos;
-        let before_ok = at == 0 || !is_ident(bytes[at - 1]);
-        let end = at + word.len();
-        let after_ok = end >= bytes.len() || !is_ident(bytes[end]);
-        if before_ok && after_ok {
-            cols.push(at);
-        }
-        start = end;
-    }
-    cols
-}
-
-fn is_ident(b: u8) -> bool {
-    b == b'_' || b.is_ascii_alphanumeric()
 }
 
 /// An `unsafe fn` must document its contract in the block above the

@@ -89,7 +89,7 @@ fn empty_change_set_scopes_everything_out() {
 #[test]
 fn scoped_bad_fixture_audit_reports_only_changed_file_findings() {
     let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/bad");
-    let outcome = xtask::run_audit_timed(&fixture, &xtask::ALL_PASSES).unwrap();
+    let outcome = xtask::run_audit_timed(&fixture, &xtask::all_passes()).unwrap();
     let scoped = scope_to_changed(outcome.diags, &["crates/core/src/scan.rs".to_string()]);
     assert!(!scoped.is_empty(), "bad fixture must flag scan.rs");
     assert!(scoped.iter().all(|d| d.path.starts_with("crates/core/src/")), "{scoped:?}");
