@@ -19,7 +19,41 @@
 //! instantiation at runtime.
 
 use super::scalar;
-use crate::dispatch::SimdLevel;
+use crate::dispatch::SimdLevel::{Avx2, Avx512};
+use crate::dispatch::{cells, kernel_sig, Cell, Family, SimdLevel, ANY};
+
+kernel_sig! {
+    /// Grouped COUNT into `counts`, one slot per group.
+    pub(crate) type CountGroupsK = fn(gids: &[u8], counts: &mut [u64]);
+    /// Grouped SUM of one word size into `sums`, one slot per group.
+    pub(crate) type SumK<T> = fn(gids: &[u8], values: &[T], sums: &mut [i64]);
+    /// Grouped SUM of `u32`s no larger than `max_value`.
+    pub(crate) type SumU32K = fn(gids: &[u8], values: &[u32], sums: &mut [i64], max_value: u32);
+}
+
+/// The kernels keep one register per group (`counts.len()` / `sums.len()`,
+/// which the dispatchers cut to the group count); the oracles are `scalar`'s
+/// single-array loops.
+pub(crate) const COUNT_GROUPS: Family<CountGroupsK> = Family {
+    cells: cells![
+        Cell { tier: Avx512, gate: ANY, kernel: avx512::count },
+        Cell { tier: Avx2, gate: ANY, kernel: avx2::dispatch_count },
+    ],
+    oracle: scalar::count_single_array,
+};
+pub(crate) const SUM_U8: Family<SumK<u8>> = Family {
+    cells: cells![Cell { tier: Avx2, gate: ANY, kernel: avx2::dispatch_sum_u8 }],
+    oracle: scalar::sum_single_array_u8,
+};
+pub(crate) const SUM_U16: Family<SumK<u16>> = Family {
+    cells: cells![Cell { tier: Avx2, gate: ANY, kernel: avx2::dispatch_sum_u16 }],
+    oracle: scalar::sum_single_array_u16,
+};
+pub(crate) const SUM_U32: Family<SumU32K> = Family {
+    cells: cells![Cell { tier: Avx2, gate: ANY, kernel: avx2::dispatch_sum_u32 }],
+    // The bound only sets the SIMD flush cadence.
+    oracle: |gids, values, sums, _| scalar::sum_single_array_u32(gids, values, sums),
+};
 
 /// Grouped `COUNT(*)` with in-register virtual accumulator arrays.
 ///
@@ -30,49 +64,21 @@ use crate::dispatch::SimdLevel;
 /// total, so out-of-range ids would corrupt it).
 pub fn count_groups(gids: &[u8], num_groups: usize, counts: &mut [u64], level: SimdLevel) {
     check_args(gids, num_groups, counts.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        if level.has_avx512() {
-            // SAFETY: AVX-512 availability checked by has_avx512().
-            unsafe { avx512::count(gids, num_groups, counts) };
-            return;
-        }
-        if level.has_avx2() {
-            // SAFETY: AVX2 availability checked by has_avx2().
-            unsafe { avx2::dispatch_count(gids, num_groups, counts) };
-            return;
-        }
-    }
-    let _ = level;
-    scalar::count_single_array(gids, counts);
+    COUNT_GROUPS.resolve(level, 0).run(gids, &mut counts[..num_groups]);
 }
 
 /// Grouped SUM of 1-byte values, 16-bit lane accumulators (Table 3 row 2).
 pub fn sum_u8(gids: &[u8], values: &[u8], num_groups: usize, sums: &mut [i64], level: SimdLevel) {
     check_args(gids, num_groups, sums.len());
     assert_eq!(gids.len(), values.len(), "group/value length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if level.has_avx2() {
-        // SAFETY: AVX2 availability checked by has_avx2().
-        unsafe { avx2::dispatch_sum_u8(gids, values, num_groups, sums) };
-        return;
-    }
-    let _ = level;
-    scalar::sum_single_array_u8(gids, values, sums);
+    SUM_U8.resolve(level, 0).run(gids, values, &mut sums[..num_groups]);
 }
 
 /// Grouped SUM of 2-byte values, 32-bit lane accumulators (Table 3 row 3).
 pub fn sum_u16(gids: &[u8], values: &[u16], num_groups: usize, sums: &mut [i64], level: SimdLevel) {
     check_args(gids, num_groups, sums.len());
     assert_eq!(gids.len(), values.len(), "group/value length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if level.has_avx2() {
-        // SAFETY: AVX2 availability checked by has_avx2().
-        unsafe { avx2::dispatch_sum_u16(gids, values, num_groups, sums) };
-        return;
-    }
-    let _ = level;
-    scalar::sum_single_array_u16(gids, values, sums);
+    SUM_U16.resolve(level, 0).run(gids, values, &mut sums[..num_groups]);
 }
 
 /// Grouped SUM of 4-byte values, 32-bit lane accumulators (Table 3 row 4).
@@ -92,14 +98,7 @@ pub fn sum_u32(
     assert_eq!(gids.len(), values.len(), "group/value length mismatch");
     assert!(max_value < (1 << 31), "max_value {max_value} too wide for 32-bit lane accumulators");
     debug_assert!(values.iter().all(|&v| v <= max_value), "value exceeds declared max_value");
-    #[cfg(target_arch = "x86_64")]
-    if level.has_avx2() {
-        // SAFETY: AVX2 availability checked by has_avx2().
-        unsafe { avx2::dispatch_sum_u32(gids, values, num_groups, sums, max_value) };
-        return;
-    }
-    let _ = level;
-    scalar::sum_single_array_u32(gids, values, sums);
+    SUM_U32.resolve(level, 0).run(gids, values, &mut sums[..num_groups], max_value);
 }
 
 fn check_args(gids: &[u8], num_groups: usize, acc_len: usize) {
@@ -121,15 +120,13 @@ mod avx512 {
 
     /// # Safety
     /// The CPU must support avx512f + avx512bw — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx512f", enable = "avx512bw")]
-    pub(super) unsafe fn count(gids: &[u8], num_groups: usize, counts: &mut [u64]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+    pub(super) unsafe fn count(gids: &[u8], counts: &mut [u64]) {
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
-            let n = gids.len();
+            let (n, num_groups) = (gids.len(), counts.len());
             let mut i = 0usize;
             while i + 64 <= n {
                 let g = _mm512_loadu_si512(gids.as_ptr().add(i) as *const _);
@@ -157,7 +154,7 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// Horizontal sum of four u64 lanes.
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -170,29 +167,25 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// Sum 32 u8 lanes.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn sum_bytes(v: __m256i) -> u64 {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe { hsum_epu64(_mm256_sad_epu8(v, _mm256_setzero_si256())) }
     }
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// Horizontal sum of eight non-negative i32 lanes.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn hsum_epu32(v: __m256i) -> u64 {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let zero = _mm256_setzero_si256();
             let lo = _mm256_unpacklo_epi32(v, zero);
@@ -201,41 +194,15 @@ mod avx2 {
         }
     }
 
+    /// `$func::<N>` for the runtime group count `$n`, `N` in `1..=32`.
     macro_rules! dispatch_n {
-        ($func:ident, $n:expr, ($($arg:expr),*)) => {
+        ($func:ident, $n:expr, $args:tt) => {
+            dispatch_n!(@ $func, $n, $args,
+                1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32)
+        };
+        (@ $func:ident, $n:expr, $args:tt, $($k:literal)*) => {
             match $n {
-                1 => $func::<1>($($arg),*),
-                2 => $func::<2>($($arg),*),
-                3 => $func::<3>($($arg),*),
-                4 => $func::<4>($($arg),*),
-                5 => $func::<5>($($arg),*),
-                6 => $func::<6>($($arg),*),
-                7 => $func::<7>($($arg),*),
-                8 => $func::<8>($($arg),*),
-                9 => $func::<9>($($arg),*),
-                10 => $func::<10>($($arg),*),
-                11 => $func::<11>($($arg),*),
-                12 => $func::<12>($($arg),*),
-                13 => $func::<13>($($arg),*),
-                14 => $func::<14>($($arg),*),
-                15 => $func::<15>($($arg),*),
-                16 => $func::<16>($($arg),*),
-                17 => $func::<17>($($arg),*),
-                18 => $func::<18>($($arg),*),
-                19 => $func::<19>($($arg),*),
-                20 => $func::<20>($($arg),*),
-                21 => $func::<21>($($arg),*),
-                22 => $func::<22>($($arg),*),
-                23 => $func::<23>($($arg),*),
-                24 => $func::<24>($($arg),*),
-                25 => $func::<25>($($arg),*),
-                26 => $func::<26>($($arg),*),
-                27 => $func::<27>($($arg),*),
-                28 => $func::<28>($($arg),*),
-                29 => $func::<29>($($arg),*),
-                30 => $func::<30>($($arg),*),
-                31 => $func::<31>($($arg),*),
-                32 => $func::<32>($($arg),*),
+                $($k => $func::<$k> $args,)*
                 // PANIC: the dispatcher only routes here for 1..=32 groups.
                 _ => unreachable!("group count checked by caller"),
             }
@@ -244,69 +211,58 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dispatch_count(gids: &[u8], n: usize, counts: &mut [u64]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
-        unsafe { dispatch_n!(count_n, n, (gids, counts)) }
+    pub(super) unsafe fn dispatch_count(gids: &[u8], counts: &mut [u64]) {
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
+        unsafe { dispatch_n!(count_n, counts.len(), (gids, counts)) }
     }
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dispatch_sum_u8(gids: &[u8], values: &[u8], n: usize, sums: &mut [i64]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
-        unsafe { dispatch_n!(sum_u8_n, n, (gids, values, sums)) }
+    pub(super) unsafe fn dispatch_sum_u8(gids: &[u8], values: &[u8], sums: &mut [i64]) {
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
+        unsafe { dispatch_n!(sum_u8_n, sums.len(), (gids, values, sums)) }
     }
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dispatch_sum_u16(gids: &[u8], values: &[u16], n: usize, sums: &mut [i64]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
-        unsafe { dispatch_n!(sum_u16_n, n, (gids, values, sums)) }
+    pub(super) unsafe fn dispatch_sum_u16(gids: &[u8], values: &[u16], sums: &mut [i64]) {
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
+        unsafe { dispatch_n!(sum_u16_n, sums.len(), (gids, values, sums)) }
     }
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn dispatch_sum_u32(
         gids: &[u8],
         values: &[u32],
-        n: usize,
         sums: &mut [i64],
         max_value: u32,
     ) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
-        unsafe { dispatch_n!(sum_u32_n, n, (gids, values, sums, max_value)) }
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
+        unsafe { dispatch_n!(sum_u32_n, sums.len(), (gids, values, sums, max_value)) }
     }
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// COUNT: 8-bit lane counters, one register per group except the last,
     /// flushed via SAD every 255 vectors (the 8-bit lane limit).
     #[target_feature(enable = "avx2")]
     unsafe fn count_n<const N: usize>(gids: &[u8], counts: &mut [u64]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let zero = _mm256_setzero_si256();
             let mut cnt = [zero; N];
@@ -349,16 +305,14 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// SUM of 1-byte values: 16-bit lane accumulators via `maddubs` pair
     /// sums; each vector adds at most 510 per lane, so flush every 64
     /// vectors (64 * 510 < 32767).
     #[target_feature(enable = "avx2")]
     unsafe fn sum_u8_n<const N: usize>(gids: &[u8], values: &[u8], sums: &mut [i64]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let zero = _mm256_setzero_si256();
             let ones8 = _mm256_set1_epi8(1);
@@ -397,16 +351,14 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// SUM of 2-byte values: group ids widened to 16-bit lanes, 32-bit lane
     /// accumulators fed by zero-extending unpacks. Each vector adds at most
     /// 2 * 65535 per lane; flush every 16384 vectors.
     #[target_feature(enable = "avx2")]
     unsafe fn sum_u16_n<const N: usize>(gids: &[u8], values: &[u16], sums: &mut [i64]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let zero = _mm256_setzero_si256();
             let mut acc = [zero; N];
@@ -444,7 +396,7 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// SUM of 4-byte values: group ids widened to 32-bit lanes, 32-bit lane
     /// accumulators; the flush cadence is derived from the caller's
     /// `max_value` bound so lanes never overflow (§2.1's metadata-driven
@@ -456,10 +408,8 @@ mod avx2 {
         sums: &mut [i64],
         max_value: u32,
     ) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let zero = _mm256_setzero_si256();
             let mut acc = [zero; N];
@@ -505,21 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn count_matches_reference_across_group_counts() {
-        for level in SimdLevel::available() {
-            for groups in [1usize, 2, 3, 4, 8, 15, 16, 31, 32] {
-                for n in [0usize, 1, 31, 32, 33, 4096, 10_000] {
-                    let g = gids(n, groups);
-                    let (expected, _) = reference_group_sums(&g, &[], groups);
-                    let mut counts = vec![0u64; groups];
-                    count_groups(&g, groups, &mut counts, level);
-                    assert_eq!(counts, expected, "groups={groups} n={n} level={level}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn count_flush_cadence_exercised() {
         // > 255 * 32 rows forces at least one mid-stream flush of the 8-bit
         // lane counters.
@@ -543,38 +478,6 @@ mod tests {
                 let (_, expected) = reference_group_sums(&g, &[ColRef::U8(&v)], groups);
                 let mut sums = vec![0i64; groups];
                 sum_u8(&g, &v, groups, &mut sums, level);
-                assert_eq!(sums, expected[0], "groups={groups} level={level}");
-            }
-        }
-    }
-
-    #[test]
-    fn sum_u16_matches_reference() {
-        for level in SimdLevel::available() {
-            for groups in [1usize, 3, 12, 32] {
-                let n = 10_000;
-                let g = gids(n, groups);
-                let v: Vec<u16> = (0..n).map(|i| (i * 2654435761usize % 65536) as u16).collect();
-                let (_, expected) = reference_group_sums(&g, &[ColRef::U16(&v)], groups);
-                let mut sums = vec![0i64; groups];
-                sum_u16(&g, &v, groups, &mut sums, level);
-                assert_eq!(sums, expected[0], "groups={groups} level={level}");
-            }
-        }
-    }
-
-    #[test]
-    fn sum_u32_matches_reference() {
-        for level in SimdLevel::available() {
-            for groups in [1usize, 4, 8, 32] {
-                let n = 10_000;
-                let max_value = (1u32 << 28) - 1;
-                let g = gids(n, groups);
-                let v: Vec<u32> =
-                    (0..n).map(|i| (i as u32).wrapping_mul(2654435761) & max_value).collect();
-                let (_, expected) = reference_group_sums(&g, &[ColRef::U32(&v)], groups);
-                let mut sums = vec![0i64; groups];
-                sum_u32(&g, &v, groups, &mut sums, max_value, level);
                 assert_eq!(sums, expected[0], "groups={groups} level={level}");
             }
         }

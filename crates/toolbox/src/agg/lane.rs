@@ -21,7 +21,18 @@
 //! oracle and the SIMD tier agree on *every* input, not only proven ones.
 
 use super::ColRef;
-use crate::dispatch::SimdLevel;
+use crate::dispatch::SimdLevel::Avx2;
+use crate::dispatch::{cells, kernel_sig, Cell, Family, Resolved, SimdLevel, ANY};
+
+kernel_sig! {
+    /// `dst[i] = a[i] ∘ b[i]` over one chunk.
+    pub(crate) type BinK = fn(kind: LaneBin, a: Vals<'_>, b: Vals<'_>, dst: &mut [u64]);
+}
+
+pub(crate) const BIN: Family<BinK> = Family {
+    cells: cells![Cell { tier: Avx2, gate: ANY, kernel: avx2::bin }],
+    oracle: |kind, a, b, dst| bin_rows(kind, a, b, dst, 0),
+};
 
 /// Rows evaluated per chunk: four 64-bit slot lanes plus the operand stack
 /// stay inside L1 next to the accumulator rows.
@@ -125,7 +136,7 @@ impl Default for LaneScratch {
 /// A resolved operand: a window of exactly the chunk's length, a constant,
 /// or the destination's current contents.
 #[derive(Clone, Copy)]
-enum Vals<'a> {
+pub(crate) enum Vals<'a> {
     Win(ColRef<'a>, u64),
     Lit(u64),
     Top,
@@ -149,6 +160,19 @@ pub fn eval_chunk<'l, 'p>(
     scratch: &mut LaneScratch,
     level: SimdLevel,
 ) {
+    eval_chunk_with(prog, leaf, prev, off, dst, scratch, BIN.resolve(level, 0));
+}
+
+/// [`eval_chunk`] with the chunk-op kernel its batch-level caller resolved.
+pub(crate) fn eval_chunk_with<'l, 'p>(
+    prog: &LaneProgram,
+    leaf: &dyn Fn(usize) -> LaneLeaf<'l>,
+    prev: &dyn Fn(usize) -> ColRef<'p>,
+    off: usize,
+    dst: &mut [u64],
+    scratch: &mut LaneScratch,
+    kernel: Resolved<BinK>,
+) {
     let n = dst.len();
     assert!(n <= CHUNK_ROWS, "chunk of {n} rows exceeds {CHUNK_ROWS}");
     let resolve = |arg: &LaneArg| match *arg {
@@ -168,18 +192,18 @@ pub fn eval_chunk<'l, 'p>(
     for op in &prog.ops {
         match op {
             LaneOp::Load(a) => {
-                bin(LaneBin::Add, resolve(a), Vals::Lit(0), slot(dst, scratch, sp, n), level);
+                bin(LaneBin::Add, resolve(a), Vals::Lit(0), slot(dst, scratch, sp, n), kernel);
                 sp += 1;
             }
             LaneOp::Push(kind, a, b) => {
-                bin(*kind, resolve(a), resolve(b), slot(dst, scratch, sp, n), level);
+                bin(*kind, resolve(a), resolve(b), slot(dst, scratch, sp, n), kernel);
                 sp += 1;
             }
             LaneOp::Apply(kind, a) => {
-                bin(*kind, Vals::Top, resolve(a), slot(dst, scratch, sp - 1, n), level)
+                bin(*kind, Vals::Top, resolve(a), slot(dst, scratch, sp - 1, n), kernel)
             }
             LaneOp::RSub(a) => {
-                bin(LaneBin::Sub, resolve(a), Vals::Top, slot(dst, scratch, sp - 1, n), level)
+                bin(LaneBin::Sub, resolve(a), Vals::Top, slot(dst, scratch, sp - 1, n), kernel)
             }
             LaneOp::Fold(kind) => {
                 sp -= 1;
@@ -190,7 +214,7 @@ pub fn eval_chunk<'l, 'p>(
                     let (below, above) = scratch.stack.split_at_mut(sp - 1);
                     (&mut below[sp - 2][..n], &above[0][..n])
                 };
-                bin(*kind, Vals::Top, Vals::Win(ColRef::U64(hi), 0), lo, level);
+                bin(*kind, Vals::Top, Vals::Win(ColRef::U64(hi), 0), lo, kernel);
             }
         }
     }
@@ -219,11 +243,12 @@ pub fn materialize_u64<'l, 'p>(
     out: &mut [u64],
     level: SimdLevel,
 ) {
-    let mut scratch = LaneScratch::default();
+    let (kernel, mut scratch) = (BIN.resolve(level, 0), LaneScratch::default());
     let mut off = 0usize;
     for chunk in out.chunks_mut(CHUNK_ROWS) {
         let n = chunk.len();
-        eval_chunk(prog, leaf, &|i| prev(i).window(off, n), off, chunk, &mut scratch, level);
+        let prev = |i| prev(i).window(off, n);
+        eval_chunk_with(prog, leaf, &prev, off, chunk, &mut scratch, kernel);
         off += n;
     }
 }
@@ -237,13 +262,14 @@ pub fn materialize_u32<'l, 'p>(
     out: &mut [u32],
     level: SimdLevel,
 ) {
-    let mut scratch = LaneScratch::default();
+    let (kernel, mut scratch) = (BIN.resolve(level, 0), LaneScratch::default());
     let mut wide = [0u64; CHUNK_ROWS];
     let mut off = 0usize;
     for chunk in out.chunks_mut(CHUNK_ROWS) {
         let n = chunk.len();
         let wide = &mut wide[..n];
-        eval_chunk(prog, leaf, &|i| prev(i).window(off, n), off, wide, &mut scratch, level);
+        let prev = |i| prev(i).window(off, n);
+        eval_chunk_with(prog, leaf, &prev, off, wide, &mut scratch, kernel);
         for (o, &w) in chunk.iter_mut().zip(wide.iter()) {
             debug_assert!(w <= u32::MAX as u64, "lane result {w} exceeds the proven u32 width");
             *o = w as u32;
@@ -253,25 +279,17 @@ pub fn materialize_u32<'l, 'p>(
 }
 
 /// `dst[i] = a[i] ∘ b[i]`, where [`Vals::Top`] reads `dst[i]` itself.
-fn bin(kind: LaneBin, a: Vals<'_>, b: Vals<'_>, dst: &mut [u64], level: SimdLevel) {
+fn bin(kind: LaneBin, a: Vals<'_>, b: Vals<'_>, dst: &mut [u64], kernel: Resolved<BinK>) {
     for v in [&a, &b] {
         if let Vals::Win(col, _) = v {
             assert_eq!(col.len(), dst.len(), "operand window length mismatch");
         }
     }
-    #[cfg(target_arch = "x86_64")]
-    if level.has_avx2() {
-        // SAFETY: AVX2 availability checked by has_avx2(); every operand
-        // window was just checked to hold exactly dst.len() values.
-        unsafe { avx2::bin(kind, a, b, dst) };
-        return;
-    }
-    let _ = level;
-    bin_scalar(kind, a, b, dst, 0);
+    kernel.run(kind, a, b, dst);
 }
 
-/// Scalar oracle for the chunk op, over rows `from..`.
-fn bin_scalar(kind: LaneBin, a: Vals<'_>, b: Vals<'_>, dst: &mut [u64], from: usize) {
+/// The chunk op over rows `from..`: [`BIN`]'s oracle from row 0.
+fn bin_rows(kind: LaneBin, a: Vals<'_>, b: Vals<'_>, dst: &mut [u64], from: usize) {
     let get = |v: &Vals<'_>, i: usize, top: u64| match v {
         Vals::Win(col, bias) => col.get(i).wrapping_add(*bias),
         Vals::Lit(x) => *x,
@@ -374,7 +392,7 @@ pub(crate) mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call. Every
+    /// resolver's tier check before any call. Every
     /// [`Vals::Win`] operand must hold exactly `dst.len()` values.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn bin(kind: LaneBin, a: Vals<'_>, b: Vals<'_>, dst: &mut [u64]) {
@@ -391,7 +409,9 @@ pub(crate) mod avx2 {
                 LaneBin::Mul => with_a::<MulK>(a, b, p, n4),
             }
         }
-        super::bin_scalar(kind, a, b, dst, n4);
+        if n4 < dst.len() {
+            super::bin_rows(kind, a, b, dst, n4);
+        }
     }
 
     trait BinK {
@@ -566,60 +586,6 @@ mod tests {
                     materialize_u64(&charge, &|i| leaves[i], &|_| prev, &mut ch, level);
                     assert_eq!(ch, want_ch, "n={n} level={level}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn every_op_and_operand_width_agrees_with_the_scalar_oracle() {
-        let n = 263;
-        let a8: Vec<u8> = (0..n).map(|i| (i * 7 % 251) as u8).collect();
-        let a16: Vec<u16> = (0..n).map(|i| (i * 257 % 65_521) as u16).collect();
-        let a32: Vec<u32> = (0..n).map(|i| (i as u32).wrapping_mul(0x9E37_79B9)).collect();
-        let a64: Vec<u64> =
-            (0..n).map(|i| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
-        let leaves = [
-            LaneLeaf { col: ColRef::U8(&a8), bias: 3 },
-            LaneLeaf { col: ColRef::U16(&a16), bias: 0 },
-            LaneLeaf { col: ColRef::U32(&a32), bias: 1 << 33 },
-            LaneLeaf { col: ColRef::U64(&a64), bias: 5 },
-        ];
-        let args = [
-            LaneArg::Leaf(0),
-            LaneArg::Leaf(1),
-            LaneArg::Leaf(2),
-            LaneArg::Leaf(3),
-            LaneArg::Lit(0xFFFF_FFFF),
-            LaneArg::Prev(0),
-        ];
-        let prev = |_: usize| ColRef::U64(&a64);
-        let mut programs = Vec::new();
-        for kind in [LaneBin::Add, LaneBin::Sub, LaneBin::Mul] {
-            for a in args {
-                for b in args {
-                    programs.push(vec![LaneOp::Push(kind, a, b)]);
-                }
-                programs.push(vec![LaneOp::Load(a), LaneOp::Apply(kind, LaneArg::Leaf(1))]);
-                programs.push(vec![LaneOp::Load(LaneArg::Leaf(2)), LaneOp::Apply(kind, a)]);
-                programs.push(vec![LaneOp::Load(a), LaneOp::RSub(LaneArg::Leaf(3))]);
-                // Depth 3: (a ∘ l0) ∘ (l1 ∘ (l2 + l3)).
-                programs.push(vec![
-                    LaneOp::Push(kind, a, LaneArg::Leaf(0)),
-                    LaneOp::Load(LaneArg::Leaf(1)),
-                    LaneOp::Push(LaneBin::Add, LaneArg::Leaf(2), LaneArg::Leaf(3)),
-                    LaneOp::Fold(kind),
-                    LaneOp::Fold(kind),
-                ]);
-            }
-        }
-        for ops in programs {
-            let prog = LaneProgram::new(ops.clone()).unwrap();
-            let mut want = vec![0u64; n];
-            materialize_u64(&prog, &|i| leaves[i], &prev, &mut want, SimdLevel::Scalar);
-            for level in SimdLevel::available() {
-                let mut got = vec![0u64; n];
-                materialize_u64(&prog, &|i| leaves[i], &prev, &mut got, level);
-                assert_eq!(got, want, "{ops:?} level={level}");
             }
         }
     }

@@ -10,7 +10,21 @@
 //! identity element in non-matching lanes, and a vertical min/max folds the
 //! vector into the group's register.
 
-use crate::dispatch::SimdLevel;
+use super::MAX_GROUPS_IN_REGISTER;
+use crate::dispatch::SimdLevel::Avx2;
+use crate::dispatch::{cells, kernel_sig, Cell, Family, SimdLevel};
+
+kernel_sig! {
+    /// Grouped MIN/MAX of bytes into `mins`/`maxs`, one slot per group.
+    pub(crate) type MinMaxK = fn(gids: &[u8], values: &[u8], mins: &mut [u8], maxs: &mut [u8]);
+}
+
+/// The AVX2 kernel keeps two registers per group (`mins.len()`, which the
+/// dispatcher cuts to the group count): its gate is the register budget.
+pub(crate) const MIN_MAX_U8: Family<MinMaxK> = Family {
+    cells: cells![Cell { tier: Avx2, gate: MAX_GROUPS_IN_REGISTER, kernel: avx2::min_max_u8 }],
+    oracle: min_max_scalar_u8,
+};
 
 macro_rules! scalar_minmax {
     ($name:ident, $ty:ty) => {
@@ -50,15 +64,10 @@ pub fn min_max_u8(
 ) {
     assert!(num_groups >= 1, "need at least one group");
     assert!(mins.len() >= num_groups && maxs.len() >= num_groups, "accumulator too short");
+    assert_eq!(gids.len(), values.len(), "group/value length mismatch");
     super::debug_assert_group_ids(gids, num_groups);
-    #[cfg(target_arch = "x86_64")]
-    if level.has_avx2() && num_groups <= super::MAX_GROUPS_IN_REGISTER {
-        // SAFETY: AVX2 availability checked by has_avx2().
-        unsafe { avx2::dispatch_min_max_u8(gids, values, num_groups, mins, maxs) };
-        return;
-    }
-    let _ = level;
-    min_max_scalar_u8(gids, values, mins, maxs);
+    let (mins, maxs) = (&mut mins[..num_groups], &mut maxs[..num_groups]);
+    MIN_MAX_U8.resolve(level, num_groups).run(gids, values, mins, maxs);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -67,7 +76,7 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// Horizontal min of 32 u8 lanes.
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -84,7 +93,7 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// Horizontal max of 32 u8 lanes.
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -112,25 +121,18 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dispatch_min_max_u8(
-        gids: &[u8],
-        values: &[u8],
-        n: usize,
-        mins: &mut [u8],
-        maxs: &mut [u8],
-    ) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+    pub(super) unsafe fn min_max_u8(gids: &[u8], values: &[u8], mins: &mut [u8], maxs: &mut [u8]) {
+        let n = mins.len();
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe { dispatch_n!(min_max_u8_n, n, (gids, values, n, mins, maxs)) }
     }
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// §5.3's virtual arrays with min/max folds: per group, compare to get
     /// the lane mask, blend the identity element into non-matching lanes,
     /// and fold with `pminub`/`pmaxub`. `N` is the register budget
@@ -143,10 +145,8 @@ mod avx2 {
         mins: &mut [u8],
         maxs: &mut [u8],
     ) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let min_identity = _mm256_set1_epi8(-1); // 0xFF = u8::MAX
             let max_identity = _mm256_setzero_si256();
@@ -178,35 +178,6 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn reference(gids: &[u8], values: &[u8], groups: usize) -> (Vec<u8>, Vec<u8>) {
-        let mut mins = vec![u8::MAX; groups];
-        let mut maxs = vec![u8::MIN; groups];
-        for (&g, &v) in gids.iter().zip(values) {
-            mins[g as usize] = mins[g as usize].min(v);
-            maxs[g as usize] = maxs[g as usize].max(v);
-        }
-        (mins, maxs)
-    }
-
-    #[test]
-    fn u8_matches_reference_all_levels() {
-        for level in SimdLevel::available() {
-            for groups in [1usize, 3, 4, 5, 8, 13, 16, 31, 32] {
-                for n in [0usize, 1, 31, 32, 33, 1000, 4096] {
-                    let gids: Vec<u8> = (0..n).map(|i| ((i * 7 + 3) % groups) as u8).collect();
-                    let values: Vec<u8> =
-                        (0..n).map(|i| (i.wrapping_mul(97) % 256) as u8).collect();
-                    let (emins, emaxs) = reference(&gids, &values, groups);
-                    let mut mins = vec![u8::MAX; groups];
-                    let mut maxs = vec![u8::MIN; groups];
-                    min_max_u8(&gids, &values, groups, &mut mins, &mut maxs, level);
-                    assert_eq!(mins, emins, "groups={groups} n={n} level={level}");
-                    assert_eq!(maxs, emaxs, "groups={groups} n={n} level={level}");
-                }
-            }
-        }
-    }
 
     #[test]
     fn empty_groups_keep_identities() {
@@ -248,5 +219,14 @@ mod tests {
         min_max_u8(&[0], &[90], 1, &mut mins, &mut maxs, SimdLevel::detect());
         assert_eq!(mins, vec![10]);
         assert_eq!(maxs, vec![90]);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn rejects_fewer_values_than_group_ids_at_every_tier() {
+        // The AVX2 kernel loads 32 values per 32 group ids: without the
+        // dispatcher's check it read past `values`.
+        let (mut mins, mut maxs) = (vec![u8::MAX; 2], vec![0u8; 2]);
+        min_max_u8(&[0; 64], &[1], 2, &mut mins, &mut maxs, SimdLevel::detect());
     }
 }

@@ -25,9 +25,29 @@
 //! transpose (the paper's "eight AVX2 instructions" transposition), and
 //! adds each row into its group's accumulator row.
 
-use super::lane::{self, LaneLeaf, LaneProgram, LaneScratch, CHUNK_ROWS};
-use super::ColRef;
-use crate::dispatch::SimdLevel;
+use super::lane::{self, LaneLeaf, LaneProgram, LaneScratch, BIN, CHUNK_ROWS};
+use super::{ColRef, MAX_GROUPS_U8};
+use crate::dispatch::SimdLevel::Avx2;
+use crate::dispatch::{cells, kernel_sig, Cell, Family, SimdLevel, ANY};
+
+kernel_sig! {
+    /// Write one column's chunk into its slot lane: a low or 8-byte slot
+    /// overwrites the lane, a high 4-byte slot (`hi`) ORs itself in above the
+    /// low one, which the layout always fills first.
+    pub(crate) type FillLaneK = fn(col: ColRef<'_>, hi: bool, dst: &mut [u64]);
+    /// Add every row of a slot-major chunk into its group's accumulator row.
+    pub(crate) type AccumulateK =
+        fn(gids: &[u8], slots: &[[u64; CHUNK_ROWS]; 4], acc: &mut [u64; 4 * MAX_GROUPS_U8]);
+}
+
+pub(crate) const FILL_LANE: Family<FillLaneK> = Family {
+    cells: cells![Cell { tier: Avx2, gate: ANY, kernel: avx2::fill_lane }],
+    oracle: fill_lane_scalar,
+};
+pub(crate) const ACCUMULATE: Family<AccumulateK> = Family {
+    cells: cells![Cell { tier: Avx2, gate: ANY, kernel: avx2::accumulate }],
+    oracle: |gids, slots, acc| accumulate_rows(gids, slots, acc, 0),
+};
 
 /// Rows per internal flush of the packed accumulators — the §5.4 bound that
 /// makes 64-bit additions safe over 4-byte slots.
@@ -166,7 +186,7 @@ pub fn sum_lanes<'a, 'l>(
 ) {
     let k = sources.len();
     assert_eq!(layout.num_cols(), k, "layout/column count mismatch");
-    assert!((1..=super::MAX_GROUPS_U8).contains(&num_groups), "bad group count");
+    assert!((1..=MAX_GROUPS_U8).contains(&num_groups), "bad group count");
     assert_eq!(sums.len(), k * num_groups, "accumulator size mismatch");
     let n = gids.len();
     for (c, source) in sources.iter().enumerate() {
@@ -181,11 +201,13 @@ pub fn sum_lanes<'a, 'l>(
 
     // Packed accumulators: one 32-byte row (four u64 slots) per group id a
     // `u8` can name, so no group id can index outside them.
-    let mut acc = [0u64; 4 * super::MAX_GROUPS_U8];
+    let mut acc = [0u64; 4 * MAX_GROUPS_U8];
     // Slot-major chunk: lane l of row r at `slots[l][r]`. Lanes no source
     // maps to stay zero.
     let mut slots = [[0u64; CHUNK_ROWS]; 4];
     let mut scratch = LaneScratch::default();
+    let (fill, add, bin) =
+        (FILL_LANE.resolve(level, 0), ACCUMULATE.resolve(level, 0), BIN.resolve(level, 0));
 
     let mut unflushed = 0usize;
     let mut off = 0usize;
@@ -199,7 +221,7 @@ pub fn sum_lanes<'a, 'l>(
             let (dst, above) = rest.split_first_mut().expect("lane within the row");
             let dst = &mut dst[..len];
             match source {
-                LaneSource::Col(col) => fill_lane(col.window(off, len), hi, dst, level),
+                LaneSource::Col(col) => fill.run(col.window(off, len), hi, dst),
                 LaneSource::Expr(prog) => {
                     let prev = |j: usize| {
                         assert!(j < c, "Prev({j}) must name an earlier source than {c}");
@@ -210,11 +232,11 @@ pub fn sum_lanes<'a, 'l>(
                         let src = if l < lane { &below[l] } else { &above[l - lane - 1] };
                         ColRef::U64(&src[..len])
                     };
-                    lane::eval_chunk(prog, leaf, &prev, off, dst, &mut scratch, level);
+                    lane::eval_chunk_with(prog, leaf, &prev, off, dst, &mut scratch, bin);
                 }
             }
         }
-        accumulate(&gids[off..off + len], &slots, &mut acc, level);
+        add.run(&gids[off..off + len], &slots, &mut acc);
         unflushed += len;
         off += len;
         if unflushed + CHUNK_ROWS > FLUSH_ROWS {
@@ -225,52 +247,20 @@ pub fn sum_lanes<'a, 'l>(
     flush(&mut acc, layout, num_groups, sums);
 }
 
-/// Write one column's chunk into its slot lane: a low or 8-byte slot
-/// overwrites the lane, a high 4-byte slot ORs itself in above the low one
-/// (which the layout always fills first).
-fn fill_lane(col: ColRef<'_>, hi: bool, dst: &mut [u64], level: SimdLevel) {
-    #[cfg(target_arch = "x86_64")]
-    if level.has_avx2() {
-        // SAFETY: AVX2 availability checked by has_avx2(); the caller
-        // windowed `col` to exactly dst.len() rows.
-        unsafe { avx2::fill_lane(col, hi, dst) };
-        return;
-    }
-    let _ = level;
-    fill_lane_scalar(col, hi, dst, 0);
-}
-
-/// Scalar oracle for [`fill_lane`], over rows `from..`.
-fn fill_lane_scalar(col: ColRef<'_>, hi: bool, dst: &mut [u64], from: usize) {
-    for i in from..dst.len() {
-        dst[i] = if hi { dst[i] | col.get(i) << 32 } else { col.get(i) };
+/// Scalar oracle of [`FILL_LANE`]; `col` holds exactly `dst.len()` rows.
+fn fill_lane_scalar(col: ColRef<'_>, hi: bool, dst: &mut [u64]) {
+    for (i, d) in dst.iter_mut().enumerate() {
+        *d = if hi { *d | col.get(i) << 32 } else { col.get(i) };
     }
 }
 
-/// Add every row of the slot-major chunk into its group's accumulator row.
-fn accumulate(
+/// Accumulation with identical packed-slot semantics to the SIMD path
+/// (wrapping 64-bit slot adds; the no-carry guarantee makes them exact),
+/// over rows `from..`: [`ACCUMULATE`]'s oracle from row 0.
+fn accumulate_rows(
     gids: &[u8],
     slots: &[[u64; CHUNK_ROWS]; 4],
-    acc: &mut [u64; 4 * super::MAX_GROUPS_U8],
-    level: SimdLevel,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if level.has_avx2() {
-        // SAFETY: AVX2 availability checked by has_avx2().
-        unsafe { avx2::accumulate(gids, slots, acc) };
-        return;
-    }
-    let _ = level;
-    accumulate_scalar(gids, slots, acc, 0);
-}
-
-/// Scalar accumulation with identical packed-slot semantics to the SIMD
-/// path (wrapping 64-bit slot adds; the no-carry guarantee makes them
-/// exact), over rows `from..`.
-fn accumulate_scalar(
-    gids: &[u8],
-    slots: &[[u64; CHUNK_ROWS]; 4],
-    acc: &mut [u64; 4 * super::MAX_GROUPS_U8],
+    acc: &mut [u64; 4 * MAX_GROUPS_U8],
     from: usize,
 ) {
     for i in from..gids.len() {
@@ -284,7 +274,7 @@ fn accumulate_scalar(
 /// Unpack the 32-byte accumulator rows into per-column per-group totals and
 /// clear them.
 fn flush(
-    acc: &mut [u64; 4 * super::MAX_GROUPS_U8],
+    acc: &mut [u64; 4 * MAX_GROUPS_U8],
     layout: &RowLayout,
     num_groups: usize,
     sums: &mut [i64],
@@ -316,7 +306,7 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call. `col` must hold
+    /// resolver's tier check before any call. `col` must hold
     /// exactly `dst.len()` values.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn fill_lane(col: ColRef<'_>, hi: bool, dst: &mut [u64]) {
@@ -332,7 +322,7 @@ mod avx2 {
                 ColRef::U64(s) => fill(Ptr(s.as_ptr()), hi, p, n4),
             }
         }
-        super::fill_lane_scalar(col, hi, dst, n4);
+        super::fill_lane_scalar(col.window(n4, dst.len() - n4), hi, &mut dst[n4..]);
     }
 
     /// # Safety
@@ -376,7 +366,7 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn accumulate(
         gids: &[u8],
@@ -404,7 +394,7 @@ mod avx2 {
             }
             i += 4;
         }
-        super::accumulate_scalar(&gids[..n], slots, acc, i);
+        super::accumulate_rows(&gids[..n], slots, acc, i);
     }
 }
 

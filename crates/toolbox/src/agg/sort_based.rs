@@ -19,7 +19,25 @@
 //! with low selectivity and many aggregates.
 
 use crate::bitpack::PackedVec;
-use crate::dispatch::SimdLevel;
+use crate::dispatch::SimdLevel::Avx2;
+use crate::dispatch::{cells, kernel_sig, Cell, Family, SimdLevel, ANY};
+
+kernel_sig! {
+    /// One bucket's sum of packed values: `Σ pv[row_base + r]` over `rows`.
+    pub(crate) type SumPackedK = fn(pv: &PackedVec, row_base: u32, rows: &[u32]) -> i64;
+    /// One bucket's sum of decoded values: `Σ values[r]` over `rows`.
+    pub(crate) type SumGatherK = fn(values: &[u32], rows: &[u32]) -> i64;
+}
+
+/// The gate is the 32-bit gather's 25 bits.
+pub(crate) const SUM_SORTED_PACKED: Family<SumPackedK> = Family {
+    cells: cells![Cell { tier: Avx2, gate: 25, kernel: avx2::sum_gather_packed }],
+    oracle: sum_gather_packed_scalar,
+};
+pub(crate) const SUM_SORTED_U32: Family<SumGatherK> = Family {
+    cells: cells![Cell { tier: Avx2, gate: ANY, kernel: avx2::sum_gather_u32 }],
+    oracle: sum_gather_u32_scalar,
+};
 
 /// Row indices bucket-sorted by group id.
 #[derive(Debug, Clone, Default)]
@@ -163,17 +181,9 @@ pub fn sum_sorted_packed(
     level: SimdLevel,
 ) {
     let buckets = sorted.num_buckets().min(sums.len());
-    #[cfg(target_arch = "x86_64")]
-    if level.has_avx2() && pv.bits() <= 25 {
-        for g in 0..buckets {
-            // SAFETY: AVX2 availability checked by has_avx2().
-            sums[g] += unsafe { avx2::sum_gather_packed(pv, base, sorted.bucket(g)) };
-        }
-        return;
-    }
-    let _ = level;
+    let sum = SUM_SORTED_PACKED.resolve(level, pv.bits() as usize);
     for g in 0..buckets {
-        sums[g] += sum_gather_packed_scalar(pv, base, sorted.bucket(g));
+        sums[g] += sum.run(pv, base, sorted.bucket(g));
     }
 }
 
@@ -193,32 +203,21 @@ pub fn sum_gather_u32_scalar(values: &[u32], rows: &[u32]) -> i64 {
 /// stored column).
 pub fn sum_sorted_u32(values: &[u32], sorted: &SortedBatch, sums: &mut [i64], level: SimdLevel) {
     let buckets = sorted.num_buckets().min(sums.len());
-    #[cfg(target_arch = "x86_64")]
-    if level.has_avx2() {
-        for g in 0..buckets {
-            // SAFETY: AVX2 availability checked by has_avx2(); indices are
-            // in-bounds by bucket_sort's construction.
-            sums[g] += unsafe { avx2::sum_gather_u32(values, sorted.bucket(g)) };
-        }
-        return;
-    }
-    let _ = level;
+    let sum = SUM_SORTED_U32.resolve(level, 0);
     for g in 0..buckets {
-        sums[g] += sum_gather_u32_scalar(values, sorted.bucket(g));
+        sums[g] += sum.run(values, sorted.bucket(g));
     }
 }
 
 /// Sum an already-decoded non-negative `u64` column per group over sorted
 /// row indices (a computed input whose proven range needs more than 32
 /// bits).
-pub fn sum_sorted_u64(values: &[u64], sorted: &SortedBatch, sums: &mut [i64], level: SimdLevel) {
-    let _ = level;
+pub fn sum_sorted_u64(values: &[u64], sorted: &SortedBatch, sums: &mut [i64], _level: SimdLevel) {
     sum_sorted_wide(values, sorted, sums, |v| v as i64);
 }
 
 /// Sum an already-decoded `i64` column per group over sorted row indices.
-pub fn sum_sorted_i64(values: &[i64], sorted: &SortedBatch, sums: &mut [i64], level: SimdLevel) {
-    let _ = level;
+pub fn sum_sorted_i64(values: &[i64], sorted: &SortedBatch, sums: &mut [i64], _level: SimdLevel) {
     sum_sorted_wide(values, sorted, sums, |v| v);
 }
 
@@ -242,7 +241,7 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// Horizontal sum of four i64 lanes.
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -255,7 +254,7 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// Widen 8 u32 lanes to 2x4 u64 lanes and add into the accumulator.
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -268,13 +267,11 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn sum_gather_packed(pv: &PackedVec, row_base: u32, rows: &[u32]) -> i64 {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let base = pv.bytes_padded().as_ptr();
             let bits = _mm256_set1_epi32(pv.bits() as i32);
@@ -305,13 +302,11 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn sum_gather_u32(values: &[u32], rows: &[u32]) -> i64 {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let base = values.as_ptr();
             let mut acc = _mm256_setzero_si256();
@@ -336,7 +331,6 @@ mod avx2 {
 mod tests {
     use super::*;
     use crate::agg::{reference_group_sums, ColRef};
-    use crate::bitpack::mask_for;
 
     fn gids(n: usize, groups: u8) -> Vec<u8> {
         (0..n).map(|i| ((i * 11 + i / 5) % groups as usize) as u8).collect()
@@ -401,27 +395,6 @@ mod tests {
         assert_eq!(sorted.bucket(0), &[20]);
         assert_eq!(sorted.bucket(1), &[30]);
         assert_eq!(sorted.bucket(2), &[10, 40]);
-    }
-
-    #[test]
-    fn sum_sorted_packed_matches_reference() {
-        for level in SimdLevel::available() {
-            for bits in [5u8, 14, 23, 25, 28] {
-                let n = 4096;
-                let g = gids(n, 8);
-                let mask = mask_for(bits);
-                let values: Vec<u64> =
-                    (0..n as u64).map(|i| i.wrapping_mul(0x9E3779B9) & mask).collect();
-                let pv = PackedVec::pack(&values, bits);
-                let v32: Vec<u32> = values.iter().map(|&v| v as u32).collect();
-                let (_, expected) = reference_group_sums(&g, &[ColRef::U32(&v32)], 8);
-                let mut sorted = SortedBatch::default();
-                bucket_sort(&g, None, 8, &mut sorted);
-                let mut sums = vec![0i64; 8];
-                sum_sorted_packed(&pv, &sorted, 0, &mut sums, level);
-                assert_eq!(sums, expected[0], "bits={bits} level={level}");
-            }
-        }
     }
 
     #[test]

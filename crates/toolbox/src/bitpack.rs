@@ -14,9 +14,46 @@
 //! inside the allocation. The AVX-512 kernel reads 64 bytes at a time and
 //! the padding does not cover that: its loop runs only while
 //! `byte_base + 64 <= bytes_padded().len()` and leaves the values behind
-//! that point to the word-at-a-time kernels.
+//! that point to the next cell of the unpack table.
 
-use crate::dispatch::SimdLevel;
+use crate::dispatch::SimdLevel::{Avx2, Avx512};
+use crate::dispatch::{cells, kernel_sig, Cell, Family, SimdLevel};
+
+kernel_sig! {
+    /// Unpack values `start..` of a vector into the front of `out`; returns
+    /// how many it wrote. An unpack runs down its family's chain (DESIGN.md
+    /// §21): each admitted cell writes what it can, the oracle the rest.
+    pub(crate) type UnpackK<T> = fn(pv: &PackedVec, start: usize, out: &mut [T]) -> usize;
+}
+
+/// AVX-512 gates: `(8 / W) * bits + 7 <= 64` (the `avx512` module docs);
+/// AVX2: the 32-bit gather reaches 25 bits, the 64-bit window 57.
+pub(crate) const UNPACK_U8: Family<UnpackK<u8>> = Family {
+    cells: cells![
+        Cell { tier: Avx512, gate: 7, kernel: avx512::unpack },
+        Cell { tier: Avx2, gate: 25, kernel: avx2::unpack_u8 },
+    ],
+    oracle: unpack_scalar,
+};
+pub(crate) const UNPACK_U16: Family<UnpackK<u16>> = Family {
+    cells: cells![
+        Cell { tier: Avx512, gate: 14, kernel: avx512::unpack },
+        Cell { tier: Avx2, gate: 25, kernel: avx2::unpack_u16 },
+    ],
+    oracle: unpack_scalar,
+};
+pub(crate) const UNPACK_U32: Family<UnpackK<u32>> = Family {
+    cells: cells![
+        Cell { tier: Avx512, gate: 28, kernel: avx512::unpack },
+        Cell { tier: Avx2, gate: 25, kernel: avx2::unpack_u32 },
+        Cell { tier: Avx2, gate: 57, kernel: avx2::unpack_u32_wide },
+    ],
+    oracle: unpack_scalar,
+};
+pub(crate) const UNPACK_U64: Family<UnpackK<u64>> = Family {
+    cells: cells![Cell { tier: Avx2, gate: 57, kernel: avx2::unpack_u64 }],
+    oracle: unpack_scalar,
+};
 
 /// Maximum supported bit width.
 pub const MAX_BITS: u8 = 64;
@@ -196,24 +233,7 @@ impl PackedVec {
     /// Panics if the bit width exceeds 8 or the range is out of bounds.
     pub fn unpack_into_u8(&self, start: usize, out: &mut [u8], level: SimdLevel) {
         assert!(self.bits <= 8, "bit width {} does not fit u8 words", self.bits);
-        self.check_range(start, out.len());
-        #[cfg(target_arch = "x86_64")]
-        let (start, out) = if level.has_avx512() && self.bits <= 7 {
-            // SAFETY: AVX-512 availability checked by has_avx512(); the
-            // gate is the kernel's `(8 / W) * bits + 7 <= 64`.
-            let done = unsafe { avx512::unpack(self, start, out) };
-            (start + done, &mut out[done..])
-        } else {
-            (start, out)
-        };
-        #[cfg(target_arch = "x86_64")]
-        if level.has_avx2() && self.bits <= 25 {
-            // SAFETY: AVX2 availability checked by has_avx2().
-            unsafe { avx2::unpack_u8(self, start, out) };
-            return;
-        }
-        let _ = level;
-        self.unpack_scalar(start, out, |v| v as u8);
+        self.unpack(&UNPACK_U8, start, out, level);
     }
 
     /// Values `[start, start+len)` as bytes, for a kernel that only reads
@@ -241,66 +261,35 @@ impl PackedVec {
     /// Unpack values `[start, start+out.len())` into `u16` words.
     pub fn unpack_into_u16(&self, start: usize, out: &mut [u16], level: SimdLevel) {
         assert!(self.bits <= 16, "bit width {} does not fit u16 words", self.bits);
-        self.check_range(start, out.len());
-        #[cfg(target_arch = "x86_64")]
-        let (start, out) = if level.has_avx512() && self.bits <= 14 {
-            // SAFETY: AVX-512 availability checked by has_avx512(); the
-            // gate is the kernel's `(8 / W) * bits + 7 <= 64`.
-            let done = unsafe { avx512::unpack(self, start, out) };
-            (start + done, &mut out[done..])
-        } else {
-            (start, out)
-        };
-        #[cfg(target_arch = "x86_64")]
-        if level.has_avx2() && self.bits <= 25 {
-            // SAFETY: AVX2 availability checked by has_avx2().
-            unsafe { avx2::unpack_u16(self, start, out) };
-            return;
-        }
-        let _ = level;
-        self.unpack_scalar(start, out, |v| v as u16);
+        self.unpack(&UNPACK_U16, start, out, level);
     }
 
     /// Unpack values `[start, start+out.len())` into `u32` words.
     pub fn unpack_into_u32(&self, start: usize, out: &mut [u32], level: SimdLevel) {
         assert!(self.bits <= 32, "bit width {} does not fit u32 words", self.bits);
-        self.check_range(start, out.len());
-        #[cfg(target_arch = "x86_64")]
-        let (start, out) = if level.has_avx512() && self.bits <= 28 {
-            // SAFETY: AVX-512 availability checked by has_avx512(); the
-            // gate is the kernel's `(8 / W) * bits + 7 <= 64`.
-            let done = unsafe { avx512::unpack(self, start, out) };
-            (start + done, &mut out[done..])
-        } else {
-            (start, out)
-        };
-        #[cfg(target_arch = "x86_64")]
-        if level.has_avx2() {
-            // SAFETY: AVX2 availability checked by has_avx2().
-            unsafe {
-                if self.bits <= 25 {
-                    avx2::unpack_u32(self, start, out)
-                } else {
-                    avx2::unpack_u32_wide(self, start, out)
-                }
-            };
-            return;
-        }
-        let _ = level;
-        self.unpack_scalar(start, out, |v| v as u32);
+        self.unpack(&UNPACK_U32, start, out, level);
     }
 
     /// Unpack values `[start, start+out.len())` into `u64` words.
     pub fn unpack_into_u64(&self, start: usize, out: &mut [u64], level: SimdLevel) {
+        self.unpack(&UNPACK_U64, start, out, level);
+    }
+
+    /// Run down `family`'s chain until `out` is full.
+    fn unpack<T>(
+        &self,
+        family: &Family<UnpackK<T>>,
+        start: usize,
+        out: &mut [T],
+        level: SimdLevel,
+    ) {
         self.check_range(start, out.len());
-        #[cfg(target_arch = "x86_64")]
-        if level.has_avx2() && self.bits <= 57 {
-            // SAFETY: AVX2 availability checked by has_avx2().
-            unsafe { avx2::unpack_u64(self, start, out) };
-            return;
+        let mut done = 0;
+        for kernel in family.chain(level, self.bits as usize) {
+            if done < out.len() {
+                done += kernel.run(self, start + done, &mut out[done..]);
+            }
         }
-        let _ = level;
-        self.unpack_scalar(start, out, |v| v);
     }
 
     /// Unpack the whole vector to `u64` (convenience for tests and encoding
@@ -312,32 +301,61 @@ impl PackedVec {
     }
 
     fn check_range(&self, start: usize, n: usize) {
+        // The message names the range without adding: `start + n` is what
+        // may have overflowed.
         assert!(
             start.checked_add(n).is_some_and(|end| end <= self.len),
-            "range {start}..{} out of bounds (len {})",
-            start + n,
+            "range of {n} values from {start} out of bounds (len {})",
             self.len
         );
     }
+}
 
-    fn unpack_scalar<T: Copy>(&self, start: usize, out: &mut [T], convert: impl Fn(u64) -> T) {
-        let bits = self.bits as usize;
-        let mask = self.value_mask();
-        let mut bit = start * bits;
+/// An unpack word: `u8`, `u16`, `u32` or `u64`.
+pub(crate) trait Word: Copy {
+    /// Narrow a value that fits the word.
+    fn narrow(v: u64) -> Self;
+}
+
+macro_rules! word {
+    ($($t:ty),*) => {$(
+        impl Word for $t {
+            #[inline(always)]
+            fn narrow(v: u64) -> $t {
+                v as $t
+            }
+        }
+    )*};
+}
+word!(u8, u16, u32, u64);
+
+/// Scalar oracle of the unpack families: values `start..` into all of `out`.
+pub(crate) fn unpack_scalar<T: Word>(pv: &PackedVec, start: usize, out: &mut [T]) -> usize {
+    pv.values_into(start.., out)
+}
+
+impl PackedVec {
+    /// Value `i` of each index into its slot of `out` — the loop of the
+    /// unpack and gather oracles, with the width test outside it.
+    pub(crate) fn values_into<T: Word>(
+        &self,
+        index: impl Iterator<Item = usize>,
+        out: &mut [T],
+    ) -> usize {
+        let (bits, mask) = (self.bits as usize, self.value_mask());
         if self.bits <= 57 {
             // A byte-aligned 64-bit load always covers the value: shift is
             // 0..=7 and shift + bits <= 64.
-            for slot in out.iter_mut() {
-                let word = read_u64_le(&self.bytes, bit >> 3);
-                *slot = convert((word >> (bit & 7)) & mask);
-                bit += bits;
+            for (slot, i) in out.iter_mut().zip(index) {
+                let bit = i * bits;
+                *slot = T::narrow((read_u64_le(&self.bytes, bit >> 3) >> (bit & 7)) & mask);
             }
         } else {
-            for (k, slot) in out.iter_mut().enumerate() {
-                *slot = convert(self.get(start + k));
-                let _ = bit;
+            for (slot, i) in out.iter_mut().zip(index) {
+                *slot = T::narrow(self.get(i));
             }
         }
+        out.len()
     }
 }
 
@@ -384,7 +402,7 @@ mod avx512 {
     //!
     //! The values of one output qword must lie within eight source bytes
     //! whatever the phase: `(8 / W) * bits + 7 <= 64` — at most 7 bits into
-    //! `u8`, 14 into `u16`, 28 into `u32`. The dispatcher gates on exactly
+    //! `u8`, 14 into `u16`, 28 into `u32`. The cells' gates are exactly
     //! that; other widths keep the AVX2 gathers.
 
     use super::PackedVec;
@@ -409,8 +427,8 @@ mod avx512 {
     /// `j / w`, i.e. the 8 bits at `o_q + (j/w)*bits + 8*(j%w)`.
     ///
     /// # Safety
-    /// The CPU must support avx512f — guaranteed by the dispatcher's
-    /// `SimdLevel` check before any call.
+    /// The CPU must support avx512f — guaranteed by the resolver's tier
+    /// check before any call.
     #[inline]
     #[target_feature(enable = "avx512f")]
     unsafe fn ctrl(bits: usize, w: usize, phase: usize) -> Ctrl {
@@ -445,12 +463,12 @@ mod avx512 {
     /// Unpack values `start..` of `pv` into the front of `out`, whole
     /// iterations of `64 / size_of::<T>()` values only, and return how many
     /// were written. It stops before the output is full and before a 64-byte
-    /// load would leave the packed buffer; the caller unpacks the rest with a
-    /// word-at-a-time kernel.
+    /// load would leave the packed buffer; the next cell of the chain unpacks
+    /// the rest.
     ///
     /// # Safety
     /// The CPU must support avx512f + avx512bw + avx512vbmi — guaranteed by
-    /// the dispatcher's `SimdLevel` check before any call. `T` must be `u8`,
+    /// the resolver's tier check before any call. `T` must be `u8`,
     /// `u16` or `u32` with `(8 / size_of::<T>()) * pv.bits() + 7 <= 64`, and
     /// `start + out.len() <= pv.len()`.
     #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vbmi")]
@@ -497,7 +515,9 @@ mod avx2 {
     //! (advancing by exactly `bits` bytes), so the control vectors are
     //! loop-invariant. Widths 26..=57 use the analogous 4-lane 64-bit
     //! gather (two per eight values); for `u32` outputs (26..=32 bits) the
-    //! two 4 x u64 results are narrowed back into one 8 x u32 store.
+    //! two 4 x u64 results are narrowed back into one 8 x u32 store. Each
+    //! kernel writes whole groups and returns how many values that was; the
+    //! next cell of its chain, at last the oracle, writes the rest.
 
     use super::PackedVec;
     use std::arch::x86_64::*;
@@ -511,14 +531,12 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn ctrl8(bits: usize, start_bit: usize) -> Ctrl8 {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let mut offs = [0i32; 8];
             let mut shifts = [0i32; 8];
@@ -537,15 +555,13 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// Gather-unpack 8 values starting at the iteration's byte base.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn gather8(base: *const u8, ctrl: &Ctrl8) -> __m256i {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let words = _mm256_i32gather_epi32::<1>(base as *const i32, ctrl.offsets);
             let shifted = _mm256_srlv_epi32(words, ctrl.shifts);
@@ -555,13 +571,11 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn unpack_u32(pv: &PackedVec, start: usize, out: &mut [u32]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+    pub(super) unsafe fn unpack_u32(pv: &PackedVec, start: usize, out: &mut [u32]) -> usize {
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let bits = pv.bits() as usize;
             let bytes = pv.bytes_padded();
@@ -577,21 +591,17 @@ mod avx2 {
                 byte_base += bits; // 8 values = 8*bits bits = bits bytes
                 i += 8;
             }
-            for k in i..n {
-                out[k] = pv.get(start + k) as u32;
-            }
+            i
         }
     }
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn unpack_u16(pv: &PackedVec, start: usize, out: &mut [u16]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+    pub(super) unsafe fn unpack_u16(pv: &PackedVec, start: usize, out: &mut [u16]) -> usize {
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let bits = pv.bits() as usize;
             let bytes = pv.bytes_padded();
@@ -610,21 +620,17 @@ mod avx2 {
                 byte_base += 2 * bits;
                 i += 16;
             }
-            for k in i..n {
-                out[k] = pv.get(start + k) as u16;
-            }
+            i
         }
     }
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn unpack_u8(pv: &PackedVec, start: usize, out: &mut [u8]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+    pub(super) unsafe fn unpack_u8(pv: &PackedVec, start: usize, out: &mut [u8]) -> usize {
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let bits = pv.bits() as usize;
             let bytes = pv.bytes_padded();
@@ -648,9 +654,7 @@ mod avx2 {
                 byte_base += 4 * bits;
                 i += 32;
             }
-            for k in i..n {
-                out[k] = pv.get(start + k) as u8;
-            }
+            i
         }
     }
 
@@ -666,7 +670,7 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn ctrl64(bits: usize, phase: usize) -> Ctrl64 {
@@ -716,15 +720,13 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// Widths 26..=32: the 64-bit-window gathers of [`unpack_u64`], narrowed
     /// to eight `u32`s per store.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn unpack_u32_wide(pv: &PackedVec, start: usize, out: &mut [u32]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+    pub(super) unsafe fn unpack_u32_wide(pv: &PackedVec, start: usize, out: &mut [u32]) -> usize {
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let bits = pv.bits() as usize;
             let bytes = pv.bytes_padded();
@@ -746,21 +748,17 @@ mod avx2 {
                 byte_base += bits; // 8 values = 8*bits bits = bits bytes
                 i += 8;
             }
-            for k in i..n {
-                out[k] = pv.get(start + k) as u32;
-            }
+            i
         }
     }
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn unpack_u64(pv: &PackedVec, start: usize, out: &mut [u64]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+    pub(super) unsafe fn unpack_u64(pv: &PackedVec, start: usize, out: &mut [u64]) -> usize {
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let bits = pv.bits() as usize;
             let bytes = pv.bytes_padded();
@@ -776,9 +774,7 @@ mod avx2 {
                 byte_base += bits; // 8 values = 8*bits bits = bits bytes
                 i += 8;
             }
-            for k in i..n {
-                out[k] = pv.get(start + k);
-            }
+            i
         }
     }
 }
@@ -841,36 +837,6 @@ mod tests {
                 let values = sample_values(133, bits);
                 let pv = PackedVec::pack(&values, bits);
                 assert_eq!(pv.unpack_all(level), values, "bits={bits} level={level}");
-            }
-        }
-    }
-
-    #[test]
-    fn unpack_narrow_words_match() {
-        for level in SimdLevel::available() {
-            for bits in 1..=8u8 {
-                let values = sample_values(97, bits);
-                let pv = PackedVec::pack(&values, bits);
-                let mut out = vec![0u8; values.len()];
-                pv.unpack_into_u8(0, &mut out, level);
-                let expected: Vec<u8> = values.iter().map(|&v| v as u8).collect();
-                assert_eq!(out, expected, "bits={bits} level={level}");
-            }
-            for bits in 1..=16u8 {
-                let values = sample_values(97, bits);
-                let pv = PackedVec::pack(&values, bits);
-                let mut out = vec![0u16; values.len()];
-                pv.unpack_into_u16(0, &mut out, level);
-                let expected: Vec<u16> = values.iter().map(|&v| v as u16).collect();
-                assert_eq!(out, expected, "bits={bits} level={level}");
-            }
-            for bits in 1..=32u8 {
-                let values = sample_values(97, bits);
-                let pv = PackedVec::pack(&values, bits);
-                let mut out = vec![0u32; values.len()];
-                pv.unpack_into_u32(0, &mut out, level);
-                let expected: Vec<u32> = values.iter().map(|&v| v as u32).collect();
-                assert_eq!(out, expected, "bits={bits} level={level}");
             }
         }
     }
@@ -952,6 +918,13 @@ mod tests {
         let pv = PackedVec::pack(&[1, 2, 3], 4);
         let mut out = vec![0u64; 4];
         pv.unpack_into_u64(0, &mut out, SimdLevel::Scalar);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn unpack_rejects_a_range_whose_end_overflows() {
+        let pv = PackedVec::pack(&[1, 2, 3], 4);
+        pv.unpack_into_u8(usize::MAX, &mut [0; 1], SimdLevel::detect());
     }
 
     #[test]

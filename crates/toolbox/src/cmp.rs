@@ -11,7 +11,8 @@
 //! signed compares, so the kernels flip the sign bit of both operands
 //! (a standard order-preserving bijection from unsigned to signed space).
 
-use crate::dispatch::SimdLevel;
+use crate::dispatch::SimdLevel::{Avx2, Avx512};
+use crate::dispatch::{cells, kernel_sig, Cell, Family, SimdLevel, ANY};
 
 /// A comparison operator against a constant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,60 +73,80 @@ scalar_cmp!(cmp_scalar_u32, between_scalar_u32, u32);
 scalar_cmp!(cmp_scalar_u64, between_scalar_u64, u64);
 scalar_cmp!(cmp_scalar_i64, between_scalar_i64, i64);
 
+kernel_sig! {
+    /// Compare `data` against a constant into a byte mask.
+    pub(crate) type CmpK<T> = fn(data: &[T], op: CmpOp, c: T, out: &mut [u8]);
+    /// Inclusive range test into a byte mask.
+    pub(crate) type BetweenK = fn(data: &[u32], lo: u32, hi: u32, out: &mut [u8]);
+    /// Byte-code set membership into a byte mask.
+    pub(crate) type MembershipK = fn(codes: &[u8], table: &[u8; 32], out: &mut [u8]);
+}
+
+pub(crate) const CMP_U8: Family<CmpK<u8>> = Family {
+    cells: cells![
+        Cell { tier: Avx512, gate: ANY, kernel: avx512::cmp_u8 },
+        Cell { tier: Avx2, gate: ANY, kernel: avx2::cmp_u8 },
+    ],
+    oracle: cmp_scalar_u8,
+};
+pub(crate) const CMP_U16: Family<CmpK<u16>> = Family {
+    cells: cells![
+        Cell { tier: Avx512, gate: ANY, kernel: avx512::cmp_u16 },
+        Cell { tier: Avx2, gate: ANY, kernel: avx2::cmp_u16 },
+    ],
+    oracle: cmp_scalar_u16,
+};
+pub(crate) const CMP_U32: Family<CmpK<u32>> = Family {
+    cells: cells![
+        Cell { tier: Avx512, gate: ANY, kernel: avx512::cmp_u32 },
+        Cell { tier: Avx2, gate: ANY, kernel: avx2::cmp_u32 },
+    ],
+    oracle: cmp_scalar_u32,
+};
+/// `i64` has no 512-bit kernel and runs its AVX2 one on that tier.
+pub(crate) const CMP_I64: Family<CmpK<i64>> = Family {
+    cells: cells![Cell { tier: Avx2, gate: ANY, kernel: avx2::cmp_i64 }],
+    oracle: cmp_scalar_i64,
+};
+pub(crate) const BETWEEN_U32: Family<BetweenK> = Family {
+    cells: cells![Cell { tier: Avx2, gate: ANY, kernel: avx2::between_u32 }],
+    oracle: between_scalar_u32,
+};
+pub(crate) const MEMBERSHIP_U8: Family<MembershipK> = Family {
+    cells: cells![Cell { tier: Avx2, gate: ANY, kernel: avx2::membership_u8 }],
+    oracle: membership_scalar_u8,
+};
+
 macro_rules! dispatch_cmp {
-    ($name:ident, $scalar:ident, $kernel:ident, $ty:ty $(, $wide:ident)?) => {
+    ($name:ident, $family:ident, $ty:ty) => {
         /// Compare each element of `data` against `c` with `op`, writing the
         /// canonical `0x00`/`0xFF` byte mask into `out`.
         pub fn $name(data: &[$ty], op: CmpOp, c: $ty, out: &mut [u8], level: SimdLevel) {
             assert_eq!(data.len(), out.len(), "output length mismatch");
-            #[cfg(target_arch = "x86_64")]
-            {
-                $(if level.has_avx512() {
-                    // SAFETY: AVX-512 availability checked by has_avx512().
-                    unsafe { avx512::$wide(data, op, c, out) };
-                    return;
-                })?
-                if level.has_avx2() {
-                    // SAFETY: AVX2 availability checked by has_avx2().
-                    unsafe { avx2::$kernel(data, op, c, out) };
-                    return;
-                }
-            }
-            let _ = level;
-            $scalar(data, op, c, out);
+            $family.resolve(level, 0).run(data, op, c, out);
         }
     };
 }
 
-// The last name is the AVX-512 kernel; `i64` has none and stays on AVX2.
-dispatch_cmp!(cmp_u8, cmp_scalar_u8, cmp_u8, u8, cmp_u8);
-dispatch_cmp!(cmp_u16, cmp_scalar_u16, cmp_u16, u16, cmp_u16);
-dispatch_cmp!(cmp_u32, cmp_scalar_u32, cmp_u32, u32, cmp_u32);
-dispatch_cmp!(cmp_i64, cmp_scalar_i64, cmp_i64, i64);
+dispatch_cmp!(cmp_u8, CMP_U8, u8);
+dispatch_cmp!(cmp_u16, CMP_U16, u16);
+dispatch_cmp!(cmp_u32, CMP_U32, u32);
+dispatch_cmp!(cmp_i64, CMP_I64, i64);
 
 /// Compare `u64` elements (scalar only: 64-bit unsigned compares gain little
 /// from AVX2's 4-lane width once the mask pack-down is paid).
-pub fn cmp_u64(data: &[u64], op: CmpOp, c: u64, out: &mut [u8], level: SimdLevel) {
-    let _ = level;
+pub fn cmp_u64(data: &[u64], op: CmpOp, c: u64, out: &mut [u8], _level: SimdLevel) {
     cmp_scalar_u64(data, op, c, out);
 }
 
 /// Inclusive range filter `lo <= x <= hi` over `u32` elements.
 pub fn between_u32(data: &[u32], lo: u32, hi: u32, out: &mut [u8], level: SimdLevel) {
     assert_eq!(data.len(), out.len(), "output length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if level.has_avx2() {
-        // SAFETY: AVX2 availability checked by has_avx2().
-        unsafe { avx2::between_u32(data, lo, hi, out) };
-        return;
-    }
-    let _ = level;
-    between_scalar_u32(data, lo, hi, out);
+    BETWEEN_U32.resolve(level, 0).run(data, lo, hi, out);
 }
 
 /// Inclusive range filter `lo <= x <= hi` over `i64` elements.
-pub fn between_i64(data: &[i64], lo: i64, hi: i64, out: &mut [u8], level: SimdLevel) {
-    let _ = level;
+pub fn between_i64(data: &[i64], lo: i64, hi: i64, out: &mut [u8], _level: SimdLevel) {
     between_scalar_i64(data, lo, hi, out);
 }
 
@@ -135,14 +156,7 @@ pub fn between_i64(data: &[i64], lo: i64, hi: i64, out: &mut [u8], level: SimdLe
 /// becomes one such table, built once per segment; this is the per-row pass.
 pub fn membership_u8(codes: &[u8], table: &[u8; 32], out: &mut [u8], level: SimdLevel) {
     assert_eq!(codes.len(), out.len(), "output length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if level.has_avx2() {
-        // SAFETY: AVX2 availability checked by has_avx2().
-        unsafe { avx2::membership_u8(codes, table, out) };
-        return;
-    }
-    let _ = level;
-    membership_scalar_u8(codes, table, out);
+    MEMBERSHIP_U8.resolve(level, 0).run(codes, table, out);
 }
 
 /// Scalar oracle for [`membership_u8`].
@@ -161,20 +175,18 @@ mod avx512 {
     //! registers directly (no sign-bit flipping), and `vpmovm2b` expands a
     //! mask into the canonical byte vector. `u8`, `u16` and `u32` — the
     //! words a packed column of up to 32 bits is compared at — have 512-bit
-    //! versions; `i64` has none and its dispatcher goes to the AVX2 tier.
+    //! versions; `i64` has none and its family's AVX2 cell serves that tier.
 
     use super::CmpOp;
     use std::arch::x86_64::*;
 
     /// # Safety
     /// The CPU must support avx512f + avx512bw — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx512f", enable = "avx512bw")]
     pub(super) unsafe fn cmp_u8(data: &[u8], op: CmpOp, c: u8, out: &mut [u8]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let cv = _mm512_set1_epi8(c as i8);
             let n = data.len();
@@ -198,13 +210,11 @@ mod avx512 {
 
     /// # Safety
     /// The CPU must support avx512f + avx512bw + avx512vl — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vl")]
     pub(super) unsafe fn cmp_u16(data: &[u16], op: CmpOp, c: u16, out: &mut [u8]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let cv = _mm512_set1_epi16(c as i16);
             let n = data.len();
@@ -228,13 +238,11 @@ mod avx512 {
 
     /// # Safety
     /// The CPU must support avx512f + avx512bw + avx512vl — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vl")]
     pub(super) unsafe fn cmp_u32(data: &[u32], op: CmpOp, c: u32, out: &mut [u8]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let cv = _mm512_set1_epi32(c as i32);
             let n = data.len();
@@ -264,7 +272,7 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// Apply `op` given the three primitive signed-compare results.
     ///
     /// AVX2 provides only EQ and GT; the other four operators are derived:
@@ -285,13 +293,11 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn cmp_u8(data: &[u8], op: CmpOp, c: u8, out: &mut [u8]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             // Flip sign bits to do unsigned comparison with signed instructions.
             let flip = _mm256_set1_epi8(i8::MIN);
@@ -313,7 +319,7 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// Pack two 16-lane word masks into one 32-lane byte mask, preserving
     /// element order (packs operates within 128-bit halves, so a cross-lane
     /// permute restores order).
@@ -326,13 +332,11 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn cmp_u16(data: &[u16], op: CmpOp, c: u16, out: &mut [u8]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let flip = _mm256_set1_epi16(i16::MIN);
             let cv = _mm256_xor_si256(_mm256_set1_epi16(c as i16), flip);
@@ -357,7 +361,7 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// Pack two 8-lane dword masks into one order-preserving 16-lane word
     /// mask.
     #[inline]
@@ -369,13 +373,11 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn cmp_u32(data: &[u32], op: CmpOp, c: u32, out: &mut [u8]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let flip = _mm256_set1_epi32(i32::MIN);
             let cv = _mm256_xor_si256(_mm256_set1_epi32(c as i32), flip);
@@ -403,13 +405,11 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn between_u32(data: &[u32], lo: u32, hi: u32, out: &mut [u8]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let flip = _mm256_set1_epi32(i32::MIN);
             let lov = _mm256_xor_si256(_mm256_set1_epi32(lo as i32), flip);
@@ -443,13 +443,11 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn cmp_i64(data: &[i64], op: CmpOp, c: i64, out: &mut [u8]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let cv = _mm256_set1_epi64x(c);
             let n = data.len();
@@ -482,13 +480,11 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn membership_u8(codes: &[u8], table: &[u8; 32], out: &mut [u8]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             // `pshufb` looks 16 bytes up per 128-bit lane, so the 32-byte
             // table is two lookups — bytes 0..16 and 16..32, each broadcast
@@ -525,7 +521,6 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::SimdLevel;
 
     const OPS: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
 
@@ -540,89 +535,48 @@ mod tests {
         assert!(!CmpOp::Lt.eval(4, 3));
     }
 
+    /// `run` writes `op.eval` of every element as a canonical byte.
     fn check<T: Copy + PartialOrd>(
         data: &[T],
         consts: &[T],
-        run: impl Fn(&[T], CmpOp, T, &mut [u8], SimdLevel),
+        run: impl Fn(&[T], CmpOp, T, &mut [u8]),
     ) {
-        for level in SimdLevel::available() {
-            for op in OPS {
-                for &c in consts {
-                    let mut out = vec![0u8; data.len()];
-                    run(data, op, c, &mut out, level);
-                    for (i, &x) in data.iter().enumerate() {
-                        let expected = if op.eval(x, c) { 0xFF } else { 0x00 };
-                        assert_eq!(out[i], expected, "i={i} level={level} op={op:?}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cmp_u8_all_ops() {
-        let data: Vec<u8> = (0..100).map(|i| (i * 37 % 251) as u8).collect();
-        check(&data, &[0, 1, 127, 128, 200, 255], cmp_u8);
-    }
-
-    #[test]
-    fn cmp_u16_all_ops() {
-        let data: Vec<u16> = (0..100).map(|i| (i * 997 % 65521) as u16).collect();
-        check(&data, &[0, 1, 32767, 32768, 65535], cmp_u16);
-    }
-
-    #[test]
-    fn cmp_u32_all_ops() {
-        let data: Vec<u32> = (0..100).map(|i| (i as u32).wrapping_mul(2654435761)).collect();
-        check(&data, &[0, 1, i32::MAX as u32, 1 << 31, u32::MAX], cmp_u32);
-    }
-
-    #[test]
-    fn cmp_u64_all_ops() {
-        let data: Vec<u64> =
-            (0..100).map(|i| (i as u64).wrapping_mul(0x9E3779B97F4A7C15)).collect();
-        check(&data, &[0, 1, i64::MAX as u64, 1 << 63, u64::MAX], cmp_u64);
-    }
-
-    #[test]
-    fn cmp_i64_all_ops() {
-        let data: Vec<i64> = (0..100).map(|i| ((i as i64) - 50).wrapping_mul(0x12345678)).collect();
-        check(&data, &[i64::MIN, -1, 0, 1, i64::MAX], cmp_i64);
-    }
-
-    #[test]
-    fn between_matches_pairwise() {
-        let data: Vec<u32> = (0..200).map(|i| (i as u32 * 7919) % 10_000).collect();
-        for level in SimdLevel::available() {
-            for (lo, hi) in [(0, 0), (100, 5000), (9999, 10_000), (5000, 100)] {
+        for op in OPS {
+            for &c in consts {
                 let mut out = vec![0u8; data.len()];
-                between_u32(&data, lo, hi, &mut out, level);
+                run(data, op, c, &mut out);
                 for (i, &x) in data.iter().enumerate() {
-                    let expected = if x >= lo && x <= hi { 0xFF } else { 0u8 };
-                    assert_eq!(out[i], expected, "i={i} lo={lo} hi={hi} level={level}");
+                    let expected = if op.eval(x, c) { 0xFF } else { 0x00 };
+                    assert_eq!(out[i], expected, "i={i} op={op:?}");
                 }
             }
         }
     }
 
+    /// The oracles every cell is walked against (`crate::walk`), and the
+    /// scalar-only `u64` compare.
     #[test]
-    fn membership_u8_matches_oracle() {
-        let codes: Vec<u8> = (0..=255u8).chain((0..77).map(|i| (i * 37 % 251) as u8)).collect();
-        let tables: [[u8; 32]; 4] = [
-            [0; 32],
-            [0xFF; 32],
-            std::array::from_fn(|i| (i as u8).wrapping_mul(73) ^ 0x5A),
-            std::array::from_fn(|i| if i == 31 { 0x80 } else { 0 }),
-        ];
-        for level in SimdLevel::available() {
-            for table in &tables {
-                let mut out = vec![0x11u8; codes.len()];
-                let mut expected = vec![0u8; codes.len()];
-                membership_u8(&codes, table, &mut out, level);
-                membership_scalar_u8(&codes, table, &mut expected);
-                assert_eq!(out, expected, "level={level}");
-            }
-        }
+    fn oracles_follow_op_semantics() {
+        let d8: Vec<u8> = (0..100).map(|i| (i * 37 % 251) as u8).collect();
+        check(&d8, &[0, 1, 127, 128, 200, 255], cmp_scalar_u8);
+        let d16: Vec<u16> = (0..100).map(|i| (i * 997 % 65521) as u16).collect();
+        check(&d16, &[0, 1, 32767, 32768, 65535], cmp_scalar_u16);
+        let d32: Vec<u32> = (0..100).map(|i| (i as u32).wrapping_mul(2654435761)).collect();
+        check(&d32, &[0, 1, i32::MAX as u32, 1 << 31, u32::MAX], cmp_scalar_u32);
+        let d64: Vec<u64> = (0..100).map(|i| (i as u64).wrapping_mul(0x9E3779B97F4A7C15)).collect();
+        let u64_at = |d: &[u64], op, c, out: &mut [u8]| cmp_u64(d, op, c, out, SimdLevel::detect());
+        check(&d64, &[0, 1, i64::MAX as u64, 1 << 63, u64::MAX], u64_at);
+        let di: Vec<i64> = (0..100).map(|i| ((i as i64) - 50).wrapping_mul(0x12345678)).collect();
+        check(&di, &[i64::MIN, -1, 0, 1, i64::MAX], cmp_scalar_i64);
+        let mut out = vec![0u8; 4];
+        between_scalar_u32(&[99, 100, 5000, 5001], 100, 5000, &mut out);
+        assert_eq!(out, [0, 0xFF, 0xFF, 0]);
+        membership_scalar_u8(
+            &[0, 7, 8, 255],
+            &std::array::from_fn(|i| (i == 31) as u8 * 0x81),
+            &mut out,
+        );
+        assert_eq!(out, [0, 0, 0, 0xFF]);
     }
 
     #[test]
@@ -632,20 +586,5 @@ mod tests {
         between_i64(&data, -10, 10, &mut out, SimdLevel::detect());
         let selected = out.iter().filter(|&&b| b != 0).count();
         assert_eq!(selected, 21);
-    }
-
-    #[test]
-    fn remainder_path_exercised() {
-        // Lengths that are not multiples of 32 force the scalar tail.
-        for len in [0usize, 1, 31, 33, 65, 100] {
-            let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
-            let mut out_simd = vec![0u8; len];
-            let mut out_scalar = vec![0u8; len];
-            for level in SimdLevel::available() {
-                cmp_u8(&data, CmpOp::Lt, 17, &mut out_simd, level);
-                cmp_scalar_u8(&data, CmpOp::Lt, 17, &mut out_scalar);
-                assert_eq!(out_simd, out_scalar, "len={len} level={level}");
-            }
-        }
     }
 }

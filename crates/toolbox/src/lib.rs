@@ -11,20 +11,22 @@
 //! * for the hottest kernels, an **AVX-512** implementation (mask registers
 //!   and `vpcompress`); kernels without one fall through to the AVX2 tier.
 //!
-//! Dispatch between them is decided once per process (see [`SimdLevel`]) and
-//! can be forced for testing and ablation benchmarks.
+//! Each kernel family is one table of cells plus its scalar oracle; every
+//! call resolves through [`dispatch`], which caps the caller's [`SimdLevel`]
+//! at the CPU's tier (detected once, forceable lower for tests).
 //!
 //! ## Layout of the toolbox
 //!
 //! | module | paper | contents |
 //! |--------|-------|----------|
+//! | [`dispatch`] | §3 | SIMD tiers, the kernel tables' cell and family types, the resolver |
 //! | [`bitpack`] | §2.1/§2.2 | fixed-width bit packing and unpacking to the smallest power-of-two word |
 //! | [`selvec`] | §4 | selection byte vectors (0x00/0xFF) and selection index vectors |
 //! | [`cmp`] | §4 | vectorized comparisons producing selection byte vectors |
 //! | [`select`] | §4.1–4.3 | compaction, gather selection, special-group assignment |
 //! | [`agg`] | §5, §3 | scalar, sort-based, in-register, and multi-aggregate grouped aggregation; typed lane programs for computed inputs |
 //! | [`runspan`] | §4 ext. | run-granular selection spans and O(runs) encoding-specialized kernels |
-//! | [`transpose`] | §5.4 | register transposition primitives |
+//! | [`transpose`] | §5.4 | the 4x4 64-bit register transpose inside the multi-aggregate kernel |
 //!
 //! ## Conventions
 //!

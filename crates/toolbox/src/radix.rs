@@ -7,7 +7,19 @@
 //! Mapper only takes this path when the cardinality product is below the
 //! narrow-group limit.
 
-use crate::dispatch::SimdLevel;
+use crate::dispatch::SimdLevel::Avx2;
+use crate::dispatch::{cells, kernel_sig, Cell, Family, SimdLevel, ANY};
+
+kernel_sig! {
+    /// Rewrite a byte vector in place from a second one and a byte constant:
+    /// the radix scale-add here, special-group assignment in `select`.
+    pub(crate) type BytesInPlaceK = fn(acc: &mut [u8], rhs: &[u8], k: u8);
+}
+
+pub(crate) const FUSED_SCALE_ADD_U8: Family<BytesInPlaceK> = Family {
+    cells: cells![Cell { tier: Avx2, gate: ANY, kernel: avx2::fused_scale_add }],
+    oracle: fused_scale_add_u8_scalar,
+};
 
 /// In place, `acc[i] = acc[i] * factor + addend[i]`, all in the u8 domain.
 ///
@@ -20,14 +32,7 @@ pub fn fused_scale_add_u8(acc: &mut [u8], addend: &[u8], factor: u8, level: Simd
         .iter()
         .zip(addend)
         .all(|(&a, &b)| a as u32 * factor as u32 + b as u32 <= u8::MAX as u32));
-    #[cfg(target_arch = "x86_64")]
-    if level.has_avx2() {
-        // SAFETY: AVX2 availability checked by has_avx2().
-        unsafe { avx2::fused_scale_add(acc, addend, factor) };
-        return;
-    }
-    let _ = level;
-    fused_scale_add_u8_scalar(acc, addend, factor);
+    FUSED_SCALE_ADD_U8.resolve(level, 0).run(acc, addend, factor);
 }
 
 /// Scalar oracle for [`fused_scale_add_u8`].
@@ -43,16 +48,14 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// 32 codes per iteration: widen both byte vectors to 16-bit lanes,
     /// multiply-accumulate, and pack back down (values fit u8 by contract,
     /// so the saturating pack is exact).
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn fused_scale_add(acc: &mut [u8], addend: &[u8], factor: u8) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let n = acc.len();
             let f = _mm256_set1_epi16(factor as i16);
@@ -81,21 +84,6 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn matches_scalar_on_all_lengths() {
-        for n in [0usize, 1, 31, 32, 33, 64, 100, 4096] {
-            let acc0: Vec<u8> = (0..n).map(|i| (i % 5) as u8).collect();
-            let addend: Vec<u8> = (0..n).map(|i| (i % 3) as u8).collect();
-            let mut expected = acc0.clone();
-            fused_scale_add_u8_scalar(&mut expected, &addend, 3);
-            for level in SimdLevel::available() {
-                let mut acc = acc0.clone();
-                fused_scale_add_u8(&mut acc, &addend, 3, level);
-                assert_eq!(acc, expected, "n={n} level={level}");
-            }
-        }
-    }
 
     #[test]
     fn radix_semantics() {

@@ -13,9 +13,9 @@
 //! Kernels here follow the toolbox contract: every `enc_*` entry point is a
 //! safe dispatcher that validates invariants (debug asserts) and routes to
 //! an `enc_*_scalar` oracle. They are scalar-only today — the work is
-//! O(runs), far off the SIMD profitability cliff — but the dispatch-matrix
-//! audit holds them to the same oracle + equivalence-sweep discipline as
-//! the SIMD tiers.
+//! O(runs), far off the SIMD profitability cliff — so they have no kernel
+//! table; the unit tests hold each entry point to its oracle as the table
+//! walk holds the SIMD cells.
 
 /// One accepted row range: rows `[start, start + len)`, batch-relative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -11,30 +11,56 @@
 //! Physical compaction requires the input to be unpacked to power-of-two
 //! word sizes (§4.1); one kernel is provided per word size.
 
-use crate::dispatch::SimdLevel;
+use crate::dispatch::SimdLevel::{Avx2, Avx512};
+use crate::dispatch::{cells, kernel_sig, Cell, Family, SimdLevel, ANY};
 use crate::selvec::SelIndexVec;
+
+kernel_sig! {
+    /// Selection byte vector into index vector `out`, replacing its contents.
+    pub(crate) type CompactIdxK = fn(sel: &[u8], out: &mut Vec<u32>);
+    /// Copy the selected elements of `data` into `out`, replacing it.
+    pub(crate) type CompactK<T> = fn(data: &[T], sel: &[u8], out: &mut Vec<T>);
+}
+
+pub(crate) const COMPACT_INDICES: Family<CompactIdxK> = Family {
+    cells: cells![
+        Cell { tier: Avx512, gate: ANY, kernel: avx512::compact_indices },
+        Cell { tier: Avx2, gate: ANY, kernel: avx2::compact_indices },
+    ],
+    oracle: compact_indices_scalar,
+};
+pub(crate) const COMPACT_U8: Family<CompactK<u8>> = Family {
+    cells: cells![
+        Cell { tier: Avx512, gate: ANY, kernel: avx512::compact_u8 },
+        Cell { tier: Avx2, gate: ANY, kernel: avx2::compact_u8 },
+    ],
+    oracle: compact_scalar_u8,
+};
+pub(crate) const COMPACT_U16: Family<CompactK<u16>> = Family {
+    cells: cells![
+        Cell { tier: Avx512, gate: ANY, kernel: avx512::compact_u16 },
+        Cell { tier: Avx2, gate: ANY, kernel: avx2::compact_u16 },
+    ],
+    oracle: compact_scalar_u16,
+};
+pub(crate) const COMPACT_U32: Family<CompactK<u32>> = Family {
+    cells: cells![
+        Cell { tier: Avx512, gate: ANY, kernel: avx512::compact_u32 },
+        Cell { tier: Avx2, gate: ANY, kernel: avx2::compact_u32 },
+    ],
+    oracle: compact_scalar_u32,
+};
+/// No AVX2 cell: 4-lane permutes do not pay for their shuffle overhead.
+pub(crate) const COMPACT_U64: Family<CompactK<u64>> = Family {
+    cells: cells![Cell { tier: Avx512, gate: ANY, kernel: avx512::compact_u64 }],
+    oracle: compact_scalar_u64,
+};
 
 /// Transform a selection byte vector into a selection index vector
 /// (*index-vector mode*, §4.1). Previous contents of `out` are discarded.
 pub fn compact_indices(sel: &[u8], out: &mut SelIndexVec, level: SimdLevel) {
     crate::selvec::debug_assert_sel_canonical(sel);
-    let v = out.as_vec_mut();
-    v.clear();
-    #[cfg(target_arch = "x86_64")]
-    {
-        if level.has_avx512() {
-            // SAFETY: AVX-512 availability checked by has_avx512().
-            unsafe { avx512::compact_indices(sel, v) };
-            return;
-        }
-        if level.has_avx2() {
-            // SAFETY: AVX2/BMI2/POPCNT availability checked by has_avx2().
-            unsafe { avx2::compact_indices(sel, v) };
-            return;
-        }
-    }
-    let _ = level;
-    compact_indices_scalar(sel, v);
+    COMPACT_INDICES.resolve(level, 0).run(sel, out.as_vec_mut());
 }
 
 /// Scalar oracle for [`compact_indices`]: branch-free cursor advance.
@@ -54,7 +80,7 @@ pub fn compact_indices_scalar(sel: &[u8], out: &mut Vec<u32>) {
 }
 
 macro_rules! physical_compaction {
-    ($(#[$doc:meta])* $name:ident, $scalar:ident, $ty:ty, $avx2:ident) => {
+    ($(#[$doc:meta])* $name:ident, $scalar:ident, $ty:ty, $family:ident) => {
         $(#[$doc])*
         ///
         /// Rows whose selection byte is non-zero are copied to `out` in
@@ -65,21 +91,7 @@ macro_rules! physical_compaction {
         pub fn $name(data: &[$ty], sel: &[u8], out: &mut Vec<$ty>, level: SimdLevel) {
             assert_eq!(data.len(), sel.len(), "data/selection length mismatch");
             crate::selvec::debug_assert_sel_canonical(sel);
-            #[cfg(target_arch = "x86_64")]
-            {
-                if level.has_avx512() {
-                    // SAFETY: AVX-512 availability checked by has_avx512().
-                    unsafe { avx512::$avx2(data, sel, out) };
-                    return;
-                }
-                if level.has_avx2() {
-                    // SAFETY: AVX2/BMI2/POPCNT availability checked by has_avx2().
-                    unsafe { avx2::$avx2(data, sel, out) };
-                    return;
-                }
-            }
-            let _ = level;
-            $scalar(data, sel, out);
+            $family.resolve(level, 0).run(data, sel, out);
         }
 
         /// Scalar oracle: branch-free unconditional store, conditional
@@ -106,29 +118,29 @@ physical_compaction!(
     compact_u8,
     compact_scalar_u8,
     u8,
-    compact_u8
+    COMPACT_U8
 );
 physical_compaction!(
     /// Physical compaction of 2-byte elements.
     compact_u16,
     compact_scalar_u16,
     u16,
-    compact_u16
+    COMPACT_U16
 );
 physical_compaction!(
     /// Physical compaction of 4-byte elements.
     compact_u32,
     compact_scalar_u32,
     u32,
-    compact_u32
+    COMPACT_U32
 );
 physical_compaction!(
-    /// Physical compaction of 8-byte elements (scalar inner loop: the 4-lane
-    /// AVX2 variant does not pay for its shuffle overhead).
+    /// Physical compaction of 8-byte elements (scalar on the AVX2 tier: the
+    /// 4-lane variant does not pay for its shuffle overhead).
     compact_u64,
     compact_scalar_u64,
     u64,
-    compact_u64
+    COMPACT_U64
 );
 
 #[cfg(target_arch = "x86_64")]
@@ -138,7 +150,7 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support bmi2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// Extract the 8-row selection mask from 8 canonical selection bytes.
     #[inline]
     #[target_feature(enable = "bmi2")]
@@ -150,13 +162,11 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 + bmi2 + popcnt — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2", enable = "bmi2", enable = "popcnt")]
     pub(super) unsafe fn compact_indices(sel: &[u8], out: &mut Vec<u32>) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let n = sel.len();
             // Each 8-row step stores a full 8-lane vector; reserve slack so the
@@ -186,13 +196,11 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 + bmi2 + popcnt — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2", enable = "bmi2", enable = "popcnt")]
     pub(super) unsafe fn compact_u32(data: &[u32], sel: &[u8], out: &mut Vec<u32>) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let n = data.len();
             out.clear();
@@ -219,13 +227,11 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 + bmi2 + popcnt + ssse3 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2", enable = "bmi2", enable = "popcnt", enable = "ssse3")]
     pub(super) unsafe fn compact_u8(data: &[u8], sel: &[u8], out: &mut Vec<u8>) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let n = data.len();
             out.clear();
@@ -264,13 +270,11 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 + bmi2 + popcnt + ssse3 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2", enable = "bmi2", enable = "popcnt", enable = "ssse3")]
     pub(super) unsafe fn compact_u16(data: &[u16], sel: &[u8], out: &mut Vec<u16>) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let n = data.len();
             out.clear();
@@ -293,15 +297,6 @@ mod avx2 {
             out.set_len(c);
         }
     }
-
-    /// # Safety
-    /// The CPU must support avx2 + bmi2 + popcnt — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
-    #[target_feature(enable = "avx2", enable = "bmi2", enable = "popcnt")]
-    pub(super) unsafe fn compact_u64(data: &[u64], sel: &[u8], out: &mut Vec<u64>) {
-        // Scalar branch-free loop; 4-lane AVX2 permutes do not pay off here.
-        super::compact_scalar_u64(data, sel, out);
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -315,15 +310,13 @@ mod avx512 {
 
     /// # Safety
     /// The CPU must support avx512f + avx512bw — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// Mask of non-zero bytes among 64 selection bytes.
     #[inline]
     #[target_feature(enable = "avx512f", enable = "avx512bw")]
     unsafe fn mask64(sel: &[u8], i: usize) -> __mmask64 {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let v = _mm512_loadu_si512(sel.as_ptr().add(i) as *const _);
             _mm512_test_epi8_mask(v, v)
@@ -332,15 +325,13 @@ mod avx512 {
 
     /// # Safety
     /// The CPU must support avx512f + avx512bw + avx512vl — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// Mask of non-zero bytes among 16 selection bytes.
     #[inline]
     #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vl")]
     unsafe fn mask16(sel: &[u8], i: usize) -> __mmask16 {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let v = _mm_loadu_si128(sel.as_ptr().add(i) as *const __m128i);
             _mm_test_epi8_mask(v, v)
@@ -349,13 +340,11 @@ mod avx512 {
 
     /// # Safety
     /// The CPU must support avx512f + avx512bw + avx512vl — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vl")]
     pub(super) unsafe fn compact_indices(sel: &[u8], out: &mut Vec<u32>) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let n = sel.len();
             out.reserve(n + 16);
@@ -382,13 +371,11 @@ mod avx512 {
 
     /// # Safety
     /// The CPU must support avx512f + avx512bw + avx512vbmi2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vbmi2")]
     pub(super) unsafe fn compact_u8(data: &[u8], sel: &[u8], out: &mut Vec<u8>) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let n = data.len();
             out.clear();
@@ -414,7 +401,7 @@ mod avx512 {
 
     /// # Safety
     /// The CPU must support avx512f + avx512bw + avx512vl + avx512vbmi2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(
         enable = "avx512f",
         enable = "avx512bw",
@@ -422,10 +409,8 @@ mod avx512 {
         enable = "avx512vbmi2"
     )]
     pub(super) unsafe fn compact_u16(data: &[u16], sel: &[u8], out: &mut Vec<u16>) {
-        // SAFETY: the caller upholds this helper's contract: the enclosing
-        // module's target features are enabled and the pointer/layout
-        // arguments obey the documented preconditions, keeping every access
-        // below in bounds.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let n = data.len();
             out.clear();
@@ -452,13 +437,11 @@ mod avx512 {
 
     /// # Safety
     /// The CPU must support avx512f + avx512bw + avx512vl — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vl")]
     pub(super) unsafe fn compact_u32(data: &[u32], sel: &[u8], out: &mut Vec<u32>) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let n = data.len();
             out.clear();
@@ -484,13 +467,11 @@ mod avx512 {
 
     /// # Safety
     /// The CPU must support avx512f + avx512bw + avx512vl — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vl")]
     pub(super) unsafe fn compact_u64(data: &[u64], sel: &[u8], out: &mut Vec<u64>) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let n = data.len();
             out.clear();

@@ -11,8 +11,35 @@
 //! are *selected* — the whole-column unpack is skipped — which is why it
 //! wins at low selectivities (Figure 7).
 
-use crate::bitpack::PackedVec;
-use crate::dispatch::SimdLevel;
+use crate::bitpack::{PackedVec, Word};
+use crate::dispatch::SimdLevel::Avx2;
+use crate::dispatch::{cells, kernel_sig, Cell, Family, SimdLevel};
+
+kernel_sig! {
+    /// Gather-unpack the packed values at `indices` into the front of `out`;
+    /// returns how many it wrote. A gather runs down its family's chain, as
+    /// an unpack does: the cell writes whole groups, the oracle the rest.
+    pub(crate) type GatherK<T> = fn(pv: &PackedVec, indices: &[u32], out: &mut [T]) -> usize;
+}
+
+/// Gates: a byte-aligned 32-bit load covers a value of up to 25 bits, a
+/// 64-bit one up to 57.
+pub(crate) const GATHER_U8: Family<GatherK<u8>> = Family {
+    cells: cells![Cell { tier: Avx2, gate: 25, kernel: avx2::gather_u8 }],
+    oracle: gather_scalar,
+};
+pub(crate) const GATHER_U16: Family<GatherK<u16>> = Family {
+    cells: cells![Cell { tier: Avx2, gate: 25, kernel: avx2::gather_u16 }],
+    oracle: gather_scalar,
+};
+pub(crate) const GATHER_U32: Family<GatherK<u32>> = Family {
+    cells: cells![Cell { tier: Avx2, gate: 25, kernel: avx2::gather_u32 }],
+    oracle: gather_scalar,
+};
+pub(crate) const GATHER_U64: Family<GatherK<u64>> = Family {
+    cells: cells![Cell { tier: Avx2, gate: 57, kernel: avx2::gather_u64 }],
+    oracle: gather_scalar,
+};
 
 /// Gather-unpack the packed values at `indices` into `u32` words.
 ///
@@ -21,70 +48,46 @@ use crate::dispatch::SimdLevel;
 /// Indices must be in-bounds (checked in debug builds).
 pub fn gather_unpack_u32(pv: &PackedVec, indices: &[u32], out: &mut [u32], level: SimdLevel) {
     assert!(pv.bits() <= 32, "bit width {} does not fit u32 words", pv.bits());
-    assert_eq!(indices.len(), out.len(), "output length mismatch");
-    debug_assert!(indices.iter().all(|&i| (i as usize) < pv.len()), "gather index out of bounds");
-    #[cfg(target_arch = "x86_64")]
-    if level.has_avx2() && pv.bits() <= 25 {
-        // SAFETY: AVX2 availability checked by has_avx2(); indices verified
-        // in-bounds above (debug) / by contract (release).
-        unsafe { avx2::gather_u32(pv, indices, out) };
-        return;
-    }
-    let _ = level;
-    gather_scalar(pv, indices, out, |v| v as u32);
+    gather(&GATHER_U32, pv, indices, out, level);
 }
 
 /// Gather-unpack the packed values at `indices` into `u64` words.
 pub fn gather_unpack_u64(pv: &PackedVec, indices: &[u32], out: &mut [u64], level: SimdLevel) {
-    assert_eq!(indices.len(), out.len(), "output length mismatch");
-    debug_assert!(indices.iter().all(|&i| (i as usize) < pv.len()), "gather index out of bounds");
-    #[cfg(target_arch = "x86_64")]
-    if level.has_avx2() && pv.bits() <= 57 {
-        // SAFETY: as above.
-        unsafe { avx2::gather_u64(pv, indices, out) };
-        return;
-    }
-    let _ = level;
-    gather_scalar(pv, indices, out, |v| v);
+    gather(&GATHER_U64, pv, indices, out, level);
 }
 
 /// Gather-unpack into `u16` words (bit widths 1..=16).
 pub fn gather_unpack_u16(pv: &PackedVec, indices: &[u32], out: &mut [u16], level: SimdLevel) {
     assert!(pv.bits() <= 16, "bit width {} does not fit u16 words", pv.bits());
-    assert_eq!(indices.len(), out.len(), "output length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if level.has_avx2() {
-        // SAFETY: as above.
-        unsafe { avx2::gather_u16(pv, indices, out) };
-        return;
-    }
-    let _ = level;
-    gather_scalar(pv, indices, out, |v| v as u16);
+    gather(&GATHER_U16, pv, indices, out, level);
 }
 
 /// Gather-unpack into `u8` words (bit widths 1..=8).
 pub fn gather_unpack_u8(pv: &PackedVec, indices: &[u32], out: &mut [u8], level: SimdLevel) {
     assert!(pv.bits() <= 8, "bit width {} does not fit u8 words", pv.bits());
-    assert_eq!(indices.len(), out.len(), "output length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if level.has_avx2() {
-        // SAFETY: as above.
-        unsafe { avx2::gather_u8(pv, indices, out) };
-        return;
-    }
-    let _ = level;
-    gather_scalar(pv, indices, out, |v| v as u8);
+    gather(&GATHER_U8, pv, indices, out, level);
 }
 
-fn gather_scalar<T: Copy>(
+fn gather<T>(
+    family: &Family<GatherK<T>>,
     pv: &PackedVec,
     indices: &[u32],
     out: &mut [T],
-    convert: impl Fn(u64) -> T,
+    level: SimdLevel,
 ) {
-    for (&idx, slot) in indices.iter().zip(out.iter_mut()) {
-        *slot = convert(pv.get(idx as usize));
+    assert_eq!(indices.len(), out.len(), "output length mismatch");
+    debug_assert!(indices.iter().all(|&i| (i as usize) < pv.len()), "gather index out of bounds");
+    let mut done = 0;
+    for kernel in family.chain(level, pv.bits() as usize) {
+        if done < out.len() {
+            done += kernel.run(pv, &indices[done..], &mut out[done..]);
+        }
     }
+}
+
+/// Scalar oracle of the gather families.
+pub(crate) fn gather_scalar<T: Word>(pv: &PackedVec, indices: &[u32], out: &mut [T]) -> usize {
+    pv.values_into(indices.iter().map(|&i| i as usize), out)
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -94,7 +97,7 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// Gather 8 packed values given their row indices: bit offsets are
     /// computed in-register (`index * bits`), split into byte offsets and
     /// sub-byte shifts, fetched with `vpgatherdd`, shifted and masked.
@@ -109,10 +112,8 @@ mod avx2 {
         seven: __m256i,
         mask: __m256i,
     ) -> __m256i {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let bit = _mm256_mullo_epi32(idx, bits);
             let byte_off = _mm256_srli_epi32::<3>(bit);
@@ -124,13 +125,11 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gather_u32(pv: &PackedVec, indices: &[u32], out: &mut [u32]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+    pub(super) unsafe fn gather_u32(pv: &PackedVec, indices: &[u32], out: &mut [u32]) -> usize {
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let base = pv.bytes_padded().as_ptr();
             let bits = _mm256_set1_epi32(pv.bits() as i32);
@@ -144,21 +143,17 @@ mod avx2 {
                 _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, v);
                 i += 8;
             }
-            for k in i..n {
-                out[k] = pv.get(indices[k] as usize) as u32;
-            }
+            i
         }
     }
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gather_u16(pv: &PackedVec, indices: &[u32], out: &mut [u16]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+    pub(super) unsafe fn gather_u16(pv: &PackedVec, indices: &[u32], out: &mut [u16]) -> usize {
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let base = pv.bytes_padded().as_ptr();
             let bits = _mm256_set1_epi32(pv.bits() as i32);
@@ -176,21 +171,17 @@ mod avx2 {
                 _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, fixed);
                 i += 16;
             }
-            for k in i..n {
-                out[k] = pv.get(indices[k] as usize) as u16;
-            }
+            i
         }
     }
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gather_u8(pv: &PackedVec, indices: &[u32], out: &mut [u8]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+    pub(super) unsafe fn gather_u8(pv: &PackedVec, indices: &[u32], out: &mut [u8]) -> usize {
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let base = pv.bytes_padded().as_ptr();
             let bits = _mm256_set1_epi32(pv.bits() as i32);
@@ -212,21 +203,17 @@ mod avx2 {
                 _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, perm);
                 i += 32;
             }
-            for k in i..n {
-                out[k] = pv.get(indices[k] as usize) as u8;
-            }
+            i
         }
     }
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gather_u64(pv: &PackedVec, indices: &[u32], out: &mut [u64]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+    pub(super) unsafe fn gather_u64(pv: &PackedVec, indices: &[u32], out: &mut [u64]) -> usize {
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let base = pv.bytes_padded().as_ptr();
             let bits = pv.bits() as u64;
@@ -249,15 +236,13 @@ mod avx2 {
                 _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, v);
                 i += 4;
             }
-            for k in i..n {
-                out[k] = pv.get(indices[k] as usize);
-            }
+            i
         }
     }
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     /// Multiply 64-bit lanes (values < 2^32) by a small constant < 2^32.
     /// `vpmuludq` multiplies the low 32 bits of each lane, which is exact
     /// under these preconditions.
@@ -284,36 +269,6 @@ mod tests {
 
     fn some_indices(n: usize) -> Vec<u32> {
         (0..n as u32).filter(|i| i % 3 != 1).collect()
-    }
-
-    #[test]
-    fn gather_u32_matches_scalar() {
-        for level in SimdLevel::available() {
-            for bits in [1u8, 4, 5, 7, 10, 14, 20, 21, 25, 26, 28, 32] {
-                let (values, pv) = packed(300, bits);
-                let idx = some_indices(300);
-                let mut out = vec![0u32; idx.len()];
-                gather_unpack_u32(&pv, &idx, &mut out, level);
-                for (k, &i) in idx.iter().enumerate() {
-                    assert_eq!(out[k] as u64, values[i as usize], "bits={bits} level={level}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gather_u64_matches_scalar() {
-        for level in SimdLevel::available() {
-            for bits in [28u8, 33, 40, 57, 58, 63, 64] {
-                let (values, pv) = packed(200, bits);
-                let idx = some_indices(200);
-                let mut out = vec![0u64; idx.len()];
-                gather_unpack_u64(&pv, &idx, &mut out, level);
-                for (k, &i) in idx.iter().enumerate() {
-                    assert_eq!(out[k], values[i as usize], "bits={bits} level={level}");
-                }
-            }
-        }
     }
 
     #[test]

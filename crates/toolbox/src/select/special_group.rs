@@ -9,7 +9,31 @@
 //! sequential (no indexed reads), and fully preserves CPU pipelining — the
 //! observation that motivated the technique (§4.3's two-query experiment).
 
-use crate::dispatch::SimdLevel;
+use crate::dispatch::SimdLevel::{Avx2, Avx512};
+use crate::dispatch::{cells, kernel_sig, Cell, Family, SimdLevel, ANY};
+use crate::radix::BytesInPlaceK;
+
+kernel_sig! {
+    /// Group ids with rejected rows replaced by the special id, into `out`.
+    pub(crate) type AssignK = fn(gids: &[u8], sel: &[u8], special: u8, out: &mut [u8]);
+}
+
+pub(crate) const ASSIGN_SPECIAL_GROUP: Family<AssignK> = Family {
+    cells: cells![
+        Cell { tier: Avx512, gate: ANY, kernel: avx512::assign },
+        Cell { tier: Avx2, gate: ANY, kernel: avx2::assign },
+    ],
+    oracle: assign_special_group_scalar,
+};
+/// Each kernel reads a position before writing it, so `gids` is both input
+/// and output.
+pub(crate) const ASSIGN_SPECIAL_GROUP_IN_PLACE: Family<BytesInPlaceK> = Family {
+    cells: cells![
+        Cell { tier: Avx512, gate: ANY, kernel: avx512::assign_in_place },
+        Cell { tier: Avx2, gate: ANY, kernel: avx2::assign_in_place },
+    ],
+    oracle: assign_special_group_in_place_scalar,
+};
 
 /// Combine a group-id vector with a selection byte vector: where the
 /// selection byte is zero the group id is replaced by `special`, otherwise
@@ -28,21 +52,7 @@ pub fn assign_special_group(
     assert_eq!(gids.len(), sel.len(), "group-id/selection length mismatch");
     assert_eq!(gids.len(), out.len(), "output length mismatch");
     crate::selvec::debug_assert_sel_canonical(sel);
-    #[cfg(target_arch = "x86_64")]
-    {
-        if level.has_avx512() {
-            // SAFETY: AVX-512 availability checked by has_avx512().
-            unsafe { avx512::assign(gids, sel, special, out) };
-            return;
-        }
-        if level.has_avx2() {
-            // SAFETY: AVX2 availability checked by has_avx2().
-            unsafe { avx2::assign(gids, sel, special, out) };
-            return;
-        }
-    }
-    let _ = level;
-    assign_special_group_scalar(gids, sel, special, out);
+    ASSIGN_SPECIAL_GROUP.resolve(level, 0).run(gids, sel, special, out);
 }
 
 /// In-place variant: rewrite `gids` directly (the common engine usage, since
@@ -50,23 +60,7 @@ pub fn assign_special_group(
 pub fn assign_special_group_in_place(gids: &mut [u8], sel: &[u8], special: u8, level: SimdLevel) {
     assert_eq!(gids.len(), sel.len(), "group-id/selection length mismatch");
     crate::selvec::debug_assert_sel_canonical(sel);
-    #[cfg(target_arch = "x86_64")]
-    {
-        if level.has_avx512() {
-            // SAFETY: AVX-512 availability checked by has_avx512(); reads
-            // precede writes per position, so aliasing in == out is fine.
-            unsafe { avx512::assign_in_place(gids, sel, special) };
-            return;
-        }
-        if level.has_avx2() {
-            // SAFETY: AVX2 availability checked by has_avx2(). The kernel reads
-            // each position before writing it, so aliasing in == out is fine.
-            unsafe { avx2::assign_in_place(gids, sel, special) };
-            return;
-        }
-    }
-    let _ = level;
-    assign_special_group_in_place_scalar(gids, sel, special);
+    ASSIGN_SPECIAL_GROUP_IN_PLACE.resolve(level, 0).run(gids, sel, special);
 }
 
 /// Scalar oracle: branch-free select via mask arithmetic. Relies on the
@@ -94,13 +88,11 @@ mod avx512 {
 
     /// # Safety
     /// The CPU must support avx512f + avx512bw — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx512f", enable = "avx512bw")]
     pub(super) unsafe fn assign(gids: &[u8], sel: &[u8], special: u8, out: &mut [u8]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let sp = _mm512_set1_epi8(special as i8);
             let n = gids.len();
@@ -121,13 +113,11 @@ mod avx512 {
 
     /// # Safety
     /// The CPU must support avx512f + avx512bw — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx512f", enable = "avx512bw")]
     pub(super) unsafe fn assign_in_place(gids: &mut [u8], sel: &[u8], special: u8) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let sp = _mm512_set1_epi8(special as i8);
             let n = gids.len();
@@ -149,27 +139,18 @@ mod avx512 {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
+    //! `vpblendvb` picks per byte by the selection's sign bit: 0xFF keeps
+    //! the group id.
+
     use std::arch::x86_64::*;
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn blend32(g: __m256i, s: __m256i, sp: __m256i) -> __m256i {
-        // blendv picks per-byte by the mask's sign bit: 0xFF -> keep gid.
-        _mm256_blendv_epi8(sp, g, s)
-    }
-
-    /// # Safety
-    /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn assign(gids: &[u8], sel: &[u8], special: u8, out: &mut [u8]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let sp = _mm256_set1_epi8(special as i8);
             let n = gids.len();
@@ -177,7 +158,10 @@ mod avx2 {
             while i + 32 <= n {
                 let g = _mm256_loadu_si256(gids.as_ptr().add(i) as *const __m256i);
                 let s = _mm256_loadu_si256(sel.as_ptr().add(i) as *const __m256i);
-                _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, blend32(g, s, sp));
+                _mm256_storeu_si256(
+                    out.as_mut_ptr().add(i) as *mut __m256i,
+                    _mm256_blendv_epi8(sp, g, s),
+                );
                 i += 32;
             }
             super::assign_special_group_scalar(&gids[i..], &sel[i..], special, &mut out[i..]);
@@ -186,13 +170,11 @@ mod avx2 {
 
     /// # Safety
     /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
+    /// resolver's tier check before any call.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn assign_in_place(gids: &mut [u8], sel: &[u8], special: u8) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
+        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+        // these target features; every pointer below stays inside the argument slices.
         unsafe {
             let sp = _mm256_set1_epi8(special as i8);
             let n = gids.len();
@@ -200,7 +182,10 @@ mod avx2 {
             while i + 32 <= n {
                 let g = _mm256_loadu_si256(gids.as_ptr().add(i) as *const __m256i);
                 let s = _mm256_loadu_si256(sel.as_ptr().add(i) as *const __m256i);
-                _mm256_storeu_si256(gids.as_mut_ptr().add(i) as *mut __m256i, blend32(g, s, sp));
+                _mm256_storeu_si256(
+                    gids.as_mut_ptr().add(i) as *mut __m256i,
+                    _mm256_blendv_epi8(sp, g, s),
+                );
                 i += 32;
             }
             super::assign_special_group_in_place_scalar(&mut gids[i..], &sel[i..], special);

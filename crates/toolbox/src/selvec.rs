@@ -10,7 +10,8 @@
 //! ordinal positions of qualifying rows, produced by the compacting operator
 //! in index-vector mode (§4.1) and consumed by gather selection (§4.2).
 
-use crate::dispatch::SimdLevel;
+use crate::dispatch::SimdLevel::{Avx2, Avx512};
+use crate::dispatch::{cells, kernel_sig, Cell, Family, SimdLevel, ANY};
 
 /// Byte value marking a selected row.
 pub const SELECTED: u8 = 0xFF;
@@ -187,21 +188,22 @@ impl SelIndexVec {
     }
 }
 
+kernel_sig! {
+    /// Count the non-zero bytes of a selection byte vector.
+    pub(crate) type CountSelectedK = fn(sel: &[u8]) -> usize;
+}
+
+pub(crate) const COUNT_SELECTED: Family<CountSelectedK> = Family {
+    cells: cells![
+        Cell { tier: Avx512, gate: ANY, kernel: count_selected_avx512 },
+        Cell { tier: Avx2, gate: ANY, kernel: count_selected_avx2 },
+    ],
+    oracle: count_selected_scalar,
+};
+
 /// Count selected (non-zero) bytes in a selection byte vector.
 pub fn count_selected(sel: &[u8], level: SimdLevel) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if level.has_avx512() {
-            // SAFETY: has_avx512() verified the CPU supports AVX-512.
-            return unsafe { count_selected_avx512(sel) };
-        }
-        if level.has_avx2() {
-            // SAFETY: has_avx2() verified the CPU supports AVX2.
-            return unsafe { count_selected_avx2(sel) };
-        }
-    }
-    let _ = level;
-    count_selected_scalar(sel)
+    COUNT_SELECTED.resolve(level, 0).run(sel)
 }
 
 /// AVX-512 count: one `vptestmb` + popcount covers 64 rows.
@@ -211,10 +213,8 @@ pub fn count_selected(sel: &[u8], level: SimdLevel) -> usize {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "avx512bw")]
 unsafe fn count_selected_avx512(sel: &[u8]) -> usize {
-    // SAFETY: the caller guarantees this CPU supports the target features
-    // this function is compiled with (dispatch routes here only after
-    // `SimdLevel` detection), and every pointer below is derived from the
-    // argument slices with offsets bounded by their lengths.
+    // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+    // these target features; every pointer below stays inside the argument slices.
     unsafe {
         use std::arch::x86_64::*;
         let mut count = 0usize;
@@ -240,10 +240,8 @@ pub fn count_selected_scalar(sel: &[u8]) -> usize {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn count_selected_avx2(sel: &[u8]) -> usize {
-    // SAFETY: the caller guarantees this CPU supports the target features
-    // this function is compiled with (dispatch routes here only after
-    // `SimdLevel` detection), and every pointer below is derived from the
-    // argument slices with offsets bounded by their lengths.
+    // SAFETY: reached only from a cell the resolver admitted, so the CPU has
+    // these target features; every pointer below stays inside the argument slices.
     unsafe {
         use std::arch::x86_64::*;
         let mut count = 0usize;
@@ -294,19 +292,6 @@ mod tests {
     fn mask_bytes_canonicalized() {
         let sel = SelByteVec::from_mask_bytes(vec![0, 1, 2, 0xFF, 0]);
         assert_eq!(sel.as_bytes(), &[0, 0xFF, 0xFF, 0xFF, 0]);
-    }
-
-    #[test]
-    fn count_matches_scalar_on_odd_lengths() {
-        // Exercise the SIMD remainder path on non-multiple-of-32 lengths.
-        for len in [0usize, 1, 31, 32, 33, 63, 64, 65, 100, 4096, 4097] {
-            let bytes: Vec<u8> =
-                (0..len).map(|i| if (i * 7 + 3) % 5 < 2 { 0xFF } else { 0 }).collect();
-            let expected = count_selected_scalar(&bytes);
-            for level in levels() {
-                assert_eq!(count_selected(&bytes, level), expected, "len={len} level={level}");
-            }
-        }
     }
 
     #[test]

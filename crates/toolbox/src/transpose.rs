@@ -1,63 +1,11 @@
-//! Register transposition primitives (§5.4).
+//! Register transposition (§5.4).
 //!
 //! Multi-aggregate summation needs column-major inputs rearranged into
 //! row-major SIMD registers. The 4x4 case of 64-bit elements is the paper's
 //! example: "this can be done in eight AVX2 instructions (four PUNPCKLQDQ
-//! and four PUNPCKHQDQ instructions)" — our kernel uses four unpacks plus
-//! four 128-bit permutes, the same cost on post-Haswell cores.
-//!
-//! These helpers are exposed publicly for testing and reuse; the
-//! multi-aggregate kernel inlines the same sequences.
-
-use crate::dispatch::SimdLevel;
-
-/// Transpose a row-major 4x4 matrix of `u64` in place semantics:
-/// `out[r][c] = input[c][r]`. Slices are length-16 row-major views.
-pub fn transpose_4x4_u64(input: &[u64], out: &mut [u64], level: SimdLevel) {
-    assert_eq!(input.len(), 16, "input must be 4x4");
-    assert_eq!(out.len(), 16, "output must be 4x4");
-    #[cfg(target_arch = "x86_64")]
-    if level.has_avx2() {
-        // SAFETY: AVX2 availability checked by has_avx2().
-        unsafe { avx2::transpose_4x4_u64(input, out) };
-        return;
-    }
-    let _ = level;
-    transpose_4x4_u64_scalar(input, out);
-}
-
-/// Scalar oracle for [`transpose_4x4_u64`]: plain index arithmetic.
-pub fn transpose_4x4_u64_scalar(input: &[u64], out: &mut [u64]) {
-    for r in 0..4 {
-        for c in 0..4 {
-            out[r * 4 + c] = input[c * 4 + r];
-        }
-    }
-}
-
-/// Transpose a row-major 8x8 matrix of `u32`: `out[r][c] = input[c][r]`.
-/// Slices are length-64 row-major views.
-pub fn transpose_8x8_u32(input: &[u32], out: &mut [u32], level: SimdLevel) {
-    assert_eq!(input.len(), 64, "input must be 8x8");
-    assert_eq!(out.len(), 64, "output must be 8x8");
-    #[cfg(target_arch = "x86_64")]
-    if level.has_avx2() {
-        // SAFETY: AVX2 availability checked by has_avx2().
-        unsafe { avx2::transpose_8x8_u32(input, out) };
-        return;
-    }
-    let _ = level;
-    transpose_8x8_u32_scalar(input, out);
-}
-
-/// Scalar oracle for [`transpose_8x8_u32`]: plain index arithmetic.
-pub fn transpose_8x8_u32_scalar(input: &[u32], out: &mut [u32]) {
-    for r in 0..8 {
-        for c in 0..8 {
-            out[r * 8 + c] = input[c * 8 + r];
-        }
-    }
-}
+//! and four PUNPCKHQDQ instructions)" — `avx2::t4x4_epi64` uses four
+//! unpacks plus four 128-bit permutes, the same cost on post-Haswell cores.
+//! Its one caller is the multi-aggregate accumulate kernel (`agg::multi`).
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
@@ -86,126 +34,5 @@ pub(crate) mod avx2 {
         let r2 = _mm256_permute2x128_si256::<0x31>(ab_lo, cd_lo); // a2 b2 c2 d2
         let r3 = _mm256_permute2x128_si256::<0x31>(ab_hi, cd_hi); // a3 b3 c3 d3
         (r0, r1, r2, r3)
-    }
-
-    /// # Safety
-    /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn transpose_4x4_u64(input: &[u64], out: &mut [u64]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
-        unsafe {
-            let p = input.as_ptr() as *const __m256i;
-            let a = _mm256_loadu_si256(p);
-            let b = _mm256_loadu_si256(p.add(1));
-            let c = _mm256_loadu_si256(p.add(2));
-            let d = _mm256_loadu_si256(p.add(3));
-            let (r0, r1, r2, r3) = t4x4_epi64(a, b, c, d);
-            let q = out.as_mut_ptr() as *mut __m256i;
-            _mm256_storeu_si256(q, r0);
-            _mm256_storeu_si256(q.add(1), r1);
-            _mm256_storeu_si256(q.add(2), r2);
-            _mm256_storeu_si256(q.add(3), r3);
-        }
-    }
-
-    /// # Safety
-    /// The CPU must support avx2 — guaranteed by the
-    /// dispatcher's `SimdLevel` check before any call.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn transpose_8x8_u32(input: &[u32], out: &mut [u32]) {
-        // SAFETY: the caller guarantees this CPU supports the target features
-        // this function is compiled with (dispatch routes here only after
-        // `SimdLevel` detection), and every pointer below is derived from the
-        // argument slices with offsets bounded by their lengths.
-        unsafe {
-            let p = input.as_ptr() as *const __m256i;
-            let mut rows = [_mm256_setzero_si256(); 8];
-            for (i, r) in rows.iter_mut().enumerate() {
-                *r = _mm256_loadu_si256(p.add(i));
-            }
-            // Stage 1: interleave 32-bit lanes of row pairs.
-            let t0 = _mm256_unpacklo_epi32(rows[0], rows[1]);
-            let t1 = _mm256_unpackhi_epi32(rows[0], rows[1]);
-            let t2 = _mm256_unpacklo_epi32(rows[2], rows[3]);
-            let t3 = _mm256_unpackhi_epi32(rows[2], rows[3]);
-            let t4 = _mm256_unpacklo_epi32(rows[4], rows[5]);
-            let t5 = _mm256_unpackhi_epi32(rows[4], rows[5]);
-            let t6 = _mm256_unpacklo_epi32(rows[6], rows[7]);
-            let t7 = _mm256_unpackhi_epi32(rows[6], rows[7]);
-            // Stage 2: interleave 64-bit lanes.
-            let u0 = _mm256_unpacklo_epi64(t0, t2);
-            let u1 = _mm256_unpackhi_epi64(t0, t2);
-            let u2 = _mm256_unpacklo_epi64(t1, t3);
-            let u3 = _mm256_unpackhi_epi64(t1, t3);
-            let u4 = _mm256_unpacklo_epi64(t4, t6);
-            let u5 = _mm256_unpackhi_epi64(t4, t6);
-            let u6 = _mm256_unpacklo_epi64(t5, t7);
-            let u7 = _mm256_unpackhi_epi64(t5, t7);
-            // Stage 3: stitch 128-bit halves.
-            let q = out.as_mut_ptr() as *mut __m256i;
-            _mm256_storeu_si256(q, _mm256_permute2x128_si256::<0x20>(u0, u4));
-            _mm256_storeu_si256(q.add(1), _mm256_permute2x128_si256::<0x20>(u1, u5));
-            _mm256_storeu_si256(q.add(2), _mm256_permute2x128_si256::<0x20>(u2, u6));
-            _mm256_storeu_si256(q.add(3), _mm256_permute2x128_si256::<0x20>(u3, u7));
-            _mm256_storeu_si256(q.add(4), _mm256_permute2x128_si256::<0x31>(u0, u4));
-            _mm256_storeu_si256(q.add(5), _mm256_permute2x128_si256::<0x31>(u1, u5));
-            _mm256_storeu_si256(q.add(6), _mm256_permute2x128_si256::<0x31>(u2, u6));
-            _mm256_storeu_si256(q.add(7), _mm256_permute2x128_si256::<0x31>(u3, u7));
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn t4x4_matches_reference() {
-        let input: Vec<u64> = (0..16).collect();
-        for level in SimdLevel::available() {
-            let mut out = vec![0u64; 16];
-            transpose_4x4_u64(&input, &mut out, level);
-            for r in 0..4 {
-                for c in 0..4 {
-                    assert_eq!(out[r * 4 + c], input[c * 4 + r], "level={level}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn t8x8_matches_reference() {
-        let input: Vec<u32> = (0..64).collect();
-        for level in SimdLevel::available() {
-            let mut out = vec![0u32; 64];
-            transpose_8x8_u32(&input, &mut out, level);
-            for r in 0..8 {
-                for c in 0..8 {
-                    assert_eq!(out[r * 8 + c], input[c * 8 + r], "level={level}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn transpose_is_involution() {
-        let input: Vec<u64> = (0..16).map(|i| i * 31 + 7).collect();
-        let level = SimdLevel::detect();
-        let mut once = vec![0u64; 16];
-        let mut twice = vec![0u64; 16];
-        transpose_4x4_u64(&input, &mut once, level);
-        transpose_4x4_u64(&once, &mut twice, level);
-        assert_eq!(twice, input);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be 4x4")]
-    fn t4x4_rejects_wrong_size() {
-        let mut out = vec![0u64; 16];
-        transpose_4x4_u64(&[0; 15], &mut out, SimdLevel::Scalar);
     }
 }

@@ -1,6 +1,6 @@
 //! `cargo xtask audit` — repo-local static analysis for the BIPie workspace.
 //!
-//! Sixteen passes — the [`PASSES`] registry, which also carries each pass's
+//! Fifteen passes — the [`PASSES`] registry, which also carries each pass's
 //! `--explain` card — all built on the hand-rolled token lexer in [`lexer`]
 //! and — for the semantic passes — the recursive-descent item parser in
 //! [`parser`], the symbol/module graph in [`graph`], and the per-fn
@@ -29,7 +29,6 @@ pub mod cfg;
 pub mod checkpoint_reachability;
 pub mod confine;
 pub mod dataflow;
-pub mod dispatch_matrix;
 pub mod error_surface;
 pub mod graph;
 pub mod invariants;
@@ -88,7 +87,7 @@ pub struct Pass {
 }
 
 /// Every pass, in execution order.
-pub static PASSES: [Pass; 16] = [
+pub static PASSES: [Pass; 15] = [
     Pass {
         name: "unsafe",
         id: "unsafe-audit",
@@ -166,21 +165,6 @@ pub static PASSES: [Pass; 16] = [
                     unwrap turns a budget trip into a crash inside a worker.",
         fix: "Return an `EngineError`, or add `// PANIC: <why this cannot fire>` if the \
               invariant genuinely guarantees it.",
-    },
-    Pass {
-        name: "dispatch",
-        id: "dispatch-matrix",
-        run: |c| dispatch_matrix::check(&c.files),
-        rule: "The (op × width × tier) dispatch table is statically extracted from every \
-               `#[target_feature]` kernel, and every cell is referenced outside its tier \
-               module behind a `has_*` guard, maps to a scalar oracle, and is swept by a \
-               test that names an entry point and iterates `SimdLevel::available()`.",
-        rationale: "Specialized kernels are trusted only because the scalar oracle and \
-                    the equivalence tests exist; a missing cell means a tier silently \
-                    falls back or, worse, diverges untested.",
-        fix: "Add the scalar oracle and a `*_matches_scalar` test iterating \
-              `SimdLevel::available()`, route the tier through its guarded dispatcher, \
-              or remove the dead tier.",
     },
     Pass {
         name: "locks",

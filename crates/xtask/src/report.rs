@@ -302,11 +302,11 @@ mod tests {
 
     #[test]
     fn sarif_contains_rule_result_and_fingerprint() {
-        let d = diag("dispatch-matrix", "crates/toolbox/src/cmp.rs", 7, "cell \"x\" unmapped");
+        let d = diag("unsafe-audit", "crates/toolbox/src/cmp.rs", 7, "cell \"x\" unmapped");
         let ids = stable_ids(std::slice::from_ref(&d));
         let sarif = to_sarif(&[d]);
         assert!(sarif.contains("\"version\": \"2.1.0\""), "{sarif}");
-        assert!(sarif.contains("{ \"id\": \"dispatch-matrix\" }"), "{sarif}");
+        assert!(sarif.contains("{ \"id\": \"unsafe-audit\" }"), "{sarif}");
         assert!(sarif.contains("\"startLine\": 7"), "{sarif}");
         assert!(sarif.contains("cell \\\"x\\\" unmapped"), "{sarif}");
         assert!(sarif.contains(&ids[0]), "{sarif}");

@@ -6,8 +6,8 @@
 //! blanked *code view* derived from the tokens, where comment and
 //! string/char-literal contents are spaces so keyword searches cannot be
 //! fooled by prose like `"an unsafe trick"` inside a panic message.
-//! [`fn_items`] reads the kernel facts (`#[target_feature]`, `unsafe`, the
-//! enclosing tier module) off the parsed items for the passes that need them.
+//! [`fn_items`] reads the facts `invariants` needs (`unsafe`, the enclosing
+//! tier module) off the parsed items.
 //!
 //! A file the lexer refuses (a genuinely unterminated string or comment,
 //! mid-edit) has no trustworthy view at all, so it is an audit *error*
@@ -127,12 +127,10 @@ impl SourceFile {
 /// The SIMD tiers a kernel module or name suffix can carry.
 pub const TIERS: [&str; 2] = ["avx2", "avx512"];
 
-/// A `fn` item with the facts the kernel rules read off its tokens.
+/// A `fn` item with the facts read off its tokens.
 pub struct FnItem<'a> {
     /// The parsed item: name, `pub`ness, signature, body.
     pub item: &'a Item,
-    /// `#[target_feature]` among its attributes.
-    pub target_feature: bool,
     /// Declared `unsafe fn`.
     pub is_unsafe: bool,
     /// The enclosing `mod avx2` / `mod avx512`, if any.
@@ -147,18 +145,14 @@ pub fn fn_items(file: &SourceFile) -> Vec<FnItem<'_>> {
         if item.kind != ItemKind::Fn {
             return;
         }
-        let head = file.toks[item.toks.clone()]
+        let is_unsafe = file.toks[item.toks.clone()]
             .iter()
             .filter(|t| t.kind == TokKind::Ident)
             .map(|t| t.text(&file.text))
-            .take_while(|&t| t != "fn");
-        let (mut target_feature, mut is_unsafe) = (false, false);
-        for t in head {
-            target_feature |= t == "target_feature";
-            is_unsafe |= t == "unsafe";
-        }
+            .take_while(|&t| t != "fn")
+            .any(|t| t == "unsafe");
         let tier = tier_at(&tiers, &file.toks[item.toks.start]);
-        out.push(FnItem { item, target_feature, is_unsafe, tier });
+        out.push(FnItem { item, is_unsafe, tier });
     });
     out
 }
@@ -243,11 +237,6 @@ pub fn attr_block_above(raw: &[String], decl: usize) -> String {
     raw[top..decl].join("\n")
 }
 
-/// Split an identifier into lowercase `_`-separated tokens.
-pub fn name_tokens(name: &str) -> Vec<String> {
-    name.split('_').filter(|t| !t.is_empty()).map(str::to_lowercase).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,26 +254,16 @@ mod tests {
     }
 
     #[test]
-    fn fn_items_read_attributes_modifiers_and_tier_off_the_parser() {
+    fn fn_items_read_modifiers_and_tier_off_the_parser() {
         let src = "#[target_feature(enable = \"avx2\")]\npub unsafe fn free() {}\n\
                    pub(crate) mod avx512 {\n    impl K {\n        #[inline]\n        fn method(&self) {}\n    }\n}";
         let f = SourceFile::from_source("crates/toolbox/src/k.rs", src).unwrap();
-        let facts: Vec<_> = fn_items(&f)
-            .iter()
-            .map(|f| (f.item.name.clone(), f.target_feature, f.is_unsafe, f.tier))
-            .collect();
+        let facts: Vec<_> =
+            fn_items(&f).iter().map(|f| (f.item.name.clone(), f.is_unsafe, f.tier)).collect();
         assert_eq!(
             facts,
-            [
-                ("free".to_string(), true, true, None),
-                ("method".to_string(), false, false, Some("avx512"))
-            ]
+            [("free".to_string(), true, None), ("method".to_string(), false, Some("avx512"))]
         );
-    }
-
-    #[test]
-    fn tokens_split_and_lowercase() {
-        assert_eq!(name_tokens("sum_Gather_u32"), vec!["sum", "gather", "u32"]);
     }
 
     #[test]
