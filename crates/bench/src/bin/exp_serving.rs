@@ -23,6 +23,11 @@
 //! (comma-separated client counts, default `1,2,4`), `BIPIE_BENCH_JSON`
 //! (output path, default `BENCH_serving.json`).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "client threads generate load into the engine; they are not scan workers"
+)]
+
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};

@@ -5,6 +5,11 @@
 //! batch before moving to the next one and we never revisit previous
 //! batches." (The MonetDB/X100 processing model.)
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the morsel cursor's claim counter is shared by every worker"
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Maximum rows per batch window.
@@ -218,6 +223,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "hammers one cursor from real threads")]
     fn morsel_cursor_is_exact_under_contention() {
         // Hammer one cursor from several threads; rows must partition
         // exactly (every row claimed once, no row claimed twice).

@@ -124,10 +124,12 @@ impl EncodedColumn {
             EncodedColumn::IntDict(c) => c.decode_i64_into(start, out),
             EncodedColumn::Rle(c) => c.decode_i64_into(start, out),
             EncodedColumn::Delta(c) => c.decode_i64_into(start, out),
+            #[expect(
+                clippy::panic,
+                reason = "type-confusion guard: the planner types every column reference, so an \
+                          integer decode of a string column is a caller bug, not a data condition"
+            )]
             EncodedColumn::StrDict(_) => {
-                // PANIC: type-confusion guard — the planner types every
-                // column reference, so an integer decode of a string column
-                // is a caller bug, not a data condition.
                 panic!("string columns decode to dictionary codes, not integers")
             }
         }

@@ -24,8 +24,11 @@ impl RleColumn {
         let mut iter = values.iter().enumerate();
         if let Some((_, &first)) = iter.next() {
             run_values.push(first);
+            #[expect(
+                clippy::unwrap_used,
+                reason = "`run_values` holds at least `first`, pushed above"
+            )]
             for (i, &v) in iter {
-                // PANIC: `run_values` holds at least `first`, pushed above.
                 if v != *run_values.last().unwrap() {
                     ends.push(i as u32);
                     run_values.push(v);

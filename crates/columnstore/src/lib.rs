@@ -20,6 +20,16 @@
 //! * Scans proceed in **batches** of up to 4096 rows (§2.1), never
 //!   revisiting earlier batches.
 
+// Library code is panic-free: a failure is a typed error, and a site that
+// cannot fail says why in an `#[expect(clippy::…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
+
 pub mod batch;
 pub mod bitmap;
 pub mod encoding;

@@ -124,14 +124,19 @@ impl Table {
         // borrowed, and the rows are freed once, after the last column.
         let columns = self.specs.iter().enumerate().map(|(c, spec)| {
             if spec.ty == LogicalType::Str {
-                // PANIC: `check_row` typed the value when the row came in.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`check_row` typed the value when the row came in"
+                )]
                 let strs = rows.iter().map(|row| row[c].as_str().expect("typed by check_row"));
                 ColumnData::Strs(strs.collect())
             } else {
-                let ints = rows.iter().map(|row| {
-                    // PANIC: `check_row` typed the value when the row came in.
-                    row[c].as_storage_i64().expect("typed by check_row")
-                });
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`check_row` typed the value when the row came in"
+                )]
+                let ints =
+                    rows.iter().map(|row| row[c].as_storage_i64().expect("typed by check_row"));
                 ColumnData::Ints(ints.collect())
             }
         });

@@ -133,9 +133,11 @@ impl Value {
             LogicalType::I64 => Value::I64(v),
             LogicalType::Date => Value::Date(Date(v as i32)),
             LogicalType::Decimal => Value::Decimal(v),
-            // PANIC: type-confusion guard — callers obtain `ty` from the
-            // column they read the integer out of, and string columns never
-            // produce storage integers.
+            #[expect(
+                clippy::panic,
+                reason = "type-confusion guard: callers obtain `ty` from the column they read the \
+                          integer out of, and string columns never produce storage integers"
+            )]
             LogicalType::Str => panic!("strings have no integer storage form"),
         }
     }

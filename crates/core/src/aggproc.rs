@@ -241,17 +241,19 @@ impl<'a> LanePlan<'a> {
         let max = lane_max(e, seg)?;
         let packed = |col: usize| match seg.column(col) {
             EncodedColumn::BitPack(c) => c,
-            // PANIC: `lane_max` just accepted, so every column `e` reads is
-            // bit-packed.
+            #[expect(
+                clippy::unreachable,
+                reason = "`lane_max` just accepted, so every column `e` reads is bit-packed"
+            )]
             _ => unreachable!("lane proof admits bit-packed leaves only"),
         };
         for col in e.columns() {
             self.leaf(packed(col), true);
         }
         let leaves = &self.leaves;
+        #[expect(clippy::expect_used, reason = "the loop above registered every column `e` reads")]
         let program = e.lane_program(&|col| {
             let at = leaves.iter().position(|l| std::ptr::eq(l.col, packed(col)));
-            // PANIC: the loop above registered every column `e` reads.
             at.expect("leaf registered above")
         })?;
         Ok((program, max))
@@ -338,8 +340,11 @@ impl ValueBuf {
             ValueBuf::U16(v) => load_packed(v, &mut spare.u16, pv, batch, level),
             ValueBuf::U32(v) => load_packed(v, &mut spare.u32, pv, batch, level),
             ValueBuf::U64(v) => load_packed(v, &mut spare.u64, pv, batch, level),
-            // PANIC: packed inputs and leaves get their unpack word at plan
-            // time (`ValueBuf::for_bits`).
+            #[expect(
+                clippy::unreachable,
+                reason = "packed inputs and leaves get their unpack word at plan time \
+                          (`ValueBuf::for_bits`)"
+            )]
             ValueBuf::I64(_) | ValueBuf::Empty => unreachable!("packed buffers are word-typed"),
         }
     }
@@ -718,7 +723,7 @@ impl<'a> SegmentAggExecutor<'a> {
             bufs,
             scratch,
         } = self;
-        // PANIC: installed just above when absent.
+        #[expect(clippy::expect_used, reason = "installed just above when absent")]
         let plan = plan.as_ref().expect("lane plan installed above");
         let (level, strategy) = (*level, *strategy);
         let slots = *num_groups + 1;
@@ -757,10 +762,13 @@ impl<'a> SegmentAggExecutor<'a> {
                         Rows::Compacted(sel)
                     }
                 }
+                #[expect(
+                    clippy::unreachable,
+                    reason = "run-span selection is consumed by the run-wise executor \
+                              (`RunWiseExec`); the scan never pairs it with the generic batch \
+                              executor"
+                )]
                 SelectionStrategy::RunSpan => {
-                    // PANIC: run-span selection is consumed by the run-wise
-                    // executor ([`RunWiseExec`]); the scan never pairs it
-                    // with the generic batch executor.
                     unreachable!("run-span selection has no dense byte mask")
                 }
             },
@@ -823,8 +831,11 @@ impl<'a> SegmentAggExecutor<'a> {
                         debug_assert_eq!(expr_bufs[i].len(), len);
                         sort_based::sum_sorted_i64(&expr_bufs[i], sorted, sums, level)
                     }
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "`install` types lane buffers U32 or U64"
+                    )]
                     (SumSource::Lane { .. }, buf) => {
-                        // PANIC: `install` types lane buffers U32 or U64.
                         unreachable!("lane result buffer {buf:?}")
                     }
                 }
@@ -924,10 +935,16 @@ impl<'a> SegmentAggExecutor<'a> {
                     );
                 }
             }
-            // PANIC: the SortBased arm returned earlier in this function.
+            #[expect(
+                clippy::unreachable,
+                reason = "the SortBased arm returned earlier in this function"
+            )]
             (AggStrategy::SortBased, _) => unreachable!("handled above"),
-            // PANIC: run-wise aggregation runs in [`RunWiseExec`]; the
-            // generic executor is never constructed with it.
+            #[expect(
+                clippy::unreachable,
+                reason = "run-wise aggregation runs in `RunWiseExec`; the generic executor is \
+                          never constructed with it"
+            )]
             (AggStrategy::RunWise, _) => unreachable!("run-wise uses a dedicated executor"),
         }
         update_min_max(mm_accs, &bufs[num_sums..], gids_eff, slots, level);
@@ -999,7 +1016,7 @@ fn materialize_lanes(
                 v.resize(len, 0);
                 lane::materialize_u64(program, &leaf, &prev, v, level)
             }
-            // PANIC: `install` types lane buffers U32 or U64.
+            #[expect(clippy::unreachable, reason = "`install` types lane buffers U32 or U64")]
             buf => unreachable!("lane result buffer {buf:?}"),
         }
     }
@@ -1008,7 +1025,7 @@ fn materialize_lanes(
 /// The fallback: decode the referenced columns to `i64` and run every
 /// computed input's interpreter program over the full batch into
 /// `expr_bufs`.
-#[allow(clippy::too_many_arguments)] // the executor's scratch, field by field
+#[allow(clippy::too_many_arguments, reason = "the executor's scratch, field by field")]
 fn eval_interpreted<'i>(
     seg: &Segment,
     start: usize,
@@ -1026,7 +1043,10 @@ fn eval_interpreted<'i>(
     }
     let col_cache = &*col_cache;
     let lookup = |col: usize| -> &[i64] {
-        // PANIC: `interp_cols` lists every column the expressions reference.
+        #[expect(
+            clippy::expect_used,
+            reason = "`interp_cols` lists every column the expressions reference"
+        )]
         let at = plan.interp_cols.iter().position(|&c| c == col).expect("column decoded");
         &col_cache[at]
     };
@@ -1049,8 +1069,9 @@ fn select_interpreted(
     spare: &mut Spare,
     level: SimdLevel,
 ) {
-    let ValueBuf::I64(v) = buf else {
-        // PANIC: `install` types interpreter buffers I64.
+    #[expect(clippy::unreachable, reason = "`install` types interpreter buffers I64")]
+    let ValueBuf::I64(v) = buf
+    else {
         unreachable!("interpreter result buffer {buf:?}")
     };
     match batch.rows {
@@ -1088,10 +1109,12 @@ fn update_min_max(
             (ValueBuf::I64(v), MinMaxAcc::I64(mins, maxs)) => {
                 minmax::min_max_scalar_i64(gids, v, mins, maxs)
             }
+            #[expect(
+                clippy::unreachable,
+                reason = "accumulators and buffers are both shaped from the same MIN/MAX input \
+                          (`MinMaxAcc::new_for`, `install`), so they cannot diverge"
+            )]
             (buf, acc) => {
-                // PANIC: accumulators and buffers are both shaped from the
-                // same MIN/MAX input (`MinMaxAcc::new_for`, `install`), so
-                // they cannot diverge.
                 unreachable!("mismatched min/max buffer {buf:?} for accumulator {acc:?}")
             }
         }
@@ -1548,7 +1571,7 @@ mod tests {
 
     /// Run one (strategy, selection, level) cell of `case`, with the lane
     /// plan the proof picks or — `interpreted` — with the fallback forced.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one argument per axis of the test matrix")]
     fn run_lane_cell(
         case: &LaneCase,
         table: &bipie_columnstore::Table,

@@ -35,6 +35,11 @@
 //! executed through a contended `Engine` returns exactly the rows of the
 //! same query executed alone (pinned by the `engine_serving` suite).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the serving layer owns the admission turnstile's locks and counters"
+)]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -422,7 +427,7 @@ impl Drop for AdmissionPermit<'_> {
 /// A held admission slot from [`Engine::reserve`]; dropping it releases
 /// the slot and its aggregate-memory reservation.
 pub struct EnginePermit<'e> {
-    #[allow(dead_code)] // held for its Drop side effect
+    #[allow(dead_code, reason = "held for its Drop side effect")]
     permit: AdmissionPermit<'e>,
 }
 
@@ -551,11 +556,15 @@ mod tests {
             Err(EngineError::AdmissionTimeout { waited }) => {
                 assert!(waited >= Duration::from_millis(10));
             }
-            other => panic!("expected AdmissionTimeout, got {other:?}"), // PANIC: test pin.
+            other => panic!("expected AdmissionTimeout, got {other:?}"),
         }
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a second client waits for the budget the test releases"
+    )]
     fn aggregate_pressure_queues_then_admits() {
         let engine = Engine::new(EngineConfig {
             max_concurrent: 4,

@@ -41,7 +41,7 @@ pub enum Expr {
     Neg(Box<Expr>),
 }
 
-#[allow(clippy::should_implement_trait)] // fluent builder methods, not operator traits
+#[allow(clippy::should_implement_trait, reason = "fluent builder methods, not operator traits")]
 impl Expr {
     /// Column reference.
     pub fn col(name: impl Into<String>) -> Expr {
@@ -239,7 +239,10 @@ fn compile_cse(
         return;
     }
     match n {
-        // PANIC: `ctx.leaf` returned Some for every Col/Lit just above.
+        #[expect(
+            clippy::unreachable,
+            reason = "`ctx.leaf` returned Some for every Col/Lit just above"
+        )]
         Node::Col(_) | Node::Lit(_) => unreachable!("leaves handled above"),
         Node::Neg(a) => {
             compile_cse(a, ctx, program, depth, max_stack);
@@ -250,7 +253,10 @@ fn compile_cse(
                 Node::Add(..) => Op::Add(operand),
                 Node::Sub(..) => Op::Sub(operand),
                 Node::Mul(..) => Op::Mul(operand),
-                // PANIC: the enclosing arm only matches Add/Sub/Mul.
+                #[expect(
+                    clippy::unreachable,
+                    reason = "the enclosing arm only matches Add/Sub/Mul"
+                )]
                 _ => unreachable!(),
             };
             if let (Some(lhs), Some(rhs)) = (ctx.leaf(a), ctx.leaf(b)) {
@@ -258,7 +264,10 @@ fn compile_cse(
                     Node::Add(..) => BinKind::Add,
                     Node::Sub(..) => BinKind::Sub,
                     Node::Mul(..) => BinKind::Mul,
-                    // PANIC: the enclosing arm only matches Add/Sub/Mul.
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "the enclosing arm only matches Add/Sub/Mul"
+                    )]
                     _ => unreachable!(),
                 };
                 program.push(Op::Bin2(kind, lhs, rhs));
@@ -392,8 +401,11 @@ impl ResolvedExpr {
                             buf.extend_from_slice(src);
                         }
                         Operand::Lit(v) => buf.resize(len, *v),
-                        // PANIC: the compiler never emits Load(Stack); see
-                        // `compile_cse`, which loads only leaf operands.
+                        #[expect(
+                            clippy::unreachable,
+                            reason = "the compiler never emits Load(Stack): `compile_cse` loads \
+                                      only leaf operands"
+                        )]
                         Operand::Stack => unreachable!("Load never takes Stack"),
                     }
                     sp += 1;
@@ -420,8 +432,11 @@ impl ResolvedExpr {
                             RhsVals::Slice(src)
                         }
                         Operand::Lit(v) => RhsVals::Splat(*v),
-                        // PANIC: the compiler emits Bin2 only when both
-                        // operands are leaves (Col/Prev/Lit).
+                        #[expect(
+                            clippy::unreachable,
+                            reason = "the compiler emits Bin2 only when both operands are leaves \
+                                      (Col/Prev/Lit)"
+                        )]
                         Operand::Stack => unreachable!("Bin2 takes leaves"),
                     };
                     bin2(*kind, get(lhs), get(rhs), buf);
@@ -580,14 +595,12 @@ fn binary_range(n: &Node, (al, ah): (i128, i128), (bl, bh): (i128, i128)) -> (i1
     match n {
         Node::Add(..) => (al + bl, ah + bh),
         Node::Sub(..) => (al - bh, ah - bl),
+        #[expect(clippy::unwrap_used, reason = "min and max of a 4-element array")]
         Node::Mul(..) => {
             let products = [al * bl, al * bh, ah * bl, ah * bh];
-            (
-                products.iter().copied().min().unwrap(), // PANIC: 4-element array
-                products.iter().copied().max().unwrap(), // PANIC: 4-element array
-            )
+            (products.iter().copied().min().unwrap(), products.iter().copied().max().unwrap())
         }
-        // PANIC: callers pass Add/Sub/Mul nodes only.
+        #[expect(clippy::unreachable, reason = "callers pass Add/Sub/Mul nodes only")]
         Node::Col(_) | Node::Lit(_) | Node::Neg(_) => unreachable!("not a binary node"),
     }
 }
@@ -648,7 +661,10 @@ fn apply(op: &Op, top: &mut [i64], rhs: RhsVals<'_>) {
             match rhs {
                 RhsVals::Slice(r) => {
                     for (t, &r) in top.iter_mut().zip(r) {
-                        #[allow(clippy::redundant_closure_call)]
+                        #[allow(
+                            clippy::redundant_closure_call,
+                            reason = "the macro applies its operator closure in place"
+                        )]
                         {
                             *t = ($f)(*t, r);
                         }
@@ -656,7 +672,10 @@ fn apply(op: &Op, top: &mut [i64], rhs: RhsVals<'_>) {
                 }
                 RhsVals::Splat(r) => {
                     for t in top.iter_mut() {
-                        #[allow(clippy::redundant_closure_call)]
+                        #[allow(
+                            clippy::redundant_closure_call,
+                            reason = "the macro applies its operator closure in place"
+                        )]
                         {
                             *t = ($f)(*t, r);
                         }
@@ -670,9 +689,12 @@ fn apply(op: &Op, top: &mut [i64], rhs: RhsVals<'_>) {
         Op::Sub(_) => run!(|t: i64, r: i64| t - r),
         Op::RSub(_) => run!(|t: i64, r: i64| r - t),
         Op::Mul(_) => run!(|t: i64, r: i64| t * r),
+        #[expect(
+            clippy::unreachable,
+            reason = "the interpreter loop dispatches those opcodes before reaching this fused-RHS \
+                      helper"
+        )]
         Op::Load(_) | Op::Neg | Op::Bin2(..) => {
-            // PANIC: the interpreter loop dispatches those opcodes before
-            // reaching this fused-RHS helper.
             unreachable!("handled by the interpreter loop")
         }
     }

@@ -142,8 +142,11 @@ impl Predicate {
                                 ),
                             });
                         }
-                        // PANIC: the type-mismatch branch just above already
-                        // rejected non-integer-like constants.
+                        #[expect(
+                            clippy::unwrap_used,
+                            reason = "the type-mismatch branch just above already rejected \
+                                      non-integer-like constants"
+                        )]
                         let c = v.as_storage_i64().unwrap();
                         Ok(PNode::Int { col, cmp: LogicalCmp::Cmp(*op, c) })
                     }
@@ -181,19 +184,24 @@ impl Predicate {
                 let v = value_of(column);
                 match (&v, value) {
                     (Value::Str(a), Value::Str(b)) => op.eval(&**a, &**b),
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "plan construction rejected mixed string / integer comparisons, \
+                                  so both sides are integer-like"
+                    )]
                     _ => op.eval(
-                        // PANIC: plan construction rejected mixed string /
-                        // integer comparisons, so both sides are integer-like.
                         v.as_storage_i64().expect("typed"),
-                        value.as_storage_i64().expect("typed"), // PANIC: see above
+                        value.as_storage_i64().expect("typed"),
                     ),
                 }
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "BETWEEN is integer-only by construction: plan compilation rejects string \
+                          bounds"
+            )]
             Predicate::Between { column, lo, hi } => {
-                // PANIC: BETWEEN is integer-only by construction (plan
-                // compilation rejects string bounds), same on both lines.
                 let v = value_of(column).as_storage_i64().expect("typed");
-                // PANIC: same integer-only BETWEEN construction as above.
                 v >= lo.as_storage_i64().expect("typed") && v <= hi.as_storage_i64().expect("typed")
             }
             Predicate::And(preds) => preds.iter().all(|p| p.eval_row(value_of)),
@@ -420,14 +428,20 @@ impl ResolvedPredicate {
     pub fn eval_row(&self, row: &[Value]) -> bool {
         fn walk(node: &PNode, row: &[Value]) -> bool {
             match node {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`resolve` typed this column integer-like, and the table's \
+                              `check_row` typed the row against the same schema"
+                )]
                 PNode::Int { col, cmp } => {
-                    // PANIC: `resolve` typed this column integer-like, and the
-                    // table's `check_row` typed the row against the same schema.
                     cmp.matches(row[*col].as_storage_i64().expect("integer-like by resolve"))
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a string column by `resolve`, a string value by the table's \
+                              `check_row`"
+                )]
                 PNode::StrCmp { col, op, value } => {
-                    // PANIC: a string column by `resolve`, a string value by
-                    // the table's `check_row`.
                     op.eval(row[*col].as_str().expect("string by resolve"), value.as_str())
                 }
                 PNode::And(nodes) => nodes.iter().all(|n| walk(n, row)),
@@ -554,8 +568,11 @@ impl<'a> SegmentPredicate<'a> {
                 EncodedColumn::StrDict(d) => {
                     push_dict_conjunct(dict, *col, str_domain_cmp(d.dict(), *op, value))
                 }
-                // PANIC: string columns always dictionary-encode (see
-                // `encode_strings`), so StrCmp only meets StrDict.
+                #[expect(
+                    clippy::unreachable,
+                    reason = "string columns always dictionary-encode (`encode_strings`), so \
+                              StrCmp only meets StrDict"
+                )]
                 other => unreachable!("string column encoded as {:?}", other.encoding()),
             },
             PNode::Int { col, cmp } => {
@@ -618,7 +635,10 @@ impl<'a> SegmentPredicate<'a> {
         let (codes, dict_len) = match seg.column(col) {
             EncodedColumn::IntDict(d) => (d.codes(), d.dict().len() as u64),
             EncodedColumn::StrDict(d) => (d.codes(), d.dict().len() as u64),
-            // PANIC: `add` collects conjuncts of dictionary columns only.
+            #[expect(
+                clippy::unreachable,
+                reason = "`add` collects conjuncts of dictionary columns only"
+            )]
             other => unreachable!("dictionary conjunct on {:?}", other.encoding()),
         };
         let dc = match dcs {
@@ -732,8 +752,9 @@ impl<'a> SegmentPredicate<'a> {
             if out.is_empty() {
                 break;
             }
-            let Kernel::Rle { col, cmp } = kernel else {
-                // PANIC: the caller checked `span_runs_fraction`.
+            #[expect(clippy::unreachable, reason = "the caller checked `span_runs_fraction`")]
+            let Kernel::Rle { col, cmp } = kernel
+            else {
                 unreachable!("span evaluation of a non-RLE kernel")
             };
             eval_rle_spans(col, start, len, *cmp, &mut a);

@@ -23,6 +23,11 @@
 //! per worker, and a charge that fails after the slack over-grab retries
 //! with the exact need so a budget that genuinely fits is never refused.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the governor owns the cancellation flag and the memory-budget counters"
+)]
+
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;

@@ -47,6 +47,16 @@
 //! * [`mod@reference`] — a naive row-at-a-time executor used as the correctness
 //!   oracle for the whole engine.
 
+// Library code is panic-free: a failure is a typed error, and a site that
+// cannot fail says why in an `#[expect(clippy::…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
+
 pub mod aggproc;
 pub mod engine;
 pub mod error;
@@ -72,10 +82,15 @@ pub use pool::{QueryTag, SchedStats};
 pub use query::{execute, AggExpr, Query, QueryBuilder, QueryOptions, QueryResult, ResultRow};
 pub use stats::ExecStats;
 pub use strategy::{AggStrategy, SelectionStrategy};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the telemetry handle and decision log are public API"
+)]
 pub use telemetry::{
     metrics_compiled_out, telemetry, DecisionLog, DecisionSummary, EngineTelemetry,
     DECISION_LOG_CAPACITY,
 };
+#[expect(clippy::disallowed_types, reason = "finished trace events are public API")]
 pub use trace::{
     DecisionRecord, Phase, PhaseTotals, ProfileLevel, QueryProfile, SpanLoc, TraceEvent, Tracer,
     WorkerRing,

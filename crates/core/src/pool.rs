@@ -40,6 +40,12 @@
 //!   the caller always executes worker 0's slice on its own thread
 //!   (DESIGN.md §15).
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the worker pool owns the scan threads and their hand-off locks"
+)]
+
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -145,8 +151,11 @@ impl<T> SchedQueues<T> {
             .min_by_key(|(_, q)| (q.vtime, q.query))
             .map(|(i, _)| i)?;
         let q = &mut self.queues[idx];
-        // PANIC: queues are pruned when drained, so every retained queue
-        // holds at least one job.
+        #[expect(
+            clippy::expect_used,
+            reason = "queues are pruned when drained, so every retained queue holds at least one \
+                      job"
+        )]
         let job = q.jobs.pop_front().expect("scheduler queues are never retained empty");
         self.vclock = q.vtime;
         q.vtime += (VTIME_QUANTUM / u64::from(q.weight)).max(1);
@@ -354,12 +363,15 @@ impl WorkerPool {
         while *spawned < needed {
             let shared = Arc::clone(&self.shared);
             let worker_id = *spawned;
+            #[expect(
+                clippy::expect_used,
+                reason = "spawn fails only on OS thread exhaustion, which is unrecoverable for the \
+                          engine; surfacing it here beats deadlocking on a pool that silently \
+                          never grew"
+            )]
             std::thread::Builder::new()
                 .name(format!("bipie-scan-{worker_id}"))
                 .spawn(move || worker_loop(shared))
-                // PANIC: spawn fails only on OS thread exhaustion, which is
-                // unrecoverable for the engine; surfacing it here beats
-                // deadlocking on a pool that silently never grew.
                 .expect("spawning a scan worker thread");
             *spawned += 1;
         }

@@ -423,7 +423,10 @@ fn process_mutable_region(
                 }),
             };
             acc.count += 1;
-            // PANIC: aggregate inputs are integer-like per plan validation.
+            #[expect(
+                clippy::expect_used,
+                reason = "aggregate inputs are integer-like per plan validation"
+            )]
             let value_of = |idx: usize| row[idx].as_storage_i64().expect("integer-like");
             for (s, e) in acc.sums.iter_mut().zip(sum_exprs) {
                 *s += e.eval_row(&value_of);

@@ -44,13 +44,16 @@ pub fn execute_reference(table: &Table, query: &Query) -> Result<QueryResult> {
             (0, vec![0i64; num_sums], vec![i64::MAX; num_mm], vec![i64::MIN; num_mm])
         });
         entry.0 += 1;
+        #[expect(
+            clippy::expect_used,
+            reason = "aggregate inputs were type-checked as integer-like when the query was \
+                      validated"
+        )]
         let eval = |e: &crate::expr::Expr| -> Result<i64> {
             let resolved = e.resolve(&|n| table.column_index(n))?;
             Ok(resolved.eval_row(&|idx| {
                 value_of(&table.specs()[idx].name)
                     .as_storage_i64()
-                    // PANIC: aggregate inputs were type-checked as
-                    // integer-like when the query was validated.
                     .expect("integer-like aggregate input")
             }))
         };
@@ -91,11 +94,17 @@ pub fn execute_reference(table: &Table, query: &Query) -> Result<QueryResult> {
                 continue;
             }
             let value_of = |name: &str| -> Value {
-                // PANIC: query validation resolved every column name.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "query validation resolved every column name"
+                )]
                 let idx = table.column_index(name).expect("known column");
                 match seg.column(idx) {
                     EncodedColumn::StrDict(d) => {
-                        // PANIC: materialized above for every StrDict column.
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "materialized above for every StrDict column"
+                        )]
                         let dict = dict_vals[idx].as_ref().expect("materialized above");
                         dict[d.codes().get(row) as usize].clone()
                     }
@@ -106,8 +115,8 @@ pub fn execute_reference(table: &Table, query: &Query) -> Result<QueryResult> {
         }
     }
     for row in table.mutable_rows() {
+        #[expect(clippy::expect_used, reason = "query validation resolved every column name")]
         let value_of =
-            // PANIC: query validation resolved every column name.
             |name: &str| -> Value { row[table.column_index(name).expect("known column")].clone() };
         process_row(&value_of)?;
     }

@@ -23,6 +23,11 @@
 //! region inline on the caller, and the single worker's result is already
 //! the answer.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the parallel scan merges per-worker results through locked slots"
+)]
+
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -1290,9 +1295,12 @@ impl<'a> WideScan<'a> {
         }
         {
             let cache = &self.col_cache;
+            #[expect(
+                clippy::unwrap_used,
+                reason = "`col_cache` was planned with exactly the columns the compiled \
+                          expressions reference"
+            )]
             let lookup = |idx: usize| -> &[i64] {
-                // PANIC: `col_cache` was planned with exactly the columns
-                // the compiled expressions reference.
                 cache.iter().find(|(c, _)| *c == idx).map(|(_, v)| v.as_slice()).unwrap()
             };
             for (i, e) in self.all_exprs.iter().enumerate() {

@@ -42,6 +42,11 @@
 //! label `strategy` with snake_case values so identity stays allocation-free
 //! (label sets are `&'static` throughout).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the telemetry seam owns the registry, its instruments and the decision log"
+)]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
@@ -616,7 +621,7 @@ mod tests {
                 DecisionRecord::Selection { observed_selectivity, .. } => {
                     assert!((observed_selectivity - 10.0 / 10_000.0).abs() < 1e-12);
                 }
-                _ => panic!("expected selection record"), // PANIC: test-only shape pin.
+                _ => panic!("expected selection record"),
             }
             assert!(matches!(log.snapshot().last(), Some(DecisionRecord::Agg { .. })));
         }
@@ -657,6 +662,7 @@ mod tests {
         /// one guard: a dump never shows `dropped > 0` beside a ring that
         /// is not full, however many sessions are publishing.
         #[test]
+        #[expect(clippy::disallowed_methods, reason = "pushes race the dump from real threads")]
         fn dump_is_one_consistent_view_under_concurrent_pushes() {
             let log = DecisionLog::new();
             let records = profile_of(&[(0.5, SelectionStrategy::Compact)]).segments().remove(0);

@@ -32,6 +32,12 @@
 //! Per-phase totals and the [`ExecStats`] counters keep counting after
 //! overflow, so totals stay exact even when the event log is truncated.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the tracer owns the cycle clock and builds every trace event"
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 

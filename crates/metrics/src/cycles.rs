@@ -6,6 +6,8 @@
 //! toolbox substitutes a monotonic-nanosecond fallback so the harness still
 //! runs; the absolute numbers then are nanoseconds, not cycles.
 
+#![expect(clippy::disallowed_methods, reason = "the harness clock wraps the raw cycle counter")]
+
 /// Read the time-stamp counter, serialized against earlier loads.
 #[inline]
 pub fn read_cycles() -> u64 {

@@ -18,6 +18,15 @@
 //!   a JSON snapshot.
 
 #![forbid(unsafe_code)]
+// Library code is panic-free: a failure is a typed error, and a site that
+// cannot fail says why in an `#[expect(clippy::…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
 
 pub mod cycles;
 pub mod measure;
@@ -26,5 +35,6 @@ pub mod table;
 
 pub use cycles::{read_cycles, tsc_hz, Deadline};
 pub use measure::{measure_cycles_per_row, MeasureOpts, Measurement};
+#[expect(clippy::disallowed_types, reason = "the registry and its instruments are public API")]
 pub use registry::{Counter, Gauge, Histogram, Labels, Registry};
 pub use table::{Grid, Table};

@@ -1,6 +1,11 @@
 //! Median-of-N cycle measurement (§6: "We always run the same experiment
 //! ten times, and report the median of these ten runs").
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the measurement harness times kernels on the raw cycle counter"
+)]
+
 use crate::cycles::read_cycles;
 
 /// Options controlling a measurement.

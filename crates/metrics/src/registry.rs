@@ -29,6 +29,11 @@
 //! label space is fixed at compile time, which is what keeps exposition
 //! allocation-free per sample and cardinality bounded by construction.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the registry defines the instruments and their atomic shards"
+)]
+
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -513,6 +518,7 @@ mod tests {
     use super::*;
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a second thread lands on another shard")]
     fn counter_sums_across_shards_and_threads() {
         let r = Registry::new();
         let c = r.counter("test_total", "help", &[]);

@@ -4,6 +4,8 @@
 //! surface as a test failure here, not as a broken panel later. The
 //! asserts pin exact strings from a fixed registry.
 
+#![expect(clippy::disallowed_types, reason = "the golden renders a registry of its own")]
+
 use bipie_metrics::Registry;
 
 /// One instrument of each kind, with deterministic values: a plain

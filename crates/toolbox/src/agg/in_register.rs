@@ -203,7 +203,7 @@ mod avx2 {
         (@ $func:ident, $n:expr, $args:tt, $($k:literal)*) => {
             match $n {
                 $($k => $func::<$k> $args,)*
-                // PANIC: the dispatcher only routes here for 1..=32 groups.
+                // Cannot fire: the dispatcher only routes here for 1..=32 groups.
                 _ => unreachable!("group count checked by caller"),
             }
         };

@@ -559,6 +559,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::unreachable, reason = "the program reads no previous result")]
     fn q1_shape_matches_row_arithmetic_at_every_level_and_length() {
         let (disc_price, charge) = q1_programs();
         for n in [0usize, 1, 3, 4, 5, 255, 256, 257, 1000] {
@@ -591,6 +592,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::unreachable, reason = "the program reads no previous result")]
     fn mul_is_exact_at_the_32_bit_boundary() {
         // Both multiplicands at 2^32 - 1: the product needs all 64 bits.
         let a = [u32::MAX; 9];

@@ -86,8 +86,11 @@ impl RowLayout {
                     offset += 8;
                 }
                 1 | 2 => {}
-                // PANIC: ColRef widths are 1/2/4/8 by construction; any
-                // other width is a kernel-contract violation, not data.
+                #[expect(
+                    clippy::panic,
+                    reason = "ColRef widths are 1/2/4/8 by construction; any other width is a \
+                              kernel-contract violation, not data"
+                )]
                 _ => panic!("unsupported element width {w}"),
             }
         }
@@ -153,7 +156,7 @@ pub fn sum_multi(
     for (s, col) in sources.iter_mut().zip(cols) {
         *s = LaneSource::Col(*col);
     }
-    // PANIC: column sources read no leaves.
+    #[expect(clippy::unreachable, reason = "column sources read no leaves")]
     let no_leaf = |_| unreachable!("column sources read no leaves");
     sum_lanes(gids, &sources[..cols.len()], &no_leaf, layout, num_groups, sums, level);
 }
@@ -217,7 +220,10 @@ pub fn sum_lanes<'a, 'l>(
             let slot = layout.slot(c);
             let (lane, hi) = (slot.byte_offset / 8, slot.byte_offset % 8 == 4);
             let (below, rest) = slots.split_at_mut(lane);
-            // PANIC: lane < 4 by RowLayout construction (offset < 32).
+            #[expect(
+                clippy::expect_used,
+                reason = "lane < 4 by RowLayout construction (offset < 32)"
+            )]
             let (dst, above) = rest.split_first_mut().expect("lane within the row");
             let dst = &mut dst[..len];
             match source {
@@ -632,6 +638,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "expression sources take 8-byte slots")]
+    #[expect(clippy::unreachable, reason = "the program reads no leaves")]
     fn sum_lanes_rejects_expression_in_a_narrow_slot() {
         use crate::agg::lane::{LaneArg, LaneOp, LaneProgram};
         let prog = LaneProgram::new(vec![LaneOp::Load(LaneArg::Lit(1))]).unwrap();

@@ -165,7 +165,7 @@ fn row_major_accumulate(gids: &[u8], cols: &[ColRef<'_>], acc: &mut [i64], unrol
                 .iter()
                 .map(|c| match c {
                     ColRef::$variant(s) => *s,
-                    // PANIC: the caller matched every column against this
+                    // Cannot fire: the caller matched every column against this
                     // variant before choosing the homogeneous path.
                     _ => unreachable!("checked homogeneous"),
                 })
@@ -253,7 +253,7 @@ fn row_major_typed_unrolled<T: AggElem>(gids: &[u8], cols: &[&[T]], acc: &mut [i
     }
     macro_rules! fixed {
         ($k:literal) => {{
-            // PANIC: the match arm guarantees `cols.len() == $k`.
+            // Cannot fail: the match arm guarantees `cols.len() == $k`.
             let fixed: &[&[T]; $k] = cols.try_into().expect("matched len");
             return row_major_fixed::<T, $k>(gids, fixed, acc);
         }};

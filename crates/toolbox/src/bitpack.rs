@@ -79,8 +79,11 @@ impl WordSize {
             9..=16 => WordSize::W2,
             17..=32 => WordSize::W4,
             33..=64 => WordSize::W8,
-            // PANIC: callers derive `bits` from 64-bit values, so it is
-            // always ≤ 64; anything else is a caller bug.
+            #[expect(
+                clippy::panic,
+                reason = "callers derive `bits` from 64-bit values, so it is always ≤ 64; anything \
+                          else is a caller bug"
+            )]
             _ => panic!("bit width {bits} out of range 0..=64"),
         }
     }
@@ -382,8 +385,8 @@ pub fn debug_assert_values_fit(values: &[u64], bits: u8) {
 }
 
 #[inline]
+#[expect(clippy::unwrap_used, reason = "the 8-byte slice is exact, so `try_into` must fit")]
 fn read_u64_le(bytes: &[u8], offset: usize) -> u64 {
-    // PANIC: the 8-byte slice is exact, so try_into must fit.
     u64::from_le_bytes(bytes[offset..offset + 8].try_into().unwrap())
 }
 

@@ -10,6 +10,8 @@
 //! a monotonic-nanosecond fallback keeps the harness running (absolute
 //! numbers then are nanoseconds, not cycles).
 
+#![expect(clippy::disallowed_methods, reason = "the raw cycle counter lives here")]
+
 /// Read the time-stamp counter, serialized against earlier loads.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[inline]

@@ -71,8 +71,11 @@ impl SimdLevel {
             "scalar" => SimdLevel::Scalar,
             "avx2" => SimdLevel::Avx2,
             "avx512" => SimdLevel::Avx512,
-            // PANIC: deliberate — a typo'd BIPIE_FORCE_SIMD override must
-            // fail loudly rather than silently test the wrong kernels.
+            #[expect(
+                clippy::panic,
+                reason = "deliberate: a typo'd BIPIE_FORCE_SIMD override must fail loudly rather \
+                          than silently test the wrong kernels"
+            )]
             other => panic!(
                 "BIPIE_FORCE_SIMD={other:?} is not a SIMD tier \
                  (expected \"scalar\", \"avx2\", or \"avx512\")"

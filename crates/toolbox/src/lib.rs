@@ -39,9 +39,20 @@
 //! * Aggregate accumulation is `i64`; callers prove overflow-impossibility
 //!   from segment metadata before selecting a kernel (§2.1).
 
-// Indexed loops over fixed-count SIMD accumulator arrays are deliberate:
-// the index is the group id and unrolls at compile time.
-#![allow(clippy::needless_range_loop)]
+// Library code is panic-free: a failure is a typed error, and a site that
+// cannot fail says why in an `#[expect(clippy::…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "indexed loops over fixed-count SIMD accumulator arrays are deliberate: the index \
+              is the group id and unrolls at compile time"
+)]
 
 pub mod agg;
 pub mod bitpack;

@@ -155,7 +155,7 @@ mod avx2 {
     #[inline]
     #[target_feature(enable = "bmi2")]
     unsafe fn mask8(sel: &[u8], i: usize) -> usize {
-        // PANIC: the 8-byte slice is exact, so try_into must fit.
+        #[expect(clippy::unwrap_used, reason = "the 8-byte slice is exact, so `try_into` must fit")]
         let word = u64::from_le_bytes(sel[i..i + 8].try_into().unwrap());
         _pext_u64(word, 0x0101010101010101) as usize
     }

@@ -1,5 +1,5 @@
-//! Fixture: one uncommented unsafe block, suppressed by the allowlist.
+//! Fixture: one unjustified atomic ordering, suppressed by the allowlist.
 
-pub fn first(data: &[u32]) -> u32 {
-    unsafe { *data.get_unchecked(0) }
+pub fn load(x: &AtomicUsize) -> usize {
+    x.load(Ordering::Relaxed)
 }

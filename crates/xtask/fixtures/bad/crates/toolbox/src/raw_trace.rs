@@ -1,14 +1,8 @@
-//! Fixture: engine code timing batches and building trace events and
-//! decision records by hand, bypassing the Tracer's ProfileLevel::Off gate.
-
-pub fn timed_batch(rows: u64) -> u64 {
-    let start = bipie_toolbox::cycles::read_tsc();
-    let _ = rows;
-    bipie_toolbox::cycles::read_tsc() - start
-}
+//! Fixture: engine code building trace events and decision records by hand,
+//! bypassing the Tracer's ProfileLevel::Off gate.
 
 pub fn hand_rolled_event(rows: u64, cycles: u64) {
-    let _event = TraceEvent::Span { phase, worker: 0, loc, rows, cycles, wall_nanos: 0 };
+    let _event = crate::trace::TraceEvent::Span { phase, worker: 0, loc, rows, cycles };
 }
 
 pub fn hand_priced_decision(segment: u32, cycles: u64) -> DecisionRecord {

@@ -1,4 +1,4 @@
-//! Fixture: atomic state outside the sanctioned concurrency modules.
+//! Fixture: an atomic ordering with no `// ORDERING:` justification, in a toolbox module.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -1,17 +1,8 @@
 //! Fixture: engine code records time through the Tracer API (where the
-//! ProfileLevel::Off gate lives) — no raw counter reads, no hand-built
-//! events. Tests at the bottom may read cycles directly.
+//! ProfileLevel::Off gate lives) — no hand-built events.
 
 pub fn process(tracer: &mut Tracer, rows: u64) {
     let start = tracer.start();
     let _ = rows;
     tracer.span(Phase::Selection, SpanLoc::none(), rows, start);
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn timing_in_tests_is_fine() {
-        let _ = bipie_toolbox::cycles::read_tsc();
-    }
 }

@@ -1,4 +1,4 @@
-//! Pass 6: memory-accountant coverage.
+//! Memory-accountant coverage.
 //!
 //! The resource governor (DESIGN.md §10) can only enforce `mem_budget` for
 //! allocations that are charged against it. The scan and aggregation

@@ -1,4 +1,4 @@
-//! Pass 7: atomics-ordering discipline.
+//! Atomics-ordering discipline.
 //!
 //! Every atomic operation in the engine names a memory ordering, and every
 //! ordering is a claim about inter-thread visibility that the type system
@@ -7,17 +7,16 @@
 //! orderings deliberately (Relaxed for monotone counters, Acquire/Release
 //! for publication) — but nothing stopped the next edit from weakening an
 //! `Acquire` to `Relaxed` and introducing a reordering bug that no test on
-//! x86 would ever catch. This pass makes the reasoning load-bearing:
+//! x86 would ever catch. This pass makes the reasoning load-bearing: every
+//! use of an atomic `Ordering` variant (`Relaxed`, `Acquire`, `Release`,
+//! `AcqRel`, `SeqCst`) in non-test code must carry an adjacent
+//! `// ORDERING:` comment — trailing on the same line, or in the contiguous
+//! comment run immediately above — justifying the choice.
 //!
-//! * every use of an atomic `Ordering` variant (`Relaxed`, `Acquire`,
-//!   `Release`, `AcqRel`, `SeqCst`) must carry an adjacent `// ORDERING:`
-//!   comment — trailing on the same line, or in the contiguous comment run
-//!   immediately above — justifying the choice;
-//! * atomics stay confined to the modules that own concurrent state
-//!   (`ATOMIC_MODULES`); an `Ordering::*` use or `Atomic*` type appearing
-//!   anywhere else in library code is flagged so concurrency cannot leak
-//!   into modules whose invariants assume single-threaded access. That
-//!   half is a row of the [`crate::confine`] table.
+//! Which files may hold atomics at all is clippy's `disallowed_types`: a file
+//! can name an `Atomic*` type or `Ordering` only under a
+//! `clippy::disallowed_types` expectation (DESIGN.md §11), so this check runs
+//! on every file rather than on a module list.
 //!
 //! Matching is on token paths, so `cmp::Ordering::Less` in the sort code
 //! never trips it (the comparator enum has no `Relaxed`/`Acquire`/…
@@ -29,7 +28,7 @@ use crate::scan::SourceFile;
 use crate::Diag;
 
 /// The atomic `Ordering` variants, as paths.
-pub const ORDERINGS: [&str; 5] = [
+const ORDERINGS: [&str; 5] = [
     "Ordering::Relaxed",
     "Ordering::Acquire",
     "Ordering::Release",
@@ -37,26 +36,13 @@ pub const ORDERINGS: [&str; 5] = [
     "Ordering::SeqCst",
 ];
 
-/// The modules that own concurrent state and may use atomics.
-pub const ATOMIC_MODULES: [&str; 6] = [
-    "crates/core/src/engine.rs",
-    "crates/core/src/pool.rs",
-    "crates/core/src/governor.rs",
-    "crates/core/src/telemetry.rs",
-    "crates/columnstore/src/batch.rs",
-    "crates/metrics/src/registry.rs",
-];
-
 /// The justification marker an ordering site must carry.
 pub const MARKER: &str = "ORDERING:";
 
 /// Run the atomics-discipline pass.
 pub fn check(files: &[SourceFile]) -> Vec<Diag> {
-    let mut out = crate::confine::check(files, "atomics-discipline");
-    for file in files {
-        if file.is_test_file() || !ATOMIC_MODULES.contains(&file.rel.as_str()) {
-            continue;
-        }
+    let mut out = Vec::new();
+    for file in files.iter().filter(|f| !f.is_test_file()) {
         let mut last_line = usize::MAX;
         for path in ORDERINGS {
             for tok in find_seq(&file.text, &file.toks, &path_pat(path)) {
@@ -123,15 +109,17 @@ mod tests {
     }
 
     #[test]
-    fn atomics_outside_sanctioned_modules_are_flagged() {
-        let f = file(
-            "crates/core/src/scan.rs",
-            "fn f(x: &AtomicUsize) -> usize {\n    \
-             // ORDERING: justified but still misplaced.\n    \
-             x.load(Ordering::SeqCst)\n}",
+    fn every_module_needs_the_justification() {
+        let bare = file(
+            "crates/toolbox/src/stray.rs",
+            "fn f(x: &AtomicBool) { x.store(true, Ordering::SeqCst) }",
         );
-        let diags = check(&[f]);
-        assert!(diags.iter().any(|d| d.msg.contains("sanctioned")), "{diags:?}");
+        assert_eq!(check(&[bare]).len(), 1);
+        let justified = file(
+            "crates/toolbox/src/stray.rs",
+            "fn f(x: &AtomicBool) {\n    // ORDERING: a one-shot flag.\n    x.store(true, Ordering::SeqCst)\n}",
+        );
+        assert!(check(&[justified]).is_empty());
     }
 
     #[test]

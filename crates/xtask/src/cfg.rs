@@ -222,7 +222,7 @@ pub fn lower_file(src: &str, toks: &[Tok], items: &[Item]) -> FileCfgs {
 
 /// Lower one body (fn or closure) and append its CFG — plus the CFGs of any
 /// brace-bodied closures found inside — to `out`.
-#[allow(clippy::too_many_arguments)] // internal lowering plumbing
+#[allow(clippy::too_many_arguments, reason = "internal lowering plumbing")]
 fn lower_one(
     src: &str,
     toks: &[Tok],

@@ -1,4 +1,4 @@
-//! Pass 14: governor-checkpoint reachability.
+//! Governor-checkpoint reachability.
 //!
 //! The cooperative governor (DESIGN.md §10) only cancels, enforces time
 //! budgets, and unwinds memory pressure at **checkpoints** — the

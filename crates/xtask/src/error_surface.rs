@@ -1,4 +1,4 @@
-//! Pass 12: error surface.
+//! Error surface.
 //!
 //! `EngineError` is the engine's entire recoverable-failure vocabulary:
 //! the governor's budget trips, the planner's type checks, the pool's

@@ -1,4 +1,4 @@
-//! Pass 3: invariant instrumentation.
+//! Invariant instrumentation.
 //!
 //! The SIMD kernels rely on data-shape invariants they cannot afford to
 //! check per row: selection byte vectors are canonical `0x00`/`0xFF` (the

@@ -1,4 +1,4 @@
-//! Pass 13: layer conformance.
+//! Layer conformance.
 //!
 //! The workspace is layered — `toolbox` (kernels, no deps) under
 //! `columnstore`/`metrics`, under `core`, under the `tpch`/`bench` drivers

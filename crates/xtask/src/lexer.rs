@@ -1,13 +1,13 @@
 //! A hand-rolled, dependency-free Rust token lexer.
 //!
 //! Line-level text matching sees too little structure to enforce the audit
-//! policies (atomics-ordering discipline, panic freedom, dispatch
-//! matrices), so this module tokenizes real Rust surface syntax with
-//! span-accurate positions:
+//! policies (atomics-ordering discipline, lock discipline, trace hygiene),
+//! so this module tokenizes real Rust surface syntax with span-accurate
+//! positions:
 //!
 //! * line comments (`//`), doc comments (`///`, `//!`) — kept as tokens so
 //!   passes can *read* justification comments (`// SAFETY:`,
-//!   `// ORDERING:`, `// PANIC:`) instead of re-parsing raw lines;
+//!   `// ORDERING:`, `// LOCK:`) instead of re-parsing raw lines;
 //! * block comments, **nested** per Rust's grammar (`/* /* */ */`),
 //!   including doc blocks (`/** */`, `/*! */`);
 //! * string literals with escapes, byte strings (`b"…"`), raw strings
@@ -22,10 +22,9 @@
 //! [`crate::scan::SourceFile`] reports as an audit error naming the file.
 //!
 //! On top of the token stream this module offers the shared machinery the
-//! passes are built from: a blanked **code view** that preserves byte
-//! positions, precise `#[cfg(test)]` region discovery by brace matching,
-//! and token-sequence matching for path patterns like `thread::spawn` or
-//! `Ordering::Relaxed`.
+//! passes are built from: precise `#[cfg(test)]` region discovery by brace
+//! matching, and token-sequence matching for path patterns like
+//! `TraceEvent::` or `Ordering::Relaxed`.
 
 use std::fmt;
 use std::ops::Range;
@@ -346,38 +345,6 @@ fn is_ident_continue(c: Option<char>) -> bool {
     c.is_some_and(|c| c == '_' || c.is_alphanumeric())
 }
 
-/// Build the blanked **code view** from the token stream: comments and
-/// string/char contents become spaces, newlines and all other bytes keep
-/// their exact positions: quotes of plain string/char literals survive,
-/// raw-string delimiters are blanked entirely, comments vanish wholesale.
-pub fn code_view(src: &str, toks: &[Tok]) -> String {
-    let mut out: Vec<u8> = src.bytes().map(|b| if b == b'\n' { b'\n' } else { b' ' }).collect();
-    let bytes = src.as_bytes();
-    for tok in toks {
-        match tok.kind {
-            TokKind::LineComment | TokKind::BlockComment | TokKind::RawStr => {}
-            TokKind::Str | TokKind::Char => {
-                // Keep any `b`/`c` prefix and the delimiting quotes.
-                let mut s = tok.span.start;
-                while bytes[s] != b'"' && bytes[s] != b'\'' {
-                    out[s] = bytes[s];
-                    s += 1;
-                }
-                out[s] = bytes[s];
-                let e = tok.span.end - 1;
-                if e > s {
-                    out[e] = bytes[e];
-                }
-            }
-            _ => out[tok.span.clone()].copy_from_slice(&bytes[tok.span.clone()]),
-        }
-    }
-    // Blanking writes one ASCII space per *byte*, so multi-byte chars in
-    // blanked regions become runs of spaces and the buffer stays UTF-8;
-    // kept regions are copied back verbatim on token (char) boundaries.
-    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
-}
-
 /// Line ranges (0-based, end-exclusive) of `#[cfg(test)]`-gated items,
 /// found by token brace matching: the attribute's parenthesized list must
 /// contain the ident `test` (so `#[cfg(all(test, …))]` counts and
@@ -623,25 +590,6 @@ mod tests {
         assert!(lex("let s = \"open").is_err());
         assert!(lex("/* never closed").is_err());
         assert!(lex("let s = r#\"open\"").is_err());
-    }
-
-    #[test]
-    fn code_view_blanks_comments_and_strings() {
-        let src = "let x = \"unsafe { }\"; // unsafe fn\nunsafe { y() }";
-        let toks = lex(src).unwrap();
-        let view = code_view(src, &toks);
-        let lines: Vec<&str> = view.lines().collect();
-        assert!(!lines[0].contains("unsafe"), "{:?}", lines[0]);
-        assert!(lines[1].contains("unsafe"), "{:?}", lines[1]);
-        assert_eq!(view.len(), src.len(), "code view must preserve byte positions");
-    }
-
-    #[test]
-    fn code_view_survives_escaped_quote_char() {
-        let src = r"let q = '\''; unsafe { y() }";
-        let toks = lex(src).unwrap();
-        let view = code_view(src, &toks);
-        assert!(view.contains("unsafe"), "{view:?}");
     }
 
     #[test]

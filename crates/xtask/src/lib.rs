@@ -1,6 +1,6 @@
 //! `cargo xtask audit` — repo-local static analysis for the BIPie workspace.
 //!
-//! Fifteen passes — the [`PASSES`] registry, which also carries each pass's
+//! Twelve passes — the [`PASSES`] registry, which also carries each pass's
 //! `--explain` card — all built on the hand-rolled token lexer in [`lexer`]
 //! and — for the semantic passes — the recursive-descent item parser in
 //! [`parser`], the symbol/module graph in [`graph`], and the per-fn
@@ -8,8 +8,10 @@
 //! [`dataflow`] (zero dependencies, no `syn`). Each source file is read,
 //! lexed, parsed and CFG-lowered exactly once per run ([`Corpus`]); passes
 //! share the corpus and report per-pass wall time (plus CFG lowering
-//! coverage) in the `--json` report. The "token X only in modules Y" rules
-//! of four passes are one table, [`confine::RULES`].
+//! coverage) in the `--json` report. The lexical rules a lint can express —
+//! `// SAFETY:` comments, panic freedom, and which files may spawn threads,
+//! read the cycle counter, or hold atomics, locks and registry types — are
+//! clippy's (the root `clippy.toml`; DESIGN.md §11).
 //!
 //! Violations print as `path:line: [pass] message` (or as SARIF with
 //! `--json`) and make the binary exit `1`; `2` is reserved for internal
@@ -27,7 +29,6 @@ pub mod atomics;
 pub mod bench_check;
 pub mod cfg;
 pub mod checkpoint_reachability;
-pub mod confine;
 pub mod dataflow;
 pub mod error_surface;
 pub mod graph;
@@ -35,7 +36,6 @@ pub mod invariants;
 pub mod layer_conformance;
 pub mod lexer;
 pub mod lock_discipline;
-pub mod panics;
 pub mod parser;
 pub mod report;
 pub mod safety_flow;
@@ -43,7 +43,7 @@ pub mod scan;
 pub mod span_balance;
 pub mod sync_escape;
 pub mod telemetry_accounting;
-pub mod unsafe_audit;
+pub mod trace_hygiene;
 
 use std::fmt;
 use std::path::Path;
@@ -87,18 +87,7 @@ pub struct Pass {
 }
 
 /// Every pass, in execution order.
-pub static PASSES: [Pass; 15] = [
-    Pass {
-        name: "unsafe",
-        id: "unsafe-audit",
-        run: |c| unsafe_audit::check(&c.files),
-        rule: "Every `unsafe` block sits under a `// SAFETY:` comment; every `unsafe fn` \
-               carries a `# Safety` doc contract.",
-        rationale: "The SIMD kernels and the pool's lifetime erasure are the only unsafe \
-                    code; each obligation must be written where it is discharged.",
-        fix: "Add `// SAFETY: <why the invariant holds here>` directly above the block, \
-              or a `# Safety` section to the fn's docs.",
-    },
+pub static PASSES: [Pass; 12] = [
     Pass {
         name: "invariants",
         id: "invariants",
@@ -111,26 +100,16 @@ pub static PASSES: [Pass; 15] = [
         fix: "Call the matching `debug_assert_*` helper at the dispatcher entry point.",
     },
     Pass {
-        name: "threads",
-        id: "thread-hygiene",
-        run: |c| confine::check(&c.files, "thread-hygiene"),
-        rule: "Threads are spawned only by the worker pool (and the serving benchmark's \
-               client threads) and by tests.",
-        rationale: "All parallelism funnels through the worker pool so the governor can \
-                    account for it and panics are contained and forwarded.",
-        fix: "Parallelize via `WorkerPool::run`; if the pool API is insufficient, extend \
-              it rather than spawning ad-hoc threads.",
-    },
-    Pass {
         name: "trace",
         id: "trace-hygiene",
-        run: |c| confine::trace_hygiene(&c.files),
-        rule: "Raw cycle-counter reads, `TraceEvent` construction and `DecisionRecord { .. }` \
-               literals stay in the tracer (the literals follow the `TraceEvent::` row); \
-               registry mutation stays behind the telemetry seam.",
+        run: |c| trace_hygiene::check(&c.files),
+        rule: "`TraceEvent::` paths and `DecisionRecord { .. }` literals appear only in the \
+               tracer (`crates/core/src/trace.rs`) and tests. Clippy's `disallowed_types` \
+               bans the `TraceEvent` type elsewhere, but not a variant path reached through \
+               a glob import or a full path.",
         rationale: "Engine code records through `Tracer`, where the `ProfileLevel::Off` \
                     gate keeps profiling at true zero cost and a decision is priced once, \
-                    at its source; metrics publish once per query through `EngineTelemetry`.",
+                    at its source.",
         fix: "Record through a `Tracer` method; add one if the event kind is new. Read \
               finished records by pattern (`DecisionRecord::Agg { cycles, .. }`).",
     },
@@ -148,33 +127,22 @@ pub static PASSES: [Pass; 15] = [
         name: "atomics",
         id: "atomics-discipline",
         run: |c| atomics::check(&c.files),
-        rule: "Every atomic `Ordering::*` use carries an adjacent `// ORDERING:` \
-               justification, and atomics stay in the modules that own concurrent state.",
+        rule: "Every atomic `Ordering::*` use outside tests carries an adjacent \
+               `// ORDERING:` justification. Which files may hold atomics at all is \
+               clippy's `disallowed_types`.",
         rationale: "Each ordering is a claim about a happens-before edge; the comment \
                     states the edge so review can check it.",
-        fix: "Add `// ORDERING: <the edge this ordering establishes>` at the use site, \
-              or move the atomic into a sanctioned module.",
-    },
-    Pass {
-        name: "panics",
-        id: "panic-freedom",
-        run: |c| panics::check(&c.files),
-        rule: "Library crates are panic-free: no `.unwrap()` / `.expect(…)` / `panic!` \
-               family outside tests, unless pinned with `// PANIC:`.",
-        rationale: "The engine returns `EngineError` for everything recoverable; a stray \
-                    unwrap turns a budget trip into a crash inside a worker.",
-        fix: "Return an `EngineError`, or add `// PANIC: <why this cannot fire>` if the \
-              invariant genuinely guarantees it.",
+        fix: "Add `// ORDERING: <the edge this ordering establishes>` at the use site.",
     },
     Pass {
         name: "locks",
         id: "lock-discipline",
         run: |c| lock_discipline::check(&c.files, &c.graph),
-        rule: "`Mutex`/`RwLock`/`Condvar` stay in the lock modules; every lock field and \
-               acquisition site carries `// LOCK:`; guard liveness is tracked per fn, the \
-               acquisition-order graph must be acyclic, and no guard is held across \
-               `Condvar::wait` (other than the waited one) or across a call that can \
-               re-enter `WorkerPool::run`.",
+        rule: "Every lock field and acquisition site outside tests carries `// LOCK:`; \
+               guard liveness is tracked per fn, the acquisition-order graph must be \
+               acyclic, and no guard is held across `Condvar::wait` (other than the waited \
+               one) or across a call that can re-enter `WorkerPool::run`. Which files may \
+               hold locks at all is clippy's `disallowed_types`.",
         rationale: "Every deadlock ingredient is a local edit that type-checks; the \
                     order graph and the wait/reentrancy rules make the blocking \
                     protocol mechanical.",
@@ -277,21 +245,11 @@ pub static PASSES: [Pass; 15] = [
 ];
 
 impl Pass {
-    /// The `--explain` card: the rule — followed by the allowed modules of
-    /// each of the pass's [`confine::RULES`] rows — the rationale and the fix.
+    /// The `--explain` card: the rule, the rationale and the fix.
     pub fn explain(&self) -> String {
-        let mut rule = self.rule.to_string();
-        for row in confine::RULES.iter().filter(|r| r.pass == self.id) {
-            let tokens: Vec<String> = row.tokens.iter().map(|t| format!("`{t}`")).collect();
-            rule += &format!(
-                "\n  {} only in: {} (and tests)",
-                tokens.join(", "),
-                row.allowed.join(", ")
-            );
-        }
         format!(
-            "pass: {} (id: {})\n\nrule:\n  {rule}\n\nwhy:\n  {}\n\nfix:\n  {}\n",
-            self.name, self.id, self.rationale, self.fix
+            "pass: {} (id: {})\n\nrule:\n  {}\n\nwhy:\n  {}\n\nfix:\n  {}\n",
+            self.name, self.id, self.rule, self.rationale, self.fix
         )
     }
 }
@@ -532,7 +490,7 @@ mod tests {
     #[test]
     fn explain_renders_every_section() {
         let text = lookup("locks").unwrap().explain();
-        for section in ["pass: locks", "lock-discipline", "rule:", "why:", "fix:", "only in:"] {
+        for section in ["pass: locks", "lock-discipline", "rule:", "why:", "fix:"] {
             assert!(text.contains(section), "{section} missing from {text}");
         }
     }

@@ -1,4 +1,4 @@
-//! Pass 10: lock discipline.
+//! Lock discipline.
 //!
 //! The worker pool's fork-join handshake and the parallel scan's result
 //! slots are the only blocking synchronization in the engine, and the
@@ -10,16 +10,12 @@
 //! opposite orders. This pass makes the blocking-synchronization rules
 //! mechanical, the way `atomics-discipline` did for memory orderings:
 //!
-//! * **confinement** — `Mutex`/`RwLock`/`Condvar` appear only in the lock
-//!   modules (`LOCK_MODULES`: `core::engine`, `core::pool`, `core::scan`,
-//!   `core::telemetry`, `metrics::registry`) and in tests — a row of the
-//!   [`crate::confine`] table;
 //! * **annotation** — every lock-typed struct field and every
 //!   guard-acquisition site (`lock(…)`, `.lock()`, `.wait(…)`) carries an
 //!   adjacent `// LOCK:` comment naming the lock's order/invariant, in the
-//!   style of `// SAFETY:`/`// ORDERING:`/`// PANIC:`;
-//! * **guard liveness** — a brace-matched scope walk over every fn body in
-//!   the lock modules tracks which guards are live where (`analyze_body`):
+//!   style of `// SAFETY:`/`// ORDERING:`;
+//! * **guard liveness** — a brace-matched scope walk over every non-test fn
+//!   body tracks which guards are live where (`analyze_body`):
 //!   `let g = lock(&x)` lives until `drop(g)` or its scope closes,
 //!   `*lock(&x) = …` lives to the end of its statement. From the overlaps
 //!   it builds the **lock-order graph** (guard on `a` live while acquiring
@@ -30,6 +26,11 @@
 //!   `WorkerPool::run` (computed from the symbol graph's call edges —
 //!   `run` is documented non-reentrant, and a held guard would turn that
 //!   latent misuse into a stuck pool).
+//!
+//! Which files may hold a lock at all is clippy's `disallowed_types`: a file
+//! can name `Mutex`/`RwLock`/`Condvar` only under a `clippy::disallowed_types`
+//! expectation (DESIGN.md §11), so this pass walks every file rather than a
+//! module list.
 //!
 //! The liveness walk is approximate in the safe direction: temporaries are
 //! kept alive through the end of their full statement (matching Rust's
@@ -44,32 +45,20 @@ use crate::parser::{walk_items, ItemKind};
 use crate::scan::SourceFile;
 use crate::Diag;
 
-/// The only modules allowed to contain blocking synchronization.
-pub const LOCK_MODULES: [&str; 5] = [
-    "crates/core/src/engine.rs",
-    "crates/core/src/pool.rs",
-    "crates/core/src/scan.rs",
-    "crates/core/src/telemetry.rs",
-    "crates/metrics/src/registry.rs",
-];
-
 /// The justification marker a lock field or acquisition site must carry.
 pub const MARKER: &str = "LOCK:";
 
 /// Lock/condvar type names whose appearance marks blocking synchronization.
-pub const LOCK_TYPES: [&str; 3] = ["Mutex", "RwLock", "Condvar"];
+const LOCK_TYPES: [&str; 3] = ["Mutex", "RwLock", "Condvar"];
 
 /// Run the lock-discipline pass.
 pub fn check(files: &[SourceFile], graph: &Graph) -> Vec<Diag> {
     // Everything that can transitively reach the pool's fork-join entry
     // point; holding a guard across any of these can wedge the pool.
     let reentrant = graph.reaching_fn_names("core", &["run"]);
-    let mut out = crate::confine::check(files, "lock-discipline");
+    let mut out = Vec::new();
     let mut edges: BTreeMap<(String, String), (String, usize)> = BTreeMap::new();
-    for file in files {
-        if file.is_test_file() || !LOCK_MODULES.contains(&file.rel.as_str()) {
-            continue;
-        }
+    for file in files.iter().filter(|f| !f.is_test_file()) {
         check_fields(file, &mut out);
         walk_items(&file.items, &mut |item| {
             if item.kind == ItemKind::Fn && !file.line_in_tests(item.line) {
@@ -364,11 +353,10 @@ mod tests {
     }
 
     #[test]
-    fn locks_outside_the_modules_are_flagged() {
-        let src = "use std::sync::Mutex;\nstruct T { m: Mutex<u8> }";
+    fn every_module_is_walked() {
+        let src = "struct T { m: Mutex<u8> }\nfn f(t: &T) { let g = lock(&t.m); drop(g); }";
         let diags = run(&[("crates/core/src/governor.rs", src)]);
-        assert!(!diags.is_empty());
-        assert!(diags.iter().all(|d| d.msg.contains("crates/core/src/pool.rs")), "{diags:?}");
+        assert_eq!(diags.len(), 2, "{diags:?}");
     }
 
     #[test]

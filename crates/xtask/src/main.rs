@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo xtask audit                  # run all passes on the workspace
-//! cargo xtask audit panics           # one pass, by its `xtask::PASSES`
+//! cargo xtask audit locks            # one pass, by its `xtask::PASSES`
 //!                                    #   name (the usage line lists them)
 //! cargo xtask audit --json           # SARIF 2.1.0 on stdout, with
 //!                                    #   per-pass wall times and CFG

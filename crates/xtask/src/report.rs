@@ -273,14 +273,16 @@ mod tests {
 
     #[test]
     fn ids_are_stable_under_line_drift() {
-        let a = vec![diag("panic-freedom", "src/lib.rs", 10, "`.unwrap()` in library code")];
-        let b = vec![diag("panic-freedom", "src/lib.rs", 99, "`.unwrap()` in library code")];
+        let a =
+            vec![diag("atomics-discipline", "src/lib.rs", 10, "`Ordering::Relaxed` unjustified")];
+        let b =
+            vec![diag("atomics-discipline", "src/lib.rs", 99, "`Ordering::Relaxed` unjustified")];
         assert_eq!(stable_ids(&a), stable_ids(&b));
     }
 
     #[test]
     fn repeated_findings_get_distinct_ordinals() {
-        let d = diag("panic-freedom", "src/lib.rs", 10, "`.unwrap()` in library code");
+        let d = diag("atomics-discipline", "src/lib.rs", 10, "`Ordering::Relaxed` unjustified");
         let ids = stable_ids(&[d.clone(), d]);
         assert_ne!(ids[0], ids[1]);
     }
@@ -295,18 +297,18 @@ mod tests {
     #[test]
     fn baseline_round_trips() {
         let ids =
-            vec!["panic-freedom-0123456789abcdef".to_string(), "atomics-discipline-feed".into()];
+            vec!["lock-discipline-0123456789abcdef".to_string(), "atomics-discipline-feed".into()];
         assert_eq!(parse_baseline(&render_baseline(&ids)), ids);
         assert!(parse_baseline(&render_baseline(&[])).is_empty());
     }
 
     #[test]
     fn sarif_contains_rule_result_and_fingerprint() {
-        let d = diag("unsafe-audit", "crates/toolbox/src/cmp.rs", 7, "cell \"x\" unmapped");
+        let d = diag("trace-hygiene", "crates/toolbox/src/cmp.rs", 7, "cell \"x\" unmapped");
         let ids = stable_ids(std::slice::from_ref(&d));
         let sarif = to_sarif(&[d]);
         assert!(sarif.contains("\"version\": \"2.1.0\""), "{sarif}");
-        assert!(sarif.contains("{ \"id\": \"unsafe-audit\" }"), "{sarif}");
+        assert!(sarif.contains("{ \"id\": \"trace-hygiene\" }"), "{sarif}");
         assert!(sarif.contains("\"startLine\": 7"), "{sarif}");
         assert!(sarif.contains("cell \\\"x\\\" unmapped"), "{sarif}");
         assert!(sarif.contains(&ids[0]), "{sarif}");

@@ -1,9 +1,10 @@
-//! Pass 17: SAFETY-precondition flow.
+//! SAFETY-precondition flow.
 //!
-//! Pass 1 (`unsafe-audit`) guarantees every `unsafe` block carries a
-//! `// SAFETY:` comment; this pass checks that the comment is *load-bearing*
-//! when it can be. A contract like `// SAFETY: AVX2 availability checked by
-//! has_avx2().` names a **checkable precondition** — a fn the code could
+//! Clippy's `undocumented_unsafe_blocks` guarantees every `unsafe` block
+//! carries a `// SAFETY:` comment; this pass checks that the comment is
+//! *load-bearing* when it can be. A contract like `// SAFETY: AVX2
+//! availability checked by has_avx2().` names a **checkable precondition** —
+//! a fn the code could
 //! actually evaluate — so the check must exist on every path into the
 //! unsafe block: a call in the same basic block (`debug_assert!(…)`,
 //! an `if has_avx2() { … }` header) or in a block that **dominates** it.

@@ -1,13 +1,12 @@
 //! Source discovery and the per-file audit views.
 //!
-//! Every pass works on a [`SourceFile`], which carries three parallel views
-//! of one `.rs` file: the raw lines (for reading justification comments),
-//! the token stream from the hand-rolled lexer ([`crate::lexer`]), and the
-//! blanked *code view* derived from the tokens, where comment and
-//! string/char-literal contents are spaces so keyword searches cannot be
-//! fooled by prose like `"an unsafe trick"` inside a panic message.
-//! [`fn_items`] reads the facts `invariants` needs (`unsafe`, the enclosing
-//! tier module) off the parsed items.
+//! Every pass works on a [`SourceFile`], which carries parallel views of one
+//! `.rs` file: the raw lines (for reading justification comments), the token
+//! stream from the hand-rolled lexer ([`crate::lexer`]) — where comments and
+//! literals are tokens of their own, so prose like `"an unsafe trick"` inside
+//! a panic message never looks like code — and the parsed items and CFGs
+//! built from it. [`fn_items`] reads the facts `invariants` needs (`unsafe`,
+//! the enclosing tier module) off the parsed items.
 //!
 //! A file the lexer refuses (a genuinely unterminated string or comment,
 //! mid-edit) has no trustworthy view at all, so it is an audit *error*
@@ -21,7 +20,7 @@ use crate::cfg::{self, FileCfgs};
 use crate::lexer::{self, LexError, Tok, TokKind};
 use crate::parser::{self, Item, ItemKind};
 
-/// One source file, with raw/token/code/item views (same line count).
+/// One source file, with raw/token/item/CFG views.
 pub struct SourceFile {
     /// Path relative to the audited root, `/`-separated.
     pub rel: String,
@@ -29,8 +28,6 @@ pub struct SourceFile {
     pub text: String,
     /// Raw lines as written.
     pub raw: Vec<String>,
-    /// Lines with comments and string/char literal contents blanked.
-    pub code: Vec<String>,
     /// The token stream.
     pub toks: Vec<Tok>,
     /// The parsed item tree ([`crate::parser`]). Lexed and parsed exactly
@@ -50,7 +47,6 @@ impl SourceFile {
     /// cannot finish it.
     pub fn from_source(rel: &str, text: &str) -> Result<SourceFile, LexError> {
         let toks = lexer::lex(text)?;
-        let code = lexer::code_view(text, &toks);
         let test_regions = lexer::cfg_test_regions(text, &toks);
         let items = parser::parse_items(text, &toks);
         let cfgs = cfg::lower_file(text, &toks, &items);
@@ -58,7 +54,6 @@ impl SourceFile {
             rel: rel.to_string(),
             text: text.to_string(),
             raw: text.lines().map(str::to_owned).collect(),
-            code: code.lines().map(str::to_owned).collect(),
             toks,
             items,
             test_regions,
@@ -78,11 +73,6 @@ impl SourceFile {
             .join("/");
         let text = fs::read_to_string(path).map_err(|e| format!("{rel}: cannot read: {e}"))?;
         SourceFile::from_source(&rel, &text).map_err(|e| format!("{rel}: cannot lex: {e}"))
-    }
-
-    /// The code view as one string (for whole-file token scans).
-    pub fn code_text(&self) -> String {
-        self.code.join("\n")
     }
 
     /// Whether the whole file is test code (an integration-test tree).
@@ -242,18 +232,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn attr_block_stops_at_code() {
-        let raw: Vec<String> =
-            ["let a = 1;", "/// doc", "#[target_feature(enable = \"avx2\")]", "unsafe fn k() {}"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-        let block = attr_block_above(&raw, 3);
-        assert!(block.contains("target_feature"));
-        assert!(!block.contains("let a"));
-    }
-
-    #[test]
     fn fn_items_read_modifiers_and_tier_off_the_parser() {
         let src = "#[target_feature(enable = \"avx2\")]\npub unsafe fn free() {}\n\
                    pub(crate) mod avx512 {\n    impl K {\n        #[inline]\n        fn method(&self) {}\n    }\n}";
@@ -264,15 +242,6 @@ mod tests {
             facts,
             [("free".to_string(), true, None), ("method".to_string(), false, Some("avx512"))]
         );
-    }
-
-    #[test]
-    fn source_file_uses_lexer_view() {
-        let f = SourceFile::from_source("x.rs", "let s = \"unsafe\"; // unsafe\nunsafe { g() }")
-            .unwrap();
-        assert!(!f.toks.is_empty());
-        assert!(!f.code[0].contains("unsafe"));
-        assert!(f.code[1].contains("unsafe"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Pass 15: profiler phase-span balance.
+//! Profiler phase-span balance.
 //!
 //! The profiler (DESIGN.md §9) measures phases with a two-call protocol:
 //! `let t = tracer.start();` captures a timestamp, and a later

@@ -1,4 +1,4 @@
-//! Pass 11: sync escape.
+//! Sync escape.
 //!
 //! The atomics and lock passes police *uses* of concurrent state; this
 //! pass polices its *shape*. A struct that owns an `Atomic*`, an
@@ -8,9 +8,11 @@
 //! quietly break that:
 //!
 //! * **structural escape** — a sync-carrying struct defined outside the
-//!   modules that own concurrent state (`SYNC_MODULES`): its invariants
-//!   live nowhere, so the definition must either move or carry an explicit
-//!   `/// Invariant:` doc block stating the sharing protocol;
+//!   modules that own concurrent state (`SYNC_MODULES` — exactly the files
+//!   whose `clippy::disallowed_types` expectation admits an atomic or a
+//!   lock, DESIGN.md §11): its invariants live nowhere, so the definition
+//!   must either move or carry an explicit `/// Invariant:` doc block stating
+//!   the sharing protocol;
 //! * **field escape** — a `pub` sync field: any crate can now bypass the
 //!   owning module's accessors and touch the raw atomic/lock, so sync
 //!   fields stay private and are exposed through methods.

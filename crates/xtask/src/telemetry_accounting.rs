@@ -1,4 +1,4 @@
-//! Pass 16: telemetry accounting on error paths.
+//! Telemetry accounting on error paths.
 //!
 //! The process-wide telemetry layer (DESIGN.md §14) is only trustworthy if
 //! every query exit — success *or* typed failure — reaches the publication

@@ -54,7 +54,7 @@ fn scope_keeps_changed_files_and_their_parents_only() {
         diag("spans", "crates/core/src/scan.rs", 10),
         diag("layers", "crates/core/src/lib.rs", 3),
         diag("telemetry", "crates/core/src/engine.rs", 7),
-        diag("unsafe", "crates/toolbox/src/cmp.rs", 1),
+        diag("atomics", "crates/toolbox/src/cmp.rs", 1),
     ];
     let scoped = scope_to_changed(diags, &["crates/core/src/scan.rs".to_string()]);
     let paths: Vec<&str> = scoped.iter().map(|d| d.path.as_str()).collect();

@@ -55,6 +55,16 @@
 //! assert_eq!(result.num_rows(), 4);
 //! ```
 
+// Library code is panic-free: a failure is a typed error, and a site that
+// cannot fail says why in an `#[expect(clippy::…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
+
 pub use bipie_columnstore as columnstore;
 pub use bipie_core as core;
 pub use bipie_metrics as metrics;

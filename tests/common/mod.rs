@@ -8,7 +8,7 @@
 //! shrinking — seeds are cheap to bisect by hand, and the generators below
 //! keep inputs small enough to eyeball.
 
-#![allow(dead_code)] // shared by several test binaries; each uses a subset
+#![allow(dead_code, reason = "shared by several test binaries; each uses a subset")]
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 

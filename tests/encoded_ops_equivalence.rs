@@ -514,6 +514,7 @@ fn dictionary_predicates_match_reference() {
 /// run-wise plan up front.
 #[cfg(not(feature = "no_profiler"))] // asserts on trace spans
 #[test]
+#[expect(clippy::disallowed_types, reason = "the test reads finished trace events")]
 fn declined_run_wise_sample_leaves_no_span_behind() {
     use bipie::core::{Phase, TraceEvent};
     let t = rle_table(3000, 1, 1100); // run_len 1: runs_fraction == 1.0

@@ -11,6 +11,12 @@
 //! tier-1 run; the CI `concurrency` job re-runs them in `--release` with
 //! `BIPIE_STRESS_ITERS` elevated.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "concurrent clients drive the engine from real threads"
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;

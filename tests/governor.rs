@@ -4,6 +4,8 @@
 //! fully reusable: the next unrestricted query returns byte-identical rows
 //! to a serial scan.
 
+#![expect(clippy::disallowed_methods, reason = "a canceller thread races a running scan")]
+
 use std::time::Duration;
 
 use bipie::columnstore::{ColumnSpec, LogicalType, Table, Value};

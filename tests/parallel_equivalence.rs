@@ -7,6 +7,8 @@
 //! accumulations are exact integers and the merge is keyed by group value,
 //! so no tolerance is needed: any divergence is a scheduling bug.
 
+#![expect(clippy::disallowed_types, reason = "the suite reads finished trace events")]
+
 mod common;
 
 use bipie::columnstore::{ColumnSpec, LogicalType, Table, Value};

@@ -5,6 +5,8 @@
 //! Chrome trace that loads in Perfetto. The trace exposition format itself
 //! is pinned by an exact-string golden from a synthetic profile.
 
+#![expect(clippy::disallowed_types, reason = "the suite builds and reads trace events")]
+
 mod common;
 
 use bipie::core::{

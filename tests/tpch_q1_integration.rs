@@ -4,6 +4,8 @@
 //! claims (segment elimination, special-group selection, multi-aggregate
 //! sums) are observable in the stats.
 
+#![expect(clippy::disallowed_types, reason = "the suite reads finished trace events")]
+
 mod common;
 
 use bipie::columnstore::{Date, Value};
