@@ -36,7 +36,7 @@
 use bipie_columnstore::encoding::{EncodedColumn, ForBitPackColumn, RleColumn};
 use bipie_columnstore::Segment;
 use bipie_toolbox::agg::lane::{self, LaneLeaf, LaneProgram};
-use bipie_toolbox::agg::multi::{LaneSource, RowLayout};
+use bipie_toolbox::agg::multi::{LaneSource, RowBuilder, RowLayout};
 use bipie_toolbox::agg::sort_based::{bucket_sort, SortedBatch};
 use bipie_toolbox::agg::{in_register, minmax, multi, scalar, sort_based, ColRef};
 use bipie_toolbox::bitpack::{PackedVec, WordSize};
@@ -488,6 +488,10 @@ pub struct SegmentAggExecutor<'a> {
     /// sums' materialized vectors and every MIN/MAX input's values.
     bufs: Vec<ValueBuf>,
     scratch: Scratch,
+    /// The multi-aggregate row builder's state, built on the first batch it
+    /// sums (after that batch's buffers): its pending rows belong to `sums`
+    /// until [`SegmentAggExecutor::finish`] drains them.
+    rows: Option<Box<RowBuilder>>,
 }
 
 /// Final per-segment aggregation output (logical domain).
@@ -610,6 +614,7 @@ impl<'a> SegmentAggExecutor<'a> {
             leaf_bufs: Vec::new(),
             bufs: Vec::new(),
             scratch: Scratch::default(),
+            rows: None,
         };
         if let Some(plan) = plan {
             exec.install(plan);
@@ -674,12 +679,10 @@ impl<'a> SegmentAggExecutor<'a> {
             AggStrategy::Scalar | AggStrategy::InRegister => 0,
             // Bucket-sorted batch staging: group-major row ids + values.
             AggStrategy::SortBased => batch_rows * 16,
-            // The row builder's stack frame: 256 accumulator rows, four
-            // slot lanes and the lane operand stack, one chunk deep.
-            AggStrategy::MultiAggregate => {
-                bipie_toolbox::agg::MAX_GROUPS_U8 * 32
-                    + (4 + lane::MAX_DEPTH - 1) * lane::CHUNK_ROWS * 8
-            }
+            // The row builder's state, held for the executor's life: four
+            // replicas of 256 accumulator rows, four slot lanes and the
+            // lane operand stack, one chunk deep.
+            AggStrategy::MultiAggregate => std::mem::size_of::<RowBuilder>(),
             // Run-wise runs in [`RunWiseExec`], whose accumulators are a
             // handful of scalars; nothing beyond what is counted above.
             AggStrategy::RunWise => 0,
@@ -722,6 +725,7 @@ impl<'a> SegmentAggExecutor<'a> {
             leaf_bufs,
             bufs,
             scratch,
+            rows: row_builder,
         } = self;
         #[expect(clippy::expect_used, reason = "installed just above when absent")]
         let plan = plan.as_ref().expect("lane plan installed above");
@@ -908,14 +912,14 @@ impl<'a> SegmentAggExecutor<'a> {
                         _ => LaneSource::Col(col(i)),
                     };
                 }
+                let rows = row_builder
+                    .get_or_insert_with(|| Box::new(RowBuilder::new(layout, slots, level)));
                 multi::sum_lanes(
+                    rows,
                     gids_eff,
                     &sources[..num_sums],
                     &|l| lane_leaf(plan, leaf_bufs, l),
-                    layout,
-                    slots,
                     sums,
-                    level,
                 );
             }
             (AggStrategy::Scalar | AggStrategy::MultiAggregate, _) => {
@@ -950,9 +954,12 @@ impl<'a> SegmentAggExecutor<'a> {
         update_min_max(mm_accs, &bufs[num_sums..], gids_eff, slots, level);
     }
 
-    /// Finish the segment: apply frame-of-reference corrections and drop
-    /// the special-group slot.
-    pub fn finish(self) -> SegmentAggResult {
+    /// Finish the segment: drain the row builder's pending rows, apply
+    /// frame-of-reference corrections and drop the special-group slot.
+    pub fn finish(mut self) -> SegmentAggResult {
+        if let Some(rows) = &mut self.rows {
+            rows.drain(&mut self.sums);
+        }
         let slots = self.num_groups + 1;
         let counts: Vec<u64> = self.counts[..self.num_groups].to_vec();
         let sums = self
@@ -1186,6 +1193,7 @@ mod tests {
     use crate::expr::Expr;
     use bipie_columnstore::encoding::EncodingHint;
     use bipie_columnstore::{ColumnSpec, LogicalType, TableBuilder, Value};
+    use bipie_toolbox::agg::multi::FLUSH_ROWS;
     use bipie_toolbox::selvec::SelByteVec;
 
     /// Build a one-segment table: group column g (0..groups), values
@@ -1509,11 +1517,24 @@ mod tests {
             ),
             LaneCase {
                 name: "one batch across the 65 536-row slot flush",
-                rows: bipie_toolbox::agg::multi::FLUSH_ROWS + 4500,
-                batch: bipie_toolbox::agg::multi::FLUSH_ROWS + 4500,
+                rows: FLUSH_ROWS + 4500,
+                batch: FLUSH_ROWS + 4500,
                 saturated: true,
                 ranges: [(0, 65_535), (200, 455), (0, 65_535)],
                 exprs: vec![col("c"), col("a").mul(col("a")), col("b"), col("c")],
+                expect: ExprPath::Lanes,
+            },
+            LaneCase {
+                // The row builder keeps rows pending across batches: two
+                // full flush windows of 4 096-row batches, and a segment
+                // that ends inside the third. `c` twice is u16::MAX in both
+                // 4-byte halves of one lane.
+                name: "4 096-row batches across two slot flushes, ending mid-window",
+                rows: 2 * FLUSH_ROWS + 4500,
+                batch: 4096,
+                saturated: true,
+                ranges: [(0, 65_535), (200, 455), (0, 65_535)],
+                exprs: vec![col("c"), col("a").mul(col("b")), col("c")],
                 expect: ExprPath::Lanes,
             },
         ]
@@ -1635,9 +1656,8 @@ mod tests {
     fn lane_plan_interpreter_and_oracle_agree_at_the_proof_boundaries() {
         for case in lane_cases() {
             let table = lane_table(&case);
-            // The flush-boundary case is one huge batch; the row builder is
-            // the kernel it is about.
-            let strategies: &[AggStrategy] = match case.batch > 4096 {
+            // The flush-boundary cases are about the row builder.
+            let strategies: &[AggStrategy] = match case.rows > FLUSH_ROWS {
                 true => &[AggStrategy::MultiAggregate],
                 false => &AggStrategy::DENSE,
             };

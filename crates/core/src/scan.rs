@@ -854,7 +854,9 @@ struct SegScan<'a> {
     kind: SegScanKind<'a>,
 }
 
-// Boxed: each state (executor, scratch) is several hundred bytes.
+// Boxed: each state (executor, scratch) is several hundred bytes inline. A
+// multi-aggregate executor adds its row builder, ≈ 46 KiB in a box of its
+// own, on its first batch (`SegmentAggExecutor::projected_bytes` counts it).
 enum SegScanKind<'a> {
     RunWise(Box<RunWiseScan<'a>>),
     Narrow(Box<NarrowScan<'a>>),

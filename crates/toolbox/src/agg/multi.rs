@@ -24,20 +24,40 @@
 //! at a time, turns them into four row registers with a 4x4 64-bit
 //! transpose (the paper's "eight AVX2 instructions" transposition), and
 //! adds each row into its group's accumulator row.
+//!
+//! Every group has four accumulator rows, one per position in the
+//! four-row step: row `r` of a step adds into replica `r`. Consecutive rows
+//! of one group — TPC-H's line items arrive in orders that mostly share a
+//! group — then touch four different rows, so no add waits on the store of
+//! the row before it. The builder's state ([`RowBuilder`]: the replicated
+//! rows, the slot lanes, the lane operand stack and the resolved kernels)
+//! lives as long as its owner — one per segment per worker in the engine —
+//! so a batch neither zeroes a frame nor flushes; rows are extracted into
+//! the `i64` sums only when the next chunk could carry, and once at the end
+//! ([`RowBuilder::drain`]).
 
-use super::lane::{self, LaneLeaf, LaneProgram, LaneScratch, BIN, CHUNK_ROWS};
+use super::lane::{self, BinK, LaneLeaf, LaneProgram, LaneScratch, BIN, CHUNK_ROWS};
 use super::{ColRef, MAX_GROUPS_U8};
 use crate::dispatch::SimdLevel::Avx2;
-use crate::dispatch::{cells, kernel_sig, Cell, Family, SimdLevel, ANY};
+use crate::dispatch::{cells, kernel_sig, Cell, Family, Resolved, SimdLevel, ANY};
+
+/// Accumulator rows per group: one per row of the four-row step.
+const REPLICAS: usize = 4;
+
+/// `u64` words of the accumulator rows: [`REPLICAS`] × 256 groups × four
+/// 8-byte lanes. Replica `r`'s row of group `g` starts at word
+/// `(r * 256 + g) * 4`, so any `u8` group id indexes inside.
+pub(crate) const ACC_WORDS: usize = REPLICAS * MAX_GROUPS_U8 * 4;
 
 kernel_sig! {
     /// Write one column's chunk into its slot lane: a low or 8-byte slot
     /// overwrites the lane, a high 4-byte slot (`hi`) ORs itself in above the
     /// low one, which the layout always fills first.
     pub(crate) type FillLaneK = fn(col: ColRef<'_>, hi: bool, dst: &mut [u64]);
-    /// Add every row of a slot-major chunk into its group's accumulator row.
+    /// Add every row `i` of a slot-major chunk into replica `i & 3` of its
+    /// group's accumulator row.
     pub(crate) type AccumulateK =
-        fn(gids: &[u8], slots: &[[u64; CHUNK_ROWS]; 4], acc: &mut [u64; 4 * MAX_GROUPS_U8]);
+        fn(gids: &[u8], slots: &[[u64; CHUNK_ROWS]; 4], acc: &mut [u64; ACC_WORDS]);
 }
 
 pub(crate) const FILL_LANE: Family<FillLaneK> = Family {
@@ -50,7 +70,8 @@ pub(crate) const ACCUMULATE: Family<AccumulateK> = Family {
 };
 
 /// Rows per internal flush of the packed accumulators — the §5.4 bound that
-/// makes 64-bit additions safe over 4-byte slots.
+/// makes 64-bit additions safe over 4-byte slots. It counts the rows of all
+/// replicas together, so it holds however the rows spread over them.
 pub const FLUSH_ROWS: usize = 65_536;
 
 /// A column's position within the 32-byte accumulator row.
@@ -158,7 +179,84 @@ pub fn sum_multi(
     }
     #[expect(clippy::unreachable, reason = "column sources read no leaves")]
     let no_leaf = |_| unreachable!("column sources read no leaves");
-    sum_lanes(gids, &sources[..cols.len()], &no_leaf, layout, num_groups, sums, level);
+    let mut rows = RowBuilder::new(layout, num_groups, level);
+    sum_lanes(&mut rows, gids, &sources[..cols.len()], &no_leaf, sums);
+    rows.drain(sums);
+}
+
+/// The multi-aggregate row builder's state, bound to one [`RowLayout`] and
+/// group count: the replicated accumulator rows, the four slot lanes, the
+/// lane operand stack, the count of rows not yet flushed, and the kernels,
+/// resolved once. Build it once per run of batches — the engine builds one
+/// per segment per worker — and pass it to every [`sum_lanes`] call.
+///
+/// Rows a call leaves in the accumulators belong to the `sums` it was
+/// given: pass the same `sums` to every call, then [`RowBuilder::drain`]
+/// them before reading the totals.
+pub struct RowBuilder {
+    /// Packed accumulators: one 32-byte row (four u64 slots) per replica per
+    /// group id a `u8` can name, so no group id can index outside them.
+    acc: [u64; ACC_WORDS],
+    /// Slot-major chunk: lane l of row r at `slots[l][r]`. Lanes no source
+    /// maps to stay zero.
+    slots: [[u64; CHUNK_ROWS]; 4],
+    scratch: LaneScratch,
+    layout: RowLayout,
+    num_groups: usize,
+    /// Rows added since the last flush, across calls.
+    unflushed: usize,
+    fill: Resolved<FillLaneK>,
+    add: Resolved<AccumulateK>,
+    bin: Resolved<BinK>,
+}
+
+impl RowBuilder {
+    /// Zeroed state for sums over `layout` into `num_groups` groups, with
+    /// the kernels a call at `level` runs on this CPU.
+    ///
+    /// # Panics
+    /// Panics if `num_groups` is 0 or exceeds 256.
+    pub fn new(layout: &RowLayout, num_groups: usize, level: SimdLevel) -> RowBuilder {
+        assert!((1..=MAX_GROUPS_U8).contains(&num_groups), "bad group count");
+        RowBuilder {
+            acc: [0; ACC_WORDS],
+            slots: [[0; CHUNK_ROWS]; 4],
+            scratch: LaneScratch::default(),
+            layout: layout.clone(),
+            num_groups,
+            unflushed: 0,
+            fill: FILL_LANE.resolve(level, 0),
+            add: ACCUMULATE.resolve(level, 0),
+            bin: BIN.resolve(level, 0),
+        }
+    }
+
+    /// Add every pending row into `sums` (the slice the [`sum_lanes`] calls
+    /// were given) and clear the accumulators.
+    ///
+    /// # Panics
+    /// Panics if `sums` is not one total per column per group.
+    pub fn drain(&mut self, sums: &mut [i64]) {
+        assert_eq!(
+            sums.len(),
+            self.layout.num_cols() * self.num_groups,
+            "accumulator size mismatch"
+        );
+        if self.unflushed > 0 {
+            flush(&mut self.acc, &self.layout, self.num_groups, sums);
+            self.unflushed = 0;
+        }
+    }
+}
+
+impl std::fmt::Debug for RowBuilder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RowBuilder")
+            .field("layout", &self.layout)
+            .field("num_groups", &self.num_groups)
+            .field("unflushed", &self.unflushed)
+            .finish_non_exhaustive()
+    }
 }
 
 /// The multi-aggregate row builder over *lane sources*: like [`sum_multi`],
@@ -172,24 +270,23 @@ pub fn sum_multi(
 /// Per chunk, each source fills its slot lane column-at-a-time (all width
 /// and slot dispatch happens once per source per chunk); one monomorphic
 /// loop then transposes four rows at a time and updates each row's
-/// accumulators with a single load-add-store.
+/// accumulators with a single load-add-store. The sums reach `sums` only
+/// when the next chunk could carry (every [`FLUSH_ROWS`] rows, counted
+/// across calls) and at [`RowBuilder::drain`].
 ///
 /// # Panics
-/// Panics if the layout does not match the sources, an expression source
-/// was not planned as an 8-byte slot, lengths mismatch, or `num_groups`
-/// exceeds 256.
+/// Panics if `rows`' layout does not match the sources, an expression
+/// source was not planned as an 8-byte slot, or lengths mismatch.
 pub fn sum_lanes<'a, 'l>(
+    rows: &mut RowBuilder,
     gids: &[u8],
     sources: &[LaneSource<'a>],
     leaf: &dyn Fn(usize) -> LaneLeaf<'l>,
-    layout: &RowLayout,
-    num_groups: usize,
     sums: &mut [i64],
-    level: SimdLevel,
 ) {
-    let k = sources.len();
+    let RowBuilder { acc, slots, scratch, layout, num_groups, unflushed, fill, add, bin } = rows;
+    let (num_groups, k) = (*num_groups, sources.len());
     assert_eq!(layout.num_cols(), k, "layout/column count mismatch");
-    assert!((1..=MAX_GROUPS_U8).contains(&num_groups), "bad group count");
     assert_eq!(sums.len(), k * num_groups, "accumulator size mismatch");
     let n = gids.len();
     for (c, source) in sources.iter().enumerate() {
@@ -202,20 +299,13 @@ pub fn sum_lanes<'a, 'l>(
     }
     super::debug_assert_group_ids(gids, num_groups);
 
-    // Packed accumulators: one 32-byte row (four u64 slots) per group id a
-    // `u8` can name, so no group id can index outside them.
-    let mut acc = [0u64; 4 * MAX_GROUPS_U8];
-    // Slot-major chunk: lane l of row r at `slots[l][r]`. Lanes no source
-    // maps to stay zero.
-    let mut slots = [[0u64; CHUNK_ROWS]; 4];
-    let mut scratch = LaneScratch::default();
-    let (fill, add, bin) =
-        (FILL_LANE.resolve(level, 0), ACCUMULATE.resolve(level, 0), BIN.resolve(level, 0));
-
-    let mut unflushed = 0usize;
     let mut off = 0usize;
     while off < n {
         let len = CHUNK_ROWS.min(n - off);
+        if *unflushed + len > FLUSH_ROWS {
+            flush(acc, layout, num_groups, sums);
+            *unflushed = 0;
+        }
         for (c, source) in sources.iter().enumerate() {
             let slot = layout.slot(c);
             let (lane, hi) = (slot.byte_offset / 8, slot.byte_offset % 8 == 4);
@@ -238,19 +328,14 @@ pub fn sum_lanes<'a, 'l>(
                         let src = if l < lane { &below[l] } else { &above[l - lane - 1] };
                         ColRef::U64(&src[..len])
                     };
-                    lane::eval_chunk_with(prog, leaf, &prev, off, dst, &mut scratch, bin);
+                    lane::eval_chunk_with(prog, leaf, &prev, off, dst, scratch, *bin);
                 }
             }
         }
-        add.run(&gids[off..off + len], &slots, &mut acc);
-        unflushed += len;
+        add.run(&gids[off..off + len], slots, acc);
+        *unflushed += len;
         off += len;
-        if unflushed + CHUNK_ROWS > FLUSH_ROWS {
-            flush(&mut acc, layout, num_groups, sums);
-            unflushed = 0;
-        }
     }
-    flush(&mut acc, layout, num_groups, sums);
 }
 
 /// Scalar oracle of [`FILL_LANE`]; `col` holds exactly `dst.len()` rows.
@@ -262,50 +347,48 @@ fn fill_lane_scalar(col: ColRef<'_>, hi: bool, dst: &mut [u64]) {
 
 /// Accumulation with identical packed-slot semantics to the SIMD path
 /// (wrapping 64-bit slot adds; the no-carry guarantee makes them exact),
-/// over rows `from..`: [`ACCUMULATE`]'s oracle from row 0.
+/// over rows `from..` (a multiple of four, so replicas line up with the
+/// SIMD path's): [`ACCUMULATE`]'s oracle from row 0.
 fn accumulate_rows(
     gids: &[u8],
     slots: &[[u64; CHUNK_ROWS]; 4],
-    acc: &mut [u64; 4 * MAX_GROUPS_U8],
+    acc: &mut [u64; ACC_WORDS],
     from: usize,
 ) {
     for i in from..gids.len() {
-        let base = gids[i] as usize * 4;
+        let base = ((i & 3) * MAX_GROUPS_U8 + gids[i] as usize) * 4;
         for lane in 0..4 {
             acc[base + lane] = acc[base + lane].wrapping_add(slots[lane][i]);
         }
     }
 }
 
-/// Unpack the 32-byte accumulator rows into per-column per-group totals and
-/// clear them.
-fn flush(
-    acc: &mut [u64; 4 * MAX_GROUPS_U8],
-    layout: &RowLayout,
-    num_groups: usize,
-    sums: &mut [i64],
-) {
-    for g in 0..num_groups {
-        let row = &acc[g * 4..g * 4 + 4];
-        for (c, slot) in layout.slots.iter().enumerate() {
-            let lane = slot.byte_offset / 8;
-            let word = row[lane];
-            let value = if slot.width == 8 {
-                word
-            } else if slot.byte_offset % 8 == 0 {
-                word & 0xFFFF_FFFF
-            } else {
-                word >> 32
-            };
-            sums[c * num_groups + g] += value as i64;
+/// Unpack the first `num_groups` rows of every replica into per-column
+/// per-group totals and clear them. Each replica's 4-byte slots are
+/// extracted before they are added, so no packed word is ever added across
+/// replicas.
+fn flush(acc: &mut [u64; ACC_WORDS], layout: &RowLayout, num_groups: usize, sums: &mut [i64]) {
+    for replica in acc.chunks_exact_mut(MAX_GROUPS_U8 * 4) {
+        for (g, row) in replica[..num_groups * 4].chunks_exact_mut(4).enumerate() {
+            for (c, slot) in layout.slots.iter().enumerate() {
+                let word = row[slot.byte_offset / 8];
+                let value = if slot.width == 8 {
+                    word
+                } else if slot.byte_offset % 8 == 0 {
+                    word & 0xFFFF_FFFF
+                } else {
+                    word >> 32
+                };
+                sums[c * num_groups + g] += value as i64;
+            }
+            row.fill(0);
         }
     }
-    acc.fill(0);
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{ColRef, CHUNK_ROWS};
+    use super::{ColRef, ACC_WORDS, CHUNK_ROWS, MAX_GROUPS_U8};
     use crate::agg::lane::avx2::{Lane4, Ptr};
     use crate::transpose::avx2::t4x4_epi64;
     use std::arch::x86_64::*;
@@ -377,7 +460,7 @@ mod avx2 {
     pub(super) unsafe fn accumulate(
         gids: &[u8],
         slots: &[[u64; CHUNK_ROWS]; 4],
-        acc: &mut [u64; 4 * crate::agg::MAX_GROUPS_U8],
+        acc: &mut [u64; ACC_WORDS],
     ) {
         let n = gids.len().min(CHUNK_ROWS);
         let acc_ptr = acc.as_mut_ptr();
@@ -385,16 +468,19 @@ mod avx2 {
         while i + 4 <= n {
             // SAFETY: avx2 is enabled for this function; rows i..i+4 are
             // below n <= CHUNK_ROWS in every slot lane and below gids.len();
-            // a u8 group id times four is below acc.len() = 4 * 256.
+            // with r < 4 and a u8 group id g, (r * 256 + g) * 4 + 4 is at
+            // most acc.len() = 4 * 256 * 4.
             unsafe {
                 let load =
                     |l: usize| _mm256_loadu_si256(slots[l].as_ptr().add(i) as *const __m256i);
                 // Generalized transposition: slot-major -> row-major.
                 let (r0, r1, r2, r3) = t4x4_epi64(load(0), load(1), load(2), load(3));
-                // One load-add-store per row updates every sum at once.
+                // One load-add-store per row updates every sum at once, row r
+                // into replica r: consecutive rows of one group never wait on
+                // each other's store.
                 for (r, row) in [r0, r1, r2, r3].into_iter().enumerate() {
                     let g = *gids.get_unchecked(i + r) as usize;
-                    let p = acc_ptr.add(g * 4) as *mut __m256i;
+                    let p = acc_ptr.add((r * MAX_GROUPS_U8 + g) * 4) as *mut __m256i;
                     _mm256_storeu_si256(p, _mm256_add_epi64(_mm256_loadu_si256(p), row));
                 }
             }
@@ -589,7 +675,9 @@ mod tests {
             LaneSource::Col(ColRef::U8(&discount)),
         ];
         let mut sums = vec![0i64; 5 * 7];
-        sum_lanes(&g, &sources, &|i| leaves[i], &layout, 7, &mut sums, level);
+        let mut rows = RowBuilder::new(&layout, 7, level);
+        sum_lanes(&mut rows, &g, &sources, &|i| leaves[i], &mut sums);
+        rows.drain(&mut sums);
         for c in 0..5 {
             assert_eq!(&sums[c * 7..(c + 1) * 7], &expected[c][..], "n={n} col={c} {level}");
         }
@@ -626,7 +714,9 @@ mod tests {
         let layout = RowLayout::plan(&[2, 8, 2]).unwrap();
         for level in SimdLevel::available() {
             let mut sums = vec![0i64; 3 * 2];
-            sum_lanes(&g, &sources, &|i| leaves[i], &layout, 2, &mut sums, level);
+            let mut rows = RowBuilder::new(&layout, 2, level);
+            sum_lanes(&mut rows, &g, &sources, &|i| leaves[i], &mut sums);
+            rows.drain(&mut sums);
             assert_eq!(sums[1], n as i64 * u16::MAX as i64, "level={level}");
             assert_eq!(sums[5], n as i64 * u16::MAX as i64, "level={level}");
             // (2^32 - 1)^2 per row wraps i64 over n rows; compare wrapped.
@@ -644,14 +734,47 @@ mod tests {
         let prog = LaneProgram::new(vec![LaneOp::Load(LaneArg::Lit(1))]).unwrap();
         let layout = RowLayout::plan(&[2]).unwrap();
         let no_leaf = |_| unreachable!();
-        sum_lanes(
-            &[0],
-            &[LaneSource::Expr(&prog)],
-            &no_leaf,
-            &layout,
-            1,
-            &mut [0],
-            SimdLevel::Scalar,
-        );
+        let mut rows = RowBuilder::new(&layout, 1, SimdLevel::Scalar);
+        sum_lanes(&mut rows, &[0], &[LaneSource::Expr(&prog)], &no_leaf, &mut [0]);
+    }
+
+    #[test]
+    #[expect(clippy::unreachable, reason = "column sources read no leaves")]
+    fn pending_rows_carry_across_calls_and_flushes() {
+        // Batches of uneven lengths (none a multiple of four after the
+        // first) over more than two flush windows, with u16::MAX in both
+        // 4-byte halves of one lane: one builder, drained once, equals the
+        // reference and a drain after every call.
+        let n = 2 * FLUSH_ROWS + 5000;
+        let g: Vec<u8> = (0..n).map(|i| (i / 3 % 7 == 0) as u8 * 2).collect();
+        let a = vec![u16::MAX; n];
+        let b: Vec<u16> = (0..n).map(|i| u16::MAX - (i % 2) as u16).collect();
+        let w: Vec<u32> = (0..n).map(|i| (i as u32).wrapping_mul(2654435761)).collect();
+        let cols = [ColRef::U16(&a), ColRef::U32(&w), ColRef::U16(&b)];
+        let layout = RowLayout::plan_for(&cols).unwrap();
+        assert_eq!(layout.slot(0).byte_offset / 8, layout.slot(2).byte_offset / 8, "one lane");
+        let (_, expected) = reference_group_sums(&g, &cols, 3);
+        let cuts = [4096, 4095, 1, 3, 4097, 2, 4094, 7, 4096];
+        for level in SimdLevel::available() {
+            let (mut once, mut every) = (vec![0i64; 3 * 3], vec![0i64; 3 * 3]);
+            let (mut rows, mut step) =
+                (RowBuilder::new(&layout, 3, level), RowBuilder::new(&layout, 3, level));
+            let (mut off, mut k) = (0, 0);
+            while off < n {
+                let len = cuts[k % cuts.len()].min(n - off);
+                let window: Vec<LaneSource<'_>> =
+                    cols.iter().map(|c| LaneSource::Col(c.window(off, len))).collect();
+                let no_leaf = |_| unreachable!("column sources read no leaves");
+                sum_lanes(&mut rows, &g[off..off + len], &window, &no_leaf, &mut once);
+                sum_lanes(&mut step, &g[off..off + len], &window, &no_leaf, &mut every);
+                step.drain(&mut every);
+                (off, k) = (off + len, k + 1);
+            }
+            rows.drain(&mut once);
+            assert_eq!(once, every, "level={level}");
+            for c in 0..3 {
+                assert_eq!(&once[c * 3..(c + 1) * 3], &expected[c][..], "col={c} level={level}");
+            }
+        }
     }
 }

@@ -395,7 +395,7 @@ mod walk {
 
     use super::Family;
     use crate::agg::lane::{LaneBin, Vals, BIN, CHUNK_ROWS};
-    use crate::agg::{in_register, minmax, multi, sort_based, ColRef, MAX_GROUPS_U8};
+    use crate::agg::{in_register, minmax, multi, sort_based, ColRef};
     use crate::bitpack::{self, mask_for, PackedVec, UnpackK, Word};
     use crate::cmp::{self, CmpK, CmpOp};
     use crate::select::{compact, gather, special_group};
@@ -816,15 +816,25 @@ mod walk {
         for (l, lane) in slots.iter_mut().enumerate() {
             lane.copy_from_slice(&words(CHUNK_ROWS, 7 + l as u64));
         }
-        let patterns: [&dyn Fn(usize) -> u8; 3] =
-            [&|_| 0, &|i| (i % 7) as u8, &|i| (i * 37 % 256) as u8];
-        let cases =
-            CHUNK_LENS.iter().flat_map(|&n| patterns.map(|p| (0..n).map(p).collect::<Vec<u8>>()));
+        // Q1's shape: runs of 1-7 equal ids (an order's line items), so a
+        // run's rows fall in every replica and across four-row steps.
+        let runs: Vec<u8> =
+            (0..CHUNK_ROWS).flat_map(|k| vec![(k % 3) as u8; k % 7 + 1]).take(CHUNK_ROWS).collect();
+        let patterns: [&dyn Fn(usize) -> u8; 4] =
+            [&|_| 0, &|i| (i % 7) as u8, &|i| (i * 37 % 256) as u8, &|i| runs[i]];
+        // Lengths off the four-row step leave a scalar tail, which must keep
+        // the replica of each row's position.
+        let lens = CHUNK_LENS.iter().chain(&[2, 6, 130, CHUNK_ROWS - 3]);
+        let cases = lens.flat_map(|&n| patterns.map(|p| (0..n).map(p).collect::<Vec<u8>>()));
+        // Every replica's rows start distinct, so a row added into the wrong
+        // replica shows.
+        let init = words(multi::ACC_WORDS, 8);
         multi::ACCUMULATE.walk(
             cases,
             |_| 0,
             |kernel, g| {
-                let mut acc = [1u64; 4 * MAX_GROUPS_U8];
+                let mut acc = [0u64; multi::ACC_WORDS];
+                acc.copy_from_slice(&init);
                 kernel.run(g, &slots, &mut acc);
                 acc.to_vec()
             },

@@ -242,8 +242,8 @@ fn cancelling_after_completion_changes_nothing() {
 /// The budget ladder is walked once per segment, at plan time, against an
 /// even share of the budget per worker — so which rung a segment runs on is
 /// a function of (budget, worker count), not of which worker reserved
-/// first. 16-row batches make the multi-aggregate row builder's fixed frame
-/// (≈ 22 KiB) dominate the footprint: the unbudgeted winner needs ≈ 24 KiB,
+/// first. 16-row batches make the multi-aggregate row builder's state
+/// (≈ 46 KiB) dominate the footprint: the unbudgeted winner needs ≈ 48 KiB,
 /// the scalar rung ≈ 1.7 KiB, and a 16 000-byte budget admits only the
 /// latter — whole at one worker, a quarter each at four.
 #[test]
