@@ -36,7 +36,7 @@
 use bipie_columnstore::encoding::{EncodedColumn, ForBitPackColumn, RleColumn};
 use bipie_columnstore::Segment;
 use bipie_toolbox::agg::lane::{self, LaneLeaf, LaneProgram};
-use bipie_toolbox::agg::multi::{LaneSource, RowBuilder, RowLayout};
+use bipie_toolbox::agg::multi::{LaneSource, RowBuilder, RowLayout, RowStep};
 use bipie_toolbox::agg::sort_based::{bucket_sort, SortedBatch};
 use bipie_toolbox::agg::{in_register, minmax, multi, scalar, sort_based, ColRef};
 use bipie_toolbox::bitpack::{PackedVec, WordSize};
@@ -60,7 +60,16 @@ pub enum AggInput<'a> {
     Computed(ResolvedExpr),
 }
 
-impl AggInput<'_> {
+impl<'a> AggInput<'a> {
+    /// How `e` reaches the kernels on `seg`: a bare bit-packed column in its
+    /// encoded form, everything else as an expression.
+    pub fn plan(seg: &'a Segment, e: &ResolvedExpr) -> AggInput<'a> {
+        match e.as_bare_column().map(|col| seg.column(col)) {
+            Some(EncodedColumn::BitPack(c)) => AggInput::Packed(c),
+            _ => AggInput::Computed(e.clone()),
+        }
+    }
+
     /// Normalized input width in bytes on `seg`: the unpack word of a
     /// packed column; for an expression the width its lane proof gives (4
     /// when the result provably fits `u32`), or 8 when the proof fails and
@@ -273,6 +282,40 @@ impl<'a> LanePlan<'a> {
     /// Whether the widths fit one multi-aggregate accumulator row.
     pub fn multi_layout_fits(&self) -> bool {
         self.layout.is_some()
+    }
+
+    /// Whether the multi-aggregate row builder runs this plan's sums in its
+    /// register row step ([`RowStep`]) rather than in slot-lane chunks. A
+    /// batch changes how many rows the leaf buffers hold, never their types,
+    /// so empty buffers of the leaves' unpack words answer for every batch.
+    pub fn register_row_step(&self) -> bool {
+        let Some(layout) = &self.layout else { return false };
+        let leaf_bufs: Vec<ValueBuf> =
+            self.leaves.iter().map(|l| ValueBuf::for_bits(l.col.bits())).collect();
+        let col = |i: usize| match self.sums[i] {
+            SumSource::Leaf(l) => leaf_bufs[l].col_ref(),
+            _ => ColRef::U64(&[]),
+        };
+        let sources = self.lane_sources(&col);
+        let leaf = |l| lane_leaf(self, &leaf_bufs, l);
+        RowStep::recognize(layout, &sources[..self.sums.len()], &leaf).is_some()
+    }
+
+    /// The row builder's sources: sum input `i` as `col(i)`, or its lane
+    /// program. Only plans with a layout call it, so there are at most
+    /// [`multi::MAX_SOURCES`] inputs.
+    fn lane_sources<'s>(
+        &'s self,
+        col: &dyn Fn(usize) -> ColRef<'s>,
+    ) -> [LaneSource<'s>; multi::MAX_SOURCES] {
+        let mut sources = [LaneSource::Col(ColRef::U8(&[])); multi::MAX_SOURCES];
+        for (i, (out, sum)) in sources.iter_mut().zip(&self.sums).enumerate() {
+            *out = match sum {
+                SumSource::Lane { program, .. } => LaneSource::Expr(program),
+                _ => LaneSource::Col(col(i)),
+            };
+        }
+        sources
     }
 
     /// Batch-sized value buffers this plan keeps under `strategy`, in bytes
@@ -904,14 +947,7 @@ impl<'a> SegmentAggExecutor<'a> {
                 }
             }
             (AggStrategy::MultiAggregate, Some(layout)) if num_sums > 0 => {
-                // A row layout exists, so at most MAX_SOURCES inputs.
-                let mut sources = [LaneSource::Col(ColRef::U8(&[])); multi::MAX_SOURCES];
-                for (i, out) in sources.iter_mut().enumerate().take(num_sums) {
-                    *out = match &plan.sums[i] {
-                        SumSource::Lane { program, .. } => LaneSource::Expr(program),
-                        _ => LaneSource::Col(col(i)),
-                    };
-                }
+                let sources = plan.lane_sources(&col);
                 let rows = row_builder
                     .get_or_insert_with(|| Box::new(RowBuilder::new(layout, slots, level)));
                 multi::sum_lanes(
@@ -1581,13 +1617,7 @@ mod tests {
         let seg = &table.segments()[0];
         let exprs: Vec<&Expr> = case.exprs.iter().collect();
         let resolved = crate::expr::resolve_many(&exprs, &|name| table.column_index(name)).unwrap();
-        resolved
-            .into_iter()
-            .map(|e| match e.as_bare_column() {
-                Some(c) => AggInput::Packed(packed(seg, c)),
-                None => AggInput::Computed(e),
-            })
-            .collect()
+        resolved.iter().map(|e| AggInput::plan(seg, e)).collect()
     }
 
     /// Run one (strategy, selection, level) cell of `case`, with the lane

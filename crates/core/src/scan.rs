@@ -419,12 +419,7 @@ fn plan_sink<'t>(
         }
     };
 
-    // Bare bit-packed columns feed kernels in their encoded form; everything
-    // else evaluates as an expression.
-    let plan_input = |e: &ResolvedExpr| match e.as_bare_column().map(|col| seg.column(col)) {
-        Some(EncodedColumn::BitPack(c)) => AggInput::Packed(c),
-        _ => AggInput::Computed(e.clone()),
-    };
+    let plan_input = |e: &ResolvedExpr| AggInput::plan(seg, e);
     let inputs: Vec<AggInput<'t>> = sum_exprs.iter().map(plan_input).collect();
     let mm_inputs: Vec<AggInput<'t>> = mm_exprs.iter().map(plan_input).collect();
     let lane_plan = LanePlan::build(seg, &inputs, &mm_inputs);

@@ -10,9 +10,10 @@
 //! of being widened to full-batch `i64` vectors first.
 //!
 //! Programs run [`CHUNK_ROWS`] rows at a time, so every intermediate is an
-//! L1-resident 2 KiB buffer: [`eval_chunk`] leaves one chunk of results in a
-//! caller-provided `u64` window (the multi-aggregate row builder points it
-//! at a slot lane, so the values never exist as a batch vector at all), and
+//! L1-resident 2 KiB buffer: the multi-aggregate row builder evaluates one
+//! chunk of results straight into a slot lane, so the values never exist as
+//! a batch vector at all (and Q1's shape skips the lanes too: its row step
+//! evaluates the programs in registers, `multi::RowStep`), and
 //! [`materialize_u32`] / [`materialize_u64`] stream a whole batch into a
 //! typed vector for the kernels that want one.
 //!
@@ -142,7 +143,8 @@ pub(crate) enum Vals<'a> {
     Top,
 }
 
-/// Evaluate `prog` for rows `off .. off + dst.len()` into `dst`.
+/// Evaluate `prog` for rows `off .. off + dst.len()` into `dst` with the
+/// chunk-op kernel its batch-level caller resolved.
 ///
 /// `leaf(i)` returns full-length leaf column `i` (windowed here by `off`);
 /// `prev(i)` returns the already-finished result of expression `i` *for
@@ -151,20 +153,7 @@ pub(crate) enum Vals<'a> {
 /// # Panics
 /// Panics if `dst` is longer than [`CHUNK_ROWS`] or an operand window is
 /// shorter than the chunk.
-pub fn eval_chunk<'l, 'p>(
-    prog: &LaneProgram,
-    leaf: &dyn Fn(usize) -> LaneLeaf<'l>,
-    prev: &dyn Fn(usize) -> ColRef<'p>,
-    off: usize,
-    dst: &mut [u64],
-    scratch: &mut LaneScratch,
-    level: SimdLevel,
-) {
-    eval_chunk_with(prog, leaf, prev, off, dst, scratch, BIN.resolve(level, 0));
-}
-
-/// [`eval_chunk`] with the chunk-op kernel its batch-level caller resolved.
-pub(crate) fn eval_chunk_with<'l, 'p>(
+pub(crate) fn eval_chunk<'l, 'p>(
     prog: &LaneProgram,
     leaf: &dyn Fn(usize) -> LaneLeaf<'l>,
     prev: &dyn Fn(usize) -> ColRef<'p>,
@@ -248,7 +237,7 @@ pub fn materialize_u64<'l, 'p>(
     for chunk in out.chunks_mut(CHUNK_ROWS) {
         let n = chunk.len();
         let prev = |i| prev(i).window(off, n);
-        eval_chunk_with(prog, leaf, &prev, off, chunk, &mut scratch, kernel);
+        eval_chunk(prog, leaf, &prev, off, chunk, &mut scratch, kernel);
         off += n;
     }
 }
@@ -269,7 +258,7 @@ pub fn materialize_u32<'l, 'p>(
         let n = chunk.len();
         let wide = &mut wide[..n];
         let prev = |i| prev(i).window(off, n);
-        eval_chunk_with(prog, leaf, &prev, off, wide, &mut scratch, kernel);
+        eval_chunk(prog, leaf, &prev, off, wide, &mut scratch, kernel);
         for (o, &w) in chunk.iter_mut().zip(wide.iter()) {
             debug_assert!(w <= u32::MAX as u64, "lane result {w} exceeds the proven u32 width");
             *o = w as u32;
@@ -296,12 +285,17 @@ fn bin_rows(kind: LaneBin, a: Vals<'_>, b: Vals<'_>, dst: &mut [u64], from: usiz
         Vals::Top => top,
     };
     for i in from..dst.len() {
-        let (x, y) = (get(&a, i, dst[i]), get(&b, i, dst[i]));
-        dst[i] = match kind {
-            LaneBin::Add => x.wrapping_add(y),
-            LaneBin::Sub => x.wrapping_sub(y),
-            LaneBin::Mul => (x & 0xFFFF_FFFF) * (y & 0xFFFF_FFFF),
-        };
+        dst[i] = apply(kind, get(&a, i, dst[i]), get(&b, i, dst[i]));
+    }
+}
+
+/// `x ∘ y` on one row: the 64-bit lane semantics every tier shares.
+#[inline]
+pub(crate) fn apply(kind: LaneBin, x: u64, y: u64) -> u64 {
+    match kind {
+        LaneBin::Add => x.wrapping_add(y),
+        LaneBin::Sub => x.wrapping_sub(y),
+        LaneBin::Mul => (x & 0xFFFF_FFFF) * (y & 0xFFFF_FFFF),
     }
 }
 
@@ -364,7 +358,7 @@ pub(crate) mod avx2 {
 
     /// A column operand plus its bias.
     #[derive(Clone, Copy)]
-    struct Biased<P>(P, u64);
+    pub(crate) struct Biased<P>(pub(crate) P, pub(crate) u64);
 
     impl<P: Lane4> Lane4 for Biased<P> {
         /// # Safety
@@ -378,7 +372,7 @@ pub(crate) mod avx2 {
 
     /// A constant operand.
     #[derive(Clone, Copy)]
-    struct Splat(u64);
+    pub(crate) struct Splat(pub(crate) u64);
 
     impl Lane4 for Splat {
         /// # Safety
@@ -414,14 +408,18 @@ pub(crate) mod avx2 {
         }
     }
 
-    trait BinK {
+    /// A lane operator on four rows.
+    pub(crate) trait BinK: Copy {
         /// # Safety
         /// The CPU must support avx2.
         unsafe fn apply(x: __m256i, y: __m256i) -> __m256i;
     }
-    struct AddK;
-    struct SubK;
-    struct MulK;
+    #[derive(Clone, Copy)]
+    pub(crate) struct AddK;
+    #[derive(Clone, Copy)]
+    pub(crate) struct SubK;
+    #[derive(Clone, Copy)]
+    pub(crate) struct MulK;
     impl BinK for AddK {
         /// # Safety
         /// The CPU must support avx2.
@@ -447,6 +445,20 @@ pub(crate) mod avx2 {
         unsafe fn apply(x: __m256i, y: __m256i) -> __m256i {
             // SAFETY: the caller guarantees avx2.
             unsafe { _mm256_mul_epu32(x, y) }
+        }
+    }
+
+    /// `a ∘ b` as an operand: a program's op, kept in a register.
+    #[derive(Clone, Copy)]
+    pub(crate) struct Op<K, A, B>(pub(crate) K, pub(crate) A, pub(crate) B);
+
+    impl<K: BinK, A: Lane4, B: Lane4> Lane4 for Op<K, A, B> {
+        /// # Safety
+        /// As [`Lane4::load4`] for both operands.
+        #[inline(always)]
+        unsafe fn load4(self, i: usize) -> __m256i {
+            // SAFETY: forwarded caller guarantees.
+            unsafe { K::apply(self.1.load4(i), self.2.load4(i)) }
         }
     }
 

@@ -25,6 +25,17 @@
 //! transpose (the paper's "eight AVX2 instructions" transposition), and
 //! adds each row into its group's accumulator row.
 //!
+//! That general path stores every value twice: once into its slot lane (and
+//! a program's every intermediate into a lane or stack buffer), once as part
+//! of a row. A source shape the [`RowStep`] recognizer accepts — TPC-H Q1's:
+//! a `u32` column, two two-op programs over narrow leaves, a pair of `u8`
+//! columns — skips the lanes: one kernel per chunk loads each leaf at its
+//! natural width, evaluates the programs, ORs the pair and transposes four
+//! rows at a time in registers, so the only stores left are the four row
+//! adds (11 → 4 vector stores per four rows on Q1). The recognizer runs
+//! once per [`sum_lanes`] call; every other shape keeps the slot lanes, and
+//! the lanes stay the oracle the step is tested against.
+//!
 //! Every group has four accumulator rows, one per position in the
 //! four-row step: row `r` of a step adds into replica `r`. Consecutive rows
 //! of one group — TPC-H's line items arrive in orders that mostly share a
@@ -36,7 +47,7 @@
 //! the `i64` sums only when the next chunk could carry, and once at the end
 //! ([`RowBuilder::drain`]).
 
-use super::lane::{self, BinK, LaneLeaf, LaneProgram, LaneScratch, BIN, CHUNK_ROWS};
+use super::lane::{self, BinK, LaneBin, LaneLeaf, LaneProgram, LaneScratch, BIN, CHUNK_ROWS};
 use super::{ColRef, MAX_GROUPS_U8};
 use crate::dispatch::SimdLevel::Avx2;
 use crate::dispatch::{cells, kernel_sig, Cell, Family, Resolved, SimdLevel, ANY};
@@ -58,6 +69,10 @@ kernel_sig! {
     /// group's accumulator row.
     pub(crate) type AccumulateK =
         fn(gids: &[u8], slots: &[[u64; CHUNK_ROWS]; 4], acc: &mut [u64; ACC_WORDS]);
+    /// Add every row `i` of one chunk into replica `i & 3` of its group's
+    /// accumulator row, each row computed from `step`'s windows (the chunk's
+    /// rows) in registers.
+    pub(crate) type RowStepK = fn(step: &RowStep<'_>, gids: &[u8], acc: &mut [u64; ACC_WORDS]);
 }
 
 pub(crate) const FILL_LANE: Family<FillLaneK> = Family {
@@ -67,6 +82,10 @@ pub(crate) const FILL_LANE: Family<FillLaneK> = Family {
 pub(crate) const ACCUMULATE: Family<AccumulateK> = Family {
     cells: cells![Cell { tier: Avx2, gate: ANY, kernel: avx2::accumulate }],
     oracle: |gids, slots, acc| accumulate_rows(gids, slots, acc, 0),
+};
+pub(crate) const ROW_STEP: Family<RowStepK> = Family {
+    cells: cells![Cell { tier: Avx2, gate: ANY, kernel: avx2::row_step }],
+    oracle: |step, gids, acc| row_step_rows(step, gids, acc, 0),
 };
 
 /// Rows per internal flush of the packed accumulators — the §5.4 bound that
@@ -158,6 +177,110 @@ pub enum LaneSource<'a> {
     Expr(&'a LaneProgram),
 }
 
+/// The register row step: a row shape whose four-row steps are loaded,
+/// computed, transposed and added in registers, with no slot lane between
+/// them. [`RowStep::recognize`] finds it once per [`sum_lanes`] call; every
+/// other shape fills slot lanes chunk by chunk, the general path.
+///
+/// The shape is Q1's. Its row lanes, in layout order, are:
+///
+/// 0. a `u32` column in an 8-byte slot (`l_extendedprice`);
+/// 1. `(x_from − x) · (y + y_bias)`, a `u8` leaf under a constant times a
+///    biased `u32` leaf (`disc_price`);
+/// 2. `(z_plus + z) · lane 1`, a `u8` leaf over a constant times lane 1's
+///    value through `Prev` (`charge`);
+/// 3. two `u8` columns, `hi` in the upper 4-byte slot (`l_quantity`,
+///    `l_discount`).
+///
+/// `Mul` is the product of the low 32 bits, as everywhere in [`lane`], so
+/// the step and the slot-lane path agree on every input, not only on
+/// proven ones.
+#[derive(Debug, Clone, Copy)]
+pub struct RowStep<'a> {
+    pub(crate) wide: &'a [u32],
+    pub(crate) x: &'a [u8],
+    pub(crate) x_from: u64,
+    pub(crate) y: &'a [u32],
+    pub(crate) y_bias: u64,
+    pub(crate) z: &'a [u8],
+    pub(crate) z_plus: u64,
+    pub(crate) lo: &'a [u8],
+    pub(crate) hi: &'a [u8],
+}
+
+impl<'s> RowStep<'s> {
+    /// The row step for `sources` laid out by `layout` (with [`sum_lanes`]'
+    /// `leaf` columns), or `None` if they are not its shape. Reads only the
+    /// sources' and leaves' types, biases and programs — never a row.
+    pub fn recognize<'a: 's, 'l: 's>(
+        layout: &RowLayout,
+        sources: &[LaneSource<'a>],
+        leaf: &dyn Fn(usize) -> LaneLeaf<'l>,
+    ) -> Option<RowStep<'s>> {
+        use lane::LaneArg::{Leaf, Lit, Prev};
+        use lane::LaneOp::{Apply, Push};
+        use LaneBin::{Add, Mul, Sub};
+        if sources.len() != 5 || layout.num_cols() != 5 {
+            return None;
+        }
+        // The source in the slot at byte `offset` of `width` bytes.
+        let at = |byte_offset: usize, width: usize| {
+            let c = (0..5).find(|&c| layout.slot(c) == Slot { byte_offset, width })?;
+            Some((c, sources[c]))
+        };
+        let u8_leaf = |i: usize| match leaf(i) {
+            LaneLeaf { col: ColRef::U8(s), bias: 0 } => Some(s),
+            _ => None,
+        };
+        let (_, LaneSource::Col(ColRef::U32(wide))) = at(0, 8)? else { return None };
+        let (first, LaneSource::Expr(p)) = at(8, 8)? else { return None };
+        let &[Push(Sub, Lit(x_from), Leaf(x)), Apply(Mul, Leaf(y))] = p.ops() else { return None };
+        let (_, LaneSource::Expr(q)) = at(16, 8)? else { return None };
+        let &[Push(Add, Lit(z_plus), Leaf(z)), Apply(Mul, Prev(prev))] = q.ops() else {
+            return None;
+        };
+        let (_, LaneSource::Col(ColRef::U8(lo))) = at(24, 4)? else { return None };
+        let (_, LaneSource::Col(ColRef::U8(hi))) = at(28, 4)? else { return None };
+        let LaneLeaf { col: ColRef::U32(y), bias: y_bias } = leaf(y) else { return None };
+        (prev == first).then_some(RowStep {
+            wide,
+            x: u8_leaf(x)?,
+            x_from,
+            y,
+            y_bias,
+            z: u8_leaf(z)?,
+            z_plus,
+            lo,
+            hi,
+        })
+    }
+
+    /// Rows `off .. off + len` of every column.
+    ///
+    /// # Panics
+    /// Panics if a column is shorter than `off + len`.
+    fn window(&self, off: usize, len: usize) -> RowStep<'s> {
+        fn win<T>(s: &[T], off: usize, len: usize) -> &[T] {
+            &s[off..off + len]
+        }
+        RowStep {
+            wide: win(self.wide, off, len),
+            x: win(self.x, off, len),
+            y: win(self.y, off, len),
+            z: win(self.z, off, len),
+            lo: win(self.lo, off, len),
+            hi: win(self.hi, off, len),
+            ..*self
+        }
+    }
+
+    /// Rows every column holds.
+    fn rows(&self) -> usize {
+        let narrow = [self.x, self.z, self.lo, self.hi].map(<[u8]>::len);
+        narrow.into_iter().fold(self.wide.len().min(self.y.len()), usize::min)
+    }
+}
+
 /// Multi-aggregate grouped SUM: for each column `c` and group `g`,
 /// `sums[c * num_groups + g] += Σ cols[c][i]` over rows with `gids[i] == g`.
 ///
@@ -186,9 +309,10 @@ pub fn sum_multi(
 
 /// The multi-aggregate row builder's state, bound to one [`RowLayout`] and
 /// group count: the replicated accumulator rows, the four slot lanes, the
-/// lane operand stack, the count of rows not yet flushed, and the kernels,
-/// resolved once. Build it once per run of batches — the engine builds one
-/// per segment per worker — and pass it to every [`sum_lanes`] call.
+/// lane operand stack, the count of rows not yet flushed, and the kernels
+/// (the slot-lane ones and the [`RowStep`]'s), resolved once. Build it once
+/// per run of batches — the engine builds one per segment per worker — and
+/// pass it to every [`sum_lanes`] call.
 ///
 /// Rows a call leaves in the accumulators belong to the `sums` it was
 /// given: pass the same `sums` to every call, then [`RowBuilder::drain`]
@@ -208,6 +332,7 @@ pub struct RowBuilder {
     fill: Resolved<FillLaneK>,
     add: Resolved<AccumulateK>,
     bin: Resolved<BinK>,
+    step: Resolved<RowStepK>,
 }
 
 impl RowBuilder {
@@ -228,6 +353,7 @@ impl RowBuilder {
             fill: FILL_LANE.resolve(level, 0),
             add: ACCUMULATE.resolve(level, 0),
             bin: BIN.resolve(level, 0),
+            step: ROW_STEP.resolve(level, 0),
         }
     }
 
@@ -270,9 +396,11 @@ impl std::fmt::Debug for RowBuilder {
 /// Per chunk, each source fills its slot lane column-at-a-time (all width
 /// and slot dispatch happens once per source per chunk); one monomorphic
 /// loop then transposes four rows at a time and updates each row's
-/// accumulators with a single load-add-store. The sums reach `sums` only
-/// when the next chunk could carry (every [`FLUSH_ROWS`] rows, counted
-/// across calls) and at [`RowBuilder::drain`].
+/// accumulators with a single load-add-store. Sources of the [`RowStep`]
+/// shape skip the slot lanes: one kernel per chunk loads, computes,
+/// transposes and adds four rows at a time in registers. The sums reach
+/// `sums` only when the next chunk could carry (every [`FLUSH_ROWS`] rows,
+/// counted across calls) and at [`RowBuilder::drain`].
 ///
 /// # Panics
 /// Panics if `rows`' layout does not match the sources, an expression
@@ -284,8 +412,8 @@ pub fn sum_lanes<'a, 'l>(
     leaf: &dyn Fn(usize) -> LaneLeaf<'l>,
     sums: &mut [i64],
 ) {
-    let RowBuilder { acc, slots, scratch, layout, num_groups, unflushed, fill, add, bin } = rows;
-    let (num_groups, k) = (*num_groups, sources.len());
+    let (num_groups, k) = (rows.num_groups, sources.len());
+    let layout = &rows.layout;
     assert_eq!(layout.num_cols(), k, "layout/column count mismatch");
     assert_eq!(sums.len(), k * num_groups, "accumulator size mismatch");
     let n = gids.len();
@@ -299,42 +427,58 @@ pub fn sum_lanes<'a, 'l>(
     }
     super::debug_assert_group_ids(gids, num_groups);
 
+    let step = RowStep::recognize(layout, sources, leaf);
     let mut off = 0usize;
     while off < n {
         let len = CHUNK_ROWS.min(n - off);
-        if *unflushed + len > FLUSH_ROWS {
-            flush(acc, layout, num_groups, sums);
-            *unflushed = 0;
+        if rows.unflushed + len > FLUSH_ROWS {
+            flush(&mut rows.acc, &rows.layout, num_groups, sums);
+            rows.unflushed = 0;
         }
-        for (c, source) in sources.iter().enumerate() {
-            let slot = layout.slot(c);
-            let (lane, hi) = (slot.byte_offset / 8, slot.byte_offset % 8 == 4);
-            let (below, rest) = slots.split_at_mut(lane);
-            #[expect(
-                clippy::expect_used,
-                reason = "lane < 4 by RowLayout construction (offset < 32)"
-            )]
-            let (dst, above) = rest.split_first_mut().expect("lane within the row");
-            let dst = &mut dst[..len];
-            match source {
-                LaneSource::Col(col) => fill.run(col.window(off, len), hi, dst),
-                LaneSource::Expr(prog) => {
-                    let prev = |j: usize| {
-                        assert!(j < c, "Prev({j}) must name an earlier source than {c}");
-                        let s = layout.slot(j);
-                        assert_eq!(s.width, 8, "Prev({j}) must name an 8-byte-slot source");
-                        let l = s.byte_offset / 8;
-                        // Two 8-byte slots never share a lane, so l != lane.
-                        let src = if l < lane { &below[l] } else { &above[l - lane - 1] };
-                        ColRef::U64(&src[..len])
-                    };
-                    lane::eval_chunk_with(prog, leaf, &prev, off, dst, scratch, *bin);
-                }
+        let chunk_gids = &gids[off..off + len];
+        match &step {
+            Some(step) => rows.step.run(&step.window(off, len), chunk_gids, &mut rows.acc),
+            None => {
+                fill_slots(rows, sources, leaf, off, len);
+                rows.add.run(chunk_gids, &rows.slots, &mut rows.acc);
             }
         }
-        add.run(&gids[off..off + len], slots, acc);
-        *unflushed += len;
+        rows.unflushed += len;
         off += len;
+    }
+}
+
+/// Fill the slot lanes with rows `off .. off + len` of every source.
+fn fill_slots<'l>(
+    rows: &mut RowBuilder,
+    sources: &[LaneSource<'_>],
+    leaf: &dyn Fn(usize) -> LaneLeaf<'l>,
+    off: usize,
+    len: usize,
+) {
+    let RowBuilder { slots, scratch, layout, fill, bin, .. } = rows;
+    for (c, source) in sources.iter().enumerate() {
+        let slot = layout.slot(c);
+        let (lane, hi) = (slot.byte_offset / 8, slot.byte_offset % 8 == 4);
+        let (below, rest) = slots.split_at_mut(lane);
+        #[expect(clippy::expect_used, reason = "lane < 4 by RowLayout construction (offset < 32)")]
+        let (dst, above) = rest.split_first_mut().expect("lane within the row");
+        let dst = &mut dst[..len];
+        match source {
+            LaneSource::Col(col) => fill.run(col.window(off, len), hi, dst),
+            LaneSource::Expr(prog) => {
+                let prev = |j: usize| {
+                    assert!(j < c, "Prev({j}) must name an earlier source than {c}");
+                    let s = layout.slot(j);
+                    assert_eq!(s.width, 8, "Prev({j}) must name an 8-byte-slot source");
+                    let l = s.byte_offset / 8;
+                    // Two 8-byte slots never share a lane, so l != lane.
+                    let src = if l < lane { &below[l] } else { &above[l - lane - 1] };
+                    ColRef::U64(&src[..len])
+                };
+                lane::eval_chunk(prog, leaf, &prev, off, dst, scratch, *bin);
+            }
+        }
     }
 }
 
@@ -356,10 +500,30 @@ fn accumulate_rows(
     from: usize,
 ) {
     for i in from..gids.len() {
-        let base = ((i & 3) * MAX_GROUPS_U8 + gids[i] as usize) * 4;
-        for lane in 0..4 {
-            acc[base + lane] = acc[base + lane].wrapping_add(slots[lane][i]);
-        }
+        add_row(acc, i, gids[i], slots.map(|lane| lane[i]));
+    }
+}
+
+/// [`ROW_STEP`]'s rows `from..` (a multiple of four), one at a time: its
+/// oracle from row 0.
+fn row_step_rows(step: &RowStep<'_>, gids: &[u8], acc: &mut [u64; ACC_WORDS], from: usize) {
+    use lane::apply;
+    use LaneBin::{Add, Mul, Sub};
+    for i in from..gids.len() {
+        let y = (step.y[i] as u64).wrapping_add(step.y_bias);
+        let first = apply(Mul, apply(Sub, step.x_from, step.x[i] as u64), y);
+        let second = apply(Mul, apply(Add, step.z_plus, step.z[i] as u64), first);
+        let pair = step.lo[i] as u64 | (step.hi[i] as u64) << 32;
+        add_row(acc, i, gids[i], [step.wide[i] as u64, first, second, pair]);
+    }
+}
+
+/// Add row `i`'s four lanes into replica `i & 3` of group `g`'s row.
+#[inline]
+fn add_row(acc: &mut [u64; ACC_WORDS], i: usize, g: u8, lanes: [u64; 4]) {
+    let base = ((i & 3) * MAX_GROUPS_U8 + g as usize) * 4;
+    for (a, v) in acc[base..base + 4].iter_mut().zip(lanes) {
+        *a = a.wrapping_add(v);
     }
 }
 
@@ -388,8 +552,8 @@ fn flush(acc: &mut [u64; ACC_WORDS], layout: &RowLayout, num_groups: usize, sums
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{ColRef, ACC_WORDS, CHUNK_ROWS, MAX_GROUPS_U8};
-    use crate::agg::lane::avx2::{Lane4, Ptr};
+    use super::{ColRef, RowStep, ACC_WORDS, CHUNK_ROWS, MAX_GROUPS_U8};
+    use crate::agg::lane::avx2::{AddK, Biased, BinK, Lane4, MulK, Op, Ptr, Splat, SubK};
     use crate::transpose::avx2::t4x4_epi64;
     use std::arch::x86_64::*;
 
@@ -463,21 +627,109 @@ mod avx2 {
         acc: &mut [u64; ACC_WORDS],
     ) {
         let n = gids.len().min(CHUNK_ROWS);
+        let lane = |l: usize| Ptr(slots[l].as_ptr());
+        // SAFETY: avx2 is enabled for this function; every slot lane holds
+        // CHUNK_ROWS >= n rows, and gids n.
+        unsafe { add_rows((lane(0), lane(1), lane(2), lane(3)), gids, acc, n & !3) };
+        super::accumulate_rows(&gids[..n], slots, acc, n & !3);
+    }
+
+    /// # Safety
+    /// The CPU must support avx2 — guaranteed by the
+    /// resolver's tier check before any call.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn row_step(step: &RowStep<'_>, gids: &[u8], acc: &mut [u64; ACC_WORDS]) {
+        let n = gids.len().min(step.rows());
+        let s = step;
+        let first = Op(
+            MulK,
+            Op(SubK, Splat(s.x_from), Ptr(s.x.as_ptr())),
+            Biased(Ptr(s.y.as_ptr()), s.y_bias),
+        );
+        let rows = Chain(
+            Ptr(s.wide.as_ptr()),
+            first,
+            Op(AddK, Splat(s.z_plus), Ptr(s.z.as_ptr())),
+            Pair(Ptr(s.lo.as_ptr()), Ptr(s.hi.as_ptr())),
+        );
+        // SAFETY: avx2 is enabled for this function; every column of `step`
+        // and `gids` hold n rows or more.
+        unsafe { add_rows(rows, gids, acc, n & !3) };
+        super::row_step_rows(step, &gids[..n], acc, n & !3);
+    }
+
+    /// The four 8-byte row lanes of four consecutive rows, one register per
+    /// lane (slot-major, before the transpose).
+    trait Lanes4: Copy {
+        /// # Safety
+        /// The CPU must support avx2, and rows `i..i + 4` must be readable
+        /// through every operand.
+        unsafe fn lanes4(self, i: usize) -> [__m256i; 4];
+    }
+
+    impl<A: Lane4, B: Lane4, C: Lane4, D: Lane4> Lanes4 for (A, B, C, D) {
+        /// # Safety
+        /// As [`Lanes4::lanes4`].
+        #[inline(always)]
+        unsafe fn lanes4(self, i: usize) -> [__m256i; 4] {
+            // SAFETY: forwarded caller guarantees.
+            unsafe { [self.0.load4(i), self.1.load4(i), self.2.load4(i), self.3.load4(i)] }
+        }
+    }
+
+    /// Lanes `(w, x, y · x, z)`: the third multiplies the second's value —
+    /// a `Prev` reference — by `y` without computing it again.
+    #[derive(Clone, Copy)]
+    struct Chain<W, X, Y, Z>(W, X, Y, Z);
+
+    impl<W: Lane4, X: Lane4, Y: Lane4, Z: Lane4> Lanes4 for Chain<W, X, Y, Z> {
+        /// # Safety
+        /// As [`Lanes4::lanes4`].
+        #[inline(always)]
+        unsafe fn lanes4(self, i: usize) -> [__m256i; 4] {
+            // SAFETY: forwarded caller guarantees.
+            unsafe {
+                let x = self.1.load4(i);
+                [self.0.load4(i), x, MulK::apply(self.2.load4(i), x), self.3.load4(i)]
+            }
+        }
+    }
+
+    /// Two 4-byte slots of one lane: `lo`, and `hi` shifted above it.
+    #[derive(Clone, Copy)]
+    struct Pair<L, H>(L, H);
+
+    impl<L: Lane4, H: Lane4> Lane4 for Pair<L, H> {
+        /// # Safety
+        /// As [`Lane4::load4`] for both operands.
+        #[inline(always)]
+        unsafe fn load4(self, i: usize) -> __m256i {
+            // SAFETY: forwarded caller guarantees.
+            unsafe { _mm256_or_si256(self.0.load4(i), _mm256_slli_epi64::<32>(self.1.load4(i))) }
+        }
+    }
+
+    /// Rows `0..n4` (a multiple of four) of `rows`: transposed four at a
+    /// time and added with one load-add-store per row, row `r` of a step
+    /// into replica `r`, so consecutive rows of one group never wait on each
+    /// other's store.
+    ///
+    /// # Safety
+    /// The CPU must support avx2; rows below `n4` must be readable through
+    /// `rows`, and `n4 <= gids.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn add_rows<R: Lanes4>(rows: R, gids: &[u8], acc: &mut [u64; ACC_WORDS], n4: usize) {
         let acc_ptr = acc.as_mut_ptr();
         let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: avx2 is enabled for this function; rows i..i+4 are
-            // below n <= CHUNK_ROWS in every slot lane and below gids.len();
-            // with r < 4 and a u8 group id g, (r * 256 + g) * 4 + 4 is at
-            // most acc.len() = 4 * 256 * 4.
+        while i < n4 {
+            // SAFETY: rows i..i+4 are below n4, within `rows` and gids
+            // (caller); with r < 4 and a u8 group id g, (r * 256 + g) * 4 + 4
+            // is at most acc.len() = 4 * 256 * 4.
             unsafe {
-                let load =
-                    |l: usize| _mm256_loadu_si256(slots[l].as_ptr().add(i) as *const __m256i);
+                let [l0, l1, l2, l3] = rows.lanes4(i);
                 // Generalized transposition: slot-major -> row-major.
-                let (r0, r1, r2, r3) = t4x4_epi64(load(0), load(1), load(2), load(3));
-                // One load-add-store per row updates every sum at once, row r
-                // into replica r: consecutive rows of one group never wait on
-                // each other's store.
+                let (r0, r1, r2, r3) = t4x4_epi64(l0, l1, l2, l3);
                 for (r, row) in [r0, r1, r2, r3].into_iter().enumerate() {
                     let g = *gids.get_unchecked(i + r) as usize;
                     let p = acc_ptr.add((r * MAX_GROUPS_U8 + g) * 4) as *mut __m256i;
@@ -486,7 +738,6 @@ mod avx2 {
             }
             i += 4;
         }
-        super::accumulate_rows(&gids[..n], slots, acc, i);
     }
 }
 
@@ -689,6 +940,154 @@ mod tests {
         for n in [0, 1, 3, 4, 5, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 2] {
             for level in SimdLevel::available() {
                 q1_lane_case(n, level);
+            }
+        }
+    }
+
+    /// One row-step differential case: the sources, their leaves and
+    /// whether the recognizer must take the register step.
+    struct StepCase<'a> {
+        name: &'static str,
+        sources: Vec<LaneSource<'a>>,
+        leaves: Vec<LaneLeaf<'a>>,
+        step: bool,
+    }
+
+    /// Source `c`'s value on row `i`, by the lane semantics: a column at its
+    /// width, a program run one row at a time.
+    fn source_value(case: &StepCase<'_>, c: usize, i: usize) -> u64 {
+        use crate::agg::lane::{apply, LaneArg, LaneOp};
+        let prog = match case.sources[c] {
+            LaneSource::Col(col) => return col.get(i),
+            LaneSource::Expr(prog) => prog,
+        };
+        let arg = |a: LaneArg| match a {
+            LaneArg::Leaf(l) => case.leaves[l].col.get(i).wrapping_add(case.leaves[l].bias),
+            LaneArg::Prev(j) => source_value(case, j, i),
+            LaneArg::Lit(v) => v,
+        };
+        let mut stack = Vec::new();
+        for &op in prog.ops() {
+            match op {
+                LaneOp::Load(a) => stack.push(arg(a)),
+                LaneOp::Push(k, a, b) => stack.push(apply(k, arg(a), arg(b))),
+                LaneOp::Apply(k, a) => {
+                    let x = stack.pop().unwrap();
+                    stack.push(apply(k, x, arg(a)));
+                }
+                LaneOp::RSub(a) => {
+                    let x = stack.pop().unwrap();
+                    stack.push(arg(a).wrapping_sub(x));
+                }
+                LaneOp::Fold(k) => {
+                    let (y, x) = (stack.pop().unwrap(), stack.pop().unwrap());
+                    stack.push(apply(k, x, y));
+                }
+            }
+        }
+        stack[0]
+    }
+
+    #[test]
+    fn register_step_chunked_path_and_reference_agree() {
+        use crate::agg::lane::{LaneArg::*, LaneBin::*, LaneOp::*};
+        let n = FLUSH_ROWS + CHUNK_ROWS + 3;
+        let g = gids(n, 7);
+        // `x` reaches 255, so `100 - x` wraps; `y + 2^32 - 64` crosses 2^32,
+        // so `Mul` sees only its low 32 bits. Rows where `x` wraps take the
+        // truncated side of `y`, which keeps every sum inside i64.
+        let wraps = |i: usize| i % 97 == 5;
+        let x: Vec<u8> = (0..n).map(|i| if wraps(i) { 255 } else { (i % 11) as u8 }).collect();
+        let y: Vec<u32> =
+            (0..n).map(|i| if wraps(i) { 64 + i % 50 } else { i * 7 % 128 } as u32).collect();
+        let z: Vec<u8> = (0..n).map(|i| (i % 9) as u8).collect();
+        let wide: Vec<u32> = (0..n).map(|i| (i as u32).wrapping_mul(2654435761) >> 8).collect();
+        let lo: Vec<u8> = (0..n).map(|i| if i % 5 == 0 { 255 } else { (i % 50) as u8 }).collect();
+        let hi: Vec<u8> = (0..n).map(|i| if i % 3 == 0 { 255 } else { (i % 11) as u8 }).collect();
+        let hi16: Vec<u16> = hi.iter().map(|&v| v as u16 * 3).collect();
+        let leaves = |x_bias| {
+            vec![
+                LaneLeaf { col: ColRef::U32(&y), bias: (1 << 32) - 64 },
+                LaneLeaf { col: ColRef::U8(&x), bias: x_bias },
+                LaneLeaf { col: ColRef::U8(&z), bias: 0 },
+            ]
+        };
+        let prog = |ops| LaneProgram::new(ops).unwrap();
+        let first = prog(vec![Push(Sub, Lit(100), Leaf(1)), Apply(Mul, Leaf(0))]);
+        let second = prog(vec![Push(Add, Lit(100), Leaf(2)), Apply(Mul, Prev(2))]);
+        let swapped = (
+            prog(vec![Push(Add, Lit(100), Leaf(1)), Apply(Mul, Leaf(0))]),
+            prog(vec![Push(Sub, Lit(100), Leaf(2)), Apply(Mul, Prev(2))]),
+        );
+        let other_prev = prog(vec![Push(Add, Lit(100), Leaf(2)), Apply(Mul, Prev(1))]);
+        let q1 = |hi_col, first, second| {
+            vec![
+                LaneSource::Col(ColRef::U8(&lo)),
+                LaneSource::Col(ColRef::U32(&wide)),
+                LaneSource::Expr(first),
+                LaneSource::Expr(second),
+                LaneSource::Col(hi_col),
+            ]
+        };
+        let case = |name, sources, leaves, step| StepCase { name, sources, leaves, step };
+        let hi8 = ColRef::U8(&hi);
+        // Q1's sums with the u32 column after the programs: laid out so the
+        // recognizer rejects them — the chunked path.
+        let chunked = vec![
+            LaneSource::Col(ColRef::U8(&lo)),
+            LaneSource::Expr(&first),
+            LaneSource::Expr(&other_prev),
+            LaneSource::Col(ColRef::U32(&wide)),
+            LaneSource::Col(hi8),
+        ];
+        let cases = [
+            case("q1 shape", q1(hi8, &first, &second), leaves(0), true),
+            case("q1 sums, chunked layout", chunked, leaves(0), false),
+            case("Prev names the column", q1(hi8, &first, &other_prev), leaves(0), false),
+            case("Add and Sub swapped", q1(hi8, &swapped.0, &swapped.1), leaves(0), false),
+            case("biased u8 leaf", q1(hi8, &first, &second), leaves(3), false),
+            case("u16 in the pair", q1(ColRef::U16(&hi16), &first, &second), leaves(0), false),
+        ];
+        for case in &cases {
+            let layout = RowLayout::plan_for(
+                &case
+                    .sources
+                    .iter()
+                    .map(|s| match s {
+                        LaneSource::Col(c) => *c,
+                        LaneSource::Expr(_) => ColRef::U64(&[]),
+                    })
+                    .collect::<Vec<_>>(),
+            )
+            .unwrap();
+            let leaf = |i: usize| case.leaves[i];
+            let recognized = RowStep::recognize(&layout, &case.sources, &leaf).is_some();
+            assert_eq!(recognized, case.step, "{}", case.name);
+            let values: Vec<Vec<u64>> =
+                (0..5).map(|c| (0..n).map(|i| source_value(case, c, i)).collect()).collect();
+            for len in [0, 1, 3, 4, 5, 255, 256, 257, 4096, n] {
+                let cols: Vec<ColRef<'_>> = values.iter().map(|v| ColRef::U64(&v[..len])).collect();
+                let (_, expected) = reference_group_sums(&g[..len], &cols, 7);
+                let sources: Vec<LaneSource<'_>> = (case.sources.iter())
+                    .map(|s| match s {
+                        LaneSource::Col(c) => LaneSource::Col(c.window(0, len)),
+                        expr => *expr,
+                    })
+                    .collect();
+                for level in SimdLevel::available() {
+                    let mut sums = vec![0i64; 5 * 7];
+                    let mut rows = RowBuilder::new(&layout, 7, level);
+                    sum_lanes(&mut rows, &g[..len], &sources, &leaf, &mut sums);
+                    rows.drain(&mut sums);
+                    for c in 0..5 {
+                        assert_eq!(
+                            &sums[c * 7..(c + 1) * 7],
+                            &expected[c][..],
+                            "{} len={len} col={c} {level}",
+                            case.name
+                        );
+                    }
+                }
             }
         }
     }

@@ -842,6 +842,44 @@ mod walk {
     }
 
     #[test]
+    fn multi_row_step() {
+        let w = |seed| words(CHUNK_ROWS, seed);
+        let narrow = |seed| w(seed).iter().map(|&v| v as u8).collect::<Vec<u8>>();
+        let (x, z, lo, hi) = (narrow(14), narrow(15), narrow(16), narrow(17));
+        let wide: Vec<u32> = w(18).iter().map(|&v| v as u32).collect();
+        let y: Vec<u32> = w(19).iter().map(|&v| v as u32).collect();
+        let step = |len: usize, bias: u64| multi::RowStep {
+            wide: &wide[..len],
+            x: &x[..len],
+            x_from: 100,
+            y: &y[..len],
+            y_bias: bias,
+            z: &z[..len],
+            z_plus: 100,
+            lo: &lo[..len],
+            hi: &hi[..len],
+        };
+        let gid = |n: usize, k: usize| (0..n).map(|i| (i * k % 256) as u8).collect::<Vec<u8>>();
+        // Pseudo-random `u8`s wrap `100 - x`; a bias past 2^32 makes `Mul`
+        // truncate. Lengths off the four-row step leave a scalar tail.
+        let lens = CHUNK_LENS.iter().chain(&[2, 6, 130, CHUNK_ROWS - 3]);
+        let cases = lens.flat_map(|&n| {
+            [(0, 1), (90_036, 0), ((1 << 32) - 7, 37)].map(|(bias, k)| (n, bias, gid(n, k)))
+        });
+        let init = words(multi::ACC_WORDS, 20);
+        multi::ROW_STEP.walk(
+            cases,
+            |_| 0,
+            |kernel, (n, bias, g)| {
+                let mut acc = [0u64; multi::ACC_WORDS];
+                acc.copy_from_slice(&init);
+                kernel.run(&step(*n, *bias), g, &mut acc);
+                acc.to_vec()
+            },
+        );
+    }
+
+    #[test]
     fn lane_bin() {
         let n = CHUNK_ROWS;
         let (a8, a16): (Vec<u8>, Vec<u16>) = (

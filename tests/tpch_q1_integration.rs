@@ -9,10 +9,12 @@
 mod common;
 
 use bipie::columnstore::{Date, Value};
+use bipie::core::aggproc::{AggInput, ExprPath, LanePlan};
+use bipie::core::expr::resolve_many;
 use bipie::core::reference::execute_reference;
 use bipie::core::{
-    execute, AggStrategy, DecisionRecord, Predicate, ProfileLevel, QueryBuilder, QueryOptions,
-    SelectionStrategy, TraceEvent,
+    execute, AggExpr, AggStrategy, DecisionRecord, Expr, Predicate, ProfileLevel, QueryBuilder,
+    QueryOptions, SelectionStrategy, TraceEvent,
 };
 use bipie::tpch::{q1_cutoff, q1_query, run_q1, run_q1_result, LineItemGen};
 
@@ -74,6 +76,31 @@ fn q1_plan_matches_paper_description() {
         let (_, par) = run_q1(&table, options).unwrap();
         assert_eq!(par.agg_segments, stats.agg_segments, "threads={threads}: {par:?}");
         assert_eq!(par.agg_segments.iter().sum::<usize>(), par.segments_scanned);
+    }
+}
+
+#[test]
+fn q1_sums_take_the_register_row_step() {
+    // Q1's distinct SUM/AVG inputs in SELECT order, resolved together as
+    // `execute` resolves them (charge reuses disc_price through CSE).
+    let table = small_lineitem();
+    let query = q1_query(QueryOptions::default());
+    let mut exprs: Vec<&Expr> = Vec::new();
+    for agg in &query.aggregates {
+        if let AggExpr::Sum(e) | AggExpr::Avg(e) = agg {
+            if !exprs.contains(&e) {
+                exprs.push(e);
+            }
+        }
+    }
+    let resolved = resolve_many(&exprs, &|name| table.column_index(name)).unwrap();
+    // Every segment's lane plan has the row builder's register-step shape:
+    // a planner change that drops Q1 to the slot-lane chunks fails here.
+    for (s, seg) in table.segments().iter().enumerate() {
+        let inputs: Vec<AggInput<'_>> = resolved.iter().map(|e| AggInput::plan(seg, e)).collect();
+        let plan = LanePlan::build(seg, &inputs, &[]);
+        assert_eq!(plan.expr_path(), ExprPath::Lanes, "segment {s}");
+        assert!(plan.register_row_step(), "segment {s}: {plan:?}");
     }
 }
 
