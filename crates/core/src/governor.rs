@@ -186,7 +186,7 @@ impl Governor {
     /// `None` when no budget is set.
     pub fn remaining(&self) -> Option<usize> {
         // ORDERING: Relaxed — advisory headroom snapshot; admission is
-        // decided by the fetch_add in `try_reserve_global`, not here.
+        // decided by the compare-exchange in `reserve_within`, not here.
         self.mem_budget.map(|b| b.saturating_sub(self.reserved.load(Ordering::Relaxed)))
     }
 
@@ -201,25 +201,10 @@ impl Governor {
     /// that the budget cannot cover them (without tripping — the caller
     /// decides whether a smaller request would do).
     fn try_reserve_global(&self, bytes: usize) -> bool {
-        let Some(budget) = self.mem_budget else {
-            return true;
-        };
-        // ORDERING: Relaxed — fetch_add/fetch_sub are atomic RMWs on one
-        // counter, which is all the budget check needs: the total can never
-        // over-admit regardless of ordering, and the counter guards no
-        // other memory.
-        let prev = self.reserved.fetch_add(bytes, Ordering::Relaxed);
-        let now = prev.saturating_add(bytes);
-        if now > budget {
-            // ORDERING: Relaxed — undo of the optimistic add; same counter,
-            // same reasoning.
-            self.reserved.fetch_sub(bytes, Ordering::Relaxed);
-            return false;
+        match self.mem_budget {
+            Some(budget) => reserve_within(&self.reserved, &self.peak, budget, bytes),
+            None => true,
         }
-        // ORDERING: Relaxed — monotone max folded from per-thread observations;
-        // read only for statistics.
-        self.peak.fetch_max(now, Ordering::Relaxed);
-        true
     }
 
     /// Latch a memory violation of `requested` bytes and return the typed
@@ -296,22 +281,11 @@ impl AggregateBudget {
     }
 
     /// Reserve `bytes` of the aggregate cap, or report that they do not
-    /// fit right now. Mirrors the governor's global reservation: optimistic
-    /// add with undo, so concurrent admitters can never jointly overshoot.
+    /// fit right now. The same compare-exchange as the governor's global
+    /// reservation: concurrent admitters can never jointly overshoot, and a
+    /// refused request never touches the counter.
     pub fn try_reserve(&self, bytes: usize) -> bool {
-        // ORDERING: Relaxed — single-counter RMW admission, identical
-        // reasoning to `Governor::try_reserve_global`: the total cannot
-        // over-admit under any ordering and the counter guards no memory.
-        let prev = self.reserved.fetch_add(bytes, Ordering::Relaxed);
-        let now = prev.saturating_add(bytes);
-        if now > self.cap {
-            // ORDERING: Relaxed — undo of the optimistic add; same counter.
-            self.reserved.fetch_sub(bytes, Ordering::Relaxed);
-            return false;
-        }
-        // ORDERING: Relaxed — monotone max for statistics only.
-        self.peak.fetch_max(now, Ordering::Relaxed);
-        true
+        reserve_within(&self.reserved, &self.peak, self.cap, bytes)
     }
 
     /// Return `bytes` previously reserved with [`AggregateBudget::try_reserve`].
@@ -333,6 +307,25 @@ impl AggregateBudget {
         // race, exact once they quiesce.
         self.peak.load(Ordering::Relaxed)
     }
+}
+
+/// Add `bytes` to `reserved` if the new total stays within `cap`, and fold
+/// the total into `peak`. The check and the add are one compare-exchange,
+/// so a refused request never moves the counter: it cannot make a
+/// concurrent request that fits look over budget, and a huge one cannot
+/// wrap the counter.
+fn reserve_within(reserved: &AtomicUsize, peak: &AtomicUsize, cap: usize, bytes: usize) -> bool {
+    // ORDERING: Relaxed — a compare-exchange loop on one counter is all the
+    // budget check needs: the total can never over-admit under any
+    // ordering, and the counter guards no other memory.
+    let admitted = reserved.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |r| {
+        r.checked_add(bytes).filter(|&now| now <= cap)
+    });
+    let Ok(prev) = admitted else { return false };
+    // ORDERING: Relaxed — monotone max folded from per-thread observations;
+    // read only for statistics.
+    peak.fetch_max(prev + bytes, Ordering::Relaxed);
+    true
 }
 
 /// Per-worker memory accountant. Owns locally reserved slack so per-batch
@@ -472,8 +465,8 @@ mod tests {
         assert_eq!(agg.cap(), 100);
         assert!(agg.try_reserve(60));
         assert!(agg.try_reserve(40));
-        // Full: even one more byte is refused, and the refusal undoes its
-        // optimistic add.
+        // Full: even one more byte is refused, and the refusal leaves the
+        // counter untouched.
         assert!(!agg.try_reserve(1));
         assert_eq!(agg.reserved(), 100);
         assert_eq!(agg.peak_reserved(), 100);
@@ -481,6 +474,79 @@ mod tests {
         assert_eq!(agg.reserved(), 60);
         assert!(agg.try_reserve(30));
         assert_eq!(agg.peak_reserved(), 100);
+    }
+
+    /// Race `fit` (reserve then release a request that fits) against
+    /// `oversize` (requests that never fit) from two real threads. Returns
+    /// how often the fitting request was refused and the largest total it
+    /// saw reserved right after its own reservation.
+    #[expect(clippy::disallowed_methods, reason = "oversize requests race a fitting one")]
+    fn race_fit_against_oversize(
+        fit: impl Fn() -> Option<usize> + Sync,
+        oversize: impl Fn() + Sync,
+    ) -> (usize, usize) {
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // ORDERING: Relaxed — a stop flag carrying no payload.
+                while !done.load(Ordering::Relaxed) {
+                    oversize();
+                }
+            });
+            let (mut refused, mut max_seen) = (0, 0);
+            for _ in 0..200_000 {
+                match fit() {
+                    Some(seen) => max_seen = max_seen.max(seen),
+                    None => refused += 1,
+                }
+            }
+            // ORDERING: Relaxed — see the load above.
+            done.store(true, Ordering::Relaxed);
+            (refused, max_seen)
+        })
+    }
+
+    #[test]
+    fn governor_never_refuses_a_fit_while_oversize_requests_race() {
+        let g = Governor::new(None, None, Some(16_000));
+        let (refused, max_seen) = race_fit_against_oversize(
+            || {
+                if !g.try_reserve_global(1_700) {
+                    return None;
+                }
+                // ORDERING: Relaxed — test bookkeeping on the one counter.
+                let seen = g.reserved.load(Ordering::Relaxed);
+                g.reserved.fetch_sub(1_700, Ordering::Relaxed);
+                Some(seen)
+            },
+            || {
+                assert!(!g.try_reserve_global(MEM_SLACK_BYTES));
+                assert!(!g.try_reserve_global(usize::MAX));
+            },
+        );
+        assert_eq!(refused, 0, "a 1 700 B reservation under a 16 000 B budget was refused");
+        assert!(max_seen <= 16_000, "reserved reached {max_seen} B over a 16 000 B budget");
+    }
+
+    #[test]
+    fn aggregate_budget_never_refuses_a_fit_while_oversize_requests_race() {
+        let agg = AggregateBudget::new(16_000);
+        let (refused, max_seen) = race_fit_against_oversize(
+            || {
+                if !agg.try_reserve(1_700) {
+                    return None;
+                }
+                let seen = agg.reserved();
+                agg.release(1_700);
+                Some(seen)
+            },
+            || {
+                assert!(!agg.try_reserve(MEM_SLACK_BYTES));
+                assert!(!agg.try_reserve(usize::MAX));
+            },
+        );
+        assert_eq!(refused, 0, "a 1 700 B reservation under a 16 000 B cap was refused");
+        assert!(max_seen <= 16_000, "reserved reached {max_seen} B over a 16 000 B cap");
     }
 
     #[test]

@@ -1,14 +1,5 @@
-//! Bad fixture: an accounted module (`crates/core/src/scan.rs`) that
-//! allocates data-dependent buffers but no longer references the memory
-//! accountant anywhere — the accountant pass must flag each allocation.
-
-pub fn unbudgeted_scan(rows: usize) -> Vec<u32> {
-    let mut gids = vec![0u32; rows];
-    let mut scratch = Vec::with_capacity(rows);
-    scratch.resize(rows, 0u8);
-    gids[0] = scratch[0] as u32;
-    gids
-}
+//! Bad fixture: a morsel loop that never reaches a governor checkpoint and
+//! a profiler span leaked on the `?` path.
 
 pub fn ungoverned_worker(sched: &Sched) -> u64 {
     let mut total = 0;

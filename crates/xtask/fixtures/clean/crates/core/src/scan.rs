@@ -1,22 +1,5 @@
-//! Clean fixture: an accounted module that allocates *and* charges the
-//! allocation through the governor's accountant, so the accountant pass
-//! stays quiet.
-
-pub struct MemScope {
-    avail: usize,
-}
-
-impl MemScope {
-    pub fn charge(&mut self, bytes: usize) -> Result<(), ()> {
-        self.avail = self.avail.checked_sub(bytes).ok_or(())?;
-        Ok(())
-    }
-}
-
-pub fn budgeted_scan(mem: &mut MemScope, rows: usize) -> Result<Vec<u32>, ()> {
-    mem.charge(rows * 4)?;
-    Ok(vec![0u32; rows])
-}
+//! Clean fixture: a morsel loop that reaches a governor checkpoint on every
+//! trip and a profiler span closed before the `?` exit.
 
 pub fn governed_worker(sched: &Sched, governor: &Governor) -> Result<u64, EngineError> {
     let mut total = 0;

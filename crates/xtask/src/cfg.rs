@@ -16,8 +16,8 @@
 //! * brace-bodied closures are lowered as **separate CFGs** (a `return`
 //!   inside a closure exits the closure, not the enclosing fn), named
 //!   `outer::{closure:LINE}` after their parent;
-//! * `unsafe` blocks and loops are indexed on the side so passes can find
-//!   them without re-scanning tokens.
+//! * loops are indexed on the side so passes can find them without
+//!   re-scanning tokens.
 //!
 //! The lowering is deliberately **approximate and total** ("skip, don't
 //! crash", like the parser): expression-position control flow (`let x = if
@@ -110,15 +110,6 @@ pub struct LoopInfo {
     pub blocks: Vec<usize>,
 }
 
-/// One `unsafe` block site, mapped to its containing basic block.
-#[derive(Debug)]
-pub struct UnsafeSite {
-    /// Block the `unsafe` keyword executes in.
-    pub block: usize,
-    /// 0-based line of the `unsafe` keyword.
-    pub line: usize,
-}
-
 /// The control-flow graph of one fn body (or one closure body).
 #[derive(Debug)]
 pub struct Cfg {
@@ -138,8 +129,6 @@ pub struct Cfg {
     pub exit: usize,
     /// Loops lowered in this body, in source order.
     pub loops: Vec<LoopInfo>,
-    /// `unsafe` block sites, in source order.
-    pub unsafe_sites: Vec<UnsafeSite>,
     /// Constructs the builder could not place (0 = lowered cleanly).
     pub unmodeled: usize,
 }
@@ -245,7 +234,6 @@ fn lower_one(
         cur: 0,
         loop_stack: Vec::new(),
         loops: Vec::new(),
-        unsafe_sites: Vec::new(),
         unmodeled: 0,
         closures: Vec::new(),
     };
@@ -262,7 +250,6 @@ fn lower_one(
         entry: 0,
         exit: 1,
         loops: b.loops,
-        unsafe_sites: b.unsafe_sites,
         unmodeled: b.unmodeled,
     });
     for (range, closure_line) in closures {
@@ -300,7 +287,6 @@ struct Builder<'a> {
     cur: usize,
     loop_stack: Vec<Frame>,
     loops: Vec<LoopInfo>,
-    unsafe_sites: Vec<UnsafeSite>,
     unmodeled: usize,
     /// Brace-bodied closures (original body token range, 0-based line),
     /// lowered into separate CFGs after the main body.
@@ -411,7 +397,6 @@ impl<'a> Builder<'a> {
                 "return" => self.lower_return(end),
                 "break" | "continue" => self.lower_break_continue(end),
                 "unsafe" if self.text(1) == "{" => {
-                    self.unsafe_sites.push(UnsafeSite { block: self.cur, line: self.line0() });
                     self.pos += 1;
                     self.inline_block(end);
                     self.eat_semi(end);
@@ -852,8 +837,8 @@ impl<'a> Builder<'a> {
     }
 
     /// Advance over expression tokens until a stop condition, tracking
-    /// delimiter depth, extracting closures, and noting `?` and `unsafe`
-    /// sites. Returns whether a `?` was seen.
+    /// delimiter depth, extracting closures, and noting `?`. Returns whether
+    /// a `?` was seen.
     fn advance_expr(&mut self, end: usize, stops: Stops) -> bool {
         let mut question = false;
         let mut depth = 0i64;
@@ -880,9 +865,6 @@ impl<'a> Builder<'a> {
                     }
                 }
                 "?" => question = true,
-                "unsafe" if self.text(1) == "{" => {
-                    self.unsafe_sites.push(UnsafeSite { block: self.cur, line: self.line0() });
-                }
                 "|" if self.closure_starts_at(prev) => {
                     self.skip_closure(end);
                     prev = self.pos.checked_sub(1).map(|p| self.code[p]);
@@ -1196,10 +1178,20 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_blocks_are_indexed_statement_and_expression_position() {
-        let f = lower("fn f(p: *const u8) -> u8 { unsafe { touch(p); } let v = unsafe { *p }; v }");
+    fn unsafe_blocks_lower_statement_and_expression_position() {
+        let f = lower(
+            "fn f(p: *const u8) -> R { unsafe { if touch(p) { return Err(E); } } let v = unsafe { *p }; Ok(v) }",
+        );
         let c = cfg(&f, "f");
-        assert_eq!(c.unsafe_sites.len(), 2, "{:?}", c.unsafe_sites);
+        assert_eq!(c.unmodeled, 0);
+        // A statement-position unsafe block is lowered like any block: the
+        // `return` inside it reaches the exit.
+        let ret = c
+            .blocks
+            .iter()
+            .flat_map(|b| &b.succs)
+            .any(|&(to, kind)| to == c.exit && kind == EdgeKind::Return);
+        assert!(ret, "{:?}", c.blocks);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Generic **worklist dataflow** over the CFGs of [`crate::cfg`].
 //!
-//! The four path-sensitive passes all reduce to gen/kill bit-vector
+//! The three path-sensitive passes all reduce to gen/kill bit-vector
 //! problems: "a governor check has executed" (forward, must ⇒ intersect),
 //! "a span is open" (forward, may ⇒ union), "an error was published"
-//! (forward, must), "block A dominates block B" (forward, intersect with
-//! gen = self). This module solves them all with one fixpoint engine:
+//! (forward, must). This module solves them all with one fixpoint engine:
 //!
 //! * facts are bits in a [`BitSet`]; transfer is `out = (in − kill) ∪ gen`;
 //! * the meet over predecessor outputs is union (may) or intersection
@@ -15,10 +14,6 @@
 //! * the worklist is seeded in reverse postorder and iterated
 //!   deterministically (a `VecDeque` with a membership bitmap), so the
 //!   solution — and the iteration count the tests pin — is reproducible.
-//!
-//! Dominators come from the same engine (gen = {self}, meet = intersect),
-//! which is what the safety-precondition pass uses to ask "is this
-//! validation on every path *before* the unsafe block?".
 
 use std::collections::VecDeque;
 
@@ -260,22 +255,6 @@ fn reverse_postorder(succs: &[Vec<usize>], start: usize) -> Vec<usize> {
     post
 }
 
-/// Dominators of every block: `dom[b]` contains `d` iff every path from
-/// entry to `b` passes through `d` (`b ∈ dom[b]`). Unreachable blocks get
-/// the empty set.
-pub fn dominators(g: &FlowGraph) -> Vec<BitSet> {
-    let n = g.succs.len();
-    let mut gen = Vec::with_capacity(n);
-    for b in 0..n {
-        let mut s = BitSet::empty(n);
-        s.insert(b);
-        gen.push(s);
-    }
-    let kill = vec![BitSet::empty(n); n];
-    let sol = solve(g, &gen, &kill, n, Direction::Forward, Meet::Intersect, &BitSet::empty(n));
-    sol.output
-}
-
 /// Compose two sequential gen/kill transfers: running `a` then `b` is one
 /// transfer with `gen = b.gen ∪ (a.gen − b.kill)`, `kill = b.kill ∪
 /// (a.kill − b.gen)`. Used to fold per-statement effects into per-block
@@ -416,25 +395,6 @@ mod tests {
         let kill2 = vec![bits(1, &[]), bits(1, &[0]), bits(1, &[])];
         let live2 = solve(&g, &gen, &kill2, 1, Direction::Backward, Meet::Union, &BitSet::empty(1));
         assert!(!live2.input[0].contains(0), "killed in the middle block");
-    }
-
-    #[test]
-    fn dominators_on_a_diamond() {
-        let g = graph(vec![vec![1, 2], vec![3], vec![3], vec![]], 0, 3);
-        let dom = dominators(&g);
-        assert!(dom[3].contains(0) && dom[3].contains(3));
-        assert!(!dom[3].contains(1) && !dom[3].contains(2), "neither arm dominates the join");
-        assert!(dom[1].contains(0));
-    }
-
-    #[test]
-    fn dominators_through_a_loop() {
-        // 0 → 1(head) → 2(body) → 1, 1 → 3(exit).
-        let g = graph(vec![vec![1], vec![2, 3], vec![1], vec![]], 0, 3);
-        let dom = dominators(&g);
-        assert!(dom[2].contains(1), "the head dominates the body");
-        assert!(dom[3].contains(1), "the head dominates the exit");
-        assert!(!dom[3].contains(2), "the body does not dominate the exit");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! positions:
 //!
 //! * line comments (`//`), doc comments (`///`, `//!`) — kept as tokens so
-//!   passes can *read* justification comments (`// SAFETY:`,
-//!   `// ORDERING:`, `// LOCK:`) instead of re-parsing raw lines;
+//!   passes can *read* justification comments (`// ORDERING:`,
+//!   `// LOCK:`) instead of re-parsing raw lines;
 //! * block comments, **nested** per Rust's grammar (`/* /* */ */`),
 //!   including doc blocks (`/** */`, `/*! */`);
 //! * string literals with escapes, byte strings (`b"…"`), raw strings

@@ -1,6 +1,6 @@
 //! `cargo xtask audit` — repo-local static analysis for the BIPie workspace.
 //!
-//! Twelve passes — the [`PASSES`] registry, which also carries each pass's
+//! Ten passes — the [`PASSES`] registry, which also carries each pass's
 //! `--explain` card — all built on the hand-rolled token lexer in [`lexer`]
 //! and — for the semantic passes — the recursive-descent item parser in
 //! [`parser`], the symbol/module graph in [`graph`], and the per-fn
@@ -24,7 +24,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod accountant;
 pub mod atomics;
 pub mod bench_check;
 pub mod cfg;
@@ -38,7 +37,6 @@ pub mod lexer;
 pub mod lock_discipline;
 pub mod parser;
 pub mod report;
-pub mod safety_flow;
 pub mod scan;
 pub mod span_balance;
 pub mod sync_escape;
@@ -87,7 +85,7 @@ pub struct Pass {
 }
 
 /// Every pass, in execution order.
-pub static PASSES: [Pass; 12] = [
+pub static PASSES: [Pass; 10] = [
     Pass {
         name: "invariants",
         id: "invariants",
@@ -112,16 +110,6 @@ pub static PASSES: [Pass; 12] = [
                     at its source.",
         fix: "Record through a `Tracer` method; add one if the event kind is new. Read \
               finished records by pattern (`DecisionRecord::Agg { cycles, .. }`).",
-    },
-    Pass {
-        name: "accountant",
-        id: "accountant",
-        run: |c| accountant::check(&c.files),
-        rule: "The allocating scan/aggregation modules keep referencing the governor's \
-               `MemScope` memory accountant.",
-        rationale: "A new allocation site that skips the accountant silently escapes \
-                    `mem_budget` enforcement.",
-        fix: "Wrap the allocation in the enclosing `MemScope`, or thread one through.",
     },
     Pass {
         name: "atomics",
@@ -227,20 +215,6 @@ pub static PASSES: [Pass; 12] = [
                     path makes production failures invisible.",
         fix: "Publish before the error leaves the boundary (e.g. \
               `.inspect_err(|e| telemetry().publish_error(e))?`).",
-    },
-    Pass {
-        name: "safety",
-        id: "safety-precondition-flow",
-        run: |c| safety_flow::check(&c.files),
-        rule: "Each `// SAFETY:` contract that names a checkable precondition — a \
-               standalone `name()` mention of a fn defined in this workspace — is \
-               dominated by a statement that calls it (`debug_assert!(name())`, an \
-               `if name()` header, or any dominating validation).",
-        rationale: "A comment that names a check no path performs is documentation \
-                    drift asserting a verification that does not happen; dominance is \
-                    what makes the precondition actually hold at the unsafe block.",
-        fix: "Add `debug_assert!(name(…))` (or branch on the predicate) before the \
-              unsafe block, or reword the comment if the obligation is the caller's.",
     },
 ];
 
