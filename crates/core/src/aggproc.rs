@@ -29,7 +29,10 @@
 //! operate on narrow unsigned values while sums stay exact.
 //!
 //! One extra accumulator slot (index `num_groups`) always exists for the
-//! special group; it is simply unused by the other selection strategies.
+//! special group; it is simply unused by the other selection strategies,
+//! and by In-Register with one group and no MIN/MAX, which writes no group
+//! ids: COUNT is the selected rows and each SUM one pass under the
+//! selection mask (DESIGN.md §17).
 //!
 //! [`finish`]: SegmentAggExecutor::finish
 
@@ -42,7 +45,7 @@ use bipie_toolbox::agg::{in_register, minmax, multi, scalar, sort_based, ColRef}
 use bipie_toolbox::bitpack::{PackedVec, WordSize};
 use bipie_toolbox::runspan::{enc_minmax_runs_spans, enc_sum_runs_spans};
 use bipie_toolbox::select::{compact, gather, special_group};
-use bipie_toolbox::selvec::SelIndexVec;
+use bipie_toolbox::selvec::{self, SelIndexVec};
 use bipie_toolbox::{RunSpanVec, SimdLevel};
 
 use crate::expr::{LaneReject, ResolvedExpr};
@@ -777,6 +780,11 @@ impl<'a> SegmentAggExecutor<'a> {
         let num_sums = inputs.len();
         let Scratch { iv, abs_iv, gids_sel, col_cache, expr_bufs, sorted, spare, expr_scratch } =
             scratch;
+        // One group under In-Register: the selection byte vector already says
+        // which rows the group holds, so no group id is written or read.
+        // COUNT is the selected rows, each SUM one pass under the mask.
+        let one_group =
+            strategy == AggStrategy::InRegister && *num_groups == 1 && mm_inputs.is_empty();
 
         // Fallback only: the interpreter evaluates over the full batch (the
         // generated-code contract of §3: expressions run on decoded data);
@@ -790,17 +798,21 @@ impl<'a> SegmentAggExecutor<'a> {
             None => Rows::All,
             Some(sel) => match selection {
                 SelectionStrategy::SpecialGroup => {
-                    special_group::assign_special_group_in_place(
-                        gids,
-                        sel,
-                        *num_groups as u8,
-                        level,
-                    );
+                    if !one_group {
+                        special_group::assign_special_group_in_place(
+                            gids,
+                            sel,
+                            *num_groups as u8,
+                            level,
+                        );
+                    }
                     Rows::All
                 }
                 SelectionStrategy::Gather | SelectionStrategy::Compact => {
                     compact::compact_indices(sel, iv, level);
-                    compact::compact_u8(gids, sel, gids_sel, level);
+                    if !one_group {
+                        compact::compact_u8(gids, sel, gids_sel, level);
+                    }
                     if selection == SelectionStrategy::Gather {
                         abs_iv.clear();
                         abs_iv.extend(iv.as_slice().iter().map(|&i| i + start as u32));
@@ -894,10 +906,20 @@ impl<'a> SegmentAggExecutor<'a> {
         for (leaf, buf) in plan.leaves.iter().zip(leaf_bufs.iter_mut()) {
             buf.load(leaf.col.normalized(), &batch, spare, level);
         }
-        let eff_len = gids_eff.len();
+        // Rows the value buffers hold.
+        let eff_len = match rows {
+            Rows::All => len,
+            Rows::Gathered(..) | Rows::Compacted(_) => iv.len(),
+        };
 
-        // COUNT(*): in-register when the group domain fits, scalar otherwise.
-        if slots <= bipie_toolbox::agg::MAX_GROUPS_IN_REGISTER {
+        // COUNT(*): the selected rows with one group; otherwise in-register
+        // when the group domain fits, scalar beyond.
+        if one_group {
+            counts[0] += match (rows, sel) {
+                (Rows::All, Some(sel)) => selvec::count_selected(sel, level),
+                _ => eff_len,
+            } as u64;
+        } else if slots <= bipie_toolbox::agg::MAX_GROUPS_IN_REGISTER {
             in_register::count_groups(gids_eff, slots, counts, level);
         } else {
             scalar::count_multi_array::<4>(gids_eff, counts);
@@ -921,6 +943,17 @@ impl<'a> SegmentAggExecutor<'a> {
         };
 
         match (strategy, &plan.layout) {
+            (AggStrategy::InRegister, _) if one_group => {
+                // Full-batch columns sum under the mask; loaded ones hold
+                // only selected rows.
+                let mask = match rows {
+                    Rows::All => sel,
+                    Rows::Gathered(..) | Rows::Compacted(_) => None,
+                };
+                for i in 0..num_sums {
+                    sums[i * slots] += scalar::sum_selected(col(i), mask) as i64;
+                }
+            }
             (AggStrategy::InRegister, _) => {
                 for i in 0..num_sums {
                     let sums = &mut sums[i * slots..(i + 1) * slots];
@@ -1336,16 +1369,19 @@ mod tests {
     #[test]
     fn all_strategy_combinations_agree_with_oracle() {
         let rows = 5000;
-        let groups = 6;
-        for with_filter in [false, true] {
-            let keep = |i: usize| !with_filter || i % 5 != 2;
-            let (counts, sums) =
-                oracle(rows, groups, keep, &[&|v, _| v, &|_, w| w, &|_, w| w * (100 - w)]);
-            for agg in AggStrategy::DENSE {
-                for selection in SelectionStrategy::DENSE {
-                    let r = run_combo(rows, groups, agg, selection, with_filter, true);
-                    assert_eq!(r.counts, counts, "{agg:?}+{selection:?} filter={with_filter}");
-                    assert_eq!(r.sums, sums, "{agg:?}+{selection:?} filter={with_filter}");
+        // One group takes In-Register's group-id-free path.
+        for groups in [1, 6] {
+            for with_filter in [false, true] {
+                let keep = |i: usize| !with_filter || i % 5 != 2;
+                let (counts, sums) =
+                    oracle(rows, groups, keep, &[&|v, _| v, &|_, w| w, &|_, w| w * (100 - w)]);
+                for agg in AggStrategy::DENSE {
+                    for selection in SelectionStrategy::DENSE {
+                        let r = run_combo(rows, groups, agg, selection, with_filter, true);
+                        let cell = format!("{agg:?}+{selection:?} groups={groups} {with_filter}");
+                        assert_eq!(r.counts, counts, "{cell}");
+                        assert_eq!(r.sums, sums, "{cell}");
+                    }
                 }
             }
         }

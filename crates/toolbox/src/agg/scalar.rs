@@ -11,6 +11,9 @@
 //! row-major accumulator layout beats *column-at-a-time* (Figure 3); the
 //! unrolled row-at-a-time variant is the strongest scalar baseline and the
 //! conceptual ancestor of the SIMD multi-aggregate strategy (§5.4).
+//!
+//! With one group there is nothing to conflict on: [`sum_selected`] is a
+//! single pass under the selection mask.
 
 use super::ColRef;
 
@@ -97,6 +100,55 @@ pub fn sum_single_array(gids: &[u8], col: ColRef<'_>, sums: &mut [i64]) {
         ColRef::U16(v) => sum_single_array_u16(gids, v, sums),
         ColRef::U32(v) => sum_single_array_u32(gids, v, sums),
         ColRef::U64(v) => sum_single_array_u64(gids, v, sums),
+    }
+}
+
+/// Ungrouped SUM of `col` over the rows `sel` selects (canonical
+/// `0x00`/`0xFF` bytes, one per value), or over every value when `sel` is
+/// `None`.
+///
+/// A plain function, not a kernel family: the build's `target-cpu` lets the
+/// compiler vectorize both loops. 1- and 2-byte values sum in `u32` partials
+/// of at most 65 536 rows, which cannot overflow (65 536 × 65 535 < 2³²);
+/// wider values wrap in `u64`, exact in two's complement wherever the
+/// caller's overflow proof bounds the total.
+pub fn sum_selected(col: ColRef<'_>, sel: Option<&[u8]>) -> u64 {
+    if let Some(sel) = sel {
+        assert_eq!(sel.len(), col.len(), "selection/value length mismatch");
+    }
+    match col {
+        ColRef::U8(v) => sum_narrow(v, sel),
+        ColRef::U16(v) => sum_narrow(v, sel),
+        ColRef::U32(v) => sum_wide(v, sel),
+        ColRef::U64(v) => sum_wide(v, sel),
+    }
+}
+
+/// Rows per `u32` partial sum of 1- and 2-byte values.
+const NARROW_CHUNK: usize = 1 << 16;
+
+fn sum_narrow<T: Copy + Into<u32>>(values: &[T], sel: Option<&[u8]>) -> u64 {
+    let partial = |v: &[T], s: Option<&[u8]>| -> u32 {
+        match s {
+            None => v.iter().map(|&x| x.into()).sum(),
+            Some(s) => v.iter().zip(s).map(|(&x, &m)| if m != 0 { x.into() } else { 0 }).sum(),
+        }
+    };
+    let mut total = 0u64;
+    for (c, chunk) in values.chunks(NARROW_CHUNK).enumerate() {
+        let s = sel.map(|s| &s[c * NARROW_CHUNK..c * NARROW_CHUNK + chunk.len()]);
+        total += partial(chunk, s) as u64;
+    }
+    total
+}
+
+fn sum_wide<T: Copy + Into<u64>>(values: &[T], sel: Option<&[u8]>) -> u64 {
+    let add = |acc: u64, x: u64| acc.wrapping_add(x);
+    match sel {
+        None => values.iter().map(|&x| x.into()).fold(0, add),
+        Some(s) => {
+            values.iter().zip(s).map(|(&x, &m)| if m != 0 { x.into() } else { 0 }).fold(0, add)
+        }
     }
 }
 
@@ -383,6 +435,44 @@ mod tests {
         let mut out = vec![0i64; 2];
         sums_row_at_a_time_unrolled(&g, &cols, 2, &mut out);
         assert_eq!(out, expected[0]);
+    }
+
+    /// Every value at the top of a narrow word, one row each side of the
+    /// `u32` partial's 65 536-row chunk, stored at every width: all
+    /// selected and every other row selected, against a `u128` sum.
+    #[test]
+    fn sum_selected_is_exact_across_the_narrow_chunk() {
+        for n in [NARROW_CHUNK, NARROW_CHUNK + 1] {
+            let all = vec![0xFFu8; n];
+            let alternating: Vec<u8> = (0..n).map(|i| [0xFF, 0][i % 2]).collect();
+            for top in [u8::MAX as u64, u16::MAX as u64] {
+                let v8 = vec![top as u8; n];
+                let v16 = vec![top as u16; n];
+                let v32 = vec![top as u32; n];
+                let v64 = vec![top; n];
+                let mut cols = vec![ColRef::U16(&v16), ColRef::U32(&v32), ColRef::U64(&v64)];
+                if top == u8::MAX as u64 {
+                    cols.push(ColRef::U8(&v8));
+                }
+                for col in cols {
+                    for sel in [None, Some(&all[..]), Some(&alternating[..])] {
+                        let expect: u128 = (0..n)
+                            .filter(|&i| !matches!(sel, Some(s) if s[i] == 0))
+                            .map(|i| col.get(i) as u128)
+                            .sum();
+                        let label = format!("n={n} top={top} {}-byte", col.elem_bytes());
+                        assert_eq!(sum_selected(col, sel) as u128, expect, "{label}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sum_selected_wraps_like_twos_complement() {
+        let v = [-5i64 as u64, 3, -7i64 as u64];
+        assert_eq!(sum_selected(ColRef::U64(&v), None) as i64, -9);
+        assert_eq!(sum_selected(ColRef::U64(&v), Some(&[0xFF, 0xFF, 0])) as i64, -2);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! example: "this can be done in eight AVX2 instructions (four PUNPCKLQDQ
 //! and four PUNPCKHQDQ instructions)" — `avx2::t4x4_epi64` uses four
 //! unpacks plus four 128-bit permutes, the same cost on post-Haswell cores.
-//! Its one caller is the multi-aggregate accumulate kernel (`agg::multi`).
+//! Its callers are the multi-aggregate row kernels in `agg::multi`: both the
+//! slot-lane `ACCUMULATE` family and the register `ROW_STEP` family reach it
+//! through `add_rows`.
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {

@@ -505,6 +505,141 @@ fn dictionary_predicates_match_reference() {
     }
 }
 
+/// Rows per segment of [`one_group_table`]: a full batch, then a 1-row tail.
+const ONE_GROUP_SEGMENT_ROWS: usize = 4097;
+
+/// Three 4 097-row segments of bit-packed columns for ungrouped (one-group)
+/// queries: `f` spreads `0..1000` for `f < c` filters of selectivity
+/// `c / 1000`; the sum inputs unpack to `u8` (`a`), `u16` (`b`, with
+/// `u16::MAX`), `u32` reaching `u32::MAX` (`c`), `u64` (`d`, 40 bits), and
+/// `u16` over a negative frame of reference (`n`). `deleted` drops rows at
+/// both ends of every segment, its tail batch's row included.
+fn one_group_table(deleted: bool) -> Table {
+    let bitpack =
+        |name: &str| ColumnSpec::new(name, LogicalType::I64).with_hint(EncodingHint::BitPack);
+    let mut b = TableBuilder::with_segment_rows(
+        ["f", "a", "b", "c", "d", "n"].map(bitpack).to_vec(),
+        ONE_GROUP_SEGMENT_ROWS,
+    );
+    for i in 0..3 * ONE_GROUP_SEGMENT_ROWS as u64 {
+        let hash = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let (b16, c32) = match i {
+            0 => (u16::MAX as u64, u32::MAX as u64),
+            1 => (0, 0),
+            _ => (hash >> 48, hash >> 32),
+        };
+        let mut row: Vec<Value> =
+            [i * 7919 % 1000, i % 251, b16, c32, hash >> 24].map(|v| Value::I64(v as i64)).to_vec();
+        row.push(Value::I64((i % 3001) as i64 - 1_000_000));
+        b.push_row(row);
+    }
+    let mut t = b.finish();
+    if deleted {
+        for seg in 0..3 {
+            for row in [0, 1, 2048, ONE_GROUP_SEGMENT_ROWS - 1] {
+                t.delete_row(seg, row);
+            }
+        }
+    }
+    t
+}
+
+/// One group under In-Register needs no group ids: COUNT is the selected
+/// rows and each SUM one pass under the selection mask, or over the loaded
+/// rows after gather or compaction (DESIGN.md §17). Against the reference,
+/// byte for byte: no filter and filters whose selectivities reach gather,
+/// compaction and the special group, with and without deleted rows, serial
+/// and on two threads, at every tier; each sum width, a negative frame of
+/// reference, a lane program and the interpreter. The other strategies,
+/// forced on the same shapes, still run and report themselves.
+#[test]
+fn one_group_in_register_matches_reference() {
+    use bipie::core::Expr;
+    // A lane program over `a` and `b`; `n`'s negative range sends the second
+    // expression to the interpreter.
+    let lane = AggExpr::sum_expr(Expr::col("a").mul(Expr::lit(70_000).sub(Expr::col("b"))));
+    let interpreted = AggExpr::sum_expr(Expr::col("n").add(Expr::col("a")));
+    // (label, sums, whether the adaptive chooser takes In-Register: only
+    // when every input fits 4 bytes).
+    let queries: [(&str, Vec<AggExpr>, bool); 3] = [
+        (
+            "narrow",
+            vec![AggExpr::sum("a"), AggExpr::sum("b"), AggExpr::sum("c"), AggExpr::sum("n"), lane],
+            true,
+        ),
+        ("u64 leaf", vec![AggExpr::sum("d"), AggExpr::sum("a")], false),
+        ("interpreter", vec![AggExpr::sum("b"), interpreted, AggExpr::sum("n")], false),
+    ];
+    let filters = [None, Some(5), Some(580), Some(900)];
+    let mut forced: Vec<(Option<AggStrategy>, Option<SelectionStrategy>)> =
+        vec![(None, None), (Some(AggStrategy::InRegister), None)];
+    forced.extend(SelectionStrategy::DENSE.map(|s| (Some(AggStrategy::InRegister), Some(s))));
+    for agg in [AggStrategy::MultiAggregate, AggStrategy::SortBased, AggStrategy::Scalar] {
+        forced.push((Some(agg), None));
+    }
+    // Serial and two workers at every tier, on the default batch grid.
+    let mut bases = Vec::new();
+    for level in SimdLevel::available() {
+        for threads in [1, 2] {
+            bases.push(QueryOptions { level, threads: Some(threads), ..Default::default() });
+        }
+    }
+    let mut adaptive_selections = [0usize; 3];
+    for deleted in [false, true] {
+        let t = one_group_table(deleted);
+        for (qlabel, sums, adaptive_in_register) in &queries {
+            for &below in &filters {
+                let mut q = QueryBuilder::new().aggregate(AggExpr::count_star());
+                for s in sums {
+                    q = q.aggregate(s.clone());
+                }
+                if let Some(c) = below {
+                    q = q.filter(Predicate::lt("f", Value::I64(c)));
+                }
+                let q = q.build();
+                let oracle = execute_reference(&t, &q).unwrap();
+                for base in &bases {
+                    for &(forced_agg, forced_selection) in &forced {
+                        let options = QueryOptions { forced_agg, forced_selection, ..base.clone() };
+                        let label = format!(
+                            "{qlabel} deleted={deleted} f<{below:?} {forced_agg:?}+\
+                             {forced_selection:?} threads={:?} level={}",
+                            options.threads, options.level
+                        );
+                        let r = execute(&t, &Query { options, ..q.clone() }).unwrap();
+                        assert_eq!(r.rows, oracle.rows, "{label}");
+                        let stats = &r.stats;
+                        assert_eq!(stats.segments_scanned, 3, "{label}");
+                        let adaptive = adaptive_in_register.then_some(AggStrategy::InRegister);
+                        if let Some(agg) = forced_agg.or(adaptive) {
+                            assert_eq!(stats.agg_count(agg), 3, "{label}: {stats:?}");
+                        }
+                        if let Some(s) = forced_selection {
+                            assert_eq!(stats.selection_count(s), stats.batches, "{label}");
+                        }
+                        if forced_agg.is_none() && *adaptive_in_register {
+                            for (seen, s) in
+                                adaptive_selections.iter_mut().zip(SelectionStrategy::DENSE)
+                            {
+                                *seen += stats.selection_count(s);
+                            }
+                        }
+                        let paths = (stats.expr_lane_segments, stats.expr_interp_segments);
+                        let expect = match *qlabel {
+                            "narrow" => (3, 0),
+                            "interpreter" => (0, 3),
+                            _ => (0, 0),
+                        };
+                        assert_eq!(paths, expect, "{label}");
+                    }
+                }
+            }
+        }
+    }
+    // The filters' selectivities reach every dense selection strategy.
+    assert!(adaptive_selections.iter().all(|&n| n > 0), "{adaptive_selections:?}");
+}
+
 /// A run-wise-eligible segment the chooser declines (fully fragmented runs
 /// make its O(runs) work no better than dense) is sampled once, at plan
 /// time, inside the `Plan` span: the sample leaves no `Selection` span and
