@@ -11,11 +11,11 @@
 
 mod common;
 
-use bipie::columnstore::{ColumnSpec, LogicalType, Table, Value};
+use bipie::columnstore::{ColumnSpec, EncodingHint, LogicalType, Table, TableBuilder, Value};
 use bipie::core::reference::execute_reference;
 use bipie::core::{
     execute, AggExpr, AggStrategy, DecisionRecord, EngineError, Expr, Phase, Predicate,
-    ProfileLevel, Query, QueryBuilder, QueryOptions, QueryProfile, TraceEvent,
+    ProfileLevel, Query, QueryBuilder, QueryOptions, QueryProfile, SelectionStrategy, TraceEvent,
 };
 use common::{profiler_compiled_in, run_cases};
 
@@ -287,33 +287,94 @@ fn profile_counters_accumulate_without_events() {
     assert_eq!(r.profile.phase(Phase::MutableTail).rows, 40);
 }
 
+/// 40 000 rows in runs of 100, both columns RLE-encoded: the run-wise
+/// sink's table, for [`run_wise_query`].
+fn run_wise_table() -> Table {
+    let mut b = TableBuilder::with_segment_rows(
+        vec![
+            ColumnSpec::new("k", LogicalType::I64).with_hint(EncodingHint::Rle),
+            ColumnSpec::new("v", LogicalType::I64).with_hint(EncodingHint::Rle),
+        ],
+        1 << 20,
+    );
+    for i in 0..40_000i64 {
+        b.push_row(vec![Value::I64(i / 100), Value::I64(i / 100 * 3)]);
+    }
+    b.finish()
+}
+
+/// Ungrouped aggregates over bare RLE columns: eligible for run-wise.
+fn run_wise_query(options: QueryOptions) -> Query {
+    QueryBuilder::new()
+        .filter(Predicate::lt("k", Value::I64(300)))
+        .aggregate(AggExpr::count_star())
+        .aggregate(AggExpr::sum("v"))
+        .aggregate(AggExpr::max("v"))
+        .options(options)
+        .build()
+}
+
+/// Every timed site records one span per unit of work, through each of the
+/// three batch sinks (run-wise, narrow, wide), at one worker and at two:
+/// `Selection` per batch, `Unpack` per narrow or wide batch, `Aggregation`
+/// or `WideGroup` per batch, `SegmentScan` per morsel, one `Plan` and one
+/// `MutableTail` per query. morsel_rows is a multiple of batch_rows, so both
+/// counts see the identical batch grid and every per-batch decision must
+/// agree.
 #[test]
 fn profile_span_counts_agree_serial_vs_parallel() {
+    let run_wise = run_wise_table();
     // groups=9 stays on the narrow path; groups=1000 forces the wide-group
-    // fallback. morsel_rows is a multiple of batch_rows, so both modes see
-    // the identical batch grid and every per-batch decision must agree.
-    for (groups, label) in [(9i64, "narrow"), (1000, "wide")] {
-        let t = skewed_table(&[20_000, 3_000, 500], groups, 13);
-        let serial_opts =
-            QueryOptions { profile: ProfileLevel::Spans, batch_rows: 256, ..serial_options() };
-        let par_opts =
-            QueryOptions { profile: ProfileLevel::Spans, ..parallel_options(4, 1024, 256) };
-        let serial = execute(&t, &the_query(-2000, serial_opts)).unwrap();
-        let par = execute(&t, &the_query(-2000, par_opts)).unwrap();
-        assert_eq!(serial.stats.selection_batches, par.stats.selection_batches, "{label}");
-        // The events tile the stats: one labeled aggregation-phase span per
-        // counted batch, at either worker count.
-        if profiler_compiled_in() {
-            for profile in [&serial.profile, &par.profile] {
-                let spans = selection_span_counts(profile);
-                for (i, &c) in serial.stats.selection_batches.iter().enumerate() {
-                    assert_eq!(spans[i], c as u64, "{label} strategy {i}");
-                }
-            }
-        }
+    // fallback.
+    let narrow = skewed_table(&[20_000, 3_000, 500], 9, 13);
+    let wide = skewed_table(&[20_000, 3_000, 500], 1000, 13);
+    let grouped: fn(QueryOptions) -> Query = |options| the_query(-2000, options);
+    let shapes = [
+        (&run_wise, run_wise_query as fn(QueryOptions) -> Query, "run-wise"),
+        (&narrow, grouped, "narrow"),
+        (&wide, grouped, "wide"),
+    ];
+    for (t, query, label) in shapes {
+        let runs = [1usize, 2].map(|threads| {
+            let options = QueryOptions {
+                profile: ProfileLevel::Spans,
+                ..parallel_options(threads, 1024, 256)
+            };
+            execute(t, &query(options)).unwrap()
+        });
+        let [one, two] = &runs;
+        assert_eq!(one.rows, two.rows, "{label}");
+        assert_eq!(one.stats.selection_batches, two.stats.selection_batches, "{label}");
         // One aggregation decision per segment, made before any worker
         // starts: the same at either worker count.
-        assert_eq!(par.stats.agg_segments, serial.stats.agg_segments, "{label}");
+        assert_eq!(one.stats.agg_segments, two.stats.agg_segments, "{label}");
+        let sink_segments = match label {
+            "run-wise" => one.stats.agg_count(AggStrategy::RunWise),
+            "wide" => one.stats.wide_group_segments,
+            _ => one.stats.segments_scanned - one.stats.wide_group_segments,
+        };
+        assert!(sink_segments >= 1, "{label} must run its sink: {:?}", one.stats);
+        if !profiler_compiled_in() {
+            continue;
+        }
+        for (r, threads) in runs.iter().zip([1, 2]) {
+            let label = format!("{label} at {threads} threads");
+            let (stats, count) = (&r.stats, |phase| r.profile.phase(phase).count);
+            let batches = stats.batches as u64;
+            let run_span = stats.selection_count(SelectionStrategy::RunSpan) as u64;
+            assert_eq!(count(Phase::Selection), batches, "{label}");
+            assert_eq!(count(Phase::Unpack), batches - run_span, "{label}");
+            assert_eq!(count(Phase::Aggregation) + count(Phase::WideGroup), batches, "{label}");
+            assert_eq!(count(Phase::SegmentScan), stats.morsels_scanned as u64, "{label}");
+            assert_eq!(count(Phase::Plan), 1, "{label}");
+            assert_eq!(count(Phase::MutableTail), 1, "{label}");
+            // The events tile the stats: one labeled aggregation-phase span
+            // per counted batch.
+            let spans = selection_span_counts(&r.profile);
+            for (i, &c) in stats.selection_batches.iter().enumerate() {
+                assert_eq!(spans[i], c as u64, "{label} strategy {i}");
+            }
+        }
     }
 }
 
@@ -419,10 +480,9 @@ fn worker_side_failures_are_the_same_typed_error_at_one_and_four_workers() {
     }
 }
 
-/// Pins the span-balance fix in `query.rs`: the `MutableTail` span closes
-/// unconditionally, so a fully-flushed table (zero mutable rows) still
-/// records exactly one tail span — previously the span token was consumed
-/// only when the mutable region was non-empty.
+/// The `MutableTail` span is one scope around the tail walk, so a
+/// fully-flushed table (zero mutable rows) still records exactly one tail
+/// span.
 #[test]
 fn mutable_tail_span_closes_with_zero_mutable_rows() {
     let t = skewed_table(&[2_000], 9, 5); // flush_mutable ran: tail is empty
@@ -435,9 +495,8 @@ fn mutable_tail_span_closes_with_zero_mutable_rows() {
     assert_eq!(r.profile.phase(Phase::MutableTail).rows, 0);
 }
 
-/// Pins the `merge_worker_parts` extraction in `scan.rs`: the phase-2
-/// parallel merge still records its `ParallelMerge` span (closed on the
-/// merge result) when the group count crosses the fork-join threshold.
+/// The phase-2 parallel merge records its `ParallelMerge` span when the
+/// group count crosses the fork-join threshold.
 #[test]
 fn parallel_merge_span_survives_the_merge_extraction() {
     let t = skewed_table(&[20_000, 3_000], 1_000, 13); // >128 groups: phase-2 merge runs
