@@ -491,17 +491,32 @@ fn no_metrics_build_is_inert() {
     }
 }
 
-/// Pins the telemetry-accounting fix in `engine.rs`: the fast-fail exits of
-/// `execute_with` (option validation, table lookup) happen before the query
-/// reaches `query::execute`'s publication seam, so they must publish into
-/// the error counter themselves. Counters are process-wide and monotone, so
-/// the assertions are deltas, robust to parallel tests publishing too.
+/// Serializes the tests that assert on the process-wide error and shed
+/// counters, which no other test in this binary moves.
+static ENGINE_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn engine_counters() -> std::sync::MutexGuard<'static, ()> {
+    ENGINE_COUNTERS.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// A table with one column and no rows: what an engine test registers when
+/// the query never reaches a scan.
+fn empty_table() -> bipie::columnstore::Table {
+    use bipie::columnstore::{ColumnSpec, LogicalType, Table};
+    Table::with_segment_rows(vec![ColumnSpec::new("v", LogicalType::I64)], 1 << 20)
+}
+
+/// The engine's fast-fail exits (option validation, table lookup) happen
+/// before any admission or scan, inside the same publication boundary as
+/// every other error, so they count as failed queries. Counters are
+/// process-wide and monotone, so the assertions are deltas.
 #[test]
 fn engine_fast_fail_errors_are_published() {
     use bipie::core::{AggExpr, Engine, EngineError, QueryBuilder};
     if bipie::core::telemetry::metrics_compiled_out() || !telemetry().on() {
         return;
     }
+    let _counters = engine_counters();
     let errors = telemetry().registry().counter(
         "bipie_query_errors_total",
         "Queries that returned an error.",
@@ -513,19 +528,69 @@ fn engine_fast_fail_errors_are_published() {
     let before = errors.value();
     let err = engine.execute("no_such_table", &query).unwrap_err();
     assert!(matches!(err, EngineError::UnknownTable(_)), "{err:?}");
-    assert!(errors.value() > before, "unknown-table exit must publish");
+    assert_eq!(errors.value() - before, 1, "unknown-table exit must publish once");
 
     let before = errors.value();
     let mut bad = query.clone();
     bad.options.batch_rows = 0;
-    engine.register_table(
-        "t",
-        bipie::columnstore::Table::with_segment_rows(
-            vec![bipie::columnstore::ColumnSpec::new("v", bipie::columnstore::LogicalType::I64)],
-            1 << 20,
-        ),
-    );
+    engine.register_table("t", empty_table());
     let err = engine.execute("t", &bad).unwrap_err();
     assert!(matches!(err, EngineError::InvalidOptions { .. }), "{err:?}");
-    assert!(errors.value() > before, "invalid-options exit must publish");
+    assert_eq!(errors.value() - before, 1, "invalid-options exit must publish once");
+}
+
+/// A shed counts once, under its reason, and never as a failed query —
+/// whether a query or a bare `Engine::reserve` meets it. Admission returns
+/// the typed error and the publication boundary classifies it, so a shed
+/// counted both in admission and at the boundary would read 2 here, and
+/// one counted as an error would move `bipie_query_errors_total`.
+#[test]
+fn engine_sheds_count_under_their_reason_and_not_as_errors() {
+    use bipie::core::{AdmissionReason, AggExpr, Engine, EngineConfig, EngineError, QueryBuilder};
+    if bipie::core::telemetry::metrics_compiled_out() || !telemetry().on() {
+        return;
+    }
+    let _counters = engine_counters();
+    let reg = telemetry().registry();
+    let errors = reg.counter("bipie_query_errors_total", "Queries that returned an error.", &[]);
+    let shed_help = "Queries refused by engine admission control, by reason.";
+    let memory_sheds =
+        reg.counter("bipie_engine_sheds_total", shed_help, &[("reason", "aggregate_memory")]);
+    let queue_sheds =
+        reg.counter("bipie_engine_sheds_total", shed_help, &[("reason", "queue_full")]);
+    let counts = || [errors.value(), memory_sheds.value(), queue_sheds.value()];
+    let moved = |before: [u64; 3]| {
+        let after = counts();
+        [0, 1, 2].map(|i| after[i] - before[i])
+    };
+
+    let engine = Engine::new(EngineConfig {
+        max_concurrent: 1,
+        max_queued: 0,
+        aggregate_mem_budget: Some(1 << 20),
+        default_query_mem: 1 << 10,
+        ..EngineConfig::default()
+    });
+    engine.register_table("t", empty_table());
+    let query = QueryBuilder::new().aggregate(AggExpr::count_star()).build();
+    let rejected = |reason| Some(EngineError::AdmissionRejected { reason });
+
+    // A declared budget over the aggregate cap.
+    let before = counts();
+    let mut oversized = query.clone();
+    oversized.options.mem_budget = Some(2 << 20);
+    assert_eq!(engine.execute("t", &oversized).err(), rejected(AdmissionReason::AggregateMemory));
+    assert_eq!(moved(before), [0, 1, 0], "aggregate-memory shed");
+
+    // The only slot is held and nothing may queue.
+    let held = engine.reserve(0).expect("the slot is free");
+    let before = counts();
+    assert_eq!(engine.execute("t", &query).err(), rejected(AdmissionReason::QueueFull));
+    assert_eq!(moved(before), [0, 0, 1], "queue-full shed");
+
+    // A reservation meets the same admission and the same boundary.
+    let before = counts();
+    assert_eq!(engine.reserve(0).err(), rejected(AdmissionReason::QueueFull));
+    assert_eq!(moved(before), [0, 0, 1], "Engine::reserve shed");
+    drop(held);
 }
