@@ -46,7 +46,7 @@ pub const CORE_LAYERS: &[(&str, &[&str])] = &[
     ("strategy", &[]),
     ("expr", &["error"]),
     ("filter", &["error"]),
-    ("governor", &["error"]),
+    ("governor", &["error", "stats"]),
     ("groupid", &["error"]),
     ("stats", &["strategy"]),
     ("trace", &["stats", "strategy"]),

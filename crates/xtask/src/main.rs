@@ -7,8 +7,7 @@
 //! cargo xtask audit locks            # one pass, by its `xtask::PASSES`
 //!                                    #   name (the usage line lists them)
 //! cargo xtask audit --json           # SARIF 2.1.0 on stdout, with
-//!                                    #   per-pass wall times and CFG
-//!                                    #   lowering coverage in the run
+//!                                    #   per-pass wall times in the run
 //!                                    #   property bag
 //! cargo xtask audit --changed        # all passes, findings filtered to
 //!                                    #   files the git working tree
@@ -183,10 +182,7 @@ fn audit(args: &[String]) -> ExitCode {
     }
 
     if json {
-        print!(
-            "{}",
-            xtask::report::to_sarif_full(&diags, &outcome.timings, Some(&outcome.coverage))
-        );
+        print!("{}", xtask::report::to_sarif_timed(&diags, &outcome.timings));
     } else {
         for d in &diags {
             println!("{d}");

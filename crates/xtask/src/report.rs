@@ -93,18 +93,6 @@ pub fn to_sarif(diags: &[Diag]) -> String {
 /// in the run's property bag as `passTimingsMicros`, so CI can chart audit
 /// cost per pass over time.
 pub fn to_sarif_timed(diags: &[Diag], timings: &[crate::PassTiming]) -> String {
-    to_sarif_full(diags, timings, None)
-}
-
-/// [`to_sarif_timed`], additionally embedding CFG lowering coverage in the
-/// run's property bag as `cfgCoverage` (totals plus one entry per file with
-/// unmodeled fallbacks), so CI surfaces coverage erosion that would blind
-/// the dataflow passes.
-pub fn to_sarif_full(
-    diags: &[Diag],
-    timings: &[crate::PassTiming],
-    coverage: Option<&crate::CfgCoverage>,
-) -> String {
     let ids = stable_ids(diags);
     let mut rules: Vec<&str> = diags.iter().map(|d| d.pass).collect();
     rules.sort_unstable();
@@ -128,42 +116,16 @@ pub fn to_sarif_full(
         out.push_str("\n          ");
     }
     out.push_str("]\n        }\n      },\n");
-    if !timings.is_empty() || coverage.is_some() {
+    if !timings.is_empty() {
         out.push_str("      \"properties\": {\n");
-        if !timings.is_empty() {
-            out.push_str("        \"passTimingsMicros\": {");
-            for (i, t) in timings.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\n          \"{}\": {}", esc(t.pass), t.micros));
-            }
-            out.push_str("\n        }");
-            if coverage.is_some() {
+        out.push_str("        \"passTimingsMicros\": {");
+        for (i, t) in timings.iter().enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            out.push('\n');
+            out.push_str(&format!("\n          \"{}\": {}", esc(t.pass), t.micros));
         }
-        if let Some(cov) = coverage {
-            out.push_str(&format!(
-                "        \"cfgCoverage\": {{\n          \"fnTotal\": {},\n          \
-                 \"fnClean\": {},\n          \"fallbackFiles\": {{",
-                cov.fn_total, cov.fn_clean
-            ));
-            for (i, (path, total, clean)) in cov.fallback_files.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\n            \"{}\": {{ \"fnTotal\": {total}, \"fnClean\": {clean} }}",
-                    esc(path)
-                ));
-            }
-            if !cov.fallback_files.is_empty() {
-                out.push_str("\n          ");
-            }
-            out.push_str("}\n        }\n");
-        }
+        out.push_str("\n        }\n");
         out.push_str("      },\n");
     }
     out.push_str("      \"results\": [");
@@ -332,33 +294,5 @@ mod tests {
         assert!(sarif.contains("\"passTimingsMicros\""), "{sarif}");
         assert!(sarif.contains("\"locks\": 1234"), "{sarif}");
         assert!(sarif.contains("\"layers\": 56"), "{sarif}");
-    }
-
-    #[test]
-    fn sarif_full_embeds_cfg_coverage() {
-        let cov = crate::CfgCoverage {
-            fn_total: 42,
-            fn_clean: 40,
-            fallback_files: vec![("crates/core/src/scan.rs".to_string(), 7, 5)],
-        };
-        let sarif = to_sarif_full(&[], &[], Some(&cov));
-        assert!(sarif.contains("\"cfgCoverage\""), "{sarif}");
-        assert!(sarif.contains("\"fnTotal\": 42"), "{sarif}");
-        assert!(sarif.contains("\"fnClean\": 40"), "{sarif}");
-        assert!(
-            sarif.contains("\"crates/core/src/scan.rs\": { \"fnTotal\": 7, \"fnClean\": 5 }"),
-            "{sarif}"
-        );
-        assert!(!sarif.contains("passTimingsMicros"), "{sarif}");
-    }
-
-    #[test]
-    fn sarif_full_combines_timings_and_coverage() {
-        let timings = [crate::PassTiming { pass: "spans", micros: 9 }];
-        let cov = crate::CfgCoverage { fn_total: 3, fn_clean: 3, fallback_files: Vec::new() };
-        let sarif = to_sarif_full(&[], &timings, Some(&cov));
-        assert!(sarif.contains("\"passTimingsMicros\""), "{sarif}");
-        assert!(sarif.contains("\"cfgCoverage\""), "{sarif}");
-        assert!(sarif.contains("\"fallbackFiles\": {}"), "{sarif}");
     }
 }

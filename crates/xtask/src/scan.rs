@@ -4,8 +4,8 @@
 //! `.rs` file: the raw lines (for reading justification comments), the token
 //! stream from the hand-rolled lexer ([`crate::lexer`]) — where comments and
 //! literals are tokens of their own, so prose like `"an unsafe trick"` inside
-//! a panic message never looks like code — and the parsed items and CFGs
-//! built from it. [`fn_items`] reads the facts `invariants` needs (`unsafe`,
+//! a panic message never looks like code — and the parsed items built from
+//! it. [`fn_items`] reads the facts `invariants` needs (`unsafe`,
 //! the enclosing tier module) off the parsed items.
 //!
 //! A file the lexer refuses (a genuinely unterminated string or comment,
@@ -16,11 +16,10 @@ use std::fs;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use crate::cfg::{self, FileCfgs};
 use crate::lexer::{self, LexError, Tok, TokKind};
 use crate::parser::{self, Item, ItemKind};
 
-/// One source file, with raw/token/item/CFG views.
+/// One source file, with raw/token/item views.
 pub struct SourceFile {
     /// Path relative to the audited root, `/`-separated.
     pub rel: String,
@@ -36,10 +35,6 @@ pub struct SourceFile {
     pub items: Vec<Item>,
     /// 0-based line ranges of `#[cfg(test)]`-gated items (brace-matched).
     pub test_regions: Vec<Range<usize>>,
-    /// Per-fn control-flow graphs ([`crate::cfg`]) plus the fn-level
-    /// lowering-coverage counters, built once here for all dataflow
-    /// passes.
-    pub cfgs: FileCfgs,
 }
 
 impl SourceFile {
@@ -49,7 +44,6 @@ impl SourceFile {
         let toks = lexer::lex(text)?;
         let test_regions = lexer::cfg_test_regions(text, &toks);
         let items = parser::parse_items(text, &toks);
-        let cfgs = cfg::lower_file(text, &toks, &items);
         Ok(SourceFile {
             rel: rel.to_string(),
             text: text.to_string(),
@@ -57,7 +51,6 @@ impl SourceFile {
             toks,
             items,
             test_regions,
-            cfgs,
         })
     }
 
@@ -202,29 +195,6 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
             out.push(path);
         }
     }
-}
-
-/// Collect the contiguous doc-comment/attribute block immediately above line
-/// `decl` (0-based), as raw text. Used to look for `# Safety` contracts
-/// without parsing attribute grammar: a line
-/// belongs to the block if it is a comment, starts an attribute, or is a
-/// continuation of a multi-line attribute (`enable = ...` / `)]`).
-pub fn attr_block_above(raw: &[String], decl: usize) -> String {
-    let mut top = decl;
-    while top > 0 {
-        let s = raw[top - 1].trim_start();
-        let is_block_line = s.starts_with("///")
-            || s.starts_with("//")
-            || s.starts_with("#[")
-            || s.starts_with("#!")
-            || s.starts_with("enable")
-            || s.starts_with(")]");
-        if s.is_empty() || !is_block_line {
-            break;
-        }
-        top -= 1;
-    }
-    raw[top..decl].join("\n")
 }
 
 #[cfg(test)]

@@ -51,10 +51,10 @@ fn module_parents_of_paths_outside_src_are_empty() {
 #[test]
 fn scope_keeps_changed_files_and_their_parents_only() {
     let diags = vec![
-        diag("spans", "crates/core/src/scan.rs", 10),
-        diag("layers", "crates/core/src/lib.rs", 3),
-        diag("telemetry", "crates/core/src/engine.rs", 7),
-        diag("atomics", "crates/toolbox/src/cmp.rs", 1),
+        diag("lock-discipline", "crates/core/src/scan.rs", 10),
+        diag("layer-conformance", "crates/core/src/lib.rs", 3),
+        diag("error-surface", "crates/core/src/engine.rs", 7),
+        diag("atomics-discipline", "crates/toolbox/src/cmp.rs", 1),
     ];
     let scoped = scope_to_changed(diags, &["crates/core/src/scan.rs".to_string()]);
     let paths: Vec<&str> = scoped.iter().map(|d| d.path.as_str()).collect();
@@ -66,7 +66,7 @@ fn scope_drops_allowlist_and_baseline_bookkeeping() {
     let diags = vec![
         diag("allowlist", "crates/xtask/audit-allowlist.txt", 1),
         diag("baseline", "crates/xtask/audit-baseline.json", 1),
-        diag("spans", "crates/core/src/scan.rs", 10),
+        diag("lock-discipline", "crates/core/src/scan.rs", 10),
     ];
     let scoped = scope_to_changed(
         diags,
@@ -77,12 +77,12 @@ fn scope_drops_allowlist_and_baseline_bookkeeping() {
         ],
     );
     assert_eq!(scoped.len(), 1, "{scoped:?}");
-    assert_eq!(scoped[0].pass, "spans");
+    assert_eq!(scoped[0].pass, "lock-discipline");
 }
 
 #[test]
 fn empty_change_set_scopes_everything_out() {
-    let diags = vec![diag("spans", "crates/core/src/scan.rs", 10)];
+    let diags = vec![diag("lock-discipline", "crates/core/src/scan.rs", 10)];
     assert!(scope_to_changed(diags, &[]).is_empty());
 }
 
@@ -90,11 +90,11 @@ fn empty_change_set_scopes_everything_out() {
 fn scoped_bad_fixture_audit_reports_only_changed_file_findings() {
     let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/bad");
     let outcome = xtask::run_audit_timed(&fixture, &xtask::all_passes()).unwrap();
-    let scoped = scope_to_changed(outcome.diags, &["crates/core/src/scan.rs".to_string()]);
-    assert!(!scoped.is_empty(), "bad fixture must flag scan.rs");
+    let scoped = scope_to_changed(outcome.diags, &["crates/core/src/pool.rs".to_string()]);
+    assert!(!scoped.is_empty(), "bad fixture must flag pool.rs");
     assert!(scoped.iter().all(|d| d.path.starts_with("crates/core/src/")), "{scoped:?}");
     assert!(
-        scoped.iter().any(|d| d.pass == "checkpoint-reachability"),
+        scoped.iter().any(|d| d.pass == "lock-discipline"),
         "scoping must keep the changed file's own findings: {scoped:?}"
     );
     assert!(

@@ -203,7 +203,14 @@ fn generous_budgets_leave_results_identical_and_report_usage() {
         let gov = execute(&t, &the_query(governed)).unwrap();
         assert_eq!(gov.rows, free.rows);
         assert_eq!(gov.group_columns, free.group_columns);
-        assert!(gov.stats.governor_checks > 0, "{:?}", gov.stats);
+        // One checkpoint at admission, one per planned segment (and a wide
+        // segment's projection admission), and one with every morsel claim
+        // and batch window handed out: a claim or a batch that skipped its
+        // check would show here.
+        let s = &gov.stats;
+        let expected =
+            1 + s.segments_scanned + s.wide_group_segments + s.morsels_scanned + s.batches;
+        assert_eq!(s.governor_checks, expected, "{s:?}");
         assert!(gov.stats.mem_reserved_peak > 0, "{:?}", gov.stats);
         // An ungoverned run performs no checks and reserves nothing.
         assert_eq!(free.stats.governor_checks, 0, "{:?}", free.stats);
