@@ -415,6 +415,12 @@ fn worker_loop(shared: Arc<PoolShared>) {
     }
 }
 
+/// The machine's hardware threads: the worker count a query that names none
+/// forks across when it runs alone.
+pub(crate) fn hardware_threads() -> usize {
+    std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1)
+}
+
 /// Render a panic payload for an error message (`&str` and `String`
 /// payloads verbatim, anything else a placeholder).
 pub fn panic_message(payload: &PanicPayload) -> String {
