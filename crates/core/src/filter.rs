@@ -948,12 +948,17 @@ mod tests {
             vec![
                 ColumnSpec::new("flag", LogicalType::Str),
                 ColumnSpec::new("v", LogicalType::I64).with_hint(hint),
+                ColumnSpec::new("w", LogicalType::I64).with_hint(hint),
             ],
             10_000,
         );
+        // `v` is sorted, so its range conjuncts become row ranges; `w` holds
+        // the same values shuffled, so its conjuncts reach the compare kernels.
         for i in 0..1000i64 {
             let flag = ["A", "N", "R"][(i % 3) as usize];
-            b.push_row(vec![Value::Str(flag.into()), Value::I64(i - 500)]);
+            let row =
+                [Value::Str(flag.into()), Value::I64(i - 500), Value::I64(i * 389 % 1000 - 500)];
+            b.push_row(row.to_vec());
         }
         b.finish()
     }
@@ -988,18 +993,22 @@ mod tests {
             [EncodingHint::BitPack, EncodingHint::Dict, EncodingHint::Rle, EncodingHint::Delta]
         {
             let t = test_table(hint);
-            for pred in [
-                Predicate::eq("v", Value::I64(0)),
-                Predicate::ne("v", Value::I64(-500)),
-                Predicate::lt("v", Value::I64(-100)),
-                Predicate::le("v", Value::I64(499)),
-                Predicate::gt("v", Value::I64(499)),
-                Predicate::ge("v", Value::I64(500)),
-                Predicate::between("v", Value::I64(-10), Value::I64(10)),
-                Predicate::eq("v", Value::I64(99_999)), // out of domain
-                Predicate::lt("v", Value::I64(-501)),   // below domain
-                Predicate::ge("v", Value::I64(-500)),   // whole domain
-            ] {
+            let preds = |c: &str| {
+                [
+                    Predicate::eq(c, Value::I64(0)),
+                    Predicate::ne(c, Value::I64(-500)),
+                    Predicate::lt(c, Value::I64(-100)),
+                    Predicate::le(c, Value::I64(499)),
+                    Predicate::le(c, Value::I64(7)),
+                    Predicate::gt(c, Value::I64(499)),
+                    Predicate::ge(c, Value::I64(500)),
+                    Predicate::between(c, Value::I64(-10), Value::I64(10)),
+                    Predicate::eq(c, Value::I64(99_999)), // out of domain
+                    Predicate::lt(c, Value::I64(-501)),   // below domain
+                    Predicate::ge(c, Value::I64(-500)),   // whole domain
+                ]
+            };
+            for pred in ["v", "w"].into_iter().flat_map(preds) {
                 assert_eq!(
                     eval_all(&t, &pred),
                     reference(&t, &pred),

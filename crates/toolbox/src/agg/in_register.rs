@@ -19,7 +19,7 @@
 //! instantiation at runtime.
 
 use super::scalar;
-use crate::dispatch::SimdLevel::{Avx2, Avx512};
+use crate::dispatch::SimdLevel::Avx2;
 use crate::dispatch::{cells, kernel_sig, Cell, Family, SimdLevel, ANY};
 
 kernel_sig! {
@@ -33,12 +33,11 @@ kernel_sig! {
 
 /// The kernels keep one register per group (`counts.len()` / `sums.len()`,
 /// which the dispatchers cut to the group count); the oracles are `scalar`'s
-/// single-array loops.
+/// single-array loops. The AVX2 kernels serve the AVX-512 tier too: a
+/// 512-bit COUNT (a mask popcount per group per 64 rows) ran at half the
+/// AVX2 kernel's speed at the engine's batch (DESIGN.md §21).
 pub(crate) const COUNT_GROUPS: Family<CountGroupsK> = Family {
-    cells: cells![
-        Cell { tier: Avx512, gate: ANY, kernel: avx512::count },
-        Cell { tier: Avx2, gate: ANY, kernel: avx2::dispatch_count },
-    ],
+    cells: cells![Cell { tier: Avx2, gate: ANY, kernel: avx2::dispatch_count }],
     oracle: scalar::count_single_array,
 };
 pub(crate) const SUM_U8: Family<SumK<u8>> = Family {
@@ -108,44 +107,6 @@ fn check_args(gids: &[u8], num_groups: usize, acc_len: usize) {
     );
     assert!(acc_len >= num_groups, "accumulator shorter than group count");
     super::debug_assert_group_ids(gids, num_groups);
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    //! AVX-512 COUNT: comparing 64 group ids against group `j` yields a
-    //! 64-bit mask whose popcount *is* the per-vector count — no lane
-    //! counters, no flush cadence, no saved register for the last group.
-
-    use std::arch::x86_64::*;
-
-    /// # Safety
-    /// The CPU must support avx512f + avx512bw — guaranteed by the
-    /// resolver's tier check before any call.
-    #[target_feature(enable = "avx512f", enable = "avx512bw")]
-    pub(super) unsafe fn count(gids: &[u8], counts: &mut [u64]) {
-        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
-        // these target features; every pointer below stays inside the argument slices.
-        unsafe {
-            let (n, num_groups) = (gids.len(), counts.len());
-            let mut i = 0usize;
-            while i + 64 <= n {
-                let g = _mm512_loadu_si512(gids.as_ptr().add(i) as *const _);
-                // Group N-1 derived from the total, as in §5.3.
-                let mut accounted = 0u64;
-                for j in 0..num_groups - 1 {
-                    let m = _mm512_cmpeq_epi8_mask(g, _mm512_set1_epi8(j as i8));
-                    let c = m.count_ones() as u64;
-                    counts[j] += c;
-                    accounted += c;
-                }
-                counts[num_groups - 1] += 64 - accounted;
-                i += 64;
-            }
-            for &g in &gids[i..] {
-                counts[g as usize] += 1;
-            }
-        }
-    }
 }
 
 #[cfg(target_arch = "x86_64")]

@@ -500,7 +500,7 @@ fn accumulate_rows(
     from: usize,
 ) {
     for i in from..gids.len() {
-        add_row(acc, i, gids[i], slots.map(|lane| lane[i]));
+        add_row(acc, i, gids[i], std::array::from_fn(|l| slots[l][i]));
     }
 }
 

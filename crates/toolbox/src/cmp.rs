@@ -89,13 +89,6 @@ pub(crate) const CMP_U8: Family<CmpK<u8>> = Family {
     ],
     oracle: cmp_scalar_u8,
 };
-pub(crate) const CMP_U16: Family<CmpK<u16>> = Family {
-    cells: cells![
-        Cell { tier: Avx512, gate: ANY, kernel: avx512::cmp_u16 },
-        Cell { tier: Avx2, gate: ANY, kernel: avx2::cmp_u16 },
-    ],
-    oracle: cmp_scalar_u16,
-};
 pub(crate) const CMP_U32: Family<CmpK<u32>> = Family {
     cells: cells![
         Cell { tier: Avx512, gate: ANY, kernel: avx512::cmp_u32 },
@@ -129,9 +122,15 @@ macro_rules! dispatch_cmp {
 }
 
 dispatch_cmp!(cmp_u8, CMP_U8, u8);
-dispatch_cmp!(cmp_u16, CMP_U16, u16);
 dispatch_cmp!(cmp_u32, CMP_U32, u32);
 dispatch_cmp!(cmp_i64, CMP_I64, i64);
+
+/// Compare `u16` elements (scalar only: at the engine's 4 096-row batch the
+/// compiler's vectorization of the oracle beats both hand kernels it had,
+/// DESIGN.md §21).
+pub fn cmp_u16(data: &[u16], op: CmpOp, c: u16, out: &mut [u8], _level: SimdLevel) {
+    cmp_scalar_u16(data, op, c, out);
+}
 
 /// Compare `u64` elements (scalar only: 64-bit unsigned compares gain little
 /// from AVX2's 4-lane width once the mask pack-down is paid).
@@ -173,8 +172,7 @@ pub fn membership_scalar_u8(codes: &[u8], table: &[u8; 32], out: &mut [u8]) {
 mod avx512 {
     //! AVX-512 comparisons: unsigned compare instructions produce mask
     //! registers directly (no sign-bit flipping), and `vpmovm2b` expands a
-    //! mask into the canonical byte vector. `u8`, `u16` and `u32` — the
-    //! words a packed column of up to 32 bits is compared at — have 512-bit
+    //! mask into the canonical byte vector. `u8` and `u32` have 512-bit
     //! versions; `i64` has none and its family's AVX2 cell serves that tier.
 
     use super::CmpOp;
@@ -205,34 +203,6 @@ mod avx512 {
                 i += 64;
             }
             super::cmp_scalar_u8(&data[i..], op, c, &mut out[i..]);
-        }
-    }
-
-    /// # Safety
-    /// The CPU must support avx512f + avx512bw + avx512vl — guaranteed by the
-    /// resolver's tier check before any call.
-    #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vl")]
-    pub(super) unsafe fn cmp_u16(data: &[u16], op: CmpOp, c: u16, out: &mut [u8]) {
-        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
-        // these target features; every pointer below stays inside the argument slices.
-        unsafe {
-            let cv = _mm512_set1_epi16(c as i16);
-            let n = data.len();
-            let mut i = 0usize;
-            while i + 32 <= n {
-                let x = _mm512_loadu_si512(data.as_ptr().add(i) as *const _);
-                let m: __mmask32 = match op {
-                    CmpOp::Eq => _mm512_cmpeq_epu16_mask(x, cv),
-                    CmpOp::Ne => _mm512_cmpneq_epu16_mask(x, cv),
-                    CmpOp::Lt => _mm512_cmplt_epu16_mask(x, cv),
-                    CmpOp::Le => _mm512_cmple_epu16_mask(x, cv),
-                    CmpOp::Gt => _mm512_cmpgt_epu16_mask(x, cv),
-                    CmpOp::Ge => _mm512_cmpge_epu16_mask(x, cv),
-                };
-                _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, _mm256_movm_epi8(m));
-                i += 32;
-            }
-            super::cmp_scalar_u16(&data[i..], op, c, &mut out[i..]);
         }
     }
 
@@ -328,35 +298,6 @@ mod avx2 {
     unsafe fn pack16(lo: __m256i, hi: __m256i) -> __m256i {
         let packed = _mm256_packs_epi16(lo, hi);
         _mm256_permute4x64_epi64::<0b11011000>(packed)
-    }
-
-    /// # Safety
-    /// The CPU must support avx2 — guaranteed by the
-    /// resolver's tier check before any call.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn cmp_u16(data: &[u16], op: CmpOp, c: u16, out: &mut [u8]) {
-        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
-        // these target features; every pointer below stays inside the argument slices.
-        unsafe {
-            let flip = _mm256_set1_epi16(i16::MIN);
-            let cv = _mm256_xor_si256(_mm256_set1_epi16(c as i16), flip);
-            let n = data.len();
-            let mut i = 0;
-            while i + 32 <= n {
-                let mut masks = [_mm256_setzero_si256(); 2];
-                for (j, m) in masks.iter_mut().enumerate() {
-                    let x = _mm256_loadu_si256(data.as_ptr().add(i + j * 16) as *const __m256i);
-                    let xs = _mm256_xor_si256(x, flip);
-                    let eq = _mm256_cmpeq_epi16(xs, cv);
-                    let gt = _mm256_cmpgt_epi16(xs, cv);
-                    *m = combine(op, eq, gt);
-                }
-                let bytes = pack16(masks[0], masks[1]);
-                _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, bytes);
-                i += 32;
-            }
-            super::cmp_scalar_u16(&data[i..], op, c, &mut out[i..]);
-        }
     }
 
     /// # Safety

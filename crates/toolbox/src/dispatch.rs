@@ -399,7 +399,7 @@ mod walk {
     use crate::bitpack::{self, mask_for, PackedVec, UnpackK, Word};
     use crate::cmp::{self, CmpK, CmpOp};
     use crate::select::{compact, gather, special_group};
-    use crate::{radix, selvec};
+    use crate::selvec;
 
     /// Lengths around every stride the kernels step by (4 … 64 rows).
     const LENS: [usize; 16] = [0, 1, 3, 4, 5, 7, 8, 9, 16, 17, 31, 32, 33, 63, 64, 65];
@@ -490,11 +490,6 @@ mod walk {
     }
 
     #[test]
-    fn cmp_u16() {
-        cmp_walk(&cmp::CMP_U16, &[0, 1, 32767, 32768, 65535], |v| v as u16);
-    }
-
-    #[test]
     fn cmp_u32() {
         cmp_walk(&cmp::CMP_U32, &[0, 1, i32::MAX as u32, 1 << 31, u32::MAX], |v| v as u32);
     }
@@ -547,31 +542,6 @@ mod walk {
         let lens = LENS.iter().chain(&[100, 4096, 4097]);
         let cases = lens.flat_map(|&n| selections(n));
         selvec::COUNT_SELECTED.walk(cases, |_| 0, |kernel, sel| kernel.run(sel));
-    }
-
-    #[test]
-    fn radix_fused_scale_add_u8() {
-        let lens = LENS.iter().chain(&[100, 4096]);
-        let mut cases: Vec<(Vec<u8>, Vec<u8>, u8)> = lens
-            .map(|&n| {
-                (
-                    (0..n).map(|i| (i % 5) as u8).collect(),
-                    (0..n).map(|i| (i % 3) as u8).collect(),
-                    3,
-                )
-            })
-            .collect();
-        // 84 * 3 + 2 = 254: near the u8 limit, where a saturating pack bites.
-        cases.push((vec![84; 64], vec![2; 64], 3));
-        radix::FUSED_SCALE_ADD_U8.walk(
-            cases,
-            |_| 0,
-            |kernel, (acc, addend, factor)| {
-                let mut acc = acc.clone();
-                kernel.run(&mut acc, addend, *factor);
-                acc
-            },
-        );
     }
 
     #[test]

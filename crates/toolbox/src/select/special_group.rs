@@ -11,11 +11,12 @@
 
 use crate::dispatch::SimdLevel::{Avx2, Avx512};
 use crate::dispatch::{cells, kernel_sig, Cell, Family, SimdLevel, ANY};
-use crate::radix::BytesInPlaceK;
 
 kernel_sig! {
     /// Group ids with rejected rows replaced by the special id, into `out`.
     pub(crate) type AssignK = fn(gids: &[u8], sel: &[u8], special: u8, out: &mut [u8]);
+    /// The same, in place.
+    pub(crate) type AssignInPlaceK = fn(gids: &mut [u8], sel: &[u8], special: u8);
 }
 
 pub(crate) const ASSIGN_SPECIAL_GROUP: Family<AssignK> = Family {
@@ -26,12 +27,10 @@ pub(crate) const ASSIGN_SPECIAL_GROUP: Family<AssignK> = Family {
     oracle: assign_special_group_scalar,
 };
 /// Each kernel reads a position before writing it, so `gids` is both input
-/// and output.
-pub(crate) const ASSIGN_SPECIAL_GROUP_IN_PLACE: Family<BytesInPlaceK> = Family {
-    cells: cells![
-        Cell { tier: Avx512, gate: ANY, kernel: avx512::assign_in_place },
-        Cell { tier: Avx2, gate: ANY, kernel: avx2::assign_in_place },
-    ],
+/// and output. The AVX2 kernel serves the AVX-512 tier too: at the engine's
+/// batch it beats the 512-bit one it replaced (DESIGN.md §21).
+pub(crate) const ASSIGN_SPECIAL_GROUP_IN_PLACE: Family<AssignInPlaceK> = Family {
+    cells: cells![Cell { tier: Avx2, gate: ANY, kernel: avx2::assign_in_place }],
     oracle: assign_special_group_in_place_scalar,
 };
 
@@ -108,31 +107,6 @@ mod avx512 {
                 i += 64;
             }
             super::assign_special_group_scalar(&gids[i..], &sel[i..], special, &mut out[i..]);
-        }
-    }
-
-    /// # Safety
-    /// The CPU must support avx512f + avx512bw — guaranteed by the
-    /// resolver's tier check before any call.
-    #[target_feature(enable = "avx512f", enable = "avx512bw")]
-    pub(super) unsafe fn assign_in_place(gids: &mut [u8], sel: &[u8], special: u8) {
-        // SAFETY: reached only from a cell the resolver admitted, so the CPU has
-        // these target features; every pointer below stays inside the argument slices.
-        unsafe {
-            let sp = _mm512_set1_epi8(special as i8);
-            let n = gids.len();
-            let mut i = 0usize;
-            while i + 64 <= n {
-                let g = _mm512_loadu_si512(gids.as_ptr().add(i) as *const _);
-                let s = _mm512_loadu_si512(sel.as_ptr().add(i) as *const _);
-                let keep = _mm512_test_epi8_mask(s, s);
-                _mm512_storeu_si512(
-                    gids.as_mut_ptr().add(i) as *mut _,
-                    _mm512_mask_blend_epi8(keep, sp, g),
-                );
-                i += 64;
-            }
-            super::assign_special_group_in_place_scalar(&mut gids[i..], &sel[i..], special);
         }
     }
 }

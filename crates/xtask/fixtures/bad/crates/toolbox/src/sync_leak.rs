@@ -1,6 +1,6 @@
-//! Fixture: a sync-carrying struct outside the sync modules with no
-//! documented invariant, a `pub` sync field, and a hand-written auto-trait
-//! promise.
+//! Fixture: a `pub` sync field and a hand-written auto-trait promise. The
+//! struct itself, an `UnsafeCell` holder outside the sync modules, is
+//! clippy's `disallowed_types` finding, not the audit's.
 
 use std::cell::UnsafeCell;
 

@@ -1,5 +1,6 @@
-//! Clean fixture: a sync-carrying struct outside the sync modules whose
-//! sharing protocol is documented, which the sync-escape pass accepts.
+//! Clean fixture: a sync-carrying struct whose field is private behind a
+//! method, which the sync-escape pass accepts. (Where it may live is
+//! clippy's `disallowed_types`, which does not read fixtures.)
 
 use std::cell::UnsafeCell;
 

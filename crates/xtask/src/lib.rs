@@ -137,15 +137,14 @@ pub static PASSES: [Pass; 7] = [
         name: "sync",
         id: "sync-escape",
         run: |c| sync_escape::check(&c.files),
-        rule: "Structs owning atomics/`UnsafeCell`/locks live in the modules that own \
-               concurrent state (each finding lists them) or carry an `/// Invariant:` \
-               doc block; sync fields are never `pub`; `unsafe impl Send`/`Sync` is \
-               always flagged.",
-        rationale: "A sync-carrying struct is a concurrency contract; definitions \
-                    outside the owning modules have no documented protocol, and a \
-                    hand-written auto-trait impl is a new soundness axiom.",
-        fix: "Move the struct, or document the sharing protocol under `/// Invariant:`; \
-              make sync fields private behind methods.",
+        rule: "Struct fields holding atomics/`UnsafeCell`/locks are never `pub`; \
+               `unsafe impl Send`/`Sync` is always flagged. Which files may define such \
+               a struct at all is clippy's `disallowed_types`.",
+        rationale: "A sync field is a concurrency contract its owning module upholds; a \
+                    `pub` one lets any crate bypass it, and a hand-written auto-trait impl \
+                    is a new soundness axiom.",
+        fix: "Make sync fields private behind methods; restructure so the auto trait \
+              holds, or baseline the impl with a review.",
     },
     Pass {
         name: "errors",

@@ -1,21 +1,17 @@
 //! Sync escape.
 //!
 //! The atomics and lock passes police *uses* of concurrent state; this
-//! pass polices its *shape*. A struct that owns an `Atomic*`, an
+//! pass polices its *shape*. A struct field that holds an `Atomic*`, an
 //! `UnsafeCell`, a lock, or a `Condvar` is a concurrency contract: callers
-//! may share it across threads and the field's protocol (orderings, lock
-//! order, cell invariants) must be upheld by every access. Two escapes can
-//! quietly break that:
+//! may share the struct across threads and the field's protocol
+//! (orderings, lock order, cell invariants) must be upheld by every access.
+//! A `pub` sync field is an escape: any crate can bypass the owning
+//! module's accessors and touch the raw atomic/lock, so sync fields stay
+//! private and are exposed through methods.
 //!
-//! * **structural escape** — a sync-carrying struct defined outside the
-//!   modules that own concurrent state (`SYNC_MODULES` — exactly the files
-//!   whose `clippy::disallowed_types` expectation admits an atomic or a
-//!   lock, DESIGN.md §11): its invariants live nowhere, so the definition
-//!   must either move or carry an explicit `/// Invariant:` doc block stating
-//!   the sharing protocol;
-//! * **field escape** — a `pub` sync field: any crate can now bypass the
-//!   owning module's accessors and touch the raw atomic/lock, so sync
-//!   fields stay private and are exposed through methods.
+//! Where such a struct may live at all is clippy's `disallowed_types`
+//! (root `clippy.toml`, DESIGN.md §11): atomics, locks and `UnsafeCell`
+//! are confined to the files that carry its expectation.
 //!
 //! Additionally, `unsafe impl Send`/`unsafe impl Sync` is always flagged.
 //! The engine's thread-safety is derived (pool jobs are plain `&dyn Fn`,
@@ -27,20 +23,6 @@ use crate::lexer::TokKind;
 use crate::parser::{walk_items, ItemKind};
 use crate::scan::SourceFile;
 use crate::Diag;
-
-/// Modules that own concurrent state and may define sync-carrying structs.
-pub const SYNC_MODULES: [&str; 7] = [
-    "crates/core/src/engine.rs",
-    "crates/core/src/pool.rs",
-    "crates/core/src/governor.rs",
-    "crates/core/src/scan.rs",
-    "crates/core/src/telemetry.rs",
-    "crates/columnstore/src/batch.rs",
-    "crates/metrics/src/registry.rs",
-];
-
-/// Doc marker that justifies a sync-carrying struct outside `SYNC_MODULES`.
-pub const MARKER: &str = "Invariant:";
 
 /// Does a space-joined type string embed a synchronization primitive?
 fn is_sync_type(ty: &str) -> bool {
@@ -62,42 +44,22 @@ pub fn check(files: &[SourceFile]) -> Vec<Diag> {
             continue;
         }
         check_unsafe_impls(file, &mut out);
-        let confined = SYNC_MODULES.contains(&file.rel.as_str());
         walk_items(&file.items, &mut |item| {
             if item.kind != ItemKind::Struct || file.line_in_tests(item.line) {
                 return;
             }
-            let sync_fields: Vec<_> = item.fields.iter().filter(|f| is_sync_type(&f.ty)).collect();
-            if sync_fields.is_empty() {
-                return;
-            }
-            if !confined && !doc_has_invariant(file, item.line) {
+            for field in item.fields.iter().filter(|f| f.is_pub && is_sync_type(&f.ty)) {
                 out.push(Diag {
                     path: file.rel.clone(),
-                    line: item.line + 1,
+                    line: field.line + 1,
                     pass: "sync-escape",
                     msg: format!(
-                        "struct `{}` owns synchronization state outside {} — move it, \
-                         or document the sharing protocol in a `/// Invariant:` doc block",
-                        item.name,
-                        SYNC_MODULES.join(", ")
+                        "`pub` sync field `{}.{}` lets any crate bypass the owning \
+                         module's access protocol — make it private and expose \
+                         methods",
+                        item.name, field.name
                     ),
                 });
-            }
-            for field in sync_fields {
-                if field.is_pub {
-                    out.push(Diag {
-                        path: file.rel.clone(),
-                        line: field.line + 1,
-                        pass: "sync-escape",
-                        msg: format!(
-                            "`pub` sync field `{}.{}` lets any crate bypass the owning \
-                             module's access protocol — make it private and expose \
-                             methods",
-                            item.name, field.name
-                        ),
-                    });
-                }
             }
         });
     }
@@ -151,26 +113,6 @@ fn check_unsafe_impls(file: &SourceFile, out: &mut Vec<Diag>) {
     }
 }
 
-/// Does the doc block directly above `line` contain the invariant marker?
-fn doc_has_invariant(file: &SourceFile, line: usize) -> bool {
-    let mut i = line;
-    while i > 0 {
-        i -= 1;
-        let raw = file.raw[i].trim();
-        if raw.starts_with("///") || raw.starts_with("//!") || raw.starts_with("//") {
-            if raw.contains(MARKER) {
-                return true;
-            }
-            continue;
-        }
-        if raw.starts_with("#[") || raw.starts_with("#![") || raw.is_empty() {
-            continue;
-        }
-        break;
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,29 +124,13 @@ mod tests {
     }
 
     #[test]
-    fn confined_sync_struct_is_clean() {
-        let src = "pub struct Governor {\n    reserved: AtomicUsize,\n    cause: AtomicU8,\n}";
-        assert!(run(&[("crates/core/src/governor.rs", src)]).is_empty());
-    }
-
-    #[test]
-    fn sync_struct_outside_modules_is_flagged() {
-        let src = "pub struct Counter {\n    hits: AtomicU64,\n}";
-        let diags = run(&[("crates/toolbox/src/counter.rs", src)]);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        for module in SYNC_MODULES {
-            assert!(diags[0].msg.contains(module), "{module} missing: {diags:?}");
-        }
-    }
-
-    #[test]
-    fn documented_invariant_justifies_escape() {
-        let src = "/// Shared hit counter.\n///\n/// Invariant: monotone, relaxed loads only feed diagnostics.\npub struct Counter {\n    hits: AtomicU64,\n}";
+    fn private_sync_fields_are_clean_anywhere() {
+        let src = "pub struct Counter {\n    hits: AtomicU64,\n    slot: UnsafeCell<u8>,\n}";
         assert!(run(&[("crates/toolbox/src/counter.rs", src)]).is_empty());
     }
 
     #[test]
-    fn pub_sync_field_is_flagged_even_when_confined() {
+    fn pub_sync_field_is_flagged() {
         let src = "pub struct Pool {\n    pub queue: Mutex<Vec<u32>>, // LOCK: test.\n}";
         let diags = run(&[("crates/core/src/pool.rs", src)]);
         assert_eq!(diags.len(), 1, "{diags:?}");
