@@ -13,6 +13,7 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::Arc;
 
 use bipie_toolbox::bitpack::{min_bits, PackedVec};
 
@@ -30,27 +31,108 @@ pub struct StrDictColumn {
     codes: PackedVec,
 }
 
-/// Build a dictionary in one pass over `keys`: intern each distinct key
-/// under a provisional id in first-seen order, sort the *distinct* keys (the
-/// dictionary stays sorted, so codes preserve value order), and pack every
-/// value's provisional id remapped to its sorted code.
-fn intern_sorted<K: Ord + Hash + Copy>(keys: impl Iterator<Item = K>) -> (Vec<K>, PackedVec) {
-    let mut ids: HashMap<K, u32> = HashMap::new();
-    let provisional: Vec<u32> = keys
-        .map(|key| {
-            let next = ids.len() as u32;
-            *ids.entry(key).or_insert(next)
-        })
-        .collect();
-    let mut by_key: Vec<(K, u32)> = ids.into_iter().collect();
-    by_key.sort_unstable();
-    let mut code_of = vec![0u64; by_key.len()];
-    for (code, &(_, id)) in by_key.iter().enumerate() {
-        code_of[id as usize] = code as u64;
+/// Distinct keys found by comparison before a column gets a hash index.
+const LINEAR_KEYS: usize = 16;
+
+/// The first half of building a dictionary: each distinct key gets a
+/// provisional id, its index in first-seen order. [`Interner::finish`]
+/// sorts the distinct keys and remaps the ids to their ranks.
+///
+/// A column's first [`LINEAR_KEYS`] distinct keys are found by comparison,
+/// by identity ([`Key::is`]) before content. Past that, a `HashMap` with
+/// the standard library's keyed hash indexes them, because values come from
+/// outside the program.
+#[derive(Debug)]
+pub(crate) struct Interner<K> {
+    keys: Vec<K>,
+    /// Empty until the keys outgrow [`LINEAR_KEYS`].
+    index: HashMap<K, u32>,
+}
+
+impl<K> Default for Interner<K> {
+    fn default() -> Self {
+        Interner { keys: Vec::new(), index: HashMap::new() }
     }
-    let bits = min_bits(by_key.len().saturating_sub(1) as u64);
-    let codes = PackedVec::pack_iter(provisional.iter().map(|&id| code_of[id as usize]), bits);
-    (by_key.into_iter().map(|(key, _)| key).collect(), codes)
+}
+
+/// A dictionary key: ordered, hashable, and with an identity test.
+pub(crate) trait Key: Ord + Hash + Clone {
+    /// A cheap test that implies equality: for strings, the same bytes in
+    /// memory, which rows built from shared values hit without reading them.
+    fn is(&self, other: &Self) -> bool;
+}
+
+impl Key for i64 {
+    fn is(&self, other: &i64) -> bool {
+        self == other
+    }
+}
+
+impl Key for &str {
+    fn is(&self, other: &Self) -> bool {
+        std::ptr::eq(*self, *other)
+    }
+}
+
+impl Key for Arc<str> {
+    fn is(&self, other: &Self) -> bool {
+        Arc::ptr_eq(self, other)
+    }
+}
+
+impl<K: Key> Interner<K> {
+    /// The provisional id of `key`, new if the key is. Only a new key is
+    /// cloned.
+    pub(crate) fn intern(&mut self, key: &K) -> u32 {
+        let next = self.keys.len() as u32;
+        if self.keys.len() <= LINEAR_KEYS {
+            let mut found = self.keys.iter().position(|k| k.is(key));
+            if found.is_none() {
+                found = self.keys.iter().position(|k| k == key);
+            }
+            if let Some(id) = found {
+                return id as u32;
+            }
+            self.keys.push(key.clone());
+            if self.keys.len() > LINEAR_KEYS {
+                self.index = self.keys.iter().cloned().zip(0..).collect();
+            }
+            return next;
+        }
+        if let Some(&id) = self.index.get(key) {
+            return id;
+        }
+        self.keys.push(key.clone());
+        self.index.insert(key.clone(), next);
+        next
+    }
+
+    /// The key under provisional id `id`.
+    pub(crate) fn key(&self, id: u32) -> &K {
+        &self.keys[id as usize]
+    }
+
+    /// The sorted dictionary, and `ids` packed as codes: a key's code is
+    /// its rank, so codes preserve value order whatever the arrival order.
+    /// Only the distinct keys are sorted.
+    pub(crate) fn finish(self, ids: &[u32]) -> (Vec<K>, PackedVec) {
+        let mut by_key: Vec<(K, u32)> = self.keys.into_iter().zip(0..).collect();
+        by_key.sort_unstable();
+        let mut code_of = vec![0u64; by_key.len()];
+        for (code, &(_, id)) in by_key.iter().enumerate() {
+            code_of[id as usize] = code as u64;
+        }
+        let bits = min_bits(by_key.len().saturating_sub(1) as u64);
+        let codes = PackedVec::pack_iter(ids.iter().map(|&id| code_of[id as usize]), bits);
+        (by_key.into_iter().map(|(key, _)| key).collect(), codes)
+    }
+}
+
+/// Intern every key, then [`Interner::finish`].
+fn intern_sorted<K: Key>(keys: impl Iterator<Item = K>) -> (Vec<K>, PackedVec) {
+    let mut interner = Interner::default();
+    let ids: Vec<u32> = keys.map(|key| interner.intern(&key)).collect();
+    interner.finish(&ids)
 }
 
 impl IntDictColumn {
@@ -103,6 +185,13 @@ impl StrDictColumn {
     pub fn encode<S: AsRef<str>>(values: &[S]) -> StrDictColumn {
         let (dict, codes) = intern_sorted(values.iter().map(AsRef::as_ref));
         StrDictColumn { dict: dict.into_iter().map(str::to_owned).collect(), codes }
+    }
+
+    /// Encode a column that was interned as it arrived: `ids` are the rows'
+    /// provisional ids in `strings`.
+    pub(crate) fn from_interned(strings: Interner<Arc<str>>, ids: &[u32]) -> StrDictColumn {
+        let (dict, codes) = strings.finish(ids);
+        StrDictColumn { dict: dict.iter().map(|s| String::from(&**s)).collect(), codes }
     }
 
     /// Number of rows.
@@ -183,6 +272,25 @@ mod tests {
         let col = StrDictColumn::encode(&["x"; 50]);
         assert_eq!(col.dict().len(), 1);
         assert_eq!(col.codes().bits(), 1);
+    }
+
+    #[test]
+    fn interner_ids_survive_the_switch_to_the_index() {
+        let mut strings = Interner::default();
+        let keys: Vec<Arc<str>> =
+            (0..LINEAR_KEYS + 5).rev().map(|i| format!("k{i:02}").into()).collect();
+        let ids: Vec<u32> = keys.iter().map(|k| strings.intern(k)).collect();
+        assert_eq!(ids, (0..keys.len() as u32).collect::<Vec<_>>());
+        for (id, key) in ids.iter().zip(&keys) {
+            // An equal key in another allocation finds the same id.
+            assert_eq!(strings.intern(&Arc::from(&**key)), *id);
+            assert_eq!(strings.key(*id), key);
+        }
+        let col = StrDictColumn::from_interned(strings, &ids);
+        assert!(col.dict().windows(2).all(|w| w[0] < w[1]));
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(col.get(i), &**key);
+        }
     }
 
     #[test]

@@ -237,7 +237,10 @@ impl IntStats {
     pub fn dict_bytes(&self, values: &[i64]) -> Option<usize> {
         let limit = self.bitpack_bytes();
         let size = |d: usize| d * 8 + packed_bytes(self.len, min_bits(d as u64 - 1));
-        let mut seen = HashSet::new();
+        // Sized once, so it never rehashes: counting stops by the first `d`
+        // with `size(d) ≥ limit`, and `size(d) ≥ 8·d`.
+        let most = self.len.min(MAX_DICT_ENTRIES + 1).min(limit.div_ceil(8));
+        let mut seen = HashSet::with_capacity(most);
         let mut prev = None;
         for &v in values {
             // A repeat of the previous value is already counted: runs skip

@@ -5,8 +5,10 @@
 //!
 //! * Tables are split into an **immutable region** of encoded, column-
 //!   oriented [`Segment`]s (up to ~1M rows each) and a small **mutable
-//!   region** of recently written row-oriented data that is flushed into
-//!   new segments ([`table`]).
+//!   region** of recently written rows that is flushed into new segments
+//!   ([`table`]). The mutable region stays uncompressed, as in the paper,
+//!   but departs from its "row-oriented" wording: inserts append each value
+//!   to its column, so a flush encodes columns that already exist.
 //! * Each segment column is compressed independently with one of the
 //!   supported encodings — integer **bit packing**, **dictionary** (+
 //!   bit-packed codes), **run-length**, and **delta** ([`encoding`]) —
@@ -41,5 +43,5 @@ pub use batch::{Batch, BatchCursor, MorselCursor, BATCH_ROWS, MORSEL_ROWS};
 pub use bitmap::DeletedBitmap;
 pub use encoding::{EncodedColumn, Encoding, EncodingHint};
 pub use segment::{ColumnMeta, Segment, SEGMENT_ROWS};
-pub use table::{ColumnSpec, Table, TableBuilder};
+pub use table::{ColumnSpec, MutableRows, Table, TableBuilder};
 pub use value::{Date, LogicalType, Value};

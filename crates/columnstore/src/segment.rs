@@ -41,17 +41,17 @@ impl ColumnMeta {
     }
 }
 
-/// Raw column data handed to the segment builder.
+/// Column data handed to the segment builder.
 #[derive(Debug, Clone)]
-pub enum ColumnData<'a> {
-    /// Integer-like storage values.
+pub enum ColumnData {
+    /// Integer-like storage values, which the builder encodes.
     Ints(Vec<i64>),
-    /// Strings, borrowed from wherever the rows live: the encoder copies
-    /// only the distinct ones into its dictionary.
-    Strs(Vec<&'a str>),
+    /// A string column. Strings always dictionary-encode, so the column
+    /// arrives encoded.
+    Strs(StrDictColumn),
 }
 
-impl ColumnData<'_> {
+impl ColumnData {
     /// Number of rows.
     pub fn len(&self) -> usize {
         match self {
@@ -83,10 +83,7 @@ impl Segment {
     ///
     /// # Panics
     /// Panics if columns have differing lengths or hints mismatch.
-    pub fn build<'a>(
-        columns: impl IntoIterator<Item = ColumnData<'a>>,
-        hints: &[EncodingHint],
-    ) -> Segment {
+    pub fn build(columns: impl IntoIterator<Item = ColumnData>, hints: &[EncodingHint]) -> Segment {
         let mut encoded = Vec::with_capacity(hints.len());
         let mut meta = Vec::with_capacity(hints.len());
         let mut num_rows = None;
@@ -101,8 +98,7 @@ impl Segment {
                     meta.push(int_meta(&stats, &col));
                     encoded.push(col);
                 }
-                ColumnData::Strs(values) => {
-                    let dict = StrDictColumn::encode(&values);
+                ColumnData::Strs(dict) => {
                     let dict_len = dict.dict().len();
                     meta.push(ColumnMeta {
                         min: 0,
@@ -182,7 +178,7 @@ mod tests {
         let ints: Vec<i64> = (0..1000).map(|i| (i % 7) - 3).collect();
         let strs: Vec<&str> = (0..1000).map(|i| ["N", "A", "R"][i % 3]).collect();
         Segment::build(
-            vec![ColumnData::Ints(ints), ColumnData::Strs(strs)],
+            vec![ColumnData::Ints(ints), ColumnData::Strs(StrDictColumn::encode(&strs))],
             &[EncodingHint::Auto, EncodingHint::Auto],
         )
     }

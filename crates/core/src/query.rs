@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use bipie_columnstore::{LogicalType, Table, Value};
+use bipie_columnstore::{LogicalType, MutableRows, Table, Value};
 
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
@@ -387,19 +387,23 @@ const TAIL_CHECKPOINT_ROWS: usize = 1024;
 /// already resolved — predicate and expressions read the row by column
 /// index — under the query's governor.
 fn process_mutable_region(
-    rows: &[Vec<Value>],
+    rows: MutableRows<'_>,
     ctx: &ScanCtx<'_>,
     merged: &mut BTreeMap<Vec<Value>, GroupAcc>,
     stats: &mut ExecStats,
 ) -> Result<()> {
     let ScanCtx { filter, group_cols, sum_exprs, mm_exprs, governor, .. } = *ctx;
-    // Reused for every row: a group already present costs no allocation.
+    // Reused for every row: a group already present costs no allocation,
+    // and each row is read out of the region's columns into one buffer.
     let mut key: Vec<Value> = Vec::with_capacity(group_cols.len());
-    for chunk in rows.chunks(TAIL_CHECKPOINT_ROWS) {
+    let mut row: Vec<Value> = Vec::new();
+    for start in (0..rows.len()).step_by(TAIL_CHECKPOINT_ROWS) {
+        let chunk = start..rows.len().min(start + TAIL_CHECKPOINT_ROWS);
         governor.checkpoint(stats)?;
         stats.mutable_rows += chunk.len();
-        for row in chunk {
-            if filter.is_some_and(|f| !f.eval_row(row)) {
+        for r in chunk {
+            rows.read_row(r, &mut row);
+            if filter.is_some_and(|f| !f.eval_row(&row)) {
                 continue;
             }
             key.clear();

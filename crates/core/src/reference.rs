@@ -114,10 +114,12 @@ pub fn execute_reference(table: &Table, query: &Query) -> Result<QueryResult> {
             process_row(&value_of)?;
         }
     }
-    for row in table.mutable_rows() {
+    let tail = table.mutable_rows();
+    for row in 0..tail.len() {
         #[expect(clippy::expect_used, reason = "query validation resolved every column name")]
-        let value_of =
-            |name: &str| -> Value { row[table.column_index(name).expect("known column")].clone() };
+        let value_of = |name: &str| -> Value {
+            tail.value(row, table.column_index(name).expect("known column"))
+        };
         process_row(&value_of)?;
     }
 

@@ -1,5 +1,5 @@
 //! Real-time analytics over a changing table — the workload that motivates
-//! BIPie (§2): a stream of writes lands in the row-oriented mutable region
+//! BIPie (§2): a stream of writes lands in the uncompressed mutable region
 //! while analytical queries scan the encoded immutable segments, deleted
 //! rows are masked out by the scan, and a flush compresses the mutable
 //! region into a new segment.

@@ -1,18 +1,25 @@
 //! Property-based tests over the columnstore substrate: every encoding
 //! round-trips arbitrary values, the automatic chooser never loses data,
 //! segment metadata brackets the true value range, table building /
-//! flushing / deleting preserves row-level contents, and — stated once, in
-//! `encoder_contract` — what the statistics pass promises the chooser.
+//! flushing / deleting preserves row-level contents, a table built by
+//! `insert` encodes exactly what `Segment::build` makes of the same columns,
+//! and — stated once, in `encoder_contract` — what the statistics pass
+//! promises the chooser.
 
 mod common;
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use bipie::columnstore::encoding::{
-    encode_ints, encode_strings, EncodedColumn, Encoding, EncodingHint, IntStats, MAX_DICT_ENTRIES,
+    encode_ints, encode_strings, EncodedColumn, Encoding, EncodingHint, IntStats, StrDictColumn,
+    MAX_DICT_ENTRIES,
 };
 use bipie::columnstore::segment::{ColumnData, Segment};
 use bipie::columnstore::{
     ColumnSpec, Date, DeletedBitmap, LogicalType, Table, TableBuilder, Value,
 };
+use bipie::toolbox::rng::Rng;
+use bipie::tpch::lineitem_specs;
 use common::{run_cases, Gen};
 
 const HINTS: [EncodingHint; 5] = [
@@ -392,4 +399,162 @@ fn mutable_flush_is_equivalent_to_bulk_load() {
         out
     };
     assert_eq!(read_all(&bulk), read_all(&incremental));
+}
+
+/// Seeded rows of the LINEITEM schema (`tpch::lineitem_specs`), with its
+/// value domains. The return flag is a new string per row and the line
+/// status a clone of a shared one, so the interner meets equal strings in
+/// separate allocations and in one.
+fn lineitem_rows(n: usize, seed: u64) -> Vec<Vec<Value>> {
+    let mut rng = Rng::seed_from_u64(seed);
+    let current = Date::from_ymd(1995, 6, 17).days();
+    let statuses = ["F", "O"].map(|s| Value::Str(s.into()));
+    let mut orderkey = 0i64;
+    (0..n)
+        .map(|_| {
+            orderkey += rng.random_range(0..=1i64);
+            let quantity = rng.random_range(1..=50i64);
+            let shipdate = rng.random_range(8037..=10_561i32);
+            vec![
+                Value::I64(orderkey),
+                Value::I64(quantity),
+                Value::Decimal(quantity * rng.random_range(90_000..=200_000i64)),
+                Value::Decimal(rng.random_range(0..=10i64)),
+                Value::Decimal(rng.random_range(0..=8i64)),
+                Value::Str(["A", "N", "R"][rng.random_range(0..3usize)].into()),
+                statuses[usize::from(shipdate > current)].clone(),
+                Value::Date(Date(shipdate)),
+            ]
+        })
+        .collect()
+}
+
+/// `Segment::build` over the columns of `rows`, each taken straight from
+/// the rows.
+fn build_segment(specs: &[ColumnSpec], rows: &[Vec<Value>]) -> Segment {
+    let columns = specs.iter().enumerate().map(|(c, spec)| {
+        if spec.ty == LogicalType::Str {
+            let strs: Vec<&str> = rows.iter().map(|r| r[c].as_str().unwrap()).collect();
+            ColumnData::Strs(StrDictColumn::encode(&strs))
+        } else {
+            ColumnData::Ints(rows.iter().map(|r| r[c].as_storage_i64().unwrap()).collect())
+        }
+    });
+    let hints: Vec<EncodingHint> = specs.iter().map(|s| s.hint).collect();
+    Segment::build(columns, &hints)
+}
+
+/// Two segments hold the same columns: encoding, metadata, size, decoded
+/// values, and for strings the dictionary and its codes.
+fn assert_same_segment(got: &Segment, want: &Segment, what: &str) {
+    assert_eq!(got.num_rows(), want.num_rows(), "{what}");
+    assert_eq!(got.num_columns(), want.num_columns(), "{what}");
+    for c in 0..want.num_columns() {
+        let (g, w) = (got.column(c), want.column(c));
+        assert_eq!(g.encoding(), w.encoding(), "{what}, column {c}");
+        assert_eq!(got.meta(c), want.meta(c), "{what}, column {c}");
+        assert_eq!(g.encoded_bytes(), w.encoded_bytes(), "{what}, column {c}");
+        if let (EncodedColumn::StrDict(g), EncodedColumn::StrDict(w)) = (g, w) {
+            assert_eq!(g, w, "{what}, column {c}");
+        } else {
+            let decode = |col: &EncodedColumn| {
+                let mut out = vec![0i64; want.num_rows()];
+                col.decode_i64_into(0, &mut out);
+                out
+            };
+            assert_eq!(decode(g), decode(w), "{what}, column {c}");
+        }
+    }
+}
+
+/// A table built by `insert` stores exactly what `Segment::build` makes of
+/// the same columns: one row, one full segment, and two segments plus a
+/// tail flushed by hand.
+#[test]
+fn inserted_rows_encode_like_segment_build() {
+    let specs = lineitem_specs();
+    let segment_rows = 8192;
+    for n in [1usize, 8192, 17_408] {
+        let rows = lineitem_rows(n, 0x11E ^ n as u64);
+        let mut table = Table::with_segment_rows(specs.clone(), segment_rows);
+        for row in rows.clone() {
+            table.insert(row);
+        }
+        assert_eq!(table.mutable_rows().len(), n % segment_rows);
+        table.flush_mutable();
+        let want: Vec<Segment> =
+            rows.chunks(segment_rows).map(|chunk| build_segment(&specs, chunk)).collect();
+        assert_eq!(table.segments().len(), want.len(), "{n} rows");
+        for (s, (got, want)) in table.segments().iter().zip(&want).enumerate() {
+            assert_same_segment(got, want, &format!("{n} rows, segment {s}"));
+        }
+    }
+}
+
+/// A row with a mistyped value in its last column is rejected whole: no
+/// column grows, and the flushed segment is the one built without it.
+#[test]
+fn a_rejected_row_leaves_no_trace() {
+    let specs = lineitem_specs();
+    let rows = lineitem_rows(300, 7);
+    let mut table = Table::with_segment_rows(specs.clone(), usize::MAX);
+    for row in rows.clone() {
+        table.insert(row);
+    }
+    let mut bad = rows[0].clone();
+    bad[specs.len() - 1] = Value::I64(1);
+    let rejected = catch_unwind(AssertUnwindSafe(|| table.insert(bad)));
+    assert!(rejected.is_err(), "a mistyped row must be rejected");
+    assert_eq!(table.mutable_rows().len(), rows.len());
+    table.flush_mutable();
+    assert_same_segment(&table.segments()[0], &build_segment(&specs, &rows), "after rejection");
+}
+
+/// A string column interned as it arrives gets a sorted dictionary whose
+/// codes are ranks, at every distinct count from 0 to past the interner's
+/// switch from comparison to hashing (16 distinct strings) and at 300.
+/// Values arrive unsorted, `""` and non-ASCII strings among them.
+#[test]
+fn inserted_strings_get_a_sorted_dictionary_at_every_cardinality() {
+    let pool: Vec<String> = (0..300)
+        .map(|i| match i {
+            0 => "ö".to_string(),
+            1 => String::new(),
+            2 => "日本".to_string(),
+            _ => format!("s{}", i * 7919 % 1000),
+        })
+        .collect();
+    for distinct in (0..=40).chain([300]) {
+        let mut g = Gen::with_seed(distinct as u64);
+        // Every distinct string once, in pool order, then repeats.
+        let mut values: Vec<&str> = pool[..distinct].iter().map(String::as_str).collect();
+        if distinct > 0 {
+            values.extend((0..2 * distinct).map(|_| pool[g.int(0..distinct)].as_str()));
+        }
+        let mut table =
+            Table::with_segment_rows(vec![ColumnSpec::new("s", LogicalType::Str)], usize::MAX);
+        for v in &values {
+            table.insert(vec![Value::Str((*v).into())]);
+        }
+        let tail = table.mutable_rows();
+        assert_eq!(tail.len(), values.len());
+        for (r, v) in values.iter().enumerate() {
+            assert_eq!(tail.value(r, 0), Value::Str((*v).into()));
+        }
+        table.flush_mutable();
+        if distinct == 0 {
+            assert!(table.segments().is_empty());
+            continue;
+        }
+        let EncodedColumn::StrDict(col) = table.segments()[0].column(0) else {
+            panic!("strings always dictionary encode")
+        };
+        assert_eq!(col, &StrDictColumn::encode(&values), "{distinct} distinct");
+        assert_eq!(col.dict().len(), distinct);
+        assert!(col.dict().windows(2).all(|w| w[0] < w[1]), "sorted, no duplicates");
+        for (i, v) in values.iter().enumerate() {
+            let rank = col.dict().iter().filter(|d| d.as_str() < *v).count() as u64;
+            assert_eq!(col.codes().get(i), rank, "{distinct} distinct, row {i}");
+        }
+    }
 }

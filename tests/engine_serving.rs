@@ -18,9 +18,9 @@
 )]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bipie::columnstore::{ColumnSpec, LogicalType, Table, Value};
 use bipie::core::{
@@ -289,35 +289,39 @@ fn queries_during_shutdown_get_typed_errors_not_hangs() {
     let want = serial_rows(&table, &query);
     engine.register_table("t", table);
 
-    let clients: Vec<_> = (0..4)
+    const CLIENTS: usize = 4;
+    // Every client has been served once when the main thread passes this,
+    // so the shutdown below lands while all of them are still querying.
+    let served_once = Arc::new(Barrier::new(CLIENTS + 1));
+    let clients: Vec<_> = (0..CLIENTS)
         .map(|_| {
             let engine = Arc::clone(&engine);
+            let served_once = Arc::clone(&served_once);
             let query = query.clone();
             let want = want.clone();
             thread::spawn(move || {
-                let mut outcomes = (0usize, 0usize); // (served, refused)
-                for _ in 0..stress_iters() * 2 {
+                assert_eq!(engine.execute("t", &query).expect("served before shutdown").rows, want);
+                served_once.wait();
+                // Shutdown refuses every query after it returns, so this
+                // loop ends at a refusal; the bound only turns a hang into
+                // a failure.
+                let deadline = Instant::now() + Duration::from_secs(60);
+                while Instant::now() < deadline {
                     match engine.execute("t", &query) {
-                        Ok(got) => {
-                            assert_eq!(got.rows, want);
-                            outcomes.0 += 1;
-                        }
-                        Err(EngineError::EngineShutdown) => outcomes.1 += 1,
+                        Ok(got) => assert_eq!(got.rows, want),
+                        Err(EngineError::EngineShutdown) => return true,
                         Err(other) => panic!("unexpected error: {other:?}"),
                     }
                 }
-                outcomes
+                false
             })
         })
         .collect();
-    // Let some queries land, then pull the plug while clients keep going.
-    thread::yield_now();
+    served_once.wait();
     engine.shutdown();
-    let mut refused = 0;
     for h in clients {
-        refused += h.join().expect("client thread panicked").1;
+        assert!(h.join().expect("client thread panicked"), "a client was never refused");
     }
-    assert!(refused > 0, "shutdown raced past every client");
     // Post-shutdown: immediate typed refusal, drained admission state.
     assert_eq!(engine.execute("t", &query).err(), Some(EngineError::EngineShutdown));
     let snap = engine.snapshot();

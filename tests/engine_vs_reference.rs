@@ -78,7 +78,7 @@ fn build_table(spec: &TableSpec, seed: u64) -> Table {
             }
         }
     }
-    // A row-oriented tail in the mutable region.
+    // A tail in the mutable region.
     for i in 0..spec.mutable_tail {
         let g = (next() % spec.groups as u64) as usize;
         t.insert(vec![
@@ -152,10 +152,12 @@ fn every_forced_combination_equals_reference() {
 }
 
 /// The row-at-a-time tail against the oracle's own walk: a table that is
-/// only tail, and one whose tail is longer than a batch and introduces a
-/// group no segment holds. The query carries what the tail evaluates from
-/// the resolved plan: a string equality and an integer BETWEEN, MIN/MAX, and
-/// Q1's shared sub-expression (`charge` reusing `disc_price`).
+/// only tail, and one whose tail is longer than a batch and introduces
+/// groups no segment holds. The tail's group column holds 23 distinct
+/// strings, more than the 16 its interner finds by comparison before it
+/// hashes. The query carries what the tail evaluates from the resolved
+/// plan: a string equality and an integer BETWEEN, MIN/MAX, and Q1's shared
+/// sub-expression (`charge` reusing `disc_price`).
 #[test]
 fn mutable_tail_equals_reference() {
     let specs = || {
@@ -190,6 +192,9 @@ fn mutable_tail_equals_reference() {
         .aggregate(AggExpr::max_expr(Expr::col("price").sub(Expr::col("disc"))))
         .build();
 
+    let extra: Vec<String> = (0..20).map(|i| format!("X{i}")).collect();
+    let tail_flags: Vec<&str> =
+        ["R", "A", "N"].into_iter().chain(extra.iter().map(String::as_str)).collect();
     // (segment rows, rows in segments, rows in the tail)
     for (segment_rows, flushed, tail) in [(10_000usize, 0usize, 3000usize), (500, 1000, 4500)] {
         let mut table = Table::with_segment_rows(specs(), segment_rows.max(tail + 1));
@@ -199,9 +204,9 @@ fn mutable_tail_equals_reference() {
                 table.flush_mutable();
             }
         }
-        // "R" is first seen in the tail.
+        // "R" and the "X…" flags are first seen in the tail.
         for i in 0..tail as i64 {
-            table.insert(row(i, &["R", "A", "N"]));
+            table.insert(row(i, &tail_flags));
         }
         assert_eq!(table.segments().len(), flushed / segment_rows);
         assert_eq!(table.mutable_rows().len(), tail);
@@ -210,6 +215,7 @@ fn mutable_tail_equals_reference() {
         assert_eq!(fast.rows, slow.rows, "flushed={flushed} tail={tail}");
         assert_eq!(fast.stats.mutable_rows, tail);
         assert!(fast.row_for(&[Value::Str("R".into())]).is_some());
+        assert!(fast.rows.len() > 16, "{} groups", fast.rows.len());
     }
 }
 
