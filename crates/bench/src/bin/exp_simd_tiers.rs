@@ -29,8 +29,10 @@ use bipie_bench::{
 use bipie_metrics::Table;
 use bipie_toolbox::agg::lane::{materialize_u64, LaneArg, LaneBin, LaneLeaf, LaneOp, LaneProgram};
 use bipie_toolbox::agg::multi::{sum_lanes, LaneSource, RowBuilder, RowLayout, RowStep};
+use bipie_toolbox::agg::packed::sum_packed;
 use bipie_toolbox::agg::sort_based::{bucket_sort, sum_sorted_packed, sum_sorted_u32, SortedBatch};
-use bipie_toolbox::agg::{in_register, minmax, ColRef};
+use bipie_toolbox::agg::{in_register, minmax, scalar, ColRef};
+use bipie_toolbox::bitpack::{PackedVec, WordSize};
 use bipie_toolbox::cmp::{self, CmpOp};
 use bipie_toolbox::select::{compact, gather, special_group};
 use bipie_toolbox::selvec::{count_selected, SelIndexVec};
@@ -314,7 +316,66 @@ fn aggregate(t: &mut Tiers) {
     t.row("sum_sorted_u32", "4 groups", "-", |l| {
         sum_sorted_u32(&v28, black_box(&sorted), &mut sums, l)
     });
+    one_group_sums(t);
     lanes(t);
+}
+
+/// The one-group SUM of a bit-packed column — `encoded_ops`' dict query sums
+/// 9 bits under a ≈ 60 % mask, its delta query 10 bits with none — fused,
+/// and as the two passes the fused cell replaces (the family's oracle, and
+/// what a tier without a cell runs): unpack at the tier, then
+/// `sum_selected` over the batch buffer.
+fn one_group_sums(t: &mut Tiers) {
+    let sel = gen_selection(BATCH, 0.6, 26);
+    let shapes = [
+        (4, true, "-"),
+        (9, true, "enc"),
+        (10, false, "enc"),
+        (16, true, "-"),
+        (17, true, "-"),
+        (25, true, "-"),
+        (28, true, "-"),
+    ];
+    let mut bufs = (Vec::new(), Vec::new(), Vec::new());
+    for (bits, masked, reached) in shapes {
+        let pv = gen_packed(BATCH, bits, 27 + bits as u64);
+        let sel = masked.then_some(sel.as_bytes());
+        let at = format!("{bits} bits, {}", if masked { "60 %" } else { "no mask" });
+        t.row("sum_packed", &at, reached, |l| {
+            black_box(sum_packed(black_box(&pv), 0, BATCH, sel, l));
+        });
+        t.row("unpack + sum_selected", &at, reached, |l| {
+            black_box(two_pass(black_box(&pv), sel, l, &mut bufs));
+        });
+    }
+}
+
+/// Unpack all of `pv` into the buffer of its word, then sum it under `sel`.
+fn two_pass(
+    pv: &PackedVec,
+    sel: Option<&[u8]>,
+    l: SimdLevel,
+    (b8, b16, b32): &mut (Vec<u8>, Vec<u16>, Vec<u32>),
+) -> u64 {
+    let n = pv.len();
+    let col = match pv.word_size() {
+        WordSize::W1 => {
+            b8.resize(n, 0);
+            pv.unpack_into_u8(0, b8, l);
+            ColRef::U8(b8)
+        }
+        WordSize::W2 => {
+            b16.resize(n, 0);
+            pv.unpack_into_u16(0, b16, l);
+            ColRef::U16(b16)
+        }
+        _ => {
+            b32.resize(n, 0);
+            pv.unpack_into_u32(0, b32, l);
+            ColRef::U32(b32)
+        }
+    };
+    scalar::sum_selected(col, sel)
 }
 
 /// The row builder's kernels, each through the engine's entry point with a

@@ -30,9 +30,10 @@
 //!
 //! One extra accumulator slot (index `num_groups`) always exists for the
 //! special group; it is simply unused by the other selection strategies,
-//! and by In-Register with one group and no MIN/MAX, which writes no group
+//! and by In-Register with one group and no MIN/MAX, which reads no group
 //! ids: COUNT is the selected rows and each SUM one pass under the
-//! selection mask (DESIGN.md §17).
+//! selection mask — over a bare bit-packed column, where it lies
+//! ([`packed::sum_packed`], DESIGN.md §17).
 //!
 //! [`finish`]: SegmentAggExecutor::finish
 
@@ -41,7 +42,7 @@ use bipie_columnstore::Segment;
 use bipie_toolbox::agg::lane::{self, LaneLeaf, LaneProgram};
 use bipie_toolbox::agg::multi::{LaneSource, RowBuilder, RowLayout, RowStep};
 use bipie_toolbox::agg::sort_based::{bucket_sort, SortedBatch};
-use bipie_toolbox::agg::{in_register, minmax, multi, scalar, sort_based, ColRef};
+use bipie_toolbox::agg::{in_register, minmax, multi, packed, scalar, sort_based, ColRef};
 use bipie_toolbox::bitpack::{PackedVec, WordSize};
 use bipie_toolbox::runspan::{enc_minmax_runs_spans, enc_sum_runs_spans};
 use bipie_toolbox::select::{compact, gather, special_group};
@@ -341,6 +342,13 @@ impl<'a> LanePlan<'a> {
         let interp = if self.interp_cols.is_empty() { 0 } else { 8 * (self.interp_cols.len() + 2) };
         leaves + computed + interp
     }
+}
+
+/// Whether an executor of this shape reads group ids. In-Register over one
+/// group with no MIN/MAX input does not: the selection bytes alone say which
+/// rows the group holds (DESIGN.md §17), so the scan skips the mapper.
+pub fn needs_group_ids(strategy: AggStrategy, num_groups: usize, num_mm_inputs: usize) -> bool {
+    !(strategy == AggStrategy::InRegister && num_groups == 1 && num_mm_inputs == 0)
 }
 
 /// Reusable per-batch value storage for one input or leaf.
@@ -739,7 +747,8 @@ impl<'a> SegmentAggExecutor<'a> {
     /// Process one batch.
     ///
     /// * `gids` — the batch's group ids from the Group ID Mapper (length
-    ///   `len`); mutated in place by special-group selection.
+    ///   `len`); mutated in place by special-group selection. Not read, and
+    ///   may be empty, when the executor's shape [`needs_group_ids`] says no.
     /// * `sel` — canonical selection byte vector with deleted rows merged,
     ///   or `None` when no filter applies (every row selected).
     /// * `selection` — this batch's selection strategy (ignored when `sel`
@@ -753,7 +762,6 @@ impl<'a> SegmentAggExecutor<'a> {
         sel: Option<&[u8]>,
         selection: SelectionStrategy,
     ) {
-        debug_assert_eq!(gids.len(), len);
         if self.plan.is_none() {
             let plan = LanePlan::build(seg, &self.inputs, &self.mm_inputs);
             self.install(plan);
@@ -783,8 +791,8 @@ impl<'a> SegmentAggExecutor<'a> {
         // One group under In-Register: the selection byte vector already says
         // which rows the group holds, so no group id is written or read.
         // COUNT is the selected rows, each SUM one pass under the mask.
-        let one_group =
-            strategy == AggStrategy::InRegister && *num_groups == 1 && mm_inputs.is_empty();
+        let one_group = !needs_group_ids(strategy, *num_groups, mm_inputs.len());
+        debug_assert!(one_group || gids.len() == len, "{} group ids for {len} rows", gids.len());
 
         // Fallback only: the interpreter evaluates over the full batch (the
         // generated-code contract of §3: expressions run on decoded data);
@@ -903,8 +911,13 @@ impl<'a> SegmentAggExecutor<'a> {
             return;
         }
 
+        // One group with every row in play: a bare column sums where it lies
+        // (`sum_packed`), so only the leaves a lane program reads unpack.
+        let in_place = one_group && matches!(rows, Rows::All);
         for (leaf, buf) in plan.leaves.iter().zip(leaf_bufs.iter_mut()) {
-            buf.load(leaf.col.normalized(), &batch, spare, level);
+            if !in_place || leaf.in_expr {
+                buf.load(leaf.col.normalized(), &batch, spare, level);
+            }
         }
         // Rows the value buffers hold.
         let eff_len = match rows {
@@ -944,14 +957,19 @@ impl<'a> SegmentAggExecutor<'a> {
 
         match (strategy, &plan.layout) {
             (AggStrategy::InRegister, _) if one_group => {
-                // Full-batch columns sum under the mask; loaded ones hold
-                // only selected rows.
-                let mask = match rows {
-                    Rows::All => sel,
-                    Rows::Gathered(..) | Rows::Compacted(_) => None,
-                };
-                for i in 0..num_sums {
-                    sums[i * slots] += scalar::sum_selected(col(i), mask) as i64;
+                for (i, source) in plan.sums.iter().enumerate() {
+                    sums[i * slots] += match (source, rows) {
+                        (SumSource::Leaf(l), Rows::All) => {
+                            let pv = plan.leaves[*l].col.normalized();
+                            packed::sum_packed(pv, start, len, sel, level)
+                        }
+                        // Full-batch vectors sum under the mask; loaded ones
+                        // hold only selected rows.
+                        (_, Rows::All) => scalar::sum_selected(col(i), sel),
+                        (_, Rows::Gathered(..) | Rows::Compacted(_)) => {
+                            scalar::sum_selected(col(i), None)
+                        }
+                    } as i64;
                 }
             }
             (AggStrategy::InRegister, _) => {

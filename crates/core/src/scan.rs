@@ -39,7 +39,9 @@ use bipie_columnstore::{Batch, LogicalType, MorselCursor, Segment, Table, Value}
 use bipie_toolbox::selvec::count_selected;
 use bipie_toolbox::{RunSpanVec, SimdLevel};
 
-use crate::aggproc::{AggInput, LanePlan, RunWiseExec, SegmentAggExecutor, SegmentAggResult};
+use crate::aggproc::{
+    needs_group_ids, AggInput, LanePlan, RunWiseExec, SegmentAggExecutor, SegmentAggResult,
+};
 use crate::error::{EngineError, Result};
 use crate::expr::ResolvedExpr;
 use crate::filter::{FilterScratch, ResolvedPredicate, SegmentPredicate};
@@ -1160,11 +1162,16 @@ impl<'a> NarrowScan<'a> {
         let level = options.level;
         let bits = self.plan.dominant_bits;
 
-        let mapper = &self.plan.mapper;
-        tracer.timed(Phase::Unpack, at.loc(), |_| {
-            let gids = &mut self.gids;
-            (mapper.extract_batch(at.start, at.len, gids, &mut self.gid_scratch, level), at.len)
-        });
+        // An executor that reads no group ids gets none: no Unpack phase.
+        let plan = self.plan;
+        let group_ids =
+            needs_group_ids(plan.strategy, plan.mapper.num_groups(), plan.mm_inputs.len());
+        if group_ids {
+            tracer.timed(Phase::Unpack, at.loc(), |_| {
+                let (gids, scratch) = (&mut self.gids, &mut self.gid_scratch);
+                (plan.mapper.extract_batch(at.start, at.len, gids, scratch, level), at.len)
+            });
+        }
 
         // Filter + deleted-row merge -> selection byte vector, plus the
         // selectivity measurement that drives the per-batch choice.
@@ -1183,7 +1190,7 @@ impl<'a> NarrowScan<'a> {
 
         let loc = at.loc().with_selection(selection).with_agg(self.plan.strategy);
         tracer.timed(Phase::Aggregation, loc, |_| {
-            let gids = &mut self.gids;
+            let gids: &mut [u8] = if group_ids { &mut self.gids } else { &mut [] };
             (self.exec.process_batch(planned.seg, at.start, at.len, gids, sel, selection), at.len)
         });
     }

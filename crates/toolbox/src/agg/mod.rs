@@ -16,6 +16,9 @@
 //!   registers and update all sums for a row with a single load-add-store
 //!   (§5.4). Wins with many aggregates.
 //!
+//! With one group and every row of a batch in play, [`packed::sum_packed`]
+//! sums a bit-packed input where it lies, without unpacking it first.
+//!
 //! Computed inputs reach these kernels as [`lane`] programs: proven-unsigned
 //! add/sub/mul trees over natural-width columns, evaluated chunk-wise in
 //! 64-bit lanes — inside [`multi`]'s slot lanes, or into a typed vector.
@@ -29,6 +32,7 @@ pub mod in_register;
 pub mod lane;
 pub mod minmax;
 pub mod multi;
+pub mod packed;
 pub mod scalar;
 pub mod sort_based;
 

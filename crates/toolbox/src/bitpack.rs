@@ -303,7 +303,7 @@ impl PackedVec {
         out
     }
 
-    fn check_range(&self, start: usize, n: usize) {
+    pub(crate) fn check_range(&self, start: usize, n: usize) {
         // The message names the range without adding: `start + n` is what
         // may have overflowed.
         assert!(

@@ -388,7 +388,8 @@ mod walk {
     //! selections — the inputs of the tier-vs-oracle tests this replaces.
     //!
     //! Test names start with their module's word (`bitpack_`, `selvec_`,
-    //! `compact_`, `cmp_membership_`), which CI's Miri filter selects: under
+    //! `compact_`, `cmp_membership_`) or are the family's (`sum_packed`),
+    //! which CI's Miri filter selects: under
     //! Miri only the oracles run, over the same inputs.
 
     use std::fmt::Debug;
@@ -910,6 +911,53 @@ mod walk {
         let rows: Vec<u32> = (0..1000).map(|i| (i * 7919) % 1000).collect();
         let cases = LENS.iter().chain(&[333, 1000]).map(|&k| &rows[..k]);
         sort_based::SUM_SORTED_U32.walk(cases, |_| 0, |kernel, rows| kernel.run(&values, rows));
+    }
+
+    #[test]
+    fn sum_packed() {
+        let n = 4096 + 40;
+        let pvs: Vec<PackedVec> = (1..=26).map(|b| pack_low(&words(n, 40 + b as u64), b)).collect();
+        // Every value at its width's maximum over twice the AVX-512 cell's
+        // longest run between partial flushes (a `u32` lane takes every 16th
+        // value, at most `⌊(2³² − 1) / max⌋` of them), plus a tail: at the
+        // widths where that run is short enough to list.
+        let full = [22u8, 23, 24, 25].map(|b| {
+            let run = 16 * (u32::MAX as u64 / mask_for(b)) as usize;
+            PackedVec::pack(&vec![mask_for(b); 2 * run + 17], b)
+        });
+        let random = words(n.max(full[0].len()), 41);
+        let masks: [&dyn Fn(usize) -> bool; 4] =
+            [&|_| false, &|_| true, &|i| i % 2 == 0, &|i| random[i] & 1 == 1];
+        let selections = |len: usize| {
+            let bytes = |keep: &dyn Fn(usize) -> bool| {
+                (0..len).map(|i| 0xFF * keep(i) as u8).collect::<Vec<u8>>()
+            };
+            std::iter::once(None).chain(masks.map(|keep| Some(bytes(keep))))
+        };
+        // Starts off the byte grid, lengths around the 16-value step, and
+        // windows ending on the vector's last value (the 64-byte loads' edge);
+        // batch-long ones at a width of each word and either side of the gate.
+        let short = [(0, 0), (3, 1), (5, 15), (0, 16), (7, 17), (n - 17, 17), (n - 40, 40)];
+        let long = [(1, 4095), (n - 4096, 4096)];
+        let mut cases = Vec::new();
+        for pv in &pvs {
+            let batch = [1, 8, 9, 10, 16, 17, 25, 26].contains(&pv.bits());
+            let windows = short.iter().chain(if batch { &long[..] } else { &[] });
+            for &(start, len) in windows {
+                cases.extend(selections(len).map(|sel| (pv, start, len, sel)));
+            }
+        }
+        for pv in &full {
+            let len = pv.len();
+            cases.extend(selections(len).take(3).map(|sel| (pv, 0, len, sel)));
+        }
+        crate::agg::packed::SUM_PACKED.walk(
+            cases,
+            |(pv, ..)| pv.bits() as usize,
+            |kernel, (pv, start, len, sel)| {
+                kernel.run(pv, *start, *len, sel.as_deref(), crate::SimdLevel::Scalar)
+            },
+        );
     }
 
     /// Pack the low `bits` bits of `values`.

@@ -551,10 +551,12 @@ fn one_group_table(deleted: bool) -> Table {
 /// compaction and the special group, with and without deleted rows, serial
 /// and on two threads, at every tier; each sum width, a negative frame of
 /// reference, a lane program and the interpreter. The other strategies,
-/// forced on the same shapes, still run and report themselves.
+/// forced on the same shapes — alone and under special-group selection,
+/// which writes into the group ids they still get — run and report
+/// themselves; only In-Register segments skip the mapper (no `Unpack` span).
 #[test]
 fn one_group_in_register_matches_reference() {
-    use bipie::core::Expr;
+    use bipie::core::{Expr, Phase};
     // A lane program over `a` and `b`; `n`'s negative range sends the second
     // expression to the interpreter.
     let lane = AggExpr::sum_expr(Expr::col("a").mul(Expr::lit(70_000).sub(Expr::col("b"))));
@@ -576,12 +578,19 @@ fn one_group_in_register_matches_reference() {
     forced.extend(SelectionStrategy::DENSE.map(|s| (Some(AggStrategy::InRegister), Some(s))));
     for agg in [AggStrategy::MultiAggregate, AggStrategy::SortBased, AggStrategy::Scalar] {
         forced.push((Some(agg), None));
+        forced.push((Some(agg), Some(SelectionStrategy::SpecialGroup)));
     }
     // Serial and two workers at every tier, on the default batch grid.
     let mut bases = Vec::new();
     for level in SimdLevel::available() {
         for threads in [1, 2] {
-            bases.push(QueryOptions { level, threads: Some(threads), ..Default::default() });
+            let profile = ProfileLevel::Spans;
+            bases.push(QueryOptions {
+                level,
+                threads: Some(threads),
+                profile,
+                ..Default::default()
+            });
         }
     }
     let mut adaptive_selections = [0usize; 3];
@@ -623,6 +632,15 @@ fn one_group_in_register_matches_reference() {
                             {
                                 *seen += stats.selection_count(s);
                             }
+                        }
+                        // A batch maps group ids unless its segment runs In-Register.
+                        let mapped = match stats.agg_count(AggStrategy::InRegister) {
+                            0 => Some(stats.batches as u64),
+                            3 => Some(0),
+                            _ => None,
+                        };
+                        if let Some(m) = mapped.filter(|_| common::profiler_compiled_in()) {
+                            assert_eq!(r.profile.phase(Phase::Unpack).count, m, "{label}");
                         }
                         let paths = (stats.expr_lane_segments, stats.expr_interp_segments);
                         let expect = match *qlabel {
@@ -670,4 +688,112 @@ fn declined_run_wise_sample_leaves_no_span_behind() {
     assert_eq!(selection_spans.len(), r.stats.batches, "one selection span per batch");
     assert!(!selection_spans.contains(&Some(SelectionStrategy::RunSpan)), "{selection_spans:?}");
     assert_eq!(r.profile.phase(Phase::Plan).count, 1);
+}
+
+/// Ungrouped `count(*), sum(v)` over a bit-packed `v` at the edge widths of
+/// every unpack word: the one-group In-Register executor sums `v` where it
+/// lies (`sum_packed`, DESIGN.md §17). No filter, a ≈ 60 % dictionary
+/// conjunction, a filter no row passes (two columns whose metadata cannot
+/// tell), and a sorted delta column's row range that starts mid-batch; 12 345
+/// rows in segments of 5 003 (neither a multiple of 16); on the default batch
+/// grid and on 1 001-row batches, whose starts leave the byte grid at every
+/// odd width; adaptive and forced In-Register + special group, at every tier,
+/// serial and on two workers. Rows equal the reference byte for byte.
+#[test]
+fn one_group_packed_sums_match_reference() {
+    const WIDTHS: [u8; 8] = [1, 8, 9, 10, 16, 17, 25, 32];
+    const ROWS: usize = 12_345;
+    let hinted = |name: String, hint| ColumnSpec::new(name, LogicalType::I64).with_hint(hint);
+    let mut specs = vec![
+        hinted("code".into(), EncodingHint::Dict),
+        hinted("ts".into(), EncodingHint::Delta),
+        hinted("p".into(), EncodingHint::BitPack),
+        hinted("q".into(), EncodingHint::BitPack),
+    ];
+    specs.extend(WIDTHS.map(|b| hinted(format!("v{b}"), EncodingHint::BitPack)));
+    let mut b = TableBuilder::with_segment_rows(specs, 5003);
+    let (mut ts, mut ts_at) = (1_000i64, Vec::with_capacity(ROWS));
+    for i in 0..ROWS as u64 {
+        let hash = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ts += 1 + (hash >> 61) as i64;
+        ts_at.push(ts);
+        let p = (i * 7919 % 100) as i64;
+        let mut row = [(hash >> 40) as i64 % 100 * 13 + 3, ts, p, 99 - p].map(Value::I64).to_vec();
+        for bits in WIDTHS {
+            let mask = (1u64 << bits) - 1;
+            // The first two rows pin the width: 0 and the largest value.
+            let v = match i {
+                0 => 0,
+                1 => mask,
+                _ => (hash >> 7) & mask,
+            };
+            row.push(Value::I64(v as i64 - 1000));
+        }
+        b.push_row(row);
+    }
+    let t = b.finish();
+    let code = |k: i64| Value::I64(k * 13 + 3);
+    let filters: [(&str, Option<Predicate>); 4] = [
+        ("no filter", None),
+        (
+            "dictionary 60 %",
+            Some(Predicate::and(vec![
+                Predicate::ge("code", code(20)),
+                Predicate::le("code", code(80)),
+                Predicate::ne("code", code(50)),
+            ])),
+        ),
+        (
+            "0 %",
+            Some(Predicate::and(vec![
+                Predicate::lt("p", Value::I64(50)),
+                Predicate::lt("q", Value::I64(50)),
+            ])),
+        ),
+        (
+            "row range",
+            Some(Predicate::between("ts", Value::I64(ts_at[2500]), Value::I64(ts_at[9000]))),
+        ),
+    ];
+    let mut options = Vec::new();
+    for level in SimdLevel::available() {
+        for batch_rows in [QueryOptions::default().batch_rows, 1001] {
+            for forced in [false, true] {
+                options.push(QueryOptions {
+                    level,
+                    batch_rows,
+                    threads: Some(1 + forced as usize),
+                    forced_agg: forced.then_some(AggStrategy::InRegister),
+                    forced_selection: forced.then_some(SelectionStrategy::SpecialGroup),
+                    ..Default::default()
+                });
+            }
+        }
+    }
+    for bits in WIDTHS {
+        for (flabel, filter) in &filters {
+            let mut q = QueryBuilder::new()
+                .aggregate(AggExpr::count_star())
+                .aggregate(AggExpr::sum(format!("v{bits}")));
+            if let Some(f) = filter {
+                q = q.filter(f.clone());
+            }
+            let q = q.build();
+            let oracle = execute_reference(&t, &q).unwrap();
+            for opts in &options {
+                let label = format!(
+                    "v{bits} {flabel} batch_rows={} level={} forced={:?}",
+                    opts.batch_rows, opts.level, opts.forced_agg
+                );
+                let r = execute(&t, &Query { options: opts.clone(), ..q.clone() }).unwrap();
+                assert_eq!(r.rows, oracle.rows, "{label}");
+                let stats = &r.stats;
+                assert_eq!(
+                    stats.agg_count(AggStrategy::InRegister),
+                    stats.segments_scanned,
+                    "{label}"
+                );
+            }
+        }
+    }
 }
