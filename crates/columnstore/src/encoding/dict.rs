@@ -114,9 +114,10 @@ impl<K: Key> Interner<K> {
 
     /// The sorted dictionary, and `ids` packed as codes: a key's code is
     /// its rank, so codes preserve value order whatever the arrival order.
-    /// Only the distinct keys are sorted.
-    pub(crate) fn finish(self, ids: &[u32]) -> (Vec<K>, PackedVec) {
-        let mut by_key: Vec<(K, u32)> = self.keys.into_iter().zip(0..).collect();
+    /// Only the distinct keys are cloned and sorted, so the interner can go
+    /// on taking keys afterwards.
+    pub(crate) fn finish(&self, ids: &[u32]) -> (Vec<K>, PackedVec) {
+        let mut by_key: Vec<(K, u32)> = self.keys.iter().cloned().zip(0..).collect();
         by_key.sort_unstable();
         let mut code_of = vec![0u64; by_key.len()];
         for (code, &(_, id)) in by_key.iter().enumerate() {
@@ -189,7 +190,7 @@ impl StrDictColumn {
 
     /// Encode a column that was interned as it arrived: `ids` are the rows'
     /// provisional ids in `strings`.
-    pub(crate) fn from_interned(strings: Interner<Arc<str>>, ids: &[u32]) -> StrDictColumn {
+    pub(crate) fn from_interned(strings: &Interner<Arc<str>>, ids: &[u32]) -> StrDictColumn {
         let (dict, codes) = strings.finish(ids);
         StrDictColumn { dict: dict.iter().map(|s| String::from(&**s)).collect(), codes }
     }
@@ -286,7 +287,7 @@ mod tests {
             assert_eq!(strings.intern(&Arc::from(&**key)), *id);
             assert_eq!(strings.key(*id), key);
         }
-        let col = StrDictColumn::from_interned(strings, &ids);
+        let col = StrDictColumn::from_interned(&strings, &ids);
         assert!(col.dict().windows(2).all(|w| w[0] < w[1]));
         for (i, key) in keys.iter().enumerate() {
             assert_eq!(col.get(i), &**key);

@@ -14,8 +14,9 @@
 //! [`Table::flush_mutable`] (and the automatic flush every `segment_rows`)
 //! encodes those columns as they are into a new immutable [`Segment`], so
 //! a flush transposes nothing. Scans read segments with BIPie's vectorized
-//! machinery and walk the (small) mutable tail row at a time through
-//! [`Table::mutable_rows`].
+//! machinery, and read the (small) mutable tail the same way: each query
+//! encodes it through [`MutableRows::encode`] — the flush's own encoder,
+//! without draining the region — and scans the result as one more segment.
 
 use std::sync::Arc;
 
@@ -90,29 +91,24 @@ impl MutableColumn {
         }
     }
 
-    /// Store row `row`'s value in `slot`. A string slot that already holds
-    /// the row's string keeps it, which saves two refcount updates a row on
-    /// a column whose values repeat.
-    fn read(&self, ty: LogicalType, row: usize, slot: &mut Value) {
+    /// The column as the segment builder takes it, copied: integers as they
+    /// are, a string column dictionary-encoded by sorting its distinct
+    /// strings. The column itself is left as it was.
+    fn to_data(&self) -> ColumnData {
         match self {
-            MutableColumn::Ints(values) => *slot = Value::from_storage_i64(ty, values[row]),
+            MutableColumn::Ints(values) => ColumnData::Ints(values.clone()),
             MutableColumn::Strs { ids, strings } => {
-                let s = strings.key(ids[row]);
-                if !matches!(slot, Value::Str(held) if Arc::ptr_eq(held, s)) {
-                    *slot = Value::Str(Arc::clone(s));
-                }
+                ColumnData::Strs(StrDictColumn::from_interned(strings, ids))
             }
         }
     }
 
-    /// The column as the segment builder takes it: integers as they are, a
-    /// string column dictionary-encoded by sorting its distinct strings.
+    /// [`MutableColumn::to_data`], moving an integer column instead of
+    /// copying it.
     fn into_data(self) -> ColumnData {
         match self {
             MutableColumn::Ints(values) => ColumnData::Ints(values),
-            MutableColumn::Strs { ids, strings } => {
-                ColumnData::Strs(StrDictColumn::from_interned(strings, &ids))
-            }
+            strs => strs.to_data(),
         }
     }
 }
@@ -141,21 +137,19 @@ impl MutableRows<'_> {
     /// # Panics
     /// Panics if `row` or `col` is out of range.
     pub fn value(&self, row: usize, col: usize) -> Value {
-        let mut value = Value::I64(0);
-        self.columns[col].read(self.specs[col].ty, row, &mut value);
-        value
+        match &self.columns[col] {
+            MutableColumn::Ints(values) => Value::from_storage_i64(self.specs[col].ty, values[row]),
+            MutableColumn::Strs { ids, strings } => Value::Str(Arc::clone(strings.key(ids[row]))),
+        }
     }
 
-    /// Overwrite `out` with row `row`, one value per column. Reusing `out`
-    /// across rows is what makes a repeated string cost nothing.
-    ///
-    /// # Panics
-    /// Panics if `row` is out of range.
-    pub fn read_row(&self, row: usize, out: &mut Vec<Value>) {
-        out.resize(self.columns.len(), Value::I64(0));
-        for ((slot, column), spec) in out.iter_mut().zip(self.columns).zip(self.specs) {
-            column.read(spec.ty, row, slot);
-        }
+    /// The segment [`Table::flush_mutable`] would make of the region now,
+    /// built by the same encoder under the same hints, with the region left
+    /// as it is. Columns are copied one at a time, so the extra memory is
+    /// one column at most. `None` when the region holds no rows.
+    pub fn encode(&self) -> Option<Segment> {
+        let columns = self.columns.iter().map(MutableColumn::to_data);
+        (!self.is_empty()).then(|| Segment::build(columns, &hints(self.specs)))
     }
 }
 
@@ -251,11 +245,12 @@ impl Table {
             return;
         }
         let columns = std::mem::replace(&mut self.mutable, empty_region(&self.specs));
-        let hints: Vec<EncodingHint> = self.specs.iter().map(|s| s.hint).collect();
         // Lazily: each column is encoded and dropped before the next string
         // column is sorted.
-        self.segments
-            .push(Segment::build(columns.into_iter().map(MutableColumn::into_data), &hints));
+        self.segments.push(Segment::build(
+            columns.into_iter().map(MutableColumn::into_data),
+            &hints(&self.specs),
+        ));
     }
 
     fn check_row(&self, row: &[Value]) {
@@ -274,6 +269,10 @@ impl Table {
 
 fn empty_region(specs: &[ColumnSpec]) -> Vec<MutableColumn> {
     specs.iter().map(|s| MutableColumn::new(s.ty)).collect()
+}
+
+fn hints(specs: &[ColumnSpec]) -> Vec<EncodingHint> {
+    specs.iter().map(|s| s.hint).collect()
 }
 
 /// Bulk-loading builder: rows stream in, segments flush automatically, and
@@ -364,11 +363,28 @@ mod tests {
             t.insert(r.clone());
         }
         let tail = t.mutable_rows();
-        let mut out = Vec::new();
         for (i, r) in rows.iter().enumerate() {
-            tail.read_row(i, &mut out);
-            assert_eq!(&out, r);
-            assert_eq!(tail.value(i, 1), r[1]);
+            let read: Vec<Value> = (0..r.len()).map(|col| tail.value(i, col)).collect();
+            assert_eq!(&read, r);
+        }
+    }
+
+    #[test]
+    fn encode_is_the_flush_without_the_drain() {
+        let mut t = Table::with_segment_rows(specs(), 1000);
+        assert!(t.mutable_rows().encode().is_none());
+        for i in 0..40 {
+            t.insert(row(["N", "A", "R"][i % 3], i as i64 * 7 - 90));
+        }
+        let encoded = t.mutable_rows().encode().unwrap();
+        assert_eq!(t.mutable_rows().len(), 40, "the region is left as it was");
+        t.flush_mutable();
+        let flushed = &t.segments()[0];
+        assert_eq!(encoded.num_rows(), flushed.num_rows());
+        for col in 0..2 {
+            assert_eq!(encoded.meta(col), flushed.meta(col));
+            // Same encoding, same bytes: the columns print identically.
+            assert_eq!(format!("{:?}", encoded.column(col)), format!("{:?}", flushed.column(col)));
         }
     }
 

@@ -472,7 +472,7 @@ impl ResolvedExpr {
         std::mem::swap(out, &mut scratch.stack[0]);
     }
 
-    /// Single-row evaluation (mutable-region rows, oracle executor).
+    /// Single-row evaluation (the oracle executor and tests).
     pub fn eval_row(&self, value_of: &impl Fn(usize) -> i64) -> i64 {
         fn walk(n: &Node, value_of: &impl Fn(usize) -> i64) -> i64 {
             match n {

@@ -176,8 +176,7 @@ impl Predicate {
         }
     }
 
-    /// Row-level evaluation against logical values (mutable-region rows and
-    /// the oracle executor).
+    /// Row-level evaluation against logical values (the oracle executor).
     pub fn eval_row(&self, value_of: &impl Fn(&str) -> Value) -> bool {
         match self {
             Predicate::Cmp { column, op, value } => {
@@ -421,33 +420,6 @@ impl ResolvedPredicate {
     /// elimination).
     pub fn eliminates_segment(&self, seg: &Segment) -> bool {
         self.compile(seg).eliminated()
-    }
-
-    /// Row-level evaluation against one row of the mutable region, whose
-    /// values sit at the schema's column indices.
-    pub fn eval_row(&self, row: &[Value]) -> bool {
-        fn walk(node: &PNode, row: &[Value]) -> bool {
-            match node {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "`resolve` typed this column integer-like, and the table's \
-                              `check_row` typed the row against the same schema"
-                )]
-                PNode::Int { col, cmp } => {
-                    cmp.matches(row[*col].as_storage_i64().expect("integer-like by resolve"))
-                }
-                #[expect(
-                    clippy::expect_used,
-                    reason = "a string column by `resolve`, a string value by the table's \
-                              `check_row`"
-                )]
-                PNode::StrCmp { col, op, value } => {
-                    op.eval(row[*col].as_str().expect("string by resolve"), value.as_str())
-                }
-                PNode::And(nodes) => nodes.iter().all(|n| walk(n, row)),
-            }
-        }
-        walk(&self.node, row)
     }
 
     /// Evaluate the predicate over batch rows `[start, start+out.len())` of

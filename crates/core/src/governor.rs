@@ -81,8 +81,7 @@ const CAUSE_DEADLINE: u8 = 2;
 const CAUSE_MEMORY: u8 = 3;
 
 /// Per-query resource governor. Built once per query and shared by
-/// reference with every worker and the mutable-tail walk; all state is
-/// interior atomics.
+/// reference with every worker; all state is interior atomics.
 #[derive(Debug)]
 pub struct Governor {
     cancel: Option<CancelToken>,
@@ -131,8 +130,8 @@ impl Governor {
     /// branch when no limit is set, so the ungoverned path stays inside the
     /// ≤ 2% `Off` gate. A morsel claim (the scan's scheduler) and a batch
     /// window ([`GovernedBatches::next`]) reach it as part of being handed
-    /// out; the other sites — scan admission, each planned segment, each
-    /// chunk of the mutable tail — call it directly.
+    /// out; the other sites — scan admission and each planned segment —
+    /// call it directly.
     #[inline]
     pub(crate) fn checkpoint(&self, stats: &mut ExecStats) -> Result<()> {
         if !self.active {

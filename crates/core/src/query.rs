@@ -10,21 +10,20 @@
 //!
 //! with optional filters and aggregates, one or more group-by columns, and
 //! sums over arbitrary arithmetic expressions. [`QueryBuilder`] assembles a
-//! [`Query`]; [`execute`] runs it against a [`Table`], scanning immutable
-//! segments with the vectorized engine and the (small) mutable region
-//! row-at-a-time. Results are ordered by the group-by key.
+//! [`Query`]; [`execute`] runs it against a [`Table`], scanning its
+//! segments with the vectorized engine — the (small) mutable region as one
+//! more segment, encoded for the query. Results are ordered by the
+//! group-by key.
 
-use std::collections::BTreeMap;
-
-use bipie_columnstore::{LogicalType, MutableRows, Table, Value};
+use bipie_columnstore::{LogicalType, Table, Value};
 
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
 use crate::filter::Predicate;
-use crate::scan::{scan_governed, GroupAcc, ScanCtx, ScanOptions};
+use crate::scan::{scan_table, GroupAcc, ScanOptions};
 use crate::stats::ExecStats;
 use crate::telemetry::{published, telemetry};
-use crate::trace::{Phase, QueryProfile, SpanLoc, Tracer};
+use crate::trace::QueryProfile;
 
 /// An aggregate in the SELECT list.
 #[derive(Debug, Clone, PartialEq)]
@@ -312,30 +311,8 @@ pub(crate) fn run(table: &Table, query: &Query) -> Result<QueryResult> {
     let sum_exprs = resolved;
     let filter = query.filter.as_ref().map(|f| f.resolve(table)).transpose()?;
 
-    // One governor for the segments and the tail.
-    let governor = query.options.governor();
-    let ctx = ScanCtx {
-        filter: filter.as_ref(),
-        group_cols: &group_cols,
-        sum_exprs: &sum_exprs,
-        mm_exprs: &mm_exprs,
-        options: &query.options,
-        governor: &governor,
-    };
-    let (mut merged, mut stats, mut profile) = scan_governed(table, &ctx)?;
-
-    // The mutable region is processed row-at-a-time (§2.1: it is a small,
-    // uncompressed fraction of recent rows), by one more worker record. Its
-    // span covers a zero-row tail too, and its counters are merged before
-    // the walk's error propagates.
-    let mut tail = Tracer::new(query.options.profile, 0);
-    let walked = tail.timed(Phase::MutableTail, SpanLoc::none(), |tail| {
-        let walked =
-            process_mutable_region(table.mutable_rows(), &ctx, &mut merged, &mut tail.stats);
-        (walked, tail.stats.mutable_rows)
-    });
-    stats.merge(&profile.absorb(tail));
-    walked?;
+    let (merged, stats, profile) =
+        scan_table(table, filter.as_ref(), &group_cols, &sum_exprs, &mm_exprs, &query.options)?;
 
     let rows = merged
         .into_iter()
@@ -375,62 +352,6 @@ fn check_expr_types(table: &Table, expr: &Expr) -> Result<()> {
                 column: name.to_string(),
                 detail: "cannot aggregate a string column".into(),
             });
-        }
-    }
-    Ok(())
-}
-
-/// Rows of the mutable region between two governor checkpoints.
-const TAIL_CHECKPOINT_ROWS: usize = 1024;
-
-/// The row-at-a-time walk of the mutable region. It evaluates what the plan
-/// already resolved — predicate and expressions read the row by column
-/// index — under the query's governor.
-fn process_mutable_region(
-    rows: MutableRows<'_>,
-    ctx: &ScanCtx<'_>,
-    merged: &mut BTreeMap<Vec<Value>, GroupAcc>,
-    stats: &mut ExecStats,
-) -> Result<()> {
-    let ScanCtx { filter, group_cols, sum_exprs, mm_exprs, governor, .. } = *ctx;
-    // Reused for every row: a group already present costs no allocation,
-    // and each row is read out of the region's columns into one buffer.
-    let mut key: Vec<Value> = Vec::with_capacity(group_cols.len());
-    let mut row: Vec<Value> = Vec::new();
-    for start in (0..rows.len()).step_by(TAIL_CHECKPOINT_ROWS) {
-        let chunk = start..rows.len().min(start + TAIL_CHECKPOINT_ROWS);
-        governor.checkpoint(stats)?;
-        stats.mutable_rows += chunk.len();
-        for r in chunk {
-            rows.read_row(r, &mut row);
-            if filter.is_some_and(|f| !f.eval_row(&row)) {
-                continue;
-            }
-            key.clear();
-            key.extend(group_cols.iter().map(|&(idx, _)| row[idx].clone()));
-            let acc = match merged.get_mut(key.as_slice()) {
-                Some(acc) => acc,
-                None => merged.entry(key.clone()).or_insert_with(|| GroupAcc {
-                    count: 0,
-                    sums: vec![0; sum_exprs.len()],
-                    mins: vec![i64::MAX; mm_exprs.len()],
-                    maxs: vec![i64::MIN; mm_exprs.len()],
-                }),
-            };
-            acc.count += 1;
-            #[expect(
-                clippy::expect_used,
-                reason = "aggregate inputs are integer-like per plan validation"
-            )]
-            let value_of = |idx: usize| row[idx].as_storage_i64().expect("integer-like");
-            for (s, e) in acc.sums.iter_mut().zip(sum_exprs) {
-                *s += e.eval_row(&value_of);
-            }
-            for (j, e) in mm_exprs.iter().enumerate() {
-                let v = e.eval_row(&value_of);
-                acc.mins[j] = acc.mins[j].min(v);
-                acc.maxs[j] = acc.maxs[j].max(v);
-            }
         }
     }
     Ok(())

@@ -199,9 +199,10 @@ const PARALLEL_MERGE_MIN_GROUPS: usize = 128;
 /// Merged per-group totals, ordered by group-by key values.
 type GroupMap = BTreeMap<Vec<Value>, GroupAcc>;
 
-/// Scan every segment of `table`, returning merged per-group totals keyed
-/// by the group-by values, plus execution stats and the (possibly empty)
-/// query profile.
+/// Scan every segment of `table` and its mutable region, returning merged
+/// per-group totals keyed by the group-by values, plus execution stats and
+/// the (possibly empty) query profile. One governor, built here at scan
+/// admission, governs both.
 pub fn scan_table(
     table: &Table,
     filter: Option<&ResolvedPredicate>,
@@ -213,21 +214,10 @@ pub fn scan_table(
     options.validate()?;
     let governor = options.governor();
     let ctx = ScanCtx { filter, group_cols, sum_exprs, mm_exprs, options, governor: &governor };
-    scan_governed(table, &ctx)
-}
-
-/// [`scan_table`] under a governor the caller owns, so the same deadline
-/// clock, cancel token and budget govern whatever the caller runs after the
-/// segments (the mutable tail).
-pub(crate) fn scan_governed(
-    table: &Table,
-    ctx: &ScanCtx<'_>,
-) -> Result<(GroupMap, ExecStats, QueryProfile)> {
-    let ScanCtx { options, governor, .. } = *ctx;
     let mut profile = QueryProfile::new(options.profile);
     // The coordinator's record: the query-level stats every worker's record
     // merges into, and the spans of the phases that run on the calling
-    // thread (admission planning, the phase-2 merge).
+    // thread (the tail's encode, admission planning, the phase-2 merge).
     let mut coord = Tracer::new(options.profile, 0);
 
     // A query launched with an already-cancelled token fails before any
@@ -237,20 +227,33 @@ pub(crate) fn scan_governed(
     let workers =
         if options.parallel { options.threads.unwrap_or_else(hardware_threads) } else { 1 };
 
+    // The mutable region (§2.1: a small fraction of recent rows) is encoded
+    // as a flush would encode it now and scanned as one more segment, with
+    // the table ordinal after the last immutable one. It is the query's own
+    // copy, so its bytes count against the memory budget.
+    let tail = coord.timed(Phase::MutableTail, SpanLoc::none(), |coord| {
+        let rows = table.mutable_rows();
+        coord.stats.mutable_rows = rows.len();
+        (rows.encode(), rows.len())
+    });
+    if let Some(seg) = &tail {
+        MemScope::default().charge(&governor, seg.encoded_bytes())?;
+    }
+
     // Admission planning runs once per segment, serially: metadata
     // (elimination, overflow proofs, mapper viability) plus at most one
     // sampled batch of the filter, and it lets errors surface
     // deterministically before any worker starts. The table segment ordinal
     // rides along as the id trace events carry.
     let planned = coord.timed(Phase::Plan, SpanLoc::none(), |coord| {
-        let planned = plan_segments(table, ctx, workers, coord);
+        let planned = plan_segments(table.segments().iter().chain(&tail), &ctx, workers, coord);
         (planned, coord.stats.rows_scanned)
     })?;
 
     let merged = if planned.is_empty() {
         BTreeMap::new()
     } else {
-        scan_workers(&planned, workers, ctx, &mut coord, &mut profile)?
+        scan_workers(&planned, workers, &ctx, &mut coord, &mut profile)?
     };
     coord.stats.mem_reserved_peak = governor.peak_reserved();
     let stats = profile.absorb(coord);
@@ -318,12 +321,12 @@ struct RunWisePlan<'t> {
     runs_fraction: f64,
 }
 
-/// Admission planning for [`scan_table`]: walk the segments once, compiling
-/// the filter against each, skipping empty and filter-eliminated ones,
-/// proving overflow/min-max safety, and planning each admitted segment's
-/// sink ([`plan_sink`]).
+/// Admission planning for [`scan_table`]: walk the segments once, in table
+/// order, compiling the filter against each, skipping empty and
+/// filter-eliminated ones, proving overflow/min-max safety, and planning
+/// each admitted segment's sink ([`plan_sink`]).
 fn plan_segments<'t>(
-    table: &'t Table,
+    segments: impl Iterator<Item = &'t Segment>,
     ctx: &ScanCtx<'_>,
     workers: usize,
     coord: &mut Tracer,
@@ -334,7 +337,7 @@ fn plan_segments<'t>(
     // until the workers start, so one reading serves every segment.
     let headroom = governor.remaining().map(|bytes| bytes / workers);
     let mut planned: Vec<PlannedSegment<'t>> = Vec::new();
-    for (seg_index, seg) in table.segments().iter().enumerate() {
+    for (seg_index, seg) in segments.enumerate() {
         if seg.num_rows() == 0 || seg.live_rows() == 0 {
             continue;
         }
@@ -539,15 +542,15 @@ fn estimate_selectivity(
 }
 
 /// The resolved plan of one query and the governor it runs under: everything
-/// a worker needs to scan a segment, and the mutable-tail walk to scan a row.
+/// a worker needs to scan a segment.
 #[derive(Clone, Copy)]
-pub(crate) struct ScanCtx<'a> {
-    pub(crate) filter: Option<&'a ResolvedPredicate>,
-    pub(crate) group_cols: &'a [(usize, LogicalType)],
-    pub(crate) sum_exprs: &'a [ResolvedExpr],
-    pub(crate) mm_exprs: &'a [ResolvedExpr],
-    pub(crate) options: &'a ScanOptions,
-    pub(crate) governor: &'a Governor,
+struct ScanCtx<'a> {
+    filter: Option<&'a ResolvedPredicate>,
+    group_cols: &'a [(usize, LogicalType)],
+    sum_exprs: &'a [ResolvedExpr],
+    mm_exprs: &'a [ResolvedExpr],
+    options: &'a ScanOptions,
+    governor: &'a Governor,
 }
 
 /// What one worker leaves behind at the join: its record (counters and
@@ -1692,7 +1695,7 @@ mod tests {
             governor: &governor,
         };
         let mut coord = Tracer::new(ProfileLevel::Off, 0);
-        let segs = plan_segments(&t, &ctx, 4, &mut coord).unwrap();
+        let segs = plan_segments(t.segments().iter(), &ctx, 4, &mut coord).unwrap();
         let sched = MorselScheduler::new(&segs, 64, &governor);
         let mut claimed_rows = 0usize;
         let mut steals = 0usize;
@@ -1724,7 +1727,7 @@ mod tests {
             governor: &governor,
         };
         let mut coord = Tracer::new(ProfileLevel::Off, 0);
-        let planned = plan_segments(&t, &ctx, 1, &mut coord).unwrap();
+        let planned = plan_segments(t.segments().iter(), &ctx, 1, &mut coord).unwrap();
         assert_eq!(planned.len(), 4);
         assert_eq!(coord.stats.segments_scanned, 4);
         assert_eq!(coord.stats.rows_scanned, 1000);
@@ -1740,7 +1743,7 @@ mod tests {
         let t2 = b.finish();
         let sq = Expr::col("v").mul(Expr::col("v")).resolve(&|n| t2.column_index(n)).unwrap();
         let ctx2 = ScanCtx { group_cols: &[], sum_exprs: std::slice::from_ref(&sq), ..ctx };
-        let err = plan_segments(&t2, &ctx2, 1, &mut coord).unwrap_err();
+        let err = plan_segments(t2.segments().iter(), &ctx2, 1, &mut coord).unwrap_err();
         assert!(matches!(err, EngineError::PotentialOverflow { aggregate: 0 }), "{err:?}");
     }
 
@@ -1763,7 +1766,7 @@ mod tests {
             governor: &governor,
         };
         let mut coord = Tracer::new(ProfileLevel::Off, 0);
-        let planned = plan_segments(&t, &ctx, 1, &mut coord).unwrap();
+        let planned = plan_segments(t.segments().iter(), &ctx, 1, &mut coord).unwrap();
         // Planning has its own checkpoint; trip the governor after it.
         token.cancel();
         let mut tracer = Tracer::new(ProfileLevel::Spans, 0);

@@ -46,7 +46,8 @@ pub struct ExecStats {
     /// Encoded bytes of scanned segments (the compressed footprint the
     /// scan actually read, not the decoded width). Additive.
     pub bytes_scanned: usize,
-    /// Rows from the mutable region processed row-at-a-time. Additive.
+    /// Rows of the mutable region, scanned as the query's tail segment.
+    /// Additive.
     pub mutable_rows: usize,
     /// Batches per selection strategy, indexed by [`SelectionStrategy`].
     /// Additive.

@@ -88,7 +88,9 @@ pub enum Phase {
     Aggregation = 4,
     /// One batch through the wide-group (u32 group id) scalar fallback.
     WideGroup = 5,
-    /// The row-at-a-time mutable-region pass.
+    /// Encoding the mutable region into the query's tail segment, on the
+    /// coordinator before planning; its rows are the region's rows. The
+    /// tail is then planned and scanned like any other segment.
     MutableTail = 6,
     /// Phase-2 reduction of per-worker hash partitions.
     ParallelMerge = 7,
@@ -682,9 +684,8 @@ impl QueryProfile {
 
     /// Fold one worker's finished tracer into the profile and hand back its
     /// counters for the caller to merge. Tracers that recorded no span
-    /// (profiling off, or e.g. a mutable-tail tracer on a table with no
-    /// mutable rows) contribute nothing, so `workers` counts real
-    /// contributors.
+    /// (profiling off, or e.g. a worker that claimed no morsel) contribute
+    /// nothing, so `workers` counts real contributors.
     pub fn absorb(&mut self, tracer: Tracer) -> ExecStats {
         let recorded = tracer.enabled()
             && (!tracer.events.is_empty()

@@ -151,13 +151,14 @@ fn every_forced_combination_equals_reference() {
     });
 }
 
-/// The row-at-a-time tail against the oracle's own walk: a table that is
-/// only tail, and one whose tail is longer than a batch and introduces
-/// groups no segment holds. The tail's group column holds 23 distinct
-/// strings, more than the 16 its interner finds by comparison before it
-/// hashes. The query carries what the tail evaluates from the resolved
-/// plan: a string equality and an integer BETWEEN, MIN/MAX, and Q1's shared
-/// sub-expression (`charge` reusing `disc_price`).
+/// The tail, scanned as the segment a query encodes it into, against the
+/// oracle's own row walk: a table that is only tail, and one whose tail is
+/// longer than a batch and introduces groups no segment holds. The tail's
+/// group column holds 23 distinct strings, more than the 16 its interner
+/// finds by comparison before it hashes. The query carries what the tail's
+/// segment program compiles from the resolved plan: a string equality and
+/// an integer BETWEEN, MIN/MAX, and Q1's shared sub-expression (`charge`
+/// reusing `disc_price`).
 #[test]
 fn mutable_tail_equals_reference() {
     let specs = || {

@@ -6,7 +6,7 @@
 
 #![expect(clippy::disallowed_methods, reason = "a canceller thread races a running scan")]
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bipie::columnstore::{ColumnSpec, LogicalType, Table, Value};
 use bipie::core::{
@@ -90,19 +90,25 @@ fn pre_cancelled_query_fails_at_the_first_checkpoint() {
 
 #[test]
 fn mid_scan_cancellation_unwinds_and_the_pool_survives() {
-    // Large enough that the scan runs for orders of magnitude longer than
-    // the canceller's delay, in debug and release alike.
     let t = table(&[1 << 21], 9);
+    // The cancel must land mid-scan, so it is timed off an uncancelled run
+    // of the same query: a fixed delay can outlast a fast scan. A sleeping
+    // canceller can also wake ~10 ms late while four workers share two
+    // cores, so 16-row batch windows stretch the scan to tens of ms.
+    let slow = QueryOptions { batch_rows: 16, morsel_rows: 16, ..parallel(4) };
+    let started = Instant::now();
+    execute(&t, &the_query(slow.clone())).unwrap();
+    let uncancelled = started.elapsed();
+    assert!(uncancelled >= Duration::from_millis(1), "the scan must outlast its canceller");
     let token = CancelToken::new();
     let canceller = {
         let token = token.clone();
         std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_micros(200));
+            std::thread::sleep(uncancelled / 10);
             token.cancel();
         })
     };
-    let err =
-        execute(&t, &the_query(QueryOptions { cancel: Some(token), ..parallel(4) })).unwrap_err();
+    let err = execute(&t, &the_query(QueryOptions { cancel: Some(token), ..slow })).unwrap_err();
     canceller.join().unwrap();
     assert!(matches!(err, EngineError::Cancelled), "{err:?}");
 
@@ -136,19 +142,33 @@ fn the_mutable_tail_runs_under_the_governor() {
         execute(&t, &the_query(QueryOptions { cancel: Some(token), ..serial() })).unwrap_err();
     assert!(matches!(err, EngineError::Cancelled), "{err:?}");
 
-    // 1 ns has expired at admission; 200 µs expires inside the walk (which
-    // takes tens of milliseconds), where only the tail's own poll can see it.
+    // 1 ns has expired at admission; 200 µs expires while the tail is
+    // encoded or scanned (milliseconds), where the plan checkpoint or a
+    // batch window sees it.
     for budget in [Duration::from_nanos(1), Duration::from_micros(200)] {
         let opts = QueryOptions { time_budget: Some(budget), ..serial() };
         let err = execute(&t, &the_query(opts)).unwrap_err();
         assert!(matches!(err, EngineError::DeadlineExceeded), "{budget:?}: {err:?}");
     }
 
-    // A live token is polled once at admission and once per 1 024 tail rows.
-    let opts = QueryOptions { cancel: Some(CancelToken::new()), ..serial() };
-    let governed = execute(&t, &the_query(opts)).unwrap();
-    assert_eq!(governed.stats.governor_checks, 1 + 300_000usize.div_ceil(1024));
+    // The query's copy of the tail counts against the memory budget.
+    for opts in [serial(), parallel(4)] {
+        let opts = QueryOptions { mem_budget: Some(1 << 10), ..opts };
+        let err = execute(&t, &the_query(opts)).unwrap_err();
+        assert!(matches!(err, EngineError::MemoryBudgetExceeded { budget: 1024, .. }), "{err:?}");
+    }
+
+    // The tail is one more segment: a live token is polled exactly as often
+    // as over the same rows flushed.
+    let live = || QueryOptions { cancel: Some(CancelToken::new()), ..serial() };
+    let governed = execute(&t, &the_query(live())).unwrap();
     assert_eq!(governed.stats.mutable_rows, 300_000);
+    let mut flushed = tail_only_table(300_000);
+    flushed.flush_mutable();
+    let flushed = execute(&flushed, &the_query(live())).unwrap();
+    assert_eq!(flushed.stats.mutable_rows, 0);
+    assert_eq!(governed.stats.governor_checks, flushed.stats.governor_checks);
+    assert_eq!(governed.rows, flushed.rows);
 
     // Nothing is left tripped: ungoverned runs agree, on the pool and off it.
     let par = execute(&t, &the_query(parallel(4))).unwrap();

@@ -94,13 +94,12 @@ fn assert_equivalent(
     label: &str,
 ) -> bipie::core::ExecStats {
     let reference = execute_reference(table, &the_query(threshold, serial_options())).unwrap();
-    // Segments the filter's metadata cannot eliminate, and the morsels
-    // (whole batch windows) they decompose into.
-    let scanned: Vec<_> = table
-        .segments()
-        .iter()
-        .filter(|s| s.live_rows() > 0 && s.meta(1).max >= threshold)
-        .collect();
+    // Segments the filter's metadata cannot eliminate, the mutable tail
+    // encoded as a query encodes it among them, and the morsels (whole
+    // batch windows) they decompose into.
+    let tail = table.mutable_rows().encode();
+    let live: Vec<_> = table.segments().iter().chain(&tail).filter(|s| s.live_rows() > 0).collect();
+    let scanned: Vec<_> = live.iter().filter(|s| s.meta(1).max >= threshold).collect();
     let morsel = morsel_rows.div_ceil(batch_rows) * batch_rows;
     let morsels: usize = scanned.iter().map(|s| s.num_rows().div_ceil(morsel)).sum();
 
@@ -118,6 +117,7 @@ fn assert_equivalent(
         assert_eq!(r.group_columns, reference.group_columns, "{label}");
         let stats = r.stats;
         assert_eq!(stats.segments_scanned, scanned.len(), "{label}");
+        assert_eq!(stats.segments_eliminated, live.len() - scanned.len(), "{label}");
         assert_eq!(stats.morsels_scanned, morsels, "{label}: {stats:?}");
         // When every segment was eliminated by metadata no region runs and
         // the worker count legitimately stays zero.
@@ -195,6 +195,17 @@ fn mutable_tail_rows_agree() {
     assert!(!t.mutable_rows().is_empty());
     let stats = assert_equivalent(&t, -5000, 4, 512, 256, "mutable tail");
     assert_eq!(stats.mutable_rows, 40);
+}
+
+#[test]
+fn a_tail_the_filter_eliminates_is_counted_eliminated() {
+    let mut t = skewed_table(&[3_000, 1_000], 7, 37);
+    for i in 0..50i64 {
+        t.insert(vec![Value::I64(i % 7), Value::I64(-9_000 - i), Value::I64(i)]);
+    }
+    let stats = assert_equivalent(&t, -5000, 4, 512, 256, "eliminated tail");
+    assert_eq!(stats.mutable_rows, 50);
+    assert_eq!((stats.segments_scanned, stats.segments_eliminated), (2, 1), "{stats:?}");
 }
 
 #[test]
@@ -480,7 +491,7 @@ fn worker_side_failures_are_the_same_typed_error_at_one_and_four_workers() {
     }
 }
 
-/// The `MutableTail` span is one scope around the tail walk, so a
+/// The `MutableTail` span is one scope around the tail's encode, so a
 /// fully-flushed table (zero mutable rows) still records exactly one tail
 /// span.
 #[test]

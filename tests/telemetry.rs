@@ -150,7 +150,8 @@ fn agg_decision(segment: u32, groups: u32, chosen: AggStrategy, forced: bool) ->
 /// steals a morsel of segment 0), a forced aggregation decision, two
 /// selection strategies inside segment 0, a wide-group segment, and a
 /// mutable tail. The events arrive as the scan absorbs them: worker-major,
-/// the coordinator (aggregation decisions, plan span, merge) last.
+/// the coordinator (tail encode, aggregation decisions, plan span, merge)
+/// last.
 #[test]
 fn explain_golden_from_synthetic_profile() {
     use bipie::core::{ExecStats, PhaseTotals, WorkerRing};
@@ -195,7 +196,7 @@ fn explain_golden_from_synthetic_profile() {
             span(Phase::SegmentScan, worker, loc.with_stolen(stolen), 4096, at - 10, scan_cycles),
         ]);
     }
-    // The mutable tail's tracer, then the coordinator.
+    // The coordinator's record, the tail's encode first.
     events.push(span(Phase::MutableTail, 0, SpanLoc::none(), 77, 14_000, 900));
     events.push(agg_decision(0, 5, MultiAggregate, true));
     events.push(agg_decision(1, 70_000, Scalar, false));

@@ -3,9 +3,9 @@
 //! rejection, and error surfaces of the public API.
 
 use bipie::columnstore::encoding::EncodingHint;
-use bipie::columnstore::{ColumnSpec, LogicalType, TableBuilder, Value};
+use bipie::columnstore::{ColumnSpec, LogicalType, Table, TableBuilder, Value};
 use bipie::core::reference::execute_reference;
-use bipie::core::{execute, AggExpr, EngineError, Expr, Predicate, QueryBuilder};
+use bipie::core::{execute, AggExpr, EngineError, Expr, Predicate, QueryBuilder, QueryOptions};
 
 fn wide_table(distinct: i64, rows: i64) -> bipie::columnstore::Table {
     let mut b = TableBuilder::with_segment_rows(
@@ -91,6 +91,40 @@ fn sum_overflow_rejected_min_max_allowed() {
         .aggregate(AggExpr::max_expr(Expr::col("v").mul(Expr::col("v"))))
         .build();
     assert!(matches!(execute(&t, &q), Err(EngineError::PotentialOverflow { .. })));
+}
+
+/// Rows in the mutable region get the segments' overflow proofs: three
+/// values of `i64::MAX / 2` fail a `SUM` and an out-of-range `MAX`
+/// expression with the same typed error whether they sit in the tail or
+/// were flushed, serially and on four workers. (The engine is compared
+/// with itself: the reference's own row sum overflows too.)
+#[test]
+fn tail_overflow_is_the_same_typed_error_as_flushed() {
+    let mut tail = Table::with_segment_rows(vec![ColumnSpec::new("v", LogicalType::I64)], 1000);
+    for _ in 0..3 {
+        tail.insert(vec![Value::I64(i64::MAX / 2)]);
+    }
+    assert!(tail.segments().is_empty());
+    let mut flushed = Table::with_segment_rows(tail.specs().to_vec(), 1000);
+    for _ in 0..3 {
+        flushed.insert(vec![Value::I64(i64::MAX / 2)]);
+    }
+    flushed.flush_mutable();
+    for agg in [AggExpr::sum("v"), AggExpr::max_expr(Expr::col("v").mul(Expr::lit(4)))] {
+        for options in [
+            QueryOptions { parallel: false, ..Default::default() },
+            QueryOptions { threads: Some(4), ..Default::default() },
+        ] {
+            let q = QueryBuilder::new()
+                .aggregate(AggExpr::count_star())
+                .aggregate(agg.clone())
+                .options(options)
+                .build();
+            let from_tail = execute(&tail, &q).unwrap_err();
+            assert_eq!(from_tail, EngineError::PotentialOverflow { aggregate: 0 });
+            assert_eq!(from_tail, execute(&flushed, &q).unwrap_err());
+        }
+    }
 }
 
 #[test]
