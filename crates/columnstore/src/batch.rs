@@ -5,12 +5,7 @@
 //! batch before moving to the next one and we never revisit previous
 //! batches." (The MonetDB/X100 processing model.)
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "the morsel cursor's claim counter is shared by every worker"
-)]
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+use bipie_toolbox::sync;
 
 /// Maximum rows per batch window.
 pub const BATCH_ROWS: usize = 4096;
@@ -75,17 +70,16 @@ impl ExactSizeIterator for BatchCursor {}
 ///
 /// Parallel scans decompose a segment into *morsels* — fixed-size,
 /// batch-aligned row ranges — and workers claim them with a lock-free
-/// compare-and-swap on the shared cursor. Claiming only needs atomicity,
-/// not ordering: the segment data a claim grants access to is immutable,
-/// and the scan results a worker produces are published to the coordinating
-/// thread by the worker pool's own (acquire/release) join protocol, so
-/// `Relaxed` suffices here (see DESIGN.md §8).
+/// compare-and-swap on the shared cursor, a relaxed claim counter
+/// ([`bipie_toolbox::sync`]): the segment data a claim grants access to is
+/// immutable, and the worker pool's join publishes the results (DESIGN.md
+/// §8).
 #[derive(Debug)]
 pub struct MorselCursor {
     /// End (exclusive) of the claimable rows.
     num_rows: usize,
     morsel_rows: usize,
-    next: AtomicUsize,
+    next: sync::Usize,
 }
 
 impl MorselCursor {
@@ -100,26 +94,20 @@ impl MorselCursor {
     pub fn with_range(start: usize, end: usize, morsel_rows: usize) -> MorselCursor {
         assert!(morsel_rows > 0, "morsel size must be positive");
         assert!(start <= end, "row range [{start}, {end}) is reversed");
-        MorselCursor { num_rows: end, morsel_rows, next: AtomicUsize::new(start) }
+        MorselCursor { num_rows: end, morsel_rows, next: sync::Usize::new(start) }
     }
 
     /// Claim the next unclaimed morsel, or `None` when the segment is
     /// exhausted. Safe to call from any number of threads; every row is
     /// handed out exactly once.
     pub fn claim(&self) -> Option<Batch> {
-        // ORDERING: Relaxed — a stale read only costs one wasted CAS
-        // attempt; the CAS below is what decides ownership.
-        let mut cur = self.next.load(Ordering::Relaxed);
+        let mut cur = self.next.load();
         loop {
             if cur >= self.num_rows {
                 return None;
             }
             let end = (cur + self.morsel_rows).min(self.num_rows);
-            // ORDERING: Relaxed — the counter is the only shared state;
-            // claiming a range publishes nothing (segment data is
-            // immutable and was published when workers were handed the
-            // scan), so success needs no Acquire/Release pairing.
-            match self.next.compare_exchange_weak(cur, end, Ordering::Relaxed, Ordering::Relaxed) {
+            match self.next.compare_exchange_weak(cur, end) {
                 Ok(_) => return Some(Batch { start: cur, len: end - cur }),
                 Err(actual) => cur = actual,
             }
@@ -136,9 +124,7 @@ impl MorselCursor {
 
     /// Rows not yet claimed (a racy snapshot; exact once workers quiesce).
     pub fn remaining(&self) -> usize {
-        // ORDERING: Relaxed — documented as a racy snapshot; callers only
-        // use it for progress reporting, never for synchronization.
-        self.num_rows.saturating_sub(self.next.load(Ordering::Relaxed))
+        self.num_rows.saturating_sub(self.next.load())
     }
 
     /// Whether every morsel has been claimed (racy snapshot).
@@ -153,11 +139,7 @@ impl MorselCursor {
     /// without any per-row signalling. Idempotent; a claim racing the close
     /// may still win its morsel (cooperative, not preemptive).
     pub fn close(&self) {
-        // ORDERING: Relaxed — cooperative stop, not a publication: workers
-        // observe the closed cursor at their next claim (or later; the doc
-        // allows a racing claim to win), so no happens-before edge is
-        // required and none is promised.
-        self.next.store(self.num_rows, Ordering::Relaxed);
+        self.next.store(self.num_rows);
     }
 }
 

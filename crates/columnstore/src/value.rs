@@ -153,7 +153,6 @@ impl Ord for Value {
     /// Total order: within a type, natural order; across types (which never
     /// happens for values of one column), a fixed type rank.
     fn cmp(&self, other: &Value) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
         fn rank(v: &Value) -> u8 {
             match v {
                 Value::I64(_) => 0,
@@ -167,7 +166,7 @@ impl Ord for Value {
             (Value::Date(a), Value::Date(b)) => a.cmp(b),
             (Value::Decimal(a), Value::Decimal(b)) => a.cmp(b),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            _ => rank(self).cmp(&rank(other)).then(Ordering::Equal),
+            _ => rank(self).cmp(&rank(other)),
         }
     }
 }

@@ -38,22 +38,19 @@
 //! executed through a contended `Engine` returns exactly the rows of the
 //! same query executed alone (pinned by the `engine_serving` suite).
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "the serving layer owns the admission turnstile's locks and counters"
-)]
-
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+#[expect(clippy::disallowed_types, reason = "the admission turnstile's locks")]
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bipie_columnstore::Table;
+use bipie_toolbox::sync::{self, lock, wait, wait_timeout};
 
 use crate::error::{AdmissionReason, EngineError, Result};
 use crate::governor::{AggregateBudget, CancelToken};
 use crate::pool::{hardware_threads, QueryTag, WorkerPool};
 use crate::query::{Query, QueryResult};
+use crate::scan::MAX_THREADS;
 use crate::telemetry::{published, telemetry};
 
 /// Admission and scheduling knobs for an [`Engine`].
@@ -134,6 +131,7 @@ pub struct EngineSnapshot {
 
 /// The process-wide serving handle: shared tables + admission control over
 /// the shared worker pool. See the module docs for the architecture.
+#[expect(clippy::disallowed_types, reason = "the admission turnstile and the table registry")]
 pub struct Engine {
     config: EngineConfig,
     // LOCK: `admission` — root of the engine's order; guards the three
@@ -150,22 +148,14 @@ pub struct Engine {
     // an `Arc`, never across admission or query execution.
     tables: Mutex<BTreeMap<String, Arc<Table>>>,
     /// Next query id for [`QueryTag`]s (id 0 is the untagged queue).
-    next_query_id: AtomicU64,
+    next_query_id: sync::U64,
     /// The machine's hardware threads, which admitted queries share.
     hardware_threads: usize,
 }
 
-/// Locks a mutex ignoring poisoning: no engine lock is ever held across
-/// user code, so a poisoned guard only means another client panicked
-/// between two consistent states.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // LOCK: generic acquisition helper — each call site documents its own
-    // guard lifetime; poisoning is ignored per the fn contract above.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl Engine {
     /// Build an engine with `config`, ready for tables and clients.
+    #[expect(clippy::disallowed_types, reason = "builds the engine's locks")]
     pub fn new(config: EngineConfig) -> Arc<Engine> {
         let aggregate = config.aggregate_mem_budget.map(AggregateBudget::new);
         Arc::new(Engine {
@@ -174,7 +164,7 @@ impl Engine {
             turnstile: Condvar::new(),
             aggregate,
             tables: Mutex::new(BTreeMap::new()),
-            next_query_id: AtomicU64::new(1),
+            next_query_id: sync::U64::new(1),
             hardware_threads: hardware_threads(),
         })
     }
@@ -253,7 +243,7 @@ impl Engine {
         while state.active > 0 {
             // LOCK: waits on `turnstile` with the `admission` guard it
             // consumes and returns; permits notify on every release.
-            state = self.turnstile.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state = wait(&self.turnstile, state);
         }
     }
 
@@ -320,7 +310,7 @@ impl Engine {
                     let (active, queued) = (state.active, state.queued);
                     drop(state);
                     telemetry().publish_engine_admission(active, queued, true);
-                    let threads = (self.hardware_threads / active).max(1);
+                    let threads = (self.hardware_threads / active).clamp(1, MAX_THREADS);
                     return Ok(AdmissionPermit { engine: self, cost, threads });
                 }
             }
@@ -349,8 +339,7 @@ impl Engine {
             };
             // LOCK: timed wait on `turnstile` with the `admission` guard it
             // consumes and returns; permits and `shutdown` notify.
-            state =
-                self.turnstile.wait_timeout(state, left).unwrap_or_else(PoisonError::into_inner).0;
+            state = wait_timeout(&self.turnstile, state, left);
         }
     }
 
@@ -389,9 +378,7 @@ impl Engine {
         // the hardware threads, so concurrent queries never fork more
         // workers than there are cores.
         query.options.threads = query.options.threads.or(Some(permit.threads));
-        // ORDERING: Relaxed — unique-id allocation; nothing is published
-        // under the id, uniqueness is all the scheduler needs.
-        let id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
+        let id = self.next_query_id.fetch_add(1);
         query.options.tag = QueryTag { query: id, weight: options.weight.max(1) };
 
         let result = crate::query::run(&table, &query);
@@ -407,7 +394,8 @@ struct AdmissionPermit<'e> {
     engine: &'e Engine,
     cost: usize,
     /// The query's share of the hardware threads: the machine's, divided
-    /// among the queries admitted at the time, this one included (≥ 1).
+    /// among the queries admitted at the time, this one included, within
+    /// `1..=MAX_THREADS`.
     threads: usize,
 }
 
@@ -527,6 +515,26 @@ mod tests {
         let mut ok = count_query();
         ok.options.mem_budget = Some(1 << 20);
         assert!(engine.execute("t", &ok).is_ok());
+    }
+
+    #[test]
+    fn oversized_thread_counts_are_refused_before_admission() {
+        // One slot, no queue, and the slot held: anything that reached
+        // admission would be shed with `QueueFull` instead.
+        let engine =
+            Engine::new(EngineConfig { max_concurrent: 1, max_queued: 0, ..Default::default() });
+        engine.register_table("t", small_table(100));
+        let _held = engine.reserve(0).expect("the one slot is free");
+        let mut q = count_query();
+        q.options.threads = Some(MAX_THREADS + 1);
+        let session = engine.session(SessionOptions::default());
+        for err in [engine.execute("t", &q).err(), session.execute("t", &q).err()] {
+            assert!(
+                matches!(err, Some(EngineError::InvalidOptions { option: "threads", .. })),
+                "{err:?}"
+            );
+        }
+        assert_eq!(engine.snapshot().queued, 0);
     }
 
     #[test]

@@ -23,17 +23,12 @@
 //! per worker, and a charge that fails after the slack over-grab retries
 //! with the exact need so a budget that genuinely fits is never refused.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "the governor owns the cancellation flag and the memory-budget counters"
-)]
-
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use bipie_columnstore::{Batch, BatchCursor};
 use bipie_metrics::Deadline;
+use bipie_toolbox::sync;
 
 use crate::error::{EngineError, Result};
 use crate::stats::ExecStats;
@@ -45,7 +40,7 @@ use crate::stats::ExecStats;
 /// [`EngineError::Cancelled`].
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
-    flag: Arc<AtomicBool>,
+    flag: Arc<sync::Bool>,
 }
 
 impl CancelToken {
@@ -56,17 +51,12 @@ impl CancelToken {
 
     /// Request cancellation. Idempotent; visible to every clone.
     pub fn cancel(&self) {
-        // ORDERING: Relaxed — a lone monotonic flag carrying no payload;
-        // workers poll it at batch boundaries, and "soon after" is the
-        // contract, not a happens-before edge.
-        self.flag.store(true, Ordering::Relaxed);
+        self.flag.store(true);
     }
 
     /// Whether cancellation has been requested on any clone.
     pub fn is_cancelled(&self) -> bool {
-        // ORDERING: Relaxed — pairs with the Relaxed store in `cancel`;
-        // the flag is the entire message, nothing is published behind it.
-        self.flag.load(Ordering::Relaxed)
+        self.flag.load()
     }
 }
 
@@ -88,13 +78,15 @@ pub struct Governor {
     deadline: Option<Deadline>,
     mem_budget: Option<usize>,
     /// Bytes currently reserved against the budget (includes worker slack).
-    reserved: AtomicUsize,
+    reserved: sync::Usize,
     /// High-water mark of `reserved`.
-    peak: AtomicUsize,
+    peak: sync::Usize,
     /// First violation cause (`CAUSE_*`); latched once, read by everyone.
-    cause: AtomicU8,
-    /// Bytes requested at the memory trip, for the error payload.
-    trip_requested: AtomicUsize,
+    cause: sync::U8,
+    /// Bytes requested at the memory trip, for the error payload. Stored
+    /// after `cause`, so a racing reader may report a zero here: a softer
+    /// message, never a different cause.
+    trip_requested: sync::Usize,
     /// Whether any limit is set. When false, a checkpoint is one branch.
     active: bool,
 }
@@ -112,10 +104,10 @@ impl Governor {
             cancel,
             deadline: time_budget.map(Deadline::after),
             mem_budget,
-            reserved: AtomicUsize::new(0),
-            peak: AtomicUsize::new(0),
-            cause: AtomicU8::new(CAUSE_NONE),
-            trip_requested: AtomicUsize::new(0),
+            reserved: sync::Usize::new(0),
+            peak: sync::Usize::new(0),
+            cause: sync::U8::new(CAUSE_NONE),
+            trip_requested: sync::Usize::new(0),
             active,
         }
     }
@@ -151,10 +143,7 @@ impl Governor {
     fn check_active(&self) -> Result<()> {
         // A sibling worker may already have tripped; report its cause so
         // every worker surfaces the same error.
-        // ORDERING: Relaxed — the cause byte is self-contained; a worker
-        // that misses it this check trips on the next one. The associated
-        // `trip_requested` value is a best-effort detail (see `trip`).
-        match self.cause.load(Ordering::Relaxed) {
+        match self.cause.load() {
             CAUSE_NONE => {}
             c => return Err(self.cause_error(c)),
         }
@@ -191,16 +180,12 @@ impl Governor {
     /// Remaining budget headroom, for the budget-aware strategy chooser.
     /// `None` when no budget is set.
     pub fn remaining(&self) -> Option<usize> {
-        // ORDERING: Relaxed — advisory headroom snapshot; admission is
-        // decided by the compare-exchange in `reserve_within`, not here.
-        self.mem_budget.map(|b| b.saturating_sub(self.reserved.load(Ordering::Relaxed)))
+        self.mem_budget.map(|b| b.saturating_sub(self.reserved.load()))
     }
 
     /// High-water mark of reserved bytes (slack chunks included).
     pub fn peak_reserved(&self) -> usize {
-        // ORDERING: Relaxed — statistics read after workers quiesce; while
-        // they run it is an approximate progress number.
-        self.peak.load(Ordering::Relaxed)
+        self.peak.load()
     }
 
     /// Move `bytes` from budget headroom to the reserved counter, or report
@@ -222,30 +207,15 @@ impl Governor {
     fn trip(&self, cause: u8, requested: usize) -> EngineError {
         // First trip wins; later trips re-report the original cause so all
         // workers unwind with one consistent error.
-        if self
-            .cause
-            // ORDERING: Relaxed — the CAS decides the winner atomically; no
-            // payload needs to be published before the cause byte becomes
-            // visible (`trip_requested` below is advisory, see next comment).
-            .compare_exchange(CAUSE_NONE, cause, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
-            // ORDERING: Relaxed — written after the CAS, so a racing reader
-            // may see the cause with a zero `requested`; that only softens
-            // the error message detail, never the cause itself. The winner
-            // reports its own exact value from the stack.
-            self.trip_requested.store(requested, Ordering::Relaxed);
+        if self.cause.compare_exchange(CAUSE_NONE, cause).is_ok() {
+            self.trip_requested.store(requested);
             return self.make_error(cause, requested);
         }
-        // ORDERING: Relaxed — the CAS failed, so the cause byte is already
-        // set and stable (it is written exactly once).
-        self.cause_error(self.cause.load(Ordering::Relaxed))
+        self.cause_error(self.cause.load())
     }
 
     fn cause_error(&self, cause: u8) -> EngineError {
-        // ORDERING: Relaxed — best-effort detail for the error message; a
-        // racing zero is acceptable (see `trip`).
-        self.make_error(cause, self.trip_requested.load(Ordering::Relaxed))
+        self.make_error(cause, self.trip_requested.load())
     }
 
     fn make_error(&self, cause: u8, requested: usize) -> EngineError {
@@ -288,15 +258,15 @@ impl GovernedBatches<'_> {
 pub struct AggregateBudget {
     cap: usize,
     /// Declared bytes of currently admitted queries.
-    reserved: AtomicUsize,
+    reserved: sync::Usize,
     /// High-water mark of `reserved`.
-    peak: AtomicUsize,
+    peak: sync::Usize,
 }
 
 impl AggregateBudget {
     /// An accountant with `cap` bytes of aggregate headroom.
     pub fn new(cap: usize) -> AggregateBudget {
-        AggregateBudget { cap, reserved: AtomicUsize::new(0), peak: AtomicUsize::new(0) }
+        AggregateBudget { cap, reserved: sync::Usize::new(0), peak: sync::Usize::new(0) }
     }
 
     /// The configured cap in bytes.
@@ -314,22 +284,17 @@ impl AggregateBudget {
 
     /// Return `bytes` previously reserved with [`AggregateBudget::try_reserve`].
     pub fn release(&self, bytes: usize) {
-        // ORDERING: Relaxed — same single-counter reasoning as the reserve.
-        self.reserved.fetch_sub(bytes, Ordering::Relaxed);
+        self.reserved.fetch_sub(bytes);
     }
 
     /// Declared bytes of currently admitted queries.
     pub fn reserved(&self) -> usize {
-        // ORDERING: Relaxed — advisory snapshot for diagnostics; admission
-        // is decided by the RMW in `try_reserve`, not by this read.
-        self.reserved.load(Ordering::Relaxed)
+        self.reserved.load()
     }
 
     /// High-water mark of the reserved counter.
     pub fn peak_reserved(&self) -> usize {
-        // ORDERING: Relaxed — statistics read; approximate while admitters
-        // race, exact once they quiesce.
-        self.peak.load(Ordering::Relaxed)
+        self.peak.load()
     }
 }
 
@@ -338,17 +303,10 @@ impl AggregateBudget {
 /// so a refused request never moves the counter: it cannot make a
 /// concurrent request that fits look over budget, and a huge one cannot
 /// wrap the counter.
-fn reserve_within(reserved: &AtomicUsize, peak: &AtomicUsize, cap: usize, bytes: usize) -> bool {
-    // ORDERING: Relaxed — a compare-exchange loop on one counter is all the
-    // budget check needs: the total can never over-admit under any
-    // ordering, and the counter guards no other memory.
-    let admitted = reserved.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |r| {
-        r.checked_add(bytes).filter(|&now| now <= cap)
-    });
+fn reserve_within(reserved: &sync::Usize, peak: &sync::Usize, cap: usize, bytes: usize) -> bool {
+    let admitted = reserved.fetch_update(|r| r.checked_add(bytes).filter(|&now| now <= cap));
     let Ok(prev) = admitted else { return false };
-    // ORDERING: Relaxed — monotone max folded from per-thread observations;
-    // read only for statistics.
-    peak.fetch_max(prev + bytes, Ordering::Relaxed);
+    peak.fetch_max(prev + bytes);
     true
 }
 
@@ -529,11 +487,10 @@ mod tests {
         fit: impl Fn() -> Option<usize> + Sync,
         oversize: impl Fn() + Sync,
     ) -> (usize, usize) {
-        let done = AtomicBool::new(false);
+        let done = sync::Bool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {
-                // ORDERING: Relaxed — a stop flag carrying no payload.
-                while !done.load(Ordering::Relaxed) {
+                while !done.load() {
                     oversize();
                 }
             });
@@ -544,8 +501,7 @@ mod tests {
                     None => refused += 1,
                 }
             }
-            // ORDERING: Relaxed — see the load above.
-            done.store(true, Ordering::Relaxed);
+            done.store(true);
             (refused, max_seen)
         })
     }
@@ -558,9 +514,8 @@ mod tests {
                 if !g.try_reserve_global(1_700) {
                     return None;
                 }
-                // ORDERING: Relaxed — test bookkeeping on the one counter.
-                let seen = g.reserved.load(Ordering::Relaxed);
-                g.reserved.fetch_sub(1_700, Ordering::Relaxed);
+                let seen = g.reserved.load();
+                g.reserved.fetch_sub(1_700);
                 Some(seen)
             },
             || {

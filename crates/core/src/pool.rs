@@ -40,17 +40,15 @@
 //!   the caller always executes worker 0's slice on its own thread
 //!   (DESIGN.md §15).
 
-#![expect(
-    clippy::disallowed_types,
-    clippy::disallowed_methods,
-    reason = "the worker pool owns the scan threads and their hand-off locks"
-)]
+#![expect(clippy::disallowed_methods, reason = "the worker pool owns the scan threads")]
 
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+#[expect(clippy::disallowed_types, reason = "the pool's hand-off locks")]
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+
+use bipie_toolbox::sync::{self, lock, wait};
 
 /// A captured worker panic payload.
 pub type PanicPayload = Box<dyn Any + Send + 'static>;
@@ -193,6 +191,7 @@ struct Job {
 }
 
 /// Join state for one fork-join region.
+#[expect(clippy::disallowed_types, reason = "the region's join lock")]
 struct RunState {
     /// Workers (excluding the caller) that have not finished yet.
     // LOCK: leaf — guards only this counter; held briefly by workers at
@@ -208,6 +207,7 @@ struct RunState {
     panic: Mutex<Option<PanicPayload>>,
 }
 
+#[expect(clippy::disallowed_types, reason = "the pool's job intake")]
 struct PoolShared {
     // LOCK: leaf — job intake; held only to push/pop jobs through the
     // fair scheduler, released before `work` is notified and before any
@@ -219,6 +219,7 @@ struct PoolShared {
 }
 
 /// The process-wide scan worker pool.
+#[expect(clippy::disallowed_types, reason = "the pool's growth lock")]
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     /// Pool threads spawned so far (grows monotonically, never shrinks).
@@ -226,20 +227,12 @@ pub struct WorkerPool {
     // while held (thread spawning only).
     spawned: Mutex<usize>,
     /// Completed `run` regions (diagnostics).
-    runs: AtomicUsize,
-}
-
-/// Locks a mutex, ignoring poisoning: the pool's invariants hold even if a
-/// participant panicked while another thread held the lock, because no lock
-/// is held across user code.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // LOCK: generic acquisition helper — each call site documents its own
-    // guard lifetime; poisoning is ignored per the fn contract above.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+    runs: sync::Usize,
 }
 
 impl WorkerPool {
     /// The lazily-initialized global pool.
+    #[expect(clippy::disallowed_types, reason = "builds the pool's locks")]
     pub fn global() -> &'static WorkerPool {
         static POOL: OnceLock<WorkerPool> = OnceLock::new();
         POOL.get_or_init(|| WorkerPool {
@@ -248,15 +241,13 @@ impl WorkerPool {
                 work: Condvar::new(),
             }),
             spawned: Mutex::new(0),
-            runs: AtomicUsize::new(0),
+            runs: sync::Usize::new(0),
         })
     }
 
     /// Completed fork-join regions since process start (diagnostics).
     pub fn completed_runs(&self) -> usize {
-        // ORDERING: Relaxed — diagnostics counter; readers want a number,
-        // not a synchronization point.
-        self.runs.load(Ordering::Relaxed)
+        self.runs.load()
     }
 
     /// Cumulative shared-scheduler counters since process start.
@@ -282,6 +273,7 @@ impl WorkerPool {
     /// with distinct tags interleave over the pool in weighted-fair order;
     /// the calling thread still serves worker 0 directly, so a region
     /// finishes even when every pool worker is busy with other queries.
+    #[expect(clippy::disallowed_types, reason = "builds the region's join lock")]
     pub fn run_tagged(
         &self,
         tag: QueryTag,
@@ -290,13 +282,9 @@ impl WorkerPool {
     ) -> Result<RunReport, PanicPayload> {
         let workers = workers.max(1);
         if workers == 1 {
-            // ORDERING: Relaxed — `runs` is a diagnostics counter; fork-join
-            // synchronization happens via the run-state mutex and condvar,
-            // never through this atomic.
-            let reused = self.runs.load(Ordering::Relaxed) > 0;
+            let reused = self.runs.load() > 0;
             catch_unwind(AssertUnwindSafe(|| body(0)))?;
-            // ORDERING: Relaxed — same diagnostics counter as above.
-            self.runs.fetch_add(1, Ordering::Relaxed);
+            self.runs.fetch_add(1);
             return Ok(RunReport { workers: 1, reused_pool: reused });
         }
 
@@ -334,14 +322,11 @@ impl WorkerPool {
         while *pending > 0 {
             // LOCK: waits on `done` with the `pending` guard it consumes
             // and returns; workers signal after decrementing to zero.
-            pending = run.done.wait(pending).unwrap_or_else(PoisonError::into_inner);
+            pending = wait(&run.done, pending);
         }
         drop(pending);
 
-        // ORDERING: Relaxed — counted after the condvar join above, which
-        // already provides the happens-before edge; the counter itself is
-        // diagnostics only.
-        self.runs.fetch_add(1, Ordering::Relaxed);
+        self.runs.fetch_add(1);
         caller_result?;
         // LOCK: `panic` is a leaf taken after the join; the temporary guard
         // dies at the end of this condition.
@@ -392,7 +377,7 @@ fn worker_loop(shared: Arc<PoolShared>) {
                 }
                 // LOCK: waits on `work` with the `queue` guard it consumes
                 // and returns; `run()` notifies after queueing jobs.
-                queue = shared.work.wait(queue).unwrap_or_else(PoisonError::into_inner);
+                queue = wait(&shared.work, queue);
             }
         };
         // Run the slice; capture (never propagate) panics so a poisoned
@@ -436,21 +421,20 @@ pub fn panic_message(payload: &PanicPayload) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn runs_every_worker_index_exactly_once() {
         let pool = WorkerPool::global();
         for workers in [1usize, 2, 3, 8] {
-            let hits: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
+            let hits: Vec<sync::Usize> = (0..workers).map(|_| sync::Usize::new(0)).collect();
             let report = pool
                 .run(workers, &|i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
+                    hits[i].fetch_add(1);
                 })
                 .expect("no panics");
             assert_eq!(report.workers, workers);
             for (i, h) in hits.iter().enumerate() {
-                assert_eq!(h.load(Ordering::Relaxed), 1, "worker {i} of {workers}");
+                assert_eq!(h.load(), 1, "worker {i} of {workers}");
             }
         }
     }
@@ -458,14 +442,14 @@ mod tests {
     #[test]
     fn borrowed_state_is_visible_after_join() {
         let pool = WorkerPool::global();
-        let total = AtomicU64::new(0);
+        let total = sync::U64::new(0);
         let inputs: Vec<u64> = (0..1000).collect();
         pool.run(4, &|i| {
             let part: u64 = inputs.iter().skip(i).step_by(4).sum();
-            total.fetch_add(part, Ordering::Relaxed);
+            total.fetch_add(part);
         })
         .expect("no panics");
-        assert_eq!(total.load(Ordering::Relaxed), 999 * 1000 / 2);
+        assert_eq!(total.load(), 999 * 1000 / 2);
     }
 
     #[test]
@@ -565,12 +549,12 @@ mod tests {
     fn tagged_regions_run_and_count_switches() {
         let pool = WorkerPool::global();
         let before = pool.sched_stats();
-        let hits = AtomicUsize::new(0);
+        let hits = sync::Usize::new(0);
         pool.run_tagged(tag(7, 2), 3, &|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
+            hits.fetch_add(1);
         })
         .expect("no panics");
-        assert_eq!(hits.load(Ordering::Relaxed), 3);
+        assert_eq!(hits.load(), 3);
         let after = pool.sched_stats();
         assert!(after.jobs_dispatched >= before.jobs_dispatched + 2);
     }

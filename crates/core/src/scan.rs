@@ -23,20 +23,17 @@
 //! region inline on the caller, and the single worker's result is already
 //! the answer.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "the parallel scan merges per-worker results through locked slots"
-)]
-
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
+#[expect(clippy::disallowed_types, reason = "the per-worker result slots")]
 use std::sync::{Mutex, PoisonError};
 
 use bipie_columnstore::encoding::{EncodedColumn, RleColumn};
 use bipie_columnstore::{Batch, LogicalType, MorselCursor, Segment, Table, Value};
 use bipie_toolbox::selvec::count_selected;
+use bipie_toolbox::sync::lock;
 use bipie_toolbox::{RunSpanVec, SimdLevel};
 
 use crate::aggproc::{
@@ -97,7 +94,7 @@ pub struct ScanOptions {
     /// the calling thread.
     pub parallel: bool,
     /// Worker count (`None` = hardware parallelism; through an `Engine`, the
-    /// query's share of it at admission). Must be non-zero.
+    /// query's share of it at admission). Must be in `1..=`[`MAX_THREADS`].
     pub threads: Option<usize>,
     /// Rows per batch window (§2.1: "up to 4096 rows in MemSQL"; default
     /// [`bipie_columnstore::BATCH_ROWS`]).
@@ -149,6 +146,13 @@ impl Default for ScanOptions {
     }
 }
 
+/// The most workers a query may name in [`ScanOptions::threads`]. Each
+/// worker is a pool thread that lives for the rest of the process, and each
+/// holds one hash partition per worker until the merge: an unbounded count
+/// would let one query grow the shared pool for every tenant and allocate
+/// its square in maps the governor never sees.
+pub const MAX_THREADS: usize = 256;
+
 impl ScanOptions {
     /// The governor of one query: its limits are the three knobs, and its
     /// deadline clock starts now — at scan admission.
@@ -170,11 +174,20 @@ impl ScanOptions {
         if self.morsel_rows == 0 {
             return invalid("morsel_rows", "morsels must cover at least 1 row");
         }
-        if self.threads == Some(0) {
-            return invalid(
-                "threads",
-                "need at least 1 worker (use None for hardware parallelism)",
-            );
+        match self.threads {
+            Some(0) => {
+                return invalid(
+                    "threads",
+                    "need at least 1 worker (use None for hardware parallelism)",
+                )
+            }
+            Some(n) if n > MAX_THREADS => {
+                return invalid(
+                    "threads",
+                    &format!("{n} workers exceed the bound of {MAX_THREADS}"),
+                )
+            }
+            _ => {}
         }
         if self.time_budget == Some(std::time::Duration::ZERO) {
             return invalid(
@@ -566,6 +579,7 @@ struct WorkerSlot {
 /// worker the pool runs the region inline on the caller — no queue, no
 /// lock — and phase 2 vanishes: the worker's single partition is the
 /// answer. Panics in a worker become [`EngineError::WorkerPanicked`].
+#[expect(clippy::disallowed_types, reason = "builds the per-worker result slots")]
 fn scan_workers(
     planned: &[PlannedSegment<'_>],
     workers: usize,
@@ -677,6 +691,7 @@ fn worker_scan<'a>(
 /// into one ordered result — serially below
 /// [`PARALLEL_MERGE_MIN_GROUPS`], else one fork-join region with a worker
 /// per partition.
+#[expect(clippy::disallowed_types, reason = "drains the result slots into locked partitions")]
 fn merge_worker_parts(
     pool: &WorkerPool,
     ctx: &ScanCtx<'_>,
@@ -717,15 +732,6 @@ fn merge_worker_parts(
         }
     }
     Ok(merged)
-}
-
-/// Non-poisoning mutex lock (workers never hold a lock across user code, so
-/// a poisoned lock only means some other worker panicked — which the pool
-/// already turned into an error).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // LOCK: generic acquisition helper — each call site documents its own
-    // guard lifetime; poisoning is ignored per the fn contract above.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Deterministic (fixed-key SipHash) hash of a group key, used only to
@@ -1680,6 +1686,17 @@ mod tests {
                 "{err:?}"
             );
         }
+    }
+
+    #[test]
+    fn thread_count_is_bounded() {
+        let at = ScanOptions { threads: Some(MAX_THREADS), ..Default::default() };
+        assert_eq!(at.validate(), Ok(()));
+        let over = ScanOptions { threads: Some(MAX_THREADS + 1), ..Default::default() };
+        assert!(matches!(
+            over.validate(),
+            Err(EngineError::InvalidOptions { option: "threads", .. })
+        ));
     }
 
     #[test]

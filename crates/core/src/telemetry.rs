@@ -48,11 +48,11 @@
 )]
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
 use bipie_metrics::{Counter, Gauge, Histogram, Labels, Registry};
+use bipie_toolbox::sync::{self, lock};
 use std::sync::Arc;
 
 use crate::error::{AdmissionReason, EngineError};
@@ -144,14 +144,6 @@ pub(crate) fn published<T>(
         telemetry().publish_error(err);
     }
     outcome
-}
-
-/// Non-poisoning lock acquisition: a panicked publisher must not take the
-/// decision log down with it — telemetry records plain-old-data, so the
-/// guarded state is valid at every await-free step.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // LOCK: generic acquisition helper — call sites document guard scope.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Per-cell pick histogram over the retained decisions — the summary shape
@@ -300,7 +292,7 @@ impl DecisionLog {
 pub struct EngineTelemetry {
     registry: Registry,
     /// Runtime publish switch (default on); `no_metrics` wins over it.
-    enabled: AtomicBool,
+    enabled: sync::Bool,
     decision_log: DecisionLog,
     queries: Arc<Counter>,
     query_errors: Arc<Counter>,
@@ -433,8 +425,7 @@ impl EngineTelemetry {
         );
         Self {
             registry,
-            // ORDERING: plain initialization; no concurrent observers yet.
-            enabled: AtomicBool::new(true),
+            enabled: sync::Bool::new(true),
             decision_log: DecisionLog::new(),
             queries,
             query_errors,
@@ -474,9 +465,7 @@ impl EngineTelemetry {
     /// Flip the runtime publish switch. A `no_metrics` build ignores this —
     /// [`EngineTelemetry::on`] stays `false`.
     pub fn set_enabled(&self, enabled: bool) {
-        // ORDERING: Relaxed — the switch is advisory; publishers observing
-        // a stale value for one query is acceptable and unsynchronized.
-        self.enabled.store(enabled, Ordering::Relaxed);
+        self.enabled.store(enabled);
     }
 
     /// Whether publish calls record anything.
@@ -487,9 +476,7 @@ impl EngineTelemetry {
         }
         #[cfg(not(feature = "no_metrics"))]
         {
-            // ORDERING: Relaxed — see `set_enabled`; no data is published
-            // under this flag that needs to synchronize with the store.
-            self.enabled.load(Ordering::Relaxed)
+            self.enabled.load()
         }
     }
 

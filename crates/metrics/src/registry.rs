@@ -17,10 +17,10 @@
 //! * **No per-sample allocation.** `inc`/`add`/`set`/`observe` touch only
 //!   preallocated atomics. Allocation happens at registration (once per
 //!   metric) and at rendering (one output `String`).
-//! * **Relaxed everywhere.** Metrics are monotone statistics, not
-//!   synchronization: a reader that misses the latest increment reports a
-//!   slightly stale total, which the next scrape corrects. Nothing is
-//!   published *through* a metric, so no acquire/release edges are needed.
+//! * **Relaxed everywhere.** Metrics are statistics, not synchronization:
+//!   every cell is a relaxed [`bipie_toolbox::sync`] cell, and a reader
+//!   that misses the latest increment reports a slightly stale total, which
+//!   the next scrape corrects.
 //!
 //! Identity and registration: [`Registry::counter`] (and friends) return a
 //! shared handle; re-registering the same `(kind, name, labels)` returns
@@ -34,8 +34,9 @@
     reason = "the registry defines the instruments and their atomic shards"
 )]
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
+
+use bipie_toolbox::sync::{self, lock};
 
 /// Shards per counter/histogram. Padding each shard to a cache line costs
 /// `64 * SHARDS` bytes per metric; 8 shards absorb the contention of many
@@ -52,14 +53,12 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 pub type Labels = &'static [(&'static str, &'static str)];
 
 /// Round-robin source for thread home shards.
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
+static NEXT_SHARD: sync::Usize = sync::Usize::new(0);
 
 std::thread_local! {
     /// This thread's home shard, assigned on first metric write.
     static HOME_SHARD: usize = {
-        // ORDERING: Relaxed — the counter only spreads threads across
-        // shards; any interleaving yields a valid assignment.
-        NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS
+        NEXT_SHARD.fetch_add(1) % SHARDS
     };
 }
 
@@ -73,7 +72,7 @@ fn home_shard() -> usize {
 /// cross-thread increments never false-share.
 #[derive(Debug, Default)]
 #[repr(align(64))]
-struct PaddedU64(AtomicU64);
+struct PaddedU64(sync::U64);
 
 /// A monotonically increasing counter, sharded per thread.
 ///
@@ -101,14 +100,12 @@ impl Counter {
     /// Increment by `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        // ORDERING: Relaxed — monotone statistic; see the type invariant.
-        self.shards[home_shard()].0.fetch_add(n, Ordering::Relaxed);
+        self.shards[home_shard()].0.fetch_add(n);
     }
 
     /// Current total across all shards.
     pub fn value(&self) -> u64 {
-        // ORDERING: Relaxed — exposition-time sum of a statistic.
-        self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+        self.shards.iter().map(|s| s.0.load()).sum()
     }
 }
 
@@ -119,7 +116,7 @@ impl Counter {
 /// readers see some recent value, which is the whole contract.
 #[derive(Debug, Default)]
 pub struct Gauge {
-    value: AtomicI64,
+    value: sync::I64,
 }
 
 impl Gauge {
@@ -131,21 +128,18 @@ impl Gauge {
     /// Set the gauge.
     #[inline]
     pub fn set(&self, v: i64) {
-        // ORDERING: Relaxed — last-write-wins statistic, no payload behind it.
-        self.value.store(v, Ordering::Relaxed);
+        self.value.store(v);
     }
 
     /// Adjust the gauge by `delta`.
     #[inline]
     pub fn add(&self, delta: i64) {
-        // ORDERING: Relaxed — monotone-free statistic; sums commute.
-        self.value.fetch_add(delta, Ordering::Relaxed);
+        self.value.fetch_add(delta);
     }
 
     /// Current value.
     pub fn value(&self) -> i64 {
-        // ORDERING: Relaxed — exposition-time read of a statistic.
-        self.value.load(Ordering::Relaxed)
+        self.value.load()
     }
 }
 
@@ -154,17 +148,17 @@ impl Gauge {
 #[derive(Debug)]
 #[repr(align(64))]
 struct HistShard {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    sum: AtomicU64,
-    count: AtomicU64,
+    buckets: [sync::U64; HISTOGRAM_BUCKETS],
+    sum: sync::U64,
+    count: sync::U64,
 }
 
 impl Default for HistShard {
     fn default() -> HistShard {
         HistShard {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
+            buckets: std::array::from_fn(|_| sync::U64::new(0)),
+            sum: sync::U64::new(0),
+            count: sync::U64::new(0),
         }
     }
 }
@@ -206,24 +200,19 @@ impl Histogram {
     #[inline]
     pub fn observe(&self, v: u64) {
         let shard = &self.shards[home_shard()];
-        // ORDERING: Relaxed — statistics cell; see the type invariant.
-        shard.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        // ORDERING: Relaxed — statistics cell; see the type invariant.
-        shard.sum.fetch_add(v, Ordering::Relaxed);
-        // ORDERING: Relaxed — statistics cell; see the type invariant.
-        shard.count.fetch_add(1, Ordering::Relaxed);
+        shard.buckets[bucket_index(v)].fetch_add(1);
+        shard.sum.fetch_add(v);
+        shard.count.fetch_add(1);
     }
 
     /// Total samples observed.
     pub fn count(&self) -> u64 {
-        // ORDERING: Relaxed — exposition-time sum.
-        self.shards.iter().map(|s| s.count.load(Ordering::Relaxed)).sum()
+        self.shards.iter().map(|s| s.count.load()).sum()
     }
 
     /// Sum of all observed samples.
     pub fn sum(&self) -> u64 {
-        // ORDERING: Relaxed — exposition-time sum.
-        self.shards.iter().map(|s| s.sum.load(Ordering::Relaxed)).sum()
+        self.shards.iter().map(|s| s.sum.load()).sum()
     }
 
     /// Per-bucket counts merged across shards (non-cumulative).
@@ -231,8 +220,7 @@ impl Histogram {
         let mut out = [0u64; HISTOGRAM_BUCKETS];
         for shard in &self.shards {
             for (o, b) in out.iter_mut().zip(&shard.buckets) {
-                // ORDERING: Relaxed — exposition-time read.
-                *o += b.load(Ordering::Relaxed);
+                *o += b.load();
             }
         }
         out
@@ -276,16 +264,6 @@ pub struct Registry {
     // LOCK: leaf lock; guards the entry list for registration and
     // exposition only, never held across metric writes or user code.
     entries: Mutex<Vec<Entry>>,
-}
-
-/// Non-poisoning lock: registration never holds the guard across user
-/// code, so poisoning can only mean an unrelated panic mid-push — the list
-/// is still structurally valid (Vec::push is not observable half-done
-/// here, worst case the entry is absent and re-registered).
-fn lock(m: &Mutex<Vec<Entry>>) -> MutexGuard<'_, Vec<Entry>> {
-    // LOCK: generic acquisition helper — call sites document guard
-    // lifetime; poisoning ignored per the fn contract above.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Registry {

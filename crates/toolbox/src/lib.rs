@@ -27,6 +27,7 @@
 //! | [`agg`] | §5, §3 | scalar, sort-based, in-register, and multi-aggregate grouped aggregation; typed lane programs for computed inputs |
 //! | [`runspan`] | §4 ext. | run-granular selection spans and O(runs) encoding-specialized kernels |
 //! | [`transpose`] | §5.4 | the 4x4 64-bit register transpose inside the multi-aggregate kernel |
+//! | [`sync`] | — | the workspace's relaxed atomic cells and non-poisoning lock helpers |
 //!
 //! ## Conventions
 //!
@@ -64,6 +65,7 @@ pub mod rng;
 pub mod runspan;
 pub mod select;
 pub mod selvec;
+pub mod sync;
 pub mod transpose;
 
 pub use dispatch::SimdLevel;

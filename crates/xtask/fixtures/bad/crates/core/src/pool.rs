@@ -2,7 +2,9 @@
 //! acquisition site, a guard held across a `Condvar::wait`, and two fns
 //! acquiring the same pair of locks in opposite orders.
 
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex};
+
+use bipie_toolbox::sync::{lock, wait};
 
 pub struct Shared {
     queue: Mutex<Vec<u32>>,
@@ -10,11 +12,6 @@ pub struct Shared {
     work: Condvar,
     // LOCK: leaf — guards only the counter.
     count: Mutex<usize>,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // LOCK: acquisition helper; call sites document guard lifetimes.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 pub fn unannotated(s: &Shared) {
@@ -27,7 +24,7 @@ pub fn held_across_wait(s: &Shared) {
     let c = lock(&s.count);
     // LOCK: park until work arrives.
     let mut q = lock(&s.queue);
-    q = s.work.wait(q).unwrap_or_else(PoisonError::into_inner);
+    q = wait(&s.work, q);
     drop(q);
     drop(c);
 }

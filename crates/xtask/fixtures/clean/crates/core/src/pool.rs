@@ -1,23 +1,9 @@
-//! Fixture: sanctioned atomics with per-site ordering justifications, and
-//! a fully annotated fork-join lock protocol.
+//! Fixture: a fully annotated fork-join lock protocol, waiting through the
+//! non-poisoning helpers the way engine code does.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex};
 
-pub struct Counter {
-    runs: AtomicUsize,
-}
-
-impl Counter {
-    pub fn bump(&self) -> usize {
-        // ORDERING: Relaxed — a statistics counter with no dependent reads.
-        self.runs.fetch_add(1, Ordering::Relaxed)
-    }
-
-    pub fn snapshot(&self) -> usize {
-        self.runs.load(Ordering::Relaxed) // ORDERING: racy statistics read
-    }
-}
+use bipie_toolbox::sync::{lock, wait};
 
 pub struct JoinState {
     // LOCK: leaf — guards only the outstanding-worker count; held briefly
@@ -27,18 +13,13 @@ pub struct JoinState {
     done: Condvar,
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // LOCK: acquisition helper; call sites document guard lifetimes.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl JoinState {
     pub fn join(&self) {
         // LOCK: `pending` held across the wait; it is the only live guard.
         let mut pending = lock(&self.pending);
         while *pending > 0 {
             // LOCK: consumes and returns the `pending` guard.
-            pending = self.done.wait(pending).unwrap_or_else(PoisonError::into_inner);
+            pending = wait(&self.done, pending);
         }
         drop(pending);
     }

@@ -1,13 +1,13 @@
 //! A hand-rolled, dependency-free Rust token lexer.
 //!
 //! Line-level text matching sees too little structure to enforce the audit
-//! policies (atomics-ordering discipline, lock discipline, trace hygiene),
+//! policies (lock discipline, trace hygiene, the error surface),
 //! so this module tokenizes real Rust surface syntax with span-accurate
 //! positions:
 //!
 //! * line comments (`//`), doc comments (`///`, `//!`) — kept as tokens so
-//!   passes can *read* justification comments (`// ORDERING:`,
-//!   `// LOCK:`) instead of re-parsing raw lines;
+//!   passes can *read* justification comments (`// LOCK:`) instead of
+//!   re-parsing raw lines;
 //! * block comments, **nested** per Rust's grammar (`/* /* */ */`),
 //!   including doc blocks (`/** */`, `/*! */`);
 //! * string literals with escapes, byte strings (`b"…"`), raw strings
@@ -24,7 +24,7 @@
 //! On top of the token stream this module offers the shared machinery the
 //! passes are built from: precise `#[cfg(test)]` region discovery by brace
 //! matching, and token-sequence matching for path patterns like
-//! `TraceEvent::` or `Ordering::Relaxed`.
+//! `TraceEvent::` or `EngineError::Dead`.
 
 use std::fmt;
 use std::ops::Range;

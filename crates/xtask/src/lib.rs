@@ -1,10 +1,10 @@
 //! `cargo xtask audit` — repo-local static analysis for the BIPie workspace.
 //!
-//! Seven passes — the [`PASSES`] registry, which also carries each pass's
+//! Five passes — the [`PASSES`] registry, which also carries each pass's
 //! `--explain` card — all built on the hand-rolled token lexer in [`lexer`]
 //! and — for the semantic passes — the recursive-descent item parser in
-//! [`parser`] and the symbol/module graph in [`graph`] (zero dependencies,
-//! no `syn`). Each source file is read, lexed and parsed exactly once per
+//! [`parser`] and the call graph in [`graph`] (zero dependencies, no
+//! `syn`). Each source file is read, lexed and parsed exactly once per
 //! run ([`Corpus`]); passes share the corpus and report per-pass wall time
 //! in the `--json` report. The lexical rules a lint can express —
 //! `// SAFETY:` comments, panic freedom, and which files may spawn threads,
@@ -12,25 +12,24 @@
 //! clippy's (the root `clippy.toml`; DESIGN.md §11). The protocols a path
 //! analysis used to check — every profiler span closes, every engine error
 //! is published, every morsel and batch loop reaches a governor checkpoint
-//! — are types in the engine now (DESIGN.md §11, "Deleted: now a type").
+//! — are types in the engine now, as are the atomics' orderings
+//! (`bipie_toolbox::sync`); the crate layering is Cargo's (DESIGN.md §11,
+//! "Deleted").
 
 //! Violations print as `path:line: [pass] message` (or as SARIF with
 //! `--json`) and make the binary exit `1`; `2` is reserved for internal
 //! errors — including a source file that cannot be read or lexed — so CI
 //! can tell "findings" from "the auditor broke". Findings
 //! carry line-drift-stable IDs ([`report::stable_ids`]) and can be
-//! suppressed either by `path:line` in `crates/xtask/audit-allowlist.txt`
-//! or by ID in `crates/xtask/audit-baseline.json`; stale entries in either
-//! file are themselves errors, so both can only shrink.
+//! suppressed by ID in `crates/xtask/audit-baseline.json`; a stale entry
+//! there is itself an error, so the baseline can only shrink.
 
 #![forbid(unsafe_code)]
 
-pub mod atomics;
 pub mod bench_check;
 pub mod error_surface;
 pub mod graph;
 pub mod invariants;
-pub mod layer_conformance;
 pub mod lexer;
 pub mod lock_discipline;
 pub mod parser;
@@ -50,8 +49,8 @@ pub struct Diag {
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// Which pass produced this: a [`PASSES`] id, or `allowlist` /
-    /// `baseline` for stale entries in the suppression files.
+    /// Which pass produced this: a [`PASSES`] id, or `baseline` for a
+    /// stale entry in the baseline.
     pub pass: &'static str,
     /// Human-readable description of the violation.
     pub msg: String,
@@ -81,7 +80,7 @@ pub struct Pass {
 }
 
 /// Every pass, in execution order.
-pub static PASSES: [Pass; 7] = [
+pub static PASSES: [Pass; 5] = [
     Pass {
         name: "invariants",
         id: "invariants",
@@ -108,17 +107,6 @@ pub static PASSES: [Pass; 7] = [
               finished records by pattern (`DecisionRecord::Agg { cycles, .. }`).",
     },
     Pass {
-        name: "atomics",
-        id: "atomics-discipline",
-        run: |c| atomics::check(&c.files),
-        rule: "Every atomic `Ordering::*` use outside tests carries an adjacent \
-               `// ORDERING:` justification. Which files may hold atomics at all is \
-               clippy's `disallowed_types`.",
-        rationale: "Each ordering is a claim about a happens-before edge; the comment \
-                    states the edge so review can check it.",
-        fix: "Add `// ORDERING: <the edge this ordering establishes>` at the use site.",
-    },
-    Pass {
         name: "locks",
         id: "lock-discipline",
         run: |c| lock_discipline::check(&c.files, &c.graph),
@@ -137,7 +125,7 @@ pub static PASSES: [Pass; 7] = [
         name: "sync",
         id: "sync-escape",
         run: |c| sync_escape::check(&c.files),
-        rule: "Struct fields holding atomics/`UnsafeCell`/locks are never `pub`; \
+        rule: "Struct fields holding atomic cells, `UnsafeCell`s or locks are never `pub`; \
                `unsafe impl Send`/`Sync` is always flagged. Which files may define such \
                a struct at all is clippy's `disallowed_types`.",
         rationale: "A sync field is a concurrency contract its owning module upholds; a \
@@ -158,18 +146,6 @@ pub static PASSES: [Pass; 7] = [
                     into silent wrong answers.",
         fix: "Construct the variant where the failure is detected, add a test driving \
               that path, and propagate results with `?`.",
-    },
-    Pass {
-        name: "layers",
-        id: "layer-conformance",
-        run: |c| layer_conformance::check(&c.files, &c.graph),
-        rule: "Cross-crate `use`s follow the workspace DAG (toolbox -> \
-               columnstore/metrics -> core -> tpch/bench); core-module `use`s follow \
-               CORE_LAYERS; every crate's module graph is acyclic.",
-        rationale: "Cargo only enforces what Cargo.toml declares; one new dependency \
-                    line can invert the architecture without failing a single test.",
-        fix: "Depend downward only; if a new edge is genuinely needed, move the shared \
-              code below both layers or extend the table in review.",
     },
 ];
 
@@ -195,12 +171,12 @@ pub fn all_passes() -> Vec<&'static str> {
 }
 
 /// The audited corpus: every workspace source file read, lexed and parsed
-/// once, plus the symbol/module graph derived from the parsed items. All
+/// once, plus the call graph derived from the parsed items. All
 /// passes share this — no pass re-reads or re-lexes anything.
 pub struct Corpus {
     /// Workspace sources, sorted by relative path.
     pub files: Vec<scan::SourceFile>,
-    /// `use` edges and fn call sites extracted from [`Corpus::files`].
+    /// Fn call sites extracted from [`Corpus::files`].
     pub graph: graph::Graph,
 }
 
@@ -228,7 +204,7 @@ pub struct PassTiming {
 
 /// Diagnostics plus per-pass timings from one audit run.
 pub struct AuditOutcome {
-    /// Post-allowlist/baseline diagnostics, sorted by path/line/pass.
+    /// Post-baseline diagnostics, sorted by path/line/pass.
     pub diags: Vec<Diag>,
     /// One entry per executed pass, in execution order.
     pub timings: Vec<PassTiming>,
@@ -236,9 +212,9 @@ pub struct AuditOutcome {
 
 /// Load the audited corpus once and run the requested passes.
 ///
-/// `passes` are [`PASSES`] names; the allowlist and baseline are
-/// always applied. Diagnostics come back sorted by path/line, so the
-/// report — text or SARIF — is deterministic across runs and filesystems
+/// `passes` are [`PASSES`] names; the baseline is always applied.
+/// Diagnostics come back sorted by path/line, so the report — text or
+/// SARIF — is deterministic across runs and filesystems
 /// (the walk itself is sorted too). `Err` is an internal error (a file
 /// that cannot be read or lexed), not a finding.
 pub fn run_audit(root: &Path, passes: &[&str]) -> Result<Vec<Diag>, String> {
@@ -255,7 +231,6 @@ pub fn run_audit_timed(root: &Path, passes: &[&str]) -> Result<AuditOutcome, Str
         diags.extend((pass.run)(&corpus));
         timings.push(PassTiming { pass: pass.name, micros: start.elapsed().as_micros() });
     }
-    diags = apply_allowlist(root, diags);
     diags = report::apply_baseline(root, diags);
     diags.sort_by(|a, b| (&a.path, a.line, a.pass).cmp(&(&b.path, b.line, b.pass)));
     Ok(AuditOutcome { diags, timings })
@@ -300,8 +275,7 @@ pub fn changed_files(root: &Path) -> Result<Vec<String>, String> {
 /// `mod.rs` under `src/`, plus the crate roots `src/lib.rs`/`src/main.rs`.
 /// A change to `crates/core/src/scan/hot.rs` puts `crates/core/src/scan/
 /// mod.rs` and `crates/core/src/lib.rs` in scope too, because passes report
-/// module- and crate-level findings (layering, error surface) against those
-/// files.
+/// crate-level findings (the error surface) against those files.
 pub fn module_parents(rel: &str) -> Vec<String> {
     let Some((mut dir, _)) = rel.rsplit_once('/') else { return Vec::new() };
     let mut out = Vec::new();
@@ -333,57 +307,15 @@ pub fn module_parents(rel: &str) -> Vec<String> {
 }
 
 /// Restrict `diags` to findings in `changed` files or their module parents.
-/// Allowlist/baseline bookkeeping findings are dropped too: scoping removes
-/// the diagnostics their entries match, so "stale entry" would be a false
-/// alarm here — only the full run enforces that the two files shrink.
+/// Baseline bookkeeping findings are dropped too: scoping removes the
+/// diagnostics its entries match, so "stale entry" would be a false alarm
+/// here — only the full run enforces that the baseline shrinks.
 pub fn scope_to_changed(diags: Vec<Diag>, changed: &[String]) -> Vec<Diag> {
     let mut scope: std::collections::BTreeSet<String> = changed.iter().cloned().collect();
     for rel in changed {
         scope.extend(module_parents(rel));
     }
-    diags
-        .into_iter()
-        .filter(|d| d.pass != "allowlist" && d.pass != "baseline" && scope.contains(&d.path))
-        .collect()
-}
-
-/// Subtract allowlisted `path:line` entries from `diags`; entries that match
-/// nothing are reported as errors themselves, so the allowlist monotonically
-/// shrinks toward (and then stays) empty.
-fn apply_allowlist(root: &Path, mut diags: Vec<Diag>) -> Vec<Diag> {
-    let list = root.join("crates/xtask/audit-allowlist.txt");
-    let Ok(text) = std::fs::read_to_string(&list) else {
-        return diags;
-    };
-    for (lineno, raw) in text.lines().enumerate() {
-        let entry = raw.trim();
-        if entry.is_empty() || entry.starts_with('#') {
-            continue;
-        }
-        let Some((path, line)) = entry
-            .rsplit_once(':')
-            .and_then(|(p, l)| l.parse::<usize>().ok().map(|n| (p.to_string(), n)))
-        else {
-            diags.push(Diag {
-                path: "crates/xtask/audit-allowlist.txt".into(),
-                line: lineno + 1,
-                pass: "allowlist",
-                msg: format!("malformed entry {entry:?} (expected path:line)"),
-            });
-            continue;
-        };
-        let before = diags.len();
-        diags.retain(|d| !(d.path == path && d.line == line));
-        if diags.len() == before {
-            diags.push(Diag {
-                path: "crates/xtask/audit-allowlist.txt".into(),
-                line: lineno + 1,
-                pass: "allowlist",
-                msg: format!("stale entry {entry:?} matches no diagnostic — remove it"),
-            });
-        }
-    }
-    diags
+    diags.into_iter().filter(|d| d.pass != "baseline" && scope.contains(&d.path)).collect()
 }
 
 #[cfg(test)]

@@ -8,12 +8,13 @@
 //! access, a guard held a little longer than intended across a
 //! `Condvar::wait`, two call paths that acquire the same pair of locks in
 //! opposite orders. This pass makes the blocking-synchronization rules
-//! mechanical, the way `atomics-discipline` did for memory orderings:
+//! mechanical:
 //!
 //! * **annotation** — every lock-typed struct field and every
-//!   guard-acquisition site (`lock(…)`, `.lock()`, `.wait(…)`) carries an
+//!   guard-acquisition site (`lock(…)`, `.lock()`, and the waits: `.wait(…)`
+//!   or `bipie_toolbox::sync`'s `wait(…)` / `wait_timeout(…)`) carries an
 //!   adjacent `// LOCK:` comment naming the lock's order/invariant, in the
-//!   style of `// SAFETY:`/`// ORDERING:`;
+//!   style of `// SAFETY:`;
 //! * **guard liveness** — a brace-matched scope walk over every non-test fn
 //!   body tracks which guards are live where (`analyze_body`):
 //!   `let g = lock(&x)` lives until `drop(g)` or its scope closes,
@@ -27,10 +28,11 @@
 //!   `run` is documented non-reentrant, and a held guard would turn that
 //!   latent misuse into a stuck pool).
 //!
-//! Which files may hold a lock at all is clippy's `disallowed_types`: a file
+//! Which code may hold a lock at all is clippy's `disallowed_types`: an item
 //! can name `Mutex`/`RwLock`/`Condvar` only under a `clippy::disallowed_types`
 //! expectation (DESIGN.md §11), so this pass walks every file rather than a
-//! module list.
+//! module list. Poisoning is `bipie_toolbox::sync`'s one policy: its `lock`,
+//! `wait` and `wait_timeout` are the acquisition sites engine code calls.
 //!
 //! The liveness walk is approximate in the safe direction: temporaries are
 //! kept alive through the end of their full statement (matching Rust's
@@ -185,7 +187,7 @@ fn analyze_body(
                 let (name, temp) = guard_binding(file, &code, stmt_start, k);
                 guards.push(LiveGuard { name, lock_id, depth, temp });
             }
-            "wait" if text(k + 1) == "(" && k > 0 && text(k - 1) == "." => {
+            "wait" | "wait_timeout" if text(k + 1) == "(" => {
                 if file.line_in_tests(line(k)) {
                     k += 1;
                     continue;
@@ -366,6 +368,17 @@ mod tests {
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert!(diags[0].msg.contains("held across `Condvar::wait`"), "{diags:?}");
         assert!(diags[0].msg.contains("`panic`"), "{diags:?}");
+    }
+
+    #[test]
+    fn sync_wait_helpers_are_wait_sites() {
+        let src = "fn f(s: &S) {\n    let other = lock(&s.panic); // LOCK: held too long.\n    let mut pending = lock(&s.pending); // LOCK: join counter.\n    pending = wait_timeout(&s.done, pending, t);\n    pending = sync::wait(&s.done, pending); // LOCK: woken by workers.\n    drop(pending);\n    drop(other);\n}";
+        let diags = run(&[("crates/core/src/pool.rs", src)]);
+        assert_eq!(diags.len(), 3, "{diags:?}");
+        assert!(diags[0].msg.contains("without an adjacent `// LOCK:`"), "{diags:?}");
+        assert!(diags[1].msg.contains("guard on `panic` held across"), "{diags:?}");
+        assert!(diags[2].msg.contains("guard on `panic` held across"), "{diags:?}");
+        assert_eq!((diags[1].line, diags[2].line), (4, 5), "{diags:?}");
     }
 
     #[test]

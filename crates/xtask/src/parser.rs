@@ -19,8 +19,8 @@
 //! * `impl`/`trait`/`mod` items parsed **recursively**, so methods and
 //!   nested modules surface as children;
 //! * `use` items flattened into full segment paths (groups like
-//!   `use crate::{a, b::c}` expand to `crate::a` and `crate::b::c`) — the
-//!   input for the module graph and the layer-conformance pass.
+//!   `use crate::{a, b::c}` expand to `crate::a` and `crate::b::c`) — what
+//!   the error-surface pass reads to find the engine's `Result`.
 //!
 //! The parser is deliberately *approximate and total*: it must never fail
 //! on real Rust. Anything it does not understand — exotic macros,

@@ -13,7 +13,7 @@
 //! # Baseline
 //!
 //! `crates/xtask/audit-baseline.json` lists suppressed finding IDs. The
-//! audit subtracts them from its output, and — like the allowlist — reports
+//! audit subtracts them from its output, and reports
 //! any entry that matches nothing as a *stale entry* error, so the baseline
 //! can only shrink. `cargo xtask audit --write-baseline` regenerates the
 //! file from the current findings; the tree commits an **empty** baseline,
@@ -197,7 +197,7 @@ pub fn render_baseline(ids: &[String]) -> String {
 }
 
 /// Subtract baselined findings; report stale baseline entries as findings
-/// (pass `baseline`), mirroring the allowlist semantics.
+/// (pass `baseline`), so the baseline can only shrink.
 pub fn apply_baseline(root: &Path, mut diags: Vec<Diag>) -> Vec<Diag> {
     let path = root.join(BASELINE_PATH);
     let Ok(text) = std::fs::read_to_string(&path) else {
@@ -235,31 +235,28 @@ mod tests {
 
     #[test]
     fn ids_are_stable_under_line_drift() {
-        let a =
-            vec![diag("atomics-discipline", "src/lib.rs", 10, "`Ordering::Relaxed` unjustified")];
-        let b =
-            vec![diag("atomics-discipline", "src/lib.rs", 99, "`Ordering::Relaxed` unjustified")];
+        let a = vec![diag("sync-escape", "src/lib.rs", 10, "`pub` sync field")];
+        let b = vec![diag("sync-escape", "src/lib.rs", 99, "`pub` sync field")];
         assert_eq!(stable_ids(&a), stable_ids(&b));
     }
 
     #[test]
     fn repeated_findings_get_distinct_ordinals() {
-        let d = diag("atomics-discipline", "src/lib.rs", 10, "`Ordering::Relaxed` unjustified");
+        let d = diag("sync-escape", "src/lib.rs", 10, "`pub` sync field");
         let ids = stable_ids(&[d.clone(), d]);
         assert_ne!(ids[0], ids[1]);
     }
 
     #[test]
     fn different_files_get_different_ids() {
-        let a = stable_ids(&[diag("atomics-discipline", "a.rs", 1, "m")]);
-        let b = stable_ids(&[diag("atomics-discipline", "b.rs", 1, "m")]);
+        let a = stable_ids(&[diag("sync-escape", "a.rs", 1, "m")]);
+        let b = stable_ids(&[diag("sync-escape", "b.rs", 1, "m")]);
         assert_ne!(a, b);
     }
 
     #[test]
     fn baseline_round_trips() {
-        let ids =
-            vec!["lock-discipline-0123456789abcdef".to_string(), "atomics-discipline-feed".into()];
+        let ids = vec!["lock-discipline-0123456789abcdef".to_string(), "sync-escape-feed".into()];
         assert_eq!(parse_baseline(&render_baseline(&ids)), ids);
         assert!(parse_baseline(&render_baseline(&[])).is_empty());
     }
@@ -288,11 +285,11 @@ mod tests {
     fn sarif_timed_embeds_pass_timings() {
         let timings = [
             crate::PassTiming { pass: "locks", micros: 1234 },
-            crate::PassTiming { pass: "layers", micros: 56 },
+            crate::PassTiming { pass: "errors", micros: 56 },
         ];
         let sarif = to_sarif_timed(&[], &timings);
         assert!(sarif.contains("\"passTimingsMicros\""), "{sarif}");
         assert!(sarif.contains("\"locks\": 1234"), "{sarif}");
-        assert!(sarif.contains("\"layers\": 56"), "{sarif}");
+        assert!(sarif.contains("\"errors\": 56"), "{sarif}");
     }
 }

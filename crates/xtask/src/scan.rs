@@ -241,10 +241,10 @@ mod tests {
 
     #[test]
     fn marker_comment_same_line_and_above() {
-        let src = "fn f() {\n    // ORDERING: relaxed is fine, counter only.\n    x.load(o);\n    y.load(o); // ORDERING: ditto.\n    z.load(o);\n}";
+        let src = "fn f() {\n    // LOCK: leaf, held to push only.\n    lock(&a).push(1);\n    lock(&b).push(2); // LOCK: ditto.\n    lock(&c).push(3);\n}";
         let f = SourceFile::from_source("x.rs", src).unwrap();
-        assert!(f.has_marker_comment(2, "ORDERING:"));
-        assert!(f.has_marker_comment(3, "ORDERING:"));
-        assert!(!f.has_marker_comment(4, "ORDERING:"));
+        assert!(f.has_marker_comment(2, "LOCK:"));
+        assert!(f.has_marker_comment(3, "LOCK:"));
+        assert!(!f.has_marker_comment(4, "LOCK:"));
     }
 }

@@ -1,17 +1,18 @@
 //! Sync escape.
 //!
-//! The atomics and lock passes police *uses* of concurrent state; this
-//! pass polices its *shape*. A struct field that holds an `Atomic*`, an
-//! `UnsafeCell`, a lock, or a `Condvar` is a concurrency contract: callers
-//! may share the struct across threads and the field's protocol
-//! (orderings, lock order, cell invariants) must be upheld by every access.
+//! The lock pass polices *uses* of concurrent state; this pass polices its
+//! *shape*. A struct field that holds an atomic (a `bipie_toolbox::sync`
+//! cell or a std `Atomic*`), an `UnsafeCell`, a lock, or a `Condvar` is a
+//! concurrency contract: callers may share the struct across threads and
+//! the field's protocol (claims, lock order, cell invariants) must be
+//! upheld by every access.
 //! A `pub` sync field is an escape: any crate can bypass the owning
 //! module's accessors and touch the raw atomic/lock, so sync fields stay
 //! private and are exposed through methods.
 //!
 //! Where such a struct may live at all is clippy's `disallowed_types`
-//! (root `clippy.toml`, DESIGN.md §11): atomics, locks and `UnsafeCell`
-//! are confined to the files that carry its expectation.
+//! (root `clippy.toml`, DESIGN.md §11): locks and `UnsafeCell` are confined
+//! to the items that carry its expectation, std atomics to `toolbox::sync`.
 //!
 //! Additionally, `unsafe impl Send`/`unsafe impl Sync` is always flagged.
 //! The engine's thread-safety is derived (pool jobs are plain `&dyn Fn`,
@@ -24,10 +25,14 @@ use crate::parser::{walk_items, ItemKind};
 use crate::scan::SourceFile;
 use crate::Diag;
 
+/// The relaxed atomic cells of `bipie_toolbox::sync`.
+const CELL_TYPES: [&str; 5] = ["Bool", "U8", "Usize", "U64", "I64"];
+
 /// Does a space-joined type string embed a synchronization primitive?
 fn is_sync_type(ty: &str) -> bool {
     ty.split_whitespace().any(|w| {
         w.starts_with("Atomic")
+            || CELL_TYPES.contains(&w)
             || w == "UnsafeCell"
             || w == "SyncUnsafeCell"
             || w == "Mutex"
@@ -131,10 +136,12 @@ mod tests {
 
     #[test]
     fn pub_sync_field_is_flagged() {
-        let src = "pub struct Pool {\n    pub queue: Mutex<Vec<u32>>, // LOCK: test.\n}";
+        let src = "pub struct Pool {\n    pub queue: Mutex<Vec<u32>>, // LOCK: test.\n    pub runs: sync::Usize,\n    pub hits: Arc<U64>,\n    pub n: usize,\n}";
         let diags = run(&[("crates/core/src/pool.rs", src)]);
-        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags.len(), 3, "{diags:?}");
         assert!(diags[0].msg.contains("`pub` sync field `Pool.queue`"), "{diags:?}");
+        assert!(diags[1].msg.contains("`pub` sync field `Pool.runs`"), "{diags:?}");
+        assert!(diags[2].msg.contains("`pub` sync field `Pool.hits`"), "{diags:?}");
     }
 
     #[test]

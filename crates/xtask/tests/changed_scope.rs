@@ -45,16 +45,16 @@ fn module_parents_never_include_the_file_itself() {
 fn module_parents_of_paths_outside_src_are_empty() {
     assert!(module_parents("README.md").is_empty());
     assert!(module_parents("docs/DESIGN.md").is_empty());
-    assert!(module_parents("crates/xtask/audit-allowlist.txt").is_empty());
+    assert!(module_parents("crates/xtask/audit-baseline.json").is_empty());
 }
 
 #[test]
 fn scope_keeps_changed_files_and_their_parents_only() {
     let diags = vec![
         diag("lock-discipline", "crates/core/src/scan.rs", 10),
-        diag("layer-conformance", "crates/core/src/lib.rs", 3),
+        diag("error-surface", "crates/core/src/lib.rs", 3),
         diag("error-surface", "crates/core/src/engine.rs", 7),
-        diag("atomics-discipline", "crates/toolbox/src/cmp.rs", 1),
+        diag("sync-escape", "crates/toolbox/src/cmp.rs", 1),
     ];
     let scoped = scope_to_changed(diags, &["crates/core/src/scan.rs".to_string()]);
     let paths: Vec<&str> = scoped.iter().map(|d| d.path.as_str()).collect();
@@ -62,19 +62,14 @@ fn scope_keeps_changed_files_and_their_parents_only() {
 }
 
 #[test]
-fn scope_drops_allowlist_and_baseline_bookkeeping() {
+fn scope_drops_baseline_bookkeeping() {
     let diags = vec![
-        diag("allowlist", "crates/xtask/audit-allowlist.txt", 1),
         diag("baseline", "crates/xtask/audit-baseline.json", 1),
         diag("lock-discipline", "crates/core/src/scan.rs", 10),
     ];
     let scoped = scope_to_changed(
         diags,
-        &[
-            "crates/xtask/audit-allowlist.txt".to_string(),
-            "crates/xtask/audit-baseline.json".to_string(),
-            "crates/core/src/scan.rs".to_string(),
-        ],
+        &["crates/xtask/audit-baseline.json".to_string(), "crates/core/src/scan.rs".to_string()],
     );
     assert_eq!(scoped.len(), 1, "{scoped:?}");
     assert_eq!(scoped[0].pass, "lock-discipline");

@@ -12,12 +12,10 @@
 //! `BIPIE_STRESS_ITERS` elevated.
 
 #![expect(
-    clippy::disallowed_types,
     clippy::disallowed_methods,
     reason = "concurrent clients drive the engine from real threads"
 )]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -27,6 +25,7 @@ use bipie::core::{
     execute, AdmissionReason, AggExpr, Engine, EngineConfig, EngineError, Expr, Predicate, Query,
     QueryBuilder, QueryOptions, ResultRow, SessionOptions,
 };
+use bipie::toolbox::sync;
 
 /// Stress rounds per client; CI elevates via `BIPIE_STRESS_ITERS`.
 fn stress_iters() -> usize {
@@ -127,7 +126,7 @@ fn concurrent_clients_match_serial_baselines() {
     }
 
     let clients = 8;
-    let mismatches = Arc::new(AtomicUsize::new(0));
+    let mismatches = Arc::new(sync::Usize::new(0));
     let handles: Vec<_> = (0..clients)
         .map(|c| {
             let engine = Arc::clone(&engine);
@@ -152,7 +151,7 @@ fn concurrent_clients_match_serial_baselines() {
                         };
                         let got = got.expect("admitted query succeeds");
                         if &got.rows != want {
-                            mismatches.fetch_add(1, Ordering::Relaxed);
+                            mismatches.fetch_add(1);
                         }
                     }
                 }
@@ -162,7 +161,7 @@ fn concurrent_clients_match_serial_baselines() {
     for h in handles {
         h.join().expect("client thread panicked");
     }
-    assert_eq!(mismatches.load(Ordering::Relaxed), 0, "concurrent results diverged from serial");
+    assert_eq!(mismatches.load(), 0, "concurrent results diverged from serial");
 }
 
 #[test]
@@ -195,8 +194,8 @@ fn admission_sheds_under_aggregate_memory_pressure() {
     let query = query_shapes().remove(1);
     let want = serial_rows(&table, &query);
     engine.register_table("t", table);
-    let shed = Arc::new(AtomicUsize::new(0));
-    let served = Arc::new(AtomicUsize::new(0));
+    let shed = Arc::new(sync::Usize::new(0));
+    let served = Arc::new(sync::Usize::new(0));
     let handles: Vec<_> = (0..6)
         .map(|_| {
             let engine = Arc::clone(&engine);
@@ -210,11 +209,11 @@ fn admission_sheds_under_aggregate_memory_pressure() {
                     match engine.execute("t", &q) {
                         Ok(got) => {
                             assert_eq!(got.rows, want);
-                            served.fetch_add(1, Ordering::Relaxed);
+                            served.fetch_add(1);
                         }
                         Err(EngineError::AdmissionRejected { .. })
                         | Err(EngineError::AdmissionTimeout { .. }) => {
-                            shed.fetch_add(1, Ordering::Relaxed);
+                            shed.fetch_add(1);
                         }
                         Err(other) => panic!("unexpected error: {other:?}"),
                     }
@@ -225,7 +224,7 @@ fn admission_sheds_under_aggregate_memory_pressure() {
     for h in handles {
         h.join().expect("client thread panicked");
     }
-    assert!(served.load(Ordering::Relaxed) > 0, "nothing was served");
+    assert!(served.load() > 0, "nothing was served");
     // Every client finished: nothing hung, nothing returned wrong rows.
     assert_eq!(engine.snapshot().aggregate_reserved, 0);
 }

@@ -497,7 +497,7 @@ fn no_metrics_build_is_inert() {
 static ENGINE_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn engine_counters() -> std::sync::MutexGuard<'static, ()> {
-    ENGINE_COUNTERS.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    bipie::toolbox::sync::lock(&ENGINE_COUNTERS)
 }
 
 /// A table with one column and no rows: what an engine test registers when
