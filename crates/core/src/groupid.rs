@@ -166,13 +166,15 @@ impl<'a> WideMapper<'a> {
     }
 
     /// Produce group ids for batch rows `[start, start+len)`, assigning new
-    /// ids in first-seen order.
+    /// ids in first-seen order. `scratch` and `deltas` are decode buffers
+    /// the caller keeps across batches.
     pub fn extract_batch(
         &mut self,
         start: usize,
         len: usize,
         out: &mut Vec<u32>,
         scratch: &mut Vec<Vec<i64>>,
+        deltas: &mut Vec<u64>,
     ) {
         out.clear();
         out.resize(len, 0);
@@ -187,7 +189,7 @@ impl<'a> WideMapper<'a> {
                         *slot = d.codes().get(start + k) as i64;
                     }
                 }
-                other => other.decode_i64_into(start, buf),
+                other => other.decode_i64_with(start, buf, deltas),
             }
         }
         let mut key = Vec::with_capacity(self.cols.len());
@@ -370,7 +372,7 @@ mod tests {
         let SegmentGroupMapper::Wide(mut m) = mapper else { panic!("expected wide") };
         let mut out = Vec::new();
         let mut scratch = Vec::new();
-        m.extract_batch(0, 1000, &mut out, &mut scratch);
+        m.extract_batch(0, 1000, &mut out, &mut scratch, &mut Vec::new());
         // Dense first-seen ids; reconstructable keys.
         let max = *out.iter().max().unwrap() as usize;
         assert_eq!(m.num_groups(), max + 1);

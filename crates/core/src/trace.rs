@@ -84,21 +84,21 @@ pub enum Phase {
     Selection = 2,
     /// Group-id extraction (dictionary-code unpack) for one batch.
     Unpack = 3,
-    /// The specialized aggregation kernel consuming one batch.
+    /// The aggregation consuming one batch, whichever sink runs it: the
+    /// narrow sink's specialized kernels, the run-wise fold, or the wide
+    /// sink's scalar row loop (`agg = Scalar`).
     Aggregation = 4,
-    /// One batch through the wide-group (u32 group id) scalar fallback.
-    WideGroup = 5,
     /// Encoding the mutable region into the query's tail segment, on the
     /// coordinator before planning; its rows are the region's rows. The
     /// tail is then planned and scanned like any other segment.
-    MutableTail = 6,
+    MutableTail = 5,
     /// Phase-2 reduction of per-worker hash partitions.
-    ParallelMerge = 7,
+    ParallelMerge = 6,
 }
 
 impl Phase {
     /// Number of phases (array sizing).
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 7;
 
     /// All phases, in display order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -107,7 +107,6 @@ impl Phase {
         Phase::Selection,
         Phase::Unpack,
         Phase::Aggregation,
-        Phase::WideGroup,
         Phase::MutableTail,
         Phase::ParallelMerge,
     ];
@@ -120,7 +119,6 @@ impl Phase {
             Phase::Selection => "selection",
             Phase::Unpack => "unpack",
             Phase::Aggregation => "aggregation",
-            Phase::WideGroup => "wide_group",
             Phase::MutableTail => "mutable_tail",
             Phase::ParallelMerge => "parallel_merge",
         }
@@ -200,7 +198,7 @@ impl BatchAt {
 /// `cycles`/`rows` are filled where the cost is produced: a selection
 /// record by `Tracer::selection`, from the `Selection` span it runs; an
 /// aggregation record by `QueryProfile::segments`, from the
-/// segment's `Aggregation`/`WideGroup` spans (in the event log itself the
+/// segment's `Aggregation` spans (in the event log itself the
 /// coordinator's record reads 0 — it is written before any batch runs).
 /// `at_cycles` and `worker` are timeline coordinates (the Chrome trace's
 /// `ts` and `tid`), not chooser inputs.
@@ -825,8 +823,7 @@ impl QueryProfile {
     /// over `events` that `EXPLAIN`, the Chrome trace's decision instants
     /// and the telemetry seam all read. Each segment's aggregation record
     /// comes back priced: `cycles`/`rows` are the segment's
-    /// `Aggregation` + `WideGroup` span totals over every worker that
-    /// visited it.
+    /// `Aggregation` span totals over every worker that visited it.
     pub(crate) fn segments(&self) -> Vec<SegmentRollup> {
         let mut by_segment: BTreeMap<u32, SegmentRollup> = BTreeMap::new();
         for e in &self.events {
@@ -840,7 +837,7 @@ impl QueryProfile {
                             seg.steals += loc.stolen as u64;
                             seg.scan_cycles += cycles;
                         }
-                        Phase::Aggregation | Phase::WideGroup => {
+                        Phase::Aggregation => {
                             seg.agg_cycles += cycles;
                             seg.agg_rows += rows;
                             if let Some(s) = loc.selection {
@@ -1055,7 +1052,7 @@ pub(crate) struct SegmentRollup {
     /// The row window the scan visited, from the batches it recorded: the
     /// filter's row range on this segment, on the batch grid.
     pub range: Option<(u64, u64)>,
-    /// `Aggregation` + `WideGroup` span totals over every visiting worker:
+    /// `Aggregation` span totals over every visiting worker:
     /// the walk's accumulators, read through the priced `agg` record.
     agg_cycles: u64,
     agg_rows: u64,

@@ -176,7 +176,6 @@ fn explain_golden_from_synthetic_profile() {
         let [select_cycles, agg_cycles, scan_cycles] = cycles;
         let loc = SpanLoc::at(segment, morsel);
         let labelled = loc.with_selection(chosen).with_agg(agg);
-        let agg_phase = if agg == Scalar { Phase::WideGroup } else { Phase::Aggregation };
         events.extend([
             span(Phase::Selection, worker, loc.with_selection(chosen), 4096, at, select_cycles),
             TraceEvent::Decision(DecisionRecord::Selection {
@@ -192,7 +191,7 @@ fn explain_golden_from_synthetic_profile() {
                 cycles: select_cycles,
                 rows: 4096,
             }),
-            span(agg_phase, worker, labelled, 4096, at + select_cycles + 10, agg_cycles),
+            span(Phase::Aggregation, worker, labelled, 4096, at + select_cycles + 10, agg_cycles),
             span(Phase::SegmentScan, worker, loc.with_stolen(stolen), 4096, at - 10, scan_cycles),
         ]);
     }
@@ -251,8 +250,7 @@ fn explain_golden_from_synthetic_profile() {
         "│    plan           spans=1      rows=16384     cycles=200          (0.01 cy/row, 0.000 ms wall)\n",
         "│    segment_scan   spans=4      rows=16384     cycles=18100        (1.10 cy/row, 0.018 ms wall)\n",
         "│    selection      spans=4      rows=16384     cycles=1620         (0.10 cy/row, 0.002 ms wall)\n",
-        "│    aggregation    spans=3      rows=12288     cycles=7100         (0.58 cy/row, 0.007 ms wall)\n",
-        "│    wide_group     spans=1      rows=4096      cycles=9000         (2.20 cy/row, 0.009 ms wall)\n",
+        "│    aggregation    spans=4      rows=16384     cycles=16100        (0.98 cy/row, 0.016 ms wall)\n",
         "│    mutable_tail   spans=1      rows=77        cycles=900          (11.69 cy/row, 0.001 ms wall)\n",
         "│    parallel_merge spans=1      rows=9         cycles=250          (27.78 cy/row, 0.000 ms wall)\n",
         "├─ segment 0  rows=12288  range=[0,12288)  ranges=3  steals=1  cycles=8500\n",
@@ -272,8 +270,7 @@ fn explain_golden_from_synthetic_profile() {
         "\"plan\": {\"spans\": 1, \"rows\": 16384, \"cycles\": 200, \"wall_nanos\": 200, \"cycles_per_row\": 0.0122}, ",
         "\"segment_scan\": {\"spans\": 4, \"rows\": 16384, \"cycles\": 18100, \"wall_nanos\": 18100, \"cycles_per_row\": 1.1047}, ",
         "\"selection\": {\"spans\": 4, \"rows\": 16384, \"cycles\": 1620, \"wall_nanos\": 1620, \"cycles_per_row\": 0.0989}, ",
-        "\"aggregation\": {\"spans\": 3, \"rows\": 12288, \"cycles\": 7100, \"wall_nanos\": 7100, \"cycles_per_row\": 0.5778}, ",
-        "\"wide_group\": {\"spans\": 1, \"rows\": 4096, \"cycles\": 9000, \"wall_nanos\": 9000, \"cycles_per_row\": 2.1973}, ",
+        "\"aggregation\": {\"spans\": 4, \"rows\": 16384, \"cycles\": 16100, \"wall_nanos\": 16100, \"cycles_per_row\": 0.9827}, ",
         "\"mutable_tail\": {\"spans\": 1, \"rows\": 77, \"cycles\": 900, \"wall_nanos\": 900, \"cycles_per_row\": 11.6883}, ",
         "\"parallel_merge\": {\"spans\": 1, \"rows\": 9, \"cycles\": 250, \"wall_nanos\": 250, \"cycles_per_row\": 27.7778}}, ",
         "\"events_recorded\": 21}"

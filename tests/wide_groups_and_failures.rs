@@ -39,6 +39,47 @@ fn wide_group_fallback_matches_reference() {
     assert!(fast.stats.wide_group_segments > 0, "{:?}", fast.stats);
 }
 
+/// A wide batch runs the protocol every sink runs: its aggregation is one
+/// `Aggregation` span per batch, labelled `agg = Scalar`, and those spans
+/// cover every row the scan visited — at one worker and at two.
+#[test]
+#[expect(clippy::disallowed_types, reason = "reads finished trace events")]
+fn wide_batches_are_aggregation_spans_labelled_scalar() {
+    use bipie::core::{AggStrategy, Phase, ProfileLevel, TraceEvent};
+    let t = wide_table(1000, 6000);
+    for threads in [1, 2] {
+        let options = QueryOptions {
+            threads: Some(threads),
+            batch_rows: 1024,
+            profile: ProfileLevel::Spans,
+            ..Default::default()
+        };
+        let q = QueryBuilder::new()
+            .group_by("key")
+            .aggregate(AggExpr::count_star())
+            .aggregate(AggExpr::sum("v"))
+            .options(options)
+            .build();
+        let r = execute(&t, &q).unwrap();
+        assert_eq!(r.rows, execute_reference(&t, &q).unwrap().rows, "threads={threads}");
+        assert_eq!(r.stats.wide_group_segments, r.stats.segments_scanned, "{:?}", r.stats);
+        if cfg!(feature = "no_profiler") {
+            continue;
+        }
+        let phase = r.profile.phase(Phase::Aggregation);
+        assert_eq!(phase.rows, r.stats.rows_scanned as u64, "threads={threads}");
+        assert_eq!(phase.count, r.stats.batches as u64, "threads={threads}");
+        let mut spans = 0;
+        for event in &r.profile.events {
+            if let TraceEvent::Span { phase: Phase::Aggregation, loc, .. } = event {
+                assert_eq!(loc.agg, Some(AggStrategy::Scalar), "threads={threads}");
+                spans += 1;
+            }
+        }
+        assert_eq!(spans, r.stats.batches, "threads={threads}");
+    }
+}
+
 #[test]
 fn narrow_wide_boundary() {
     // 254 distinct dense group values: narrow (needs 254 + special <= 256).
