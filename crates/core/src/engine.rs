@@ -181,7 +181,12 @@ impl Engine {
 
     /// Register (or replace) a table under `name`. In-flight queries on a
     /// replaced table keep their `Arc` and finish on the old data.
-    pub fn register_table(&self, name: impl Into<String>, table: Table) {
+    ///
+    /// The table's mutable region is flushed here: every mutation takes
+    /// `&mut Table`, so a registered table never changes, and its tail is
+    /// encoded once per table version rather than by every query.
+    pub fn register_table(&self, name: impl Into<String>, mut table: Table) {
+        table.flush_mutable();
         // LOCK: `tables` leaf; temp guard dies at `;`.
         lock(&self.tables).insert(name.into(), Arc::new(table));
     }
@@ -496,6 +501,25 @@ mod tests {
         assert_eq!(engine.table_names(), vec!["t".to_string()]);
         assert!(engine.deregister_table("t"));
         assert!(!engine.deregister_table("t"));
+    }
+
+    #[test]
+    fn a_registered_tail_is_encoded_once_not_per_query() {
+        let mut t = small_table(500);
+        for i in 0..40 {
+            t.insert(vec![Value::Str("c".into()), Value::I64(i)]);
+        }
+        let q = QueryBuilder::new()
+            .group_by("g")
+            .aggregate(AggExpr::count_star())
+            .aggregate(AggExpr::sum("v"))
+            .build();
+        let reference = crate::reference::execute_reference(&t, &q).expect("reference runs");
+        let engine = Engine::with_defaults();
+        engine.register_table("t", t);
+        let r = engine.execute("t", &q).expect("query runs");
+        assert_eq!(r.rows, reference.rows);
+        assert_eq!(r.stats.mutable_rows, 0, "{:?}", r.stats);
     }
 
     #[test]
