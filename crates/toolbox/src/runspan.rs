@@ -6,16 +6,13 @@
 //! over run-length-encoded columns produce it in O(runs), and downstream
 //! SUM/COUNT consume it as a value×len multiply-accumulate over O(runs)
 //! instead of O(rows) — the compression-aware operator model (MorphStore)
-//! grafted onto BIPie's strategy machinery. When runs fragment, the engine
-//! spills a span vector back to a selection byte vector and the per-row
-//! strategies take over.
+//! grafted onto BIPie's strategy machinery. When runs fragment, the chooser
+//! leaves the segment to the per-row strategies.
 //!
-//! Kernels here follow the toolbox contract: every `enc_*` entry point is a
-//! safe dispatcher that validates invariants (debug asserts) and routes to
-//! an `enc_*_scalar` oracle. They are scalar-only today — the work is
-//! O(runs), far off the SIMD profitability cliff — so they have no kernel
-//! table; the unit tests hold each entry point to its oracle as the table
-//! walk holds the SIMD cells.
+//! Every `enc_*` kernel validates its invariants (debug asserts) and runs
+//! scalar code: the work is O(runs), far off the SIMD profitability cliff,
+//! so there is no kernel table. The unit tests hold each kernel to an
+//! independent per-row oracle (`mask_of`, `rows_of`).
 
 /// One accepted row range: rows `[start, start + len)`, batch-relative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,30 +109,10 @@ pub fn debug_assert_spans(spans: &[Span], rows: usize) {
     debug_assert!(spans.last().is_none_or(|s| (s.end() as usize) <= rows), "span out of domain");
 }
 
-/// Spill a run-span vector to a selection byte vector: `out[i]` becomes
-/// `SELECTED` for rows inside a span and `REJECTED` elsewhere.
-pub fn enc_spans_to_sel(spans: &[Span], out: &mut [u8]) {
-    debug_assert_spans(spans, out.len());
-    enc_spans_to_sel_scalar(spans, out);
-}
-
-/// Scalar oracle for [`enc_spans_to_sel`].
-pub fn enc_spans_to_sel_scalar(spans: &[Span], out: &mut [u8]) {
-    out.fill(crate::selvec::REJECTED);
-    for s in spans {
-        out[s.start as usize..s.end() as usize].fill(crate::selvec::SELECTED);
-    }
-}
-
 /// Intersect two run-span vectors into `out` (`out` is cleared first).
 pub fn enc_intersect_spans(a: &[Span], b: &[Span], out: &mut RunSpanVec) {
     debug_assert_spans(a, usize::MAX);
     debug_assert_spans(b, usize::MAX);
-    enc_intersect_spans_scalar(a, b, out);
-}
-
-/// Scalar oracle for [`enc_intersect_spans`]: a linear merge walk.
-pub fn enc_intersect_spans_scalar(a: &[Span], b: &[Span], out: &mut RunSpanVec) {
     out.clear();
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
@@ -161,11 +138,6 @@ pub fn enc_intersect_spans_scalar(a: &[Span], b: &[Span], out: &mut RunSpanVec) 
 pub fn enc_sum_runs_spans(values: &[i64], ends: &[u32], base: usize, spans: &[Span]) -> i64 {
     debug_assert_runs(values, ends);
     debug_assert_spans(spans, usize::MAX);
-    enc_sum_runs_spans_scalar(values, ends, base, spans)
-}
-
-/// Scalar oracle for [`enc_sum_runs_spans`].
-pub fn enc_sum_runs_spans_scalar(values: &[i64], ends: &[u32], base: usize, spans: &[Span]) -> i64 {
     let mut sum = 0i64;
     let mut run = 0usize;
     for s in spans {
@@ -196,16 +168,6 @@ pub fn enc_minmax_runs_spans(
 ) -> Option<(i64, i64)> {
     debug_assert_runs(values, ends);
     debug_assert_spans(spans, usize::MAX);
-    enc_minmax_runs_spans_scalar(values, ends, base, spans)
-}
-
-/// Scalar oracle for [`enc_minmax_runs_spans`].
-pub fn enc_minmax_runs_spans_scalar(
-    values: &[i64],
-    ends: &[u32],
-    base: usize,
-    spans: &[Span],
-) -> Option<(i64, i64)> {
     let mut acc: Option<(i64, i64)> = None;
     let mut run = 0usize;
     for s in spans {
@@ -237,11 +199,6 @@ pub fn enc_filter_codes_bitset(codes: &[u32], bitset: &[u64], out: &mut [u8]) {
         codes.iter().all(|&c| (c as usize) < bitset.len() * 64),
         "code outside the bitset domain"
     );
-    enc_filter_codes_bitset_scalar(codes, bitset, out);
-}
-
-/// Scalar oracle for [`enc_filter_codes_bitset`].
-pub fn enc_filter_codes_bitset_scalar(codes: &[u32], bitset: &[u64], out: &mut [u8]) {
     for (o, &c) in out.iter_mut().zip(codes) {
         let word = bitset[(c >> 6) as usize];
         let bit = (word >> (c & 63)) & 1;
@@ -345,21 +302,6 @@ mod tests {
         v.set_full(0);
         assert!(v.is_empty());
         assert_eq!(v.selected_rows(), 0);
-    }
-
-    #[test]
-    fn spans_to_sel_matches_mask() {
-        let mut rng = Rng::seed_from_u64(7);
-        for _ in 0..50 {
-            let (_, _, _, spans) = random_case(&mut rng);
-            let rows = spans.spans().last().map_or(4, |s| s.end() as usize + 3);
-            let mut sel = vec![0u8; rows];
-            enc_spans_to_sel(spans.spans(), &mut sel);
-            let mask = mask_of(spans.spans(), rows);
-            for (i, (&b, &m)) in sel.iter().zip(&mask).enumerate() {
-                assert_eq!(b, if m { SELECTED } else { REJECTED }, "row {i}");
-            }
-        }
     }
 
     #[test]

@@ -68,15 +68,6 @@ impl SelByteVec {
         SelByteVec { bytes }
     }
 
-    /// Wrap bytes that are already canonical `0x00`/`0xFF` masks (e.g. the
-    /// direct output of a SIMD comparison).
-    ///
-    /// Debug builds verify canonical form.
-    pub fn from_canonical(bytes: Vec<u8>) -> Self {
-        debug_assert_sel_canonical(&bytes);
-        SelByteVec { bytes }
-    }
-
     /// Number of rows covered.
     #[inline]
     pub fn len(&self) -> usize {
@@ -93,13 +84,6 @@ impl SelByteVec {
     #[inline]
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
-    }
-
-    /// Mutable access to the raw mask bytes (used to merge deleted-row
-    /// information into a filter result, §4).
-    #[inline]
-    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.bytes
     }
 
     /// Whether row `i` is selected.
@@ -150,12 +134,6 @@ impl SelIndexVec {
     /// An empty index vector with capacity for `cap` indices.
     pub fn with_capacity(cap: usize) -> Self {
         SelIndexVec { indices: Vec::with_capacity(cap) }
-    }
-
-    /// Wrap an existing ascending index list.
-    pub fn from_indices(indices: Vec<u32>) -> Self {
-        debug_assert!(indices.windows(2).all(|w| w[0] < w[1]), "indices must be ascending");
-        SelIndexVec { indices }
     }
 
     /// Identity index vector `0..len` (no row rejected).
