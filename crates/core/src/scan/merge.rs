@@ -15,7 +15,7 @@ use crate::stats::ExecStats;
 use crate::trace::{Phase, QueryProfile, SpanLoc, Tracer};
 
 use super::batch::SegScan;
-use super::plan::PlannedSegment;
+use super::plan::{PlannedSegment, ScanPlan};
 use super::sched::MorselScheduler;
 use super::{GroupAcc, GroupMap, ScanCtx};
 
@@ -31,29 +31,20 @@ struct WorkerSlot {
     parts: Vec<GroupMap>,
 }
 
-/// The scan driver: `workers` pool workers, at most one per planned
-/// morsel, claim morsels and aggregate (phase 1), then the hash partitions
-/// are reduced (phase 2). With one worker the pool runs the region inline
-/// on the caller — no queue, no lock — and phase 2 vanishes: the worker's
-/// single partition is the answer. Panics in a worker become
-/// [`EngineError::WorkerPanicked`].
+/// The scan driver: the plan's pool workers claim morsels and aggregate
+/// (phase 1), then the hash partitions are reduced (phase 2). With one
+/// worker the pool runs the region inline on the caller — no queue, no
+/// lock — and phase 2 vanishes: the worker's single partition is the
+/// answer. Panics in a worker become [`EngineError::WorkerPanicked`].
 #[expect(clippy::disallowed_types, reason = "builds the per-worker result slots")]
 pub(super) fn scan_workers(
-    planned: &[PlannedSegment<'_>],
-    workers: usize,
+    plan: &ScanPlan<'_>,
     ctx: &ScanCtx<'_>,
     coord: &mut Tracer,
     profile: &mut QueryProfile,
 ) -> Result<GroupMap> {
-    let batch_rows = ctx.options.batch_rows;
-    // Morsels are whole batch windows so every worker count sees the same
-    // batch grid.
-    let morsel_rows = ctx.options.morsel_rows.div_ceil(batch_rows).max(1) * batch_rows;
-    let sched = MorselScheduler::new(planned, morsel_rows, ctx.governor);
-    // A worker with no morsel to claim would cost only its fork: run at most
-    // one per planned morsel (one worker runs inline on the caller).
-    let morsels: usize = planned.iter().map(|p| p.window.len().div_ceil(morsel_rows)).sum();
-    let workers = workers.min(morsels).max(1);
+    let (planned, workers) = (plan.segments.as_slice(), plan.workers);
+    let sched = MorselScheduler::new(planned, plan.morsel_rows, ctx.governor);
 
     // Phase 1. Each worker owns a private record for the duration (no
     // shared state in the hot loop) and parks it, with its partitioned

@@ -129,15 +129,15 @@ pub fn scan_table(
     // sampled batch of the filter, and it lets errors surface
     // deterministically before any worker starts. The table segment ordinal
     // rides along as the id trace events carry.
-    let planned = coord.timed(Phase::Plan, SpanLoc::none(), |coord| {
-        let planned = plan_segments(table.segments().iter().chain(&tail), &ctx, workers, coord);
-        (planned, coord.stats.rows_scanned)
+    let plan = coord.timed(Phase::Plan, SpanLoc::none(), |coord| {
+        let plan = plan_segments(table.segments().iter().chain(&tail), &ctx, workers, coord);
+        (plan, coord.stats.rows_scanned)
     })?;
 
-    let merged = if planned.is_empty() {
+    let merged = if plan.segments.is_empty() {
         BTreeMap::new()
     } else {
-        scan_workers(&planned, workers, &ctx, &mut coord, &mut profile)?
+        scan_workers(&plan, &ctx, &mut coord, &mut profile)?
     };
     coord.stats.mem_reserved_peak = governor.peak_reserved();
     let stats = profile.absorb(coord);
@@ -520,7 +520,7 @@ mod tests {
             governor: &governor,
         };
         let mut coord = Tracer::new(ProfileLevel::Off, 0);
-        let segs = plan_segments(t.segments().iter(), &ctx, 4, &mut coord).unwrap();
+        let segs = plan_segments(t.segments().iter(), &ctx, 4, &mut coord).unwrap().segments;
         let sched = MorselScheduler::new(&segs, 64, &governor);
         let mut claimed_rows = 0usize;
         let mut steals = 0usize;
@@ -552,7 +552,7 @@ mod tests {
             governor: &governor,
         };
         let mut coord = Tracer::new(ProfileLevel::Off, 0);
-        let planned = plan_segments(t.segments().iter(), &ctx, 1, &mut coord).unwrap();
+        let planned = plan_segments(t.segments().iter(), &ctx, 1, &mut coord).unwrap().segments;
         assert_eq!(planned.len(), 4);
         assert_eq!(coord.stats.segments_scanned, 4);
         assert_eq!(coord.stats.rows_scanned, 1000);
@@ -591,7 +591,7 @@ mod tests {
             governor: &governor,
         };
         let mut coord = Tracer::new(ProfileLevel::Off, 0);
-        let planned = plan_segments(t.segments().iter(), &ctx, 1, &mut coord).unwrap();
+        let planned = plan_segments(t.segments().iter(), &ctx, 1, &mut coord).unwrap().segments;
         // Planning has its own checkpoint; trip the governor after it.
         token.cancel();
         let mut tracer = Tracer::new(ProfileLevel::Spans, 0);

@@ -78,22 +78,35 @@ pub(super) struct RunWisePlan<'t> {
     pub(super) runs_fraction: f64,
 }
 
+/// What admission planning hands the driver: the admitted segments, the
+/// morsel grid they are cut into, and the worker count the fork runs. The
+/// three are decided together, so the budget ladder's per-worker share and
+/// the fork read one number.
+#[derive(Debug)]
+pub(super) struct ScanPlan<'t> {
+    pub(super) segments: Vec<PlannedSegment<'t>>,
+    /// Rows per morsel: `morsel_rows` rounded up to whole batches, so every
+    /// worker count sees the same batch grid.
+    pub(super) morsel_rows: usize,
+    /// The requested worker count capped at one per planned morsel: a
+    /// worker with no morsel to claim would cost only its fork.
+    pub(super) workers: usize,
+}
+
 /// Admission planning for [`scan_table`]: walk the segments once, in table
-/// order, compiling the filter against each, skipping empty and
-/// filter-eliminated ones, proving overflow/min-max safety, and planning
-/// each admitted segment's sink ([`plan_sink`]).
+/// order, compiling the filter against each and skipping empty and
+/// filter-eliminated ones; cut the windows into morsels and cap the worker
+/// count; then prove overflow/min-max safety and plan each admitted
+/// segment's sink ([`plan_sink`]) against that worker count's share.
 pub(super) fn plan_segments<'t>(
     segments: impl Iterator<Item = &'t Segment>,
     ctx: &ScanCtx<'_>,
     workers: usize,
     coord: &mut Tracer,
-) -> Result<Vec<PlannedSegment<'t>>> {
+) -> Result<ScanPlan<'t>> {
     let ScanCtx { filter, sum_exprs, mm_exprs, governor, options, .. } = *ctx;
-    // Every worker that visits a segment charges the same footprint, so the
-    // budget ladder is walked against an even share. Nothing is reserved
-    // until the workers start, so one reading serves every segment.
-    let headroom = governor.remaining().map(|bytes| bytes / workers);
-    let mut planned: Vec<PlannedSegment<'t>> = Vec::new();
+    let batch_rows = options.batch_rows;
+    let mut admitted = Vec::new();
     for (seg_index, seg) in segments.enumerate() {
         if seg.num_rows() == 0 || seg.live_rows() == 0 {
             continue;
@@ -103,15 +116,25 @@ pub(super) fn plan_segments<'t>(
             coord.stats.segments_eliminated += 1;
             continue;
         }
+        let rows = filter.as_ref().map_or(0..seg.num_rows(), SegmentPredicate::row_range);
+        let window = rows.start / batch_rows * batch_rows
+            ..rows.end.next_multiple_of(batch_rows).min(seg.num_rows());
+        admitted.push((seg_index as u32, seg, filter, window));
+    }
+    let morsel_rows = options.morsel_rows.div_ceil(batch_rows).max(1) * batch_rows;
+    let morsels: usize = admitted.iter().map(|(.., w)| w.len().div_ceil(morsel_rows)).sum();
+    let workers = workers.min(morsels).max(1);
+    // Every worker that visits a segment charges the same footprint, so the
+    // budget ladder is walked against an even share among the workers the
+    // fork runs. Nothing is reserved until they start, so one reading
+    // serves every segment.
+    let headroom = governor.remaining().map(|bytes| bytes / workers);
+    let mut planned = Vec::with_capacity(admitted.len());
+    for (index, seg, filter, window) in admitted {
         check_overflow(seg, sum_exprs)?;
         check_minmax_range(seg, sum_exprs.len(), mm_exprs)?;
         // The plan-time checkpoint: planning a sink may evaluate one batch.
         governor.checkpoint(&mut coord.stats)?;
-        let rows = filter.as_ref().map_or(0..seg.num_rows(), SegmentPredicate::row_range);
-        let batch_rows = options.batch_rows;
-        let window = rows.start / batch_rows * batch_rows
-            ..rows.end.next_multiple_of(batch_rows).min(seg.num_rows());
-        let index = seg_index as u32;
         let (sink, footprint) =
             plan_sink(index, seg, filter.as_ref(), &window, ctx, headroom, coord)?;
         let visited = window.len() - seg.deleted().deleted_in(window.start, window.end);
@@ -122,7 +145,7 @@ pub(super) fn plan_segments<'t>(
         stats.bytes_scanned += seg.encoded_bytes();
         planned.push(PlannedSegment { index, seg, filter, window, sink, footprint });
     }
-    Ok(planned)
+    Ok(ScanPlan { segments: planned, morsel_rows, workers })
 }
 
 /// Plan one admitted segment's sink and make its one aggregation decision,
@@ -429,7 +452,7 @@ mod tests {
                 governor: &unlimited,
             };
             let mut coord = Tracer::new(ProfileLevel::Off, 0);
-            let planned = plan_segments(t.segments().iter(), &ctx, 1, &mut coord).unwrap();
+            let planned = plan_segments(t.segments().iter(), &ctx, 1, &mut coord).unwrap().segments;
             let p = &planned[0];
             let sink = match &p.sink {
                 Sink::RunWise(plan) => {

@@ -299,3 +299,21 @@ fn budgeted_strategy_choice_is_the_same_at_one_and_four_workers() {
     assert!(matches!(errors[0], EngineError::MemoryBudgetExceeded { budget: 1, .. }), "{errors:?}");
     assert_eq!(errors[0], errors[1]);
 }
+
+#[test]
+fn the_budget_ladder_shares_the_budget_among_the_workers_the_fork_runs() {
+    use bipie::core::reference::execute_reference;
+    // 2 000 rows are one morsel, so the fork runs one worker whatever the
+    // requested count; the ladder must then price the budget for that one
+    // worker too, not for four that never start.
+    let t = table(&[2_000], 7);
+    let reference = execute_reference(&t, &the_query(serial())).unwrap();
+    let runs = [1usize, 4].map(|threads| {
+        let opts = QueryOptions { mem_budget: Some(1_351_680), ..parallel(threads) };
+        let r = execute(&t, &the_query(opts)).unwrap();
+        assert_eq!(r.rows, reference.rows, "threads={threads}");
+        assert_eq!(r.stats.pool_workers, 1, "threads={threads}: {:?}", r.stats);
+        r.stats.agg_segments
+    });
+    assert_eq!(runs[0], runs[1], "one aggregation strategy at either requested worker count");
+}
