@@ -224,7 +224,7 @@ mod tests {
         fs::create_dir_all(dir.join("src")).unwrap();
         fs::write(dir.join("src/broken.rs"), src).unwrap();
         let loaded = SourceFile::load(&dir, &dir.join("src/broken.rs"));
-        let audited = crate::run_audit(&dir, &crate::all_passes());
+        let audited = crate::run_audit(&dir);
         fs::remove_dir_all(&dir).unwrap();
         let msg = loaded.err().expect("load must fail");
         assert!(msg.starts_with("src/broken.rs: cannot lex: unterminated"), "{msg}");
