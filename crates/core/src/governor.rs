@@ -10,8 +10,8 @@
 //! checkpoint compiles to a single branch on a cold `bool` — the same
 //! discipline `ProfileLevel::Off` holds itself to (DESIGN.md §9).
 //!
-//! Violations trip a shared cause latch so that every worker reconstructs
-//! the *same* typed error ([`EngineError::Cancelled`],
+//! Violations latch the first typed error so that every worker returns the
+//! *same* one ([`EngineError::Cancelled`],
 //! [`EngineError::DeadlineExceeded`], [`EngineError::MemoryBudgetExceeded`])
 //! no matter which limit it observes first; workers park normally and the
 //! pool stays reusable.
@@ -23,7 +23,7 @@
 //! per worker, and a charge that fails after the slack over-grab retries
 //! with the exact need so a budget that genuinely fits is never refused.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use bipie_columnstore::{Batch, BatchCursor};
@@ -65,13 +65,9 @@ impl CancelToken {
 /// per-worker slack stays negligible next to any realistic budget.
 pub(crate) const MEM_SLACK_BYTES: usize = 64 << 10;
 
-const CAUSE_NONE: u8 = 0;
-const CAUSE_CANCELLED: u8 = 1;
-const CAUSE_DEADLINE: u8 = 2;
-const CAUSE_MEMORY: u8 = 3;
-
 /// Per-query resource governor. Built once per query and shared by
-/// reference with every worker; all state is interior atomics.
+/// reference with every worker; all state is interior atomics plus the
+/// one-shot error latch.
 #[derive(Debug)]
 pub struct Governor {
     cancel: Option<CancelToken>,
@@ -81,12 +77,9 @@ pub struct Governor {
     reserved: sync::Usize,
     /// High-water mark of `reserved`.
     peak: sync::Usize,
-    /// First violation cause (`CAUSE_*`); latched once, read by everyone.
-    cause: sync::U8,
-    /// Bytes requested at the memory trip, for the error payload. Stored
-    /// after `cause`, so a racing reader may report a zero here: a softer
-    /// message, never a different cause.
-    trip_requested: sync::Usize,
+    /// The first violation, payload included; latched once, read by
+    /// everyone. One cell, so no reader sees a cause without its payload.
+    tripped: OnceLock<EngineError>,
     /// Whether any limit is set. When false, a checkpoint is one branch.
     active: bool,
 }
@@ -106,8 +99,7 @@ impl Governor {
             mem_budget,
             reserved: sync::Usize::new(0),
             peak: sync::Usize::new(0),
-            cause: sync::U8::new(CAUSE_NONE),
-            trip_requested: sync::Usize::new(0),
+            tripped: OnceLock::new(),
             active,
         }
     }
@@ -141,20 +133,19 @@ impl Governor {
     }
 
     fn check_active(&self) -> Result<()> {
-        // A sibling worker may already have tripped; report its cause so
-        // every worker surfaces the same error.
-        match self.cause.load() {
-            CAUSE_NONE => {}
-            c => return Err(self.cause_error(c)),
+        // A sibling worker may already have tripped; report its error so
+        // every worker surfaces the same one.
+        if let Some(err) = self.tripped.get() {
+            return Err(err.clone());
         }
         if let Some(t) = &self.cancel {
             if t.is_cancelled() {
-                return Err(self.trip(CAUSE_CANCELLED, 0));
+                return Err(self.trip(EngineError::Cancelled));
             }
         }
         if let Some(d) = &self.deadline {
             if d.reached() {
-                return Err(self.trip(CAUSE_DEADLINE, 0));
+                return Err(self.trip(EngineError::DeadlineExceeded));
             }
         }
         Ok(())
@@ -199,34 +190,17 @@ impl Governor {
     }
 
     /// Latch a memory violation of `requested` bytes and return the typed
-    /// error (or the earlier cause if another worker tripped first).
+    /// error (or the earlier one if another worker tripped first).
     fn trip_memory(&self, requested: usize) -> EngineError {
-        self.trip(CAUSE_MEMORY, requested)
+        let budget = self.mem_budget.unwrap_or(0);
+        self.trip(EngineError::MemoryBudgetExceeded { budget, requested })
     }
 
-    fn trip(&self, cause: u8, requested: usize) -> EngineError {
-        // First trip wins; later trips re-report the original cause so all
-        // workers unwind with one consistent error.
-        if self.cause.compare_exchange(CAUSE_NONE, cause).is_ok() {
-            self.trip_requested.store(requested);
-            return self.make_error(cause, requested);
-        }
-        self.cause_error(self.cause.load())
-    }
-
-    fn cause_error(&self, cause: u8) -> EngineError {
-        self.make_error(cause, self.trip_requested.load())
-    }
-
-    fn make_error(&self, cause: u8, requested: usize) -> EngineError {
-        match cause {
-            CAUSE_CANCELLED => EngineError::Cancelled,
-            CAUSE_DEADLINE => EngineError::DeadlineExceeded,
-            _ => EngineError::MemoryBudgetExceeded {
-                budget: self.mem_budget.unwrap_or(0),
-                requested,
-            },
-        }
+    /// Latch `err` unless a violation is latched already, and return the
+    /// latched one: the first trip wins, and every later trip re-reports it
+    /// so all workers unwind with one consistent error.
+    fn trip(&self, err: EngineError) -> EngineError {
+        self.tripped.get_or_init(|| err).clone()
     }
 }
 
@@ -407,6 +381,29 @@ mod tests {
             checkpoint(&g).0,
             Err(EngineError::MemoryBudgetExceeded { budget: 100, requested: 500 })
         );
+    }
+
+    /// Workers spinning in `checkpoint` while a sibling trips the memory
+    /// budget all return the tripping request: the latched error is one
+    /// cell, so no worker can read the cause without its payload.
+    #[test]
+    #[expect(clippy::disallowed_methods, reason = "checkpoints race a memory trip")]
+    fn checkpoints_racing_a_memory_trip_all_carry_its_request() {
+        for requested in 500..2500 {
+            let g = Governor::new(None, None, Some(100));
+            let want = EngineError::MemoryBudgetExceeded { budget: 100, requested };
+            let errors: Vec<EngineError> = std::thread::scope(|s| {
+                let spin = || loop {
+                    if let Err(e) = g.checkpoint(&mut ExecStats::default()) {
+                        return e;
+                    }
+                };
+                let spinners: Vec<_> = (0..3).map(|_| s.spawn(spin)).collect();
+                let tripped = MemScope::default().charge(&g, requested).unwrap_err();
+                spinners.into_iter().map(|h| h.join().unwrap()).chain([tripped]).collect()
+            });
+            assert!(errors.iter().all(|e| *e == want), "{errors:?}");
+        }
     }
 
     #[test]

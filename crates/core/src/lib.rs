@@ -86,12 +86,9 @@ pub use strategy::{AggStrategy, SelectionStrategy};
     clippy::disallowed_types,
     reason = "the telemetry handle and decision log are public API"
 )]
-pub use telemetry::{
-    metrics_compiled_out, telemetry, DecisionLog, DecisionSummary, EngineTelemetry,
-    DECISION_LOG_CAPACITY,
-};
+pub use telemetry::{telemetry, DecisionLog, EngineTelemetry, DECISION_LOG_CAPACITY};
 #[expect(clippy::disallowed_types, reason = "finished trace events are public API")]
 pub use trace::{
-    DecisionRecord, Phase, PhaseTotals, ProfileLevel, QueryProfile, SpanLoc, TraceEvent, Tracer,
-    WorkerRing,
+    observability_compiled_out, DecisionRecord, Phase, PhaseTotals, ProfileLevel, QueryProfile,
+    SpanLoc, TraceEvent, Tracer, WorkerRing,
 };

@@ -427,7 +427,7 @@ mod tests {
     /// there, whoever scanned them.
     #[test]
     fn segment_rollup_tiles_the_stats_at_every_worker_count() {
-        if crate::trace::profiler_compiled_out() {
+        if crate::trace::observability_compiled_out() {
             return;
         }
         let t = table(5000, 1300);
@@ -601,7 +601,7 @@ mod tests {
         assert!(matches!(err, EngineError::Cancelled), "{err:?}");
         let mut profile = QueryProfile::new(ProfileLevel::Spans);
         let stats = profile.absorb(tracer);
-        if !crate::trace::profiler_compiled_out() {
+        if !crate::trace::observability_compiled_out() {
             assert_eq!(profile.phase(Phase::SegmentScan).count, 1, "{:?}", profile.phases);
         }
         assert_eq!(stats.governor_checks, 1, "the tripping checkpoint was counted");

@@ -18,21 +18,22 @@
 //! touches a registry handle, so:
 //!
 //! * the hot path costs nothing beyond the accounting it already did;
-//! * registry mutation is auditable — the xtask `trace-hygiene` pass pins
-//!   `Registry::` / `Counter::` / … mutation to this module and the metrics
-//!   crate itself;
+//! * registry mutation is confined — clippy's `disallowed_types` rejects a
+//!   `Registry`, `Counter`, `Gauge` or `Histogram` outside this module and
+//!   the metrics crate itself;
 //! * per-strategy registry counters are *exactly* the sum of published
 //!   queries' `ExecStats` tallies — the only per-strategy tallies there
 //!   are — by construction.
 //!
 //! ## Compiling it out
 //!
-//! The `no_metrics` feature is the PR-1-era `no_profiler` pattern applied
-//! here: [`EngineTelemetry::on`] becomes a constant `false`, publish calls
-//! dead-code-eliminate, and the bench overhead gate
-//! (`exp_telemetry --gate`) holds the metrics-off build within 2% of
-//! baseline. At runtime, [`EngineTelemetry::set_enabled`] is the reversible
-//! switch the overhead experiment toggles between interleaved runs.
+//! Publication has no runtime switch. The `no_observability` feature
+//! ([`observability_compiled_out`]) compiles it out together with the
+//! tracer: every publish call returns before touching an instrument, so the
+//! registry stays at zero. That build exists only as the baseline of the one
+//! overhead gate (`exp_profile_overhead --gate 2`), which holds a normal
+//! build at `QueryOptions::default()` — profiler `Off`, publication on —
+//! within 2 % of it.
 //!
 //! ## Metric naming convention
 //!
@@ -47,18 +48,17 @@
     reason = "the telemetry seam owns the registry, its instruments and the decision log"
 )]
 
-use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
 use bipie_metrics::{Counter, Gauge, Histogram, Labels, Registry};
-use bipie_toolbox::sync::{self, lock};
+use bipie_toolbox::sync::lock;
 use std::sync::Arc;
 
 use crate::error::{AdmissionReason, EngineError};
 use crate::stats::ExecStats;
 pub use crate::trace::DecisionRecord;
-use crate::trace::QueryProfile;
+use crate::trace::{observability_compiled_out, QueryProfile};
 
 /// Decisions the [`DecisionLog`] retains before overwriting the oldest.
 /// 4096 records ≈ a few hundred queries of batch decisions — enough recent
@@ -144,23 +144,6 @@ pub(crate) fn published<T>(
         telemetry().publish_error(err);
     }
     outcome
-}
-
-/// Per-cell pick histogram over the retained decisions — the summary shape
-/// ROADMAP item 4's measured cost model mines for chooser regret.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DecisionSummary {
-    /// Retained selection decisions per strategy (`SelectionStrategy` index).
-    pub selection_picks: [u64; 4],
-    /// Retained aggregation decisions per strategy (`AggStrategy` index).
-    pub agg_picks: [u64; 5],
-    /// Selection matrix cells: `(bits, selectivity decile 0..=9)` → picks
-    /// per strategy. The cell axes mirror the paper's Figure 8 crossover
-    /// matrix (bit width × selectivity).
-    pub selection_cells: BTreeMap<(u8, u8), [u64; 4]>,
-    /// Aggregation cells: `log2(num_groups_effective)` → picks per
-    /// strategy (group count is the dominant axis of Figures 9–10).
-    pub agg_cells: BTreeMap<u8, [u64; 5]>,
 }
 
 /// Ring state behind the [`DecisionLog`] lock.
@@ -256,26 +239,6 @@ impl DecisionLog {
             body.join(", ")
         )
     }
-
-    /// Fold the retained records into the per-cell pick histogram.
-    pub fn summary(&self) -> DecisionSummary {
-        let mut s = DecisionSummary::default();
-        for r in self.snapshot() {
-            match r {
-                DecisionRecord::Selection { bits, observed_selectivity, chosen, .. } => {
-                    s.selection_picks[chosen as usize] += 1;
-                    let decile = ((observed_selectivity * 10.0) as i64).clamp(0, 9) as u8;
-                    s.selection_cells.entry((bits, decile)).or_default()[chosen as usize] += 1;
-                }
-                DecisionRecord::Agg { num_groups_effective, chosen, .. } => {
-                    s.agg_picks[chosen as usize] += 1;
-                    let log2_groups = (64 - u64::from(num_groups_effective).leading_zeros()) as u8;
-                    s.agg_cells.entry(log2_groups).or_default()[chosen as usize] += 1;
-                }
-            }
-        }
-        s
-    }
 }
 
 /// The process-wide telemetry handle: a metrics [`Registry`], the engine's
@@ -285,14 +248,11 @@ impl DecisionLog {
 /// instances (`EngineTelemetry::new`) in tests to observe deltas without
 /// cross-test pollution.
 ///
-/// /// Invariant: `enabled` only gates *publication* — instruments are
-/// registered unconditionally at construction so metric identity is stable
-/// regardless of when the switch flips, and a disabled (or `no_metrics`)
+/// /// Invariant: instruments are registered unconditionally at construction,
+/// so metric identity is the same in every build, and a `no_observability`
 /// process observes all counters at exactly zero.
 pub struct EngineTelemetry {
     registry: Registry,
-    /// Runtime publish switch (default on); `no_metrics` wins over it.
-    enabled: sync::Bool,
     decision_log: DecisionLog,
     queries: Arc<Counter>,
     query_errors: Arc<Counter>,
@@ -425,7 +385,6 @@ impl EngineTelemetry {
         );
         Self {
             registry,
-            enabled: sync::Bool::new(true),
             decision_log: DecisionLog::new(),
             queries,
             query_errors,
@@ -462,24 +421,6 @@ impl EngineTelemetry {
         &self.decision_log
     }
 
-    /// Flip the runtime publish switch. A `no_metrics` build ignores this —
-    /// [`EngineTelemetry::on`] stays `false`.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled);
-    }
-
-    /// Whether publish calls record anything.
-    pub fn on(&self) -> bool {
-        #[cfg(feature = "no_metrics")]
-        {
-            false
-        }
-        #[cfg(not(feature = "no_metrics"))]
-        {
-            self.enabled.load()
-        }
-    }
-
     /// Publish one completed query: fleet counters from its [`ExecStats`],
     /// latency into the histogram, and (when the profile captured spans)
     /// per-strategy span latencies plus [`DecisionLog`] records.
@@ -489,7 +430,7 @@ impl EngineTelemetry {
     /// sum over published queries of their stats — the acceptance
     /// invariant the `telemetry` integration test pins.
     pub fn publish_query(&self, stats: &ExecStats, profile: &QueryProfile, wall: Duration) {
-        if !self.on() {
+        if observability_compiled_out() {
             return;
         }
         self.queries.inc();
@@ -515,7 +456,7 @@ impl EngineTelemetry {
     /// error counts as a failed query, plus a governor-trip cause counter
     /// when the governor stopped it.
     pub fn publish_error(&self, err: &EngineError) {
-        if !self.on() {
+        if observability_compiled_out() {
             return;
         }
         if let Some(reason) = ShedReason::of(err) {
@@ -535,7 +476,7 @@ impl EngineTelemetry {
     /// gauges, plus the admission counter when `admitted` (a queue-depth
     /// update alone leaves the counter untouched).
     pub fn publish_engine_admission(&self, active: usize, queued: usize, admitted: bool) {
-        if !self.on() {
+        if observability_compiled_out() {
             return;
         }
         self.engine_active_queries.set(active as i64);
@@ -549,7 +490,7 @@ impl EngineTelemetry {
     /// registry. Called by the engine when a query finishes — gauges carry
     /// monotone totals, so "latest publish wins" is exact on quiesce.
     pub fn publish_sched_stats(&self, stats: crate::pool::SchedStats) {
-        if !self.on() {
+        if observability_compiled_out() {
             return;
         }
         self.sched_jobs_dispatched.set(stats.jobs_dispatched.min(i64::MAX as u64) as i64);
@@ -577,12 +518,6 @@ impl EngineTelemetry {
     }
 }
 
-/// True when the `no_metrics` feature compiled telemetry publication out
-/// (the overhead benchmark uses this to refuse to measure the wrong build).
-pub fn metrics_compiled_out() -> bool {
-    cfg!(feature = "no_metrics")
-}
-
 /// The process-wide telemetry singleton every query publishes into.
 pub fn telemetry() -> &'static EngineTelemetry {
     static TELEMETRY: OnceLock<EngineTelemetry> = OnceLock::new();
@@ -597,7 +532,7 @@ mod tests {
     /// The decision log holds records only the tracer builds, so these feed
     /// it the way a query does — tracer, profile, `ingest_profile` — and
     /// need the profiler compiled in.
-    #[cfg(not(feature = "no_profiler"))]
+    #[cfg(not(feature = "no_observability"))]
     mod decision_log {
         use super::*;
         use crate::strategy::AggChoiceParams;
@@ -648,23 +583,16 @@ mod tests {
         }
 
         #[test]
-        fn summary_buckets_by_cell() {
+        fn each_record_lands_in_its_strategy_histogram() {
             let t = EngineTelemetry::new();
             t.ingest_profile(&profile_of(&[
                 (0.05, SelectionStrategy::Gather),
                 (0.07, SelectionStrategy::Gather),
                 (0.95, SelectionStrategy::Compact),
             ]));
-            let s = t.decision_log().summary();
-            assert_eq!(s.selection_picks, [2, 1, 0, 0]);
-            assert_eq!(s.agg_picks, [0, 0, 1, 0, 0]);
-            assert_eq!(s.selection_cells[&(8, 0)], [2, 0, 0, 0]);
-            assert_eq!(s.selection_cells[&(8, 9)], [0, 1, 0, 0]);
-            // 5 groups → log2 bucket 3 (bit length of 5).
-            assert_eq!(s.agg_cells[&3], [0, 0, 1, 0, 0]);
-            // Each record was observed into its strategy's cycle histogram.
-            assert_eq!(t.selection_batch_cycles[0].count(), 2);
-            assert_eq!(t.agg_segment_cycles[2].count(), 1);
+            assert_eq!(t.selection_batch_cycles.each_ref().map(|h| h.count()), [2, 1, 0, 0]);
+            assert_eq!(t.agg_segment_cycles.each_ref().map(|h| h.count()), [0, 0, 1, 0, 0]);
+            assert_eq!(t.decision_log().len(), 4);
         }
 
         #[test]
@@ -679,8 +607,7 @@ mod tests {
             assert_eq!(json.matches('{').count(), json.matches('}').count());
         }
 
-        /// `to_json` and `summary` read the ring and the drop count under
-        /// one guard: a dump never shows `dropped > 0` beside a ring that
+        /// `to_json` reads the ring and the drop count under one guard: a dump never shows `dropped > 0` beside a ring that
         /// is not full, however many sessions are publishing.
         #[test]
         #[expect(clippy::disallowed_methods, reason = "pushes race the dump from real threads")]
@@ -721,7 +648,7 @@ mod tests {
         let profile = QueryProfile::default();
         t.publish_query(&stats, &profile, Duration::from_micros(123));
         t.publish_query(&stats, &profile, Duration::from_micros(456));
-        if t.on() {
+        if !observability_compiled_out() {
             assert_eq!(t.selection_picks[0].value(), 4);
             assert_eq!(t.selection_picks[3].value(), 2);
             assert_eq!(t.agg_picks[3].value(), 2);
@@ -731,7 +658,7 @@ mod tests {
             assert_eq!(t.bytes_scanned.value(), 8192);
             assert_eq!(t.query_latency_us.count(), 2);
         } else {
-            // no_metrics: the same publishes must leave every value at 0.
+            // no_observability: the same publishes must leave every value at 0.
             assert_eq!(t.selection_picks[0].value(), 0);
             assert_eq!(t.queries.value(), 0);
             assert_eq!(t.query_latency_us.count(), 0);
@@ -744,7 +671,7 @@ mod tests {
         t.publish_error(&EngineError::DeadlineExceeded);
         t.publish_error(&EngineError::Cancelled);
         t.publish_error(&EngineError::UnknownColumn("x".into()));
-        if t.on() {
+        if !observability_compiled_out() {
             assert_eq!(t.query_errors.value(), 3);
             assert_eq!(t.governor_trips[0].value(), 1);
             assert_eq!(t.governor_trips[1].value(), 1);
@@ -765,7 +692,7 @@ mod tests {
         t.publish_error(&rejected(AdmissionReason::AggregateMemory));
         t.publish_error(&EngineError::EngineShutdown);
         t.publish_sched_stats(crate::pool::SchedStats { jobs_dispatched: 7, query_switches: 3 });
-        if t.on() {
+        if !observability_compiled_out() {
             assert_eq!(t.engine_active_queries.value(), 1);
             assert_eq!(t.engine_queued_queries.value(), 0);
             assert_eq!(t.engine_admissions.value(), 1);
@@ -778,19 +705,9 @@ mod tests {
             assert_eq!(t.sched_jobs_dispatched.value(), 7);
             assert_eq!(t.sched_query_switches.value(), 3);
         } else {
-            // no_metrics: the same publishes must leave every value at 0.
+            // no_observability: the same publishes must leave every value at 0.
             assert_eq!(t.engine_admissions.value(), 0);
             assert_eq!(t.sched_jobs_dispatched.value(), 0);
         }
-    }
-
-    #[test]
-    fn disabled_switch_suppresses_publication() {
-        let t = EngineTelemetry::new();
-        t.set_enabled(false);
-        assert!(!t.on());
-        t.publish_query(&ExecStats::default(), &QueryProfile::default(), Duration::ZERO);
-        assert_eq!(t.queries.value(), 0);
-        t.set_enabled(true);
     }
 }

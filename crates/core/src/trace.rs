@@ -63,11 +63,14 @@ pub enum ProfileLevel {
 /// worker before truncation).
 pub const EVENT_CAPACITY: usize = 16 * 1024;
 
-/// Whether the profiler was compiled out entirely (`no_profiler` feature —
-/// used only by the overhead benchmark to build a true no-profiler
-/// baseline binary).
-pub fn profiler_compiled_out() -> bool {
-    cfg!(feature = "no_profiler")
+/// Whether the `no_observability` feature compiled the observability layer
+/// out: every [`Tracer`] is inert at any level and
+/// [`EngineTelemetry`](crate::telemetry::EngineTelemetry) publishes nothing.
+/// The feature exists only so the overhead gate (`exp_profile_overhead`)
+/// has a build with nothing compiled in to measure against; tests read this
+/// to skip assertions on spans, phases and registry values.
+pub fn observability_compiled_out() -> bool {
+    cfg!(feature = "no_observability")
 }
 
 /// An execution phase a span can be attributed to.
@@ -460,7 +463,7 @@ impl Tracer {
     /// overflow policy with tiny buffers).
     pub fn with_capacity(level: ProfileLevel, worker: u32, capacity: usize) -> Tracer {
         let events = match level {
-            ProfileLevel::Spans if !profiler_compiled_out() => Vec::with_capacity(capacity),
+            ProfileLevel::Spans if !observability_compiled_out() => Vec::with_capacity(capacity),
             _ => Vec::new(),
         };
         Tracer {
@@ -477,7 +480,7 @@ impl Tracer {
     /// instrumentation site pays at `Off`.
     #[inline]
     pub fn enabled(&self) -> bool {
-        !profiler_compiled_out() && self.level != ProfileLevel::Off
+        !observability_compiled_out() && self.level != ProfileLevel::Off
     }
 
     /// Whether the full event log is kept.
@@ -1167,7 +1170,7 @@ mod tests {
 
     /// With the profiler compiled out, every level behaves like `Off`: no
     /// clock reads, no event storage, nothing absorbed.
-    #[cfg(feature = "no_profiler")]
+    #[cfg(feature = "no_observability")]
     #[test]
     fn compiled_out_profiler_is_inert_at_every_level() {
         for level in [ProfileLevel::Off, ProfileLevel::Counters, ProfileLevel::Spans] {
@@ -1186,7 +1189,7 @@ mod tests {
     // is compiled out (`Tracer::enabled()` is a constant false), so they
     // only build in the normal configuration.
 
-    #[cfg(not(feature = "no_profiler"))]
+    #[cfg(not(feature = "no_observability"))]
     #[test]
     fn counters_accumulate_without_storing_events() {
         let mut t = Tracer::new(ProfileLevel::Counters, 1);
@@ -1206,7 +1209,7 @@ mod tests {
 
     /// A timed span closes on every exit of its work, an `Err` included, and
     /// hands the work's result back untouched.
-    #[cfg(not(feature = "no_profiler"))]
+    #[cfg(not(feature = "no_observability"))]
     #[test]
     fn timed_closes_the_span_on_an_error_too() {
         let mut t = Tracer::new(ProfileLevel::Spans, 0);
@@ -1220,7 +1223,7 @@ mod tests {
         assert_eq!(t.phases[Phase::SegmentScan as usize].rows, 4096);
     }
 
-    #[cfg(not(feature = "no_profiler"))]
+    #[cfg(not(feature = "no_observability"))]
     #[test]
     fn spans_store_events_and_overflow_drops_new_ones() {
         let mut t = Tracer::with_capacity(ProfileLevel::Spans, 0, 2);
@@ -1242,7 +1245,7 @@ mod tests {
         ));
     }
 
-    #[cfg(not(feature = "no_profiler"))]
+    #[cfg(not(feature = "no_observability"))]
     #[test]
     fn absorb_merges_multiple_workers() {
         let mut p = QueryProfile::new(ProfileLevel::Spans);
@@ -1259,7 +1262,7 @@ mod tests {
         assert_eq!(p.events.len(), 6);
     }
 
-    #[cfg(not(feature = "no_profiler"))]
+    #[cfg(not(feature = "no_observability"))]
     #[test]
     fn explain_and_json_render() {
         let mut t = Tracer::new(ProfileLevel::Spans, 0);

@@ -9,13 +9,12 @@
 //! * a **statistic** — the pool's run count, the governor's peak, the
 //!   metric registry's shards: readers want a number, and sums and maxima
 //!   commute;
-//! * a **polled flag** — a cancel token, telemetry's publish switch, a
-//!   cursor's stop: the flag is the whole message, nothing is published
-//!   behind it, and a poller that misses it sees it at its next check;
-//! * a **claim counter** — morsel cursors, query ids, memory reservations,
-//!   the governor's trip cause: one read-modify-write on one location
-//!   decides each claim under any ordering, and the counter guards no other
-//!   memory.
+//! * a **polled flag** — a cancel token, a cursor's stop: the flag is the
+//!   whole message, nothing is published behind it, and a poller that
+//!   misses it sees it at its next check;
+//! * a **claim counter** — morsel cursors, query ids, memory reservations:
+//!   one read-modify-write on one location decides each claim under any
+//!   ordering, and the counter guards no other memory.
 //!
 //! Happens-before between threads comes from the mutexes, the condition
 //! variables and the worker pool's join, never from an atomic. So the cells
@@ -100,14 +99,6 @@ macro_rules! cells {
             self.0.fetch_update(Relaxed, Relaxed, f)
         }
     };
-    (@compare_exchange $t:ty) => {
-        /// Store `new` if the value is `current`: `Ok(current)`, or
-        /// `Err(actual)` unchanged.
-        #[inline]
-        pub fn compare_exchange(&self, current: $t, new: $t) -> Result<$t, $t> {
-            self.0.compare_exchange(current, new, Relaxed, Relaxed)
-        }
-    };
     (@compare_exchange_weak $t:ty) => {
         /// Store `new` if the value is `current`: `Ok(current)`, or
         /// `Err(actual)` unchanged — which may also happen spuriously, so
@@ -122,8 +113,6 @@ macro_rules! cells {
 cells! {
     /// A relaxed `bool`: a polled flag.
     Bool(AtomicBool, bool) { store }
-    /// A relaxed `u8`: a latched cause byte.
-    U8(AtomicU8, u8) { compare_exchange }
     /// A relaxed `usize`: a counter, a claim cursor or a reservation.
     Usize(AtomicUsize, usize) {
         store, fetch_add, fetch_sub, fetch_max, fetch_update, compare_exchange_weak
@@ -160,7 +149,7 @@ pub fn wait_timeout<'a, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize};
+    use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize};
 
     #[test]
     fn cells_return_what_the_std_atomics_return() {
@@ -168,13 +157,6 @@ mod tests {
         b.store(true);
         sb.store(true, Relaxed);
         assert_eq!(b.load(), sb.load(Relaxed));
-
-        let (c, sc) = (U8::new(3), AtomicU8::new(3));
-        assert_eq!(c.compare_exchange(3, 7), sc.compare_exchange(3, 7, Relaxed, Relaxed));
-        // A failed exchange returns the current value and leaves it.
-        assert_eq!(c.compare_exchange(3, 9), Err(7));
-        assert_eq!(c.compare_exchange(3, 9), sc.compare_exchange(3, 9, Relaxed, Relaxed));
-        assert_eq!(c.load(), sc.load(Relaxed));
 
         let (u, su) = (Usize::new(10), AtomicUsize::new(10));
         assert_eq!(u.fetch_add(5), su.fetch_add(5, Relaxed));

@@ -18,7 +18,7 @@ use std::path::Path;
 
 /// Required fields per committed bench file, mirroring what the experiment
 /// binaries write and DESIGN.md §9 documents.
-const SCHEMAS: [(&str, &[&str]); 7] = [
+const SCHEMAS: [(&str, &[&str]); 5] = [
     (
         "BENCH_scan.json",
         &[
@@ -54,23 +54,6 @@ const SCHEMAS: [(&str, &[&str]); 7] = [
         "BENCH_encoded_ops.json",
         &["bench", "rows", "runs", "results", "best_rle_speedup", "min_runs_fraction"],
     ),
-    (
-        "BENCH_telemetry.json",
-        &[
-            "bench",
-            "scale_factor",
-            "rows",
-            "runs",
-            "baseline_secs",
-            "on_secs",
-            "off_secs",
-            "on_vs_off_pct",
-            "off_vs_baseline_pct",
-            "off_vs_baseline_gate_pct",
-            "registry",
-        ],
-    ),
-    ("BENCH_telemetry_baseline.json", &["bench", "scale_factor", "rows", "runs", "median_secs"]),
     (
         "BENCH_serving.json",
         &[

@@ -27,7 +27,7 @@ use crate::scan::SourceFile;
 use crate::Diag;
 
 /// The relaxed atomic cells of `bipie_toolbox::sync`.
-const CELL_TYPES: [&str; 5] = ["Bool", "U8", "Usize", "U64", "I64"];
+const CELL_TYPES: [&str; 4] = ["Bool", "Usize", "U64", "I64"];
 
 /// Does a space-joined type string embed a synchronization primitive?
 fn is_sync_type(ty: &str) -> bool {

@@ -53,13 +53,6 @@ impl Gen {
     }
 }
 
-/// Whether a query's profile holds anything: `--features no_profiler`
-/// compiles the tracer out, every `QueryProfile` comes back empty, and a
-/// test stops here before it asserts on spans or phase counters.
-pub fn profiler_compiled_in() -> bool {
-    !cfg!(feature = "no_profiler")
-}
-
 /// Run `property` for `cases` independently seeded cases. On failure the
 /// case index and seed are printed before the panic is re-raised, so the
 /// failing input can be regenerated deterministically.

@@ -7,8 +7,6 @@
 //! reference executor. Covers run boundaries, all-accept / all-reject
 //! batches, deleted rows, the mutable tail, and serial vs parallel scans.
 
-mod common;
-
 use bipie::columnstore::encoding::EncodingHint;
 use bipie::columnstore::{ColumnSpec, LogicalType, Table, TableBuilder, Value};
 use bipie::core::reference::execute_reference;
@@ -351,7 +349,7 @@ fn row_range_prunes_rows_and_says_so() {
     let r = r.unwrap();
     let explain = r.profile.render_explain(&r.stats);
     assert!(explain.contains("8191 rows scanned (11807 pruned)"), "{explain}");
-    if common::profiler_compiled_in() {
+    if !bipie::core::observability_compiled_out() {
         assert!(explain.contains("range=[8192,16384)"), "{explain}");
     }
 }
@@ -639,7 +637,9 @@ fn one_group_in_register_matches_reference() {
                             3 => Some(0),
                             _ => None,
                         };
-                        if let Some(m) = mapped.filter(|_| common::profiler_compiled_in()) {
+                        if let Some(m) =
+                            mapped.filter(|_| !bipie::core::observability_compiled_out())
+                        {
                             assert_eq!(r.profile.phase(Phase::Unpack).count, m, "{label}");
                         }
                         let paths = (stats.expr_lane_segments, stats.expr_interp_segments);
@@ -665,11 +665,13 @@ fn one_group_in_register_matches_reference() {
 /// selection span per counted batch — and no batch is selected twice.
 /// Forcing is no good here: a forced non-run-wise strategy disables the
 /// run-wise plan up front.
-#[cfg(not(feature = "no_profiler"))] // asserts on trace spans
 #[test]
 #[expect(clippy::disallowed_types, reason = "the test reads finished trace events")]
 fn declined_run_wise_sample_leaves_no_span_behind() {
     use bipie::core::{Phase, TraceEvent};
+    if bipie::core::observability_compiled_out() {
+        return; // asserts on trace spans
+    }
     let t = rle_table(3000, 1, 1100); // run_len 1: runs_fraction == 1.0
     let opts = QueryOptions { parallel: false, profile: ProfileLevel::Spans, ..Default::default() };
     let r = execute(&t, &agg_query(Some(Predicate::lt("k", Value::I64(2000))), opts)).unwrap();

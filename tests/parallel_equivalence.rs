@@ -12,12 +12,13 @@
 mod common;
 
 use bipie::columnstore::{ColumnSpec, EncodingHint, LogicalType, Table, TableBuilder, Value};
+use bipie::core::observability_compiled_out;
 use bipie::core::reference::execute_reference;
 use bipie::core::{
     execute, AggExpr, AggStrategy, DecisionRecord, EngineError, Expr, Phase, Predicate,
     ProfileLevel, Query, QueryBuilder, QueryOptions, QueryProfile, SelectionStrategy, TraceEvent,
 };
-use common::{profiler_compiled_in, run_cases};
+use common::run_cases;
 
 /// Build a table whose immutable region has exactly one segment per entry
 /// of `chunks` (with that many rows), by flushing the mutable region
@@ -306,7 +307,7 @@ fn profile_counters_accumulate_without_events() {
     let options = QueryOptions { profile: ProfileLevel::Counters, ..serial_options() };
     let r = execute(&t, &the_query(-2000, options)).unwrap();
     assert!(r.profile.events.is_empty(), "Counters must not store events");
-    if !profiler_compiled_in() {
+    if observability_compiled_out() {
         return;
     }
     assert!(!r.profile.is_empty());
@@ -382,7 +383,7 @@ fn profile_span_counts_agree_serial_vs_parallel() {
             _ => one.stats.segments_scanned - one.stats.wide_group_segments,
         };
         assert!(sink_segments >= 1, "{label} must run its sink: {:?}", one.stats);
-        if !profiler_compiled_in() {
+        if observability_compiled_out() {
             continue;
         }
         for (r, threads) in runs.iter().zip([1, 2]) {
@@ -446,7 +447,7 @@ fn stolen_morsels_do_not_change_the_decision() {
         assert_eq!(r.stats.agg_segments.iter().sum::<usize>(), r.stats.segments_scanned);
     }
     assert_eq!(par.stats.agg_segments, serial.stats.agg_segments);
-    if !profiler_compiled_in() {
+    if observability_compiled_out() {
         return;
     }
     let decisions = agg_decisions(&serial.profile);
@@ -516,7 +517,7 @@ fn mutable_tail_span_closes_with_zero_mutable_rows() {
     let t = skewed_table(&[2_000], 9, 5); // flush_mutable ran: tail is empty
     let options = QueryOptions { profile: ProfileLevel::Spans, ..serial_options() };
     let r = execute(&t, &the_query(-2000, options)).unwrap();
-    if !profiler_compiled_in() {
+    if observability_compiled_out() {
         return;
     }
     assert_eq!(r.profile.phase(Phase::MutableTail).count, 1, "{:?}", r.profile.phases);
@@ -530,7 +531,7 @@ fn parallel_merge_span_survives_the_merge_extraction() {
     let t = skewed_table(&[20_000, 3_000], 1_000, 13); // >128 groups: phase-2 merge runs
     let options = QueryOptions { profile: ProfileLevel::Spans, ..parallel_options(4, 1024, 256) };
     let r = execute(&t, &the_query(-2000, options)).unwrap();
-    if !profiler_compiled_in() {
+    if observability_compiled_out() {
         return;
     }
     assert!(r.profile.phase(Phase::ParallelMerge).count >= 1, "{:?}", r.profile.phases);

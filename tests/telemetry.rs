@@ -7,8 +7,6 @@
 
 #![expect(clippy::disallowed_types, reason = "the suite builds and reads trace events")]
 
-mod common;
-
 use bipie::core::{
     telemetry, AggStrategy, DecisionRecord, Phase, ProfileLevel, QueryOptions, QueryProfile,
     SelectionStrategy, SpanLoc, TraceEvent,
@@ -374,87 +372,82 @@ fn mixed_workload_telemetry_is_exact() {
         .expect("Q1 runs"),
     ];
 
-    if !bipie::core::telemetry::metrics_compiled_out() {
-        // Registry pick counters == summed ExecStats, exactly.
-        for (i, (s, c)) in sel_handles.iter().enumerate() {
-            let expected: u64 =
-                results.iter().map(|r| r.stats.selection_batches[*s as usize] as u64).sum();
-            assert_eq!(c.value() - before_sel[i], expected, "selection counter {s:?}");
-        }
-        for (i, c) in agg_handles.iter().enumerate() {
-            let expected: u64 = results.iter().map(|r| r.stats.agg_segments[i] as u64).sum();
-            assert_eq!(c.value() - before_agg[i], expected, "agg counter index {i}");
-        }
-        assert_eq!(queries.value() - before_queries, 2);
-        let total_rows: u64 = results.iter().map(|r| r.stats.rows_scanned as u64).sum();
-        let total_bytes: u64 = results.iter().map(|r| r.stats.bytes_scanned as u64).sum();
-        assert!(total_bytes > 0, "encoded segments must report scanned bytes");
-        assert_eq!(rows.value() - before_rows, total_rows);
-        assert_eq!(bytes.value() - before_bytes, total_bytes);
-        assert_eq!(latency.count() - before_latency, 2);
+    if bipie::core::observability_compiled_out() {
+        return; // nothing is published, nothing is traced
     }
-    if !common::profiler_compiled_in() {
-        return; // the decision log and the trace are fed by spans
+    // Registry pick counters == summed ExecStats, exactly.
+    for (i, (s, c)) in sel_handles.iter().enumerate() {
+        let expected: u64 =
+            results.iter().map(|r| r.stats.selection_batches[*s as usize] as u64).sum();
+        assert_eq!(c.value() - before_sel[i], expected, "selection counter {s:?}");
     }
-    if !bipie::core::telemetry::metrics_compiled_out() {
-        // The decision log tiles every batch/segment decision of both
-        // queries: same totals, same per-strategy breakdown.
-        let records = t.decision_log().snapshot();
-        let expected_sel: u64 =
-            results.iter().map(|r| r.stats.selection_batches.iter().sum::<usize>() as u64).sum();
-        let expected_agg: u64 =
-            results.iter().map(|r| r.stats.agg_segments.iter().sum::<usize>() as u64).sum();
-        let (got_sel, got_agg) = records.iter().fold((0u64, 0u64), |(s, a), r| match r {
-            DecisionRecord::Selection { .. } => (s + 1, a),
-            DecisionRecord::Agg { .. } => (s, a + 1),
-        });
-        assert_eq!(got_sel, expected_sel, "selection records tile the batches");
-        assert_eq!(got_agg, expected_agg, "agg records tile the segment executors");
-        let summary = t.decision_log().summary();
-        for (i, (s, _)) in sel_handles.iter().enumerate() {
-            let expected: u64 =
-                results.iter().map(|r| r.stats.selection_batches[*s as usize] as u64).sum();
-            assert_eq!(summary.selection_picks[i], expected, "summary pick {s:?}");
+    for (i, c) in agg_handles.iter().enumerate() {
+        let expected: u64 = results.iter().map(|r| r.stats.agg_segments[i] as u64).sum();
+        assert_eq!(c.value() - before_agg[i], expected, "agg counter index {i}");
+    }
+    assert_eq!(queries.value() - before_queries, 2);
+    let total_rows: u64 = results.iter().map(|r| r.stats.rows_scanned as u64).sum();
+    let total_bytes: u64 = results.iter().map(|r| r.stats.bytes_scanned as u64).sum();
+    assert!(total_bytes > 0, "encoded segments must report scanned bytes");
+    assert_eq!(rows.value() - before_rows, total_rows);
+    assert_eq!(bytes.value() - before_bytes, total_bytes);
+    assert_eq!(latency.count() - before_latency, 2);
+
+    // The decision log tiles every batch/segment decision of both queries:
+    // same totals, same per-strategy breakdown.
+    let records = t.decision_log().snapshot();
+    let mut got_sel = [0u64; 4];
+    let mut got_agg = [0u64; 5];
+    for r in &records {
+        match r {
+            DecisionRecord::Selection { chosen, .. } => got_sel[*chosen as usize] += 1,
+            DecisionRecord::Agg { chosen, .. } => got_agg[*chosen as usize] += 1,
         }
-        assert!(!summary.selection_cells.is_empty(), "per-cell histogram populated");
-        // Span-paired costs: at least one selection record carries cycles.
-        assert!(
-            records
-                .iter()
-                .any(|r| matches!(r, DecisionRecord::Selection { cycles, .. } if *cycles > 0)),
-            "decision records carry span-paired cycle costs"
-        );
     }
+    for (s, _) in &sel_handles {
+        let expected: u64 =
+            results.iter().map(|r| r.stats.selection_batches[*s as usize] as u64).sum();
+        assert_eq!(got_sel[*s as usize], expected, "selection records of {s:?}");
+    }
+    for (i, got) in got_agg.iter().enumerate() {
+        let expected: u64 = results.iter().map(|r| r.stats.agg_segments[i] as u64).sum();
+        assert_eq!(*got, expected, "agg records of strategy index {i}");
+    }
+    // Span-paired costs: at least one selection record carries cycles.
+    assert!(
+        records
+            .iter()
+            .any(|r| matches!(r, DecisionRecord::Selection { cycles, .. } if *cycles > 0)),
+        "decision records carry span-paired cycle costs"
+    );
 
     // A segment's decision record carries the segment's whole cost, however
     // many workers shared it: four workers over one-batch morsels, and every
     // `Agg` record still covers all the rows the scan visited in its segment.
-    if !bipie::core::telemetry::metrics_compiled_out() {
-        t.decision_log().clear();
-        let shared = QueryOptions {
-            profile: ProfileLevel::Spans,
-            threads: Some(4),
-            batch_rows: 512,
-            morsel_rows: 512,
-            ..Default::default()
-        };
-        let par = run_q1_result(&table, shared).expect("Q1 runs");
-        let mut visited = std::collections::BTreeMap::<u32, u64>::new();
-        for event in &par.profile.events {
-            if let TraceEvent::Span { phase: Phase::SegmentScan, loc, rows, .. } = event {
-                *visited.entry(loc.segment).or_default() += rows;
-            }
+    t.decision_log().clear();
+    let shared = QueryOptions {
+        profile: ProfileLevel::Spans,
+        threads: Some(4),
+        batch_rows: 512,
+        morsel_rows: 512,
+        ..Default::default()
+    };
+    let par = run_q1_result(&table, shared).expect("Q1 runs");
+    let mut visited = std::collections::BTreeMap::<u32, u64>::new();
+    for event in &par.profile.events {
+        if let TraceEvent::Span { phase: Phase::SegmentScan, loc, rows, .. } = event {
+            *visited.entry(loc.segment).or_default() += rows;
         }
-        let mut agg_records = 0;
-        for record in t.decision_log().snapshot() {
-            if let DecisionRecord::Agg { segment, rows, cycles, .. } = record {
-                agg_records += 1;
-                assert_eq!(rows, visited[&segment], "segment {segment}: {record:?}");
-                assert!(cycles > 0, "segment {segment}: {record:?}");
-            }
-        }
-        assert_eq!(agg_records, par.stats.segments_scanned, "one agg record per segment");
     }
+    let mut agg_records = 0;
+    for record in t.decision_log().snapshot() {
+        if let DecisionRecord::Agg { segment, rows, cycles, .. } = record {
+            agg_records += 1;
+            assert_eq!(rows, visited[&segment], "segment {segment}: {record:?}");
+            assert!(cycles > 0, "segment {segment}: {record:?}");
+        }
+    }
+    assert_eq!(agg_records, par.stats.segments_scanned, "one agg record per segment");
 
     for result in &results {
         // Ring-utilization satellite: render_explain reports per-worker
@@ -471,14 +464,16 @@ fn mixed_workload_telemetry_is_exact() {
 }
 
 #[test]
-fn no_metrics_build_is_inert() {
-    // Under --features no_metrics the same publish path must leave every
-    // instrument untouched; in a normal build this asserts the opposite
-    // wiring (covered above), so the test body is feature-conditional.
-    if bipie::core::telemetry::metrics_compiled_out() {
+fn no_observability_build_is_inert() {
+    // Under --features no_observability a spans-profiled query must come
+    // back with an empty profile and leave every instrument untouched; in a
+    // normal build the opposite wiring is covered above, so the test body is
+    // feature-conditional.
+    if bipie::core::observability_compiled_out() {
         let table = small_lineitem();
-        let _ = run_q1_result(&table, QueryOptions::default()).expect("Q1 runs");
-        assert!(!telemetry().on(), "no_metrics must hard-disable publication");
+        let options = QueryOptions { profile: ProfileLevel::Spans, ..Default::default() };
+        let result = run_q1_result(&table, options).expect("Q1 runs");
+        assert!(result.profile.is_empty(), "the tracer is compiled out");
         let queries = telemetry().registry().counter(
             "bipie_queries_total",
             "Queries executed to completion.",
@@ -511,7 +506,7 @@ fn empty_table() -> bipie::columnstore::Table {
 #[test]
 fn engine_fast_fail_errors_are_published() {
     use bipie::core::{AggExpr, Engine, EngineError, QueryBuilder};
-    if bipie::core::telemetry::metrics_compiled_out() || !telemetry().on() {
+    if bipie::core::observability_compiled_out() {
         return;
     }
     let _counters = engine_counters();
@@ -545,7 +540,7 @@ fn engine_fast_fail_errors_are_published() {
 #[test]
 fn engine_sheds_count_under_their_reason_and_not_as_errors() {
     use bipie::core::{AdmissionReason, AggExpr, Engine, EngineConfig, EngineError, QueryBuilder};
-    if bipie::core::telemetry::metrics_compiled_out() || !telemetry().on() {
+    if bipie::core::observability_compiled_out() {
         return;
     }
     let _counters = engine_counters();

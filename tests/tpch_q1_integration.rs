@@ -6,8 +6,6 @@
 
 #![expect(clippy::disallowed_types, reason = "the suite reads finished trace events")]
 
-mod common;
-
 use bipie::columnstore::{Date, Value};
 use bipie::core::aggproc::{AggInput, ExprPath, LanePlan};
 use bipie::core::expr::resolve_many;
@@ -126,7 +124,7 @@ fn q1_profile_events_tile_the_stats_and_cover_every_batch() {
     let options = QueryOptions { profile: ProfileLevel::Spans, ..Default::default() };
     let result = run_q1_result(&table, options).unwrap();
     let (profile, stats) = (&result.profile, &result.stats);
-    if !common::profiler_compiled_in() {
+    if bipie::core::observability_compiled_out() {
         return;
     }
     assert!(!profile.is_empty());

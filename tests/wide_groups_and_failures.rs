@@ -63,7 +63,7 @@ fn wide_batches_are_aggregation_spans_labelled_scalar() {
         let r = execute(&t, &q).unwrap();
         assert_eq!(r.rows, execute_reference(&t, &q).unwrap().rows, "threads={threads}");
         assert_eq!(r.stats.wide_group_segments, r.stats.segments_scanned, "{:?}", r.stats);
-        if cfg!(feature = "no_profiler") {
+        if bipie::core::observability_compiled_out() {
             continue;
         }
         let phase = r.profile.phase(Phase::Aggregation);
