@@ -296,10 +296,12 @@ fn translate_between(lo: i64, hi: i64, reference: i64, range: u64) -> DomainCmp 
     }
 }
 
-/// Translate a string comparison into the sorted-dictionary code domain.
+/// Translate a string comparison into the code domain of a sorted
+/// dictionary of `len` entries.
 fn translate_str_cmp<T: Ord + ?Sized>(
     op: CmpOp,
     value: &T,
+    len: usize,
     dict_iter: impl Fn(&T) -> (usize, Option<usize>), // (partition points) see below
 ) -> DomainCmp {
     // dict_iter returns (k_lt, exact): k_lt = #entries < value, exact = code
@@ -315,34 +317,36 @@ fn translate_str_cmp<T: Ord + ?Sized>(
             None => DomainCmp::All,
         },
         // x < value  <=>  code < k_lt
-        CmpOp::Lt => threshold_lt(k_lt),
+        CmpOp::Lt => threshold_lt(k_lt, len),
         // x <= value <=>  code < k_lt + (exact ? 1 : 0)
-        CmpOp::Le => threshold_lt(k_lt + exact.map_or(0, |_| 1)),
+        CmpOp::Le => threshold_lt(k_lt + exact.map_or(0, |_| 1), len),
         // x >= value <=>  code >= k_lt
-        CmpOp::Ge => threshold_ge(k_lt),
+        CmpOp::Ge => threshold_ge(k_lt, len),
         // x > value  <=>  code >= k_lt + (exact ? 1 : 0)
-        CmpOp::Gt => threshold_ge(k_lt + exact.map_or(0, |_| 1)),
+        CmpOp::Gt => threshold_ge(k_lt + exact.map_or(0, |_| 1), len),
     }
 }
 
-fn threshold_lt(k: usize) -> DomainCmp {
-    if k == 0 {
-        DomainCmp::None
-    } else {
-        DomainCmp::Cmp(CmpOp::Lt, k as u64)
+/// `code < k` over codes `0..len`.
+fn threshold_lt(k: usize, len: usize) -> DomainCmp {
+    match k {
+        0 => DomainCmp::None,
+        k if k >= len => DomainCmp::All,
+        k => DomainCmp::Cmp(CmpOp::Lt, k as u64),
     }
 }
 
-fn threshold_ge(k: usize) -> DomainCmp {
-    if k == 0 {
-        DomainCmp::All
-    } else {
-        DomainCmp::Cmp(CmpOp::Ge, k as u64)
+/// `code >= k` over codes `0..len`.
+fn threshold_ge(k: usize, len: usize) -> DomainCmp {
+    match k {
+        0 => DomainCmp::All,
+        k if k >= len => DomainCmp::None,
+        k => DomainCmp::Cmp(CmpOp::Ge, k as u64),
     }
 }
 
 fn str_domain_cmp(dict: &[String], op: CmpOp, value: &str) -> DomainCmp {
-    translate_str_cmp(op, value, |v: &str| {
+    translate_str_cmp(op, value, dict.len(), |v: &str| {
         let k_lt = dict.partition_point(|d| d.as_str() < v);
         let exact = (k_lt < dict.len() && dict[k_lt] == v).then_some(k_lt);
         (k_lt, exact)
@@ -377,7 +381,7 @@ impl LogicalCmp {
     /// Translate into a sorted-integer-dictionary code domain.
     fn to_code_domain(self, dict: &[i64]) -> DomainCmp {
         match self {
-            LogicalCmp::Cmp(op, c) => translate_str_cmp(op, &c, |v: &i64| {
+            LogicalCmp::Cmp(op, c) => translate_str_cmp(op, &c, dict.len(), |v: &i64| {
                 let k_lt = dict.partition_point(|d| d < v);
                 let exact = (k_lt < dict.len() && dict[k_lt] == *v).then_some(k_lt);
                 (k_lt, exact)

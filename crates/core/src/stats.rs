@@ -51,11 +51,11 @@ pub struct ExecStats {
     pub mutable_rows: usize,
     /// Batches per selection strategy, indexed by [`SelectionStrategy`].
     /// Additive.
-    pub selection_batches: [usize; 4],
+    pub selection_batches: [usize; SelectionStrategy::ALL.len()],
     /// Aggregation-strategy decisions, indexed by [`AggStrategy`] — one per
     /// scanned segment, made at plan time, so the entries sum to
     /// `segments_scanned` at every worker count. Additive.
-    pub agg_segments: [usize; 5],
+    pub agg_segments: [usize; AggStrategy::ALL.len()],
     /// Scanned segments whose computed sum inputs run as typed lane
     /// programs over natural-width columns (DESIGN.md §17): at most one per
     /// scanned segment. Additive.
@@ -122,11 +122,11 @@ impl ExecStats {
         self.rows_pruned += other.rows_pruned;
         self.bytes_scanned += other.bytes_scanned;
         self.mutable_rows += other.mutable_rows;
-        for i in 0..4 {
-            self.selection_batches[i] += other.selection_batches[i];
+        for (mine, theirs) in self.selection_batches.iter_mut().zip(other.selection_batches) {
+            *mine += theirs;
         }
-        for i in 0..5 {
-            self.agg_segments[i] += other.agg_segments[i];
+        for (mine, theirs) in self.agg_segments.iter_mut().zip(other.agg_segments) {
+            *mine += theirs;
         }
         self.expr_lane_segments += other.expr_lane_segments;
         self.expr_interp_segments += other.expr_interp_segments;

@@ -1064,7 +1064,7 @@ pub(crate) struct SegmentRollup {
     /// The segment's selection decisions, in event order.
     pub selections: Vec<DecisionRecord>,
     /// Per-strategy rollup, indexed by [`SelectionStrategy`].
-    pub strategies: [StrategyRollup; 4],
+    pub strategies: [StrategyRollup; SelectionStrategy::ALL.len()],
 }
 
 /// One segment's `EXPLAIN` subtree.

@@ -20,15 +20,7 @@ use bipie::columnstore::{
 };
 use bipie::toolbox::rng::Rng;
 use bipie::tpch::lineitem_specs;
-use common::{run_cases, Gen};
-
-const HINTS: [EncodingHint; 5] = [
-    EncodingHint::Auto,
-    EncodingHint::BitPack,
-    EncodingHint::Dict,
-    EncodingHint::Rle,
-    EncodingHint::Delta,
-];
+use common::{run_cases, Gen, HINTS};
 
 /// Value pools that exercise different encoding sweet spots.
 fn arb_values(g: &mut Gen) -> Vec<i64> {

@@ -7,209 +7,111 @@
 //! reference executor. Covers run boundaries, all-accept / all-reject
 //! batches, deleted rows, the mutable tail, and serial vs parallel scans.
 
+mod common;
+
 use bipie::columnstore::encoding::EncodingHint;
-use bipie::columnstore::{ColumnSpec, LogicalType, Table, TableBuilder, Value};
+use bipie::columnstore::{ColumnSpec, LogicalType, TableBuilder, Value};
 use bipie::core::reference::execute_reference;
 use bipie::core::{
     execute, AggExpr, AggStrategy, Predicate, ProfileLevel, Query, QueryBuilder, QueryOptions,
-    ResultRow, SelectionStrategy,
+    SelectionStrategy,
 };
 use bipie::toolbox::SimdLevel;
+use common::{assert_matches, assert_matches_reference, threads, with, Col, Forced, Grid, Shape};
 
-/// `rows` rows in runs of `run_len`: `k = i / run_len`, `v = 7k - 3`.
-/// Both columns RLE-encoded, split into `segment_rows` segments.
-fn rle_table(rows: usize, run_len: usize, segment_rows: usize) -> Table {
-    let mut b = TableBuilder::with_segment_rows(
-        vec![
-            ColumnSpec::new("k", LogicalType::I64).with_hint(EncodingHint::Rle),
-            ColumnSpec::new("v", LogicalType::I64).with_hint(EncodingHint::Rle),
-        ],
-        segment_rows,
-    );
-    for i in 0..rows as i64 {
-        let run = i / run_len as i64;
-        b.push_row(vec![Value::I64(run), Value::I64(7 * run - 3)]);
-    }
-    b.finish()
+/// Every column run-length encoded.
+const RLE: [EncodingHint; 3] = [EncodingHint::Rle; 3];
+
+/// Ungrouped aggregates over `a`, eligible for the run-wise path.
+fn agg_query(filter: Option<Predicate>) -> Query {
+    let aggregates =
+        vec![AggExpr::count_star(), AggExpr::sum("a"), AggExpr::min("a"), AggExpr::max("a")];
+    Query { filter, aggregates, ..QueryBuilder::new().build() }
 }
 
-/// Ungrouped aggregates over `v`, eligible for the run-wise path.
-fn agg_query(filter: Option<Predicate>, options: QueryOptions) -> Query {
-    let mut q = QueryBuilder::new()
-        .aggregate(AggExpr::count_star())
-        .aggregate(AggExpr::sum("v"))
-        .aggregate(AggExpr::min("v"))
-        .aggregate(AggExpr::max("v"))
-        .options(options);
-    if let Some(f) = filter {
-        q = q.filter(f);
-    }
-    q.build()
-}
-
-fn fallback_options() -> QueryOptions {
-    QueryOptions {
-        forced_agg: Some(AggStrategy::Scalar),
-        forced_selection: Some(SelectionStrategy::Compact),
-        ..Default::default()
-    }
-}
-
-/// Engine (adaptive), engine (forced decode fallback), and the reference
-/// executor must agree exactly.
-fn assert_three_way(table: &Table, filter: Option<Predicate>, label: &str) {
-    let adaptive = execute(table, &agg_query(filter.clone(), QueryOptions::default())).unwrap();
-    let fallback = execute(table, &agg_query(filter.clone(), fallback_options())).unwrap();
-    let oracle = execute_reference(table, &agg_query(filter, QueryOptions::default())).unwrap();
-    assert_eq!(adaptive.rows, fallback.rows, "{label}: adaptive vs forced fallback");
-    assert_eq!(adaptive.rows, oracle.rows, "{label}: adaptive vs reference");
-}
+/// The always-available decode fallback, beside the adaptive choice.
+const FALLBACK: [Forced; 2] =
+    [(None, None), (Some(AggStrategy::Scalar), Some(SelectionStrategy::Compact))];
 
 #[test]
 fn run_wise_matches_fallback_and_reference_across_predicates() {
     // Run lengths from fully fragmented (1) to long (100); boundary-aligned
     // and boundary-straddling batch windows.
-    for run_len in [1usize, 3, 64, 100] {
-        let t = rle_table(2000, run_len, 700);
-        let max_k = (2000 / run_len) as i64;
+    let (keys, grid) = (40, Grid { forced: FALLBACK.to_vec(), ..Grid::default() });
+    for run in [1usize, 3, 64, 100] {
+        let t = Shape { run, ..Shape::new(&[700, 700, 600], keys, run as u64).hints(RLE) }.build();
         let preds: Vec<(&str, Option<Predicate>)> = vec![
             ("no filter", None),
-            ("eq boundary", Some(Predicate::eq("k", Value::I64(1)))),
+            ("eq", Some(Predicate::eq("k", Value::I64(1)))),
             ("ne", Some(Predicate::ne("k", Value::I64(2)))),
-            ("lt mid", Some(Predicate::lt("k", Value::I64(max_k / 2)))),
+            ("lt mid", Some(Predicate::lt("k", Value::I64(keys / 2)))),
             ("le zero", Some(Predicate::le("k", Value::I64(0)))),
-            ("ge tail", Some(Predicate::ge("k", Value::I64(max_k - 1)))),
+            ("ge top", Some(Predicate::ge("k", Value::I64(keys - 1)))),
             ("between", Some(Predicate::between("k", Value::I64(1), Value::I64(5)))),
             ("all accept", Some(Predicate::ge("k", Value::I64(-1)))),
-            ("all reject", Some(Predicate::gt("k", Value::I64(max_k + 1)))),
+            ("all reject", Some(Predicate::gt("k", Value::I64(keys + 1)))),
             (
                 "conjunction",
                 Some(Predicate::and(vec![
                     Predicate::ge("k", Value::I64(1)),
-                    Predicate::lt("v", Value::I64(7 * (max_k / 2) - 3)),
+                    Predicate::lt("a", Value::I64(0)),
                 ])),
             ),
         ];
         for (label, pred) in preds {
-            assert_three_way(&t, pred, &format!("run_len={run_len} {label}"));
+            let label = format!("run={run} {label}");
+            assert_matches_reference(&t, &agg_query(pred), &grid, &label);
         }
     }
 }
 
 #[test]
 fn forcing_run_wise_on_eligible_table_uses_it_and_agrees() {
-    let t = rle_table(3000, 50, 1100);
-    let pred = Predicate::lt("k", Value::I64(30));
-    let forced = QueryOptions {
-        forced_agg: Some(AggStrategy::RunWise),
-        forced_selection: Some(SelectionStrategy::RunSpan),
-        parallel: false,
-        ..Default::default()
-    };
-    let fast = execute(&t, &agg_query(Some(pred.clone()), forced)).unwrap();
+    let t = Shape { run: 50, ..Shape::new(&[1100, 1100, 800], 60, 1).hints(RLE) }.build();
+    let q = agg_query(Some(Predicate::lt("k", Value::I64(30))));
+    let forced = (Some(AggStrategy::RunWise), Some(SelectionStrategy::RunSpan));
+    let grid = Grid { forced: vec![forced], ..Grid::default() };
+    let fast = assert_matches_reference(&t, &q, &grid, "forced run-wise").remove(0).1;
     // The decision events must prove the specialized strategies fired.
     assert!(fast.stats.agg_count(AggStrategy::RunWise) > 0, "{:?}", fast.stats);
     assert!(fast.stats.selection_count(SelectionStrategy::RunSpan) > 0, "{:?}", fast.stats);
     assert_eq!(fast.stats.agg_count(AggStrategy::Scalar), 0);
-    let oracle = execute_reference(&t, &agg_query(Some(pred), QueryOptions::default())).unwrap();
-    assert_eq!(fast.rows, oracle.rows);
 }
 
 #[test]
 fn deleted_rows_disable_run_wise_but_stay_correct() {
-    let mut t = rle_table(2000, 100, 650); // 4 segments
+    let shape = Shape { run: 100, ..Shape::new(&[650, 650, 700], 40, 2).hints(RLE) };
+    let mut t = shape.build();
     t.delete_row(1, 3);
     t.delete_row(1, 649);
-    let pred = Some(Predicate::lt("k", Value::I64(15)));
-    assert_three_way(&t, pred.clone(), "deleted rows");
+    let q = agg_query(Some(Predicate::lt("k", Value::I64(30))));
+    let grid = Grid { forced: FALLBACK.to_vec(), ..Grid::default() };
+    let r = assert_matches_reference(&t, &q, &grid, "deleted rows").remove(0).1;
     // The segment with deletions must not take the run-wise path; the
-    // clean segments still may — either way every row is accounted for.
-    let r = execute(&t, &agg_query(pred, QueryOptions::default())).unwrap();
-    let counts: u64 = r.rows[0].aggs[0].as_count().unwrap();
-    assert_eq!(counts, 15 * 100 - 2);
+    // clean segments still may.
+    assert_eq!(r.stats.segments_scanned, 3, "{:?}", r.stats);
+    assert!(r.stats.agg_count(AggStrategy::RunWise) < 3, "{:?}", r.stats);
 }
 
 #[test]
 fn mutable_tail_rows_join_run_wise_segments() {
-    let mut t = rle_table(1300, 64, 1300);
-    for i in 0..17i64 {
-        t.insert(vec![Value::I64(2), Value::I64(7 * 2 - 3 + (i % 2))]);
-    }
-    assert_three_way(&t, Some(Predicate::eq("k", Value::I64(2))), "mutable tail");
-    assert_three_way(&t, None, "mutable tail unfiltered");
+    let t = Shape { run: 64, tail: 17, ..Shape::new(&[1300], 4, 3).hints(RLE) }.build();
+    // The tail rows continue the segment's last run: filter on their key.
+    let q = agg_query(Some(Predicate::eq("k", t.mutable_rows().value(0, 0))));
+    let grid = Grid { forced: FALLBACK.to_vec(), ..Grid::default() };
+    assert_matches_reference(&t, &q, &grid, "mutable tail");
+    assert_matches_reference(&t, &agg_query(None), &grid, "mutable tail unfiltered");
 }
 
 #[test]
 fn serial_and_parallel_agree_on_run_wise_path() {
-    let t = rle_table(20_000, 128, 6000);
-    let pred = Predicate::between("k", Value::I64(10), Value::I64(100));
-    for (batch_rows, threads) in [(512usize, 2usize), (1024, 4), (4096, 8)] {
-        let serial = QueryOptions { parallel: false, batch_rows, ..Default::default() };
-        let par = QueryOptions {
-            parallel: true,
-            threads: Some(threads),
-            batch_rows,
-            ..Default::default()
-        };
-        let a = execute(&t, &agg_query(Some(pred.clone()), serial)).unwrap();
-        let b = execute(&t, &agg_query(Some(pred.clone()), par)).unwrap();
-        assert_eq!(a.rows, b.rows, "batch_rows={batch_rows} threads={threads}");
-        // Run-wise or not is decided once per segment, before the workers.
-        assert_eq!(a.stats.agg_segments, b.stats.agg_segments, "threads={threads}");
-        assert_eq!(b.stats.agg_count(AggStrategy::RunWise), b.stats.segments_scanned);
+    let shape = Shape { run: 128, ..Shape::new(&[6000, 6000, 6000, 2000], 200, 4).hints(RLE) };
+    let q = agg_query(Some(Predicate::between("k", Value::I64(10), Value::I64(100))));
+    let grid = Grid { batch_rows: vec![512, 1024, 4096], ..Grid::workers(&[1, 4]) };
+    // Run-wise or not is decided once per segment, before the workers.
+    for (_, r) in assert_matches_reference(&shape.build(), &q, &grid, "run-wise") {
+        assert_eq!(r.stats.agg_count(AggStrategy::RunWise), r.stats.segments_scanned);
     }
-}
-
-/// The engine's rows on `table`, under each of `options`, are `expected`;
-/// every scanned segment logs one aggregation decision, and options that
-/// differ only in their worker count log the same ones.
-fn assert_engine_rows(
-    table: &Table,
-    query: &Query,
-    options: &[QueryOptions],
-    expected: &[ResultRow],
-    label: &str,
-) {
-    let mut decided = std::collections::BTreeMap::new();
-    for opts in options {
-        let q = Query { options: opts.clone(), ..query.clone() };
-        let fast = execute(table, &q).unwrap();
-        let label = format!(
-            "{label} threads={:?} batch_rows={} level={}",
-            opts.threads, opts.batch_rows, opts.level
-        );
-        assert_eq!(fast.rows, expected, "{label}");
-        let agg = fast.stats.agg_segments;
-        assert_eq!(agg.iter().sum::<usize>(), fast.stats.segments_scanned, "{label}");
-        let same_but_threads = (opts.batch_rows, opts.level.to_string());
-        assert_eq!(agg, *decided.entry(same_but_threads).or_insert(agg), "{label}");
-    }
-}
-
-/// {serial, 2 threads} × {default, 512-row batches}.
-fn threads_by_batch_rows() -> Vec<QueryOptions> {
-    let mut options = Vec::new();
-    for batch_rows in [QueryOptions::default().batch_rows, 512] {
-        let base = QueryOptions { batch_rows, morsel_rows: 1024, ..Default::default() };
-        options.push(QueryOptions { parallel: false, ..base.clone() });
-        options.push(QueryOptions { parallel: true, threads: Some(2), ..base });
-    }
-    options
-}
-
-/// Every SIMD tier × {serial, 2 threads over 512-row batches}.
-fn tiers_by_threads() -> Vec<QueryOptions> {
-    let mut options = Vec::new();
-    for level in SimdLevel::available() {
-        options.push(QueryOptions { level, parallel: false, ..Default::default() });
-        options.push(QueryOptions {
-            level,
-            threads: Some(2),
-            batch_rows: 512,
-            ..Default::default()
-        });
-    }
-    options
 }
 
 const CMP_OPS: [fn(&'static str, Value) -> Predicate; 6] =
@@ -223,7 +125,8 @@ const CMP_OPS: [fn(&'static str, Value) -> Predicate; 6] =
 #[test]
 fn monotonic_range_pruning_matches_reference() {
     let ts_of = |i: usize| 100 + (i / 700) as i64 * 5;
-    let options = threads_by_batch_rows();
+    let grid =
+        Grid { batch_rows: vec![4096, 512], morsel_rows: vec![1024], ..Grid::workers(&[1, 2]) };
     // (rows, segment rows): one segment of each length, then three.
     for (rows, segment_rows) in
         [(1, 1), (1023, 1023), (1024, 1024), (1025, 1025), (4097, 4097), (4500, 1500)]
@@ -293,20 +196,8 @@ fn monotonic_range_pruning_matches_reference() {
                     // answers by replaying from its anchor; the bit-packed
                     // table holds the same rows and answers in O(1).
                     let oracle = execute_reference(&bitpack, &q).unwrap();
-                    assert_engine_rows(
-                        &delta,
-                        &q,
-                        &options,
-                        &oracle.rows,
-                        &format!("Delta {label}"),
-                    );
-                    assert_engine_rows(
-                        &bitpack,
-                        &q,
-                        &options,
-                        &oracle.rows,
-                        &format!("BitPack {label}"),
-                    );
+                    assert_matches(&delta, &q, &grid, &oracle, &format!("Delta {label}"));
+                    assert_matches(&bitpack, &q, &grid, &oracle, &format!("BitPack {label}"));
                 }
             }
         }
@@ -361,27 +252,14 @@ fn row_range_prunes_rows_and_says_so() {
 /// (7|8, 14|16, 28|32); the constants on and beyond both ends of the domain.
 #[test]
 fn packed_comparisons_at_every_word_match_reference() {
-    let options = tiers_by_threads();
+    let grid =
+        Grid { levels: SimdLevel::available(), batch_rows: vec![4096, 512], ..Grid::default() };
     for bits in [1u32, 7, 8, 9, 14, 16, 17, 28, 32, 33] {
         let (min, range) = (-3i64, ((1u64 << bits) - 1) as i64);
-        let mut b = TableBuilder::with_segment_rows(
-            vec![
-                ColumnSpec::new("x", LogicalType::I64).with_hint(EncodingHint::BitPack),
-                ColumnSpec::new("v", LogicalType::I64),
-            ],
-            1500,
-        );
-        for i in 0..1500u64 {
-            // Both ends of the domain, out of order; then the top `bits` bits
-            // of a multiplicative hash.
-            let normalized = match i {
-                0 => range,
-                1 => 0,
-                _ => (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as i64,
-            };
-            b.push_row(vec![Value::I64(min + normalized), Value::I64(i as i64)]);
-        }
-        let t = b.finish();
+        // Both ends of the domain in the first two rows, then a uniform draw.
+        let x = Col { hint: EncodingHint::BitPack, ..Col::int("x", min, min + range) };
+        let t =
+            Shape { cols: vec![x, Col::int("v", 0, 1499)], ..Shape::new(&[1500], 1, 7) }.build();
         for op in CMP_OPS {
             for c in [min - 1, min, min + range / 2, min + range, min + range + 1] {
                 let q = QueryBuilder::new()
@@ -389,9 +267,7 @@ fn packed_comparisons_at_every_word_match_reference() {
                     .aggregate(AggExpr::count_star())
                     .aggregate(AggExpr::sum("v"))
                     .build();
-                let oracle = execute_reference(&t, &q).unwrap();
-                let label = format!("bits={bits} {:?}", q.filter);
-                assert_engine_rows(&t, &q, &options, &oracle.rows, &label);
+                assert_matches_reference(&t, &q, &grid, &format!("bits={bits} {:?}", q.filter));
             }
         }
     }
@@ -404,11 +280,13 @@ fn packed_comparisons_at_every_word_match_reference() {
 /// anything else (a membership table: SIMD for codes of at most 8 bits, an
 /// id-bitset beyond). Cardinalities sit on both sides of the 8-bit edge, and
 /// of the 16-bit one for the thresholds: a comparison on codes runs at the
-/// codes' own word, and `x <= <largest entry>` is `code < cardinality`, a
-/// constant one past what 8- or 16-bit codes can hold.
+/// codes' own word. One comparison is answered from the dictionary too:
+/// `x <= <largest entry>` accepts every code and `x > <largest entry>` none,
+/// which eliminates the segment.
 #[test]
 fn dictionary_predicates_match_reference() {
-    let options = tiers_by_threads();
+    let grid =
+        Grid { levels: SimdLevel::available(), batch_rows: vec![4096, 512], ..Grid::default() };
     for cardinality in [1usize, 2, 255, 256, 257, 4096, 65_535, 65_536, 65_537] {
         // Every code occurs at least once; the row-at-a-time reference is
         // what bounds the row count at the 16-bit edge.
@@ -495,51 +373,14 @@ fn dictionary_predicates_match_reference() {
                     .aggregate(AggExpr::count_star())
                     .aggregate(AggExpr::sum("v"))
                     .build();
+                let none = label == "gt largest";
                 let label = format!("cardinality={cardinality} {col}: {label}");
-                let oracle = execute_reference(&t, &q).unwrap();
-                assert_engine_rows(&t, &q, &options, &oracle.rows, &label);
+                for (_, r) in assert_matches_reference(&t, &q, &grid, &label) {
+                    assert!(!none || r.stats.segments_eliminated == 1, "{label}");
+                }
             }
         }
     }
-}
-
-/// Rows per segment of [`one_group_table`]: a full batch, then a 1-row tail.
-const ONE_GROUP_SEGMENT_ROWS: usize = 4097;
-
-/// Three 4 097-row segments of bit-packed columns for ungrouped (one-group)
-/// queries: `f` spreads `0..1000` for `f < c` filters of selectivity
-/// `c / 1000`; the sum inputs unpack to `u8` (`a`), `u16` (`b`, with
-/// `u16::MAX`), `u32` reaching `u32::MAX` (`c`), `u64` (`d`, 40 bits), and
-/// `u16` over a negative frame of reference (`n`). `deleted` drops rows at
-/// both ends of every segment, its tail batch's row included.
-fn one_group_table(deleted: bool) -> Table {
-    let bitpack =
-        |name: &str| ColumnSpec::new(name, LogicalType::I64).with_hint(EncodingHint::BitPack);
-    let mut b = TableBuilder::with_segment_rows(
-        ["f", "a", "b", "c", "d", "n"].map(bitpack).to_vec(),
-        ONE_GROUP_SEGMENT_ROWS,
-    );
-    for i in 0..3 * ONE_GROUP_SEGMENT_ROWS as u64 {
-        let hash = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let (b16, c32) = match i {
-            0 => (u16::MAX as u64, u32::MAX as u64),
-            1 => (0, 0),
-            _ => (hash >> 48, hash >> 32),
-        };
-        let mut row: Vec<Value> =
-            [i * 7919 % 1000, i % 251, b16, c32, hash >> 24].map(|v| Value::I64(v as i64)).to_vec();
-        row.push(Value::I64((i % 3001) as i64 - 1_000_000));
-        b.push_row(row);
-    }
-    let mut t = b.finish();
-    if deleted {
-        for seg in 0..3 {
-            for row in [0, 1, 2048, ONE_GROUP_SEGMENT_ROWS - 1] {
-                t.delete_row(seg, row);
-            }
-        }
-    }
-    t
 }
 
 /// One group under In-Register needs no group ids: COUNT is the selected
@@ -555,6 +396,24 @@ fn one_group_table(deleted: bool) -> Table {
 #[test]
 fn one_group_in_register_matches_reference() {
     use bipie::core::{Expr, Phase};
+    // Three 4 097-row segments (a full batch, then a 1-row tail) of
+    // bit-packed columns: `f` spreads `0..1000` for `f < c` filters of
+    // selectivity `c / 1000`; the sum inputs unpack to `u8` (`a`), `u16`
+    // reaching `u16::MAX` (`b`), `u32` reaching `u32::MAX` (`c`), `u64`
+    // (`d`, 40 bits), and `u16` over a negative frame of reference (`n`).
+    // Deletes drop rows at both ends of every segment, its tail batch's row
+    // included.
+    let cols = [
+        ("f", 0, 999),
+        ("a", 0, 250),
+        ("b", 0, u16::MAX as i64),
+        ("c", 0, u32::MAX as i64),
+        ("d", 0, (1 << 40) - 1),
+        ("n", -1_000_000, -997_000),
+    ];
+    let cols =
+        cols.map(|(name, lo, hi)| Col { hint: EncodingHint::BitPack, ..Col::int(name, lo, hi) });
+    let shape = Shape { cols: cols.into(), ..Shape::new(&[4097; 3], 1, 5) };
     // A lane program over `a` and `b`; `n`'s negative range sends the second
     // expression to the interpreter.
     let lane = AggExpr::sum_expr(Expr::col("a").mul(Expr::lit(70_000).sub(Expr::col("b"))));
@@ -571,85 +430,62 @@ fn one_group_in_register_matches_reference() {
         ("interpreter", vec![AggExpr::sum("b"), interpreted, AggExpr::sum("n")], false),
     ];
     let filters = [None, Some(5), Some(580), Some(900)];
-    let mut forced: Vec<(Option<AggStrategy>, Option<SelectionStrategy>)> =
-        vec![(None, None), (Some(AggStrategy::InRegister), None)];
+    let mut forced: Vec<Forced> = vec![(None, None), (Some(AggStrategy::InRegister), None)];
     forced.extend(SelectionStrategy::DENSE.map(|s| (Some(AggStrategy::InRegister), Some(s))));
     for agg in [AggStrategy::MultiAggregate, AggStrategy::SortBased, AggStrategy::Scalar] {
         forced.push((Some(agg), None));
         forced.push((Some(agg), Some(SelectionStrategy::SpecialGroup)));
     }
     // Serial and two workers at every tier, on the default batch grid.
-    let mut bases = Vec::new();
-    for level in SimdLevel::available() {
-        for threads in [1, 2] {
-            let profile = ProfileLevel::Spans;
-            bases.push(QueryOptions {
-                level,
-                threads: Some(threads),
-                profile,
-                ..Default::default()
-            });
-        }
-    }
+    let grid = Grid { forced, levels: SimdLevel::available(), ..Grid::workers(&[1, 2]) };
     let mut adaptive_selections = [0usize; 3];
     for deleted in [false, true] {
-        let t = one_group_table(deleted);
+        let t = Shape { delete_stride: if deleted { 2048 } else { 0 }, ..shape.clone() }.build();
         for (qlabel, sums, adaptive_in_register) in &queries {
             for &below in &filters {
-                let mut q = QueryBuilder::new().aggregate(AggExpr::count_star());
-                for s in sums {
-                    q = q.aggregate(s.clone());
-                }
-                if let Some(c) = below {
-                    q = q.filter(Predicate::lt("f", Value::I64(c)));
-                }
-                let q = q.build();
-                let oracle = execute_reference(&t, &q).unwrap();
-                for base in &bases {
-                    for &(forced_agg, forced_selection) in &forced {
-                        let options = QueryOptions { forced_agg, forced_selection, ..base.clone() };
-                        let label = format!(
-                            "{qlabel} deleted={deleted} f<{below:?} {forced_agg:?}+\
-                             {forced_selection:?} threads={:?} level={}",
-                            options.threads, options.level
-                        );
-                        let r = execute(&t, &Query { options, ..q.clone() }).unwrap();
-                        assert_eq!(r.rows, oracle.rows, "{label}");
-                        let stats = &r.stats;
-                        assert_eq!(stats.segments_scanned, 3, "{label}");
-                        let adaptive = adaptive_in_register.then_some(AggStrategy::InRegister);
-                        if let Some(agg) = forced_agg.or(adaptive) {
-                            assert_eq!(stats.agg_count(agg), 3, "{label}: {stats:?}");
-                        }
-                        if let Some(s) = forced_selection {
-                            assert_eq!(stats.selection_count(s), stats.batches, "{label}");
-                        }
-                        if forced_agg.is_none() && *adaptive_in_register {
-                            for (seen, s) in
-                                adaptive_selections.iter_mut().zip(SelectionStrategy::DENSE)
-                            {
-                                *seen += stats.selection_count(s);
-                            }
-                        }
-                        // A batch maps group ids unless its segment runs In-Register.
-                        let mapped = match stats.agg_count(AggStrategy::InRegister) {
-                            0 => Some(stats.batches as u64),
-                            3 => Some(0),
-                            _ => None,
-                        };
-                        if let Some(m) =
-                            mapped.filter(|_| !bipie::core::observability_compiled_out())
-                        {
-                            assert_eq!(r.profile.phase(Phase::Unpack).count, m, "{label}");
-                        }
-                        let paths = (stats.expr_lane_segments, stats.expr_interp_segments);
-                        let expect = match *qlabel {
-                            "narrow" => (3, 0),
-                            "interpreter" => (0, 3),
-                            _ => (0, 0),
-                        };
-                        assert_eq!(paths, expect, "{label}");
+                let q = Query {
+                    filter: below.map(|c| Predicate::lt("f", Value::I64(c))),
+                    aggregates: [&[AggExpr::count_star()][..], sums].concat(),
+                    options: QueryOptions { profile: ProfileLevel::Spans, ..threads(1) },
+                    ..QueryBuilder::new().build()
+                };
+                let label = format!("{qlabel} deleted={deleted} f<{below:?}");
+                for (options, r) in assert_matches_reference(&t, &q, &grid, &label) {
+                    let (forced_agg, forced_selection) =
+                        (options.forced_agg, options.forced_selection);
+                    let label = format!("{label} {options:?}");
+                    let stats = &r.stats;
+                    assert_eq!(stats.segments_scanned, 3, "{label}");
+                    let adaptive = adaptive_in_register.then_some(AggStrategy::InRegister);
+                    if let Some(agg) = forced_agg.or(adaptive) {
+                        assert_eq!(stats.agg_count(agg), 3, "{label}: {stats:?}");
                     }
+                    if let Some(s) = forced_selection {
+                        assert_eq!(stats.selection_count(s), stats.batches, "{label}");
+                    }
+                    if forced_agg.is_none() && *adaptive_in_register {
+                        for (seen, s) in
+                            adaptive_selections.iter_mut().zip(SelectionStrategy::DENSE)
+                        {
+                            *seen += stats.selection_count(s);
+                        }
+                    }
+                    // A batch maps group ids unless its segment runs In-Register.
+                    let mapped = match stats.agg_count(AggStrategy::InRegister) {
+                        0 => Some(stats.batches as u64),
+                        3 => Some(0),
+                        _ => None,
+                    };
+                    if let Some(m) = mapped.filter(|_| !bipie::core::observability_compiled_out()) {
+                        assert_eq!(r.profile.phase(Phase::Unpack).count, m, "{label}");
+                    }
+                    let paths = (stats.expr_lane_segments, stats.expr_interp_segments);
+                    let expect = match *qlabel {
+                        "narrow" => (3, 0),
+                        "interpreter" => (0, 3),
+                        _ => (0, 0),
+                    };
+                    assert_eq!(paths, expect, "{label}");
                 }
             }
         }
@@ -672,9 +508,11 @@ fn declined_run_wise_sample_leaves_no_span_behind() {
     if bipie::core::observability_compiled_out() {
         return; // asserts on trace spans
     }
-    let t = rle_table(3000, 1, 1100); // run_len 1: runs_fraction == 1.0
-    let opts = QueryOptions { parallel: false, profile: ProfileLevel::Spans, ..Default::default() };
-    let r = execute(&t, &agg_query(Some(Predicate::lt("k", Value::I64(2000))), opts)).unwrap();
+    // Runs of one row: runs_fraction == 1.0.
+    let t = Shape::new(&[1100, 1100, 800], 3000, 6).hints(RLE).build();
+    let q = agg_query(Some(Predicate::lt("k", Value::I64(2000))));
+    let opts = QueryOptions { profile: ProfileLevel::Spans, ..threads(1) };
+    let r = execute(&t, &with(&q, opts)).unwrap();
     assert_eq!(r.stats.agg_count(AggStrategy::RunWise), 0, "{:?}", r.stats);
     assert_eq!(r.stats.selection_count(SelectionStrategy::RunSpan), 0, "{:?}", r.stats);
     assert_eq!(r.stats.agg_segments.iter().sum::<usize>(), r.stats.segments_scanned);
@@ -700,7 +538,7 @@ fn declined_run_wise_sample_leaves_no_span_behind() {
 /// rows in segments of 5 003 (neither a multiple of 16); on the default batch
 /// grid and on 1 001-row batches, whose starts leave the byte grid at every
 /// odd width; adaptive and forced In-Register + special group, at every tier,
-/// serial and on two workers. Rows equal the reference byte for byte.
+/// on two workers. Rows equal the reference byte for byte.
 #[test]
 fn one_group_packed_sums_match_reference() {
     const WIDTHS: [u8; 8] = [1, 8, 9, 10, 16, 17, 25, 32];
@@ -757,43 +595,27 @@ fn one_group_packed_sums_match_reference() {
             Some(Predicate::between("ts", Value::I64(ts_at[2500]), Value::I64(ts_at[9000]))),
         ),
     ];
-    let mut options = Vec::new();
-    for level in SimdLevel::available() {
-        for batch_rows in [QueryOptions::default().batch_rows, 1001] {
-            for forced in [false, true] {
-                options.push(QueryOptions {
-                    level,
-                    batch_rows,
-                    threads: Some(1 + forced as usize),
-                    forced_agg: forced.then_some(AggStrategy::InRegister),
-                    forced_selection: forced.then_some(SelectionStrategy::SpecialGroup),
-                    ..Default::default()
-                });
-            }
-        }
-    }
+    let grid = Grid {
+        forced: vec![
+            (None, None),
+            (Some(AggStrategy::InRegister), Some(SelectionStrategy::SpecialGroup)),
+        ],
+        levels: SimdLevel::available(),
+        batch_rows: vec![4096, 1001],
+        ..Grid::workers(&[2])
+    };
     for bits in WIDTHS {
         for (flabel, filter) in &filters {
-            let mut q = QueryBuilder::new()
-                .aggregate(AggExpr::count_star())
-                .aggregate(AggExpr::sum(format!("v{bits}")));
-            if let Some(f) = filter {
-                q = q.filter(f.clone());
-            }
-            let q = q.build();
-            let oracle = execute_reference(&t, &q).unwrap();
-            for opts in &options {
-                let label = format!(
-                    "v{bits} {flabel} batch_rows={} level={} forced={:?}",
-                    opts.batch_rows, opts.level, opts.forced_agg
-                );
-                let r = execute(&t, &Query { options: opts.clone(), ..q.clone() }).unwrap();
-                assert_eq!(r.rows, oracle.rows, "{label}");
+            let aggregates = vec![AggExpr::count_star(), AggExpr::sum(format!("v{bits}"))];
+            let q = Query { filter: filter.clone(), aggregates, ..QueryBuilder::new().build() };
+            for (options, r) in
+                assert_matches_reference(&t, &q, &grid, &format!("v{bits} {flabel}"))
+            {
                 let stats = &r.stats;
                 assert_eq!(
                     stats.agg_count(AggStrategy::InRegister),
                     stats.segments_scanned,
-                    "{label}"
+                    "{options:?}"
                 );
             }
         }

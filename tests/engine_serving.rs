@@ -16,48 +16,23 @@
     reason = "concurrent clients drive the engine from real threads"
 )]
 
+mod common;
+
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use bipie::columnstore::{ColumnSpec, LogicalType, Table, Value};
+use bipie::columnstore::{Table, Value};
 use bipie::core::{
     execute, AdmissionReason, AggExpr, Engine, EngineConfig, EngineError, Expr, Predicate, Query,
-    QueryBuilder, QueryOptions, ResultRow, SessionOptions,
+    QueryBuilder, SessionOptions,
 };
 use bipie::toolbox::sync;
+use common::{threads, with, Shape};
 
 /// Stress rounds per client; CI elevates via `BIPIE_STRESS_ITERS`.
 fn stress_iters() -> usize {
     std::env::var("BIPIE_STRESS_ITERS").ok().and_then(|v| v.parse().ok()).unwrap_or(4)
-}
-
-/// A multi-segment table with `groups` distinct keys and deterministic
-/// pseudo-random payloads (SplitMix-style, seeded).
-fn make_table(chunks: &[usize], groups: i64, seed: u64) -> Table {
-    let mut t = Table::with_segment_rows(
-        vec![
-            ColumnSpec::new("k", LogicalType::I64),
-            ColumnSpec::new("a", LogicalType::I64),
-            ColumnSpec::new("b", LogicalType::I64),
-        ],
-        1 << 20,
-    );
-    let mut state = seed | 1;
-    let mut next = || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    for &rows in chunks {
-        for _ in 0..rows {
-            let k = (next() % groups as u64) as i64;
-            let a = next() as i64 % 10_000 - 5_000;
-            let b = next() as i64 % 1_000;
-            t.insert(vec![Value::I64(k), Value::I64(a), Value::I64(b)]);
-        }
-        t.flush_mutable();
-    }
-    t
 }
 
 /// The query shapes the clients mix: different filters, group widths, and
@@ -85,20 +60,13 @@ fn query_shapes() -> Vec<Query> {
     ]
 }
 
-/// Serial single-query baseline: no pool, no engine, one thread.
-fn serial_rows(table: &Table, query: &Query) -> Vec<ResultRow> {
-    let mut q = query.clone();
-    q.options = QueryOptions { parallel: false, ..QueryOptions::default() };
-    execute(table, &q).expect("serial baseline runs").rows
-}
-
 /// The tables the serving tests share: varied segment skew and group
 /// counts, keyed by name as they are registered with the engine.
 fn table_set() -> Vec<(&'static str, Table)> {
     vec![
-        ("skewed", make_table(&[4096, 128, 9000, 1], 7, 11)),
-        ("narrow", make_table(&[2000, 2000, 2000], 2, 23)),
-        ("wide", make_table(&[6000], 4096, 37)),
+        ("skewed", Shape::new(&[4096, 128, 9000, 1], 7, 11).build()),
+        ("narrow", Shape::new(&[2000, 2000, 2000], 2, 23).build()),
+        ("wide", Shape::new(&[6000], 4096, 37).build()),
     ]
 }
 
@@ -110,7 +78,8 @@ fn concurrent_clients_match_serial_baselines() {
     let mut baselines = Vec::new();
     for (name, table) in &tables {
         for query in &queries {
-            baselines.push((*name, query.clone(), serial_rows(table, query)));
+            let rows = execute(table, &with(query, threads(1))).unwrap().rows;
+            baselines.push((*name, query.clone(), rows));
         }
     }
     let baselines = Arc::new(baselines);
@@ -172,7 +141,7 @@ fn admission_sheds_under_aggregate_memory_pressure() {
         aggregate_mem_budget: Some(8 << 20),
         ..EngineConfig::default()
     });
-    engine.register_table("t", make_table(&[2000], 7, 5));
+    engine.register_table("t", Shape::new(&[2000], 7, 5).build());
     let mut big = query_shapes().remove(0);
     big.options.mem_budget = Some(64 << 20);
     assert_eq!(
@@ -190,9 +159,9 @@ fn admission_sheds_under_aggregate_memory_pressure() {
         aggregate_mem_budget: Some(8 << 20),
         ..EngineConfig::default()
     });
-    let table = make_table(&[5000, 5000], 11, 13);
+    let table = Shape::new(&[5000, 5000], 11, 13).build();
     let query = query_shapes().remove(1);
-    let want = serial_rows(&table, &query);
+    let want = execute(&table, &with(&query, threads(1))).unwrap().rows;
     engine.register_table("t", table);
     let shed = Arc::new(sync::Usize::new(0));
     let served = Arc::new(sync::Usize::new(0));
@@ -232,9 +201,9 @@ fn admission_sheds_under_aggregate_memory_pressure() {
 #[test]
 fn sessions_open_query_drop_concurrently_with_table_churn() {
     let engine = Engine::new(EngineConfig { max_concurrent: 4, ..EngineConfig::default() });
-    let stable = make_table(&[4000, 4000], 5, 17);
+    let stable = Shape::new(&[4000, 4000], 5, 17).build();
     let query = query_shapes().remove(0);
-    let want = serial_rows(&stable, &query);
+    let want = execute(&stable, &with(&query, threads(1))).unwrap().rows;
     engine.register_table("stable", stable);
 
     let churn = {
@@ -242,7 +211,7 @@ fn sessions_open_query_drop_concurrently_with_table_churn() {
         thread::spawn(move || {
             for i in 0..stress_iters() * 4 {
                 let name = format!("scratch{}", i % 3);
-                engine.register_table(name.clone(), make_table(&[64], 3, i as u64 + 1));
+                engine.register_table(name.clone(), Shape::new(&[64], 3, i as u64 + 1).build());
                 thread::yield_now();
                 engine.deregister_table(&name);
             }
@@ -283,9 +252,9 @@ fn sessions_open_query_drop_concurrently_with_table_churn() {
 #[test]
 fn queries_during_shutdown_get_typed_errors_not_hangs() {
     let engine = Engine::new(EngineConfig { max_concurrent: 2, ..EngineConfig::default() });
-    let table = make_table(&[6000, 6000], 7, 29);
+    let table = Shape::new(&[6000, 6000], 7, 29).build();
     let query = query_shapes().remove(2);
-    let want = serial_rows(&table, &query);
+    let want = execute(&table, &with(&query, threads(1))).unwrap().rows;
     engine.register_table("t", table);
 
     const CLIENTS: usize = 4;
@@ -330,9 +299,9 @@ fn queries_during_shutdown_get_typed_errors_not_hangs() {
 #[test]
 fn pool_serves_other_tenants_after_a_cancelled_session() {
     let engine = Engine::new(EngineConfig { max_concurrent: 4, ..EngineConfig::default() });
-    let table = make_table(&[8000, 8000], 9, 41);
+    let table = Shape::new(&[8000, 8000], 9, 41).build();
     let query = query_shapes().remove(0);
-    let want = serial_rows(&table, &query);
+    let want = execute(&table, &with(&query, threads(1))).unwrap().rows;
     engine.register_table("t", table);
 
     let doomed = Arc::new(engine.session(SessionOptions::default()));
@@ -374,7 +343,7 @@ fn reserve_saturates_admission_deterministically() {
         queue_timeout: Duration::from_millis(20),
         ..EngineConfig::default()
     });
-    engine.register_table("t", make_table(&[500], 3, 3));
+    engine.register_table("t", Shape::new(&[500], 3, 3).build());
     let query = query_shapes().remove(1);
     let permit = engine.reserve(0).expect("slot free");
     assert_eq!(

@@ -7,147 +7,36 @@
 mod common;
 
 use bipie::columnstore::encoding::EncodingHint;
-use bipie::columnstore::{ColumnSpec, LogicalType, Table, TableBuilder, Value};
-use bipie::core::reference::execute_reference;
-use bipie::core::{
-    execute, AggExpr, AggStrategy, Expr, Predicate, Query, QueryBuilder, QueryOptions,
-    SelectionStrategy,
+use bipie::columnstore::{ColumnSpec, LogicalType, Table, Value};
+use bipie::core::{AggExpr, Expr, Predicate, QueryBuilder};
+use bipie::toolbox::SimdLevel;
+use common::{
+    arb_grid, arb_shape, assert_matches_reference, every_forced_pair, kab_query, run_cases, Grid,
+    Shape,
 };
-use common::{run_cases, Gen};
-
-#[derive(Debug, Clone)]
-struct TableSpec {
-    rows: usize,
-    segment_rows: usize,
-    groups: u8,
-    hint_a: EncodingHint,
-    hint_b: EncodingHint,
-    deletes: Vec<usize>,
-    mutable_tail: usize,
-}
-
-const HINTS: [EncodingHint; 5] = [
-    EncodingHint::Auto,
-    EncodingHint::BitPack,
-    EncodingHint::Dict,
-    EncodingHint::Rle,
-    EncodingHint::Delta,
-];
-
-fn arb_table_spec(g: &mut Gen) -> TableSpec {
-    TableSpec {
-        rows: g.int(1usize..800),
-        segment_rows: g.int(50usize..300),
-        groups: g.int(1u8..12),
-        hint_a: *g.pick(&HINTS),
-        hint_b: *g.pick(&HINTS),
-        deletes: g.vec_of(0..20, |g| g.int(0usize..800)),
-        mutable_tail: g.int(0usize..30),
-    }
-}
-
-fn build_table(spec: &TableSpec, seed: u64) -> Table {
-    let mut b = TableBuilder::with_segment_rows(
-        vec![
-            ColumnSpec::new("g", LogicalType::Str),
-            ColumnSpec::new("a", LogicalType::I64).with_hint(spec.hint_a),
-            ColumnSpec::new("b", LogicalType::I64).with_hint(spec.hint_b),
-        ],
-        spec.segment_rows,
-    );
-    let names = ["ga", "gb", "gc", "gd", "ge", "gf", "gg", "gh", "gi", "gj", "gk", "gl"];
-    let mut state = seed | 1;
-    let mut next = || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    for _ in 0..spec.rows {
-        let g = (next() % spec.groups as u64) as usize;
-        let a = next() as i64 % 10_000 - 5_000;
-        let val_b = next() as i64 % 1_000;
-        b.push_row(vec![Value::Str(names[g].into()), Value::I64(a), Value::I64(val_b)]);
-    }
-    let mut t = b.finish();
-    // Deletes against whatever segments exist.
-    for &d in &spec.deletes {
-        if !t.segments().is_empty() {
-            let seg = d % t.segments().len();
-            let rows = t.segments()[seg].num_rows();
-            if rows > 0 {
-                t.delete_row(seg, d % rows);
-            }
-        }
-    }
-    // A tail in the mutable region.
-    for i in 0..spec.mutable_tail {
-        let g = (next() % spec.groups as u64) as usize;
-        t.insert(vec![
-            Value::Str(names[g].into()),
-            Value::I64(i as i64 * 13 - 100),
-            Value::I64(i as i64),
-        ]);
-    }
-    t
-}
-
-fn the_query(threshold: i64, options: QueryOptions) -> Query {
-    QueryBuilder::new()
-        .filter(Predicate::ge("a", Value::I64(threshold)))
-        .group_by("g")
-        .aggregate(AggExpr::count_star())
-        .aggregate(AggExpr::sum("a"))
-        .aggregate(AggExpr::sum("b"))
-        .aggregate(AggExpr::sum_expr(Expr::col("a").add(Expr::col("b").mul(Expr::lit(3)))))
-        .aggregate(AggExpr::avg("b"))
-        .aggregate(AggExpr::min("a"))
-        .aggregate(AggExpr::max("a"))
-        .aggregate(AggExpr::max_expr(Expr::col("a").mul(Expr::col("b"))))
-        .options(options)
-        .build()
-}
 
 #[test]
 fn engine_equals_reference() {
-    run_cases("engine_equals_reference", 48, |g| {
-        let spec = arb_table_spec(g);
-        let seed = g.rng.random::<u64>();
+    run_cases("engine_equals_reference", 32, |g| {
+        let shape = arb_shape(g);
+        let grid = arb_grid(g);
         let threshold = g.int(-6000i64..6000);
-        let table = build_table(&spec, seed);
-        let query = the_query(threshold, QueryOptions::default());
-        let fast = execute(&table, &query).unwrap();
-        let slow = execute_reference(&table, &query).unwrap();
-        assert_eq!(fast.rows, slow.rows, "spec={spec:?} seed={seed} threshold={threshold}");
+        let label = format!("{shape:?} threshold={threshold}");
+        assert_matches_reference(&shape.build(), &kab_query(threshold), &grid, &label);
     });
 }
 
 #[test]
 fn every_forced_combination_equals_reference() {
+    let grid = Grid { forced: every_forced_pair(), ..Grid::default() };
     run_cases("every_forced_combination_equals_reference", 48, |g| {
-        let seed = g.rng.random::<u64>();
         let threshold = g.int(-6000i64..6000);
-        let spec = TableSpec {
-            rows: 700,
-            segment_rows: 256,
-            groups: 5,
-            hint_a: EncodingHint::BitPack,
-            hint_b: EncodingHint::BitPack,
-            deletes: vec![3, 77, 501],
-            mutable_tail: 7,
-        };
-        let table = build_table(&spec, seed);
-        let slow =
-            execute_reference(&table, &the_query(threshold, QueryOptions::default())).unwrap();
-        for agg in AggStrategy::ALL {
-            for sel in SelectionStrategy::ALL {
-                let options = QueryOptions {
-                    forced_agg: Some(agg),
-                    forced_selection: Some(sel),
-                    ..Default::default()
-                };
-                let fast = execute(&table, &the_query(threshold, options)).unwrap();
-                assert_eq!(&fast.rows, &slow.rows, "{agg:?}+{sel:?} seed={seed}");
-            }
-        }
+        let mut shape =
+            Shape { tail: 7, delete_stride: 97, ..Shape::new(&[256, 256, 188], 5, g.rng.random()) }
+                .hints([EncodingHint::Auto, EncodingHint::BitPack, EncodingHint::BitPack]);
+        shape.cols[0].strings = true;
+        let label = format!("{shape:?} threshold={threshold}");
+        assert_matches_reference(&shape.build(), &kab_query(threshold), &grid, &label);
     });
 }
 
@@ -211,77 +100,55 @@ fn mutable_tail_equals_reference() {
         }
         assert_eq!(table.segments().len(), flushed / segment_rows);
         assert_eq!(table.mutable_rows().len(), tail);
-        let fast = execute(&table, &query).unwrap();
-        let slow = execute_reference(&table, &query).unwrap();
-        assert_eq!(fast.rows, slow.rows, "flushed={flushed} tail={tail}");
-        assert_eq!(fast.stats.mutable_rows, tail);
-        assert!(fast.row_for(&[Value::Str("R".into())]).is_some());
-        assert!(fast.rows.len() > 16, "{} groups", fast.rows.len());
+        let label = format!("flushed={flushed} tail={tail}");
+        for (_, r) in assert_matches_reference(&table, &query, &Grid::workers(&[1, 2]), &label) {
+            assert_eq!(r.stats.mutable_rows, tail);
+            assert!(r.row_for(&[Value::Str("R".into())]).is_some());
+            assert!(r.rows.len() > 16, "{} groups", r.rows.len());
+        }
+    }
+}
+
+/// Tails of one row, and of one row short of and past the 4 096-row default
+/// batch, alone and behind two flushed segments, on the default and on
+/// 512-row batches, serially and on two workers.
+#[test]
+fn mutable_tail_edges_equal_reference() {
+    let grid = Grid { batch_rows: vec![4096, 512], ..Grid::workers(&[1, 2]) };
+    for segments in [&[][..], &[1000, 3000]] {
+        for tail in [1, 4095, 4097] {
+            let shape = Shape { tail, ..Shape::new(segments, 9, tail as u64) };
+            let t = shape.build();
+            assert_eq!((t.segments().len(), t.mutable_rows().len()), (segments.len(), tail));
+            for (_, r) in
+                assert_matches_reference(&t, &kab_query(-4000), &grid, &format!("{shape:?}"))
+            {
+                assert_eq!(r.stats.mutable_rows, tail);
+            }
+        }
     }
 }
 
 #[test]
 fn parallel_and_serial_agree() {
-    let spec = TableSpec {
-        rows: 3000,
-        segment_rows: 500,
-        groups: 7,
-        hint_a: EncodingHint::Auto,
-        hint_b: EncodingHint::Auto,
-        deletes: vec![],
-        mutable_tail: 0,
-    };
-    let table = build_table(&spec, 99);
-    let serial =
-        execute(&table, &the_query(0, QueryOptions { parallel: false, ..Default::default() }))
-            .unwrap();
-    let parallel =
-        execute(&table, &the_query(0, QueryOptions { parallel: true, ..Default::default() }))
-            .unwrap();
-    assert_eq!(serial.rows, parallel.rows);
+    let mut shape = Shape::new(&[500; 6], 7, 99);
+    shape.cols[0].strings = true;
+    let t = shape.build();
+    assert_matches_reference(&t, &kab_query(0), &Grid::workers(&[1, 2, 4]), "workers");
 }
 
 #[test]
 fn batch_sizes_agree() {
-    let spec = TableSpec {
-        rows: 5000,
-        segment_rows: 2000,
-        groups: 5,
-        hint_a: EncodingHint::BitPack,
-        hint_b: EncodingHint::Auto,
-        deletes: vec![1, 2, 3],
-        mutable_tail: 5,
-    };
-    let table = build_table(&spec, 17);
-    let mut results = Vec::new();
-    for batch_rows in [64usize, 1000, 4096, 100_000] {
-        let options = QueryOptions { batch_rows, parallel: false, ..Default::default() };
-        results.push(execute(&table, &the_query(0, options)).unwrap().rows);
-    }
-    for pair in results.windows(2) {
-        assert_eq!(pair[0], pair[1]);
-    }
+    let shape = Shape { tail: 5, delete_stride: 1000, ..Shape::new(&[2000, 2000, 1000], 5, 17) };
+    let t = shape.hints([EncodingHint::Auto, EncodingHint::BitPack, EncodingHint::Auto]).build();
+    let grid = Grid { batch_rows: vec![64, 1000, 4096, 100_000], ..Grid::default() };
+    assert_matches_reference(&t, &kab_query(0), &grid, "batch sizes");
 }
 
 #[test]
 fn forced_scalar_simd_levels_agree() {
-    use bipie::toolbox::SimdLevel;
-    let spec = TableSpec {
-        rows: 2000,
-        segment_rows: 600,
-        groups: 6,
-        hint_a: EncodingHint::BitPack,
-        hint_b: EncodingHint::Dict,
-        deletes: vec![10, 20],
-        mutable_tail: 3,
-    };
-    let table = build_table(&spec, 5);
-    let mut results = Vec::new();
-    for level in SimdLevel::available() {
-        let options = QueryOptions { level, ..Default::default() };
-        results.push(execute(&table, &the_query(-100, options)).unwrap().rows);
-    }
-    for pair in results.windows(2) {
-        assert_eq!(pair[0], pair[1]);
-    }
+    let shape = Shape { tail: 3, delete_stride: 300, ..Shape::new(&[600, 600, 600, 200], 6, 5) };
+    let t = shape.hints([EncodingHint::Auto, EncodingHint::BitPack, EncodingHint::Dict]).build();
+    let grid = Grid { levels: SimdLevel::available(), ..Grid::default() };
+    assert_matches_reference(&t, &kab_query(-100), &grid, "levels");
 }

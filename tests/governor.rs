@@ -6,80 +6,21 @@
 
 #![expect(clippy::disallowed_methods, reason = "a canceller thread races a running scan")]
 
+mod common;
+
 use std::time::{Duration, Instant};
 
-use bipie::columnstore::{ColumnSpec, LogicalType, Table, Value};
-use bipie::core::{
-    execute, AggExpr, CancelToken, EngineError, Expr, Predicate, Query, QueryBuilder, QueryOptions,
-};
-
-/// One immutable segment per entry of `chunks`; group key cardinality
-/// `groups` (> 255 forces the wide-group path).
-fn table(chunks: &[usize], groups: i64) -> Table {
-    let mut t = Table::with_segment_rows(
-        vec![
-            ColumnSpec::new("k", LogicalType::I64),
-            ColumnSpec::new("a", LogicalType::I64),
-            ColumnSpec::new("b", LogicalType::I64),
-        ],
-        1 << 21,
-    );
-    let mut state = 0x9e3779b97f4a7c15u64;
-    let mut next = || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    for &rows in chunks {
-        for _ in 0..rows {
-            let k = (next() % groups as u64) as i64;
-            let a = next() as i64 % 10_000 - 5_000;
-            let b = next() as i64 % 1_000;
-            t.insert(vec![Value::I64(k), Value::I64(a), Value::I64(b)]);
-        }
-        t.flush_mutable();
-    }
-    t
-}
-
-/// No segment at all: `rows` rows in the mutable region.
-fn tail_only_table(rows: usize) -> Table {
-    let mut t = Table::with_segment_rows(table(&[], 1).specs().to_vec(), 1 << 21);
-    for i in 0..rows as i64 {
-        t.insert(vec![
-            Value::I64(i % 7),
-            Value::I64(i * 37 % 10_000 - 5_000),
-            Value::I64(i % 1_000),
-        ]);
-    }
-    t
-}
+use bipie::core::{execute, CancelToken, EngineError, Query, QueryOptions};
+use common::{assert_matches_reference, kab_query, threads, Grid, Shape};
 
 fn the_query(options: QueryOptions) -> Query {
-    QueryBuilder::new()
-        .filter(Predicate::ge("a", Value::I64(-4_000)))
-        .group_by("k")
-        .aggregate(AggExpr::count_star())
-        .aggregate(AggExpr::sum("a"))
-        .aggregate(AggExpr::sum_expr(Expr::col("a").add(Expr::col("b").mul(Expr::lit(3)))))
-        .aggregate(AggExpr::avg("b"))
-        .aggregate(AggExpr::min("a"))
-        .aggregate(AggExpr::max_expr(Expr::col("a").mul(Expr::col("b"))))
-        .options(options)
-        .build()
-}
-
-fn serial() -> QueryOptions {
-    QueryOptions { parallel: false, ..Default::default() }
-}
-
-fn parallel(threads: usize) -> QueryOptions {
-    QueryOptions { parallel: true, threads: Some(threads), ..Default::default() }
+    common::with(&kab_query(-4_000), options)
 }
 
 #[test]
 fn pre_cancelled_query_fails_at_the_first_checkpoint() {
-    let t = table(&[2_000], 7);
-    for opts in [serial(), parallel(4)] {
+    let t = Shape::new(&[2_000], 7, 1).build();
+    for opts in [threads(1), threads(4)] {
         let token = CancelToken::new();
         token.cancel();
         let err =
@@ -90,12 +31,12 @@ fn pre_cancelled_query_fails_at_the_first_checkpoint() {
 
 #[test]
 fn mid_scan_cancellation_unwinds_and_the_pool_survives() {
-    let t = table(&[1 << 21], 9);
+    let t = Shape::new(&[1 << 21], 9, 1).build();
     // The cancel must land mid-scan, so it is timed off an uncancelled run
     // of the same query: a fixed delay can outlast a fast scan. A sleeping
     // canceller can also wake ~10 ms late while four workers share two
     // cores, so 16-row batch windows stretch the scan to tens of ms.
-    let slow = QueryOptions { batch_rows: 16, morsel_rows: 16, ..parallel(4) };
+    let slow = QueryOptions { batch_rows: 16, morsel_rows: 16, ..threads(4) };
     let started = Instant::now();
     execute(&t, &the_query(slow.clone())).unwrap();
     let uncancelled = started.elapsed();
@@ -114,8 +55,8 @@ fn mid_scan_cancellation_unwinds_and_the_pool_survives() {
 
     // The pool must come back clean: an unrestricted parallel query on the
     // same process-wide pool returns byte-identical rows to a serial scan.
-    let par = execute(&t, &the_query(parallel(4))).unwrap();
-    let ser = execute(&t, &the_query(serial())).unwrap();
+    let par = execute(&t, &the_query(threads(4))).unwrap();
+    let ser = execute(&t, &the_query(threads(1))).unwrap();
     assert_eq!(par.rows, ser.rows);
     assert_eq!(par.group_columns, ser.group_columns);
     assert_eq!(par.stats.pool_workers, 4, "{:?}", par.stats);
@@ -123,8 +64,8 @@ fn mid_scan_cancellation_unwinds_and_the_pool_survives() {
 
 #[test]
 fn expired_deadline_is_a_typed_error_in_both_modes() {
-    let t = table(&[50_000], 9);
-    for opts in [serial(), parallel(4)] {
+    let t = Shape::new(&[50_000], 9, 1).build();
+    for opts in [threads(1), threads(4)] {
         let opts = QueryOptions { time_budget: Some(Duration::from_nanos(1)), ..opts };
         let err = execute(&t, &the_query(opts)).unwrap_err();
         assert!(matches!(err, EngineError::DeadlineExceeded), "{err:?}");
@@ -133,54 +74,53 @@ fn expired_deadline_is_a_typed_error_in_both_modes() {
 
 #[test]
 fn the_mutable_tail_runs_under_the_governor() {
-    let t = tail_only_table(300_000);
+    let mut t = Shape { tail: 300_000, ..Shape::new(&[], 7, 1) }.build();
     assert!(t.segments().is_empty());
 
     let token = CancelToken::new();
     token.cancel();
     let err =
-        execute(&t, &the_query(QueryOptions { cancel: Some(token), ..serial() })).unwrap_err();
+        execute(&t, &the_query(QueryOptions { cancel: Some(token), ..threads(1) })).unwrap_err();
     assert!(matches!(err, EngineError::Cancelled), "{err:?}");
 
     // 1 ns has expired at admission; 200 µs expires while the tail is
     // encoded or scanned (milliseconds), where the plan checkpoint or a
     // batch window sees it.
     for budget in [Duration::from_nanos(1), Duration::from_micros(200)] {
-        let opts = QueryOptions { time_budget: Some(budget), ..serial() };
+        let opts = QueryOptions { time_budget: Some(budget), ..threads(1) };
         let err = execute(&t, &the_query(opts)).unwrap_err();
         assert!(matches!(err, EngineError::DeadlineExceeded), "{budget:?}: {err:?}");
     }
 
     // The query's copy of the tail counts against the memory budget.
-    for opts in [serial(), parallel(4)] {
+    for opts in [threads(1), threads(4)] {
         let opts = QueryOptions { mem_budget: Some(1 << 10), ..opts };
         let err = execute(&t, &the_query(opts)).unwrap_err();
         assert!(matches!(err, EngineError::MemoryBudgetExceeded { budget: 1024, .. }), "{err:?}");
     }
 
-    // The tail is one more segment: a live token is polled exactly as often
-    // as over the same rows flushed.
-    let live = || QueryOptions { cancel: Some(CancelToken::new()), ..serial() };
+    // Nothing is left tripped: ungoverned runs agree, on the pool and off it.
+    let live = || QueryOptions { cancel: Some(CancelToken::new()), ..threads(1) };
     let governed = execute(&t, &the_query(live())).unwrap();
     assert_eq!(governed.stats.mutable_rows, 300_000);
-    let mut flushed = tail_only_table(300_000);
-    flushed.flush_mutable();
-    let flushed = execute(&flushed, &the_query(live())).unwrap();
+    let par = execute(&t, &the_query(threads(4))).unwrap();
+    let ser = execute(&t, &the_query(threads(1))).unwrap();
+    assert_eq!(par.rows, ser.rows);
+    assert_eq!(par.rows, governed.rows);
+
+    // The tail is one more segment: a live token is polled exactly as often
+    // as over the same rows flushed.
+    t.flush_mutable();
+    let flushed = execute(&t, &the_query(live())).unwrap();
     assert_eq!(flushed.stats.mutable_rows, 0);
     assert_eq!(governed.stats.governor_checks, flushed.stats.governor_checks);
     assert_eq!(governed.rows, flushed.rows);
-
-    // Nothing is left tripped: ungoverned runs agree, on the pool and off it.
-    let par = execute(&t, &the_query(parallel(4))).unwrap();
-    let ser = execute(&t, &the_query(serial())).unwrap();
-    assert_eq!(par.rows, ser.rows);
-    assert_eq!(par.rows, governed.rows);
 }
 
 #[test]
 fn tiny_mem_budget_fails_at_first_reservation_without_panicking() {
-    let t = table(&[50_000], 9);
-    for opts in [serial(), parallel(4)] {
+    let t = Shape::new(&[50_000], 9, 1).build();
+    for opts in [threads(1), threads(4)] {
         let opts = QueryOptions { mem_budget: Some(1), ..opts };
         let err = execute(&t, &the_query(opts)).unwrap_err();
         match err {
@@ -197,8 +137,8 @@ fn tiny_mem_budget_fails_at_first_reservation_without_panicking() {
 fn wide_group_projection_is_rejected_at_plan_time() {
     // > 255 distinct keys forces the wide-group hash path, whose projected
     // table size is admitted against the budget before any batch runs.
-    let t = table(&[20_000], 1_000);
-    let opts = QueryOptions { mem_budget: Some(64 << 10), ..serial() };
+    let t = Shape::new(&[20_000], 1_000, 1).build();
+    let opts = QueryOptions { mem_budget: Some(64 << 10), ..threads(1) };
     let err = execute(&t, &the_query(opts)).unwrap_err();
     match err {
         EngineError::MemoryBudgetExceeded { budget, requested } => {
@@ -211,8 +151,8 @@ fn wide_group_projection_is_rejected_at_plan_time() {
 
 #[test]
 fn generous_budgets_leave_results_identical_and_report_usage() {
-    let t = table(&[30_000, 5_000], 200);
-    for opts in [serial(), parallel(4)] {
+    let t = Shape::new(&[30_000, 5_000], 200, 1).build();
+    for opts in [threads(1), threads(4)] {
         let free = execute(&t, &the_query(opts.clone())).unwrap();
         let governed = QueryOptions {
             cancel: Some(CancelToken::new()),
@@ -240,7 +180,7 @@ fn generous_budgets_leave_results_identical_and_report_usage() {
 
 #[test]
 fn zero_budgets_are_rejected_as_invalid_options() {
-    let t = table(&[100], 3);
+    let t = Shape::new(&[100], 3, 1).build();
     for (opts, option) in [
         (QueryOptions { time_budget: Some(Duration::ZERO), ..Default::default() }, "time_budget"),
         (QueryOptions { mem_budget: Some(0), ..Default::default() }, "mem_budget"),
@@ -255,9 +195,9 @@ fn zero_budgets_are_rejected_as_invalid_options() {
 
 #[test]
 fn cancelling_after_completion_changes_nothing() {
-    let t = table(&[5_000], 5);
+    let t = Shape::new(&[5_000], 5, 1).build();
     let token = CancelToken::new();
-    let opts = QueryOptions { cancel: Some(token.clone()), ..parallel(2) };
+    let opts = QueryOptions { cancel: Some(token.clone()), ..threads(2) };
     let r = execute(&t, &the_query(opts.clone())).unwrap();
     token.cancel();
     // The finished result is untouched; only the *next* governed run trips.
@@ -275,25 +215,20 @@ fn cancelling_after_completion_changes_nothing() {
 /// latter — whole at one worker, a quarter each at four.
 #[test]
 fn budgeted_strategy_choice_is_the_same_at_one_and_four_workers() {
-    use bipie::core::reference::execute_reference;
-    let t = table(&[6_000], 7);
-    let small = |threads| QueryOptions { batch_rows: 16, morsel_rows: 16, ..parallel(threads) };
-    let reference = execute_reference(&t, &the_query(serial())).unwrap();
+    let t = Shape::new(&[6_000], 7, 1).build();
+    let small = |workers| QueryOptions { batch_rows: 16, morsel_rows: 16, ..threads(workers) };
     let free = execute(&t, &the_query(small(1))).unwrap();
-    let degraded = [1usize, 4].map(|threads| {
-        let opts = QueryOptions { mem_budget: Some(16_000), ..small(threads) };
-        let r = execute(&t, &the_query(opts)).unwrap();
-        assert_eq!(r.rows, reference.rows, "threads={threads}");
-        assert_eq!(r.stats.agg_segments.iter().sum::<usize>(), r.stats.segments_scanned);
-        r.stats.agg_segments
-    });
-    assert_eq!(degraded[0], degraded[1], "one strategy per segment at either worker count");
-    assert_ne!(degraded[0], free.stats.agg_segments, "the budget must have cost a rung");
+    // One strategy per segment at either worker count: the shared check
+    // holds the two counts' per-strategy segments equal.
+    let grid = Grid { batch_rows: vec![16], morsel_rows: vec![16], ..Grid::workers(&[1, 4]) };
+    let budgeted = the_query(QueryOptions { mem_budget: Some(16_000), ..threads(1) });
+    let degraded = &assert_matches_reference(&t, &budgeted, &grid, "16 000 B")[0].1;
+    assert_ne!(degraded.stats.agg_segments, free.stats.agg_segments, "the budget must cost a rung");
 
     // A budget no rung fits fails the same way at both counts: the
     // undegraded winner's reservation, refused.
-    let errors = [1usize, 4].map(|threads| {
-        let opts = QueryOptions { mem_budget: Some(1), ..small(threads) };
+    let errors = [1usize, 4].map(|workers| {
+        let opts = QueryOptions { mem_budget: Some(1), ..small(workers) };
         execute(&t, &the_query(opts)).unwrap_err()
     });
     assert!(matches!(errors[0], EngineError::MemoryBudgetExceeded { budget: 1, .. }), "{errors:?}");
@@ -302,18 +237,13 @@ fn budgeted_strategy_choice_is_the_same_at_one_and_four_workers() {
 
 #[test]
 fn the_budget_ladder_shares_the_budget_among_the_workers_the_fork_runs() {
-    use bipie::core::reference::execute_reference;
     // 2 000 rows are one morsel, so the fork runs one worker whatever the
     // requested count; the ladder must then price the budget for that one
-    // worker too, not for four that never start.
-    let t = table(&[2_000], 7);
-    let reference = execute_reference(&t, &the_query(serial())).unwrap();
-    let runs = [1usize, 4].map(|threads| {
-        let opts = QueryOptions { mem_budget: Some(1_351_680), ..parallel(threads) };
-        let r = execute(&t, &the_query(opts)).unwrap();
-        assert_eq!(r.rows, reference.rows, "threads={threads}");
-        assert_eq!(r.stats.pool_workers, 1, "threads={threads}: {:?}", r.stats);
-        r.stats.agg_segments
-    });
-    assert_eq!(runs[0], runs[1], "one aggregation strategy at either requested worker count");
+    // worker too, not for four that never start. The shared check holds
+    // both counts to one aggregation strategy and one forked worker.
+    let t = Shape::new(&[2_000], 7, 1).build();
+    let budgeted = the_query(QueryOptions { mem_budget: Some(1_351_680), ..threads(1) });
+    for (options, r) in assert_matches_reference(&t, &budgeted, &Grid::workers(&[1, 4]), "ladder") {
+        assert_eq!(r.stats.pool_workers, 1, "{:?}: {:?}", options.threads, r.stats);
+    }
 }

@@ -7,14 +7,16 @@
 //! the unfiltered shape), must equal the reference byte for byte, and must
 //! report through `ExecStats` *which* expression path ran.
 
+mod common;
+
 use bipie::columnstore::encoding::EncodingHint;
 use bipie::columnstore::{ColumnSpec, LogicalType, Table, TableBuilder, Value};
-use bipie::core::reference::execute_reference;
 use bipie::core::{
     execute, AggExpr, AggStrategy, EngineError, Expr, Predicate, Query, QueryBuilder, QueryOptions,
     SelectionStrategy,
 };
 use bipie::toolbox::SimdLevel;
+use common::{assert_matches_reference, with, Grid};
 
 /// Which path the segments' computed sums must take.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -146,37 +148,27 @@ fn the_query(case: &Case, filtered: bool, options: QueryOptions) -> Query {
 
 #[test]
 fn lane_plan_equals_reference_at_the_proof_boundaries() {
+    let dense = AggStrategy::DENSE.map(|a| SelectionStrategy::DENSE.map(|s| (Some(a), Some(s))));
     for case in cases() {
         let table = build_table(&case);
+        let grid = Grid {
+            forced: dense.concat(),
+            levels: SimdLevel::available(),
+            batch_rows: vec![case.batch_rows],
+            ..Grid::default()
+        };
         for filtered in [false, true] {
-            let base =
-                QueryOptions { parallel: false, batch_rows: case.batch_rows, ..Default::default() };
-            let slow = execute_reference(&table, &the_query(&case, filtered, base.clone()));
-            let slow = slow.unwrap().rows;
-            for level in SimdLevel::available() {
-                for agg in AggStrategy::DENSE {
-                    for sel in SelectionStrategy::DENSE {
-                        let options = QueryOptions {
-                            level,
-                            forced_agg: Some(agg),
-                            forced_selection: Some(sel),
-                            ..base.clone()
-                        };
-                        let fast = execute(&table, &the_query(&case, filtered, options)).unwrap();
-                        let cell =
-                            format!("{}: {agg:?}+{sel:?} filtered={filtered} {level}", case.name);
-                        assert_eq!(fast.rows, slow, "{cell}");
-                        let (lanes, interp) =
-                            (fast.stats.expr_lane_segments, fast.stats.expr_interp_segments);
-                        let segments = fast.stats.segments_scanned;
-                        match case.expect {
-                            Path::Lanes => assert_eq!((lanes, interp), (segments, 0), "{cell}"),
-                            Path::Interpreter => {
-                                assert_eq!((lanes, interp), (0, segments), "{cell}")
-                            }
-                        }
-                    }
-                }
+            let query = the_query(&case, filtered, QueryOptions::default());
+            let label = format!("{} filtered={filtered}", case.name);
+            for (options, fast) in assert_matches_reference(&table, &query, &grid, &label) {
+                let (lanes, interp) =
+                    (fast.stats.expr_lane_segments, fast.stats.expr_interp_segments);
+                let segments = fast.stats.segments_scanned;
+                let expect = match case.expect {
+                    Path::Lanes => (segments, 0),
+                    Path::Interpreter => (0, segments),
+                };
+                assert_eq!((lanes, interp), expect, "{label} {options:?}");
             }
         }
     }
@@ -197,29 +189,19 @@ fn sum_at_the_overflow_proof_edge_is_exact_one_past_is_refused() {
             t.push_row(vec![Value::I64(a), Value::I64(b)]);
         }
         let table = t.finish();
-        let query = |options| {
-            QueryBuilder::new()
-                .aggregate(AggExpr::sum_expr(col("a").mul(col("b"))))
-                .options(options)
-                .build()
-        };
-        for level in SimdLevel::available() {
-            for agg in AggStrategy::DENSE {
-                let options = QueryOptions { level, forced_agg: Some(agg), ..Default::default() };
-                let fast = execute(&table, &query(options));
-                if fits {
-                    let fast = fast.unwrap();
-                    let slow = execute_reference(&table, &query(QueryOptions::default())).unwrap();
-                    assert_eq!(fast.rows, slow.rows, "{agg:?} {level}");
-                    assert_eq!(fast.stats.expr_lane_segments, 1, "{agg:?} {level}");
-                } else {
-                    assert_eq!(
-                        fast.unwrap_err(),
-                        EngineError::PotentialOverflow { aggregate: 0 },
-                        "{agg:?} {level}"
-                    );
-                }
+        let query =
+            QueryBuilder::new().aggregate(AggExpr::sum_expr(col("a").mul(col("b")))).build();
+        let forced = AggStrategy::DENSE.map(|a| (Some(a), None)).to_vec();
+        let grid = Grid { forced, levels: SimdLevel::available(), ..Grid::default() };
+        if fits {
+            for (options, fast) in assert_matches_reference(&table, &query, &grid, "edge") {
+                assert_eq!(fast.stats.expr_lane_segments, 1, "{options:?}");
             }
+            continue;
+        }
+        for options in grid.options(&query.options) {
+            let err = execute(&table, &with(&query, options.clone())).unwrap_err();
+            assert_eq!(err, EngineError::PotentialOverflow { aggregate: 0 }, "{options:?}");
         }
     }
 }
@@ -233,8 +215,7 @@ fn computed_min_max_keeps_the_interpreter_for_the_whole_segment() {
         .aggregate(AggExpr::sum_expr(case.exprs[0].clone()))
         .aggregate(AggExpr::max_expr(case.exprs[1].clone()))
         .build();
-    let fast = execute(&table, &query).unwrap();
-    assert_eq!(fast.rows, execute_reference(&table, &query).unwrap().rows);
+    let fast = assert_matches_reference(&table, &query, &Grid::default(), "min/max").remove(0).1;
     assert_eq!(fast.stats.expr_lane_segments, 0);
     assert!(fast.stats.expr_interp_segments > 0);
 }

@@ -1,6 +1,6 @@
 //! Worker-count equivalence: the morsel-driven scan must produce
 //! *byte-identical* `QueryResult` rows to the row-at-a-time reference at
-//! every worker count — `parallel: false` (one worker), 1, 2, 4 and more —
+//! every worker count — one (the serial scan), 2, 4 and more —
 //! across skewed segment sizes, tables with fewer segments than workers,
 //! single-segment tables (intra-segment splitting), high group counts (the
 //! wide-group fallback path), deleted rows, and randomized shapes. All
@@ -11,126 +11,42 @@
 
 mod common;
 
-use bipie::columnstore::{ColumnSpec, EncodingHint, LogicalType, Table, TableBuilder, Value};
+use bipie::columnstore::{EncodingHint, Table, Value};
 use bipie::core::observability_compiled_out;
-use bipie::core::reference::execute_reference;
 use bipie::core::{
-    execute, AggExpr, AggStrategy, DecisionRecord, EngineError, Expr, Phase, Predicate,
-    ProfileLevel, Query, QueryBuilder, QueryOptions, QueryProfile, SelectionStrategy, TraceEvent,
+    execute, AggExpr, AggStrategy, DecisionRecord, EngineError, ExecStats, Phase, Predicate,
+    ProfileLevel, QueryBuilder, QueryOptions, QueryProfile, SelectionStrategy, TraceEvent,
 };
-use common::run_cases;
+use common::{
+    arb_grid, arb_shape, assert_matches_reference, kab_query, run_cases, threads, with, Grid, Shape,
+};
 
-/// Build a table whose immutable region has exactly one segment per entry
-/// of `chunks` (with that many rows), by flushing the mutable region
-/// between chunks. Group cardinality is `groups` (over an `I64` key column,
-/// so large values exercise the wide-group path).
-fn skewed_table(chunks: &[usize], groups: i64, seed: u64) -> Table {
-    let mut t = Table::with_segment_rows(
-        vec![
-            ColumnSpec::new("k", LogicalType::I64),
-            ColumnSpec::new("a", LogicalType::I64),
-            ColumnSpec::new("b", LogicalType::I64),
-        ],
-        1 << 20,
-    );
-    let mut state = seed | 1;
-    let mut next = || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    for &rows in chunks {
-        for _ in 0..rows {
-            let k = (next() % groups as u64) as i64;
-            let a = next() as i64 % 10_000 - 5_000;
-            let b = next() as i64 % 1_000;
-            t.insert(vec![Value::I64(k), Value::I64(a), Value::I64(b)]);
-        }
-        t.flush_mutable();
-    }
-    t
-}
-
-fn the_query(threshold: i64, options: QueryOptions) -> Query {
-    QueryBuilder::new()
-        .filter(Predicate::ge("a", Value::I64(threshold)))
-        .group_by("k")
-        .aggregate(AggExpr::count_star())
-        .aggregate(AggExpr::sum("a"))
-        .aggregate(AggExpr::sum_expr(Expr::col("a").add(Expr::col("b").mul(Expr::lit(3)))))
-        .aggregate(AggExpr::avg("b"))
-        .aggregate(AggExpr::min("a"))
-        .aggregate(AggExpr::max_expr(Expr::col("a").mul(Expr::col("b"))))
-        .options(options)
-        .build()
-}
-
-fn serial_options() -> QueryOptions {
-    QueryOptions { parallel: false, ..Default::default() }
-}
-
-fn parallel_options(threads: usize, morsel_rows: usize, batch_rows: usize) -> QueryOptions {
-    QueryOptions {
-        parallel: true,
-        threads: Some(threads),
-        morsel_rows,
-        batch_rows,
-        ..Default::default()
-    }
-}
-
-/// Run one table/query shape through the thread-count table — `parallel:
-/// false`, then 1, 2, 4 and (last) `threads` workers — and return the last
-/// run's stats for extra checks. Every case must return the reference's rows;
-/// the batch grid is the same at every count, so the per-batch counters
-/// agree exactly; a segment's aggregation strategy is decided once, at plan
-/// time, so the per-segment counters agree exactly too and sum to the
-/// segments scanned; and every count, one included, reports the morsels it
-/// claimed and the workers it ran.
-fn assert_equivalent(
-    table: &Table,
-    threshold: i64,
-    threads: usize,
-    morsel_rows: usize,
-    batch_rows: usize,
-    label: &str,
-) -> bipie::core::ExecStats {
-    let reference = execute_reference(table, &the_query(threshold, serial_options())).unwrap();
-    // Segments the filter's metadata cannot eliminate, the mutable tail
-    // encoded as a query encodes it among them, and the morsels (whole
-    // batch windows) they decompose into.
+/// [`assert_matches_reference`] on [`kab_query`] over `grid`, plus what the
+/// table's metadata predicts: the segments whose `a` range reaches
+/// `threshold` are scanned — the mutable tail, encoded as a query encodes
+/// it, among them — the others eliminated, and the scanned ones decompose
+/// into morsels of whole batch windows. Returns each run's stats.
+fn assert_agrees(table: &Table, threshold: i64, grid: &Grid, label: &str) -> Vec<ExecStats> {
     let tail = table.mutable_rows().encode();
     let live: Vec<_> = table.segments().iter().chain(&tail).filter(|s| s.live_rows() > 0).collect();
     let scanned: Vec<_> = live.iter().filter(|s| s.meta(1).max >= threshold).collect();
-    let morsel = morsel_rows.div_ceil(batch_rows) * batch_rows;
-    let morsels: usize = scanned.iter().map(|s| s.num_rows().div_ceil(morsel)).sum();
+    let runs = assert_matches_reference(table, &kab_query(threshold), grid, label);
+    let stats: Vec<ExecStats> = runs.into_iter().map(|(_, r)| r.stats).collect();
+    for (s, options) in stats.iter().zip(grid.options(&QueryOptions::default())) {
+        let morsel = options.morsel_rows.div_ceil(options.batch_rows) * options.batch_rows;
+        let morsels: usize = scanned.iter().map(|s| s.num_rows().div_ceil(morsel)).sum();
+        let counts = (s.segments_scanned, s.segments_eliminated, s.morsels_scanned);
+        assert_eq!(counts, (scanned.len(), live.len() - scanned.len(), morsels), "{label}: {s:?}");
+    }
+    stats
+}
 
-    let serial = QueryOptions { morsel_rows, batch_rows, ..serial_options() };
-    let mut cases = vec![(serial, 1)];
-    for w in [1, 2, 4].into_iter().filter(|&w| w != threads).chain([threads]) {
-        cases.push((parallel_options(w, morsel_rows, batch_rows), w));
-    }
-    let mut grid: Option<(usize, usize, [usize; 4], [usize; 5])> = None;
-    let mut last = None;
-    for (options, workers) in cases {
-        let label = format!("{label}: parallel={} workers={workers}", options.parallel);
-        let r = execute(table, &the_query(threshold, options)).unwrap();
-        assert_eq!(r.rows, reference.rows, "{label}");
-        assert_eq!(r.group_columns, reference.group_columns, "{label}");
-        let stats = r.stats;
-        assert_eq!(stats.segments_scanned, scanned.len(), "{label}");
-        assert_eq!(stats.segments_eliminated, live.len() - scanned.len(), "{label}");
-        assert_eq!(stats.morsels_scanned, morsels, "{label}: {stats:?}");
-        // When every segment was eliminated by metadata no region runs and
-        // the worker count legitimately stays zero; otherwise the fork is
-        // capped at one worker per morsel.
-        let forked = if scanned.is_empty() { 0 } else { workers.min(morsels) };
-        assert_eq!(stats.pool_workers, forked, "{label}");
-        assert_eq!(stats.agg_segments.iter().sum::<usize>(), scanned.len(), "{label}: {stats:?}");
-        let this = (stats.rows_scanned, stats.batches, stats.selection_batches, stats.agg_segments);
-        assert_eq!(this, *grid.get_or_insert(this), "{label}");
-        last = Some(stats);
-    }
-    last.unwrap()
+/// The grid of [`assert_agrees`]: 1, 2, 4 and `workers` workers at one
+/// morsel and batch size.
+fn grid(workers: usize, morsel_rows: usize, batch_rows: usize) -> Grid {
+    let workers: Vec<_> =
+        [1, 2, 4].into_iter().filter(|&w| w != workers).chain([workers]).collect();
+    Grid { morsel_rows: vec![morsel_rows], batch_rows: vec![batch_rows], ..Grid::workers(&workers) }
 }
 
 #[test]
@@ -138,32 +54,30 @@ fn skewed_segments_agree() {
     // One hot segment dominating several small ones: home partitions are
     // unbalanced by construction and stealing must kick in for the result
     // to come back at all thread counts.
-    let t = skewed_table(&[40_000, 300, 300, 150, 7], 9, 42);
+    let t = Shape::new(&[40_000, 300, 300, 150, 7], 9, 42).build();
     assert_eq!(t.segments().len(), 5);
-    for threads in [2usize, 4, 8] {
-        let stats = assert_equivalent(&t, -2000, threads, 1024, 512, "skewed");
-        // The hot segment alone yields ~40 morsels for at most 8 workers;
-        // at least one worker must have left its home partition.
-        if threads >= 4 {
-            assert!(stats.morsel_steals > 0, "threads={threads}: {stats:?}");
-        }
+    let stats = assert_agrees(&t, -2000, &grid(8, 1024, 512), "skewed");
+    // The hot segment alone yields ~40 morsels for at most 8 workers;
+    // at 4 and 8, at least one worker must have left its home partition.
+    for s in &stats[2..] {
+        assert!(s.morsel_steals > 0, "{s:?}");
     }
 }
 
 #[test]
 fn fewer_segments_than_workers_agree() {
-    let t = skewed_table(&[9_000, 5_000], 6, 7);
+    let t = Shape::new(&[9_000, 5_000], 6, 7).build();
     assert_eq!(t.segments().len(), 2);
-    assert_equivalent(&t, 0, 8, 512, 256, "2 segments, 8 workers");
+    assert_agrees(&t, 0, &grid(8, 512, 256), "2 segments, 8 workers");
 }
 
 #[test]
 fn single_segment_splits_across_workers() {
-    let t = skewed_table(&[30_000], 5, 11);
+    let t = Shape::new(&[30_000], 5, 11).build();
     assert_eq!(t.segments().len(), 1);
-    let stats = assert_equivalent(&t, -1000, 4, 256, 128, "single segment");
+    let stats = assert_agrees(&t, -1000, &grid(4, 256, 128), "single segment");
     // The whole point of morsels: one segment still fans out.
-    assert!(stats.morsels_scanned >= 30_000 / 256, "{stats:?}");
+    assert!(stats[0].morsels_scanned >= 30_000 / 256, "{:?}", stats[0]);
 }
 
 #[test]
@@ -171,52 +85,44 @@ fn high_group_counts_use_wide_path_and_agree() {
     // > 255 distinct keys forces the wide-group (u32 gid) fallback, whose
     // per-worker mappers intern keys in first-seen order — the merge must
     // be key-based for this to come out identical.
-    let t = skewed_table(&[12_000, 8_000, 50], 1000, 3);
-    let stats = assert_equivalent(&t, -3000, 4, 512, 256, "wide groups");
+    let t = Shape::new(&[12_000, 8_000, 50], 1000, 3).build();
+    let stats = assert_agrees(&t, -3000, &grid(4, 512, 256), "wide groups");
     // The two large segments see ~1000 distinct keys each and must take
     // the wide path (the 50-row one may fit narrow, depending on draw).
-    assert!(stats.wide_group_segments >= 2, "{stats:?}");
+    assert!(stats[0].wide_group_segments >= 2, "{:?}", stats[0]);
 }
 
 #[test]
 fn deleted_rows_agree() {
-    let mut t = skewed_table(&[10_000, 2_000, 500], 8, 19);
-    for i in 0..1500 {
-        let seg = i % t.segments().len();
-        let rows = t.segments()[seg].num_rows();
-        t.delete_row(seg, (i * 37) % rows);
-    }
-    assert_equivalent(&t, -5000, 4, 512, 256, "deleted rows");
+    let t = Shape { delete_stride: 8, ..Shape::new(&[10_000, 2_000, 500], 8, 19) }.build();
+    assert_agrees(&t, -5000, &grid(4, 512, 256), "deleted rows");
 }
 
 #[test]
 fn mutable_tail_rows_agree() {
-    let mut t = skewed_table(&[6_000, 1_000], 7, 23);
-    for i in 0..40i64 {
-        t.insert(vec![Value::I64(i % 7), Value::I64(i * 11 - 200), Value::I64(i)]);
-    }
-    assert!(!t.mutable_rows().is_empty());
-    let stats = assert_equivalent(&t, -5000, 4, 512, 256, "mutable tail");
-    assert_eq!(stats.mutable_rows, 40);
+    let t = Shape { tail: 40, ..Shape::new(&[6_000, 1_000], 7, 23) }.build();
+    let stats = assert_agrees(&t, -5000, &grid(4, 512, 256), "mutable tail");
+    assert_eq!(stats[0].mutable_rows, 40);
 }
 
 #[test]
 fn a_tail_the_filter_eliminates_is_counted_eliminated() {
-    let mut t = skewed_table(&[3_000, 1_000], 7, 37);
+    let mut t = Shape::new(&[3_000, 1_000], 7, 37).build();
     for i in 0..50i64 {
         t.insert(vec![Value::I64(i % 7), Value::I64(-9_000 - i), Value::I64(i)]);
     }
-    let stats = assert_equivalent(&t, -5000, 4, 512, 256, "eliminated tail");
-    assert_eq!(stats.mutable_rows, 50);
-    assert_eq!((stats.segments_scanned, stats.segments_eliminated), (2, 1), "{stats:?}");
+    let stats = assert_agrees(&t, -5000, &grid(4, 512, 256), "eliminated tail");
+    assert_eq!(stats[0].mutable_rows, 50);
+    assert_eq!((stats[0].segments_scanned, stats[0].segments_eliminated), (2, 1));
 }
 
 #[test]
 fn parallel_runs_are_deterministic() {
     // Scheduling is racy; results must not be. Two parallel executions of
     // the same query must match each other exactly, not just the serial run.
-    let t = skewed_table(&[20_000, 100, 4_000], 300, 31);
-    let q = the_query(-1000, parallel_options(8, 256, 128));
+    let t = Shape::new(&[20_000, 100, 4_000], 300, 31).build();
+    let options = QueryOptions { morsel_rows: 256, batch_rows: 128, ..threads(8) };
+    let q = with(&kab_query(-1000), options);
     let first = execute(&t, &q).unwrap();
     for _ in 0..5 {
         let again = execute(&t, &q).unwrap();
@@ -227,22 +133,10 @@ fn parallel_runs_are_deterministic() {
 #[test]
 fn randomized_shapes_agree() {
     run_cases("randomized_shapes_agree", 32, |g| {
-        let chunks: Vec<usize> = g.vec_of(1..6, |g| g.int(1usize..4000));
-        let groups = *g.pick(&[1i64, 3, 12, 200, 600]);
-        let seed = g.rng.random::<u64>();
+        let shape = arb_shape(g);
+        let grid = arb_grid(g);
         let threshold = g.int(-6000i64..6000);
-        let threads = g.int(2usize..9);
-        let morsel_rows = *g.pick(&[64usize, 256, 1024, 100_000]);
-        let batch_rows = *g.pick(&[64usize, 173, 512]);
-        let t = skewed_table(&chunks, groups, seed);
-        assert_equivalent(
-            &t,
-            threshold,
-            threads,
-            morsel_rows,
-            batch_rows,
-            &format!("chunks={chunks:?} groups={groups} seed={seed}"),
-        );
+        assert_agrees(&shape.build(), threshold, &grid, &format!("{shape:?}"));
     });
 }
 
@@ -250,21 +144,18 @@ fn randomized_shapes_agree() {
 /// scan runs one, inline, and answers the same.
 #[test]
 fn the_fork_is_capped_at_the_planned_morsels() {
-    let t = skewed_table(&[1], 3, 7);
+    let t = Shape::new(&[1], 3, 7).build();
     // Every `a` is at least -5000: the one row is selected.
-    let q = |options| the_query(-5000, options);
-    let serial = execute(&t, &q(serial_options())).unwrap();
-    let two = execute(&t, &q(QueryOptions { threads: Some(2), ..Default::default() })).unwrap();
-    assert_eq!(two.rows, serial.rows);
-    assert_eq!(two.rows, execute_reference(&t, &q(serial_options())).unwrap().rows);
+    let runs = assert_matches_reference(&t, &kab_query(-5000), &Grid::workers(&[1, 2]), "1 row");
+    let two = &runs[1].1;
     assert_eq!(two.stats.morsels_scanned, 1, "{:?}", two.stats);
     assert_eq!(two.stats.pool_workers, 1, "{:?}", two.stats);
 }
 
 #[test]
 fn pool_is_reused_across_queries() {
-    let t = skewed_table(&[10_000], 5, 57);
-    let q = the_query(0, parallel_options(4, 512, 256));
+    let t = Shape::new(&[10_000], 5, 57).build();
+    let q = with(&kab_query(0), QueryOptions { morsel_rows: 512, batch_rows: 256, ..threads(4) });
     execute(&t, &q).unwrap(); // warm the pool
     let r = execute(&t, &q).unwrap();
     assert!(r.stats.pool_reuses > 0, "{:?}", r.stats);
@@ -287,25 +178,20 @@ fn selection_span_counts(profile: &QueryProfile) -> [u64; 4] {
 
 #[test]
 fn profile_off_leaves_profile_empty() {
-    let t = skewed_table(&[8_000, 1_000], 9, 5);
-    for (options, label) in
-        [(serial_options(), "serial"), (parallel_options(4, 512, 256), "parallel")]
-    {
+    let t = Shape::new(&[8_000, 1_000], 9, 5).build();
+    let grid = Grid { morsel_rows: vec![512], batch_rows: vec![256], ..Grid::workers(&[1, 4]) };
+    for (options, r) in assert_matches_reference(&t, &kab_query(0), &grid, "profile off") {
         assert_eq!(options.profile, ProfileLevel::Off, "Off must be the default");
-        let r = execute(&t, &the_query(0, options)).unwrap();
-        assert!(r.profile.is_empty(), "{label}: {:?}", r.profile);
-        assert!(r.profile.events.is_empty(), "{label}");
+        assert!(r.profile.is_empty(), "{options:?}: {:?}", r.profile);
+        assert!(r.profile.events.is_empty(), "{options:?}");
     }
 }
 
 #[test]
 fn profile_counters_accumulate_without_events() {
-    let mut t = skewed_table(&[8_000, 1_000], 9, 5);
-    for i in 0..40i64 {
-        t.insert(vec![Value::I64(i % 9), Value::I64(i * 7 - 100), Value::I64(i)]);
-    }
-    let options = QueryOptions { profile: ProfileLevel::Counters, ..serial_options() };
-    let r = execute(&t, &the_query(-2000, options)).unwrap();
+    let t = Shape { tail: 40, ..Shape::new(&[8_000, 1_000], 9, 5) }.build();
+    let options = QueryOptions { profile: ProfileLevel::Counters, ..threads(1) };
+    let r = execute(&t, &with(&kab_query(-2000), options)).unwrap();
     assert!(r.profile.events.is_empty(), "Counters must not store events");
     if observability_compiled_out() {
         return;
@@ -314,33 +200,6 @@ fn profile_counters_accumulate_without_events() {
     assert!(r.profile.phase(Phase::SegmentScan).count >= 2, "{:?}", r.profile.phases);
     assert_eq!(r.profile.phase(Phase::MutableTail).count, 1);
     assert_eq!(r.profile.phase(Phase::MutableTail).rows, 40);
-}
-
-/// 40 000 rows in runs of 100, both columns RLE-encoded: the run-wise
-/// sink's table, for [`run_wise_query`].
-fn run_wise_table() -> Table {
-    let mut b = TableBuilder::with_segment_rows(
-        vec![
-            ColumnSpec::new("k", LogicalType::I64).with_hint(EncodingHint::Rle),
-            ColumnSpec::new("v", LogicalType::I64).with_hint(EncodingHint::Rle),
-        ],
-        1 << 20,
-    );
-    for i in 0..40_000i64 {
-        b.push_row(vec![Value::I64(i / 100), Value::I64(i / 100 * 3)]);
-    }
-    b.finish()
-}
-
-/// Ungrouped aggregates over bare RLE columns: eligible for run-wise.
-fn run_wise_query(options: QueryOptions) -> Query {
-    QueryBuilder::new()
-        .filter(Predicate::lt("k", Value::I64(300)))
-        .aggregate(AggExpr::count_star())
-        .aggregate(AggExpr::sum("v"))
-        .aggregate(AggExpr::max("v"))
-        .options(options)
-        .build()
 }
 
 /// Every timed site records one span per unit of work, through each of the
@@ -352,31 +211,30 @@ fn run_wise_query(options: QueryOptions) -> Query {
 /// agree.
 #[test]
 fn profile_span_counts_agree_serial_vs_parallel() {
-    let run_wise = run_wise_table();
-    // groups=9 stays on the narrow path; groups=1000 forces the wide-group
-    // fallback.
-    let narrow = skewed_table(&[20_000, 3_000, 500], 9, 13);
-    let wide = skewed_table(&[20_000, 3_000, 500], 1000, 13);
-    let grouped: fn(QueryOptions) -> Query = |options| the_query(-2000, options);
+    // 40 000 rows in runs of 100, every column RLE-encoded: the run-wise
+    // sink's table. 9 keys stay on the narrow path; 1000 force the
+    // wide-group fallback.
+    let rle = [EncodingHint::Rle; 3];
+    let run_wise = Shape { run: 100, ..Shape::new(&[40_000], 400, 13).hints(rle) }.build();
+    let narrow = Shape::new(&[20_000, 3_000, 500], 9, 13).build();
+    let wide = Shape::new(&[20_000, 3_000, 500], 1000, 13).build();
+    // Ungrouped aggregates over bare RLE columns: eligible for run-wise.
+    let run_wise_query = QueryBuilder::new()
+        .filter(Predicate::lt("k", Value::I64(300)))
+        .aggregate(AggExpr::count_star())
+        .aggregate(AggExpr::sum("a"))
+        .aggregate(AggExpr::max("a"))
+        .build();
     let shapes = [
-        (&run_wise, run_wise_query as fn(QueryOptions) -> Query, "run-wise"),
-        (&narrow, grouped, "narrow"),
-        (&wide, grouped, "wide"),
+        (&run_wise, run_wise_query, "run-wise"),
+        (&narrow, kab_query(-2000), "narrow"),
+        (&wide, kab_query(-2000), "wide"),
     ];
-    for (t, query, label) in shapes {
-        let runs = [1usize, 2].map(|threads| {
-            let options = QueryOptions {
-                profile: ProfileLevel::Spans,
-                ..parallel_options(threads, 1024, 256)
-            };
-            execute(t, &query(options)).unwrap()
-        });
-        let [one, two] = &runs;
-        assert_eq!(one.rows, two.rows, "{label}");
-        assert_eq!(one.stats.selection_batches, two.stats.selection_batches, "{label}");
-        // One aggregation decision per segment, made before any worker
-        // starts: the same at either worker count.
-        assert_eq!(one.stats.agg_segments, two.stats.agg_segments, "{label}");
+    let grid = Grid { morsel_rows: vec![1024], batch_rows: vec![256], ..Grid::workers(&[1, 2]) };
+    for (t, mut query, label) in shapes {
+        query.options.profile = ProfileLevel::Spans;
+        let runs = assert_matches_reference(t, &query, &grid, label);
+        let one = &runs[0].1;
         let sink_segments = match label {
             "run-wise" => one.stats.agg_count(AggStrategy::RunWise),
             "wide" => one.stats.wide_group_segments,
@@ -386,7 +244,7 @@ fn profile_span_counts_agree_serial_vs_parallel() {
         if observability_compiled_out() {
             continue;
         }
-        for (r, threads) in runs.iter().zip([1, 2]) {
+        for ((_, r), threads) in runs.iter().zip([1, 2]) {
             let label = format!("{label} at {threads} threads");
             let (stats, count) = (&r.stats, |phase| r.profile.phase(phase).count);
             let batches = stats.batches as u64;
@@ -433,20 +291,15 @@ fn agg_decisions(profile: &QueryProfile) -> Vec<(u32, AggStrategy, f64)> {
 /// scan's one decision per segment.
 #[test]
 fn stolen_morsels_do_not_change_the_decision() {
-    let mut t = skewed_table(&[20_000, 600], 9, 71);
+    let mut t = Shape::new(&[20_000, 600], 9, 71).build();
     for row in 0..256 {
         t.delete_row(0, row);
     }
-    let spans = |options| QueryOptions { profile: ProfileLevel::Spans, ..options };
-    let query = |options| the_query(-5000, spans(options));
-    let reference = execute_reference(&t, &query(serial_options())).unwrap();
-    let serial = execute(&t, &query(parallel_options(1, 256, 256))).unwrap();
-    let par = execute(&t, &query(parallel_options(4, 256, 256))).unwrap();
-    for r in [&serial, &par] {
-        assert_eq!(r.rows, reference.rows);
-        assert_eq!(r.stats.agg_segments.iter().sum::<usize>(), r.stats.segments_scanned);
-    }
-    assert_eq!(par.stats.agg_segments, serial.stats.agg_segments);
+    let query =
+        with(&kab_query(-5000), QueryOptions { profile: ProfileLevel::Spans, ..threads(1) });
+    let grid = Grid { morsel_rows: vec![256], batch_rows: vec![256], ..Grid::workers(&[1, 4]) };
+    let runs = assert_matches_reference(&t, &query, &grid, "stolen morsels");
+    let [(_, serial), (_, par)] = &runs[..] else { unreachable!() };
     if observability_compiled_out() {
         return;
     }
@@ -458,13 +311,13 @@ fn stolen_morsels_do_not_change_the_decision() {
 
 #[test]
 fn invalid_parallel_options_are_typed_errors() {
-    let t = skewed_table(&[100], 3, 1);
+    let t = Shape::new(&[100], 3, 1).build();
     for (opts, option) in [
         (QueryOptions { threads: Some(0), ..Default::default() }, "threads"),
         (QueryOptions { morsel_rows: 0, ..Default::default() }, "morsel_rows"),
         (QueryOptions { batch_rows: 0, ..Default::default() }, "batch_rows"),
     ] {
-        let err = execute(&t, &the_query(0, opts)).unwrap_err();
+        let err = execute(&t, &with(&kab_query(0), opts)).unwrap_err();
         assert!(
             matches!(err, EngineError::InvalidOptions { option: o, .. } if o == option),
             "{err:?}"
@@ -479,21 +332,25 @@ fn invalid_parallel_options_are_typed_errors() {
 /// four, and the pool stays reusable afterwards.
 #[test]
 fn worker_side_failures_are_the_same_typed_error_at_one_and_four_workers() {
-    let narrow = skewed_table(&[12_000, 3_000], 9, 17);
-    let wide = skewed_table(&[20_000], 1_000, 29);
+    let narrow = Shape::new(&[12_000, 3_000], 9, 17).build();
+    let wide = Shape::new(&[20_000], 1_000, 29).build();
     // The smallest budget plan admission accepts for the wide table is its
     // projection — which a too-small budget's rejection reports.
-    let rejected = QueryOptions { mem_budget: Some(1 << 10), ..serial_options() };
+    let rejected = QueryOptions { mem_budget: Some(1 << 10), ..threads(1) };
     let Err(EngineError::MemoryBudgetExceeded { requested: projection, .. }) =
-        execute(&wide, &the_query(-5000, rejected))
+        execute(&wide, &with(&kab_query(-5000), rejected))
     else {
         panic!("a 1 KiB budget must be rejected at plan time");
     };
     for (table, budget, what) in [(&narrow, 1, "executor plan"), (&wide, projection, "mid-scan")] {
         let errors = [1usize, 4].map(|workers| {
-            let options =
-                QueryOptions { mem_budget: Some(budget), ..parallel_options(workers, 512, 256) };
-            execute(table, &the_query(-5000, options)).unwrap_err()
+            let options = QueryOptions {
+                mem_budget: Some(budget),
+                morsel_rows: 512,
+                batch_rows: 256,
+                ..threads(workers)
+            };
+            execute(table, &with(&kab_query(-5000), options)).unwrap_err()
         });
         for err in &errors {
             assert!(
@@ -505,7 +362,7 @@ fn worker_side_failures_are_the_same_typed_error_at_one_and_four_workers() {
             // Every worker's first reservation is the same request.
             assert_eq!(errors[0], errors[1], "{what}");
         }
-        assert_equivalent(table, -5000, 4, 512, 256, what);
+        assert_agrees(table, -5000, &grid(4, 512, 256), what);
     }
 }
 
@@ -514,9 +371,9 @@ fn worker_side_failures_are_the_same_typed_error_at_one_and_four_workers() {
 /// span.
 #[test]
 fn mutable_tail_span_closes_with_zero_mutable_rows() {
-    let t = skewed_table(&[2_000], 9, 5); // flush_mutable ran: tail is empty
-    let options = QueryOptions { profile: ProfileLevel::Spans, ..serial_options() };
-    let r = execute(&t, &the_query(-2000, options)).unwrap();
+    let t = Shape::new(&[2_000], 9, 5).build(); // flush_mutable ran: tail is empty
+    let options = QueryOptions { profile: ProfileLevel::Spans, ..threads(1) };
+    let r = execute(&t, &with(&kab_query(-2000), options)).unwrap();
     if observability_compiled_out() {
         return;
     }
@@ -528,9 +385,14 @@ fn mutable_tail_span_closes_with_zero_mutable_rows() {
 /// group count crosses the fork-join threshold.
 #[test]
 fn parallel_merge_span_survives_the_merge_extraction() {
-    let t = skewed_table(&[20_000, 3_000], 1_000, 13); // >128 groups: phase-2 merge runs
-    let options = QueryOptions { profile: ProfileLevel::Spans, ..parallel_options(4, 1024, 256) };
-    let r = execute(&t, &the_query(-2000, options)).unwrap();
+    let t = Shape::new(&[20_000, 3_000], 1_000, 13).build(); // >128 groups: phase-2 merge runs
+    let options = QueryOptions {
+        profile: ProfileLevel::Spans,
+        morsel_rows: 1024,
+        batch_rows: 256,
+        ..threads(4)
+    };
+    let r = execute(&t, &with(&kab_query(-2000), options)).unwrap();
     if observability_compiled_out() {
         return;
     }

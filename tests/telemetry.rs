@@ -7,15 +7,14 @@
 
 #![expect(clippy::disallowed_types, reason = "the suite builds and reads trace events")]
 
+mod common;
+
 use bipie::core::{
     telemetry, AggStrategy, DecisionRecord, Phase, ProfileLevel, QueryOptions, QueryProfile,
     SelectionStrategy, SpanLoc, TraceEvent,
 };
-use bipie::tpch::{run_q1_result, LineItemGen};
-
-fn small_lineitem() -> bipie::columnstore::Table {
-    LineItemGen { scale_factor: 0.004, segment_rows: 6000, ..Default::default() }.generate()
-}
+use bipie::tpch::run_q1_result;
+use common::lineitem;
 
 /// Structural lint for a Chrome trace document: one balanced JSON object
 /// with the trace-event envelope Perfetto expects.
@@ -306,27 +305,15 @@ fn mixed_workload_telemetry_is_exact() {
     let reg = t.registry();
     // Handles resolve to the same instruments the engine publishes into
     // (registration is idempotent on (kind, name, labels)).
-    let sel_handles = [
-        ("gather", SelectionStrategy::Gather),
-        ("compact", SelectionStrategy::Compact),
-        ("special_group", SelectionStrategy::SpecialGroup),
-        ("run_span", SelectionStrategy::RunSpan),
-    ]
-    .map(|(label, s)| {
-        let labels: &'static [(&'static str, &'static str)] = match label {
-            "gather" => &[("strategy", "gather")],
-            "compact" => &[("strategy", "compact")],
-            "special_group" => &[("strategy", "special_group")],
-            _ => &[("strategy", "run_span")],
-        };
-        (
-            s,
-            reg.counter(
-                "bipie_selection_picks_total",
-                "Per-batch selection-strategy decisions, by strategy.",
-                labels,
-            ),
-        )
+    let sel_labels: [&'static [(&'static str, &'static str)]; 4] = [
+        &[("strategy", "gather")],
+        &[("strategy", "compact")],
+        &[("strategy", "special_group")],
+        &[("strategy", "run_span")],
+    ];
+    let sel_handles = SelectionStrategy::ALL.map(|s| {
+        let help = "Per-batch selection-strategy decisions, by strategy.";
+        (s, reg.counter("bipie_selection_picks_total", help, sel_labels[s as usize]))
     });
     let agg_labels: [&'static [(&'static str, &'static str)]; 5] = [
         &[("strategy", "scalar")],
@@ -361,7 +348,7 @@ fn mixed_workload_telemetry_is_exact() {
     t.decision_log().clear();
 
     // The workload: parallel and serial Q1, both spans-profiled.
-    let table = small_lineitem();
+    let table = lineitem();
     let results = [
         run_q1_result(&table, QueryOptions { profile: ProfileLevel::Spans, ..Default::default() })
             .expect("Q1 runs"),
@@ -470,7 +457,7 @@ fn no_observability_build_is_inert() {
     // normal build the opposite wiring is covered above, so the test body is
     // feature-conditional.
     if bipie::core::observability_compiled_out() {
-        let table = small_lineitem();
+        let table = lineitem();
         let options = QueryOptions { profile: ProfileLevel::Spans, ..Default::default() };
         let result = run_q1_result(&table, options).expect("Q1 runs");
         assert!(result.profile.is_empty(), "the tracer is compiled out");

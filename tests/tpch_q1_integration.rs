@@ -6,57 +6,45 @@
 
 #![expect(clippy::disallowed_types, reason = "the suite reads finished trace events")]
 
+mod common;
+
 use bipie::columnstore::{Date, Value};
 use bipie::core::aggproc::{AggInput, ExprPath, LanePlan};
 use bipie::core::expr::resolve_many;
-use bipie::core::reference::execute_reference;
 use bipie::core::{
     execute, AggExpr, AggStrategy, DecisionRecord, Expr, Predicate, ProfileLevel, QueryBuilder,
     QueryOptions, SelectionStrategy, TraceEvent,
 };
+use bipie::toolbox::SimdLevel;
 use bipie::tpch::{q1_cutoff, q1_query, run_q1, run_q1_result, LineItemGen};
-
-fn small_lineitem() -> bipie::columnstore::Table {
-    LineItemGen { scale_factor: 0.004, segment_rows: 6000, ..Default::default() }.generate()
-}
+use common::{
+    assert_matches, assert_matches_reference, every_forced_pair, lineitem, threads, Grid,
+};
 
 #[test]
 fn q1_engine_equals_reference_multi_segment() {
-    let table = small_lineitem();
+    let table = lineitem();
     assert!(table.segments().len() >= 3, "want a multi-segment table");
-    let query = q1_query(QueryOptions::default());
-    let fast = execute(&table, &query).unwrap();
-    let slow = execute_reference(&table, &query).unwrap();
-    assert_eq!(fast.rows, slow.rows);
-    assert_eq!(fast.num_rows(), 4);
+    let runs = assert_matches_reference(&table, &q1_query(threads(1)), &Grid::default(), "Q1");
+    assert_eq!(runs[0].1.num_rows(), 4);
 }
 
+/// Every forced pair at every tier returns the rows of the adaptive run,
+/// which `q1_engine_equals_reference_multi_segment` holds to the reference.
 #[test]
 fn q1_invariant_across_all_strategies_and_levels() {
-    use bipie::toolbox::SimdLevel;
-    let table = small_lineitem();
-    let baseline = run_q1(&table, QueryOptions::default()).unwrap().0;
-    for agg in AggStrategy::ALL {
-        for sel in SelectionStrategy::ALL {
-            for level in SimdLevel::available() {
-                let options = QueryOptions {
-                    forced_agg: Some(agg),
-                    forced_selection: Some(sel),
-                    level,
-                    parallel: false,
-                    ..Default::default()
-                };
-                let rows = run_q1(&table, options).unwrap().0;
-                assert_eq!(rows, baseline, "{agg:?}+{sel:?}@{level}");
-            }
-        }
-    }
+    let table = lineitem();
+    let adaptive = run_q1_result(&table, threads(1)).unwrap();
+    let grid =
+        Grid { forced: every_forced_pair(), levels: SimdLevel::available(), ..Grid::default() };
+    assert_matches(&table, &q1_query(threads(1)), &grid, &adaptive, "Q1");
 }
 
 #[test]
 fn q1_plan_matches_paper_description() {
-    let table = small_lineitem();
-    let (_, stats) = run_q1(&table, QueryOptions::default()).unwrap();
+    let table = lineitem();
+    let default = run_q1_result(&table, QueryOptions::default()).unwrap();
+    let stats = &default.stats;
     // 98% selectivity -> special-group selection everywhere.
     assert_eq!(stats.selection_count(SelectionStrategy::SpecialGroup), stats.batches, "{stats:?}");
     // Five distinct sums of mixed widths -> multi-aggregate on every segment.
@@ -64,16 +52,9 @@ fn q1_plan_matches_paper_description() {
     assert_eq!(stats.wide_group_segments, 0, "dict codes keep the narrow path");
     // ...once per segment, however many workers share it: morsels of one
     // 512-row batch make every segment a stolen-from one.
-    for threads in [1usize, 2, 4] {
-        let options = QueryOptions {
-            threads: Some(threads),
-            batch_rows: 512,
-            morsel_rows: 512,
-            ..Default::default()
-        };
-        let (_, par) = run_q1(&table, options).unwrap();
-        assert_eq!(par.agg_segments, stats.agg_segments, "threads={threads}: {par:?}");
-        assert_eq!(par.agg_segments.iter().sum::<usize>(), par.segments_scanned);
+    let grid = Grid { batch_rows: vec![512], morsel_rows: vec![512], ..Grid::workers(&[1, 2, 4]) };
+    for (options, r) in assert_matches(&table, &q1_query(threads(1)), &grid, &default, "Q1") {
+        assert_eq!(r.stats.agg_segments, stats.agg_segments, "{options:?}: {:?}", r.stats);
     }
 }
 
@@ -81,7 +62,7 @@ fn q1_plan_matches_paper_description() {
 fn q1_sums_take_the_register_row_step() {
     // Q1's distinct SUM/AVG inputs in SELECT order, resolved together as
     // `execute` resolves them (charge reuses disc_price through CSE).
-    let table = small_lineitem();
+    let table = lineitem();
     let query = q1_query(QueryOptions::default());
     let mut exprs: Vec<&Expr> = Vec::new();
     for agg in &query.aggregates {
@@ -105,7 +86,7 @@ fn q1_sums_take_the_register_row_step() {
 #[test]
 fn date_segment_elimination() {
     // A predicate before any generated shipdate eliminates all segments.
-    let table = small_lineitem();
+    let table = lineitem();
     let q = QueryBuilder::new()
         .filter(Predicate::lt("l_shipdate", Value::Date(Date::from_ymd(1990, 1, 1))))
         .group_by("l_returnflag")
@@ -120,7 +101,7 @@ fn date_segment_elimination() {
 #[test]
 fn q1_profile_events_tile_the_stats_and_cover_every_batch() {
     use std::collections::BTreeMap;
-    let table = small_lineitem();
+    let table = lineitem();
     let options = QueryOptions { profile: ProfileLevel::Spans, ..Default::default() };
     let result = run_q1_result(&table, options).unwrap();
     let (profile, stats) = (&result.profile, &result.stats);

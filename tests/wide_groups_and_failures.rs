@@ -2,10 +2,12 @@
 //! the wide-group (u32 remap) fallback, the narrow/wide boundary, overflow
 //! rejection, and error surfaces of the public API.
 
+mod common;
+
 use bipie::columnstore::encoding::EncodingHint;
 use bipie::columnstore::{ColumnSpec, LogicalType, Table, TableBuilder, Value};
-use bipie::core::reference::execute_reference;
 use bipie::core::{execute, AggExpr, EngineError, Expr, Predicate, QueryBuilder, QueryOptions};
+use common::{assert_matches_reference, threads, Grid};
 
 fn wide_table(distinct: i64, rows: i64) -> bipie::columnstore::Table {
     let mut b = TableBuilder::with_segment_rows(
@@ -30,9 +32,7 @@ fn wide_group_fallback_matches_reference() {
         .aggregate(AggExpr::min("v"))
         .aggregate(AggExpr::max_expr(Expr::col("v").mul(Expr::lit(2))))
         .build();
-    let fast = execute(&t, &q).unwrap();
-    let slow = execute_reference(&t, &q).unwrap();
-    assert_eq!(fast.rows, slow.rows);
+    let fast = assert_matches_reference(&t, &q, &Grid::default(), "wide").remove(0).1;
     // v correlates with the key (both derive from i), so keys whose rows
     // all have v < 100 drop out: 1000 keys minus the 200 with residue < 100.
     assert_eq!(fast.num_rows(), 800);
@@ -47,21 +47,15 @@ fn wide_group_fallback_matches_reference() {
 fn wide_batches_are_aggregation_spans_labelled_scalar() {
     use bipie::core::{AggStrategy, Phase, ProfileLevel, TraceEvent};
     let t = wide_table(1000, 6000);
-    for threads in [1, 2] {
-        let options = QueryOptions {
-            threads: Some(threads),
-            batch_rows: 1024,
-            profile: ProfileLevel::Spans,
-            ..Default::default()
-        };
-        let q = QueryBuilder::new()
-            .group_by("key")
-            .aggregate(AggExpr::count_star())
-            .aggregate(AggExpr::sum("v"))
-            .options(options)
-            .build();
-        let r = execute(&t, &q).unwrap();
-        assert_eq!(r.rows, execute_reference(&t, &q).unwrap().rows, "threads={threads}");
+    let q = QueryBuilder::new()
+        .group_by("key")
+        .aggregate(AggExpr::count_star())
+        .aggregate(AggExpr::sum("v"))
+        .options(QueryOptions { profile: ProfileLevel::Spans, ..Default::default() })
+        .build();
+    let grid = Grid { batch_rows: vec![1024], ..Grid::workers(&[1, 2]) };
+    for (options, r) in assert_matches_reference(&t, &q, &grid, "wide spans") {
+        let threads = options.threads.unwrap();
         assert_eq!(r.stats.wide_group_segments, r.stats.segments_scanned, "{:?}", r.stats);
         if bipie::core::observability_compiled_out() {
             continue;
@@ -91,11 +85,9 @@ fn narrow_wide_boundary() {
 
     // 300 distinct: beyond the u8 domain -> wide fallback, same answers.
     let wide = wide_table_dense(300);
-    let r = execute(&wide, &q).unwrap();
+    let r = assert_matches_reference(&wide, &q, &Grid::default(), "300 keys").remove(0).1;
     assert_eq!(r.num_rows(), 300);
     assert!(r.stats.wide_group_segments > 0, "{:?}", r.stats);
-    let slow = execute_reference(&wide, &q).unwrap();
-    assert_eq!(r.rows, slow.rows);
 }
 
 fn wide_table_dense(distinct: i64) -> bipie::columnstore::Table {
@@ -152,10 +144,7 @@ fn tail_overflow_is_the_same_typed_error_as_flushed() {
     }
     flushed.flush_mutable();
     for agg in [AggExpr::sum("v"), AggExpr::max_expr(Expr::col("v").mul(Expr::lit(4)))] {
-        for options in [
-            QueryOptions { parallel: false, ..Default::default() },
-            QueryOptions { threads: Some(4), ..Default::default() },
-        ] {
+        for options in [threads(1), threads(4)] {
             let q = QueryBuilder::new()
                 .aggregate(AggExpr::count_star())
                 .aggregate(agg.clone())
@@ -247,9 +236,7 @@ fn group_by_every_encoding_matches_reference() {
             .aggregate(AggExpr::count_star())
             .aggregate(AggExpr::sum("v"))
             .build();
-        let fast = execute(&t, &q).unwrap();
-        let slow = execute_reference(&t, &q).unwrap();
-        assert_eq!(fast.rows, slow.rows, "hint={hint:?}");
-        assert_eq!(fast.num_rows(), 6);
+        let fast = assert_matches_reference(&t, &q, &Grid::default(), &format!("{hint:?}"));
+        assert_eq!(fast[0].1.num_rows(), 6);
     }
 }
