@@ -221,23 +221,18 @@ fn row_range_prunes_rows_and_says_so() {
     let mut t = b.finish();
     t.delete_row(0, 10); // pruned
     t.delete_row(0, 9_000); // visited
-    let q = |options: QueryOptions| {
-        QueryBuilder::new()
-            .filter(Predicate::between("ts", Value::I64(2 * 8_200), Value::I64(2 * 12_300)))
-            .aggregate(AggExpr::count_star())
-            .options(options)
-            .build()
-    };
-    for threads in [1usize, 2] {
-        let r = execute(&t, &q(QueryOptions { threads: Some(threads), ..Default::default() }));
-        let r = r.unwrap();
+    let q = QueryBuilder::new()
+        .filter(Predicate::between("ts", Value::I64(2 * 8_200), Value::I64(2 * 12_300)))
+        .aggregate(AggExpr::count_star())
+        .build();
+    for (options, r) in assert_matches_reference(&t, &q, &Grid::workers(&[1, 2]), "row range") {
         assert_eq!(r.rows[0].aggs[0].as_count(), Some(4_100));
         // Rows 8200..=12300 round outward to the 4096-row grid: 8192..16384.
-        assert_eq!((r.stats.rows_scanned, r.stats.rows_pruned), (8_191, 11_807), "{threads}");
-        assert_eq!((r.stats.batches, r.stats.morsels_scanned), (2, 1), "{threads}");
+        assert_eq!((r.stats.rows_scanned, r.stats.rows_pruned), (8_191, 11_807), "{options:?}");
+        assert_eq!((r.stats.batches, r.stats.morsels_scanned), (2, 1), "{options:?}");
     }
-    let r = execute(&t, &q(QueryOptions { profile: ProfileLevel::Spans, ..Default::default() }));
-    let r = r.unwrap();
+    let options = QueryOptions { profile: ProfileLevel::Spans, ..Default::default() };
+    let r = execute(&t, &with(&q, options)).unwrap();
     let explain = r.profile.render_explain(&r.stats);
     assert!(explain.contains("8191 rows scanned (11807 pruned)"), "{explain}");
     if !bipie::core::observability_compiled_out() {

@@ -8,21 +8,37 @@ mod common;
 
 use bipie::columnstore::encoding::EncodingHint;
 use bipie::columnstore::{ColumnSpec, LogicalType, Table, Value};
-use bipie::core::{AggExpr, Expr, Predicate, QueryBuilder};
+use bipie::core::{AggExpr, Expr, Predicate, Query, QueryBuilder};
 use bipie::toolbox::SimdLevel;
 use common::{
-    arb_grid, arb_shape, assert_matches_reference, every_forced_pair, kab_query, run_cases, Grid,
-    Shape,
+    arb_shape, assert_matches_reference, every_forced_pair, kab_query, run_cases, Grid, Shape,
 };
 
+/// The shared grouped query plus a plain SUM and a plain MAX.
+fn query(threshold: i64) -> Query {
+    let mut q = kab_query(threshold);
+    q.aggregates.extend([AggExpr::sum("b"), AggExpr::max("a")]);
+    q
+}
+
+/// `arb_shape` tables at an eighth of their segment rows, with string keys,
+/// adaptive and under one drawn forced pair at one drawn tier. The pair,
+/// tier and threshold are drawn first, so case `i` builds another table
+/// than `randomized_shapes_agree`'s case `i`.
 #[test]
 fn engine_equals_reference() {
-    run_cases("engine_equals_reference", 32, |g| {
-        let shape = arb_shape(g);
-        let grid = arb_grid(g);
+    run_cases("engine_equals_reference", 48, |g| {
+        let grid = Grid {
+            forced: vec![(None, None), *g.pick(&every_forced_pair())],
+            levels: vec![*g.pick(&SimdLevel::available())],
+            ..Grid::default()
+        };
         let threshold = g.int(-6000i64..6000);
+        let mut shape = arb_shape(g);
+        shape.segments.iter_mut().for_each(|rows| *rows = rows.div_ceil(8));
+        shape.cols[0].strings = true;
         let label = format!("{shape:?} threshold={threshold}");
-        assert_matches_reference(&shape.build(), &kab_query(threshold), &grid, &label);
+        assert_matches_reference(&shape.build(), &query(threshold), &grid, &label);
     });
 }
 
@@ -36,7 +52,7 @@ fn every_forced_combination_equals_reference() {
                 .hints([EncodingHint::Auto, EncodingHint::BitPack, EncodingHint::BitPack]);
         shape.cols[0].strings = true;
         let label = format!("{shape:?} threshold={threshold}");
-        assert_matches_reference(&shape.build(), &kab_query(threshold), &grid, &label);
+        assert_matches_reference(&shape.build(), &query(threshold), &grid, &label);
     });
 }
 
@@ -120,8 +136,7 @@ fn mutable_tail_edges_equal_reference() {
             let shape = Shape { tail, ..Shape::new(segments, 9, tail as u64) };
             let t = shape.build();
             assert_eq!((t.segments().len(), t.mutable_rows().len()), (segments.len(), tail));
-            for (_, r) in
-                assert_matches_reference(&t, &kab_query(-4000), &grid, &format!("{shape:?}"))
+            for (_, r) in assert_matches_reference(&t, &query(-4000), &grid, &format!("{shape:?}"))
             {
                 assert_eq!(r.stats.mutable_rows, tail);
             }
@@ -133,22 +148,25 @@ fn mutable_tail_edges_equal_reference() {
 fn parallel_and_serial_agree() {
     let mut shape = Shape::new(&[500; 6], 7, 99);
     shape.cols[0].strings = true;
-    let t = shape.build();
-    assert_matches_reference(&t, &kab_query(0), &Grid::workers(&[1, 2, 4]), "workers");
+    assert_matches_reference(&shape.build(), &query(0), &Grid::workers(&[1, 2, 4]), "workers");
 }
 
 #[test]
 fn batch_sizes_agree() {
-    let shape = Shape { tail: 5, delete_stride: 1000, ..Shape::new(&[2000, 2000, 1000], 5, 17) };
+    let mut shape =
+        Shape { tail: 5, delete_stride: 1000, ..Shape::new(&[2000, 2000, 1000], 5, 17) };
+    shape.cols[0].strings = true;
     let t = shape.hints([EncodingHint::Auto, EncodingHint::BitPack, EncodingHint::Auto]).build();
     let grid = Grid { batch_rows: vec![64, 1000, 4096, 100_000], ..Grid::default() };
-    assert_matches_reference(&t, &kab_query(0), &grid, "batch sizes");
+    assert_matches_reference(&t, &query(0), &grid, "batch sizes");
 }
 
 #[test]
 fn forced_scalar_simd_levels_agree() {
-    let shape = Shape { tail: 3, delete_stride: 300, ..Shape::new(&[600, 600, 600, 200], 6, 5) };
+    let mut shape =
+        Shape { tail: 3, delete_stride: 300, ..Shape::new(&[600, 600, 600, 200], 6, 5) };
+    shape.cols[0].strings = true;
     let t = shape.hints([EncodingHint::Auto, EncodingHint::BitPack, EncodingHint::Dict]).build();
     let grid = Grid { levels: SimdLevel::available(), ..Grid::default() };
-    assert_matches_reference(&t, &kab_query(-100), &grid, "levels");
+    assert_matches_reference(&t, &query(-100), &grid, "levels");
 }

@@ -16,7 +16,7 @@ use bipie::core::{
     SelectionStrategy,
 };
 use bipie::toolbox::SimdLevel;
-use common::{assert_matches_reference, with, Grid};
+use common::{assert_matches_reference, with, Col, Grid, Shape};
 
 /// Which path the segments' computed sums must take.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -176,19 +176,15 @@ fn lane_plan_equals_reference_at_the_proof_boundaries() {
 
 #[test]
 fn sum_at_the_overflow_proof_edge_is_exact_one_past_is_refused() {
-    // Three rows, every value at its maximum: a = 2^32 - 1 (the widest
-    // multiplicand a lane takes), b as large as keeps 3 * a * b inside i64.
+    // Three rows, the proof's bound 3 * max(a) * max(b): a tops out at
+    // 2^32 - 1 (the widest multiplicand a lane takes), b as high as keeps
+    // the bound inside i64.
     let a = u32::MAX as i64;
     let b_edge = (i64::MAX as i128 / (3 * a as i128)) as i64;
     for (b, fits) in [(b_edge, true), (b_edge + 1, false)] {
-        let packed =
-            |n: &str| ColumnSpec::new(n, LogicalType::I64).with_hint(EncodingHint::BitPack);
-        let mut t = TableBuilder::with_segment_rows(vec![packed("a"), packed("b")], 1000);
-        t.push_row(vec![Value::I64(0), Value::I64(0)]);
-        for _ in 0..2 {
-            t.push_row(vec![Value::I64(a), Value::I64(b)]);
-        }
-        let table = t.finish();
+        let packed = |name, hi| Col { hint: EncodingHint::BitPack, ..Col::int(name, 0, hi) };
+        let cols = vec![packed("a", a), packed("b", b)];
+        let table = Shape { cols, ..Shape::new(&[3], 1, 0) }.build();
         let query =
             QueryBuilder::new().aggregate(AggExpr::sum_expr(col("a").mul(col("b")))).build();
         let forced = AggStrategy::DENSE.map(|a| (Some(a), None)).to_vec();

@@ -11,7 +11,7 @@
 
 mod common;
 
-use bipie::columnstore::{EncodingHint, Table, Value};
+use bipie::columnstore::{EncodedColumn, EncodingHint, Segment, Table, Value};
 use bipie::core::observability_compiled_out;
 use bipie::core::{
     execute, AggExpr, AggStrategy, DecisionRecord, EngineError, ExecStats, Phase, Predicate,
@@ -25,16 +25,25 @@ use common::{
 /// table's metadata predicts: the segments whose `a` range reaches
 /// `threshold` are scanned — the mutable tail, encoded as a query encodes
 /// it, among them — the others eliminated, and the scanned ones decompose
-/// into morsels of whole batch windows. Returns each run's stats.
+/// into morsels of whole batches. A non-decreasing bit-packed or delta `a`
+/// answers the filter with a row range, so a scan starts at the batch that
+/// holds the range's first row (DESIGN.md §13). Returns each run's stats.
 fn assert_agrees(table: &Table, threshold: i64, grid: &Grid, label: &str) -> Vec<ExecStats> {
     let tail = table.mutable_rows().encode();
     let live: Vec<_> = table.segments().iter().chain(&tail).filter(|s| s.live_rows() > 0).collect();
     let scanned: Vec<_> = live.iter().filter(|s| s.meta(1).max >= threshold).collect();
+    let first = |s: &Segment| match s.column(1) {
+        EncodedColumn::BitPack(c) if c.is_non_decreasing() => c.partition_point(threshold, false),
+        EncodedColumn::Delta(d) if d.is_non_decreasing() => d.partition_point(threshold, false),
+        _ => 0,
+    };
     let runs = assert_matches_reference(table, &kab_query(threshold), grid, label);
     let stats: Vec<ExecStats> = runs.into_iter().map(|(_, r)| r.stats).collect();
     for (s, options) in stats.iter().zip(grid.options(&QueryOptions::default())) {
-        let morsel = options.morsel_rows.div_ceil(options.batch_rows) * options.batch_rows;
-        let morsels: usize = scanned.iter().map(|s| s.num_rows().div_ceil(morsel)).sum();
+        let batch = options.batch_rows;
+        let morsel = options.morsel_rows.div_ceil(batch) * batch;
+        let window = |s: &Segment| s.num_rows() - first(s) / batch * batch;
+        let morsels: usize = scanned.iter().map(|s| window(s).div_ceil(morsel)).sum();
         let counts = (s.segments_scanned, s.segments_eliminated, s.morsels_scanned);
         assert_eq!(counts, (scanned.len(), live.len() - scanned.len(), morsels), "{label}: {s:?}");
     }

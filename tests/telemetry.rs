@@ -305,15 +305,27 @@ fn mixed_workload_telemetry_is_exact() {
     let reg = t.registry();
     // Handles resolve to the same instruments the engine publishes into
     // (registration is idempotent on (kind, name, labels)).
-    let sel_labels: [&'static [(&'static str, &'static str)]; 4] = [
-        &[("strategy", "gather")],
-        &[("strategy", "compact")],
-        &[("strategy", "special_group")],
-        &[("strategy", "run_span")],
-    ];
-    let sel_handles = SelectionStrategy::ALL.map(|s| {
-        let help = "Per-batch selection-strategy decisions, by strategy.";
-        (s, reg.counter("bipie_selection_picks_total", help, sel_labels[s as usize]))
+    let sel_handles = [
+        ("gather", SelectionStrategy::Gather),
+        ("compact", SelectionStrategy::Compact),
+        ("special_group", SelectionStrategy::SpecialGroup),
+        ("run_span", SelectionStrategy::RunSpan),
+    ]
+    .map(|(label, s)| {
+        let labels: &'static [(&'static str, &'static str)] = match label {
+            "gather" => &[("strategy", "gather")],
+            "compact" => &[("strategy", "compact")],
+            "special_group" => &[("strategy", "special_group")],
+            _ => &[("strategy", "run_span")],
+        };
+        (
+            s,
+            reg.counter(
+                "bipie_selection_picks_total",
+                "Per-batch selection-strategy decisions, by strategy.",
+                labels,
+            ),
+        )
     });
     let agg_labels: [&'static [(&'static str, &'static str)]; 5] = [
         &[("strategy", "scalar")],

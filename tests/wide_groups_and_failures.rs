@@ -5,9 +5,9 @@
 mod common;
 
 use bipie::columnstore::encoding::EncodingHint;
-use bipie::columnstore::{ColumnSpec, LogicalType, Table, TableBuilder, Value};
+use bipie::columnstore::{ColumnSpec, LogicalType, TableBuilder, Value};
 use bipie::core::{execute, AggExpr, EngineError, Expr, Predicate, QueryBuilder, QueryOptions};
-use common::{assert_matches_reference, threads, Grid};
+use common::{assert_matches_reference, threads, Col, Grid, Shape};
 
 fn wide_table(distinct: i64, rows: i64) -> bipie::columnstore::Table {
     let mut b = TableBuilder::with_segment_rows(
@@ -103,11 +103,8 @@ fn wide_table_dense(distinct: i64) -> bipie::columnstore::Table {
 
 #[test]
 fn sum_overflow_rejected_min_max_allowed() {
-    let mut b = TableBuilder::with_segment_rows(vec![ColumnSpec::new("v", LogicalType::I64)], 1000);
-    for i in 0..100i64 {
-        b.push_row(vec![Value::I64(i64::MAX / 64 + i)]);
-    }
-    let t = b.finish();
+    let v = Col::int("v", i64::MAX / 64, i64::MAX / 64 + 99);
+    let t = Shape { cols: vec![v], ..Shape::new(&[100], 1, 0) }.build();
     // Summing 100 values near i64::MAX/64 could overflow: rejected upfront.
     let q = QueryBuilder::new().aggregate(AggExpr::sum("v")).build();
     assert!(matches!(execute(&t, &q), Err(EngineError::PotentialOverflow { aggregate: 0 })));
@@ -133,16 +130,11 @@ fn sum_overflow_rejected_min_max_allowed() {
 /// with itself: the reference's own row sum overflows too.)
 #[test]
 fn tail_overflow_is_the_same_typed_error_as_flushed() {
-    let mut tail = Table::with_segment_rows(vec![ColumnSpec::new("v", LogicalType::I64)], 1000);
-    for _ in 0..3 {
-        tail.insert(vec![Value::I64(i64::MAX / 2)]);
-    }
+    let shape =
+        Shape { cols: vec![Col::int("v", i64::MAX / 2, i64::MAX / 2)], ..Shape::new(&[], 1, 0) };
+    let tail = Shape { tail: 3, ..shape.clone() }.build();
     assert!(tail.segments().is_empty());
-    let mut flushed = Table::with_segment_rows(tail.specs().to_vec(), 1000);
-    for _ in 0..3 {
-        flushed.insert(vec![Value::I64(i64::MAX / 2)]);
-    }
-    flushed.flush_mutable();
+    let flushed = Shape { segments: vec![3], ..shape }.build();
     for agg in [AggExpr::sum("v"), AggExpr::max_expr(Expr::col("v").mul(Expr::lit(4)))] {
         for options in [threads(1), threads(4)] {
             let q = QueryBuilder::new()
@@ -202,15 +194,9 @@ fn empty_table_and_all_deleted() {
     let r = execute(&t, &q).unwrap();
     assert_eq!(r.num_rows(), 0);
 
-    let mut b = TableBuilder::with_segment_rows(vec![ColumnSpec::new("v", LogicalType::I64)], 10);
-    for i in 0..10 {
-        b.push_row(vec![Value::I64(i)]);
-    }
-    let mut t = b.finish();
-    for r in 0..10 {
-        t.delete_row(0, r);
-    }
-    let r = execute(&t, &q).unwrap();
+    let shape =
+        Shape { cols: vec![Col::int("v", 0, 9)], delete_stride: 1, ..Shape::new(&[10], 1, 0) };
+    let r = execute(&shape.build(), &q).unwrap();
     assert_eq!(r.num_rows(), 0, "all rows deleted -> no groups");
 }
 
@@ -219,17 +205,8 @@ fn group_by_every_encoding_matches_reference() {
     // The group-by column itself flows through each forced encoding.
     for hint in [EncodingHint::BitPack, EncodingHint::Dict, EncodingHint::Rle, EncodingHint::Delta]
     {
-        let mut b = TableBuilder::with_segment_rows(
-            vec![
-                ColumnSpec::new("g", LogicalType::I64).with_hint(hint),
-                ColumnSpec::new("v", LogicalType::I64),
-            ],
-            700,
-        );
-        for i in 0..2000i64 {
-            b.push_row(vec![Value::I64(i % 6), Value::I64(i)]);
-        }
-        let t = b.finish();
+        let cols = vec![Col { hint, ..Col::int("g", 0, 5) }, Col::int("v", 0, 1999)];
+        let t = Shape { cols, ..Shape::new(&[700, 700, 600], 6, 1) }.build();
         let q = QueryBuilder::new()
             .filter(Predicate::lt("v", Value::I64(1500)))
             .group_by("g")
