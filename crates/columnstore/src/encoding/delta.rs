@@ -35,12 +35,17 @@ impl DeltaColumn {
     /// reference and the width of the deltas come from there.
     pub fn encode(values: &[i64], stats: &IntStats) -> DeltaColumn {
         let min_delta = stats.min_delta;
-        let normalized =
-            values.windows(2).map(|w| w[1].wrapping_sub(w[0]).wrapping_sub(min_delta) as u64);
+        let len = values.len().saturating_sub(1);
+        let deltas = PackedVec::pack_staged(len, stats.delta_bits(), |start, block| {
+            let (prev, next) = (&values[start..], &values[start + 1..]);
+            for ((slot, &p), &v) in block.iter_mut().zip(prev).zip(next) {
+                *slot = v.wrapping_sub(p).wrapping_sub(min_delta) as u64;
+            }
+        });
         DeltaColumn {
             len: values.len(),
             min_delta,
-            deltas: PackedVec::pack_iter(normalized, stats.delta_bits()),
+            deltas,
             anchors: values.iter().step_by(ANCHOR_INTERVAL).copied().collect(),
             non_decreasing: stats.non_decreasing,
         }

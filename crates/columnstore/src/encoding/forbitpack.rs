@@ -27,12 +27,12 @@ impl ForBitPackColumn {
     /// the width come from there, so the one pass left is the pack loop.
     pub fn encode(values: &[i64], stats: &IntStats) -> ForBitPackColumn {
         let reference = stats.min;
-        let normalized = values.iter().map(|&v| v.wrapping_sub(reference) as u64);
-        ForBitPackColumn {
-            reference,
-            packed: PackedVec::pack_iter(normalized, stats.bitpack_bits()),
-            non_decreasing: stats.non_decreasing,
-        }
+        let packed = PackedVec::pack_staged(values.len(), stats.bitpack_bits(), |start, block| {
+            for (slot, &v) in block.iter_mut().zip(&values[start..]) {
+                *slot = v.wrapping_sub(reference) as u64;
+            }
+        });
+        ForBitPackColumn { reference, packed, non_decreasing: stats.non_decreasing }
     }
 
     /// Number of rows.

@@ -53,9 +53,14 @@ impl ColumnSpec {
 /// buffers grow by doubling; nothing reserves `segment_rows`, which may be
 /// `usize::MAX`.
 #[derive(Debug)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one per column of the region; the interner's cache of recent ids sits inline"
+)]
 enum MutableColumn {
-    /// Storage integers (dates as days, decimals as hundredths).
-    Ints(Vec<i64>),
+    /// Storage integers (dates as days, decimals as hundredths) of the
+    /// column's type.
+    Ints { ty: LogicalType, values: Vec<i64> },
     /// Each row's provisional id among the column's distinct strings.
     Strs { ids: Vec<u32>, strings: Interner<Arc<str>> },
 }
@@ -63,7 +68,7 @@ enum MutableColumn {
 impl MutableColumn {
     fn new(ty: LogicalType) -> MutableColumn {
         if ty.is_integerlike() {
-            MutableColumn::Ints(Vec::new())
+            MutableColumn::Ints { ty, values: Vec::new() }
         } else {
             MutableColumn::Strs { ids: Vec::new(), strings: Interner::default() }
         }
@@ -71,22 +76,42 @@ impl MutableColumn {
 
     fn len(&self) -> usize {
         match self {
-            MutableColumn::Ints(values) => values.len(),
+            MutableColumn::Ints { values, .. } => values.len(),
             MutableColumn::Strs { ids, .. } => ids.len(),
         }
     }
 
-    #[expect(
-        clippy::expect_used,
-        clippy::unreachable,
-        reason = "`Table::check_row` typed every value of the row before any was appended"
-    )]
-    fn push(&mut self, value: &Value) {
+    /// Append `value` if it has the column's type; false, with nothing
+    /// appended, if it does not.
+    #[inline]
+    fn push(&mut self, value: &Value) -> bool {
+        match (self, value) {
+            (MutableColumn::Strs { ids, strings }, Value::Str(s)) => ids.push(strings.intern(s)),
+            (MutableColumn::Ints { ty, values }, value) => {
+                match value.as_storage_i64().filter(|_| value.logical_type() == *ty) {
+                    Some(v) => values.push(v),
+                    None => return false,
+                }
+            }
+            (MutableColumn::Strs { .. }, _) => return false,
+        }
+        true
+    }
+
+    /// Take back the last append, and forget its string if that was new:
+    /// a row adds at most one key to a column, the newest, and only if no
+    /// other row holds it (a scan of the column, paid only on rejection).
+    fn pop(&mut self) {
         match self {
-            MutableColumn::Ints(values) => values.push(value.as_storage_i64().expect("typed")),
+            MutableColumn::Ints { values, .. } => {
+                values.pop();
+            }
             MutableColumn::Strs { ids, strings } => {
-                let Value::Str(s) = value else { unreachable!("typed") };
-                ids.push(strings.intern(s));
+                if let Some(id) = ids.pop() {
+                    if id as usize + 1 == strings.len() && !ids.contains(&id) {
+                        strings.forget_last();
+                    }
+                }
             }
         }
     }
@@ -96,7 +121,7 @@ impl MutableColumn {
     /// strings. The column itself is left as it was.
     fn to_data(&self) -> ColumnData {
         match self {
-            MutableColumn::Ints(values) => ColumnData::Ints(values.clone()),
+            MutableColumn::Ints { values, .. } => ColumnData::Ints(values.clone()),
             MutableColumn::Strs { ids, strings } => {
                 ColumnData::Strs(StrDictColumn::from_interned(strings, ids))
             }
@@ -107,7 +132,7 @@ impl MutableColumn {
     /// copying it.
     fn into_data(self) -> ColumnData {
         match self {
-            MutableColumn::Ints(values) => ColumnData::Ints(values),
+            MutableColumn::Ints { values, .. } => ColumnData::Ints(values),
             strs => strs.to_data(),
         }
     }
@@ -138,7 +163,7 @@ impl MutableRows<'_> {
     /// Panics if `row` or `col` is out of range.
     pub fn value(&self, row: usize, col: usize) -> Value {
         match &self.columns[col] {
-            MutableColumn::Ints(values) => Value::from_storage_i64(self.specs[col].ty, values[row]),
+            MutableColumn::Ints { ty, values } => Value::from_storage_i64(*ty, values[row]),
             MutableColumn::Strs { ids, strings } => Value::Str(Arc::clone(strings.key(ids[row]))),
         }
     }
@@ -217,15 +242,17 @@ impl Table {
     ///
     /// # Panics
     /// Panics if the row's arity or a value's type does not match the
-    /// schema. The row is checked whole before any column grows, so a
-    /// rejected row leaves the table as it was.
+    /// schema. A rejected row leaves the table as it was: each value is
+    /// typed as it is appended, and a mistyped one takes back the appends
+    /// before it.
     pub fn insert(&mut self, row: Vec<Value>) {
-        self.check_row(&row);
+        assert_eq!(row.len(), self.specs.len(), "row arity mismatch");
         // Values are read in place and the row is dropped whole: moving
         // each value out of the row cost ≈ 100 cycles a row more (LINEITEM
         // rows, 2.1 GHz Xeon).
-        for (column, value) in self.mutable.iter_mut().zip(&row) {
-            column.push(value);
+        let mistyped = self.mutable.iter_mut().zip(&row).position(|(column, v)| !column.push(v));
+        if let Some(c) = mistyped {
+            self.reject(c, &row[c]);
         }
         drop(row);
         if self.mutable_rows().len() >= self.segment_rows {
@@ -253,17 +280,21 @@ impl Table {
         ));
     }
 
-    fn check_row(&self, row: &[Value]) {
-        assert_eq!(row.len(), self.specs.len(), "row arity mismatch");
-        for (v, s) in row.iter().zip(&self.specs) {
-            assert_eq!(
-                v.logical_type(),
-                s.ty,
-                "type mismatch in column '{}': expected {:?}",
-                s.name,
-                s.ty
-            );
+    /// Take back a row's appends to the columns before `c`, whose value
+    /// `value` does not have the column's type, and panic.
+    #[cold]
+    #[expect(clippy::panic, reason = "a mistyped row is a caller bug, documented on `insert`")]
+    fn reject(&mut self, c: usize, value: &Value) -> ! {
+        for column in &mut self.mutable[..c] {
+            column.pop();
         }
+        let spec = &self.specs[c];
+        panic!(
+            "type mismatch in column '{}': expected {:?}, got {:?}",
+            spec.name,
+            spec.ty,
+            value.logical_type()
+        )
     }
 }
 

@@ -216,3 +216,66 @@ fn pack_rejects_a_value_one_past_the_width() {
         assert!(message.contains("does not fit"), "width {bits}: {message}");
     }
 }
+
+/// The value-at-a-time pack loop the block packer replaced: each value ORed
+/// into a register word at its offset, a value that crosses the word keeping
+/// its high bits for the next, then the partial word and the padding.
+fn pack_scalar_oracle(values: &[u64], bits: u8) -> Vec<u8> {
+    let width = u32::from(bits);
+    let mut bytes = Vec::new();
+    let (mut acc, mut fill) = (0u64, 0u32);
+    for &v in values {
+        acc |= v << fill;
+        fill += width;
+        if fill >= 64 {
+            bytes.extend_from_slice(&acc.to_le_bytes());
+            fill -= 64;
+            acc = if fill == 0 { 0 } else { v >> (width - fill) };
+        }
+    }
+    bytes.extend_from_slice(&acc.to_le_bytes());
+    bytes.resize((values.len() * bits as usize).div_ceil(8) + 8, 0);
+    bytes
+}
+
+/// The block packer (whole blocks of 64 values) and its scalar tail write
+/// the bytes the value-at-a-time loop wrote, at every width, around one and
+/// two blocks and at a length with a 7-value tail.
+#[test]
+fn block_packer_matches_the_scalar_loop() {
+    let all: Vec<u8> = (1..=64).collect();
+    let widths: &[u8] = if cfg!(miri) { &BOUNDARY_BITS } else { &all };
+    let lengths: &[usize] =
+        if cfg!(miri) { &[0, 1, 63, 64, 65, 128] } else { &[0, 1, 63, 64, 65, 127, 128, 1031] };
+    for &bits in widths {
+        for &n in lengths {
+            let values = if n == 0 { Vec::new() } else { workload(bits, n) };
+            let staged = PackedVec::pack_staged(n, bits, |start, block| {
+                block.copy_from_slice(&values[start..start + block.len()]);
+            });
+            let want = pack_scalar_oracle(&values, bits);
+            assert_eq!(staged.bytes_padded(), &want[..], "width {bits}, n {n}");
+            assert_eq!(PackedVec::pack(&values, bits), staged, "width {bits}, n {n}");
+        }
+    }
+}
+
+/// A value one past the mask panics with the same message whether it lies
+/// inside a whole block or in the tail after the last one.
+#[test]
+fn block_packer_rejects_a_value_one_past_the_width_in_a_block_and_in_the_tail() {
+    for &bits in BOUNDARY_BITS.iter().filter(|&&b| b < 64) {
+        for at in [10usize, 129] {
+            let mut values = workload(bits, 130);
+            values[at] = mask_for(bits) + 1;
+            let packed = std::panic::catch_unwind(|| {
+                PackedVec::pack_staged(values.len(), bits, |start, block| {
+                    block.copy_from_slice(&values[start..start + block.len()]);
+                })
+            });
+            let message = *packed.expect_err("must panic").downcast::<String>().expect("formatted");
+            let want = format!("value {} does not fit in {bits} bits", mask_for(bits) + 1);
+            assert_eq!(message, want, "width {bits}, value at {at}");
+        }
+    }
+}

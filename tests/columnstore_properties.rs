@@ -18,6 +18,7 @@ use bipie::columnstore::segment::{ColumnData, Segment};
 use bipie::columnstore::{
     ColumnSpec, Date, DeletedBitmap, LogicalType, Table, TableBuilder, Value,
 };
+use bipie::toolbox::bitpack::min_bits;
 use bipie::toolbox::rng::Rng;
 use bipie::tpch::lineitem_specs;
 use common::{run_cases, Gen, HINTS};
@@ -159,6 +160,90 @@ fn forced_dict_is_legal_past_the_auto_cap() {
     assert!(col.encoded_bytes() < stats.bitpack_bytes(), "the cap, not the size, must decide");
     assert_eq!(stats.dict_bytes(&values), None);
     assert_ne!(encode_ints(&values, EncodingHint::Auto).encoding(), Encoding::Dict);
+}
+
+/// The statistics pass as one value-at-a-time loop: the oracle the chunked
+/// pass must equal.
+fn scan_oracle(values: &[i64]) -> IntStats {
+    let first = values.first().copied().unwrap_or(0);
+    let (mut min, mut max, mut runs, mut non_decreasing) = (first, first, 0, true);
+    let (mut min_delta, mut max_delta, mut delta_overflow) = (i64::MAX, i64::MIN, false);
+    for w in values.windows(2) {
+        let (prev, v) = (w[0], w[1]);
+        min = min.min(v);
+        max = max.max(v);
+        runs += (v != prev) as usize;
+        non_decreasing &= v >= prev;
+        let (delta, overflowed) = v.overflowing_sub(prev);
+        min_delta = min_delta.min(delta);
+        max_delta = max_delta.max(delta);
+        delta_overflow |= overflowed;
+    }
+    if values.len() < 2 {
+        (min_delta, max_delta) = (0, 0);
+    }
+    let (len, runs) = (values.len(), runs + values.len().min(1));
+    IntStats { len, min, max, runs, non_decreasing, min_delta, max_delta, delta_overflow }
+}
+
+/// The chunked statistics pass equals the loop at every length around its
+/// chunks (a short last chunk of each size, before and after whole ones),
+/// on runs, sorted, small and overflowing values, and on every value pool.
+#[test]
+fn statistics_pass_matches_the_loop() {
+    for len in 0..=130usize {
+        let mut g = Gen::with_seed(len as u64);
+        let pools: [Vec<i64>; 4] = [
+            (0..len).map(|_| g.int(-3i64..3)).collect(),
+            (0..len).map(|i| (i / 3) as i64 - 20).collect(),
+            (0..len).map(|_| *g.pick(&[i64::MIN, i64::MAX, 0, -1, 1])).collect(),
+            (0..len).map(|_| g.rng.random::<i64>()).collect(),
+        ];
+        for values in &pools {
+            assert_eq!(IntStats::scan(values), scan_oracle(values), "{values:?}");
+        }
+    }
+    run_cases("statistics_pass_matches_the_loop", 256, |g| {
+        let values = arb_values(g);
+        assert_eq!(IntStats::scan(&values), scan_oracle(&values), "{values:?}");
+    });
+}
+
+/// `dict_bytes` counts what a `BTreeSet` counts: the extremes of `i64`
+/// (0 among them, which the counter keeps beside its table), keys that
+/// differ only above bit 48, and exactly [`MAX_DICT_ENTRIES`] distinct
+/// values against one more.
+#[test]
+fn dict_bytes_counts_like_a_btree_set() {
+    let expected = |values: &[i64]| {
+        let stats = IntStats::scan(values);
+        let d = values.iter().collect::<std::collections::BTreeSet<_>>().len();
+        let size = d * 8 + (values.len() * min_bits(d.max(1) as u64 - 1) as usize).div_ceil(8);
+        (d > 0 && d <= MAX_DICT_ENTRIES && size < stats.bitpack_bytes()).then_some(size)
+    };
+    let extremes = [i64::MIN, i64::MAX, 0, -1, i64::MIN + 1, i64::MAX - 1];
+    let high_bits: Vec<i64> = (0..4096i64).map(|k| (k * 7 % 4096) << 48).collect();
+    let wide = |d: i64| -> Vec<i64> {
+        // Each of `d` full-width values twice, far apart, so a dictionary
+        // would win on size and only the cap can refuse it.
+        (0..2 * d).map(|i| (i % d).wrapping_mul(0x9E37_79B9_7F4A_7C15u64 as i64)).collect()
+    };
+    let cases: Vec<Vec<i64>> = vec![
+        Vec::new(),
+        vec![0; 10],
+        extremes.to_vec(),
+        extremes.iter().cycle().take(600).copied().collect(),
+        high_bits.iter().chain(&high_bits).copied().collect(),
+        high_bits.iter().map(|k| k | 1).chain(high_bits.iter().copied()).collect(),
+        wide(MAX_DICT_ENTRIES as i64),
+        wide(MAX_DICT_ENTRIES as i64 + 1),
+    ];
+    for values in &cases {
+        let stats = IntStats::scan(values);
+        assert_eq!(stats.dict_bytes(values), expected(values), "{} values", values.len());
+    }
+    let at_cap = &cases[cases.len() - 2];
+    assert!(IntStats::scan(at_cap).dict_bytes(at_cap).is_some(), "the cap itself is allowed");
 }
 
 /// Strings are interned in first-seen order, but the dictionary is sorted
@@ -483,21 +568,39 @@ fn inserted_rows_encode_like_segment_build() {
     }
 }
 
-/// A row with a mistyped value in its last column is rejected whole: no
-/// column grows, and the flushed segment is the one built without it.
+/// A row with a mistyped value in any column is rejected whole: no column
+/// grows, a string the row brought that no earlier row had leaves the
+/// column's dictionary again, and the flushed segment is the one built
+/// without the row. Each column is mistyped in turn, in a row of known
+/// strings and in one whose string columns carry new ones, between two runs
+/// of good rows.
 #[test]
 fn a_rejected_row_leaves_no_trace() {
     let specs = lineitem_specs();
     let rows = lineitem_rows(300, 7);
     let mut table = Table::with_segment_rows(specs.clone(), usize::MAX);
-    for row in rows.clone() {
+    for row in rows[..150].iter().cloned() {
         table.insert(row);
     }
-    let mut bad = rows[0].clone();
-    bad[specs.len() - 1] = Value::I64(1);
-    let rejected = catch_unwind(AssertUnwindSafe(|| table.insert(bad)));
-    assert!(rejected.is_err(), "a mistyped row must be rejected");
-    assert_eq!(table.mutable_rows().len(), rows.len());
+    for c in 0..specs.len() {
+        for new_strings in [false, true] {
+            let mut bad = rows[0].clone();
+            for (value, spec) in bad.iter_mut().zip(&specs) {
+                if new_strings && spec.ty == LogicalType::Str {
+                    *value = Value::Str(format!("new in {}", spec.name).into());
+                }
+            }
+            // Same storage integer, other type, where the column holds integers.
+            bad[c] =
+                if specs[c].ty == LogicalType::I64 { Value::Decimal(1) } else { Value::I64(1) };
+            let rejected = catch_unwind(AssertUnwindSafe(|| table.insert(bad)));
+            assert!(rejected.is_err(), "a row mistyped in column {c} must be rejected");
+            assert_eq!(table.mutable_rows().len(), 150, "column {c}");
+        }
+    }
+    for row in rows[150..].iter().cloned() {
+        table.insert(row);
+    }
     table.flush_mutable();
     assert_same_segment(&table.segments()[0], &build_segment(&specs, &rows), "after rejection");
 }
