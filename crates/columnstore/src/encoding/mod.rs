@@ -156,29 +156,23 @@ impl EncodedColumn {
 
 /// What one pass over an integer column learns: enough to size every
 /// candidate encoding by arithmetic, to build the winner without rescanning,
-/// and to fill the segment's [`ColumnMeta`](crate::ColumnMeta). The
-/// fields are public to read; an encoder given a record that
-/// [`IntStats::scan`] did not make of the same values may panic.
+/// and to fill the segment's [`ColumnMeta`](crate::ColumnMeta).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntStats {
-    /// Number of values.
-    pub len: usize,
-    /// Smallest value (0 for an empty column).
-    pub min: i64,
-    /// Largest value (0 for an empty column).
-    pub max: i64,
+    pub(crate) len: usize,
+    /// Smallest and largest value (0 for an empty column).
+    pub(crate) min: i64,
+    pub(crate) max: i64,
     /// Runs of equal consecutive values.
-    pub runs: usize,
-    /// No value is smaller than the one before it.
-    pub non_decreasing: bool,
-    /// Smallest wrapping difference `v[i] - v[i-1]` (0 below two values).
-    pub min_delta: i64,
-    /// Largest wrapping difference `v[i] - v[i-1]` (0 below two values).
-    pub max_delta: i64,
-    /// Some difference overflowed `i64`. The wrapping deltas always
-    /// round-trip, but then their range no longer bounds a packed width the
+    pub(crate) runs: usize,
+    pub(crate) non_decreasing: bool,
+    /// Smallest and largest wrapping difference `v[i] - v[i-1]` (0 below two
+    /// values). The wrapping deltas always round-trip, but once one of them
+    /// overflowed `i64` their range no longer bounds a packed width the
     /// chooser may assume, so delta stops being an automatic candidate.
-    pub delta_overflow: bool,
+    pub(crate) min_delta: i64,
+    pub(crate) max_delta: i64,
+    pub(crate) delta_overflow: bool,
 }
 
 impl IntStats {
@@ -484,6 +478,72 @@ fn choose_int_encoding(values: &[i64], stats: &IntStats) -> Encoding {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bipie_toolbox::rng::Rng;
+
+    /// The statistics pass as one value-at-a-time loop: the oracle the
+    /// chunked pass must equal.
+    fn scan_oracle(values: &[i64]) -> IntStats {
+        let first = values.first().copied().unwrap_or(0);
+        let (mut min, mut max, mut runs, mut non_decreasing) = (first, first, 0, true);
+        let (mut min_delta, mut max_delta, mut delta_overflow) = (i64::MAX, i64::MIN, false);
+        for w in values.windows(2) {
+            let (prev, v) = (w[0], w[1]);
+            min = min.min(v);
+            max = max.max(v);
+            runs += (v != prev) as usize;
+            non_decreasing &= v >= prev;
+            let (delta, overflowed) = v.overflowing_sub(prev);
+            min_delta = min_delta.min(delta);
+            max_delta = max_delta.max(delta);
+            delta_overflow |= overflowed;
+        }
+        if values.len() < 2 {
+            (min_delta, max_delta) = (0, 0);
+        }
+        let (len, runs) = (values.len(), runs + values.len().min(1));
+        IntStats { len, min, max, runs, non_decreasing, min_delta, max_delta, delta_overflow }
+    }
+
+    /// The chunked statistics pass equals the loop at every length around
+    /// its chunks (a short last chunk of each size, before and after whole
+    /// ones), on small, sorted, overflowing and full-width values, and on
+    /// longer columns of runs, sorted wide values, a few wide keys and a
+    /// constant.
+    #[test]
+    fn statistics_pass_matches_the_loop() {
+        const EXTREMES: [i64; 5] = [i64::MIN, i64::MAX, 0, -1, 1];
+        for len in 0..=130usize {
+            let mut rng = Rng::seed_from_u64(len as u64);
+            let pools: [Vec<i64>; 4] = [
+                (0..len).map(|_| rng.random_range(-3i64..3)).collect(),
+                (0..len).map(|i| (i / 3) as i64 - 20).collect(),
+                (0..len).map(|_| EXTREMES[rng.random_range(0..EXTREMES.len())]).collect(),
+                (0..len).map(|_| rng.random::<i64>()).collect(),
+            ];
+            for values in &pools {
+                assert_eq!(IntStats::scan(values), scan_oracle(values), "{values:?}");
+            }
+        }
+        let mut rng = Rng::seed_from_u64(0x5EED);
+        for case in 0..256 {
+            let len = rng.random_range(0..600usize);
+            let keys: Vec<i64> = (0..8).map(|_| rng.random_range(-(1i64 << 50)..1 << 50)).collect();
+            let (run, constant) = (rng.random_range(1..50usize), rng.random_range(-1000i64..1000));
+            let mut acc = 1_000_000_000i64;
+            let values: Vec<i64> = (0..len)
+                .map(|i| match case % 4 {
+                    0 => (i / run) as i64 * 1_000_000,
+                    1 => {
+                        acc += rng.random_range(0i64..1000);
+                        acc
+                    }
+                    2 => keys[rng.random_range(0..keys.len())],
+                    _ => constant,
+                })
+                .collect();
+            assert_eq!(IntStats::scan(&values), scan_oracle(&values), "case {case}: {values:?}");
+        }
+    }
 
     fn roundtrip(col: &EncodedColumn, values: &[i64]) {
         assert_eq!(col.len(), values.len());

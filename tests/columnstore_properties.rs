@@ -162,53 +162,6 @@ fn forced_dict_is_legal_past_the_auto_cap() {
     assert_ne!(encode_ints(&values, EncodingHint::Auto).encoding(), Encoding::Dict);
 }
 
-/// The statistics pass as one value-at-a-time loop: the oracle the chunked
-/// pass must equal.
-fn scan_oracle(values: &[i64]) -> IntStats {
-    let first = values.first().copied().unwrap_or(0);
-    let (mut min, mut max, mut runs, mut non_decreasing) = (first, first, 0, true);
-    let (mut min_delta, mut max_delta, mut delta_overflow) = (i64::MAX, i64::MIN, false);
-    for w in values.windows(2) {
-        let (prev, v) = (w[0], w[1]);
-        min = min.min(v);
-        max = max.max(v);
-        runs += (v != prev) as usize;
-        non_decreasing &= v >= prev;
-        let (delta, overflowed) = v.overflowing_sub(prev);
-        min_delta = min_delta.min(delta);
-        max_delta = max_delta.max(delta);
-        delta_overflow |= overflowed;
-    }
-    if values.len() < 2 {
-        (min_delta, max_delta) = (0, 0);
-    }
-    let (len, runs) = (values.len(), runs + values.len().min(1));
-    IntStats { len, min, max, runs, non_decreasing, min_delta, max_delta, delta_overflow }
-}
-
-/// The chunked statistics pass equals the loop at every length around its
-/// chunks (a short last chunk of each size, before and after whole ones),
-/// on runs, sorted, small and overflowing values, and on every value pool.
-#[test]
-fn statistics_pass_matches_the_loop() {
-    for len in 0..=130usize {
-        let mut g = Gen::with_seed(len as u64);
-        let pools: [Vec<i64>; 4] = [
-            (0..len).map(|_| g.int(-3i64..3)).collect(),
-            (0..len).map(|i| (i / 3) as i64 - 20).collect(),
-            (0..len).map(|_| *g.pick(&[i64::MIN, i64::MAX, 0, -1, 1])).collect(),
-            (0..len).map(|_| g.rng.random::<i64>()).collect(),
-        ];
-        for values in &pools {
-            assert_eq!(IntStats::scan(values), scan_oracle(values), "{values:?}");
-        }
-    }
-    run_cases("statistics_pass_matches_the_loop", 256, |g| {
-        let values = arb_values(g);
-        assert_eq!(IntStats::scan(&values), scan_oracle(&values), "{values:?}");
-    });
-}
-
 /// `dict_bytes` counts what a `BTreeSet` counts: the extremes of `i64`
 /// (0 among them, which the counter keeps beside its table), keys that
 /// differ only above bit 48, and exactly [`MAX_DICT_ENTRIES`] distinct
