@@ -34,26 +34,26 @@ pub struct StrDictColumn {
 /// Distinct keys found by comparison before a column gets a hash index.
 const LINEAR_KEYS: usize = 16;
 
-/// Index bits of [`Interner`]'s cache of recent ids: 64 slots. Over 201
-/// fresh sets of keys each, two of LINEITEM's 3 + 2 string keys shared a
-/// slot in 5 sets, two of 8 keys in 3 and two of 16 keys in 195; a column
-/// with a shared slot still read faster through the cache than without it.
+/// Index bits of [`Interner`]'s cache of recent ids: 64 slots. Keys sit at
+/// regular addresses, so slots are shared more or less often than chance
+/// says: over 201 sets of keys, two of LINEITEM's 3 + 2 string keys shared a
+/// slot in 4, two of 8 keys in none and two of 16 keys in 192; the 16-key
+/// column still read 0.84× the same code without the cache.
 const RECENT_BITS: u32 = 6;
 
 /// The first half of building a dictionary: each distinct key gets a
 /// provisional id, its index in first-seen order. [`Interner::finish`]
 /// sorts the distinct keys and remaps the ids to their ranks.
 ///
-/// While a column has at most [`LINEAR_KEYS`] distinct keys, they are found
-/// by comparison, by identity before content. As long as every key found
-/// was found by identity (the rows share their keys), a small direct-mapped
-/// cache of recent ids comes first, indexed by the key's identity
-/// ([`Key::identity`]) and confirmed by [`Key::is`] against the stored key:
-/// a hit costs no search, and the cache can never answer for a key it does
-/// not hold. The first key found only by content (rows that carry copies)
-/// turns the cache off for good, since it could then only miss. Past
-/// [`LINEAR_KEYS`] keys, a `HashMap` with the standard library's keyed hash
-/// indexes them, because values come from outside the program.
+/// While a column has at most [`LINEAR_KEYS`] distinct keys, a key is
+/// looked up first in a small direct-mapped cache of recent ids, indexed by
+/// the key's identity ([`Key::identity`]) and confirmed by [`Key::is`]
+/// against the stored key: a hit costs no search, the cache can never
+/// answer for a key it does not hold, and two keys that share a slot only
+/// cost each other the search. Past the cache the keys are found by
+/// comparison, by identity before content. Past [`LINEAR_KEYS`] keys, a
+/// `HashMap` with the standard library's keyed hash indexes them, because
+/// values come from outside the program.
 #[derive(Debug)]
 pub(crate) struct Interner<K> {
     keys: Vec<K>,
@@ -61,19 +61,11 @@ pub(crate) struct Interner<K> {
     index: HashMap<K, u32>,
     /// An id per identity hash; `u32::MAX` or a stale id fails the check.
     recent: [u32; 1 << RECENT_BITS],
-    /// No key has been found by content only: the rows share their keys,
-    /// and `recent` is in use.
-    shared: bool,
 }
 
 impl<K> Default for Interner<K> {
     fn default() -> Self {
-        Interner {
-            keys: Vec::new(),
-            index: HashMap::new(),
-            recent: [u32::MAX; 1 << RECENT_BITS],
-            shared: true,
-        }
+        Interner { keys: Vec::new(), index: HashMap::new(), recent: [u32::MAX; 1 << RECENT_BITS] }
     }
 }
 
@@ -129,16 +121,18 @@ impl<K: Key> Interner<K> {
     /// keys cost as much in instructions. The cache's hit test takes the
     /// same way every row. Past [`LINEAR_KEYS`] keys the cache is skipped:
     /// it would mostly miss, and each miss is a mispredicted branch again
-    /// (a 256-key dictionary encoded ≈ 15 % slower through it). On rows that
-    /// carry a copy of each string, a cache that stayed on cost ≈ 1 % of
-    /// `Table::insert` (LINEITEM rows, faster in 75 of 201 rounds).
+    /// (a 256-key dictionary encoded ≈ 15 % slower through it).
+    ///
+    /// Rows that carry their own copy of each string always miss, since a
+    /// copy's address is new. They pay the call to the out-of-line search,
+    /// ≈ 1.5 % of `Table::insert` against the same code without the cache,
+    /// and read the same as before the cache. Skipping the cache for them
+    /// with the search inlined won that back, but made `insert` ≈ 4 %
+    /// slower on rows that share their strings.
     #[inline]
     pub(crate) fn intern(&mut self, key: &K) -> u32 {
         if self.keys.len() > LINEAR_KEYS {
             return self.index_of(key);
-        }
-        if !self.shared {
-            return self.find(key);
         }
         let slot =
             (key.identity().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - RECENT_BITS)) as usize;
@@ -151,22 +145,16 @@ impl<K: Key> Interner<K> {
         id
     }
 
-    /// [`Interner::find`] after a cache miss, kept out of line so that the
+    /// [`Interner::intern`] past the cache, among at most [`LINEAR_KEYS`]
+    /// keys: by identity, then by content. Kept out of line so that the
     /// caller's loop stays in registers.
     #[inline(never)]
     fn search(&mut self, key: &K) -> u32 {
-        self.find(key)
-    }
-
-    /// [`Interner::intern`] among at most [`LINEAR_KEYS`] keys: by
-    /// identity, then by content.
-    #[inline(always)]
-    fn find(&mut self, key: &K) -> u32 {
-        if let Some(id) = self.keys.iter().position(|k| k.is(key)) {
-            return id as u32;
+        let mut found = self.keys.iter().position(|k| k.is(key));
+        if found.is_none() {
+            found = self.keys.iter().position(|k| k == key);
         }
-        if let Some(id) = self.keys.iter().position(|k| k == key) {
-            self.shared = false;
+        if let Some(id) = found {
             return id as u32;
         }
         self.keys.push(key.clone());
@@ -392,21 +380,15 @@ mod tests {
     }
 
     #[test]
-    fn interner_ids_are_the_same_through_the_cache_and_after_it_turns_off() {
+    fn interner_ids_are_the_same_for_shared_keys_and_copies() {
         let mut strings = Interner::default();
         let keys: Vec<Arc<str>> = (0..8).map(|i| format!("k{i}").into()).collect();
-        let order: Vec<usize> = (0..200).map(|i| i * 5 % keys.len()).collect();
         for (k, key) in keys.iter().enumerate() {
             assert_eq!(strings.intern(key), k as u32);
         }
-        for &k in &order {
+        for k in (0..200).map(|i| i * 5 % keys.len()) {
             assert_eq!(strings.intern(&keys[k]), k as u32);
-        }
-        assert!(strings.shared, "shared keys keep the cache on");
-        for &k in &order {
             assert_eq!(strings.intern(&Arc::from(&*keys[k])), k as u32);
-            assert!(!strings.shared, "a copy turns the cache off");
-            assert_eq!(strings.intern(&keys[k]), k as u32);
         }
         assert_eq!(strings.len(), keys.len());
     }
